@@ -159,10 +159,7 @@ _SWAP_INTERACTIONS = {
 def cmd_swap_check(args):
     t = parse_time(args.time)
     ham = _SWAP_INTERACTIONS[args.interaction]()
-    cache = evolution_cache(ham)
-    es = cache.eigensystem
-    unitary = (es.eigenvectors * np.exp(1j * args.sign * es.eigenvalues * t)) @ es.eigenvectors.conj().T
-    result = swap_check(unitary, tol=args.tol)
+    result = swap_check(evolution_cache(ham).unitary(t, args.sign), tol=args.tol)
     payload = {
         "interaction": args.interaction,
         "time": t,
@@ -289,8 +286,11 @@ def cmd_tomography(args):
         if not (args.record_up and args.record_down and args.order):
             raise SpecError("file-based tomography needs --record-up, --record-down "
                             "and --order")
-        rec_up = read_record_csv(args.record_up, "up", shots=args.shots)
-        rec_down = read_record_csv(args.record_down, "down", shots=args.shots)
+        try:
+            rec_up = read_record_csv(args.record_up, "up", shots=args.shots)
+            rec_down = read_record_csv(args.record_down, "down", shots=args.shots)
+        except OSError as exc:
+            return _error({"stage": "io", "message": str(exc)}, 2)
         result = tomography_from_records(rec_up, rec_down, args.order)
         payload = result.to_json_dict()
         spec_path = None

@@ -6,15 +6,14 @@ convention).  Scans over dense time grids are evaluated through the
 kernels module, which is the package's hot path.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import HermitianEigenSystem, apply_exp, eig_hermitian
-from .parity import chain_mirror_permutation, sigma_mirror_permutation
+from .linalg import EvolutionCache, apply_exp, evolution_cache
+from .parity import clustered_parities, commutator_residual, operator_with_mirror
 from .spin_ops import ChainOperator, basis_index
 
 
@@ -39,62 +38,14 @@ class StateVector:
     @classmethod
     def from_label(cls, label, basis="full"):
         n = len(label)
-        dim = 3 ** n if basis == "full" else None
         if basis != "full":
             raise ValueError("labels address the full product basis")
-        amp = np.zeros(dim, dtype=complex)
+        amp = np.zeros(3 ** n, dtype=complex)
         amp[basis_index(label)] = 1.0
         return cls(amp, "full", n)
 
     def overlap(self, other):
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-class EvolutionCache:
-    """Eigendecomposition of one Hamiltonian, reusable across time points."""
-
-    def __init__(self, eigensystem, fingerprint):
-        self.eigensystem = eigensystem
-        self.fingerprint = fingerprint
-
-    @property
-    def eigenvalues(self):
-        return self.eigensystem.eigenvalues
-
-    @property
-    def eigenvectors(self):
-        return self.eigensystem.eigenvectors
-
-    @classmethod
-    def from_matrix(cls, mat):
-        mat = _as_matrix(mat)
-        digest = hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
-        return cls(eig_hermitian(mat), digest)
-
-
-_CACHE_LIMIT = 8
-_cache_by_fingerprint = {}
-
-
-def _as_matrix(op):
-    if isinstance(op, ChainOperator):
-        return op.dense()
-    if isinstance(op, (HermitianEigenSystem, EvolutionCache)):
-        raise TypeError("pass the eigensystem through evolution_cache-aware APIs")
-    return np.asarray(op)
-
-
-def evolution_cache(op):
-    """Memoized eigendecomposition keyed by matrix content."""
-    mat = _as_matrix(op)
-    digest = hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
-    cached = _cache_by_fingerprint.get(digest)
-    if cached is None:
-        cached = EvolutionCache(eig_hermitian(mat), digest)
-        if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
-            _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
-        _cache_by_fingerprint[digest] = cached
-    return cached
 
 
 def evolve(op, state, t, sign=1):
@@ -240,12 +191,6 @@ class MirrorCheckResult:
     odd_phases: tuple
 
 
-def _mirror_matrix(n, space):
-    if space == "sigma":
-        return sigma_mirror_permutation(n)
-    return chain_mirror_permutation(n)
-
-
 def mirror_check(op, t, sign=1, space="full", tol=1e-8):
     """Test whether exp(i*sign*H*t) equals the site inversion up to a phase.
 
@@ -253,28 +198,24 @@ def mirror_check(op, t, sign=1, space="full", tol=1e-8):
     e^{i phi} M, the [H, M] commutator residual, and the distinct
     eigenphases exp(i E t) grouped by the mirror parity of their
     eigenvectors (mirroring requires each group to collapse to one value,
-    the two groups differing by a factor -1).
+    the two groups differing by a factor -1).  ``space`` is ``full``
+    (dimension 3^n) or ``sigma`` (the (2n+1)-dimensional sigma block).
     """
-    if isinstance(op, ChainOperator):
-        mat = op.dense()
-        n = op.n_sites
-    else:
-        mat = np.asarray(op)
-        if space == "sigma":
-            n = (mat.shape[0] - 1) // 2
-        else:
-            n = round(np.log(mat.shape[0]) / np.log(3))
-    mirror = _mirror_matrix(n, space)
-    comm = float(np.max(np.abs(mat @ mirror - mirror @ mat)))
+    if space == "sigma" and isinstance(op, ChainOperator):
+        raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
+                         "not a full-space ChainOperator")
+    mat, index = operator_with_mirror(op, "sigma" if space == "sigma" else "chain_mirror")
+    comm = commutator_residual(mat, index)
     cache = evolution_cache(mat)
-    es = cache.eigensystem
-    unitary = (es.eigenvectors * np.exp(1j * sign * es.eigenvalues * t)) @ es.eigenvectors.conj().T
-    phi = float(np.angle(np.trace(mirror.T @ unitary)))
-    residual = float(np.max(np.abs(unitary - np.exp(1j * phi) * mirror)))
+    unitary = cache.unitary(t, sign)
+    columns = np.arange(index.size)
+    phi = float(np.angle(np.sum(unitary[index, columns])))
+    unitary[index, columns] -= np.exp(1j * phi)
+    residual = float(np.max(np.abs(unitary)))
 
     even_phases, odd_phases = [], []
     if comm <= 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
-        vals, pars = _clustered_parity_labels(mat, mirror)
+        vals, pars = clustered_parities(cache.eigensystem, index)
         for v, p in zip(vals, pars):
             phase = np.exp(1j * sign * v * t)
             bucket = even_phases if p > 0 else odd_phases
@@ -288,21 +229,3 @@ def mirror_check(op, t, sign=1, space="full", tol=1e-8):
         even_phases=tuple(even_phases),
         odd_phases=tuple(odd_phases),
     )
-
-
-def _clustered_parity_labels(mat, mirror, cluster_tol=1e-9):
-    """(eigenvalue, parity) pairs, diagonalizing the mirror inside clusters."""
-    evals, vecs = np.linalg.eigh(mat)
-    vals, pars = [], []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
-            j += 1
-        cluster = vecs[:, i:j + 1]
-        pv = np.linalg.eigvalsh(cluster.conj().T @ mirror @ cluster)
-        for p in pv:
-            vals.append(float(np.mean(evals[i:j + 1])))
-            pars.append(1 if p > 0 else -1)
-        i = j + 1
-    return np.array(vals), np.array(pars)

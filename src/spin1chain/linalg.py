@@ -3,8 +3,11 @@
 Everything downstream (time evolution, parity splitting, tomography)
 goes through :func:`eig_hermitian`, which enforces a deterministic
 eigenvector phase convention so that regression files are stable.
+:func:`evolution_cache` memoizes it by matrix content, so the analyses
+of one Hamiltonian share a single decomposition.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +79,55 @@ def eig_hermitian(mat, check_tol=1e-12):
         )
     w, v = np.linalg.eigh(mat)
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
+
+
+class EvolutionCache:
+    """Eigendecomposition of one Hamiltonian, reusable across time points."""
+
+    def __init__(self, eigensystem, fingerprint):
+        self.eigensystem = eigensystem
+        self.fingerprint = fingerprint
+
+    @property
+    def eigenvalues(self):
+        return self.eigensystem.eigenvalues
+
+    @property
+    def eigenvectors(self):
+        return self.eigensystem.eigenvectors
+
+    def unitary(self, t, sign=1):
+        """exp(i*sign*H*t) as a dense matrix."""
+        es = self.eigensystem
+        return (es.eigenvectors * np.exp(1j * sign * es.eigenvalues * t)) @ es.eigenvectors.conj().T
+
+
+_CACHE_LIMIT = 8
+_cache_by_fingerprint = {}
+
+
+def as_matrix(op):
+    """Dense matrix of an operator: a ChainOperator or an array.
+
+    A ChainOperator is recognized by its ``dense()`` method, since
+    spin_ops imports this module and cannot be imported here.
+    """
+    if isinstance(op, (HermitianEigenSystem, EvolutionCache)):
+        raise TypeError("pass the eigensystem through evolution_cache-aware APIs")
+    return op.dense() if hasattr(op, "dense") else np.asarray(op)
+
+
+def evolution_cache(op):
+    """Memoized eigendecomposition keyed by matrix content."""
+    mat = as_matrix(op)
+    digest = hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
+    cached = _cache_by_fingerprint.get(digest)
+    if cached is None:
+        cached = EvolutionCache(eig_hermitian(mat), digest)
+        if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
+            _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
+        _cache_by_fingerprint[digest] = cached
+    return cached
 
 
 def apply_exp(es, psi, t, sign=1):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spin_ops import ChainOperator
+from .linalg import as_matrix, evolution_cache
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -57,56 +57,109 @@ CANDIDATE_FORMS = {
 }
 
 
+def chain_mirror_index(n):
+    """Site inversion (site i <-> n+1-i) on 3^n as an index array p.
+
+    The mirror M is a permutation and an involution, so ``M x = x[p]``,
+    ``M H M = H[p][:, p]`` and ``tr(M^T U) = sum_j U[p[j], j]``.
+    """
+    return np.arange(3 ** n).reshape((3,) * n).transpose().ravel()
+
+
+def sigma_mirror_index(n):
+    """Site inversion on the sigma basis (up and down runs reversed) as an index array."""
+    up = np.arange(n)[::-1]
+    return np.concatenate([up, [n], n + 1 + up])
+
+
+def _permutation_matrix(index):
+    perm = np.zeros((index.size, index.size))
+    perm[index, np.arange(index.size)] = 1.0
+    return perm
+
+
 def exchange_permutation(n=2):
     """Permutation matrix swapping the two sites of a 9-dimensional space."""
     if n != 2:
         raise ValueError("exchange_permutation is the two-site mirror")
-    perm = np.zeros((9, 9))
-    for a in range(3):
-        for b in range(3):
-            perm[b * 3 + a, a * 3 + b] = 1.0
-    return perm
+    return _permutation_matrix(chain_mirror_index(2))
 
 
 def chain_mirror_permutation(n):
     """Permutation matrix inverting site order (site i <-> n+1-i) on 3^n."""
-    dim = 3 ** n
-    perm = np.zeros((dim, dim))
-    for idx in range(dim):
-        trits = [(idx // 3 ** (n - 1 - k)) % 3 for k in range(n)]
-        mirrored = 0
-        for t in reversed(trits):
-            mirrored = mirrored * 3 + t
-        perm[mirrored, idx] = 1.0
-    return perm
+    return _permutation_matrix(chain_mirror_index(n))
 
 
 def sigma_mirror_permutation(n):
     """Site inversion restricted to the sigma basis (up and down runs reversed)."""
-    dim = 2 * n + 1
-    perm = np.zeros((dim, dim))
-    for i in range(n):
-        perm[n - 1 - i, i] = 1.0
-        perm[2 * n - i, n + 1 + i] = 1.0
-    perm[n, n] = 1.0
-    return perm
+    return _permutation_matrix(sigma_mirror_index(n))
 
 
-def _mirror_for(kind, n):
+def mirror_index(kind, dim):
+    """Index array of the ``kind`` inversion on a space of dimension ``dim``.
+
+    ``two_site_exchange`` needs dim 9, ``chain_mirror`` dim 3^n and
+    ``sigma`` (the sigma basis of n sites) dim 2n+1; any other dimension
+    raises ValueError.
+    """
     if kind == "two_site_exchange":
-        if n != 2:
-            raise ValueError("two_site_exchange parity requires n = 2")
-        return exchange_permutation()
+        if dim != 9:
+            raise ValueError(f"two_site_exchange parity needs a 9-dimensional two-site "
+                             f"operator, got dimension {dim}")
+        return chain_mirror_index(2)
     if kind == "chain_mirror":
-        return chain_mirror_permutation(n)
+        n = round(np.log(dim) / np.log(3)) if dim > 1 else 0
+        if n < 1 or 3 ** n != dim:
+            raise ValueError(f"chain_mirror parity needs dimension 3^n, got dimension {dim}")
+        return chain_mirror_index(n)
+    if kind == "sigma":
+        if dim < 3 or dim % 2 == 0:
+            raise ValueError(f"the sigma mirror needs dimension 2n+1, got dimension {dim}")
+        return sigma_mirror_index((dim - 1) // 2)
     raise ValueError(f"unknown parity kind {kind!r}")
 
 
 def parity_projectors(kind, n):
-    """(P_even, P_odd) = ((I + M)/2, (I - M)/2) for the chosen inversion."""
-    mirror = _mirror_for(kind, n)
+    """(P_even, P_odd) = ((I + M)/2, (I - M)/2) for the chosen inversion on n sites."""
+    mirror = _permutation_matrix(mirror_index(kind, 3 ** n))
     eye = np.eye(mirror.shape[0])
     return (eye + mirror) / 2.0, (eye - mirror) / 2.0
+
+
+def commutator_residual(mat, index):
+    """max |[H, M]| for the index mirror: M H M - H entrywise."""
+    return float(np.max(np.abs(mat[index][:, index] - mat)))
+
+
+def clustered_parities(eigensystem, index, cluster_tol=1e-9, vectors=False):
+    """(eigenvalue, parity) per eigenvector, parities from the index mirror.
+
+    Eigenvalues are clustered to ``cluster_tol`` and the mirror is
+    diagonalized inside each cluster, so degenerate subspaces that mix
+    parities under a plain eigensolver are resolved correctly.  Each
+    eigenvalue is its cluster's mean.  With ``vectors`` the parity-pure
+    rotated eigenvectors are returned as a third array (one per column).
+    """
+    evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
+    out_vals, out_pars, out_vecs = [], [], []
+    i = 0
+    while i < len(evals):
+        j = i
+        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
+            j += 1
+        cluster = vecs[:, i:j + 1]
+        msub = cluster.conj().T @ cluster[index]
+        if vectors:
+            pvals, pvecs = np.linalg.eigh(msub)
+            out_vecs.append(cluster @ pvecs)
+        else:
+            pvals = np.linalg.eigvalsh(msub)
+        out_vals += [float(np.mean(evals[i:j + 1]))] * len(pvals)
+        out_pars += [1 if p > 0 else -1 for p in pvals]
+        i = j + 1
+    if vectors:
+        return np.array(out_vals), np.array(out_pars), np.hstack(out_vecs)
+    return np.array(out_vals), np.array(out_pars)
 
 
 @dataclass(frozen=True)
@@ -126,72 +179,40 @@ class ParityCommutationError(ValueError):
     """Operator does not commute with the inversion, no parity split exists."""
 
 
+def operator_with_mirror(op, kind):
+    """Dense square matrix of ``op`` and the index mirror of ``kind`` on its space."""
+    mat = as_matrix(op)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat, mirror_index(kind, mat.shape[0])
+
+
 def parity_spectrum(op, kind="two_site_exchange", commute_tol=1e-12, cluster_tol=1e-9):
     """Split an operator's spectrum by mirror parity.
 
-    Eigenvalues are clustered to ``cluster_tol`` and the mirror is
-    diagonalized inside each cluster, so degenerate subspaces that mix
-    parities under a plain eigensolver are resolved correctly.
+    The eigensystem comes from :func:`evolution_cache`, so it is shared
+    with the other analyses of the same operator; see
+    :func:`clustered_parities` for how degenerate levels are resolved.
     """
-    if isinstance(op, ChainOperator):
-        n = op.n_sites
-        mat = op.dense()
-    else:
-        mat = np.asarray(op)
-        n = round(np.log(mat.shape[0]) / np.log(3))
-    mirror = _mirror_for(kind, n)
-    comm = float(np.max(np.abs(mat @ mirror - mirror @ mat)))
+    mat, index = operator_with_mirror(op, kind)
+    comm = commutator_residual(mat, index)
     if comm > commute_tol * max(1.0, float(np.max(np.abs(mat)))):
         raise ParityCommutationError(
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}"
         )
-    evals, vecs = np.linalg.eigh(mat)
-    even, odd = [], []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
-            j += 1
-        cluster = vecs[:, i:j + 1]
-        msub = cluster.conj().T @ mirror @ cluster
-        parities = np.linalg.eigvalsh(msub)
-        for p in parities:
-            target = even if p > 0 else odd
-            target.append(float(np.mean(evals[i:j + 1])))
-        i = j + 1
+    vals, pars = clustered_parities(evolution_cache(mat).eigensystem, index, cluster_tol)
     return ParitySplit(
-        even=tuple(sorted(even, reverse=True)),
-        odd=tuple(sorted(odd, reverse=True)),
+        even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
+        odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),
         parity_operator=kind,
     )
 
 
 def parity_labels(op, kind="two_site_exchange", cluster_tol=1e-9):
     """Per-eigenvector (eigenvalue, parity) pairs with parity-pure vectors."""
-    if isinstance(op, ChainOperator):
-        mat = op.dense()
-        n = op.n_sites
-    else:
-        mat = np.asarray(op)
-        n = round(np.log(mat.shape[0]) / np.log(3))
-    mirror = _mirror_for(kind, n)
-    evals, vecs = np.linalg.eigh(mat)
-    out_vals, out_pars, out_vecs = [], [], []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
-            j += 1
-        cluster = vecs[:, i:j + 1]
-        msub = cluster.conj().T @ mirror @ cluster
-        pvals, pvecs = np.linalg.eigh(msub)
-        rotated = cluster @ pvecs
-        for k, p in enumerate(pvals):
-            out_vals.append(float(np.mean(evals[i:j + 1])))
-            out_pars.append(1 if p > 0 else -1)
-            out_vecs.append(rotated[:, k])
-        i = j + 1
-    return np.array(out_vals), np.array(out_pars), np.column_stack(out_vecs)
+    mat, index = operator_with_mirror(op, kind)
+    return clustered_parities(evolution_cache(mat).eigensystem, index, cluster_tol,
+                              vectors=True)
 
 
 # ---------------------------------------------------------------------------

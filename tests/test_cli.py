@@ -273,6 +273,27 @@ class TestTomography:
         assert code == 2
         assert "--order" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("missing", ["up", "down"])
+    def test_unreadable_record_file(self, tmp_path, capsys, missing):
+        code, _, _ = run_cli(["tomography", "--preset-n", "2", "--emit-records",
+                              "--output-dir", str(tmp_path), "--tag", "emit"], capsys)
+        assert code == 0
+        paths = {ch: str(tmp_path / f"emit_record_{ch}.csv") for ch in ("up", "down")}
+        paths[missing] = str(tmp_path / "absent.csv")
+        code, out, err = run_cli(["tomography", "--record-up", paths["up"],
+                                  "--record-down", paths["down"], "--order", "2",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "io"
+        assert "absent.csv" in error["message"]
+        # a directory in place of a file is an OSError as well
+        code, _, err = run_cli(["tomography", "--record-up", str(tmp_path),
+                                "--record-down", paths["down"], "--order", "2",
+                                "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["stage"] == "io"
+
 
 class TestOutputDirEnv:
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):

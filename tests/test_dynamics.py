@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
@@ -39,6 +40,12 @@ def chain3_mix():
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cache_unitary_is_exponential(self, chain3, sign):
+        t = 0.83
+        expected = expm(1j * sign * t * chain3.dense())
+        assert np.max(np.abs(evolution_cache(chain3).unitary(t, sign) - expected)) <= 1e-12
+
     def test_time_zero_identity(self, chain3):
         psi = StateVector.from_label("001")
         out = evolve(chain3, psi, 0.0)
@@ -224,6 +231,16 @@ class TestMirrorCheck:
         assert result.is_mirror
         assert abs(result.phase) <= 1e-9
         assert result.residual <= 1e-10
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"3\^n, got dimension 10"):
+            mirror_check(np.eye(10), np.pi)
+        with pytest.raises(ValueError, match="2n\\+1, got dimension 10"):
+            mirror_check(np.eye(10), np.pi, space="sigma")
+
+    def test_sigma_space_rejects_chain_operator(self, chain3):
+        with pytest.raises(ValueError, match="sigma block"):
+            mirror_check(chain3, np.pi, space="sigma")
 
     def test_sigma_block_commutes_with_mirror(self):
         for n in (2, 4, 6):

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from spin1chain import dynamics, linalg
 from spin1chain.hamiltonians import (
+    ChainSpec,
     candidate_two_site,
+    chain_hamiltonian,
     h12,
     heisenberg_two_site,
     mix_two_site,
@@ -12,16 +17,88 @@ from spin1chain.parity import (
     LITERATURE_SPECTRA,
     ParityCommutationError,
     ParitySplit,
+    chain_mirror_index,
     chain_mirror_permutation,
     exchange_permutation,
+    mirror_index,
     mirroring_feasibility_report,
     parity_labels,
     parity_projectors,
     parity_spectrum,
     reference_comparison,
+    sigma_mirror_index,
     sigma_mirror_permutation,
 )
-from spin1chain.spin_ops import SX, SY, basis_index
+from spin1chain.spin_ops import SX, SY, basis_index, basis_label
+
+PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
+               "O1", "O2", "O3", "O4", "O5")
+
+
+def _mirror_symmetric(values):
+    return tuple((values + values[::-1]) / 2.0)
+
+
+def mirror_symmetric_chain(n, seed):
+    """Engineered chain with couplings and fields symmetric under site reversal."""
+    rng = np.random.default_rng(seed)
+    return ChainSpec(n=n, kind="engineered",
+                     a=_mirror_symmetric(rng.uniform(0.5, 1.5, n - 1)),
+                     b=_mirror_symmetric(rng.uniform(0.5, 1.5, n - 1)),
+                     B=_mirror_symmetric(rng.uniform(-1.0, 1.0, n)),
+                     C=_mirror_symmetric(rng.uniform(0.5, 2.0, n)))
+
+
+def reference_permutation(dim, image):
+    """Dense permutation matrix sending basis state j to image(j), entry by entry."""
+    perm = np.zeros((dim, dim))
+    for j in range(dim):
+        perm[image(j), j] = 1.0
+    return perm
+
+
+def assert_index_matches(index, dense):
+    dim = dense.shape[0]
+    assert np.array_equal(dense[index, np.arange(dim)], np.ones(dim))
+    assert np.array_equal(index[index], np.arange(dim))  # an involution
+    x = np.random.default_rng(dim).normal(size=dim)
+    assert np.array_equal(dense @ x, x[index])
+
+
+class TestIndexMirrors:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chain_mirror_matches_reversed_labels(self, n):
+        reference = reference_permutation(
+            3 ** n, lambda j: basis_index(basis_label(j, n)[::-1]))
+        assert np.array_equal(chain_mirror_permutation(n), reference)
+        assert_index_matches(chain_mirror_index(n), reference)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sigma_mirror_reverses_both_runs(self, n):
+        def image(j):
+            if j < n:
+                return n - 1 - j
+            if j == n:
+                return n
+            return 3 * n + 1 - j  # down run n+1..2n reversed
+        reference = reference_permutation(2 * n + 1, image)
+        assert np.array_equal(sigma_mirror_permutation(n), reference)
+        assert_index_matches(sigma_mirror_index(n), reference)
+
+    def test_two_site_exchange(self):
+        reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
+        assert np.array_equal(exchange_permutation(), reference)
+        assert_index_matches(mirror_index("two_site_exchange", 9), reference)
+
+    @pytest.mark.parametrize("kind, dim, needed", [
+        ("chain_mirror", 10, "3^n"),
+        ("chain_mirror", 1, "3^n"),
+        ("two_site_exchange", 27, "9-dimensional"),
+        ("sigma", 10, "2n+1"),
+    ])
+    def test_wrong_dimension_rejected(self, kind, dim, needed):
+        with pytest.raises(ValueError, match=rf"{re.escape(needed)}.*dimension {dim}\b"):
+            mirror_index(kind, dim)
 
 
 class TestProjectors:
@@ -95,6 +172,12 @@ class TestParitySpectrum:
             assert np.max(np.abs(mirror @ vecs[:, k] - pars[k] * vecs[:, k])) <= 1e-10
             assert np.max(np.abs(op @ vecs[:, k] - vals[k] * vecs[:, k])) <= 1e-9
 
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"3\^n, got dimension 10"):
+            parity_spectrum(np.eye(10), kind="chain_mirror")
+        with pytest.raises(ValueError, match="9-dimensional two-site operator, got dimension 27"):
+            parity_spectrum(np.eye(27))
+
     def test_heisenberg_parities(self):
         split = parity_spectrum(heisenberg_two_site())
         assert np.allclose(split.even, [1, 1, 1, 1, 1, -2], atol=1e-12)
@@ -106,6 +189,43 @@ class TestParitySpectrum:
         op = np.kron(sx2, SX) + np.kron(sy2, SY) + np.kron(SX, sx2) + np.kron(sy2, SY)
         with pytest.raises(ParityCommutationError, match="residual"):
             parity_spectrum(op)
+
+
+def sector_spectrum(mat, projector):
+    """Eigenvalues of H restricted to an orthonormal basis of range(P), descending."""
+    weights, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, weights > 0.5]
+    return np.sort(np.linalg.eigvalsh(basis.conj().T @ mat @ basis))[::-1]
+
+
+class TestChainParitySpectrum:
+    @pytest.mark.parametrize("spec", [ChainSpec(n=4, kind=kind) for kind in PAPER_KINDS]
+                             + [mirror_symmetric_chain(5, seed=17)],
+                             ids=[f"{kind}-n4" for kind in PAPER_KINDS] + ["engineered-n5"])
+    def test_split_equals_projector_sectors(self, spec):
+        ham = chain_hamiltonian(spec)
+        mat = ham.dense()
+        split = parity_spectrum(ham, kind="chain_mirror")
+        p_even, p_odd = parity_projectors("chain_mirror", spec.n)
+        even, odd = sector_spectrum(mat, p_even), sector_spectrum(mat, p_odd)
+        assert len(split.even) == len(even) and len(split.odd) == len(odd)
+        assert np.max(np.abs(np.array(split.even) - even)) <= 1e-10
+        assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-10
+
+    def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ham = chain_hamiltonian(mirror_symmetric_chain(4, seed=3))
+        dynamics.mirror_check(ham, np.pi)
+        parity_spectrum(ham, kind="chain_mirror")
+        assert calls == [(81, 81)]
 
 
 class TestFeasibility:
