@@ -25,12 +25,11 @@ from scipy.optimize import minimize_scalar
 
 from . import spin_ops
 from .linalg import eig_hermitian, kron_all
+from .parity import clustered_parities, commutator_residual
 from .spin_ops import A1, A2, ChainOperator, IDENTITY3, SX, SY, SZ, SZ2
 
-# dense construction is refused above this chain length unless the caller
-# explicitly asks for it; 3^8 = 6561 is the largest desk-scale dense space
-DENSE_SITE_CAP = 8
-# auto representation switches to sparse above this length
+# chains longer than this are built sparse; a dense n=8 build would hold
+# several 3^8 matrices of 689 MB each
 AUTO_DENSE_MAX = 6
 
 SWAP2 = np.zeros((9, 9), dtype=complex)
@@ -202,24 +201,13 @@ def _embed_bond(term9, bond, n, sparse):
     return kron_all(factors, sparse=sparse)
 
 
-def _resolve_representation(n, representation):
-    if representation == "auto":
-        return "dense" if n <= AUTO_DENSE_MAX else "sparse"
-    if representation not in ("dense", "sparse"):
-        raise ValueError(f"unknown representation {representation!r}")
-    if representation == "dense" and n > DENSE_SITE_CAP:
-        raise ValueError(
-            f"n={n} exceeds the dense cap of {DENSE_SITE_CAP} sites; "
-            "request representation='sparse'"
-        )
-    return representation
+def chain_hamiltonian(spec):
+    """Build the full-space 3^n Hamiltonian described by ``spec``.
 
-
-def chain_hamiltonian(spec, representation="auto"):
-    """Build the full-space 3^n Hamiltonian described by ``spec``."""
-    rep = _resolve_representation(spec.n, representation)
-    sparse = rep == "sparse"
+    Chains longer than AUTO_DENSE_MAX sites are built as sparse CSR.
+    """
     n = spec.n
+    sparse = n > AUTO_DENSE_MAX
     dim = 3 ** n
     if spec.kind == "engineered":
         hop_up = np.kron(A1, A1.conj().T)
@@ -426,15 +414,15 @@ def mirror_parities(block):
     """Eigenvalues of a mirror-symmetric tridiagonal block with their parities.
 
     Returns (eigenvalues ascending, parity array of +-1) where parity is the
-    sign of <v|Mv> under index reversal.  Raises if an eigenvector is not a
-    parity eigenstate (couplings not mirror symmetric).
+    eigenvector's sign under index reversal.  Raises if the block does not
+    commute with the reversal (couplings not mirror symmetric).
     """
-    es = eig_hermitian(block)
-    flipped = es.eigenvectors[::-1, :]
-    parities = np.einsum("ij,ij->j", es.eigenvectors.conj(), flipped).real
-    if np.any(np.abs(np.abs(parities) - 1.0) > 1e-9):
-        raise ValueError("block eigenvectors are not mirror-parity eigenstates")
-    return es.eigenvalues, np.sign(parities)
+    index = np.arange(block.shape[0])[::-1]
+    residual = commutator_residual(block, index)
+    if residual > 1e-9:
+        raise ValueError(f"block does not commute with index reversal (residual "
+                         f"{residual:.3e}): its eigenvectors have no mirror parity")
+    return clustered_parities(eig_hermitian(block), index)
 
 
 def _phase_exact_field(n, step=0.5, max_value=None):

@@ -1,85 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The phase-sum kernel behind amplitude scans and record synthesis.
 
 The dominant inner loop of this package is the evaluation of phase sums
 
     f(t_k) = sum_j c_j * exp(i * sign * E_j * t_k)
 
 over long time grids (amplitude scans, fidelity traces, synthetic
-measurement records).  The numba path is used by default; set the
-environment variable ``SPIN1CHAIN_NO_NUMBA=1`` to force the numpy path
-(or install without numba - the fallback is selected automatically).
+measurement records).  It is evaluated in numpy, one chunk of the time
+grid at a time.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _NUMBA_AVAILABLE = False
-
-_ENV_FLAG = "SPIN1CHAIN_NO_NUMBA"
-
-# numpy path materializes exp(i t E) in chunks; 2^16 rows keeps the
-# temporary under ~100 MB for blocks up to dim ~100
+# exp(i t E) is materialized in chunks; 2^16 rows keeps the temporary
+# under ~100 MB for blocks up to dim ~100
 _CHUNK = 1 << 16
 
 
-def _phase_series_numpy(energies, coeffs, times, sign):
-    out = np.empty(times.shape[0], dtype=np.complex128)
-    for s in range(0, times.shape[0], _CHUNK):
-        tt = times[s:s + _CHUNK]
-        out[s:s + _CHUNK] = np.exp(1j * sign * np.outer(tt, energies)) @ coeffs
-    return out
-
-
-def _phase_matrix_numpy(energies, coeff_matrix, times, sign):
-    out = np.empty((times.shape[0], coeff_matrix.shape[1]), dtype=np.complex128)
-    for s in range(0, times.shape[0], _CHUNK):
-        tt = times[s:s + _CHUNK]
-        out[s:s + _CHUNK] = np.exp(1j * sign * np.outer(tt, energies)) @ coeff_matrix
-    return out
-
-
-if _NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _phase_series_numba(energies, coeffs, times, sign):
-        out = np.empty(times.shape[0], dtype=np.complex128)
-        for k in range(times.shape[0]):
-            st = sign * times[k]
-            acc = 0.0 + 0.0j
-            for j in range(energies.shape[0]):
-                acc += coeffs[j] * np.exp(1j * (energies[j] * st))
-            out[k] = acc
-        return out
-
-    @njit(cache=True)
-    def _phase_matrix_numba(energies, coeff_matrix, times, sign):
-        m = coeff_matrix.shape[1]
-        out = np.empty((times.shape[0], m), dtype=np.complex128)
-        for k in range(times.shape[0]):
-            st = sign * times[k]
-            for c in range(m):
-                out[k, c] = 0.0 + 0.0j
-            for j in range(energies.shape[0]):
-                ph = np.exp(1j * (energies[j] * st))
-                for c in range(m):
-                    out[k, c] += coeff_matrix[j, c] * ph
-        return out
-
-
-def numba_enabled():
-    """True when the numba fast path is active for this process."""
-    return _NUMBA_AVAILABLE and os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes")
-
-
 def backend_name():
-    return "numba" if numba_enabled() else "numpy"
+    """Name of the kernel implementation, recorded in benchmark environments."""
+    return "numpy"
 
 
 def phase_series(energies, coeffs, times, sign=1.0):
@@ -89,18 +28,9 @@ def phase_series(energies, coeffs, times, sign=1.0):
     times = np.ascontiguousarray(times, dtype=np.float64)
     if energies.shape != coeffs.shape:
         raise ValueError("energies and coeffs must have matching shapes")
-    if numba_enabled():
-        return _phase_series_numba(energies, coeffs, times, float(sign))
-    return _phase_series_numpy(energies, coeffs, times, float(sign))
-
-
-def phase_matrix(energies, coeff_matrix, times, sign=1.0):
-    """Column-wise phase sums: out[k, c] = sum_j coeff_matrix[j, c] * exp(i*sign*E_j*t_k)."""
-    energies = np.ascontiguousarray(energies, dtype=np.float64)
-    coeff_matrix = np.ascontiguousarray(coeff_matrix, dtype=np.complex128)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    if coeff_matrix.shape[0] != energies.shape[0]:
-        raise ValueError("coeff_matrix rows must match energies length")
-    if numba_enabled():
-        return _phase_matrix_numba(energies, coeff_matrix, times, float(sign))
-    return _phase_matrix_numpy(energies, coeff_matrix, times, float(sign))
+    sign = float(sign)
+    out = np.empty(times.shape[0], dtype=np.complex128)
+    for s in range(0, times.shape[0], _CHUNK):
+        tt = times[s:s + _CHUNK]
+        out[s:s + _CHUNK] = np.exp(1j * sign * np.outer(tt, energies)) @ coeffs
+    return out

@@ -8,13 +8,14 @@ of one Hamiltonian share a single decomposition.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
-# largest dimension we allow a dense Kronecker product to reach (3^8)
+# largest dimension a dense chain-space matrix may reach (3^8, eight sites):
+# a dense complex 3^9 matrix needs 5.8 GiB
 MAX_DENSE_DIM = 6561
 
 PHASE_FIX_THRESHOLD = 1e-12
@@ -139,32 +140,34 @@ def apply_exp(es, psi, t, sign=1):
     return es.eigenvectors @ (phases * (es.eigenvectors.conj().T @ psi))
 
 
-def apply_exp_sparse(mat, psi, t, sign=1):
-    """Krylov application of exp(i*sign*H*t) for sparse Hamiltonians."""
-    return expm_multiply(1j * sign * t * mat.tocsc(), np.asarray(psi, dtype=complex))
-
-
-def kron(a, b, max_dim=MAX_DENSE_DIM):
-    """Kronecker product with a guard against runaway dense dimensions."""
-    out_dim = a.shape[0] * b.shape[0]
-    if not (sp.issparse(a) or sp.issparse(b)) and out_dim > max_dim:
+def check_dense_dim(dim):
+    """Refuse to create a dense matrix of dimension above MAX_DENSE_DIM."""
+    if dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"dense Kronecker product of dimension {out_dim} exceeds cap {max_dim}; "
-            "use the sparse representation"
+            f"dense matrix of dimension {dim} exceeds cap {MAX_DENSE_DIM}: "
+            "full-space dense work stops at 3^8 (eight sites)"
         )
+
+
+def kron(a, b):
+    """Kronecker product; a dense result is held to MAX_DENSE_DIM."""
     if sp.issparse(a) or sp.issparse(b):
         return sp.kron(a, b, format="csr")
+    check_dense_dim(a.shape[0] * b.shape[0])
     return np.kron(a, b)
 
 
-def kron_all(factors, sparse=False, max_dim=MAX_DENSE_DIM):
+def kron_all(factors, sparse=False):
     """Associative n-fold Kronecker product of 2-d factors."""
     if sparse:
         out = sp.csr_matrix(factors[0])
         for f in factors[1:]:
             out = sp.kron(out, f, format="csr")
         return out
-    out = np.asarray(factors[0])
+    factors = [np.asarray(f) for f in factors]
+    # the whole product is checked first, so no prefix of an oversized one is built
+    check_dense_dim(math.prod(f.shape[0] for f in factors))
+    out = factors[0]
     for f in factors[1:]:
-        out = kron(out, np.asarray(f), max_dim=max_dim)
+        out = np.kron(out, f)
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import MAX_DENSE_DIM, hermiticity_deviation, kron_all
+from .linalg import check_dense_dim, hermiticity_deviation, kron_all
 
 SQRT2 = np.sqrt(2.0)
 
@@ -71,7 +71,10 @@ class ChainOperator:
         return sp.issparse(self.mat)
 
     def dense(self):
-        return self.mat.toarray() if self.is_sparse else np.asarray(self.mat)
+        if self.is_sparse:
+            check_dense_dim(self.dim)
+            return self.mat.toarray()
+        return np.asarray(self.mat)
 
     def hermiticity_deviation(self):
         return hermiticity_deviation(self.mat)
@@ -138,8 +141,6 @@ def embed(op, site, n, sparse=False):
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
     mat = op.mat if isinstance(op, SiteOperator) else np.asarray(op)
-    if not sparse and 3 ** n > MAX_DENSE_DIM:
-        raise ValueError(f"dense embedding for n={n} exceeds the dense cap; pass sparse=True")
     return ChainOperator(kron_all(_factors(n, {site: mat}, sparse), sparse=sparse), n)
 
 
@@ -152,8 +153,6 @@ def two_site(op_a, op_b, i, j, n, sparse=False):
             raise ValueError(f"site {s} out of range 1..{n}")
     mat_a = op_a.mat if isinstance(op_a, SiteOperator) else np.asarray(op_a)
     mat_b = op_b.mat if isinstance(op_b, SiteOperator) else np.asarray(op_b)
-    if not sparse and 3 ** n > MAX_DENSE_DIM:
-        raise ValueError(f"dense embedding for n={n} exceeds the dense cap; pass sparse=True")
     return ChainOperator(kron_all(_factors(n, {i: mat_a, j: mat_b}, sparse), sparse=sparse), n)
 
 

@@ -214,19 +214,26 @@ def jacobi_reconstruct(spectral_data, weight_floor=1e-10, gap_floor=1e-10):
 
     Runs the Lanczos three-term recurrence on diag(E) seeded with the
     vector sqrt(w) (fully reorthogonalized).  Returns (diagonal,
-    off-diagonal) with positive off-diagonals.  Repeated eigenvalues or
-    vanishing weights make the problem non-unique / decoupled and are
-    rejected.
+    off-diagonal) with positive off-diagonals.  Repeated eigenvalues make
+    the problem non-unique and are rejected, as are weights that vanish
+    (a decoupled chain) or fall below ``weight_floor``.
     """
     evals = spectral_data.eigenvalues
     wts = spectral_data.weights
     m = evals.shape[0]
     if m > 1 and np.min(np.diff(evals)) < gap_floor:
         raise ValueError("repeated eigenvalues: the Jacobi matrix is not unique")
-    if np.any(wts < weight_floor):
+    k_min = int(np.argmin(wts))
+    if wts[k_min] <= 0.0:
         raise ValueError(
-            "a first-site overlap weight vanishes: the chain decouples and the "
-            "far section is invisible from site 1")
+            f"the first-site overlap weight of eigenvalue index {k_min} is zero: the chain "
+            "decouples, or the record does not resolve that level; either way the far "
+            "section is invisible from site 1")
+    if wts[k_min] < weight_floor:
+        raise ValueError(
+            f"smallest first-site weight {wts[k_min]:.2e} (eigenvalue index {k_min}) is "
+            f"below the weight floor {weight_floor:.0e}: the far section of the chain "
+            "is below the weight the floor resolves")
     q = np.sqrt(wts)
     q = q / np.linalg.norm(q)
     basis = np.zeros((m, m))

@@ -155,6 +155,23 @@ class TestTransfer:
         assert code == 2
         assert json.loads(err)["error"]["stage"] == "spec"
 
+    def test_full_space_past_dense_cap_fails_early(self, tmp_path, run_limited):
+        spec_path = tmp_path / "chain9.json"
+        spec_path.write_text(json.dumps({"n": 9, "kind": "heisenberg"}))
+        proc = run_limited(
+            "import resource, sys\n"
+            "from spin1chain.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n",
+            "transfer", "--spec", str(spec_path), "--source", "000000001",
+            "--target", "100000000", "--t-max", "1", "--dt", "0.1",
+            "--output-dir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        message = json.loads(proc.stderr)["error"]["message"]
+        assert "19683" in message and "6561" in message
+        assert int(proc.stdout) < 200 * 1024  # peak RSS in KiB
+
 
 class TestPstCheck:
     def test_standard_n2(self, capsys):

@@ -28,7 +28,7 @@ from spin1chain.hamiltonians import (
     up_block,
 )
 from spin1chain.linalg import eig_hermitian
-from spin1chain.spin_ops import basis_index, embed, site_operator
+from spin1chain.spin_ops import A1, A2, SZ, SZ2, basis_index, embed, site_operator
 
 
 def random_engineered(rng, n, low=-2.0, high=2.0):
@@ -40,6 +40,52 @@ def random_engineered(rng, n, low=-2.0, high=2.0):
         B=tuple(rng.uniform(low, high, n)),
         C=tuple(rng.uniform(low, high, n)),
     )
+
+
+def dense_reference(spec):
+    """An engineered or O1..O5 chain Hamiltonian as a plain sum of np.kron terms."""
+    n = spec.n
+
+    def placed(op, site, width):
+        return np.kron(np.kron(np.eye(3 ** (site - 1)), op), np.eye(3 ** (n - site - width + 1)))
+
+    if spec.kind != "engineered":
+        term9 = candidate_two_site(spec.kind)
+        return sum(placed(term9, i, 2) for i in range(1, n))
+    hop_up = np.kron(A1, A1.conj().T) + np.kron(A1.conj().T, A1)
+    hop_dn = np.kron(A2, A2.conj().T) + np.kron(A2.conj().T, A2)
+    bonds = [placed(spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn, i, 2) for i in range(1, n)]
+    sites = [placed(spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2, i, 1) for i in range(1, n + 1)]
+    return sum(bonds + sites)
+
+
+# n = 9 is past the dense cap: the sparse build works, and every path that
+# would densify it must refuse with the dimension and the cap
+DENSE_CAP_CHILD = """
+import numpy as np
+from spin1chain.dynamics import evolution_cache, mirror_check
+from spin1chain.hamiltonians import ChainSpec, chain_hamiltonian
+from spin1chain.spin_ops import embed, site_operator
+
+rng = np.random.default_rng(16)
+spec = ChainSpec(n=9, kind="engineered", a=tuple(rng.uniform(-2, 2, 8)),
+                 b=tuple(rng.uniform(-2, 2, 8)), B=tuple(rng.uniform(-2, 2, 9)),
+                 C=tuple(rng.uniform(-2, 2, 9)))
+ham = chain_hamiltonian(spec)
+assert ham.is_sparse and ham.dim == 3 ** 9, (ham.is_sparse, ham.dim)
+calls = {"dense": ham.dense, "evolution_cache": lambda: evolution_cache(ham),
+         "mirror_check": lambda: mirror_check(ham, np.pi),
+         "embed": lambda: embed(site_operator("Sz"), 1, 9)}
+for name, call in calls.items():
+    try:
+        call()
+    except ValueError as exc:
+        msg = str(exc)
+        assert "19683" in msg and "6561" in msg, (name, msg)
+        assert "sparse" not in msg, (name, msg)
+    else:
+        raise AssertionError(f"{name} built a dense 3^9 matrix")
+"""
 
 
 class TestTwoSiteBuilders:
@@ -177,25 +223,20 @@ class TestChainHamiltonian:
             assert np.linalg.norm(ham.dense() @ vac) <= 1e-13
 
     def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(14)
-        spec = random_engineered(rng, 4)
-        dense = chain_hamiltonian(spec, representation="dense").dense()
-        sparse = chain_hamiltonian(spec, representation="sparse")
-        assert sparse.is_sparse
-        assert np.max(np.abs(sparse.dense() - dense)) <= 1e-14
+        n = AUTO_DENSE_MAX + 1
+        for spec in (random_engineered(np.random.default_rng(14), n), ChainSpec(n=n, kind="O5")):
+            ham = chain_hamiltonian(spec)
+            assert ham.is_sparse
+            assert np.max(np.abs(ham.dense() - dense_reference(spec))) <= 1e-14
 
     def test_auto_switches_to_sparse(self):
         rng = np.random.default_rng(15)
         spec = random_engineered(rng, AUTO_DENSE_MAX + 1)
         assert chain_hamiltonian(spec).is_sparse
 
-    def test_dense_cap_enforced(self):
-        rng = np.random.default_rng(16)
-        spec = random_engineered(rng, 9)
-        with pytest.raises(ValueError, match="dense cap"):
-            chain_hamiltonian(spec, representation="dense")
-        ham = chain_hamiltonian(spec, representation="sparse")
-        assert ham.dim == 3 ** 9
+    def test_dense_cap_enforced(self, run_limited):
+        proc = run_limited(DENSE_CAP_CHILD)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix",
                                       "heisenberg_squared_sum", "O1", "O2", "O3",
@@ -301,6 +342,11 @@ class TestPresets:
         evals, parities = mirror_parities(up_block(spec))
         assert np.allclose(evals, [1.0, 2.0])
         assert np.allclose(parities, [-1.0, 1.0])  # odd eigenvalue odd vector, even even
+
+    def test_mirror_parities_rejects_asymmetric_block(self):
+        block = np.diag([0.0, 1.0, 2.0]) + np.diag([1.0, 0.5], 1) + np.diag([1.0, 0.5], -1)
+        with pytest.raises(ValueError, match="does not commute"):
+            mirror_parities(block)
 
     def test_phase_exact_fields_follow_length_pattern(self):
         # first parity-matched field repeats with period 4 in the chain length

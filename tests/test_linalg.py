@@ -6,7 +6,6 @@ from spin1chain.hamiltonians import heisenberg_two_site
 from spin1chain.linalg import (
     NonHermitianError,
     apply_exp,
-    apply_exp_sparse,
     eig_hermitian,
     fix_eigenvector_phases,
     kron,
@@ -96,16 +95,6 @@ class TestApplyExp:
         es = eig_hermitian(np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_exp(es, np.ones(4), 1.0)
-
-    def test_sparse_agrees_with_dense(self):
-        rng = np.random.default_rng(8)
-        mat = random_hermitian(rng, 20)
-        es = eig_hermitian(mat)
-        psi = rng.normal(size=20) + 1j * rng.normal(size=20)
-        psi /= np.linalg.norm(psi)
-        dense = apply_exp(es, psi, 1.3)
-        sparse = apply_exp_sparse(sp.csr_matrix(mat), psi, 1.3)
-        assert np.max(np.abs(dense - sparse)) <= 1e-10
 
 
 class TestKron:

@@ -219,6 +219,20 @@ class TestJacobiReconstruct:
         with pytest.raises(ValueError, match="decouples"):
             jacobi_reconstruct(sd)
 
+    def test_weight_below_floor_named(self):
+        # the preset's first-site weights are C(n-1, j) / 2^(n-1); at n = 36 the
+        # end levels carry 2.9e-11, below the 1e-10 floor, though nothing decouples
+        sd = band_spectral_data(pst_preset(36, "standard"), "up")
+        k = int(np.argmin(sd.weights))
+        assert np.isclose(sd.weights[k], 1 / 2 ** 35, rtol=1e-6)
+        with pytest.raises(ValueError) as info:
+            jacobi_reconstruct(sd)
+        message = str(info.value)
+        assert "2.91e-11" in message
+        assert f"eigenvalue index {k}" in message
+        assert "1e-10" in message
+        assert "decouples" not in message
+
 
 class TestSpectralData:
     def test_weights_must_sum_to_one(self):
