@@ -34,6 +34,7 @@ from .dynamics import (  # noqa: F401
     amplitude_scan,
     evolve,
     mirror_check,
+    qutrit_fidelity_series,
     qutrit_transfer_fidelity,
     transfer_amplitude,
 )

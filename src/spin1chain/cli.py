@@ -28,6 +28,7 @@ from .dynamics import (
     QUTRIT_TEST_STATES,
     amplitude_scan,
     evolution_cache,
+    qutrit_fidelity_series,
     qutrit_transfer_fidelity,
 )
 from .hamiltonians import (
@@ -252,12 +253,11 @@ def cmd_pst_check(args):
         outputs = [base + "_report.json"]
         write_json(base + "_report.json", payload)
         if args.scan:
-            balanced = QUTRIT_TEST_STATES[3]
             grid = _time_grid(args)
-            rows = ((ti, qutrit_transfer_fidelity(spec, balanced, ti,
-                                                  phase_correct=args.phase_correct))
-                    for ti in grid)
-            write_csv(base + "_fidelity.csv", ("t", "fidelity"), rows)
+            fidelity = qutrit_fidelity_series(spec, QUTRIT_TEST_STATES[3], grid,
+                                              phase_correct=args.phase_correct)
+            write_csv(base + "_fidelity.csv", ("t", "fidelity"),
+                      np.column_stack((grid, fidelity)))
             outputs.append(base + "_fidelity.csv")
         RunManifest("pst-check", None,
                     {"n": args.n, "variant": args.variant, "time": args.time,

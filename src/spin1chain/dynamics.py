@@ -66,14 +66,19 @@ def _state_index(state, dim):
     return idx
 
 
-def transfer_amplitude(op, source, target, t, sign=1):
-    """<target| exp(i*sign*H*t) |source> for computational basis states."""
+def _transfer_terms(op, source, target):
+    """Eigenvalues E_k and weights <target|v_k><v_k|source> of an amplitude."""
     cache = op if isinstance(op, EvolutionCache) else evolution_cache(op)
     dim = cache.eigenvalues.shape[0]
     src = _state_index(source, dim)
     tgt = _state_index(target, dim)
-    coeffs = cache.eigenvectors[tgt, :] * np.conj(cache.eigenvectors[src, :])
-    return complex(np.sum(coeffs * np.exp(1j * sign * cache.eigenvalues * t)))
+    return cache.eigenvalues, cache.eigenvectors[tgt, :] * np.conj(cache.eigenvectors[src, :])
+
+
+def transfer_amplitude(op, source, target, t, sign=1):
+    """<target| exp(i*sign*H*t) |source> for computational basis states."""
+    energies, coeffs = _transfer_terms(op, source, target)
+    return complex(np.sum(coeffs * np.exp(1j * sign * energies * t)))
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,8 @@ class AmplitudeScan:
     first_peak_time: float
 
     def rows(self):
-        return zip(self.times, self.abs_values, self.arg_values)
+        """(N, 3) table of t, |amplitude|, arg(amplitude)."""
+        return np.column_stack((self.times, self.abs_values, self.arg_values))
 
 
 def amplitude_scan(op, source, target, times, sign=1, peak_tol=1e-6):
@@ -103,13 +109,9 @@ def amplitude_scan(op, source, target, times, sign=1, peak_tol=1e-6):
         raise ValueError("times must be a non-empty 1-d grid")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    cache = op if isinstance(op, EvolutionCache) else evolution_cache(op)
-    dim = cache.eigenvalues.shape[0]
-    src = _state_index(source, dim)
-    tgt = _state_index(target, dim)
-    coeffs = cache.eigenvectors[tgt, :] * np.conj(cache.eigenvectors[src, :])
+    energies, coeffs = _transfer_terms(op, source, target)
     keep = np.abs(coeffs) > 1e-16
-    series = kernels.phase_series(cache.eigenvalues[keep], coeffs[keep], times, float(sign))
+    series = kernels.phase_series(energies[keep], coeffs[keep], times, float(sign))
     abs_vals = np.abs(series)
     k = int(np.argmax(abs_vals))
     max_abs = float(abs_vals[k])
@@ -144,37 +146,45 @@ QUTRIT_TEST_STATES = (
 )
 
 
+def _band_series(spec, times):
+    """(f_up, f_down): end-to-end amplitudes of the two excitation bands on a grid."""
+    n = spec.n
+    cache = evolution_cache(engineered_sigma_block(spec))
+    return tuple(kernels.phase_series(*_transfer_terms(cache, src, tgt), times, spec.time_sign)
+                 for src, tgt in ((0, n - 1), (n + 1, 2 * n)))
+
+
 def block_transfer_amplitudes(spec, t):
     """(f_up, f_down): end-to-end amplitudes of the two excitation bands."""
-    n = spec.n
-    block = engineered_sigma_block(spec)
-    cache = evolution_cache(block)
-    up = transfer_amplitude(cache, 0, n - 1, t, sign=spec.time_sign)
-    down = transfer_amplitude(cache, n + 1, 2 * n, t, sign=spec.time_sign)
-    return up, down
+    f_up, f_down = _band_series(spec, [t])
+    return complex(f_up[0]), complex(f_down[0])
 
 
-def qutrit_transfer_fidelity(spec, qutrit, t, phase_correct=False):
+def qutrit_fidelity_series(spec, qutrit, times, phase_correct=False):
     """Fidelity of sending the qutrit (alpha, beta, gamma) through the chain.
 
     The chain starts in alpha|0..0> + beta|10..0> + gamma|m0..0> and the
     fidelity is taken against the same encoding on the last site after
-    evolving for time t.  With ``phase_correct`` the fidelity is maximized
-    over diagonal corrections diag(1, e^{i th1}, e^{i th2}) on the
-    (vacuum, up, down) components; the optimum is closed-form (each theta
-    cancels the corresponding band's transfer phase).
+    evolving for each time of the grid ``times``.  With ``phase_correct``
+    the fidelity is maximized over diagonal corrections
+    diag(1, e^{i th1}, e^{i th2}) on the (vacuum, up, down) components; the
+    optimum is closed-form (each theta cancels the corresponding band's
+    transfer phase).  One sigma block and one eigensystem serve the grid.
     """
     alpha, beta, gamma = (complex(x) for x in qutrit)
     norm = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"qutrit amplitudes must be normalized, got |.|^2 = {norm}")
-    f_up, f_down = block_transfer_amplitudes(spec, t)
+    f_up, f_down = _band_series(spec, times)
     wa, wb, wg = abs(alpha) ** 2, abs(beta) ** 2, abs(gamma) ** 2
     if phase_correct:
-        overlap = wa + wb * abs(f_up) + wg * abs(f_down)
-    else:
-        overlap = wa + wb * f_up + wg * f_down
-    return float(abs(overlap) ** 2)
+        f_up, f_down = np.abs(f_up), np.abs(f_down)
+    return np.abs(wa + wb * f_up + wg * f_down) ** 2
+
+
+def qutrit_transfer_fidelity(spec, qutrit, t, phase_correct=False):
+    """Qutrit transfer fidelity at one time t (see ``qutrit_fidelity_series``)."""
+    return float(qutrit_fidelity_series(spec, qutrit, [t], phase_correct)[0])
 
 
 # ---------------------------------------------------------------------------

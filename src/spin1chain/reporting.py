@@ -10,19 +10,32 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
+
+
+_FLOAT = "%.17g"
 
 
 def fmt(x):
     """Render a float with 17 significant digits (bit-stable round trip)."""
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 def write_csv(path, header, rows):
+    """Write a header line, then one line of ``fmt``-rendered values per row.
+
+    ``rows`` is a 2-d array or any iterable of equal-length rows.  The whole
+    table is rendered by one %-format, byte-identical to ``fmt`` per value.
+    """
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                       dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        if table.size:
+            line = ",".join([_FLOAT] * table.shape[1]) + "\n"
+            fh.write(line * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def write_json(path, payload):

@@ -22,6 +22,7 @@ import numpy as np
 from . import kernels
 from .hamiltonians import down_block, engineered_sigma_block, up_block
 from .linalg import eig_hermitian
+from .reporting import write_csv
 
 CHANNELS = ("up", "down")
 MODES = ("amplitude", "probability")
@@ -370,15 +371,11 @@ def full_tomography(hidden_spec, times, mode="amplitude", shots=None, seed=None)
 
 def write_record_csv(record, path):
     """Write a record as CSV: header ``t,re,im`` (amplitude) or ``t,p`` (probability)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if record.mode == "amplitude":
-            fh.write("t,re,im\n")
-            for t, v in zip(record.times, record.values):
-                fh.write(f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
-        else:
-            fh.write("t,p\n")
-            for t, v in zip(record.times, record.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+    if record.mode == "amplitude":
+        write_csv(path, ("t", "re", "im"),
+                  np.column_stack((record.times, record.values.real, record.values.imag)))
+    else:
+        write_csv(path, ("t", "p"), np.column_stack((record.times, record.values)))
     return path
 
 

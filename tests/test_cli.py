@@ -130,15 +130,27 @@ class TestTransfer:
         assert abs(summary["first_peak_time"] - np.pi) <= 5e-3
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        args = ["transfer", "--preset-n", "3", "--channel", "up", "--t-max", "pi",
-                "--dt", "1e-2", "--output-dir", str(tmp_path), "--tag", "rep"]
-        assert main(args) == 0
-        capsys.readouterr()
-        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert main(args) == 0
-        capsys.readouterr()
-        second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert first == second
+        commands = {
+            "transfer": ["transfer", "--preset-n", "3", "--channel", "up", "--t-max", "pi",
+                         "--dt", "1e-2"],
+            "pst": ["pst-check", "--n", "5", "--variant", "phase_exact", "--scan",
+                    "--phase-correct"],
+            "pst_raw": ["pst-check", "--n", "4", "--scan", "--t-max", "pi", "--dt", "1e-3"],
+            "tomo": ["tomography", "--preset-n", "6", "--emit-records", "--shots", "1000",
+                     "--seed", "4"],
+            "tomo_prob": ["tomography", "--preset-n", "4", "--mode", "probability",
+                          "--emit-records"],
+        }
+        for tag, args in commands.items():
+            args = args + ["--output-dir", str(tmp_path / tag), "--tag", "rep"]
+            assert main(args) == 0
+            out_first = capsys.readouterr().out
+            first = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
+            assert main(args) == 0
+            assert capsys.readouterr().out == out_first
+            second = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
+            assert first == second
+            assert any(name.endswith(".csv") for name in first), tag
 
     def test_missing_source_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "chain.json"
@@ -171,6 +183,24 @@ class TestTransfer:
         message = json.loads(proc.stderr)["error"]["message"]
         assert "19683" in message and "6561" in message
         assert int(proc.stdout) < 200 * 1024  # peak RSS in KiB
+
+
+    def test_long_full_space_scan_stays_small(self, tmp_path, run_limited):
+        # about 640 of 729 energies on a 125664-point grid: an N x m phase
+        # matrix chunk took the run to 1.4 GB
+        spec_path = tmp_path / "chain6.json"
+        spec_path.write_text(json.dumps({"n": 6, "kind": "heisenberg"}))
+        proc = run_limited(
+            "import resource, sys\n"
+            "from spin1chain.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n",
+            "transfer", "--spec", str(spec_path), "--source", "000001", "--target", "100000",
+            "--t-max", "40pi", "--dt", "1e-3", "--output-dir", str(tmp_path), "--tag", "n6")
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) < 300 * 1024  # peak RSS in KiB
+        assert len((tmp_path / "n6_series.csv").read_text().splitlines()) == 125664 + 1
 
 
 class TestPstCheck:

@@ -10,6 +10,7 @@ from spin1chain.dynamics import (
     evolution_cache,
     evolve,
     mirror_check,
+    qutrit_fidelity_series,
     qutrit_transfer_fidelity,
     transfer_amplitude,
 )
@@ -197,6 +198,30 @@ class TestQutritFidelity:
             spec = pst_preset(n, "phase_exact")
             for state in QUTRIT_TEST_STATES[:5]:
                 assert qutrit_transfer_fidelity(spec, state, np.pi) >= 1 - 1e-8
+
+    @pytest.mark.parametrize("variant", ["standard", "phase_exact"])
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    @pytest.mark.parametrize("phase_correct", [False, True])
+    def test_series_matches_per_point_reference(self, variant, n, phase_correct):
+        def reference(spec, qutrit, t):
+            block = engineered_sigma_block(spec)
+            f_up = transfer_amplitude(block, 0, n - 1, t, sign=spec.time_sign)
+            f_down = transfer_amplitude(block, n + 1, 2 * n, t, sign=spec.time_sign)
+            if phase_correct:
+                f_up, f_down = abs(f_up), abs(f_down)
+            wa, wb, wg = (abs(complex(x)) ** 2 for x in qutrit)
+            return abs(wa + wb * f_up + wg * f_down) ** 2
+
+        spec = pst_preset(n, variant)
+        grid = np.arange(0.0, 2 * np.pi, 1e-2)
+        for qutrit in (QUTRIT_TEST_STATES[3], QUTRIT_TEST_STATES[8]):
+            series = qutrit_fidelity_series(spec, qutrit, grid, phase_correct=phase_correct)
+            expected = np.array([reference(spec, qutrit, t) for t in grid])
+            assert series.shape == grid.shape
+            assert np.max(np.abs(series - expected)) <= 1e-14
+            for k in (0, 314, grid.size - 1):
+                point = qutrit_transfer_fidelity(spec, qutrit, grid[k], phase_correct)
+                assert abs(point - expected[k]) <= 1e-14
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -359,6 +359,29 @@ class TestRecordFiles:
         assert again.mode == "probability"
         assert np.array_equal(again.values, rec.values)
 
+    @pytest.mark.parametrize("mode", ["amplitude", "probability"])
+    def test_file_bytes_match_per_value_format(self, tmp_path, mode):
+        def per_value(record):
+            if record.mode == "amplitude":
+                lines = ["t,re,im"] + [f"{t:.17g},{v.real:.17g},{v.imag:.17g}"
+                                       for t, v in zip(record.times, record.values)]
+            else:
+                lines = ["t,p"] + [f"{t:.17g},{v:.17g}"
+                                   for t, v in zip(record.times, record.values)]
+            return "".join(line + "\n" for line in lines).encode()
+
+        spec = pst_preset(4, "standard")
+        grid = safe_grid(spec)
+        records = [synthesize_record(spec, "up", mode, grid),
+                   synthesize_record(spec, "down", mode, grid, shots=1000, seed=9)]
+        special = np.array([-0.0, 5e-324, 0.0, 1.0, np.nan])
+        values = special + 1j * special[::-1] if mode == "amplitude" else special
+        records.append(MeasurementRecord(times=np.arange(5.0) - 2.0, values=values,
+                                         channel="up", mode=mode, shots=10))
+        for k, rec in enumerate(records):
+            path = write_record_csv(rec, tmp_path / f"{k}.csv")
+            assert path.read_bytes() == per_value(rec)
+
     def test_header_detection(self, tmp_path):
         path = tmp_path / "weird.csv"
         path.write_text("time,value\n0,1\n")
