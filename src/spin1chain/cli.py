@@ -16,6 +16,7 @@ JSON on stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -431,9 +432,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use.
+
+    Each ``parse_args`` call fills a new namespace from the parser's
+    defaults, so no option value carries over from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

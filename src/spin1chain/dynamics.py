@@ -201,6 +201,52 @@ class MirrorCheckResult:
     odd_phases: tuple
 
 
+def _distance(z, w):
+    """|z - w| rounded like the scalar ``abs`` of one complex number."""
+    diff = z - w
+    return np.hypot(diff.real, diff.imag)
+
+
+def distinct_phases(phases, tol=1e-9):
+    """The phases in order, dropping each one within ``tol`` of a kept earlier one.
+
+    Equals the greedy loop that keeps a phase unless ``abs(phase - q) < tol``
+    for some kept ``q``, without comparing every pair: phases are sorted by
+    angle and split into runs wherever neighbours lie more than 2*tol apart
+    (wrapping at +-pi), since phases in different runs are never within
+    ``tol``.  A run whose members all lie within ``tol`` of its earliest
+    member keeps only that one; any other run is decided by the greedy
+    rule, one kept phase at a time.  Memory stays linear in the count.
+    """
+    phases = np.asarray(phases, dtype=complex)
+    if not phases.size:
+        return ()
+    angle = np.angle(phases)
+    order = np.argsort(angle, kind="stable")
+    gap = np.diff(angle[order], append=angle[order[0]] + 2 * np.pi) > 2 * tol
+    if gap.any():
+        # start the circle just after a gap, so no run wraps around the ends
+        shift = int(np.argmax(gap)) + 1
+        order, gap = np.roll(order, -shift), np.roll(gap, -shift)
+    else:
+        gap[-1] = True
+    starts = np.concatenate(([0], np.flatnonzero(gap[:-1]) + 1))
+    run = np.cumsum(np.concatenate(([0], gap[:-1])))
+    earliest = np.minimum.reduceat(order, starts)[run]
+    covered = _distance(phases[order], phases[earliest]) < tol
+    keep = np.zeros(phases.size, dtype=bool)
+    keep[earliest] = True
+    for r in np.unique(run[~covered]):
+        members = np.sort(order[run == r])
+        undecided = np.ones(members.size, dtype=bool)
+        while undecided.any():
+            first = members[np.argmax(undecided)]
+            keep[first] = True
+            undecided &= ~(_distance(phases[members], phases[first]) < tol)
+            undecided[members == first] = False
+    return tuple(complex(p) for p in phases[keep])
+
+
 def mirror_check(op, t, sign=1, space="full", tol=1e-8):
     """Test whether exp(i*sign*H*t) equals the site inversion up to a phase.
 
@@ -223,19 +269,17 @@ def mirror_check(op, t, sign=1, space="full", tol=1e-8):
     unitary[index, columns] -= np.exp(1j * phi)
     residual = float(np.max(np.abs(unitary)))
 
-    even_phases, odd_phases = [], []
+    even_phases = odd_phases = ()
     if comm <= 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
         vals, pars = clustered_parities(cache.eigensystem, index)
-        for v, p in zip(vals, pars):
-            phase = np.exp(1j * sign * v * t)
-            bucket = even_phases if p > 0 else odd_phases
-            if not any(abs(phase - q) < 1e-9 for q in bucket):
-                bucket.append(complex(phase))
+        phases = np.exp(1j * sign * vals * t)
+        even_phases = distinct_phases(phases[pars > 0])
+        odd_phases = distinct_phases(phases[pars < 0])
     return MirrorCheckResult(
         is_mirror=residual <= tol,
         phase=phi,
         residual=residual,
         commutator_residual=comm,
-        even_phases=tuple(even_phases),
-        odd_phases=tuple(odd_phases),
+        even_phases=even_phases,
+        odd_phases=odd_phases,
     )

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
 
-from . import spin_ops
-from .linalg import eig_hermitian, kron_all
+from .linalg import eig_hermitian
 from .parity import clustered_parities, commutator_residual
-from .spin_ops import A1, A2, ChainOperator, IDENTITY3, SX, SY, SZ, SZ2
+from .spin_ops import A1, A2, ChainOperator, SX, SY, SZ, SZ2
 
 # chains longer than this are built sparse; a dense n=8 build would hold
 # several 3^8 matrices of 689 MB each
@@ -186,52 +184,54 @@ class ChainSpec:
             return cls.from_json_dict(json.load(fh))
 
 
-def _embed_bond(term9, bond, n, sparse):
-    """Embed a 9x9 bond term on sites (bond, bond+1) of an n-site chain."""
-    factors = []
-    eye = sp.identity(3, format="csr", dtype=complex) if sparse else IDENTITY3
-    s = 1
-    while s <= n:
-        if s == bond:
-            factors.append(sp.csr_matrix(term9) if sparse else term9)
-            s += 2
-        else:
-            factors.append(eye)
-            s += 1
-    return kron_all(factors, sparse=sparse)
+def _local_terms(spec):
+    """(first site, 3x3 or 9x9 matrix) of each term of H, in summation order."""
+    n = spec.n
+    if spec.kind != "engineered":
+        term9 = _TWO_SITE_BUILDERS[spec.kind]()
+        return [(i, term9) for i in range(1, n)]
+    hop_up = np.kron(A1, A1.conj().T)
+    hop_up = hop_up + hop_up.conj().T
+    hop_dn = np.kron(A2, A2.conj().T)
+    hop_dn = hop_dn + hop_dn.conj().T
+    return ([(i, spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn) for i in range(1, n)]
+            + [(i, spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2) for i in range(1, n + 1)])
+
+
+def _global_entries(local, site, n):
+    """Rows, columns and values of the nonzeros of I (x) local (x) I on n sites.
+
+    With L = 3^(site-1) states to the left, d = local.shape[0] and R states
+    to the right, local entry (a, b) lands at ((l*d + a)*R + r,
+    (l*d + b)*R + r) for every l < L and r < R.
+    """
+    width = local.shape[0]
+    left = 3 ** (site - 1)
+    right = 3 ** n // (left * width)
+    offsets = (np.arange(left)[:, None] * (width * right) + np.arange(right)).ravel()
+    a, b = np.nonzero(local)
+    rows = (a[:, None] * right + offsets).ravel()
+    cols = (b[:, None] * right + offsets).ravel()
+    return rows, cols, np.repeat(local[a, b], offsets.size)
 
 
 def chain_hamiltonian(spec):
     """Build the full-space 3^n Hamiltonian described by ``spec``.
 
-    Chains longer than AUTO_DENSE_MAX sites are built as sparse CSR.
+    The nonzeros of every local term are placed by index arithmetic and
+    summed in term order.  Chains longer than AUTO_DENSE_MAX sites are
+    built as sparse CSR.
     """
     n = spec.n
-    sparse = n > AUTO_DENSE_MAX
     dim = 3 ** n
-    if spec.kind == "engineered":
-        hop_up = np.kron(A1, A1.conj().T)
-        hop_up = hop_up + hop_up.conj().T
-        hop_dn = np.kron(A2, A2.conj().T)
-        hop_dn = hop_dn + hop_dn.conj().T
-        terms = []
-        for i in range(1, n):
-            terms.append(_embed_bond(spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn, i, n, sparse))
-        for i in range(1, n + 1):
-            site_term = spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2
-            terms.append(kron_all(
-                spin_ops._factors(n, {i: site_term}, sparse), sparse=sparse))
-    else:
-        term9 = _TWO_SITE_BUILDERS[spec.kind]()
-        terms = [_embed_bond(term9, i, n, sparse) for i in range(1, n)]
-    if sparse:
-        total = sp.csr_matrix((dim, dim), dtype=complex)
-        for t in terms:
-            total = total + t
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        *(_global_entries(local, site, n) for site, local in _local_terms(spec))))
+    if n > AUTO_DENSE_MAX:
+        total = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        total.eliminate_zeros()
     else:
         total = np.zeros((dim, dim), dtype=complex)
-        for t in terms:
-            total += t
+        np.add.at(total, (rows, cols), vals)
     return ChainOperator(total, n)
 
 
@@ -252,6 +252,9 @@ def swap_check(unitary, tol=1e-10):
     The phase is chosen to minimize the entrywise max deviation (coarse
     grid plus bounded scalar refinement).  Non-unitary input is rejected.
     """
+    # imported here: scipy.optimize adds about 0.4 s to every start of the CLI
+    from scipy.optimize import minimize_scalar
+
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {u.shape}")

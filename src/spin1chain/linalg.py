@@ -2,9 +2,11 @@
 
 Everything downstream (time evolution, parity splitting, tomography)
 goes through :func:`eig_hermitian`, which enforces a deterministic
-eigenvector phase convention so that regression files are stable.
-:func:`evolution_cache` memoizes it by matrix content, so the analyses
-of one Hamiltonian share a single decomposition.
+eigenvector phase convention so that regression files are stable.  It
+diagonalizes each connected block of the matrix's nonzero pattern on its
+own, so a Hamiltonian that conserves something costs what its sectors
+cost.  :func:`evolution_cache` memoizes it by matrix content, so the
+analyses of one Hamiltonian share a single decomposition.
 """
 
 import hashlib
@@ -32,23 +34,68 @@ def hermiticity_deviation(mat):
 
 
 def fix_eigenvector_phases(vectors, threshold=PHASE_FIX_THRESHOLD):
-    """Rotate each column so its first significant component is real positive."""
+    """Rotate each column so its first significant component is real positive.
+
+    Columns without a component above ``threshold`` are left untouched.
+    The modulus is taken with ``np.hypot``, which rounds like the scalar
+    ``abs`` of one complex number, so the result does not depend on how
+    many columns are fixed at once.
+    """
     fixed = np.array(vectors, dtype=complex, copy=True)
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        sig = np.nonzero(np.abs(col) > threshold)[0]
-        if sig.size:
-            lead = col[sig[0]]
-            fixed[:, k] = col * (abs(lead) / lead)
+    significant = np.abs(fixed) > threshold
+    cols = np.flatnonzero(significant.any(axis=0))
+    lead = fixed[np.argmax(significant[:, cols], axis=0), cols]
+    fixed[:, cols] *= np.hypot(lead.real, lead.imag) / lead
     return fixed
+
+
+def connected_blocks(mat):
+    """Connected components of the nonzero pattern of a square matrix.
+
+    Indices i and j are linked when ``mat[i, j]`` or ``mat[j, i]`` is
+    nonzero, so no entry couples two blocks: each block is a sector of a
+    conserved quantity, found without naming the quantity.  Returns index
+    arrays, ascending within a block, ordered by their smallest index.
+
+    Every index repeatedly takes the smallest label among its neighbours
+    and then its label's label (pointer jumping), until no label changes;
+    each component ends labelled by its smallest index.
+    """
+    mat = np.asarray(mat)
+    rows, cols = np.nonzero(mat != 0)
+    labels = np.arange(mat.shape[0])
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, rows, labels[cols])
+        np.minimum.at(hooked, cols, labels[rows])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, starts)
 
 
 @dataclass(frozen=True)
 class HermitianEigenSystem:
-    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues."""
+    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues.
+
+    ``blocks`` records the connected blocks of H as (rows, columns) pairs
+    of index arrays, one pair per block size: ``rows[k]`` are the basis
+    states of one block and ``columns[k]`` its eigenvectors, which vanish
+    outside those rows.  Left empty, the whole space is one block.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    blocks: tuple = ()
+
+    def __post_init__(self):
+        if not self.blocks:
+            whole = np.arange(self.dim)[None, :]
+            object.__setattr__(self, "blocks", ((whole, whole),))
 
     @property
     def dim(self):
@@ -63,23 +110,63 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def eig_hermitian(mat, check_tol=1e-12):
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
-    ``check_tol`` relative to the matrix norm.
-    """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    dev = hermiticity_deviation(mat)
+def _require_hermitian(parts, check_tol):
+    """Raise NonHermitianError unless every part (a matrix or a stack of
+    matrices) is Hermitian to ``check_tol`` times the largest entry."""
+    scale = max(max(float(np.max(np.abs(p))) for p in parts), 1.0)
+    dev = max(float(np.max(np.abs(p - p.conj().swapaxes(-1, -2)))) for p in parts)
     if dev > check_tol * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: deviation {dev:.3e} exceeds {check_tol:.1e} * {scale:.3e}"
         )
-    w, v = np.linalg.eigh(mat)
-    return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
+
+
+def eig_hermitian(mat, check_tol=1e-12):
+    """Full spectral decomposition of a Hermitian matrix, block by block.
+
+    Each connected block of the nonzero pattern (:func:`connected_blocks`)
+    is diagonalized on its own, the blocks of one size in one stacked
+    ``eigh`` call; the eigenpairs are then sorted ascending (stably, so
+    equal eigenvalues keep the order of the solves: smaller blocks first,
+    then by smallest index).  A matrix that is one block goes to ``eigh``
+    whole.
+
+    Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
+    ``check_tol`` relative to the matrix norm.  No entry links two blocks,
+    so the deviation and the norm are those of the blocks.
+    """
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    blocks = connected_blocks(mat)
+    if len(blocks) == 1:
+        _require_hermitian([mat], check_tol)
+        w, v = np.linalg.eigh(mat)
+        return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
+    by_size = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    groups = [np.stack(by_size[size]) for size in sorted(by_size)]
+    stacks = [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
+    _require_hermitian(stacks, check_tol)
+    solved = [np.linalg.eigh(stack) for stack in stacks]
+    values = np.concatenate([w.ravel() for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vectors = np.zeros(mat.shape, dtype=complex)
+    partition, offset = [], 0
+    for rows, (_, v) in zip(groups, solved):
+        count, size = rows.shape
+        # the columns of every block of the stack side by side, phase-fixed at once
+        v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
+        cols = column[offset:offset + rows.size].reshape(rows.shape)
+        v = v.reshape(size, count, size).transpose(1, 0, 2)
+        vectors[rows[:, :, None], cols[:, None, :]] = v
+        partition.append((rows, cols))
+        offset += rows.size
+    return HermitianEigenSystem(eigenvalues=values[order], eigenvectors=vectors,
+                                blocks=tuple(partition))
 
 
 class EvolutionCache:
@@ -98,9 +185,19 @@ class EvolutionCache:
         return self.eigensystem.eigenvectors
 
     def unitary(self, t, sign=1):
-        """exp(i*sign*H*t) as a dense matrix."""
+        """exp(i*sign*H*t) as a dense matrix, built block by block.
+
+        Each block contributes V_b diag(exp(i*sign*E_b*t)) V_b^dagger on its
+        own rows and columns; entries between blocks are exact zeros.
+        """
         es = self.eigensystem
-        return (es.eigenvectors * np.exp(1j * sign * es.eigenvalues * t)) @ es.eigenvectors.conj().T
+        phases = np.exp(1j * sign * es.eigenvalues * t)
+        out = np.zeros((es.dim, es.dim), dtype=complex)
+        for rows, cols in es.blocks:
+            v = es.eigenvectors[rows[:, :, None], cols[:, None, :]]
+            out[rows[:, :, None], rows[:, None, :]] = (
+                (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1))
+        return out
 
 
 _CACHE_LIMIT = 8

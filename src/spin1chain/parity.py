@@ -126,9 +126,42 @@ def parity_projectors(kind, n):
     return (eye + mirror) / 2.0, (eye - mirror) / 2.0
 
 
+# complex entries per gathered block of eigenvector columns (32 MB)
+_GATHER_ELEMENTS = 1 << 21
+
+
 def commutator_residual(mat, index):
     """max |[H, M]| for the index mirror: M H M - H entrywise."""
-    return float(np.max(np.abs(mat[index][:, index] - mat)))
+    return float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
+
+
+def _cluster_bounds(evals, cluster_tol):
+    """(start, stop) of each cluster of the ascending ``evals``.
+
+    A cluster holds the values within ``cluster_tol`` of its first.  A gap
+    of at least ``cluster_tol`` always starts a new cluster, and a run
+    between such gaps that spans less than ``cluster_tol`` is one cluster;
+    only the other runs are split one value at a time.
+    """
+    cuts = np.flatnonzero(np.diff(evals) >= cluster_tol) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [len(evals)]))
+    wide = np.flatnonzero(evals[stops - 1] - evals[starts] >= cluster_tol)
+    if not wide.size:
+        return starts, stops
+    bounds = list(zip(starts.tolist(), stops.tolist()))
+    for k in wide[::-1]:
+        start, stop = bounds[k]
+        pieces = []
+        while start < stop:
+            end = start + 1
+            while end < stop and evals[end] - evals[start] < cluster_tol:
+                end += 1
+            pieces.append((start, end))
+            start = end
+        bounds[k:k + 1] = pieces
+    starts, stops = np.array(bounds).T
+    return starts, stops
 
 
 def clustered_parities(eigensystem, index, cluster_tol=1e-9, vectors=False):
@@ -139,27 +172,34 @@ def clustered_parities(eigensystem, index, cluster_tol=1e-9, vectors=False):
     parities under a plain eigensolver are resolved correctly.  Each
     eigenvalue is its cluster's mean.  With ``vectors`` the parity-pure
     rotated eigenvectors are returned as a third array (one per column).
+    Clusters of one size are handled together: one stacked product gives
+    their mirror matrices and one stacked eigensolve their parities.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
-    out_vals, out_pars, out_vecs = [], [], []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
-            j += 1
-        cluster = vecs[:, i:j + 1]
-        msub = cluster.conj().T @ cluster[index]
-        if vectors:
-            pvals, pvecs = np.linalg.eigh(msub)
-            out_vecs.append(cluster @ pvecs)
-        else:
-            pvals = np.linalg.eigvalsh(msub)
-        out_vals += [float(np.mean(evals[i:j + 1]))] * len(pvals)
-        out_pars += [1 if p > 0 else -1 for p in pvals]
-        i = j + 1
+    starts, stops = _cluster_bounds(evals, cluster_tol)
+    sizes = stops - starts
+    out_vals = np.empty(len(evals))
+    out_pars = np.empty(len(evals), dtype=int)
+    out_vecs = np.empty(vecs.shape, dtype=complex) if vectors else None
+    for size in np.unique(sizes):
+        first = starts[sizes == size]
+        # at most _GATHER_ELEMENTS entries of eigenvectors are copied at a time
+        step = max(1, _GATHER_ELEMENTS // (vecs.shape[0] * size))
+        for chunk in range(0, first.size, step):
+            cols = first[chunk:chunk + step, None] + np.arange(size)
+            # a row sum rounds like np.mean of the cluster alone
+            out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
+            members = vecs[:, cols].transpose(1, 0, 2)  # (cluster, row, member)
+            msub = members.conj().transpose(0, 2, 1) @ members[:, index]
+            if vectors:
+                pvals, pvecs = np.linalg.eigh(msub)
+                out_vecs[:, cols] = (members @ pvecs).transpose(1, 0, 2)
+            else:
+                pvals = np.linalg.eigvalsh(msub)
+            out_pars[cols] = np.where(pvals > 0, 1, -1)
     if vectors:
-        return np.array(out_vals), np.array(out_pars), np.hstack(out_vecs)
-    return np.array(out_vals), np.array(out_pars)
+        return out_vals, out_pars, out_vecs
+    return out_vals, out_pars
 
 
 @dataclass(frozen=True)

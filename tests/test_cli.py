@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spin1chain.cli import main, parse_time
+from spin1chain import cli
+from spin1chain.cli import build_parser, main, parse_time
 from spin1chain.hamiltonians import pst_preset
 
 
@@ -348,3 +349,55 @@ class TestOutputDirEnv:
         code, _, _ = run_cli(["spectra", "--format", "json", "--tag", "envtest"], capsys)
         assert code == 0
         assert (tmp_path / "envtest_spectra.json").exists()
+
+
+class TestParserReuse:
+    """One parser serves every call of a process, as a fresh one would."""
+
+    SEQUENCE = (
+        ["transfer", "--preset-n", "3", "--channel", "up", "--t-max", "pi", "--dt", "1e-2",
+         "--tag", "first"],
+        ["spectra", "--format", "json", "--tag", "spec"],
+        ["tomography", "--preset-n", "3", "--seed", "2", "--shots", "1000", "--emit-records",
+         "--tag", "tomo"],
+        # no --channel and no --tag: must scan the full space under the default tag
+        ["transfer", "--spec", "chain.json", "--source", "001", "--target", "100",
+         "--t-max", "pi", "--dt", "1e-2"],
+        ["transfer", "--no-such-option", "1"],
+    )
+
+    @staticmethod
+    def run_sequence(workdir, capsys, monkeypatch, fresh):
+        workdir.mkdir()
+        (workdir / "chain.json").write_text(json.dumps({"n": 3, "kind": "heisenberg"}))
+        monkeypatch.chdir(workdir)
+        results = []
+        for k, argv in enumerate(TestParserReuse.SEQUENCE):
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv + ["--output-dir", f"out{k}"])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outdir = workdir / f"out{k}"
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+            results.append((code, captured.out, captured.err, files))
+        return results
+
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        reused = self.run_sequence(tmp_path / "reused", capsys, monkeypatch, fresh=False)
+        fresh = self.run_sequence(tmp_path / "fresh", capsys, monkeypatch, fresh=True)
+        assert [r[0] for r in reused] == [0, 0, 0, 0, 2]
+        assert "transfer_series.csv" in reused[3][3]  # default tag, full-space scan
+        assert "--no-such-option" in reused[4][2]
+        for got, want in zip(reused, fresh):
+            assert got == want
+
+    def test_no_option_value_leaks(self):
+        cli._parser.cache_clear()
+        parser = cli._parser()
+        for argv in self.SEQUENCE[:4]:
+            assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+        assert cli._parser() is parser

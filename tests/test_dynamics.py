@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,6 +9,7 @@ from spin1chain.dynamics import (
     StateVector,
     amplitude_scan,
     block_transfer_amplitudes,
+    distinct_phases,
     evolution_cache,
     evolve,
     mirror_check,
@@ -21,7 +24,7 @@ from spin1chain.hamiltonians import (
     pst_preset,
     sigma_projector,
 )
-from spin1chain.parity import sigma_mirror_permutation
+from spin1chain.parity import chain_mirror_index, clustered_parities, sigma_mirror_permutation
 from spin1chain.spin_ops import basis_index
 
 
@@ -272,3 +275,79 @@ class TestMirrorCheck:
             block = engineered_sigma_block(pst_preset(n, "standard"))
             mirror = sigma_mirror_permutation(n)
             assert np.max(np.abs(block @ mirror - mirror @ block)) <= 1e-13
+
+
+def greedy_phases(phases, tol=1e-9):
+    """Keep each phase unless it lies within tol of a phase kept before it."""
+    kept = []
+    for phase in phases:
+        if not any(abs(phase - q) < tol for q in kept):
+            kept.append(complex(phase))
+    return tuple(kept)
+
+
+def assert_same_phases(phases):
+    got = distinct_phases(phases)
+    want = greedy_phases(phases)
+    assert len(got) == len(want)
+    assert all(complex(a) == complex(b) for a, b in zip(got, want))
+
+
+class TestDistinctPhases:
+    def test_near_duplicates(self):
+        rng = np.random.default_rng(61)
+        base = np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+        near = base * np.exp(0.5e-9j * rng.choice([-1, 1], size=40))
+        phases = rng.permutation(np.concatenate([base, near, base]))
+        assert_same_phases(phases)
+        assert len(distinct_phases(phases)) == 40
+
+    def test_chains_keep_every_other_link(self):
+        # links 0.6e-9 apart: each is within tol of its neighbours only, so
+        # the greedy rule keeps the first, drops the second, keeps the third...
+        steps = np.exp(1j * (0.3 + 0.6e-9 * np.arange(7)))
+        for order in (np.arange(7), np.arange(7)[::-1], np.array([3, 0, 6, 1, 5, 2, 4])):
+            assert_same_phases(steps[order])
+        assert len(distinct_phases(steps)) == 4
+
+    def test_wraps_at_pi(self):
+        rng = np.random.default_rng(62)
+        angles = np.pi - np.array([0.0, 0.3e-9, -0.4e-9, 0.9e-9, 1.7e-9, -1.2e-9])
+        angles = np.concatenate([angles, angles - 2 * np.pi, rng.uniform(-3, 3, 20)])
+        for _ in range(20):
+            phases = np.exp(1j * rng.permutation(angles))
+            assert_same_phases(phases)
+        assert_same_phases(np.array([-1.0 + 0.0j, complex(-1.0, -0.0), complex(-1.0, 1e-10)]))
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(63)
+        for _ in range(30):
+            centres = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 12)))
+            angles = rng.choice(centres, size=int(rng.integers(1, 200)))
+            angles = angles + rng.normal(scale=1e-9, size=angles.size)
+            assert_same_phases(np.exp(1j * angles))
+
+    def test_small_inputs(self):
+        assert distinct_phases(np.array([], dtype=complex)) == ()
+        assert distinct_phases(np.array([1j])) == (1j,)
+
+    def test_memory_stays_linear(self):
+        rng = np.random.default_rng(64)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 6561))
+        phases[::3] = phases[1::3]  # many exact duplicates, as at t = pi
+        tracemalloc.start()
+        try:
+            distinct_phases(phases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O3", "O5"])
+    def test_mirror_check_phases_follow_greedy_rule(self, kind):
+        ham = chain_hamiltonian(ChainSpec(n=4, kind=kind))
+        result = mirror_check(ham, np.pi)
+        vals, pars = clustered_parities(evolution_cache(ham).eigensystem, chain_mirror_index(4))
+        phases = np.exp(1j * vals * np.pi)
+        assert result.even_phases == greedy_phases(phases[pars > 0])
+        assert result.odd_phases == greedy_phases(phases[pars < 0])

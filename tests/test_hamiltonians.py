@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spin1chain.hamiltonians import (
     AUTO_DENSE_MAX,
+    KINDS,
     ChainSpec,
     SigmaBasis,
     SpecError,
@@ -28,7 +30,7 @@ from spin1chain.hamiltonians import (
     up_block,
 )
 from spin1chain.linalg import eig_hermitian
-from spin1chain.spin_ops import A1, A2, SZ, SZ2, basis_index, embed, site_operator
+from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
 
 
 def random_engineered(rng, n, low=-2.0, high=2.0):
@@ -57,6 +59,53 @@ def dense_reference(spec):
     bonds = [placed(spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn, i, 2) for i in range(1, n)]
     sites = [placed(spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2, i, 1) for i in range(1, n + 1)]
     return sum(bonds + sites)
+
+
+TWO_SITE_TERMS = {
+    "heisenberg": heisenberg_two_site,
+    "heisenberg_squared_mix": mix_two_site,
+    "heisenberg_squared_sum": squared_sum_two_site,
+    **{name: (lambda nm=name: candidate_two_site(nm)) for name in ("O1", "O2", "O3", "O4", "O5")},
+}
+
+
+def kron_sum_reference(spec, sparse=False):
+    """H as a sum of Kronecker products, term by term into a complex zero matrix.
+
+    Bond terms first (sites 1..n-1), then the engineered site fields, each
+    padded with 3x3 complex identities: the accumulation order of the build.
+    ``sparse`` uses CSR Kronecker products for the longer chains.
+    """
+    n = spec.n
+    kron = (lambda a, b: sp.kron(a, b, format="csr")) if sparse else np.kron
+
+    def placed(op, site, width):
+        factors = [IDENTITY3] * (site - 1) + [op] + [IDENTITY3] * (n - site - width + 1)
+        out = factors[0]
+        for f in factors[1:]:
+            out = kron(out, f)
+        return out
+
+    if spec.kind == "engineered":
+        hop_up = np.kron(A1, A1.conj().T)
+        hop_up = hop_up + hop_up.conj().T
+        hop_dn = np.kron(A2, A2.conj().T)
+        hop_dn = hop_dn + hop_dn.conj().T
+        terms = [placed(spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn, i, 2) for i in range(1, n)]
+        terms += [placed(spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2, i, 1) for i in range(1, n + 1)]
+    else:
+        terms = [placed(TWO_SITE_TERMS[spec.kind](), i, 2) for i in range(1, n)]
+    total = sp.csr_matrix((3 ** n, 3 ** n), dtype=complex) if sparse else np.zeros(
+        (3 ** n, 3 ** n), dtype=complex)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def every_kind(n, seed):
+    rng = np.random.default_rng(seed)
+    return [random_engineered(rng, n) if kind == "engineered" else ChainSpec(n=n, kind=kind)
+            for kind in KINDS]
 
 
 # n = 9 is past the dense cap: the sparse build works, and every path that
@@ -221,6 +270,17 @@ class TestChainHamiltonian:
             vac = np.zeros(ham.dim)
             vac[basis_index("0" * n)] = 1.0
             assert np.linalg.norm(ham.dense() @ vac) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_build_is_byte_identical_to_kron_sum(self, n):
+        for spec in every_kind(n, seed=40 + n):
+            assert chain_hamiltonian(spec).dense().tobytes() == kron_sum_reference(spec).tobytes()
+
+    def test_sparse_build_matches_kron_sum(self):
+        for spec in every_kind(AUTO_DENSE_MAX + 1, seed=47):
+            ham = chain_hamiltonian(spec)
+            assert ham.is_sparse
+            assert abs(ham.mat - kron_sum_reference(spec, sparse=True)).max() <= 1e-14
 
     def test_sparse_matches_dense(self):
         n = AUTO_DENSE_MAX + 1

@@ -19,6 +19,7 @@ from spin1chain.parity import (
     ParitySplit,
     chain_mirror_index,
     chain_mirror_permutation,
+    clustered_parities,
     exchange_permutation,
     mirror_index,
     mirroring_feasibility_report,
@@ -198,10 +199,85 @@ def sector_spectrum(mat, projector):
     return np.sort(np.linalg.eigvalsh(basis.conj().T @ mat @ basis))[::-1]
 
 
+def loop_clustered_parities(evals, vecs, index, cluster_tol=1e-9):
+    """(eigenvalue, parity, vector) per eigenvector, one cluster at a time.
+
+    A cluster holds the values within cluster_tol of its first; its
+    eigenvalue is the cluster mean and the mirror is diagonalized in it.
+    """
+    vals, pars, out_vecs = [], [], []
+    i = 0
+    while i < len(evals):
+        j = i
+        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
+            j += 1
+        cluster = vecs[:, i:j + 1]
+        pvals, pvecs = np.linalg.eigh(cluster.conj().T @ cluster[index])
+        vals += [float(np.mean(evals[i:j + 1]))] * len(pvals)
+        pars += [1 if p > 0 else -1 for p in pvals]
+        out_vecs.append(cluster @ pvecs)
+        i = j + 1
+    return np.array(vals), np.array(pars), np.hstack(out_vecs)
+
+
+def dense_split_reference(mat, index, cluster_tol=1e-9):
+    """Parity split from one dense eigh of the whole matrix and a cluster-by-cluster loop."""
+    evals, vecs = np.linalg.eigh(mat)
+    vals, pars, _ = loop_clustered_parities(evals, vecs, index, cluster_tol)
+    return (np.sort(vals[pars > 0])[::-1], np.sort(vals[pars < 0])[::-1])
+
+
+class TestClusteredParities:
+    def test_clusters_and_means_match_loop(self):
+        # tight clusters, a chain of 0.4e-9 steps that must be split from its
+        # first value, and singletons; the mirror pairs states 2k and 2k+1
+        evals = np.sort(np.concatenate([
+            [-3.0, -1.0, 0.0], 1.0 + np.array([0.0, 1e-15, 3e-10, 7e-10]),
+            2.0 + 0.4e-9 * np.arange(9), [4.0, 4.0 + 2e-16], [7.5]]))
+        dim = evals.size  # 19: nine swapped pairs and a fixed last state
+        rng = np.random.default_rng(71)
+        vecs = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        index = np.append(np.arange(dim - 1) ^ 1, dim - 1)
+        es = linalg.HermitianEigenSystem(evals, vecs)
+        want_vals, want_pars, want_vecs = loop_clustered_parities(evals, vecs, index)
+        vals, pars, rotated = clustered_parities(es, index, vectors=True)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(pars, want_pars)
+        assert np.max(np.abs(rotated - want_vecs)) <= 1e-13
+        vals, pars = clustered_parities(es, index)
+        assert vals.tobytes() == want_vals.tobytes() and np.array_equal(pars, want_pars)
+
+    def test_one_block_chain_matches_loop_bitwise(self):
+        ham = chain_hamiltonian(ChainSpec(n=4, kind="O5")).dense()
+        es = linalg.eig_hermitian(ham)
+        index = chain_mirror_index(4)
+        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
+        vals, pars = clustered_parities(es, index)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(pars, want_pars)
+
+
 class TestChainParitySpectrum:
-    @pytest.mark.parametrize("spec", [ChainSpec(n=4, kind=kind) for kind in PAPER_KINDS]
+    @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (5, 6)
+                                      for kind in PAPER_KINDS]
+                             + [mirror_symmetric_chain(n, seed=s) for n in (5, 6) for s in (8, 9)],
+                             ids=[f"{kind}-n{n}" for n in (5, 6) for kind in PAPER_KINDS]
+                             + [f"engineered-n{n}-{s}" for n in (5, 6) for s in (8, 9)])
+    def test_block_split_matches_dense_eigh(self, spec, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(spec)
+        mat = ham.dense()
+        split = parity_spectrum(ham, kind="chain_mirror")
+        even, odd = dense_split_reference(mat, chain_mirror_index(spec.n))
+        assert len(split.even) == len(even) and len(split.odd) == len(odd)
+        assert np.max(np.abs(np.array(split.even) - even)) <= 1e-12
+        assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (4, 5)
+                                      for kind in PAPER_KINDS]
                              + [mirror_symmetric_chain(5, seed=17)],
-                             ids=[f"{kind}-n4" for kind in PAPER_KINDS] + ["engineered-n5"])
+                             ids=[f"{kind}-n{n}" for n in (4, 5) for kind in PAPER_KINDS]
+                             + ["engineered-n5"])
     def test_split_equals_projector_sectors(self, spec):
         ham = chain_hamiltonian(spec)
         mat = ham.dense()
@@ -213,19 +289,33 @@ class TestChainParitySpectrum:
         assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-10
 
     def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
+        # one decomposition serves both analyses: a single eig_hermitian
+        # call, whose eigh calls cover every connected block exactly once
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        calls = []
-        eigh = np.linalg.eigh
+        decompositions, solved = [], []
+        eig_hermitian, eigh = linalg.eig_hermitian, np.linalg.eigh
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+        def counted_eig(mat, *args, **kwargs):
+            decompositions.append(np.asarray(mat).shape)
+            return eig_hermitian(mat, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted_eigh(mat, *args, **kwargs):
+            solved.append(np.asarray(mat).shape)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
         ham = chain_hamiltonian(mirror_symmetric_chain(4, seed=3))
+        blocks = linalg.connected_blocks(ham.dense())
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         dynamics.mirror_check(ham, np.pi)
         parity_spectrum(ham, kind="chain_mirror")
-        assert calls == [(81, 81)]
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert decompositions == [(81, 81)]
+        block_sizes = sorted(b.size for b in blocks)
+        # each call solves a stack of blocks of one size: (count, size, size)
+        covered = sorted(size for count, size, _ in solved for _ in range(count))
+        assert covered == block_sizes
+        assert sum(covered) == 81
 
 
 class TestFeasibility:
