@@ -207,17 +207,20 @@ def _distance(z, w):
     return np.hypot(diff.real, diff.imag)
 
 
-def distinct_phases(phases, tol=1e-9):
-    """The phases in order, dropping each one within ``tol`` of a kept earlier one.
+def _distinct_phases(phases):
+    """The unit-modulus phases in order, dropping each within 1e-9 of a kept earlier one.
 
-    Equals the greedy loop that keeps a phase unless ``abs(phase - q) < tol``
+    Equals the greedy loop that keeps a phase unless ``abs(phase - q) < 1e-9``
     for some kept ``q``, without comparing every pair: phases are sorted by
-    angle and split into runs wherever neighbours lie more than 2*tol apart
-    (wrapping at +-pi), since phases in different runs are never within
-    ``tol``.  A run whose members all lie within ``tol`` of its earliest
-    member keeps only that one; any other run is decided by the greedy
-    rule, one kept phase at a time.  Memory stays linear in the count.
+    angle and split into runs wherever neighbours lie more than 2e-9 apart
+    (wrapping at +-pi).  On the unit circle such neighbours are more than
+    1e-9 apart, so phases in different runs are never merged; off the
+    circle angles say nothing about distance, hence the unit modulus.  A
+    run whose members all lie within 1e-9 of its earliest member keeps only
+    that one; any other run is decided by the greedy rule, one kept phase
+    at a time.  Memory stays linear in the count.
     """
+    tol = 1e-9
     phases = np.asarray(phases, dtype=complex)
     if not phases.size:
         return ()
@@ -273,8 +276,8 @@ def mirror_check(op, t, sign=1, space="full", tol=1e-8):
     if comm <= 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
         vals, pars = clustered_parities(cache.eigensystem, index)
         phases = np.exp(1j * sign * vals * t)
-        even_phases = distinct_phases(phases[pars > 0])
-        odd_phases = distinct_phases(phases[pars < 0])
+        even_phases = _distinct_phases(phases[pars > 0])
+        odd_phases = _distinct_phases(phases[pars < 0])
     return MirrorCheckResult(
         is_mirror=residual <= tol,
         phase=phi,

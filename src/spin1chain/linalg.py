@@ -28,9 +28,10 @@ class NonHermitianError(ValueError):
 
 
 def hermiticity_deviation(mat):
+    """Largest entry of |A - A^dagger|; a dense stack is taken matrix by matrix."""
     if sp.issparse(mat):
         return abs(mat - mat.conj().T).max() if mat.nnz else 0.0
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    return float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))) if mat.size else 0.0
 
 
 def fix_eigenvector_phases(vectors, threshold=PHASE_FIX_THRESHOLD):
@@ -110,17 +111,6 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def _require_hermitian(parts, check_tol):
-    """Raise NonHermitianError unless every part (a matrix or a stack of
-    matrices) is Hermitian to ``check_tol`` times the largest entry."""
-    scale = max(max(float(np.max(np.abs(p))) for p in parts), 1.0)
-    dev = max(float(np.max(np.abs(p - p.conj().swapaxes(-1, -2)))) for p in parts)
-    if dev > check_tol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {check_tol:.1e} * {scale:.3e}"
-        )
-
-
 def eig_hermitian(mat, check_tol=1e-12):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
@@ -140,15 +130,22 @@ def eig_hermitian(mat, check_tol=1e-12):
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     blocks = connected_blocks(mat)
     if len(blocks) == 1:
-        _require_hermitian([mat], check_tol)
+        stacks = [mat]
+    else:
+        by_size = {}
+        for block in blocks:
+            by_size.setdefault(block.size, []).append(block)
+        groups = [np.stack(by_size[size]) for size in sorted(by_size)]
+        stacks = [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
+    scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
+    dev = max(hermiticity_deviation(s) for s in stacks)
+    if dev > check_tol * scale:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {check_tol:.1e} * {scale:.3e}"
+        )
+    if len(blocks) == 1:
         w, v = np.linalg.eigh(mat)
         return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
-    by_size = {}
-    for block in blocks:
-        by_size.setdefault(block.size, []).append(block)
-    groups = [np.stack(by_size[size]) for size in sorted(by_size)]
-    stacks = [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
-    _require_hermitian(stacks, check_tol)
     solved = [np.linalg.eigh(stack) for stack in stacks]
     values = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(values, kind="stable")

@@ -136,31 +136,17 @@ def commutator_residual(mat, index):
 
 
 def _cluster_bounds(evals, cluster_tol):
-    """(start, stop) of each cluster of the ascending ``evals``.
-
-    A cluster holds the values within ``cluster_tol`` of its first.  A gap
-    of at least ``cluster_tol`` always starts a new cluster, and a run
-    between such gaps that spans less than ``cluster_tol`` is one cluster;
-    only the other runs are split one value at a time.
-    """
-    cuts = np.flatnonzero(np.diff(evals) >= cluster_tol) + 1
-    starts = np.concatenate(([0], cuts))
-    stops = np.concatenate((cuts, [len(evals)]))
-    wide = np.flatnonzero(evals[stops - 1] - evals[starts] >= cluster_tol)
-    if not wide.size:
-        return starts, stops
-    bounds = list(zip(starts.tolist(), stops.tolist()))
-    for k in wide[::-1]:
-        start, stop = bounds[k]
-        pieces = []
-        while start < stop:
-            end = start + 1
-            while end < stop and evals[end] - evals[start] < cluster_tol:
-                end += 1
-            pieces.append((start, end))
-            start = end
-        bounds[k:k + 1] = pieces
-    starts, stops = np.array(bounds).T
+    """(start, stop) of each cluster of the ascending ``evals``: a cluster
+    holds the values within ``cluster_tol`` of its first."""
+    values = evals.tolist()
+    bounds, start = [], 0
+    for k, value in enumerate(values):
+        if value - values[start] >= cluster_tol:
+            bounds.append((start, k))
+            start = k
+    if values:
+        bounds.append((start, len(values)))
+    starts, stops = np.array(bounds, dtype=int).reshape(-1, 2).T
     return starts, stops
 
 

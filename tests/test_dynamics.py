@@ -6,10 +6,10 @@ from scipy.linalg import expm
 
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
+    _distinct_phases,
     StateVector,
     amplitude_scan,
     block_transfer_amplitudes,
-    distinct_phases,
     evolution_cache,
     evolve,
     mirror_check,
@@ -287,7 +287,7 @@ def greedy_phases(phases, tol=1e-9):
 
 
 def assert_same_phases(phases):
-    got = distinct_phases(phases)
+    got = _distinct_phases(phases)
     want = greedy_phases(phases)
     assert len(got) == len(want)
     assert all(complex(a) == complex(b) for a, b in zip(got, want))
@@ -300,7 +300,7 @@ class TestDistinctPhases:
         near = base * np.exp(0.5e-9j * rng.choice([-1, 1], size=40))
         phases = rng.permutation(np.concatenate([base, near, base]))
         assert_same_phases(phases)
-        assert len(distinct_phases(phases)) == 40
+        assert len(_distinct_phases(phases)) == 40
 
     def test_chains_keep_every_other_link(self):
         # links 0.6e-9 apart: each is within tol of its neighbours only, so
@@ -308,7 +308,7 @@ class TestDistinctPhases:
         steps = np.exp(1j * (0.3 + 0.6e-9 * np.arange(7)))
         for order in (np.arange(7), np.arange(7)[::-1], np.array([3, 0, 6, 1, 5, 2, 4])):
             assert_same_phases(steps[order])
-        assert len(distinct_phases(steps)) == 4
+        assert len(_distinct_phases(steps)) == 4
 
     def test_wraps_at_pi(self):
         rng = np.random.default_rng(62)
@@ -328,8 +328,8 @@ class TestDistinctPhases:
             assert_same_phases(np.exp(1j * angles))
 
     def test_small_inputs(self):
-        assert distinct_phases(np.array([], dtype=complex)) == ()
-        assert distinct_phases(np.array([1j])) == (1j,)
+        assert _distinct_phases(np.array([], dtype=complex)) == ()
+        assert _distinct_phases(np.array([1j])) == (1j,)
 
     def test_memory_stays_linear(self):
         rng = np.random.default_rng(64)
@@ -337,7 +337,7 @@ class TestDistinctPhases:
         phases[::3] = phases[1::3]  # many exact duplicates, as at t = pi
         tracemalloc.start()
         try:
-            distinct_phases(phases)
+            _distinct_phases(phases)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
