@@ -42,7 +42,6 @@ from .linalg import HermitianEigenSystem, apply_exp, eig_hermitian  # noqa: F401
 from .parity import (  # noqa: F401
     ParitySplit,
     mirroring_feasibility_report,
-    parity_projectors,
     parity_spectrum,
 )
 from .spin_ops import (  # noqa: F401

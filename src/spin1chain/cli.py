@@ -73,7 +73,10 @@ def parse_time(text):
     if m.group(3):
         if not m.group(2):
             raise ValueError(f"divisor without pi in {text!r}")
-        value /= int(m.group(3))
+        divisor = int(m.group(3))
+        if divisor == 0:
+            raise ValueError(f"zero divisor in {text!r}")
+        value /= divisor
     return value
 
 
@@ -97,8 +100,8 @@ def _load_spec(args):
 def _time_grid(args):
     t_max = parse_time(args.t_max)
     dt = float(args.dt)
-    if dt <= 0 or t_max <= 0:
-        raise SpecError("time grid requires positive --t-max and --dt")
+    if not (0 < dt < np.inf and 0 < t_max < np.inf):
+        raise SpecError("time grid requires positive finite --t-max and --dt")
     return np.arange(0.0, t_max, dt)
 
 
@@ -209,7 +212,7 @@ def cmd_transfer(args):
         "max_abs": scan.max_abs,
         "argmax_time": scan.argmax_time,
         "first_peak_time": scan.first_peak_time,
-        "grid": {"t_max": float(times[-1] + (times[1] - times[0])), "dt": float(args.dt),
+        "grid": {"t_max": float(times[-1] + float(args.dt)), "dt": float(args.dt),
                  "points": int(times.size)},
     }
     summary_path = base + "_summary.json"

@@ -17,17 +17,17 @@ Hamiltonian.  Supported interaction kinds:
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import eig_hermitian
 from .parity import clustered_parities, commutator_residual
 from .spin_ops import A1, A2, ChainOperator, SX, SY, SZ, SZ2
 
-# chains longer than this are built sparse; a dense n=8 build would hold
-# several 3^8 matrices of 689 MB each
+# chains longer than this are built as scipy CSR, the only sparse matrix of
+# the package; a dense n=8 build would hold several 3^8 matrices of 689 MB each
 AUTO_DENSE_MAX = 6
 
 SWAP2 = np.zeros((9, 9), dtype=complex)
@@ -108,7 +108,9 @@ class ChainSpec:
     For ``kind="engineered"``, ``a``/``b`` are the up/down hopping strengths
     on the n-1 bonds and ``B``/``C`` the linear/quadratic field strengths on
     the n sites.  Other kinds ignore the coupling arrays (uniform unit
-    couplings).  ``time_sign`` selects the exponent sign in exp(+-iHt).
+    couplings).  Every coupling must be a finite number (booleans, NaN and
+    infinities are rejected).  ``time_sign`` selects the exponent sign in
+    exp(+-iHt).
     """
 
     n: int
@@ -127,7 +129,13 @@ class ChainSpec:
         if self.time_sign not in (1, -1):
             raise SpecError("time_sign must be +1 or -1", "time_sign")
         for name in ("a", "b", "B", "C"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            raw = getattr(self, name)
+            values = tuple(float(x) for x in raw)
+            for k, (x, value) in enumerate(zip(raw, values)):
+                if isinstance(x, (bool, np.bool_)) or not math.isfinite(value):
+                    raise SpecError(f"entry {k} is {x!r}: couplings must be finite numbers",
+                                    name)
+            object.__setattr__(self, name, values)
         if self.kind == "engineered":
             for name, want in (("a", self.n - 1), ("b", self.n - 1), ("B", self.n), ("C", self.n)):
                 if len(getattr(self, name)) != want:
@@ -220,13 +228,15 @@ def chain_hamiltonian(spec):
 
     The nonzeros of every local term are placed by index arithmetic and
     summed in term order.  Chains longer than AUTO_DENSE_MAX sites are
-    built as sparse CSR.
+    built as scipy CSR, which is imported only then.
     """
     n = spec.n
     dim = 3 ** n
     rows, cols, vals = (np.concatenate(part) for part in zip(
         *(_global_entries(local, site, n) for site, local in _local_terms(spec))))
     if n > AUTO_DENSE_MAX:
+        import scipy.sparse as sp
+
         total = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
         total.eliminate_zeros()
     else:
@@ -249,12 +259,15 @@ class SwapCheckResult:
 def swap_check(unitary, tol=1e-10):
     """Decide whether a 9x9 unitary equals exp(i*phi) * SWAP for some phi.
 
-    The phase is chosen to minimize the entrywise max deviation (coarse
-    grid plus bounded scalar refinement).  Non-unitary input is rejected.
+    The phase minimizes the entrywise max deviation exactly.  Entries off
+    the SWAP pattern do not depend on phi, and each of the nine on it,
+    u_k, deviates by |u_k - e^{i phi}|, smallest at phi = arg u_k.  The max
+    of the nine is therefore smallest at one of those nine phases or where
+    two of the deviations are equal (at most 72 crossings).  These
+    candidates follow the trace-aligned phase, which is exact whenever U
+    really is a phased SWAP; all are scored at once and the first best one
+    is kept.  Non-unitary input is rejected.
     """
-    # imported here: scipy.optimize adds about 0.4 s to every start of the CLI
-    from scipy.optimize import minimize_scalar
-
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {u.shape}")
@@ -262,19 +275,24 @@ def swap_check(unitary, tol=1e-10):
     if unit_dev > 1e-10:
         raise ValueError(f"input is not unitary: ||U^dag U - I||_max = {unit_dev:.3e}")
 
-    def deviation(phi):
-        return float(np.max(np.abs(u - np.exp(1j * phi) * SWAP2)))
-
-    # the trace-aligned phase is exact whenever U really is a phased SWAP;
-    # a local search only improves the reported residual of failures
-    trace_phase = float(np.angle(np.trace(SWAP2.conj().T @ u)))
-    refined = minimize_scalar(deviation, bounds=(trace_phase - 0.1, trace_phase + 0.1),
-                              method="bounded", options={"xatol": 1e-13})
-    phi = min((trace_phase, float(refined.x)), key=deviation)
-    residual = deviation(phi)
+    on = u[SWAP2 != 0]
+    # |u_k - e^{i phi}| = |u_l - e^{i phi}| exactly where
+    # |u_k - u_l| cos(phi - arg(u_k - u_l)) = (|u_k|^2 - |u_l|^2) / 2
+    k, l = np.triu_indices(on.size, 1)
+    diff = on[k] - on[l]
+    reach = np.abs(diff)
+    half_gap = (np.abs(on[k]) ** 2 - np.abs(on[l]) ** 2) / 2
+    meet = (reach > 0) & (np.abs(half_gap) <= reach)
+    centre = np.angle(diff[meet])
+    spread = np.arccos(half_gap[meet] / reach[meet])
+    trace_phase = np.angle(np.trace(SWAP2.conj().T @ u))
+    phis = np.concatenate(([trace_phase], np.angle(on), centre - spread, centre + spread))
+    deviations = np.max(np.abs(u - np.exp(1j * phis)[:, None, None] * SWAP2), axis=(1, 2))
+    best = int(np.argmin(deviations))
+    residual = float(deviations[best])
     return SwapCheckResult(
         is_swap_up_to_phase=residual <= tol,
-        phase=complex(np.exp(1j * phi)),
+        phase=complex(np.exp(1j * float(phis[best]))),
         residual=residual,
     )
 
@@ -314,15 +332,10 @@ class SigmaBasis:
         return np.array(ups + [vac_index] + downs, dtype=np.intp)
 
 
-def sigma_projector(n, sparse=False):
+def sigma_projector(n):
     """The (2n+1) x 3^n isometry selecting the sigma states in basis order."""
     basis = SigmaBasis(n)
     idx = basis.full_space_indices()
-    if sparse:
-        proj = sp.csr_matrix(
-            (np.ones(basis.dim), (np.arange(basis.dim), idx)),
-            shape=(basis.dim, 3 ** n), dtype=complex)
-        return proj
     proj = np.zeros((basis.dim, 3 ** n), dtype=complex)
     proj[np.arange(basis.dim), idx] = 1.0
     return proj

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # largest dimension a dense chain-space matrix may reach (3^8, eight sites):
 # a dense complex 3^9 matrix needs 5.8 GiB
@@ -28,9 +27,7 @@ class NonHermitianError(ValueError):
 
 
 def hermiticity_deviation(mat):
-    """Largest entry of |A - A^dagger|; a dense stack is taken matrix by matrix."""
-    if sp.issparse(mat):
-        return abs(mat - mat.conj().T).max() if mat.nnz else 0.0
+    """Largest entry of |A - A^dagger|; a stack is taken matrix by matrix."""
     return float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))) if mat.size else 0.0
 
 
@@ -243,21 +240,8 @@ def check_dense_dim(dim):
         )
 
 
-def kron(a, b):
-    """Kronecker product; a dense result is held to MAX_DENSE_DIM."""
-    if sp.issparse(a) or sp.issparse(b):
-        return sp.kron(a, b, format="csr")
-    check_dense_dim(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
-def kron_all(factors, sparse=False):
-    """Associative n-fold Kronecker product of 2-d factors."""
-    if sparse:
-        out = sp.csr_matrix(factors[0])
-        for f in factors[1:]:
-            out = sp.kron(out, f, format="csr")
-        return out
+def kron_all(factors):
+    """Associative n-fold Kronecker product of 2-d factors, held to MAX_DENSE_DIM."""
     factors = [np.asarray(f) for f in factors]
     # the whole product is checked first, so no prefix of an oversized one is built
     check_dense_dim(math.prod(f.shape[0] for f in factors))

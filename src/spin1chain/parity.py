@@ -72,27 +72,16 @@ def sigma_mirror_index(n):
     return np.concatenate([up, [n], n + 1 + up])
 
 
-def _permutation_matrix(index):
+def chain_mirror_permutation(n):
+    """Permutation matrix inverting site order (site i <-> n+1-i) on 3^n.
+
+    The analyses use :func:`chain_mirror_index`; this dense form stays
+    because ``perfbench/tracing.py`` looks it up by name.
+    """
+    index = chain_mirror_index(n)
     perm = np.zeros((index.size, index.size))
     perm[index, np.arange(index.size)] = 1.0
     return perm
-
-
-def exchange_permutation(n=2):
-    """Permutation matrix swapping the two sites of a 9-dimensional space."""
-    if n != 2:
-        raise ValueError("exchange_permutation is the two-site mirror")
-    return _permutation_matrix(chain_mirror_index(2))
-
-
-def chain_mirror_permutation(n):
-    """Permutation matrix inverting site order (site i <-> n+1-i) on 3^n."""
-    return _permutation_matrix(chain_mirror_index(n))
-
-
-def sigma_mirror_permutation(n):
-    """Site inversion restricted to the sigma basis (up and down runs reversed)."""
-    return _permutation_matrix(sigma_mirror_index(n))
 
 
 def mirror_index(kind, dim):
@@ -119,13 +108,6 @@ def mirror_index(kind, dim):
     raise ValueError(f"unknown parity kind {kind!r}")
 
 
-def parity_projectors(kind, n):
-    """(P_even, P_odd) = ((I + M)/2, (I - M)/2) for the chosen inversion on n sites."""
-    mirror = _permutation_matrix(mirror_index(kind, 3 ** n))
-    eye = np.eye(mirror.shape[0])
-    return (eye + mirror) / 2.0, (eye - mirror) / 2.0
-
-
 # complex entries per gathered block of eigenvector columns (32 MB)
 _GATHER_ELEMENTS = 1 << 21
 
@@ -150,23 +132,21 @@ def _cluster_bounds(evals, cluster_tol):
     return starts, stops
 
 
-def clustered_parities(eigensystem, index, cluster_tol=1e-9, vectors=False):
+def clustered_parities(eigensystem, index, cluster_tol=1e-9):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
     Eigenvalues are clustered to ``cluster_tol`` and the mirror is
     diagonalized inside each cluster, so degenerate subspaces that mix
     parities under a plain eigensolver are resolved correctly.  Each
-    eigenvalue is its cluster's mean.  With ``vectors`` the parity-pure
-    rotated eigenvectors are returned as a third array (one per column).
-    Clusters of one size are handled together: one stacked product gives
-    their mirror matrices and one stacked eigensolve their parities.
+    eigenvalue is its cluster's mean.  Clusters of one size are handled
+    together: one stacked product gives their mirror matrices and one
+    stacked eigensolve their parities.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
     starts, stops = _cluster_bounds(evals, cluster_tol)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
     out_pars = np.empty(len(evals), dtype=int)
-    out_vecs = np.empty(vecs.shape, dtype=complex) if vectors else None
     for size in np.unique(sizes):
         first = starts[sizes == size]
         # at most _GATHER_ELEMENTS entries of eigenvectors are copied at a time
@@ -177,14 +157,8 @@ def clustered_parities(eigensystem, index, cluster_tol=1e-9, vectors=False):
             out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
             members = vecs[:, cols].transpose(1, 0, 2)  # (cluster, row, member)
             msub = members.conj().transpose(0, 2, 1) @ members[:, index]
-            if vectors:
-                pvals, pvecs = np.linalg.eigh(msub)
-                out_vecs[:, cols] = (members @ pvecs).transpose(1, 0, 2)
-            else:
-                pvals = np.linalg.eigvalsh(msub)
+            pvals = np.linalg.eigvalsh(msub)
             out_pars[cols] = np.where(pvals > 0, 1, -1)
-    if vectors:
-        return out_vals, out_pars, out_vecs
     return out_vals, out_pars
 
 
@@ -232,13 +206,6 @@ def parity_spectrum(op, kind="two_site_exchange", commute_tol=1e-12, cluster_tol
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),
         parity_operator=kind,
     )
-
-
-def parity_labels(op, kind="two_site_exchange", cluster_tol=1e-9):
-    """Per-eigenvector (eigenvalue, parity) pairs with parity-pure vectors."""
-    mat, index = operator_with_mirror(op, kind)
-    return clustered_parities(evolution_cache(mat).eigensystem, index, cluster_tol,
-                              vectors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ therefore has index sum_k trit(m_k) * 3^(n-k).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import check_dense_dim, hermiticity_deviation, kron_all
 
@@ -57,7 +56,12 @@ class SiteOperator:
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """An operator on the full 3^n product space (dense ndarray or sparse CSR)."""
+    """An operator on the full 3^n product space.
+
+    ``mat`` is a dense ndarray, or the scipy CSR matrix that
+    ``chain_hamiltonian`` builds for long chains.  The CSR matrix is
+    recognized by its ``toarray`` method, so scipy is not imported here.
+    """
 
     mat: object
     n_sites: int
@@ -68,7 +72,7 @@ class ChainOperator:
 
     @property
     def is_sparse(self):
-        return sp.issparse(self.mat)
+        return hasattr(self.mat, "toarray")
 
     def dense(self):
         if self.is_sparse:
@@ -77,6 +81,8 @@ class ChainOperator:
         return np.asarray(self.mat)
 
     def hermiticity_deviation(self):
+        if self.is_sparse:
+            return abs(self.mat - self.mat.conj().T).max() if self.mat.nnz else 0.0
         return hermiticity_deviation(self.mat)
 
     def __matmul__(self, other):
@@ -123,28 +129,20 @@ def ladder_identity_check():
     return devs
 
 
-def _factors(n, placed, sparse):
+def _factors(n, placed):
     """Per-site factor list with 3x3 identities except at the placed sites."""
-    eye = sp.identity(3, format="csr", dtype=complex) if sparse else IDENTITY3
-    out = []
-    for s in range(1, n + 1):
-        op = placed.get(s)
-        if op is None:
-            out.append(eye)
-        else:
-            out.append(sp.csr_matrix(op) if sparse else op)
-    return out
+    return [placed.get(s, IDENTITY3) for s in range(1, n + 1)]
 
 
-def embed(op, site, n, sparse=False):
+def embed(op, site, n):
     """Embed a single-site operator at ``site`` (1-based) into an n-site chain."""
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
     mat = op.mat if isinstance(op, SiteOperator) else np.asarray(op)
-    return ChainOperator(kron_all(_factors(n, {site: mat}, sparse), sparse=sparse), n)
+    return ChainOperator(kron_all(_factors(n, {site: mat})), n)
 
 
-def two_site(op_a, op_b, i, j, n, sparse=False):
+def two_site(op_a, op_b, i, j, n):
     """Product embed(op_a, i) @ embed(op_b, j) for distinct sites i != j."""
     if i == j:
         raise ValueError("two_site requires distinct sites")
@@ -153,7 +151,7 @@ def two_site(op_a, op_b, i, j, n, sparse=False):
             raise ValueError(f"site {s} out of range 1..{n}")
     mat_a = op_a.mat if isinstance(op_a, SiteOperator) else np.asarray(op_a)
     mat_b = op_b.mat if isinstance(op_b, SiteOperator) else np.asarray(op_b)
-    return ChainOperator(kron_all(_factors(n, {i: mat_a, j: mat_b}, sparse), sparse=sparse), n)
+    return ChainOperator(kron_all(_factors(n, {i: mat_a, j: mat_b})), n)
 
 
 _TRIT_BY_TOKEN = {"1": 0, "0": 1, "m": 2}

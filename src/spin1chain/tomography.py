@@ -384,21 +384,28 @@ def read_record_csv(path, channel, shots=None):
 
     Pass the ``shots`` used to take the data when it is shot-sampled, so
     the statistical |f| <= 1 violations of amplitude records are accepted.
+    A row whose field count differs from the header's raises ValueError
+    naming its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        numbered = [(number, line.strip().split(","))
+                    for number, line in enumerate(fh, start=2) if line.strip()]
+    if header not in ("t,re,im", "t,p"):
+        raise ValueError(f"unrecognized record header {header!r}; expected 't,re,im' or 't,p'")
+    width = header.count(",") + 1
+    for number, fields in numbered:
+        if len(fields) != width:
+            raise ValueError(f"{path}, line {number}: {len(fields)} fields where the header "
+                             f"{header!r} has {width}")
+    rows = [fields for _, fields in numbered]
+    times = np.array([float(r[0]) for r in rows])
     if header == "t,re,im":
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        return MeasurementRecord(times=times, values=values, channel=channel,
-                                 mode="amplitude", shots=shots)
-    if header == "t,p":
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        return MeasurementRecord(times=times, values=values, channel=channel,
-                                 mode="probability", shots=shots)
-    raise ValueError(f"unrecognized record header {header!r}; expected 't,re,im' or 't,p'")
+        mode, values = "amplitude", np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
+    else:
+        mode, values = "probability", np.array([float(r[1]) for r in rows])
+    return MeasurementRecord(times=times, values=values, channel=channel, mode=mode,
+                             shots=shots)
 
 
 @dataclass(frozen=True)

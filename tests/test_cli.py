@@ -27,6 +27,14 @@ class TestParseTime:
             with pytest.raises(ValueError):
                 parse_time(bad)
 
+    def test_zero_divisor_is_an_input_error(self, capsys):
+        with pytest.raises(ValueError, match="zero divisor"):
+            parse_time("pi/0")
+        code, out, err = run_cli(["swap-check", "--time", "pi/0"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "swap-check" and "zero divisor" in error["message"]
+
 
 class TestValidate:
     def test_valid_spec(self, tmp_path, capsys):
@@ -49,6 +57,25 @@ class TestValidate:
         code, _, err = run_cli(["validate", "--spec", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert json.loads(err)["error"]["stage"] == "io"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true"])
+    def test_non_finite_or_boolean_coupling(self, tmp_path, capsys, value):
+        # Python's json reads NaN and Infinity; neither is a coupling
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 2, "kind": "engineered", "a": [%s], "b": [1], '
+                        '"B": [0, 0], "C": [1, 1]}' % value)
+        code, out, err = run_cli(["validate", "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "schema" and error["path"] == "a"
+        for scan in (["--source", "10", "--target", "01"], ["--channel", "up"]):
+            code, out, err = run_cli(["transfer", "--spec", str(path), *scan,
+                                      "--output-dir", str(tmp_path / "out")], capsys)
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["stage"] == "spec" and error["path"] == "a"
+            assert "finite numbers" in error["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSpectra:
@@ -152,6 +179,25 @@ class TestTransfer:
             second = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
             assert first == second
             assert any(name.endswith(".csv") for name in first), tag
+
+    def test_one_point_grid(self, tmp_path, capsys):
+        code, _, _ = run_cli(["transfer", "--preset-n", "3", "--channel", "up",
+                              "--t-max", "1e-4", "--dt", "1e-3",
+                              "--output-dir", str(tmp_path), "--tag", "one"], capsys)
+        assert code == 0
+        rows = (tmp_path / "one_series.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,")
+        grid = json.loads((tmp_path / "one_summary.json").read_text())["grid"]
+        assert grid == {"t_max": 1e-3, "dt": 1e-3, "points": 1}
+
+    @pytest.mark.parametrize("grid", [["--dt", "inf"], ["--dt", "nan"], ["--dt", "0"],
+                                      ["--t-max", "1e999"]])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
+        code, out, err = run_cli(["transfer", "--preset-n", "3", "--channel", "up", *grid,
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert "positive finite" in json.loads(err)["error"]["message"]
+        assert not list(tmp_path.iterdir())
 
     def test_missing_source_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "chain.json"
@@ -314,6 +360,21 @@ class TestTomography:
         payload = json.loads(out)
         spec = pst_preset(3, "standard")
         assert np.max(np.abs(np.array(payload["a_abs"]) - spec.a)) <= 1e-7
+
+    @pytest.mark.parametrize("header, short", [("t,re,im", "0.5,1"), ("t,p", "0.5")])
+    def test_short_record_row(self, tmp_path, capsys, header, short):
+        paths = []
+        for channel in ("up", "down"):
+            path = tmp_path / f"{channel}.csv"
+            path.write_text(f"{header}\n{','.join(['0'] * len(header.split(',')))}\n"
+                            f"{short}\n")
+            paths.append(str(path))
+        code, out, err = run_cli(["tomography", "--record-up", paths[0], "--record-down",
+                                  paths[1], "--order", "1", "--output-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert f"{paths[0]}, line 3" in message and header in message
 
     def test_record_files_need_order(self, tmp_path, capsys):
         code, _, err = run_cli(["tomography", "--record-up", "x.csv",

@@ -24,7 +24,7 @@ from spin1chain.hamiltonians import (
     pst_preset,
     sigma_projector,
 )
-from spin1chain.parity import chain_mirror_index, clustered_parities, sigma_mirror_permutation
+from spin1chain.parity import chain_mirror_index, clustered_parities, sigma_mirror_index
 from spin1chain.spin_ops import basis_index
 
 
@@ -273,7 +273,7 @@ class TestMirrorCheck:
     def test_sigma_block_commutes_with_mirror(self):
         for n in (2, 4, 6):
             block = engineered_sigma_block(pst_preset(n, "standard"))
-            mirror = sigma_mirror_permutation(n)
+            mirror = np.eye(2 * n + 1)[sigma_mirror_index(n)]
             assert np.max(np.abs(block @ mirror - mirror @ block)) <= 1e-13
 
 

@@ -29,7 +29,7 @@ from spin1chain.hamiltonians import (
     transfer_couplings,
     up_block,
 )
-from spin1chain.linalg import eig_hermitian
+from spin1chain.linalg import eig_hermitian, evolution_cache
 from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
 
 
@@ -174,6 +174,14 @@ class TestTwoSiteBuilders:
             h12(3)
 
 
+SWAP_CASES = {"mix": mix_two_site, "squared_sum": squared_sum_two_site,
+              "heisenberg": heisenberg_two_site,
+              **{name: (lambda nm=name: candidate_two_site(nm))
+                 for name in ("O1", "O2", "O3", "O4", "O5")}}
+SWAP_TIMES = (np.pi, np.pi / 2, 2 * np.pi / 3)
+SWAP_PASSES = {("mix", np.pi), ("squared_sum", np.pi / 2)}
+
+
 class TestSwapCheck:
     @staticmethod
     def _unitary(ham, t):
@@ -210,6 +218,38 @@ class TestSwapCheck:
         with pytest.raises(ValueError, match="not unitary"):
             swap_check(np.ones((9, 9)))
 
+    @pytest.mark.parametrize("name", sorted(SWAP_CASES))
+    def test_residual_is_the_minimum_over_all_phases(self, name):
+        # the exact minimax lies at or below a scan of 2^16 phases, for both signs
+        phis = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
+        for t in SWAP_TIMES:
+            for sign in (1, -1):
+                u = evolution_cache(SWAP_CASES[name]()).unitary(t, sign)
+                scan = min(
+                    float(np.min(np.max(np.abs(u - np.exp(1j * chunk)[:, None, None] * SWAP2),
+                                        axis=(1, 2))))
+                    for chunk in np.split(phis, 16))
+                result = swap_check(u)
+                assert result.residual <= scan + 1e-12, (name, t, sign)
+                phase_dev = float(np.max(np.abs(u - result.phase * SWAP2)))
+                assert abs(phase_dev - result.residual) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(SWAP_CASES))
+    def test_verdict_and_residual_agree_for_both_signs(self, name):
+        for t in SWAP_TIMES:
+            plus, minus = (swap_check(evolution_cache(SWAP_CASES[name]()).unitary(t, sign))
+                           for sign in (1, -1))
+            assert plus.is_swap_up_to_phase == minus.is_swap_up_to_phase
+            assert plus.is_swap_up_to_phase == ((name, t) in SWAP_PASSES)
+            assert abs(plus.residual - minus.residual) <= 1e-15
+
+    @pytest.mark.parametrize("name, want", [("heisenberg", np.sqrt(5 / 3)),
+                                            ("O2", np.sqrt(2)), ("O3", np.sqrt(2)),
+                                            ("O4", np.sqrt(2))])
+    def test_failing_residuals_at_pi(self, name, want):
+        result = swap_check(evolution_cache(SWAP_CASES[name]()).unitary(np.pi))
+        assert abs(result.residual - want) <= 1e-12
+
 
 class TestChainSpec:
     def test_requires_min_length(self):
@@ -237,6 +277,16 @@ class TestChainSpec:
         data = {"n": 2, "kind": "heisenberg", "coupling": 3}
         with pytest.raises(SpecError, match="unknown fields"):
             ChainSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True])
+    def test_non_finite_or_boolean_coupling_rejected(self, value):
+        couplings = dict(a=(value, 1.0), b=(1.0, 1.0), B=(0,) * 3, C=(1,) * 3)
+        with pytest.raises(SpecError, match=r"^a: entry 0 .*finite numbers"):
+            ChainSpec(n=3, kind="engineered", **couplings)
+        data = json.dumps({"n": 3, "kind": "engineered",
+                           **{k: list(v) for k, v in couplings.items()}})
+        with pytest.raises(SpecError, match=r"^a: entry 0 .*finite numbers"):
+            ChainSpec.from_json(data)
 
     def test_non_numeric_coupling_rejected(self):
         data = {"n": 2, "kind": "engineered", "a": ["x"], "b": [1], "B": [0, 0], "C": [1, 1]}
@@ -330,11 +380,6 @@ class TestSigmaSubspace:
             gram = proj.conj().T @ proj
             assert np.isclose(np.trace(gram).real, 2 * n + 1)
             assert np.allclose(gram @ gram, gram)
-
-    def test_sparse_projector(self):
-        dense = sigma_projector(3)
-        sparse = sigma_projector(3, sparse=True)
-        assert np.max(np.abs(sparse.toarray() - dense)) == 0.0
 
     def test_projection_reproduces_couplings(self):
         rng = np.random.default_rng(17)

@@ -20,7 +20,6 @@ from spin1chain.linalg import (
     connected_blocks,
     eig_hermitian,
     fix_eigenvector_phases,
-    kron,
     kron_all,
 )
 from spin1chain.spin_ops import SX
@@ -310,28 +309,21 @@ class TestApplyExp:
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(kron(np.eye(3), np.eye(3)), np.eye(9))
+        assert np.allclose(kron_all([np.eye(3), np.eye(3)]), np.eye(9))
 
     def test_diagonal_products(self):
         d = np.diag([1.0, 0.0, -1.0])
         expected = [1, 0, -1, 0, 0, 0, -1, 0, 1]
-        assert np.allclose(np.diag(kron(d, d)), expected)
+        assert np.allclose(np.diag(kron_all([d, d])), expected)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
+            assert np.isclose(np.trace(kron_all([a, b])), np.trace(a) * np.trace(b))
 
     def test_overflow_guard(self):
         big = np.eye(100)
         with pytest.raises(ValueError, match="exceeds cap"):
-            kron(big, big)
-
-    def test_kron_all_sparse(self):
-        factors = [np.diag([1.0, 2.0, 3.0])] * 3
-        dense = kron_all(factors)
-        sparse = kron_all(factors, sparse=True)
-        assert sp.issparse(sparse)
-        assert np.max(np.abs(sparse.toarray() - dense)) == 0.0
+            kron_all([big, big])

@@ -25,16 +25,26 @@ def test_declared_dependencies_are_importable():
         assert importlib.util.find_spec(name.replace("-", "_")) is not None, requirement
 
 
-def test_cli_import_leaves_optimizer_and_graph_modules_unloaded():
-    # the optimizer serves swap_check alone and the block search is numpy
-    # only, so neither belongs to the import cost of every CLI run
+def loaded_modules(statements, prefix):
+    """Modules starting with ``prefix`` loaded after running ``statements`` in a fresh process."""
     src = str(Path(spin1chain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import json, sys; import spin1chain.cli; "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph')))))")
+    code = (f"import json, sys; {statements}; "
+            f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the CSR build of chains longer than AUTO_DENSE_MAX,
+    # so it is no part of the import cost of every CLI run
+    assert loaded_modules("import spin1chain.cli", "scipy") == []
+
+
+def test_swap_check_loads_no_optimizer():
+    statements = ("import numpy as np; from spin1chain.hamiltonians import swap_check; "
+                  "swap_check(np.eye(9))")
+    assert loaded_modules(statements, "scipy.optimize") == []

@@ -20,15 +20,11 @@ from spin1chain.parity import (
     chain_mirror_index,
     chain_mirror_permutation,
     clustered_parities,
-    exchange_permutation,
     mirror_index,
     mirroring_feasibility_report,
-    parity_labels,
-    parity_projectors,
     parity_spectrum,
     reference_comparison,
     sigma_mirror_index,
-    sigma_mirror_permutation,
 )
 from spin1chain.spin_ops import SX, SY, basis_index, basis_label
 
@@ -58,6 +54,17 @@ def reference_permutation(dim, image):
     return perm
 
 
+def mirror_matrix(index):
+    """Dense permutation matrix of an index mirror: M x = x[index]."""
+    return np.eye(index.size)[index]
+
+
+def parity_projector_pair(index):
+    """(P_even, P_odd) = ((I + M)/2, (I - M)/2) for an index mirror M."""
+    eye, mirror = np.eye(index.size), mirror_matrix(index)
+    return (eye + mirror) / 2.0, (eye - mirror) / 2.0
+
+
 def assert_index_matches(index, dense):
     dim = dense.shape[0]
     assert np.array_equal(dense[index, np.arange(dim)], np.ones(dim))
@@ -83,12 +90,10 @@ class TestIndexMirrors:
                 return n
             return 3 * n + 1 - j  # down run n+1..2n reversed
         reference = reference_permutation(2 * n + 1, image)
-        assert np.array_equal(sigma_mirror_permutation(n), reference)
         assert_index_matches(sigma_mirror_index(n), reference)
 
     def test_two_site_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
-        assert np.array_equal(exchange_permutation(), reference)
         assert_index_matches(mirror_index("two_site_exchange", 9), reference)
 
     @pytest.mark.parametrize("kind, dim, needed", [
@@ -104,7 +109,7 @@ class TestIndexMirrors:
 
 class TestProjectors:
     def test_two_site_dimensions(self):
-        p_even, p_odd = parity_projectors("two_site_exchange", 2)
+        p_even, p_odd = parity_projector_pair(mirror_index("two_site_exchange", 9))
         assert np.isclose(np.trace(p_even).real, 6.0)
         assert np.isclose(np.trace(p_odd).real, 3.0)
 
@@ -112,10 +117,11 @@ class TestProjectors:
         for n in (2, 3, 4):
             mirror = chain_mirror_permutation(n)
             assert np.allclose(mirror @ mirror, np.eye(3 ** n))
-        assert np.allclose(exchange_permutation() @ exchange_permutation(), np.eye(9))
+        exchange = mirror_matrix(mirror_index("two_site_exchange", 9))
+        assert np.allclose(exchange @ exchange, np.eye(9))
 
     def test_projectors_sum_to_identity(self):
-        p_even, p_odd = parity_projectors("chain_mirror", 3)
+        p_even, p_odd = parity_projector_pair(chain_mirror_index(3))
         assert np.allclose(p_even + p_odd, np.eye(27))
         assert np.allclose(p_even @ p_even, p_even)
         assert np.allclose(p_even @ p_odd, 0.0)
@@ -129,7 +135,7 @@ class TestProjectors:
 
     def test_sigma_mirror_involution(self):
         for n in (2, 5):
-            m = sigma_mirror_permutation(n)
+            m = mirror_matrix(sigma_mirror_index(n))
             assert np.allclose(m @ m, np.eye(2 * n + 1))
             assert m[n, n] == 1.0
 
@@ -166,9 +172,14 @@ class TestParitySpectrum:
 
     @pytest.mark.parametrize("name", ["O1", "O2", "O3", "O4", "O5"])
     def test_parity_labels_are_eigenvectors_of_mirror(self, name):
+        # each label belongs to an eigenvector of H and the mirror: the one
+        # that diagonalizing the mirror inside its eigenvalue cluster gives
         op = candidate_two_site(name)
-        vals, pars, vecs = parity_labels(op)
-        mirror = exchange_permutation()
+        es = linalg.eig_hermitian(op)
+        index = mirror_index("two_site_exchange", 9)
+        vals, pars = clustered_parities(es, index)
+        _, _, vecs = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
+        mirror = mirror_matrix(index)
         for k in range(9):
             assert np.max(np.abs(mirror @ vecs[:, k] - pars[k] * vecs[:, k])) <= 1e-10
             assert np.max(np.abs(op @ vecs[:, k] - vals[k] * vecs[:, k])) <= 1e-9
@@ -239,13 +250,10 @@ class TestClusteredParities:
         vecs = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
         index = np.append(np.arange(dim - 1) ^ 1, dim - 1)
         es = linalg.HermitianEigenSystem(evals, vecs)
-        want_vals, want_pars, want_vecs = loop_clustered_parities(evals, vecs, index)
-        vals, pars, rotated = clustered_parities(es, index, vectors=True)
+        want_vals, want_pars, _ = loop_clustered_parities(evals, vecs, index)
+        vals, pars = clustered_parities(es, index)
         assert vals.tobytes() == want_vals.tobytes()
         assert np.array_equal(pars, want_pars)
-        assert np.max(np.abs(rotated - want_vecs)) <= 1e-13
-        vals, pars = clustered_parities(es, index)
-        assert vals.tobytes() == want_vals.tobytes() and np.array_equal(pars, want_pars)
 
     def test_one_block_chain_matches_loop_bitwise(self):
         ham = chain_hamiltonian(ChainSpec(n=4, kind="O5")).dense()
@@ -282,7 +290,7 @@ class TestChainParitySpectrum:
         ham = chain_hamiltonian(spec)
         mat = ham.dense()
         split = parity_spectrum(ham, kind="chain_mirror")
-        p_even, p_odd = parity_projectors("chain_mirror", spec.n)
+        p_even, p_odd = parity_projector_pair(chain_mirror_index(spec.n))
         even, odd = sector_spectrum(mat, p_even), sector_spectrum(mat, p_odd)
         assert len(split.even) == len(even) and len(split.odd) == len(odd)
         assert np.max(np.abs(np.array(split.even) - even)) <= 1e-10

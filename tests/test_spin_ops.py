@@ -114,12 +114,6 @@ class TestEmbedding:
             b = embed(site_operator(rng.choice(names)), int(j), int(n)).dense()
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-13
 
-    def test_sparse_matches_dense(self):
-        dense = embed(site_operator("Su"), 2, 3).dense()
-        sparse = embed(site_operator("Su"), 2, 3, sparse=True)
-        assert sparse.is_sparse
-        assert np.max(np.abs(sparse.dense() - dense)) == 0.0
-
 
 class TestTwoSite:
     def test_zz_eigenvalues(self):
