@@ -180,6 +180,14 @@ def cmd_swap_check(args):
     return 0
 
 
+def _channel_site(site, default, flag, n):
+    """A --channel scan's site (``default`` when unset), which must lie in 1..n."""
+    site = default if site is None else site
+    if not 1 <= site <= n:
+        raise SpecError(f"site {site} is outside the chain's sites 1..{n}", flag)
+    return site
+
+
 def cmd_transfer(args):
     spec, spec_path = _load_spec(args)
     times = _time_grid(args)
@@ -188,13 +196,13 @@ def cmd_transfer(args):
     if args.channel:
         if spec.kind != "engineered":
             raise SpecError("--channel scans need an engineered chain")
-        block = engineered_sigma_block(spec)
+        source_site = _channel_site(args.source_site, 1, "--source-site", spec.n)
+        target_site = _channel_site(args.target_site, spec.n, "--target-site", spec.n)
         offset = 0 if args.channel == "up" else spec.n + 1
-        source = offset + (args.source_site or 1) - 1
-        target = offset + (args.target_site or spec.n) - 1
-        scan = amplitude_scan(block, source, target, times, sign=spec.time_sign)
-        source_label = f"{args.channel}@{args.source_site or 1}"
-        target_label = f"{args.channel}@{args.target_site or spec.n}"
+        scan = amplitude_scan(engineered_sigma_block(spec), offset + source_site - 1,
+                              offset + target_site - 1, times, sign=spec.time_sign)
+        source_label = f"{args.channel}@{source_site}"
+        target_label = f"{args.channel}@{target_site}"
     else:
         if not args.source or not args.target:
             raise SpecError("full-space scans need --source and --target basis labels")

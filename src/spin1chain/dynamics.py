@@ -78,7 +78,7 @@ def _transfer_terms(op, source, target):
 def transfer_amplitude(op, source, target, t, sign=1):
     """<target| exp(i*sign*H*t) |source> for computational basis states."""
     energies, coeffs = _transfer_terms(op, source, target)
-    return complex(np.sum(coeffs * np.exp(1j * sign * energies * t)))
+    return complex(kernels.phase_series(energies, coeffs, [t], float(sign))[0])
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,11 @@ class AmplitudeScan:
         return np.column_stack((self.times, self.abs_values, self.arg_values))
 
 
-def amplitude_scan(op, source, target, times, sign=1, peak_tol=1e-6):
+def amplitude_scan(op, source, target, times, sign=1):
     """Scan the transfer amplitude over a monotone time grid.
 
     Reports the grid maximum of |amplitude|, the time achieving it, and the
-    earliest grid time coming within ``peak_tol`` of the maximum (ties from
+    earliest grid time coming within 1e-6 of the maximum (ties from
     near-degenerate recurrences resolve to the first peak).
     """
     times = np.asarray(times, dtype=float)
@@ -115,7 +115,7 @@ def amplitude_scan(op, source, target, times, sign=1, peak_tol=1e-6):
     abs_vals = np.abs(series)
     k = int(np.argmax(abs_vals))
     max_abs = float(abs_vals[k])
-    first = int(np.argmax(abs_vals >= max_abs - peak_tol))
+    first = int(np.argmax(abs_vals >= max_abs - 1e-6))
     return AmplitudeScan(
         times=times,
         abs_values=abs_vals,
@@ -250,15 +250,16 @@ def _distinct_phases(phases):
     return tuple(complex(p) for p in phases[keep])
 
 
-def mirror_check(op, t, sign=1, space="full", tol=1e-8):
+def mirror_check(op, t, sign=1, space="full"):
     """Test whether exp(i*sign*H*t) equals the site inversion up to a phase.
 
     Reports the optimal global phase, the entrywise residual against
-    e^{i phi} M, the [H, M] commutator residual, and the distinct
-    eigenphases exp(i E t) grouped by the mirror parity of their
-    eigenvectors (mirroring requires each group to collapse to one value,
-    the two groups differing by a factor -1).  ``space`` is ``full``
-    (dimension 3^n) or ``sigma`` (the (2n+1)-dimensional sigma block).
+    e^{i phi} M (a mirror when it is at most 1e-8), the [H, M] commutator
+    residual, and the distinct eigenphases exp(i E t) grouped by the mirror
+    parity of their eigenvectors (mirroring requires each group to collapse
+    to one value, the two groups differing by a factor -1).  ``space`` is
+    ``full`` (dimension 3^n) or ``sigma`` (the (2n+1)-dimensional sigma
+    block).
     """
     if space == "sigma" and isinstance(op, ChainOperator):
         raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
@@ -279,7 +280,7 @@ def mirror_check(op, t, sign=1, space="full", tol=1e-8):
         even_phases = _distinct_phases(phases[pars > 0])
         odd_phases = _distinct_phases(phases[pars < 0])
     return MirrorCheckResult(
-        is_mirror=residual <= tol,
+        is_mirror=residual <= 1e-8,
         phase=phi,
         residual=residual,
         commutator_residual=comm,

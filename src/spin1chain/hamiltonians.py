@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian
-from .parity import clustered_parities, commutator_residual
 from .spin_ops import A1, A2, ChainOperator, SX, SY, SZ, SZ2
 
 # chains longer than this are built as scipy CSR, the only sparse matrix of
@@ -109,8 +107,8 @@ class ChainSpec:
     on the n-1 bonds and ``B``/``C`` the linear/quadratic field strengths on
     the n sites.  Other kinds ignore the coupling arrays (uniform unit
     couplings).  Every coupling must be a finite number (booleans, NaN and
-    infinities are rejected).  ``time_sign`` selects the exponent sign in
-    exp(+-iHt).
+    infinities are rejected).  ``time_sign``, the integer 1 or -1, selects
+    the exponent sign in exp(+-iHt).
     """
 
     n: int
@@ -126,8 +124,9 @@ class ChainSpec:
             raise SpecError("chain length n must be an integer >= 2", "n")
         if self.kind not in KINDS:
             raise SpecError(f"unknown kind {self.kind!r}; valid: {KINDS}", "kind")
-        if self.time_sign not in (1, -1):
-            raise SpecError("time_sign must be +1 or -1", "time_sign")
+        if type(self.time_sign) is not int or self.time_sign not in (1, -1):
+            raise SpecError(f"time_sign is {self.time_sign!r}; it must be the integer 1 or -1",
+                            "time_sign")
         for name in ("a", "b", "B", "C"):
             raw = getattr(self, name)
             values = tuple(float(x) for x in raw)
@@ -341,6 +340,9 @@ def sigma_projector(n):
     return proj
 
 
+LEAKAGE_TOL = 1e-12
+
+
 class SubspaceLeakageError(RuntimeError):
     """The sigma subspace is not invariant under the given Hamiltonian."""
 
@@ -361,20 +363,20 @@ def sigma_leakage(chain_op):
     return float(np.linalg.norm(outside, 2)) if outside.size else 0.0
 
 
-def project_to_sigma(chain_op, leakage_tol=1e-12):
+def project_to_sigma(chain_op):
     """Restrict a Hamiltonian to the sigma subspace, verifying invariance.
 
     Returns the (2n+1) x (2n+1) block in sigma ordering.  Raises
     :class:`SubspaceLeakageError` when H maps sigma states outside sigma
-    with spectral norm above ``leakage_tol``.
+    with spectral norm above LEAKAGE_TOL.
     """
     idx, cols = _sigma_columns(chain_op)
     block = cols[idx, :]
     outside = np.delete(cols, idx, axis=0)
     leakage = float(np.linalg.norm(outside, 2)) if outside.size else 0.0
-    if leakage > leakage_tol:
+    if leakage > LEAKAGE_TOL:
         raise SubspaceLeakageError(
-            f"sigma subspace is not invariant: leakage norm {leakage:.3e} > {leakage_tol:.1e}"
+            f"sigma subspace is not invariant: leakage norm {leakage:.3e} > {LEAKAGE_TOL:.1e}"
         )
     return np.asarray(block)
 
@@ -426,53 +428,6 @@ def transfer_couplings(n):
     return np.sqrt(i * (n - i)) / 2.0
 
 
-def mirror_parities(block):
-    """Eigenvalues of a mirror-symmetric tridiagonal block with their parities.
-
-    Returns (eigenvalues ascending, parity array of +-1) where parity is the
-    eigenvector's sign under index reversal.  Raises if the block does not
-    commute with the reversal (couplings not mirror symmetric).
-    """
-    index = np.arange(block.shape[0])[::-1]
-    residual = commutator_residual(block, index)
-    if residual > 1e-9:
-        raise ValueError(f"block does not commute with index reversal (residual "
-                         f"{residual:.3e}): its eigenvectors have no mirror parity")
-    return clustered_parities(eig_hermitian(block), index)
-
-
-def _phase_exact_field(n, step=0.5, max_value=None):
-    """Smallest uniform quadratic field making the up-block spectrum integer
-    with each eigenvalue's parity equal to its eigenvector's mirror parity.
-
-    Scans c = 0, 1/2, 1, ... and returns the first value for which every
-    eigenvalue is an integer that is even exactly on mirror-even
-    eigenvectors; the vacuum then sits at even eigenvalue 0 and the
-    evolution at t = pi equals the mirror permutation with no extra phase.
-    """
-    if max_value is None:
-        max_value = 2.0 * n
-    couplings = transfer_couplings(n)
-    c = 0.0
-    while c <= max_value + 1e-12:
-        block = _tridiag(np.full(n, c), couplings)
-        evals, pars = mirror_parities(block)
-        ok = True
-        for ev, par in zip(evals, pars):
-            rounded = round(ev)
-            if abs(ev - rounded) > 1e-9:
-                ok = False
-                break
-            want = 1.0 if rounded % 2 == 0 else -1.0
-            if par != want:
-                ok = False
-                break
-        if ok:
-            return c
-        c += step
-    raise RuntimeError(f"no integer parity-matched field found for n={n} up to {max_value}")
-
-
 PRESET_VARIANTS = ("standard", "phase_exact")
 
 
@@ -482,16 +437,20 @@ def pst_preset(n, variant="standard"):
     ``standard`` uses the uniform quadratic field C_i = n/2, which yields a
     half-integer block spectrum: transfer at t = pi is perfect only up to a
     correctable phase between the vacuum and the excited components.
-    ``phase_exact`` instead searches for the smallest field making the
+    ``phase_exact`` instead takes the smallest field c >= 0 making the
     spectrum integer with parity-matched eigenvectors, so transfer at
-    t = pi is exact with no phase correction.
+    t = pi is exact with no phase correction.  The up block is c + J_x for
+    spin J = (n-1)/2: eigenvalues c + m (m = -J..J) whose eigenvectors
+    have reversal parity (-1)^(J-m), alternating from even at the top.
+    Each c + m is an integer, even exactly on the even vectors, when
+    c = -J mod 2.
     """
     if n < 2:
         raise ValueError("presets require n >= 2")
     if variant not in PRESET_VARIANTS:
         raise ValueError(f"unknown preset variant {variant!r}; valid: {PRESET_VARIANTS}")
     couplings = tuple(transfer_couplings(n))
-    c = n / 2.0 if variant == "standard" else _phase_exact_field(n)
+    c = n / 2.0 if variant == "standard" else ((1 - n) / 2) % 2
     return ChainSpec(
         n=n,
         kind="engineered",

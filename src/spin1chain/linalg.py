@@ -20,6 +20,7 @@ import numpy as np
 MAX_DENSE_DIM = 6561
 
 PHASE_FIX_THRESHOLD = 1e-12
+HERMITIAN_TOL = 1e-12
 
 
 class NonHermitianError(ValueError):
@@ -31,16 +32,16 @@ def hermiticity_deviation(mat):
     return float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))) if mat.size else 0.0
 
 
-def fix_eigenvector_phases(vectors, threshold=PHASE_FIX_THRESHOLD):
+def fix_eigenvector_phases(vectors):
     """Rotate each column so its first significant component is real positive.
 
-    Columns without a component above ``threshold`` are left untouched.
+    Columns without a component above PHASE_FIX_THRESHOLD are left untouched.
     The modulus is taken with ``np.hypot``, which rounds like the scalar
     ``abs`` of one complex number, so the result does not depend on how
     many columns are fixed at once.
     """
     fixed = np.array(vectors, dtype=complex, copy=True)
-    significant = np.abs(fixed) > threshold
+    significant = np.abs(fixed) > PHASE_FIX_THRESHOLD
     cols = np.flatnonzero(significant.any(axis=0))
     lead = fixed[np.argmax(significant[:, cols], axis=0), cols]
     fixed[:, cols] *= np.hypot(lead.real, lead.imag) / lead
@@ -108,7 +109,7 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def eig_hermitian(mat, check_tol=1e-12):
+def eig_hermitian(mat):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
     Each connected block of the nonzero pattern (:func:`connected_blocks`)
@@ -119,8 +120,8 @@ def eig_hermitian(mat, check_tol=1e-12):
     whole.
 
     Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
-    ``check_tol`` relative to the matrix norm.  No entry links two blocks,
-    so the deviation and the norm are those of the blocks.
+    HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
+    so the deviation and the largest entry are those of the blocks.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -136,10 +137,9 @@ def eig_hermitian(mat, check_tol=1e-12):
         stacks = [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
     scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
     dev = max(hermiticity_deviation(s) for s in stacks)
-    if dev > check_tol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {check_tol:.1e} * {scale:.3e}"
-        )
+    if dev > HERMITIAN_TOL * scale:
+        raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
+                                f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     if len(blocks) == 1:
         w, v = np.linalg.eigh(mat)
         return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))

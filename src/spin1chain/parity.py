@@ -117,13 +117,13 @@ def commutator_residual(mat, index):
     return float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
 
 
-def _cluster_bounds(evals, cluster_tol):
+def _cluster_bounds(evals):
     """(start, stop) of each cluster of the ascending ``evals``: a cluster
-    holds the values within ``cluster_tol`` of its first."""
+    holds the values within 1e-9 of its first."""
     values = evals.tolist()
     bounds, start = [], 0
     for k, value in enumerate(values):
-        if value - values[start] >= cluster_tol:
+        if value - values[start] >= 1e-9:
             bounds.append((start, k))
             start = k
     if values:
@@ -132,10 +132,10 @@ def _cluster_bounds(evals, cluster_tol):
     return starts, stops
 
 
-def clustered_parities(eigensystem, index, cluster_tol=1e-9):
+def clustered_parities(eigensystem, index):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
-    Eigenvalues are clustered to ``cluster_tol`` and the mirror is
+    Eigenvalues are clustered to 1e-9 and the mirror is
     diagonalized inside each cluster, so degenerate subspaces that mix
     parities under a plain eigensolver are resolved correctly.  Each
     eigenvalue is its cluster's mean.  Clusters of one size are handled
@@ -143,7 +143,7 @@ def clustered_parities(eigensystem, index, cluster_tol=1e-9):
     stacked eigensolve their parities.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
-    starts, stops = _cluster_bounds(evals, cluster_tol)
+    starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
     out_pars = np.empty(len(evals), dtype=int)
@@ -187,20 +187,21 @@ def operator_with_mirror(op, kind):
     return mat, mirror_index(kind, mat.shape[0])
 
 
-def parity_spectrum(op, kind="two_site_exchange", commute_tol=1e-12, cluster_tol=1e-9):
+def parity_spectrum(op, kind="two_site_exchange"):
     """Split an operator's spectrum by mirror parity.
 
-    The eigensystem comes from :func:`evolution_cache`, so it is shared
-    with the other analyses of the same operator; see
+    The operator must commute with the inversion to 1e-12 relative to its
+    largest entry.  The eigensystem comes from :func:`evolution_cache`, so
+    it is shared with the other analyses of the same operator; see
     :func:`clustered_parities` for how degenerate levels are resolved.
     """
     mat, index = operator_with_mirror(op, kind)
     comm = commutator_residual(mat, index)
-    if comm > commute_tol * max(1.0, float(np.max(np.abs(mat)))):
+    if comm > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
         raise ParityCommutationError(
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}"
         )
-    vals, pars = clustered_parities(evolution_cache(mat).eigensystem, index, cluster_tol)
+    vals, pars = clustered_parities(evolution_cache(mat).eigensystem, index)
     return ParitySplit(
         even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),
@@ -232,14 +233,20 @@ class FeasibilityReport:
     notes: tuple = field(default=())
 
 
-def _rational_multiple(x, tol=1e-9, max_den=64):
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(frac)) <= tol:
+# values within FEASIBILITY_TOL are equal; a gap ratio is rational when it
+# lies that close to a fraction with denominator at most MAX_DENOMINATOR
+FEASIBILITY_TOL = 1e-9
+MAX_DENOMINATOR = 64
+
+
+def _rational_multiple(x):
+    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    if abs(x - float(frac)) <= FEASIBILITY_TOL:
         return frac
     return None
 
 
-def mirroring_feasibility_report(split, tol=1e-9, max_den=64):
+def mirroring_feasibility_report(split):
     """Decide whether the split can support mirroring after affine rescaling.
 
     Mirroring needs an affine map sending every eigenvalue to an integer
@@ -253,7 +260,7 @@ def mirroring_feasibility_report(split, tol=1e-9, max_den=64):
     overlap = False
     for v, s in values:
         for w, sw in values:
-            if s != sw and abs(v - w) <= tol:
+            if s != sw and abs(v - w) <= FEASIBILITY_TOL:
                 overlap = True
     if overlap:
         notes.append("an eigenvalue occurs in both parity sectors")
@@ -262,7 +269,7 @@ def mirroring_feasibility_report(split, tol=1e-9, max_den=64):
     # assessed on the remaining structure
     ref_val, ref_sec = values[0]
     gaps = [(v - ref_val, s) for v, s in values[1:]]
-    nonzero = [g for g, _ in gaps if abs(g) > tol]
+    nonzero = [g for g, _ in gaps if abs(g) > FEASIBILITY_TOL]
     if not nonzero:
         notes.append("single distinct eigenvalue; trivially rational")
         return FeasibilityReport(
@@ -278,10 +285,11 @@ def mirroring_feasibility_report(split, tol=1e-9, max_den=64):
     fracs = []
     rational = True
     for g, _ in gaps:
-        frac = _rational_multiple(g / base, tol=tol, max_den=max_den)
+        frac = _rational_multiple(g / base)
         if frac is None:
             rational = False
-            notes.append(f"gap ratio {g / base:.9f} is not rational within denominator {max_den}")
+            notes.append(f"gap ratio {g / base:.9f} is not rational within denominator "
+                         f"{MAX_DENOMINATOR}")
             break
         fracs.append(frac)
 
@@ -321,20 +329,21 @@ def _split_deviation(split, reference):
     return max(dev_e, dev_o)
 
 
-def reference_comparison(name, split, tol=1e-10):
+def reference_comparison(name, split):
     """Compare a computed split against tabulated and adjudicated references.
 
-    Returns a dict with both deviations, match flags, and (for the rows
-    whose tabulated values fail their own consistency checks) the
-    adjudication note.  A deviation from the tabulated values is reported
-    explicitly, never hidden behind the corrected numbers.
+    Returns a dict with both deviations, match flags (a deviation of at
+    most 1e-10 matches), and (for the rows whose tabulated values fail
+    their own consistency checks) the adjudication note.  A deviation from
+    the tabulated values is reported explicitly, never hidden behind the
+    corrected numbers.
     """
     dev_lit = _split_deviation(split, LITERATURE_SPECTRA[name])
     dev_adj = _split_deviation(split, ADJUDICATED_SPECTRA[name])
     return {
         "deviation_from_literature": dev_lit,
         "deviation_from_adjudicated": dev_adj,
-        "matches_literature": dev_lit <= tol,
-        "matches_adjudicated": dev_adj <= tol,
+        "matches_literature": dev_lit <= 1e-10,
+        "matches_adjudicated": dev_adj <= 1e-10,
         "note": ADJUDICATION_NOTES.get(name),
     }

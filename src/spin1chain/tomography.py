@@ -26,6 +26,8 @@ from .reporting import write_csv
 
 CHANNELS = ("up", "down")
 MODES = ("amplitude", "probability")
+# smallest first-site weight a reconstruction accepts
+WEIGHT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,11 @@ class MeasurementRecord:
                 raise ValueError("survival amplitudes must satisfy |f| <= 1")
         object.__setattr__(self, "values", vals)
 
-    def grid_step(self, rtol=1e-9):
+    def grid_step(self):
+        """The sampling step; steps may differ by 1e-9 relative to max(dt, 1)."""
         steps = np.diff(self.times)
         dt = float(steps[0])
-        if np.any(np.abs(steps - dt) > rtol * max(dt, 1.0)):
+        if np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
             raise ValueError("record does not have a uniform time grid")
         return dt
 
@@ -140,15 +143,15 @@ def synthesize_record(spec, channel, mode, times, shots=None, seed=None):
 # matrix-pencil harmonic retrieval
 # ---------------------------------------------------------------------------
 
-def matrix_pencil(values, dt, order=None, t_start=0.0, sign=1, sv_tol=1e-8):
-    """Frequencies and complex weights of y_k = sum_j w_j exp(i*sign*E_j*(t0+k*dt)).
+def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
+    """Frequencies and complex weights of y_k = sum_j w_j exp(i*E_j*(t0+k*dt)).
 
     Hankel data matrix with pencil parameter L = K // 2; the signal
     subspace comes from the top ``order`` right singular vectors and the
     shifted pencil's eigenvalues give the unit-circle poles.  When
-    ``order`` is None it is chosen from the singular-value profile
-    (relative threshold ``sv_tol``).  Returns (E ascending, weights,
-    diagnostics dict).
+    ``order`` is None it is the number of singular values above ``sv_tol``
+    times the largest, and a record with no floor below that threshold
+    raises ValueError.  Returns (E ascending, weights, diagnostics dict).
     """
     y = np.asarray(values, dtype=complex)
     K = y.shape[0]
@@ -160,9 +163,14 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sign=1, sv_tol=1e-8):
         hank[m, :] = y[m:m + L + 1]
     _, svals, vh = np.linalg.svd(hank)
     if order is None:
-        order = int(np.sum(svals > svals[0] * sv_tol))
-        order = max(order, 1)
-    if order > min(hank.shape) - 1:
+        order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
+        if order > min(hank.shape) - 1:
+            raise ValueError(
+                f"{order} of {svals.size} singular values exceed the relative threshold "
+                f"{sv_tol:.0e} (smallest ratio {svals[-1] / svals[0]:.2e}): the record "
+                "shows no floor below the threshold, so its noise, or more frequencies "
+                f"than {K} samples resolve, lies above it")
+    elif order > min(hank.shape) - 1:
         raise ValueError(f"model order {order} too large for {K} samples")
     diagnostics = {
         "singular_values": svals,
@@ -175,17 +183,17 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sign=1, sv_tol=1e-8):
     angles = np.angle(poles)
     diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
     diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
-    energies = sign * angles / dt
+    energies = angles / dt
     # least-squares weights against the unit-modulus model (poles are
     # projected onto the unit circle; Hermitian dynamics guarantees it)
     tgrid = t_start + dt * np.arange(K)
-    vand = np.exp(1j * sign * np.outer(tgrid, energies))
+    vand = np.exp(1j * np.outer(tgrid, energies))
     weights, *_ = np.linalg.lstsq(vand, y, rcond=None)
     order_idx = np.argsort(energies)
     return energies[order_idx], weights[order_idx], diagnostics
 
 
-def extract_spectrum(record, order, sv_tol=1e-8):
+def extract_spectrum(record, order):
     """Recover band eigenvalues and first-site weights from an amplitude record.
 
     The record is modeled as f(t) = sum_j w_j exp(+i E_j t) (records taken
@@ -201,7 +209,7 @@ def extract_spectrum(record, order, sv_tol=1e-8):
         raise ValueError(f"need at least {4 * order} samples for model order {order}")
     dt = record.grid_step()
     energies, weights, diagnostics = matrix_pencil(
-        record.values, dt, order=order, t_start=float(record.times[0]), sv_tol=sv_tol)
+        record.values, dt, order=order, t_start=float(record.times[0]))
     weights = weights.real
     diagnostics["negative_weight"] = bool(np.any(weights < -1e-9))
     diagnostics["weight_sum"] = float(np.sum(weights))
@@ -210,19 +218,19 @@ def extract_spectrum(record, order, sv_tol=1e-8):
     return SpectralData(energies, weights), diagnostics
 
 
-def jacobi_reconstruct(spectral_data, weight_floor=1e-10, gap_floor=1e-10):
+def jacobi_reconstruct(spectral_data):
     """Unique Jacobi matrix with the given spectrum and first-row weights.
 
     Runs the Lanczos three-term recurrence on diag(E) seeded with the
     vector sqrt(w) (fully reorthogonalized).  Returns (diagonal,
     off-diagonal) with positive off-diagonals.  Repeated eigenvalues make
-    the problem non-unique and are rejected, as are weights that vanish
-    (a decoupled chain) or fall below ``weight_floor``.
+    the problem non-unique and are rejected (gaps below 1e-10), as are
+    weights that vanish (a decoupled chain) or fall below WEIGHT_FLOOR.
     """
     evals = spectral_data.eigenvalues
     wts = spectral_data.weights
     m = evals.shape[0]
-    if m > 1 and np.min(np.diff(evals)) < gap_floor:
+    if m > 1 and np.min(np.diff(evals)) < 1e-10:
         raise ValueError("repeated eigenvalues: the Jacobi matrix is not unique")
     k_min = int(np.argmin(wts))
     if wts[k_min] <= 0.0:
@@ -230,10 +238,10 @@ def jacobi_reconstruct(spectral_data, weight_floor=1e-10, gap_floor=1e-10):
             f"the first-site overlap weight of eigenvalue index {k_min} is zero: the chain "
             "decouples, or the record does not resolve that level; either way the far "
             "section is invisible from site 1")
-    if wts[k_min] < weight_floor:
+    if wts[k_min] < WEIGHT_FLOOR:
         raise ValueError(
             f"smallest first-site weight {wts[k_min]:.2e} (eigenvalue index {k_min}) is "
-            f"below the weight floor {weight_floor:.0e}: the far section of the chain "
+            f"below the weight floor {WEIGHT_FLOOR:.0e}: the far section of the chain "
             "is below the weight the floor resolves")
     q = np.sqrt(wts)
     q = q / np.linalg.norm(q)
@@ -424,29 +432,30 @@ class GapReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def probability_mode_analysis(record, gap_tol=1e-6, sv_tol=1e-7):
+def probability_mode_analysis(record):
     """Retrieve the gap structure of a recurrence-probability record.
 
     |f(t)|^2 = sum_{j,k} w_j w_k cos((E_j - E_k) t) is a real harmonic
     signal whose frequencies are the spectral gaps; the retrieval folds
     the +-frequency pairs and reports one-sided amplitudes (sum of
-    w_j w_k per distinct gap).
+    w_j w_k per distinct gap).  Frequencies within 1e-6 (relative to
+    max(1, gap)) are one gap, and those with |E| dt below 1e-6 the DC term.
     """
     if record.mode != "probability":
         raise ValueError("gap analysis needs a probability-mode record")
     dt = record.grid_step()
     energies, weights, diagnostics = matrix_pencil(
         record.values.astype(complex), dt, order=None,
-        t_start=float(record.times[0]), sv_tol=sv_tol)
+        t_start=float(record.times[0]), sv_tol=1e-7)
     gaps = {}
     dc = 0.0
     for e, w in zip(energies, weights.real):
-        if abs(e) * dt < gap_tol:
+        if abs(e) * dt < 1e-6:
             dc += w
             continue
         key = None
         for g in gaps:
-            if abs(abs(e) - g) < gap_tol * max(1.0, g):
+            if abs(abs(e) - g) < 1e-6 * max(1.0, g):
                 key = g
                 break
         if key is None:

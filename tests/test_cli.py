@@ -77,6 +77,15 @@ class TestValidate:
             assert "finite numbers" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["true", "1.0"])
+    def test_time_sign_must_be_an_integer(self, tmp_path, capsys, value):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 2, "kind": "heisenberg", "time_sign": %s}' % value)
+        code, out, err = run_cli(["validate", "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "schema" and error["path"] == "time_sign"
+
 
 class TestSpectra:
     def test_json_report(self, capsys):
@@ -197,6 +206,19 @@ class TestTransfer:
                                   "--output-dir", str(tmp_path)], capsys)
         assert code == 2 and out == ""
         assert "positive finite" in json.loads(err)["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("channel, flag, site", [("up", "--source-site", "0"),
+                                                     ("up", "--source-site", "5"),
+                                                     ("down", "--target-site", "9")])
+    def test_channel_site_outside_chain_rejected(self, tmp_path, capsys, channel, flag,
+                                                 site):
+        code, out, err = run_cli(["transfer", "--preset-n", "4", "--channel", channel,
+                                  flag, site, "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == flag
+        assert f"site {site} is outside" in error["message"]
         assert not list(tmp_path.iterdir())
 
     def test_missing_source_rejected(self, tmp_path, capsys):
@@ -327,6 +349,18 @@ class TestTomography:
         up = payload["channels"]["up"]
         assert np.allclose(up["gaps"], [1.0, 2.0], atol=1e-6)
         assert "note" in payload
+
+    @pytest.mark.parametrize("shots", ["1000", "1000000"])
+    def test_probability_mode_shot_noise_named(self, tmp_path, capsys, shots):
+        code, out, err = run_cli(["tomography", "--preset-n", "4", "--mode", "probability",
+                                  "--shots", shots, "--seed", "1",
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("32 of 32 singular values exceed the relative threshold "
+                                  "1e-07 (smallest ratio ")
+        assert "no floor below the threshold" in message
+        assert "model order" not in message
 
     def test_seeded_shots_reproducible(self, tmp_path, capsys):
         args = ["tomography", "--preset-n", "2", "--shots", "100000", "--seed", "7",

@@ -18,7 +18,6 @@ from spin1chain.hamiltonians import (
     engineered_sigma_block,
     h12,
     heisenberg_two_site,
-    mirror_parities,
     mix_two_site,
     project_to_sigma,
     pst_preset,
@@ -30,6 +29,7 @@ from spin1chain.hamiltonians import (
     up_block,
 )
 from spin1chain.linalg import eig_hermitian, evolution_cache
+from spin1chain.parity import clustered_parities
 from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
 
 
@@ -426,6 +426,28 @@ class TestSigmaSubspace:
         assert np.allclose(np.linalg.eigvalsh(block), [0.5, 1.5])
 
 
+def reversal_parities(block):
+    """Eigenvalues of a tridiagonal block and their parities under index reversal."""
+    return clustered_parities(eig_hermitian(block), np.arange(block.shape[0])[::-1])
+
+
+def searched_phase_exact_field(n):
+    """The phase_exact field found by search: the first c = 0, 1/2, 1, ... up to 2n
+    that makes every up-block eigenvalue an integer, even exactly on the
+    reversal-even eigenvectors."""
+    couplings = tuple(transfer_couplings(n))
+    c = 0.0
+    while c <= 2.0 * n + 1e-12:
+        evals, pars = reversal_parities(up_block(ChainSpec(
+            n=n, kind="engineered", a=couplings, b=couplings, B=(0.0,) * n, C=(c,) * n)))
+        rounded = np.round(evals)
+        if np.all(np.abs(evals - rounded) <= 1e-9) and np.all(
+                pars == np.where(rounded % 2 == 0, 1, -1)):
+            return c
+        c += 0.5
+    raise AssertionError(f"no integer parity-matched field for n={n}")
+
+
 class TestPresets:
     def test_transfer_couplings_n4(self):
         assert np.allclose(transfer_couplings(4), [np.sqrt(3) / 2, 1.0, np.sqrt(3) / 2])
@@ -444,20 +466,21 @@ class TestPresets:
     def test_phase_exact_n2(self):
         spec = pst_preset(2, "phase_exact")
         assert np.isclose(spec.C[0], 1.5)
-        evals, parities = mirror_parities(up_block(spec))
+        evals, parities = reversal_parities(up_block(spec))
         assert np.allclose(evals, [1.0, 2.0])
         assert np.allclose(parities, [-1.0, 1.0])  # odd eigenvalue odd vector, even even
-
-    def test_mirror_parities_rejects_asymmetric_block(self):
-        block = np.diag([0.0, 1.0, 2.0]) + np.diag([1.0, 0.5], 1) + np.diag([1.0, 0.5], -1)
-        with pytest.raises(ValueError, match="does not commute"):
-            mirror_parities(block)
 
     def test_phase_exact_fields_follow_length_pattern(self):
         # first parity-matched field repeats with period 4 in the chain length
         expected = {2: 1.5, 3: 1.0, 4: 0.5, 5: 0.0, 6: 1.5, 7: 1.0, 8: 0.5}
         for n, want in expected.items():
             assert np.isclose(pst_preset(n, "phase_exact").C[0], want)
+
+    def test_phase_exact_field_equals_search(self):
+        # the closed form matches the search bit for bit, the sign of zero included
+        for n in range(2, 41):
+            field = searched_phase_exact_field(n)
+            assert json.dumps(pst_preset(n, "phase_exact").C) == json.dumps((field,) * n)
 
     def test_unit_gap_spectrum(self):
         for n in range(2, 9):
@@ -470,7 +493,7 @@ class TestPresets:
 
     def test_eigenvalue_parity_match_for_phase_exact(self):
         for n in (3, 6):
-            evals, parities = mirror_parities(up_block(pst_preset(n, "phase_exact")))
+            evals, parities = reversal_parities(up_block(pst_preset(n, "phase_exact")))
             for ev, par in zip(evals, parities):
                 assert abs(ev - round(ev)) <= 1e-9
                 assert par == (1.0 if round(ev) % 2 == 0 else -1.0)
