@@ -51,10 +51,10 @@ from .reporting import RunManifest, fmt, resolve_output_dir, write_csv, write_js
 from .spin_ops import basis_index
 from .tomography import (
     band_matrix,
-    full_tomography,
     probability_mode_analysis,
     read_record_csv,
-    synthesize_record,
+    synthesize_records,
+    synthesized_tomography,
     tomography_from_records,
     write_record_csv,
 )
@@ -318,16 +318,12 @@ def cmd_tomography(args):
         parameters = {"mode": args.mode, "dt": dt, "samples": int(samples),
                       "shots": args.shots, "preset_n": args.preset_n,
                       "preset_variant": args.preset_variant}
+        records = synthesize_records(spec, args.mode, times, shots=args.shots, seed=args.seed)
         if args.mode == "amplitude":
-            result = full_tomography(spec, times, mode="amplitude", shots=args.shots,
-                                     seed=args.seed)
-            payload = result.to_json_dict()
+            payload = synthesized_tomography(spec, records).to_json_dict()
         else:
             payload = {"mode": "probability", "channels": {}}
-            for k, channel in enumerate(("up", "down")):
-                record = synthesize_record(spec, channel, "probability", times,
-                                           shots=args.shots,
-                                           seed=None if args.seed is None else args.seed + k)
+            for channel, record in zip(("up", "down"), records):
                 report = probability_mode_analysis(record)
                 payload["channels"][channel] = {
                     "gaps": list(report.gaps),
@@ -337,10 +333,7 @@ def cmd_tomography(args):
             payload["note"] = ("probability records determine eigenvalue gaps and weight "
                                "products only; absolute energies need amplitude records")
         if args.emit_records:
-            for k, channel in enumerate(("up", "down")):
-                record = synthesize_record(spec, channel, args.mode, times,
-                                           shots=args.shots,
-                                           seed=None if args.seed is None else args.seed + k)
+            for channel, record in zip(("up", "down"), records):
                 path = f"{base}_record_{channel}.csv"
                 write_record_csv(record, path)
                 outputs.append(path)

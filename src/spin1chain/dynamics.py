@@ -6,6 +6,7 @@ convention).  Scans over dense time grids are evaluated through the
 kernels module, which is the package's hot path.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import kernels
 from .hamiltonians import engineered_sigma_block
 from .linalg import EvolutionCache, apply_exp, evolution_cache
-from .parity import clustered_parities, commutator_residual, operator_with_mirror
+from .parity import mirror_commutator, mirror_parities
 from .spin_ops import ChainOperator, basis_index
 
 
@@ -59,7 +60,11 @@ def evolve(op, state, t, sign=1):
 
 def _state_index(state, dim):
     if isinstance(state, str):
-        return basis_index(state)
+        n = round(math.log(dim, 3)) if dim > 1 else 0
+        if 3 ** n != dim:
+            raise ValueError(f"state label {state!r} addresses a 3^n product space, "
+                             f"but the operator has dimension {dim}")
+        return basis_index(state, n)
     idx = int(state)
     if not 0 <= idx < dim:
         raise ValueError(f"basis index {idx} out of range for dimension {dim}")
@@ -264,9 +269,8 @@ def mirror_check(op, t, sign=1, space="full"):
     if space == "sigma" and isinstance(op, ChainOperator):
         raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
                          "not a full-space ChainOperator")
-    mat, index = operator_with_mirror(op, "sigma" if space == "sigma" else "chain_mirror")
-    comm = commutator_residual(mat, index)
-    cache = evolution_cache(mat)
+    kind = "sigma" if space == "sigma" else "chain_mirror"
+    cache, index, comm, scale = mirror_commutator(op, kind)
     unitary = cache.unitary(t, sign)
     columns = np.arange(index.size)
     phi = float(np.angle(np.sum(unitary[index, columns])))
@@ -274,8 +278,8 @@ def mirror_check(op, t, sign=1, space="full"):
     residual = float(np.max(np.abs(unitary)))
 
     even_phases = odd_phases = ()
-    if comm <= 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
-        vals, pars = clustered_parities(cache.eigensystem, index)
+    if comm <= 1e-10 * scale:
+        vals, pars = mirror_parities(cache, index, kind)
         phases = np.exp(1j * sign * vals * t)
         even_phases = _distinct_phases(phases[pars > 0])
         odd_phases = _distinct_phases(phases[pars < 0])

@@ -48,21 +48,22 @@ def fix_eigenvector_phases(vectors):
     return fixed
 
 
-def connected_blocks(mat):
+def connected_blocks(nonzero, dim):
     """Connected components of the nonzero pattern of a square matrix.
 
-    Indices i and j are linked when ``mat[i, j]`` or ``mat[j, i]`` is
-    nonzero, so no entry couples two blocks: each block is a sector of a
-    conserved quantity, found without naming the quantity.  Returns index
-    arrays, ascending within a block, ordered by their smallest index.
+    ``nonzero`` holds the flat (row-major) indices of the nonzero entries
+    of a ``dim`` x ``dim`` matrix, as ``np.flatnonzero`` gives them.
+    Indices i and j are linked when entry (i, j) or (j, i) is nonzero, so
+    no entry couples two blocks: each block is a sector of a conserved
+    quantity, found without naming the quantity.  Returns index arrays,
+    ascending within a block, ordered by their smallest index.
 
     Every index repeatedly takes the smallest label among its neighbours
     and then its label's label (pointer jumping), until no label changes;
     each component ends labelled by its smallest index.
     """
-    mat = np.asarray(mat)
-    rows, cols = np.nonzero(mat != 0)
-    labels = np.arange(mat.shape[0])
+    rows, cols = np.divmod(np.asarray(nonzero), dim)
+    labels = np.arange(dim)
     while True:
         hooked = labels.copy()
         np.minimum.at(hooked, rows, labels[cols])
@@ -109,10 +110,12 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def eig_hermitian(mat):
+def eig_hermitian(mat, nonzero=None):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
-    Each connected block of the nonzero pattern (:func:`connected_blocks`)
+    Each connected block of the nonzero pattern (:func:`connected_blocks`;
+    ``nonzero`` holds the flat indices of the nonzero entries when the
+    caller has already found them, as :func:`evolution_cache` has)
     is diagonalized on its own, the blocks of one size in one stacked
     ``eigh`` call; the eigenpairs are then sorted ascending (stably, so
     equal eigenvalues keep the order of the solves: smaller blocks first,
@@ -126,7 +129,8 @@ def eig_hermitian(mat):
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    blocks = connected_blocks(mat)
+    blocks = connected_blocks(np.flatnonzero(mat) if nonzero is None else nonzero,
+                              mat.shape[0])
     if len(blocks) == 1:
         stacks = [mat]
     else:
@@ -164,11 +168,24 @@ def eig_hermitian(mat):
 
 
 class EvolutionCache:
-    """Eigendecomposition of one Hamiltonian, reusable across time points."""
+    """Eigendecomposition of one Hamiltonian, reusable across time points.
 
-    def __init__(self, eigensystem, fingerprint):
+    ``nonzero`` holds the flat indices of the Hamiltonian's nonzero
+    entries.  :meth:`memoized` keeps other results derived from the
+    Hamiltonian (its mirror analyses), so they too are computed once.
+    """
+
+    def __init__(self, eigensystem, fingerprint, nonzero):
         self.eigensystem = eigensystem
         self.fingerprint = fingerprint
+        self.nonzero = nonzero
+        self._memo = {}
+
+    def memoized(self, key, compute):
+        """``compute()`` the first time ``key`` is asked for; its stored result after."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def eigenvalues(self):
@@ -209,13 +226,40 @@ def as_matrix(op):
     return op.dense() if hasattr(op, "dense") else np.asarray(op)
 
 
+def content_key(mat):
+    """sha256 key of a matrix's content, and the flat indices of its nonzero entries.
+
+    The matrix is read as words of 8 bytes (of its item size, when that is
+    smaller and does not divide 8).  The key hashes the dtype, the shape,
+    the positions of the nonzero words and those words, so it is as
+    injective on the matrix bytes as a hash of all of them: ``-0.0`` and
+    ``0.0`` differ, and so do equal bytes under another shape or dtype.
+    Only the nonzero words are hashed, which for a sparse Hamiltonian is a
+    small part of its dense bytes.  The nonzero entries are those that
+    compare unequal to zero (a ``-0.0`` entry is not one), ascending.
+    """
+    mat = np.ascontiguousarray(mat)
+    flat = mat.reshape(-1)
+    word = math.gcd(mat.itemsize, 8)
+    words = flat.view(f"u{word}")
+    where = np.flatnonzero(words != 0)
+    digest = hashlib.sha256(repr((mat.dtype.str, mat.shape)).encode())
+    digest.update(where.tobytes())
+    digest.update(words[where].tobytes())
+    entries = where // (mat.itemsize // word)
+    if mat.itemsize > word:
+        # an entry of several words is listed once
+        entries = entries[np.diff(entries, prepend=-1) > 0]
+    return digest.hexdigest(), entries[flat[entries] != 0]
+
+
 def evolution_cache(op):
-    """Memoized eigendecomposition keyed by matrix content."""
+    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`)."""
     mat = as_matrix(op)
-    digest = hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
+    digest, nonzero = content_key(mat)
     cached = _cache_by_fingerprint.get(digest)
     if cached is None:
-        cached = EvolutionCache(eig_hermitian(mat), digest)
+        cached = EvolutionCache(eig_hermitian(mat, nonzero), digest, nonzero)
         if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, evolution_cache
+from .linalg import as_matrix, connected_blocks, evolution_cache
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -108,13 +108,25 @@ def mirror_index(kind, dim):
     raise ValueError(f"unknown parity kind {kind!r}")
 
 
-# complex entries per gathered block of eigenvector columns (32 MB)
+# complex entries per gathered block of eigenvector rows (32 MB)
 _GATHER_ELEMENTS = 1 << 21
 
 
-def commutator_residual(mat, index):
-    """max |[H, M]| for the index mirror: M H M - H entrywise."""
-    return float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
+def commutator_residual(mat, index, nonzero):
+    """max |[H, M]| for the index mirror, read at the nonzero entries of H.
+
+    ``nonzero`` holds the flat indices of H's nonzero entries.  Entry
+    (i, j) of M H M - H is H[p i, p j] - H[i, j].  When H[i, j] is zero and
+    H[p i, p j] is not, (p i, p j) is a nonzero of H, and since every
+    mirror is an involution its entry is H[i, j] - H[p i, p j], of the same
+    modulus.  So the maximum over the nonzeros is the dense maximum, bit
+    for bit.
+    """
+    dim = mat.shape[0]
+    flat = mat.reshape(-1)
+    rows, cols = np.divmod(nonzero, dim)
+    diff = flat[index[rows] * dim + index[cols]] - flat[nonzero]
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _cluster_bounds(evals):
@@ -132,34 +144,88 @@ def _cluster_bounds(evals):
     return starts, stops
 
 
+def _mirror_pieces(eigensystem, index, cluster_of):
+    """Split every eigenvalue cluster into pieces that the mirror does not couple.
+
+    Connected blocks that the mirror maps into each other form a mirror
+    group, whose rows H and M both keep among themselves.  A piece is the
+    part of a cluster in one group: every eigenvector vanishes outside its
+    block, so a cluster's mirror matrix <v_a|M|v_b> is exactly zero between
+    pieces, and inside a piece only the rows of its members' blocks add to
+    it.  Returns the pieces' columns (flat, piece after piece, ascending in
+    a piece) with their counts, and the pieces' rows (the union of their
+    members' blocks, flat) with their counts.
+    """
+    blocks = eigensystem.blocks
+    block_rows = np.concatenate([rows.ravel() for rows, _ in blocks])
+    block_size = np.concatenate([np.full(rows.shape[0], rows.shape[1]) for rows, _ in blocks])
+    nblocks = block_size.size
+    numbers = np.repeat(np.arange(nblocks), block_size)
+    row_block = np.empty(eigensystem.dim, dtype=int)
+    row_block[block_rows] = numbers
+    col_block = np.empty(eigensystem.dim, dtype=int)
+    col_block[np.concatenate([cols.ravel() for _, cols in blocks])] = numbers
+    groups = connected_blocks(np.unique(row_block * nblocks + row_block[index]), nblocks)
+    group_of = np.empty(nblocks, dtype=int)
+    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)),
+                                                 [group.size for group in groups])
+    key = cluster_of * len(groups) + group_of[col_block]
+    columns = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[columns], prepend=-1))
+    col_counts = np.diff(starts, append=columns.size)
+    # each (piece, block) pair once, ordered by piece
+    pairs = np.unique(np.repeat(np.arange(starts.size), col_counts) * nblocks
+                      + col_block[columns])
+    piece, block = np.divmod(pairs, nblocks)
+    lengths = block_size[block]
+    block_start = np.cumsum(block_size) - block_size
+    # the rows of every pair's block, pair after pair
+    picks = np.arange(lengths.sum()) + np.repeat(
+        block_start[block] - (np.cumsum(lengths) - lengths), lengths)
+    row_counts = np.bincount(piece, weights=lengths, minlength=starts.size).astype(int)
+    return columns, col_counts, block_rows[picks], row_counts
+
+
 def clustered_parities(eigensystem, index):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
     Eigenvalues are clustered to 1e-9 and the mirror is
     diagonalized inside each cluster, so degenerate subspaces that mix
     parities under a plain eigensolver are resolved correctly.  Each
-    eigenvalue is its cluster's mean.  Clusters of one size are handled
-    together: one stacked product gives their mirror matrices and one
-    stacked eigensolve their parities.
+    eigenvalue is its cluster's mean.  The mirror matrix of a cluster is
+    taken piece by piece and row-block by row-block
+    (:func:`_mirror_pieces`), which leaves its eigenvalues as they are;
+    the parities of a cluster are listed ascending, as one eigensolve of
+    the whole cluster lists them.  Pieces with the same count of members
+    and of rows are handled together: one stacked product gives their
+    mirror matrices and one stacked eigensolve their parities.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
-    out_pars = np.empty(len(evals), dtype=int)
     for size in np.unique(sizes):
-        first = starts[sizes == size]
+        cols = starts[sizes == size, None] + np.arange(size)
+        # a row sum rounds like np.mean of the cluster alone
+        out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
+    cluster_of = np.repeat(np.arange(starts.size), sizes)
+    columns, col_counts, rows, row_counts = _mirror_pieces(eigensystem, index, cluster_of)
+    col_starts = np.cumsum(col_counts) - col_counts
+    row_starts = np.cumsum(row_counts) - row_counts
+    out_pars = np.empty(len(evals), dtype=int)
+    for size, nrows in np.unique(np.column_stack((col_counts, row_counts)), axis=0):
+        same = (col_counts == size) & (row_counts == nrows)
+        col_first, row_first = col_starts[same], row_starts[same]
         # at most _GATHER_ELEMENTS entries of eigenvectors are copied at a time
-        step = max(1, _GATHER_ELEMENTS // (vecs.shape[0] * size))
-        for chunk in range(0, first.size, step):
-            cols = first[chunk:chunk + step, None] + np.arange(size)
-            # a row sum rounds like np.mean of the cluster alone
-            out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
-            members = vecs[:, cols].transpose(1, 0, 2)  # (cluster, row, member)
-            msub = members.conj().transpose(0, 2, 1) @ members[:, index]
-            pvals = np.linalg.eigvalsh(msub)
+        step = max(1, _GATHER_ELEMENTS // (nrows * size))
+        for chunk in range(0, col_first.size, step):
+            cols = columns[col_first[chunk:chunk + step, None] + np.arange(size)]
+            piece_rows = rows[row_first[chunk:chunk + step, None] + np.arange(nrows)]
+            members = vecs[piece_rows[:, :, None], cols[:, None, :]]  # (piece, row, member)
+            mirrored = vecs[index[piece_rows][:, :, None], cols[:, None, :]]
+            pvals = np.linalg.eigvalsh(members.conj().transpose(0, 2, 1) @ mirrored)
             out_pars[cols] = np.where(pvals > 0, 1, -1)
-    return out_vals, out_pars
+    return out_vals, out_pars[np.lexsort((out_pars, cluster_of))]
 
 
 @dataclass(frozen=True)
@@ -179,29 +245,53 @@ class ParityCommutationError(ValueError):
     """Operator does not commute with the inversion, no parity split exists."""
 
 
-def operator_with_mirror(op, kind):
-    """Dense square matrix of ``op`` and the index mirror of ``kind`` on its space."""
+def mirror_commutator(op, kind):
+    """The evolution cache of ``op``, the ``kind`` mirror index and the [H, M] residual.
+
+    Returns (cache, index, residual, scale), ``scale`` being max(1, largest
+    |entry| of H).  The residual and the scale are computed once per
+    Hamiltonian and kind and kept on its cache entry, from H's nonzero
+    entries only.
+    """
     mat = as_matrix(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat, mirror_index(kind, mat.shape[0])
+    index = mirror_index(kind, mat.shape[0])
+    cache = evolution_cache(mat)
+
+    def compute():
+        magnitude = np.max(np.abs(mat.reshape(-1)[cache.nonzero]), initial=0.0)
+        return commutator_residual(mat, index, cache.nonzero), max(1.0, float(magnitude))
+
+    residual, scale = cache.memoized(("commutator", kind), compute)
+    return cache, index, residual, scale
+
+
+def mirror_parities(cache, index, kind):
+    """:func:`clustered_parities` of the cached eigensystem, once per Hamiltonian and kind."""
+    def compute():
+        vals, pars = clustered_parities(cache.eigensystem, index)
+        vals.flags.writeable = pars.flags.writeable = False
+        return vals, pars
+
+    return cache.memoized(("parities", kind), compute)
 
 
 def parity_spectrum(op, kind="two_site_exchange"):
     """Split an operator's spectrum by mirror parity.
 
     The operator must commute with the inversion to 1e-12 relative to its
-    largest entry.  The eigensystem comes from :func:`evolution_cache`, so
-    it is shared with the other analyses of the same operator; see
-    :func:`clustered_parities` for how degenerate levels are resolved.
+    largest entry.  The eigensystem, the commutator and the parities come
+    from :func:`evolution_cache`'s entry, so they are shared with the other
+    analyses of the same operator; see :func:`clustered_parities` for how
+    degenerate levels are resolved.
     """
-    mat, index = operator_with_mirror(op, kind)
-    comm = commutator_residual(mat, index)
-    if comm > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
+    cache, index, comm, scale = mirror_commutator(op, kind)
+    if comm > 1e-12 * scale:
         raise ParityCommutationError(
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}"
         )
-    vals, pars = clustered_parities(evolution_cache(mat).eigensystem, index)
+    vals, pars = mirror_parities(cache, index, kind)
     return ParitySplit(
         even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),

@@ -15,7 +15,7 @@ weight products, not absolute energies - that diagnostic lives in
 :func:`probability_mode_analysis`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -343,34 +343,50 @@ def tomography_from_records(record_up, record_down, order, extra_diagnostics=Non
     )
 
 
+def synthesize_records(spec, mode, times, shots, seed):
+    """The (up, down) records of one chain (see :func:`synthesize_record`).
+
+    The down channel is sampled with ``seed + 1``, so the two channels'
+    shot noise is independent.
+    """
+    return tuple(synthesize_record(spec, channel, mode, times, shots=shots,
+                                   seed=None if seed is None else seed + k)
+                 for k, channel in enumerate(CHANNELS))
+
+
+def synthesized_tomography(hidden_spec, records):
+    """Parameter estimation from the (up, down) amplitude records of ``hidden_spec``.
+
+    ``records`` are as :func:`synthesize_records` returns them; only they
+    are consumed downstream, apart from the chain length and the time
+    sign.  Both excitation channels are processed independently; the band
+    diagonals combine into B_i = (d_up - d_down)/2, C_i = (d_up + d_down)/2.
+    """
+    # time_sign is a known convention of the record, not an unknown:
+    # undo it so extraction always sees exp(+iEt)
+    if hidden_spec.time_sign != 1:
+        records = [replace(rec, values=np.conj(rec.values)) for rec in records]
+    up, down = records
+    return tomography_from_records(
+        up, down, hidden_spec.n,
+        extra_diagnostics={"shots": up.shots if up.shots is not None else 0,
+                           "seed": up.seed if up.seed is not None else -1},
+    )
+
+
 def full_tomography(hidden_spec, times, mode="amplitude", shots=None, seed=None):
     """End-to-end parameter estimation treating ``hidden_spec`` as unknown.
 
-    Only the synthesized measurement records are consumed downstream.
-    Both excitation channels are processed independently; the band
-    diagonals combine into B_i = (d_up - d_down)/2, C_i = (d_up + d_down)/2.
-    Probability-mode records cannot fix absolute energies, so this
-    entry point requires amplitude mode.
+    Synthesizes both channels' records and passes them to
+    :func:`synthesized_tomography`.  Probability-mode records cannot fix
+    absolute energies, so this entry point requires amplitude mode.
     """
     if mode != "amplitude":
         raise ValueError(
             "full tomography requires amplitude records; probability records "
             "only determine eigenvalue gaps (see probability_mode_analysis)")
-    seeds = {"up": seed, "down": None if seed is None else seed + 1}
-    records = {}
-    for ch in CHANNELS:
-        rec = synthesize_record(hidden_spec, ch, "amplitude", times, shots=shots,
-                                seed=seeds[ch])
-        # time_sign is a known convention of the record, not an unknown:
-        # undo it so extraction always sees exp(+iEt)
-        values = rec.values if hidden_spec.time_sign == 1 else np.conj(rec.values)
-        records[ch] = MeasurementRecord(times=rec.times, values=values, channel=ch,
-                                        mode="amplitude", shots=shots, seed=seeds[ch])
-    return tomography_from_records(
-        records["up"], records["down"], hidden_spec.n,
-        extra_diagnostics={"shots": shots if shots is not None else 0,
-                           "seed": seed if seed is not None else -1},
-    )
+    return synthesized_tomography(
+        hidden_spec, synthesize_records(hidden_spec, "amplitude", times, shots, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spin1chain import cli
+from spin1chain import cli, tomography
 from spin1chain.cli import build_parser, main, parse_time
 from spin1chain.hamiltonians import pst_preset
 
@@ -394,6 +394,37 @@ class TestTomography:
         payload = json.loads(out)
         spec = pst_preset(3, "standard")
         assert np.max(np.abs(np.array(payload["a_abs"]) - spec.a)) <= 1e-7
+
+    # probability mode exits 2 on shot-sampled records, so it runs noise-free
+    @pytest.mark.parametrize("mode, shots", [("amplitude", 10 ** 6), ("amplitude", None),
+                                             ("probability", None)])
+    def test_emit_records_synthesizes_each_record_once(self, tmp_path, capsys, monkeypatch,
+                                                       mode, shots):
+        calls = []
+        synthesize = tomography.synthesize_record
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return synthesize(*args, **kwargs)
+
+        # every module binding of the function counts
+        monkeypatch.setattr(tomography, "synthesize_record", counted)
+        monkeypatch.setattr(cli, "synthesize_record", counted, raising=False)
+        argv = ["tomography", "--preset-n", "3", "--mode", mode, "--seed", "4",
+                "--emit-records", "--output-dir", str(tmp_path), "--tag", "once"]
+        code, _, _ = run_cli(argv + ([] if shots is None else ["--shots", str(shots)]), capsys)
+        assert code == 0
+        assert calls == ["up", "down"]
+        # the files hold the records the analysis consumed: the same seeds
+        spec = pst_preset(3, "standard")
+        payload = json.loads((tmp_path / "once_manifest.json").read_text())
+        params = payload["parameters"]
+        times = params["dt"] * np.arange(params["samples"])
+        for k, channel in enumerate(("up", "down")):
+            record = synthesize(spec, channel, mode, times, shots=shots, seed=4 + k)
+            expected = tmp_path / f"expected_{channel}.csv"
+            tomography.write_record_csv(record, str(expected))
+            assert (tmp_path / f"once_record_{channel}.csv").read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("header, short", [("t,re,im", "0.5,1"), ("t,p", "0.5")])
     def test_short_record_row(self, tmp_path, capsys, header, short):

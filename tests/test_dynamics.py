@@ -130,6 +130,21 @@ class TestTransferAmplitude:
     def test_t_zero_orthogonal(self, chain3):
         assert abs(transfer_amplitude(chain3, "001", "100", 0.0)) <= 1e-14
 
+    @pytest.mark.parametrize("source, target", [("001", "1000"), ("0001", "10000")])
+    def test_label_length_must_match_sites(self, source, target):
+        ham = chain_hamiltonian(ChainSpec(n=4, kind="heisenberg"))
+        wrong = source if len(source) != 4 else target
+        message = f"state label '{wrong}' has {len(wrong)} sites, expected 4"
+        with pytest.raises(ValueError, match=message):
+            transfer_amplitude(ham, source, target, 1.0)
+        with pytest.raises(ValueError, match=message):
+            amplitude_scan(ham, source, target, [0.0, 1.0])
+
+    def test_label_needs_a_product_space(self):
+        block = engineered_sigma_block(pst_preset(3, "standard"))
+        with pytest.raises(ValueError, match="dimension 7"):
+            transfer_amplitude(block, "001", "100", 1.0)
+
     def test_probability_conserved_in_sigma(self):
         spec = pst_preset(4, "standard")
         ham = chain_hamiltonian(spec)

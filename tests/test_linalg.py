@@ -18,7 +18,9 @@ from spin1chain.linalg import (
     PHASE_FIX_THRESHOLD,
     apply_exp,
     connected_blocks,
+    content_key,
     eig_hermitian,
+    evolution_cache,
     fix_eigenvector_phases,
     kron_all,
 )
@@ -90,12 +92,16 @@ def csgraph_labels(mat):
     return rank[raw]
 
 
+def blocks_of(mat):
+    return connected_blocks(np.flatnonzero(mat), mat.shape[0])
+
+
 class TestConnectedBlocks:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_chain_kinds_match_csgraph(self, kind, n):
         mat = chain_hamiltonian(chain_spec(kind, n, seed=n)).dense()
-        blocks = connected_blocks(mat)
+        blocks = blocks_of(mat)
         assert np.array_equal(partition_labels(blocks, mat.shape[0]), csgraph_labels(mat))
         assert all(np.array_equal(b, np.sort(b)) for b in blocks)
 
@@ -103,7 +109,7 @@ class TestConnectedBlocks:
     @pytest.mark.parametrize("n", [2, 3, 6, 11])
     def test_preset_sigma_blocks(self, variant, n):
         block = engineered_sigma_block(pst_preset(n, variant))
-        blocks = connected_blocks(block)
+        blocks = blocks_of(block)
         assert np.array_equal(partition_labels(blocks, block.shape[0]), csgraph_labels(block))
         # up band, vacuum, down band
         assert [b.tolist() for b in blocks] == [list(range(n)), [n], list(range(n + 1, 2 * n + 1))]
@@ -113,19 +119,19 @@ class TestConnectedBlocks:
         for _ in range(40):
             dim = int(rng.integers(1, 80))
             mat = random_sparse_hermitian(rng, dim, float(rng.uniform(0.0, 0.08)))
-            blocks = connected_blocks(mat)
+            blocks = blocks_of(mat)
             assert np.array_equal(partition_labels(blocks, dim), csgraph_labels(mat))
 
     def test_one_sided_entry_links(self):
         mat = np.zeros((4, 4))
         mat[3, 0] = 1e-300
-        assert [b.tolist() for b in connected_blocks(mat)] == [[0, 3], [1], [2]]
+        assert [b.tolist() for b in blocks_of(mat)] == [[0, 3], [1], [2]]
 
     def test_permuted_block_diagonal(self):
         rng = np.random.default_rng(22)
         sizes = [5, 1, 3, 7, 1, 2, 5]
         mat = permuted_block_diagonal(rng, sizes)
-        blocks = connected_blocks(mat)
+        blocks = blocks_of(mat)
         assert np.array_equal(partition_labels(blocks, mat.shape[0]), csgraph_labels(mat))
         assert sorted(b.size for b in blocks) == sorted(sizes)
 
@@ -174,7 +180,7 @@ class TestEigHermitian:
     def test_multi_block_accuracy(self, kind, n):
         mat = chain_hamiltonian(chain_spec(kind, n, seed=7)).dense()
         es = eig_hermitian(mat)
-        assert len(connected_blocks(mat)) > 1
+        assert len(blocks_of(mat)) > 1
         scale = max(np.max(np.abs(mat)), 1.0)
         assert es.reconstruction_residual(mat) <= 1e-12 * scale
         assert es.unitarity_deviation() <= 1e-12
@@ -265,14 +271,67 @@ class TestBlockUnitary:
         mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2])
         es = eig_hermitian(mat)
         t = 0.83
-        unitary = EvolutionCache(es, "").unitary(t, sign)
+        unitary = EvolutionCache(es, "", np.flatnonzero(mat)).unitary(t, sign)
         v = es.eigenvectors
         dense = (v * np.exp(1j * sign * es.eigenvalues * t)) @ v.conj().T
         assert np.max(np.abs(unitary - dense)) <= 1e-14
-        linked = connected_blocks(mat)
+        linked = blocks_of(mat)
         labels = partition_labels(linked, mat.shape[0])
         between = labels[:, None] != labels[None, :]
         assert not np.any(unitary[between])
+
+
+class TestContentKey:
+    @staticmethod
+    def key(mat):
+        return content_key(mat)[0]
+
+    def test_one_entry_changes_the_key(self):
+        mat = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")).dense()
+        other = mat.copy()
+        other[4, 10] += 1e-15
+        assert self.key(mat) != self.key(other)
+
+    def test_signed_zero_changes_the_key(self):
+        plus, minus = np.zeros((3, 3)), np.zeros((3, 3))
+        minus[1, 2] = -0.0
+        assert plus.tobytes() != minus.tobytes()
+        assert self.key(plus) != self.key(minus)
+        # neither entry is a nonzero of the pattern
+        assert content_key(minus)[1].size == 0
+
+    def test_shape_changes_the_key(self):
+        flat = np.arange(1.0, 5.0).reshape(1, 4)
+        square = flat.reshape(2, 2)
+        assert flat.tobytes() == square.tobytes()
+        assert self.key(flat) != self.key(square)
+
+    def test_dtype_changes_the_key(self):
+        real = np.array([[1.0, 2.0], [2.0, 0.0]])
+        assert self.key(real) != self.key(real.astype(complex))
+        # equal bytes and shape, another dtype
+        assert self.key(real) != self.key(real.view(np.int64))
+        pair = np.array([[0.5, 0.25]])
+        assert pair.tobytes() == pair.view(complex).tobytes()
+        assert self.key(pair) != self.key(pair.view(complex))
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.float32, np.int8, bool])
+    def test_nonzero_entries_match_flatnonzero(self, dtype):
+        rng = np.random.default_rng(31)
+        mat = (rng.normal(size=(7, 7)) * (rng.random((7, 7)) < 0.3)).astype(dtype)
+        if dtype is complex:
+            mat[2, 3] = 1j  # a zero real part
+            mat[5, 1] = complex(-0.0, 0.0)
+        assert np.array_equal(content_key(mat)[1], np.flatnonzero(mat))
+        # a transposed view has other bytes in memory but the same key as its copy
+        assert self.key(mat.T) == self.key(mat.T.copy())
+
+    def test_equal_content_hits_the_cache(self):
+        mat = chain_hamiltonian(ChainSpec(n=3, kind="O3")).dense()
+        first = evolution_cache(mat)
+        assert evolution_cache(mat.copy()) is first
+        assert evolution_cache(np.asfortranarray(mat)) is first
+        assert np.array_equal(first.nonzero, np.flatnonzero(mat))
 
 
 class TestApplyExp:

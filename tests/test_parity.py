@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from spin1chain import dynamics, linalg
+from spin1chain import dynamics, linalg, parity
 from spin1chain.hamiltonians import (
     ChainSpec,
     candidate_two_site,
@@ -20,6 +20,7 @@ from spin1chain.parity import (
     chain_mirror_index,
     chain_mirror_permutation,
     clustered_parities,
+    commutator_residual,
     mirror_index,
     mirroring_feasibility_report,
     parity_spectrum,
@@ -265,6 +266,44 @@ class TestClusteredParities:
         assert np.array_equal(pars, want_pars)
 
 
+    @pytest.mark.parametrize("spec", [ChainSpec(n=6, kind=kind) for kind in PAPER_KINDS]
+                             + [mirror_symmetric_chain(6, seed=12)],
+                             ids=list(PAPER_KINDS) + ["engineered"])
+    def test_block_local_matches_loop_on_chains(self, spec):
+        # every eigenvector vanishes outside its connected block, so reading
+        # only the blocks' rows gives the loop's counts and means exactly
+        ham = chain_hamiltonian(spec).dense()
+        es = linalg.eig_hermitian(ham)
+        index = chain_mirror_index(6)
+        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
+        vals, pars = clustered_parities(es, index)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(pars, want_pars)
+
+
+class TestCommutatorResidual:
+    @pytest.mark.parametrize("kind, dim", [("two_site_exchange", 9), ("chain_mirror", 27),
+                                           ("chain_mirror", 81), ("sigma", 9), ("sigma", 11)])
+    def test_nonzero_pattern_equals_dense(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        index = mirror_index(kind, dim)
+        for density in (0.02, 0.1, 0.5, 1.0):
+            for _ in range(10):
+                mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                mat[rng.random((dim, dim)) >= density] = 0.0
+                mat[rng.random((dim, dim)) < 0.02] = -0.0
+                dense = float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
+                assert commutator_residual(mat, index, np.flatnonzero(mat)) == dense
+                real = mat.real.copy()
+                dense = float(np.max(np.abs(real[np.ix_(index, index)] - real)))
+                assert commutator_residual(real, index, np.flatnonzero(real)) == dense
+
+    def test_zero_matrix(self):
+        mat = np.zeros((9, 9))
+        assert commutator_residual(mat, mirror_index("two_site_exchange", 9),
+                                   np.flatnonzero(mat)) == 0.0
+
+
 class TestChainParitySpectrum:
     @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (5, 6)
                                       for kind in PAPER_KINDS]
@@ -298,9 +337,10 @@ class TestChainParitySpectrum:
 
     def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
         # one decomposition serves both analyses: a single eig_hermitian
-        # call, whose eigh calls cover every connected block exactly once
+        # call, whose eigh calls cover every connected block exactly once;
+        # the commutator and the clustering are computed once as well
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        decompositions, solved = [], []
+        decompositions, solved, shared = [], [], []
         eig_hermitian, eigh = linalg.eig_hermitian, np.linalg.eigh
 
         def counted_eig(mat, *args, **kwargs):
@@ -311,19 +351,32 @@ class TestChainParitySpectrum:
             solved.append(np.asarray(mat).shape)
             return eigh(mat, *args, **kwargs)
 
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                shared.append(name)
+                return fn(*args, **kwargs)
+            return call
+
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
+        for name in ("commutator_residual", "clustered_parities"):
+            monkeypatch.setattr(parity, name, counted(name, getattr(parity, name)))
         ham = chain_hamiltonian(mirror_symmetric_chain(4, seed=3))
-        blocks = linalg.connected_blocks(ham.dense())
+        blocks = linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        dynamics.mirror_check(ham, np.pi)
-        parity_spectrum(ham, kind="chain_mirror")
+        mirror = dynamics.mirror_check(ham, np.pi)
+        split = parity_spectrum(ham, kind="chain_mirror")
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert decompositions == [(81, 81)]
+        assert shared == ["commutator_residual", "clustered_parities"]
         block_sizes = sorted(b.size for b in blocks)
         # each call solves a stack of blocks of one size: (count, size, size)
         covered = sorted(size for count, size, _ in solved for _ in range(count))
         assert covered == block_sizes
         assert sum(covered) == 81
+        # a second analysis of the same H computes nothing again
+        assert dynamics.mirror_check(ham, np.pi) == mirror
+        assert parity_spectrum(ham, kind="chain_mirror") == split
+        assert len(shared) == 2 and decompositions == [(81, 81)]
 
 
 class TestFeasibility:
