@@ -229,28 +229,28 @@ def as_matrix(op):
 def content_key(mat):
     """sha256 key of a matrix's content, and the flat indices of its nonzero entries.
 
-    The matrix is read as words of 8 bytes (of its item size, when that is
-    smaller and does not divide 8).  The key hashes the dtype, the shape,
-    the positions of the nonzero words and those words, so it is as
-    injective on the matrix bytes as a hash of all of them: ``-0.0`` and
-    ``0.0`` differ, and so do equal bytes under another shape or dtype.
-    Only the nonzero words are hashed, which for a sparse Hamiltonian is a
-    small part of its dense bytes.  The nonzero entries are those that
-    compare unequal to zero (a ``-0.0`` entry is not one), ascending.
+    The matrix is read as words of gcd(item size, 8) bytes: 64-bit words
+    for float64 and complex128.  The key hashes the dtype, the shape, the
+    positions of the nonzero words and those words, so it is as injective
+    on the matrix bytes as a hash of all of them: ``-0.0`` and ``0.0``
+    differ, and so do equal bytes under another shape or dtype.  Only the
+    nonzero words are hashed, which for a sparse Hamiltonian is a small
+    part of its dense bytes.  The nonzero entries are those that compare
+    unequal to zero (a ``-0.0`` entry is not one), ascending.
     """
     mat = np.ascontiguousarray(mat)
     flat = mat.reshape(-1)
     word = math.gcd(mat.itemsize, 8)
     words = flat.view(f"u{word}")
-    where = np.flatnonzero(words != 0)
+    where = (words != 0).nonzero()[0]
     digest = hashlib.sha256(repr((mat.dtype.str, mat.shape)).encode())
     digest.update(where.tobytes())
     digest.update(words[where].tobytes())
     entries = where // (mat.itemsize // word)
-    if mat.itemsize > word:
-        # an entry of several words is listed once
-        entries = entries[np.diff(entries, prepend=-1) > 0]
-    return digest.hexdigest(), entries[flat[entries] != 0]
+    # an entry of several nonzero words is listed once
+    keep = flat[entries] != 0
+    keep[1:] &= entries[1:] != entries[:-1]
+    return digest.hexdigest(), entries[keep]
 
 
 def evolution_cache(op):
