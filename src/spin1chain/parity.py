@@ -213,6 +213,7 @@ def clustered_parities(eigensystem, index):
     col_starts = np.cumsum(col_counts) - col_counts
     row_starts = np.cumsum(row_counts) - row_counts
     out_pars = np.empty(len(evals), dtype=int)
+    flat, dim = vecs.reshape(-1), vecs.shape[0]
     for size, nrows in np.unique(np.column_stack((col_counts, row_counts)), axis=0):
         same = (col_counts == size) & (row_counts == nrows)
         col_first, row_first = col_starts[same], row_starts[same]
@@ -220,10 +221,12 @@ def clustered_parities(eigensystem, index):
         step = max(1, _GATHER_ELEMENTS // (nrows * size))
         for chunk in range(0, col_first.size, step):
             cols = columns[col_first[chunk:chunk + step, None] + np.arange(size)]
-            piece_rows = rows[row_first[chunk:chunk + step, None] + np.arange(nrows)]
-            members = vecs[piece_rows[:, :, None], cols[:, None, :]]  # (piece, row, member)
-            mirrored = vecs[index[piece_rows][:, :, None], cols[:, None, :]]
-            pvals = np.linalg.eigvalsh(members.conj().transpose(0, 2, 1) @ mirrored)
+            piece_rows = rows[np.arange(nrows)[:, None] + row_first[chunk:chunk + step]]
+            # (row, piece, member) entries by flat index, row-major, so pieces
+            # that share rows read each row of the eigenvectors once in order
+            members = flat.take(piece_rows[:, :, None] * dim + cols)
+            mirrored = flat.take(index[piece_rows][:, :, None] * dim + cols)
+            pvals = np.linalg.eigvalsh(np.einsum("rpm,rpn->pmn", members.conj(), mirrored))
             out_pars[cols] = np.where(pvals > 0, 1, -1)
     return out_vals, out_pars[np.lexsort((out_pars, cluster_of))]
 
