@@ -108,8 +108,9 @@ def mirror_index(kind, dim):
     raise ValueError(f"unknown parity kind {kind!r}")
 
 
-# complex entries per gathered block of eigenvector rows (32 MB)
-_GATHER_ELEMENTS = 1 << 21
+# complex entries per gathered block of eigenvector rows (4 MB): the gathers and
+# their flat indices stay a few times that, below one dense 3^6 matrix
+_GATHER_ELEMENTS = 1 << 18
 
 
 def commutator_residual(mat, index, nonzero):
