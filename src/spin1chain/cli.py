@@ -290,7 +290,15 @@ def _auto_dt(spec):
     return np.pi / (1.3 * bound)
 
 
+def _positive(value, flag):
+    """``value`` (None when the flag is unset), which must be positive and finite."""
+    if value is not None and not 0 < value < np.inf:
+        raise SpecError(f"must be positive and finite, got {value!r}", flag)
+    return value
+
+
 def cmd_tomography(args):
+    _positive(args.shots, "--shots")
     outdir = resolve_output_dir(args.output_dir)
     base = os.path.join(outdir, args.tag or "tomography")
     outputs = []
@@ -312,8 +320,8 @@ def cmd_tomography(args):
         spec, spec_path = _load_spec(args)
         if spec.kind != "engineered":
             raise SpecError("tomography addresses engineered chains")
-        dt = float(args.dt) if args.dt else _auto_dt(spec)
-        samples = args.samples or max(16 * spec.n, 64)
+        dt = _positive(float(args.dt), "--dt") if args.dt else _auto_dt(spec)
+        samples = _positive(args.samples, "--samples") or max(16 * spec.n, 64)
         times = dt * np.arange(samples)
         parameters = {"mode": args.mode, "dt": dt, "samples": int(samples),
                       "shots": args.shots, "preset_n": args.preset_n,

@@ -18,10 +18,11 @@ weight products, not absolute energies - that diagnostic lives in
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .hamiltonians import down_block, engineered_sigma_block, up_block
-from .linalg import eig_hermitian
+from .linalg import MAX_DENSE_DIM, eig_hermitian
 from .reporting import write_csv
 
 CHANNELS = ("up", "down")
@@ -50,16 +51,18 @@ class MeasurementRecord:
             raise ValueError(f"mode must be one of {MODES}")
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need at least two samples")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("record times must be finite (a NaN or inf is present)")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
+        vals = np.asarray(self.values, dtype=float if self.mode == "probability" else complex)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("record values must be finite (a NaN or inf is present)")
         if self.mode == "probability":
-            vals = np.asarray(self.values, dtype=float)
             if np.any((vals < -1e-12) | (vals > 1 + 1e-12)):
                 raise ValueError("probabilities must lie in [0, 1]")
-        else:
-            vals = np.asarray(self.values, dtype=complex)
-            if self.shots is None and np.any(np.abs(vals) > 1 + 1e-9):
-                raise ValueError("survival amplitudes must satisfy |f| <= 1")
+        elif self.shots is None and np.any(np.abs(vals) > 1 + 1e-9):
+            raise ValueError("survival amplitudes must satisfy |f| <= 1")
         object.__setattr__(self, "values", vals)
 
     def grid_step(self):
@@ -146,22 +149,41 @@ def synthesize_record(spec, channel, mode, times, shots=None, seed=None):
 def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     """Frequencies and complex weights of y_k = sum_j w_j exp(i*E_j*(t0+k*dt)).
 
-    Hankel data matrix with pencil parameter L = K // 2; the signal
-    subspace comes from the top ``order`` right singular vectors and the
-    shifted pencil's eigenvalues give the unit-circle poles.  When
-    ``order`` is None it is the number of singular values above ``sv_tol``
-    times the largest, and a record with no floor below that threshold
-    raises ValueError.  Returns (E ascending, weights, diagnostics dict).
+    Hankel data matrix with pencil parameter L; the signal subspace comes
+    from the top ``order`` right singular vectors and the shifted pencil's
+    eigenvalues give the unit-circle poles.  When ``order`` is None it is
+    the number of singular values above ``sv_tol`` times the largest, and a
+    record with no floor below that threshold raises ValueError.
+
+    L is K // 2, where the pencil's variance under noise is near its
+    lowest (Hua & Sarkar 1990: L between K/3 and K/2).  A record of rank
+    ``order`` has no noise to average, so when ``order`` is given and
+    8 * order < K // 2, the reduced SVD at L = 8 * order (the parameter of
+    a record of K = 16 * order samples) is tried first and kept when its
+    (order+1)-th singular value is at most ``sv_tol`` times the largest:
+    O(K order^2) instead of O(K^3).  Any other record takes L = K // 2,
+    and raises ValueError when that Hankel matrix would exceed the dense
+    cap.  Returns (E ascending, weights, diagnostics dict).
     """
     y = np.asarray(values, dtype=complex)
     K = y.shape[0]
-    L = K // 2
     if K < 4:
         raise ValueError("need at least 4 samples for the pencil")
-    hank = np.empty((K - L, L + 1), dtype=complex)
-    for m in range(K - L):
-        hank[m, :] = y[m:m + L + 1]
-    _, svals, vh = np.linalg.svd(hank)
+    hank = None
+    # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
+    if order is not None and 8 * order < K // 2:
+        hank = sliding_window_view(y, 8 * order + 1)
+        _, svals, vh = np.linalg.svd(hank, full_matrices=False)
+        if svals[order] > sv_tol * svals[0]:
+            hank = None
+    if hank is None:
+        L = K // 2
+        if L + 1 > MAX_DENSE_DIM:
+            raise ValueError(
+                f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
+                f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
+        hank = sliding_window_view(y, L + 1)
+        _, svals, vh = np.linalg.svd(hank)
     if order is None:
         order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
         if order > min(hank.shape) - 1:

@@ -441,6 +441,25 @@ class TestTomography:
         message = json.loads(err)["error"]["message"]
         assert f"{paths[0]}, line 3" in message and header in message
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-3"),
+                                             ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"),
+                                             ("--dt", "inf"), ("--shots", "0"),
+                                             ("--shots", "-5")])
+    def test_non_positive_grid_flags_named(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(["tomography", "--preset-n", "3", flag, value,
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == flag
+        assert error["message"].startswith(f"{flag}: must be positive and finite")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_record_files_need_positive_shots(self, tmp_path, capsys):
+        code, _, err = run_cli(["tomography", "--record-up", "x.csv", "--record-down",
+                                "y.csv", "--order", "3", "--shots", "0"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["path"] == "--shots"
+
     def test_record_files_need_order(self, tmp_path, capsys):
         code, _, err = run_cli(["tomography", "--record-up", "x.csv",
                                 "--record-down", "y.csv"], capsys)

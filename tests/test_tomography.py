@@ -374,13 +374,26 @@ class TestRecordFiles:
         grid = safe_grid(spec)
         records = [synthesize_record(spec, "up", mode, grid),
                    synthesize_record(spec, "down", mode, grid, shots=1000, seed=9)]
-        special = np.array([-0.0, 5e-324, 0.0, 1.0, np.nan])
+        special = np.array([-0.0, 5e-324, 0.0, 1.0, 0.1])
         values = special + 1j * special[::-1] if mode == "amplitude" else special
         records.append(MeasurementRecord(times=np.arange(5.0) - 2.0, values=values,
                                          channel="up", mode=mode, shots=10))
         for k, rec in enumerate(records):
             path = write_record_csv(rec, tmp_path / f"{k}.csv")
             assert path.read_bytes() == per_value(rec)
+
+    @pytest.mark.parametrize("row", ["0.1,nan,0", "nan,0.5,0", "0.1,0.5,inf"])
+    def test_non_finite_field_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,re,im\n0,1,0\n{row}\n0.2,0.5,0.5\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            read_record_csv(path, "up", shots=1000)
+
+    def test_non_finite_probability_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,p\n0,1\n0.1,nan\n")
+        with pytest.raises(ValueError, match="record values must be finite"):
+            read_record_csv(path, "up")
 
     def test_header_detection(self, tmp_path):
         path = tmp_path / "weird.csv"
@@ -434,3 +447,94 @@ class TestMatrixPencil:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 4"):
             matrix_pencil(np.ones(3, dtype=complex), 0.1)
+
+
+def parent_matrix_pencil(values, dt, order, t_start=0.0):
+    """The pencil before the bounded parameter: row-loop Hankel, L = K // 2, full SVD."""
+    y = np.asarray(values, dtype=complex)
+    K = y.shape[0]
+    L = K // 2
+    hank = np.empty((K - L, L + 1), dtype=complex)
+    for m in range(K - L):
+        hank[m, :] = y[m:m + L + 1]
+    _, svals, vh = np.linalg.svd(hank)
+    diagnostics = {
+        "singular_values": svals,
+        "sv_ratio": float(svals[order - 1] / svals[0]),
+        "ill_conditioned": bool(svals[order - 1] / svals[0] < 1e-8),
+        "order": int(order),
+    }
+    w = vh[:order, :]
+    poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+    angles = np.angle(poles)
+    diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
+    diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
+    energies = angles / dt
+    tgrid = t_start + dt * np.arange(K)
+    vand = np.exp(1j * np.outer(tgrid, energies))
+    weights, *_ = np.linalg.lstsq(vand, y, rcond=None)
+    order_idx = np.argsort(energies)
+    return energies[order_idx], weights[order_idx], diagnostics
+
+
+def assert_pencils_identical(new, old):
+    for a, b in zip(new[:2], old[:2]):
+        assert np.array_equal(a, b)
+    assert new[2].keys() == old[2].keys()
+    for key, value in old[2].items():
+        assert np.array_equal(new[2][key], value), key
+
+
+def pencil_record(n, samples, shots, seed):
+    """The up-channel amplitude record of a seeded random chain, at the safe step."""
+    spec = random_engineered(np.random.default_rng(seed), n)
+    dt = safe_grid(spec)[1]
+    return spec, synthesize_record(spec, "up", "amplitude", dt * np.arange(samples),
+                                   shots=shots, seed=seed)
+
+
+class TestBoundedPencil:
+    @pytest.mark.parametrize("shots", [None, 10 ** 6])
+    def test_default_length_matches_full_pencil(self, shots):
+        # K = 16 * order: 8 * order == K // 2, so the full pencil runs as before
+        for n in range(3, 41):
+            _, rec = pencil_record(n, 16 * n, shots, 700 + n)
+            dt = rec.grid_step()
+            assert_pencils_identical(matrix_pencil(rec.values, dt, order=n),
+                                     parent_matrix_pencil(rec.values, dt, n))
+
+    @pytest.mark.parametrize("n, samples", [(3, 768), (7, 768), (12, 768), (5, 1024)])
+    def test_noisy_long_record_matches_full_pencil(self, n, samples):
+        _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
+        dt = rec.grid_step()
+        new = matrix_pencil(rec.values, dt, order=n)
+        assert new[2]["singular_values"].size == samples // 2
+        assert_pencils_identical(new, parent_matrix_pencil(rec.values, dt, n))
+
+    @pytest.mark.parametrize("samples", [768, 2048])
+    def test_noise_free_long_record_takes_small_pencil(self, samples):
+        for n in range(3, 13):
+            spec, up = pencil_record(n, samples, None, 900 + n)
+            down = synthesize_record(spec, "down", "amplitude", up.times)
+            result = tomography_from_records(up, down, order=n)
+            for channel in ("up", "down"):
+                assert result.diagnostics[channel]["singular_values"].size == 8 * n + 1
+            assert np.max(np.abs(result.a_abs - np.abs(spec.a))) <= 1e-6
+            assert np.max(np.abs(result.b_abs - np.abs(spec.b))) <= 1e-6
+            assert np.max(np.abs(result.B - np.array(spec.B))) <= 1e-6
+            assert np.max(np.abs(result.C - np.array(spec.C))) <= 1e-6
+
+    def test_oversized_full_pencil_fails_early(self):
+        samples = 2 * 6561 + 4
+        _, noisy = pencil_record(3, samples, 10 ** 6, 5)
+        with pytest.raises(ValueError) as info:
+            extract_spectrum(noisy, order=3)
+        message = str(info.value)
+        assert "13126 samples" in message and "6563x6564 Hankel" in message
+        assert "dense cap 6561" in message and "eight sites" not in message
+        # a noise-free record of that length runs on the small pencil
+        spec, exact = pencil_record(3, samples, None, 5)
+        sd, diagnostics = extract_spectrum(exact, order=3)
+        assert diagnostics["singular_values"].size == 25
+        truth = band_spectral_data(spec, "up")
+        assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 1e-8
