@@ -299,11 +299,12 @@ def _positive(value, flag):
 
 def cmd_tomography(args):
     _positive(args.shots, "--shots")
+    _positive(args.order, "--order")
     outdir = resolve_output_dir(args.output_dir)
     base = os.path.join(outdir, args.tag or "tomography")
     outputs = []
     if args.record_up or args.record_down:
-        if not (args.record_up and args.record_down and args.order):
+        if not (args.record_up and args.record_down and args.order is not None):
             raise SpecError("file-based tomography needs --record-up, --record-down "
                             "and --order")
         try:

@@ -460,6 +460,36 @@ class TestTomography:
         assert code == 2
         assert json.loads(err)["error"]["path"] == "--shots"
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_non_positive_order_named(self, tmp_path, capsys, order):
+        code, _, _ = run_cli(["tomography", "--preset-n", "2", "--emit-records",
+                              "--output-dir", str(tmp_path), "--tag", "emit"], capsys)
+        assert code == 0
+        code, out, err = run_cli(["tomography", "--record-up",
+                                  str(tmp_path / "emit_record_up.csv"), "--record-down",
+                                  str(tmp_path / "emit_record_down.csv"), "--order", order,
+                                  "--output-dir", str(tmp_path), "--tag", "bad"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == "--order"
+        assert error["message"] == f"--order: must be positive and finite, got {order}"
+        assert not list(tmp_path.glob("bad_*"))
+
+    def test_long_shot_sampled_record(self, tmp_path, capsys):
+        # 65536 samples: the K//2 pencil runs by subspace iteration, far past
+        # the dense cap on its 32768x32769 Hankel matrix
+        shots = 10 ** 6
+        code, out, _ = run_cli(["tomography", "--preset-n", "3", "--samples", "65536",
+                                "--shots", str(shots), "--seed", "3",
+                                "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        spec = pst_preset(3, "standard")
+        for key, truth in (("a_abs", np.abs(spec.a)), ("b_abs", np.abs(spec.b)),
+                           ("B", spec.B), ("C", spec.C)):
+            assert np.max(np.abs(np.array(payload[key]) - truth)) <= 20 / np.sqrt(shots)
+        assert len(payload["diagnostics"]["up"]["singular_values"]) == 3 + 10
+
     def test_record_files_need_order(self, tmp_path, capsys):
         code, _, err = run_cli(["tomography", "--record-up", "x.csv",
                                 "--record-down", "y.csv"], capsys)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from spin1chain import tomography
 from spin1chain.hamiltonians import ChainSpec, pst_preset
 from spin1chain.linalg import eig_hermitian
 from spin1chain.tomography import (
     MeasurementRecord,
     SpectralData,
+    _hankel_product,
     band_matrix,
     band_spectral_data,
     extract_spectrum,
@@ -395,6 +398,30 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match="record values must be finite"):
             read_record_csv(path, "up")
 
+    @pytest.mark.parametrize("header", ["t,re,im", "t,p"])
+    def test_columns_parse_as_float_does(self, tmp_path, header):
+        rng = np.random.default_rng(17)
+        specials = ["-0.0", "5e-324", "0.1", "0.30000000000000004", "2.2250738585072014e-308"]
+        randoms = [f"{x:.17g}" for x in rng.uniform(0.0, 1.0, 20)]
+        times = ["-0.0"] + [f"{x:.17g}" for x in np.cumsum(rng.uniform(0.1, 1.0, 24))]
+        columns = [specials + randoms] if header == "t,p" else [
+            specials + randoms, randoms[::-1] + [v[1:] if v[0] == "-" else "-" + v
+                                                 for v in specials]]
+        lines = [",".join(row) for row in zip(times, *columns)]
+        path = tmp_path / "record.csv"
+        path.write_text(header + "\n" + "\n".join(lines) + "\n")
+        record = read_record_csv(path, "up", shots=1000)
+        # the per-row parse the reader replaced
+        rows = [line.split(",") for line in lines]
+        times_ref = np.array([float(r[0]) for r in rows])
+        if header == "t,re,im":
+            values_ref = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
+        else:
+            values_ref = np.array([float(r[1]) for r in rows])
+        assert record.times.tobytes() == times_ref.tobytes()
+        assert record.values.tobytes() == values_ref.tobytes()
+        assert np.signbit(record.times[0])
+
     def test_header_detection(self, tmp_path):
         path = tmp_path / "weird.csv"
         path.write_text("time,value\n0,1\n")
@@ -508,8 +535,18 @@ class TestBoundedPencil:
         _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
         dt = rec.grid_step()
         new = matrix_pencil(rec.values, dt, order=n)
-        assert new[2]["singular_values"].size == samples // 2
-        assert_pencils_identical(new, parent_matrix_pencil(rec.values, dt, n))
+        old = parent_matrix_pencil(rec.values, dt, n)
+        if (n, samples) in DENSE_AT_NOISE_FLOOR:
+            assert_pencils_identical(new, old)
+            return
+        # subspace iteration: the block's singular values, and the full
+        # pencil's parameters within the iteration's tolerance
+        svals = new[2]["singular_values"]
+        assert svals.size == n + 10
+        assert np.max(np.abs(svals[:n] - old[2]["singular_values"][:n])) <= 1e-12 * svals[0]
+        assert np.max(np.abs(new[0] - old[0])) <= 1e-6
+        assert np.max(np.abs(new[1] - old[1])) <= 1e-6
+        assert new[2]["order"] == n and not new[2]["aliasing_risk"]
 
     @pytest.mark.parametrize("samples", [768, 2048])
     def test_noise_free_long_record_takes_small_pencil(self, samples):
@@ -526,15 +563,95 @@ class TestBoundedPencil:
 
     def test_oversized_full_pencil_fails_early(self):
         samples = 2 * 6561 + 4
-        _, noisy = pencil_record(3, samples, 10 ** 6, 5)
+        # probability mode picks its order from every singular value, so it
+        # keeps the dense SVD and its cap
+        spec = random_engineered(np.random.default_rng(5), 3)
+        dt = safe_grid(spec)[1]
+        probability = synthesize_record(spec, "up", "probability", dt * np.arange(samples))
         with pytest.raises(ValueError) as info:
-            extract_spectrum(noisy, order=3)
+            probability_mode_analysis(probability)
         message = str(info.value)
         assert "13126 samples" in message and "6563x6564 Hankel" in message
         assert "dense cap 6561" in message and "eight sites" not in message
-        # a noise-free record of that length runs on the small pencil
+        # a shot-sampled amplitude record of that length runs on subspace iteration
+        spec, noisy = pencil_record(3, samples, 10 ** 6, 5)
+        sd, diagnostics = extract_spectrum(noisy, order=3)
+        assert diagnostics["singular_values"].size == 13
+        truth = band_spectral_data(spec, "up")
+        assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 20 / np.sqrt(10 ** 6)
+        # and a noise-free one on the small pencil
         spec, exact = pencil_record(3, samples, None, 5)
         sd, diagnostics = extract_spectrum(exact, order=3)
         assert diagnostics["singular_values"].size == 25
         truth = band_spectral_data(spec, "up")
         assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 1e-8
+
+
+# a record at the shot-noise floor: its first sketch projects more
+# iterations than the dense SVD costs, so it takes the dense route
+DENSE_AT_NOISE_FLOOR = {(12, 768)}
+
+
+class TestSubspacePencil:
+    @pytest.mark.parametrize("samples", [4, 5, 8, 9, 64, 65, 257])
+    def test_fft_products_match_hankel(self, samples):
+        rng = np.random.default_rng(samples)
+        y = rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
+        L = samples // 2
+        hank = sliding_window_view(y, L + 1)
+        rows, cols = hank.shape
+        v = rng.standard_normal((cols, 3)) + 1j * rng.standard_normal((cols, 3))
+        u = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        y_hat = np.fft.fft(y)
+        assert np.max(np.abs(_hankel_product(y_hat, v, rows) - hank @ v)) <= 1e-12
+        assert np.max(np.abs(_hankel_product(y_hat, u.conj(), cols).conj()
+                             - hank.conj().T @ u)) <= 1e-12
+
+    def test_rerun_is_bit_identical(self):
+        _, rec = pencil_record(5, 1024, 10 ** 6, 805)
+        dt = rec.grid_step()
+        first = matrix_pencil(rec.values, dt, order=5)
+        assert first[2]["singular_values"].size == 15
+        assert_pencils_identical(matrix_pencil(rec.values.copy(), dt, order=5), first)
+
+    # at the noise floor, the first sketch projects more work than the
+    # dense SVD; below DENSE_PENCIL_COLS columns the dense SVD is cheaper
+    @pytest.mark.parametrize("n, samples", [(30, 512), (3, 64), (3, 254)])
+    def test_dense_route_is_bit_identical(self, n, samples):
+        _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
+        dt = rec.grid_step()
+        new = matrix_pencil(rec.values, dt, order=n)
+        assert new[2]["singular_values"].size == samples // 2
+        assert_pencils_identical(new, parent_matrix_pencil(rec.values, dt, n))
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match=f"model order must be at least 1, got {order}"):
+            matrix_pencil(np.ones(64, dtype=complex), 0.1, order=order)
+
+    def test_stalled_iteration_names_the_ratio(self, monkeypatch):
+        # a tolerance no change can meet: without a dense route the
+        # iteration must stop once the change no longer falls
+        monkeypatch.setattr(tomography, "SUBSPACE_TOL", -1.0)
+        _, rec = pencil_record(3, 256, 10 ** 6, 803)
+        with pytest.raises(ValueError, match=r"stopped improving .* \(ratio \d"):
+            tomography._subspace_svd(rec.values, 3, dense_allowed=False)
+
+    def test_long_record_memory(self, run_limited):
+        # the dense pencil of 65536 samples would need a 32768x32769 Hankel
+        # matrix (17 GB) and its SVD; subspace iteration stays at O(K order)
+        code = (
+            "import tracemalloc, numpy as np\n"
+            "from spin1chain.hamiltonians import pst_preset\n"
+            "from spin1chain.tomography import synthesize_record, extract_spectrum\n"
+            "spec = pst_preset(3, 'standard')\n"
+            "rec = synthesize_record(spec, 'up', 'amplitude', 0.5 * np.arange(65536),\n"
+            "                        shots=10**6, seed=3)\n"
+            "tracemalloc.start()\n"
+            "sd, diagnostics = extract_spectrum(rec, 3)\n"
+            "print(tracemalloc.get_traced_memory()[1], diagnostics['singular_values'].size)\n")
+        done = run_limited(code)
+        assert done.returncode == 0, done.stderr
+        peak, size = map(int, done.stdout.split())
+        assert size == 13
+        assert peak < 256 << 20
