@@ -11,8 +11,8 @@ Subcommands::
 
 Times are accepted as plain numbers or exact multiples of pi: ``pi``,
 ``0.5pi``, ``2pi/3``.  Exit codes: 0 success (and check passed), 2 usage or
-input error, 4 a verification-style check failed; errors are mirrored as
-JSON on stderr.
+input error (an input too large for memory included), 4 a verification-style
+check failed; errors are mirrored as JSON on stderr.
 """
 
 import argparse
@@ -463,6 +463,8 @@ def main(argv=None):
         return _error({"stage": "spec", "path": exc.path, "message": str(exc)}, 2)
     except (ValueError, RuntimeError) as exc:
         return _error({"stage": args.command, "message": str(exc)}, 2)
+    except MemoryError as exc:
+        return _error({"stage": args.command, "message": f"out of memory: {exc}"}, 2)
 
 
 if __name__ == "__main__":

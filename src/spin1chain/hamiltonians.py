@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_ops import A1, A2, ChainOperator, SX, SY, SZ, SZ2
-
-# chains longer than this are built as scipy CSR, the only sparse matrix of
-# the package; a dense n=8 build would hold several 3^8 matrices of 689 MB each
-AUTO_DENSE_MAX = 6
+from .linalg import ChainOperator, entries_at
+from .spin_ops import A1, A2, SX, SY, SZ, SZ2
 
 SWAP2 = np.zeros((9, 9), dtype=complex)
 for _a in range(3):
@@ -76,7 +73,7 @@ def h12(n=2):
     """The SWAP-generating two-site Hamiltonian as a ChainOperator."""
     if n != 2:
         raise ValueError("h12 is defined on exactly two sites")
-    return ChainOperator(mix_two_site(), 2)
+    return ChainOperator.from_terms([(1, mix_two_site())], 2)
 
 
 CANDIDATE_NAMES = ("O1", "O2", "O3", "O4", "O5")
@@ -205,43 +202,13 @@ def _local_terms(spec):
             + [(i, spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2) for i in range(1, n + 1)])
 
 
-def _global_entries(local, site, n):
-    """Rows, columns and values of the nonzeros of I (x) local (x) I on n sites.
-
-    With L = 3^(site-1) states to the left, d = local.shape[0] and R states
-    to the right, local entry (a, b) lands at ((l*d + a)*R + r,
-    (l*d + b)*R + r) for every l < L and r < R.
-    """
-    width = local.shape[0]
-    left = 3 ** (site - 1)
-    right = 3 ** n // (left * width)
-    offsets = (np.arange(left)[:, None] * (width * right) + np.arange(right)).ravel()
-    a, b = np.nonzero(local)
-    rows = (a[:, None] * right + offsets).ravel()
-    cols = (b[:, None] * right + offsets).ravel()
-    return rows, cols, np.repeat(local[a, b], offsets.size)
-
-
 def chain_hamiltonian(spec):
     """Build the full-space 3^n Hamiltonian described by ``spec``.
 
-    The nonzeros of every local term are placed by index arithmetic and
-    summed in term order.  Chains longer than AUTO_DENSE_MAX sites are
-    built as scipy CSR, which is imported only then.
+    It is the sum of its local terms (:meth:`ChainOperator.from_terms`):
+    no 3^n matrix is formed, so a chain of any length can be built.
     """
-    n = spec.n
-    dim = 3 ** n
-    rows, cols, vals = (np.concatenate(part) for part in zip(
-        *(_global_entries(local, site, n) for site, local in _local_terms(spec))))
-    if n > AUTO_DENSE_MAX:
-        import scipy.sparse as sp
-
-        total = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        total.eliminate_zeros()
-    else:
-        total = np.zeros((dim, dim), dtype=complex)
-        np.add.at(total, (rows, cols), vals)
-    return ChainOperator(total, n)
+    return ChainOperator.from_terms(_local_terms(spec), spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +315,17 @@ class SubspaceLeakageError(RuntimeError):
 
 
 def _sigma_columns(chain_op):
+    """H's columns at the sigma states, read from H's entries: the sigma block
+    in sigma ordering and the spectral norm of the part outside sigma."""
     idx = SigmaBasis(chain_op.n_sites).full_space_indices()
-    if chain_op.is_sparse:
-        cols = chain_op.mat.tocsc()[:, idx].toarray()
-    else:
-        cols = chain_op.dense()[:, idx]
-    return idx, cols
+    cols = entries_at(chain_op, np.arange(chain_op.dim)[:, None] * chain_op.dim + idx)
+    outside = np.delete(cols, idx, axis=0)
+    return cols[idx, :], float(np.linalg.norm(outside, 2)) if outside.size else 0.0
 
 
 def sigma_leakage(chain_op):
     """Spectral norm of (I - P_sigma) H P_sigma: how much H leaks out of sigma."""
-    idx, cols = _sigma_columns(chain_op)
-    outside = np.delete(cols, idx, axis=0)
-    return float(np.linalg.norm(outside, 2)) if outside.size else 0.0
+    return _sigma_columns(chain_op)[1]
 
 
 def project_to_sigma(chain_op):
@@ -370,15 +335,12 @@ def project_to_sigma(chain_op):
     :class:`SubspaceLeakageError` when H maps sigma states outside sigma
     with spectral norm above LEAKAGE_TOL.
     """
-    idx, cols = _sigma_columns(chain_op)
-    block = cols[idx, :]
-    outside = np.delete(cols, idx, axis=0)
-    leakage = float(np.linalg.norm(outside, 2)) if outside.size else 0.0
+    block, leakage = _sigma_columns(chain_op)
     if leakage > LEAKAGE_TOL:
         raise SubspaceLeakageError(
             f"sigma subspace is not invariant: leakage norm {leakage:.3e} > {LEAKAGE_TOL:.1e}"
         )
-    return np.asarray(block)
+    return block
 
 
 def up_block(spec):

@@ -1,4 +1,4 @@
-"""Dense Hermitian eigen-machinery shared by the whole package.
+"""Chain operators as summed nonzero entries, and the shared Hermitian eigen-machinery.
 
 Everything downstream (time evolution, parity splitting, tomography)
 goes through :func:`eig_hermitian`, which enforces a deterministic
@@ -30,6 +30,85 @@ class NonHermitianError(ValueError):
 def hermiticity_deviation(mat):
     """Largest entry of |A - A^dagger|; a stack is taken matrix by matrix."""
     return float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))) if mat.size else 0.0
+
+
+def _global_entries(local, site, n):
+    """Rows, columns and values of the nonzeros of I (x) local (x) I on n sites.
+
+    With L = 3^(site-1) states to the left, d = local.shape[0] and R states
+    to the right, local entry (a, b) lands at ((l*d + a)*R + r,
+    (l*d + b)*R + r) for every l < L and r < R.
+    """
+    width = local.shape[0]
+    left = 3 ** (site - 1)
+    right = 3 ** n // (left * width)
+    offsets = (np.arange(left)[:, None] * (width * right) + np.arange(right)).ravel()
+    a, b = np.nonzero(local)
+    rows = (a[:, None] * right + offsets).ravel()
+    cols = (b[:, None] * right + offsets).ravel()
+    return rows, cols, np.repeat(local[a, b], offsets.size)
+
+
+@dataclass(frozen=True)
+class ChainOperator:
+    """An operator on the full 3^n product space, held as its summed nonzero entries:
+    ``flat``, their ascending flat (row-major) indices, and ``values``.  ``len()``
+    is the dimension, as for a square array."""
+
+    flat: np.ndarray
+    values: np.ndarray
+    n_sites: int
+
+    @classmethod
+    def from_terms(cls, terms, n):
+        """The sum of I (x) local (x) I over ``terms``, (first site, local matrix) pairs.
+
+        Entries are summed in term order into zeros, as a dense matrix sums
+        them; entries that sum to exactly 0 are dropped.
+        """
+        rows, cols, vals = (np.concatenate(part) for part in zip(
+            *(_global_entries(local, site, n) for site, local in terms)))
+        flat, where = np.unique(rows * 3 ** n + cols, return_inverse=True)
+        values = np.zeros(flat.size, dtype=complex)
+        np.add.at(values, where, vals)
+        keep = values != 0
+        return cls(flat[keep], values[keep], n)
+
+    @property
+    def dim(self):
+        return 3 ** self.n_sites
+
+    def __len__(self):
+        return self.dim
+
+    def dense(self):
+        check_dense_dim(self.dim)
+        out = np.zeros(self.dim ** 2, dtype=complex)
+        out[self.flat] = self.values
+        return out.reshape(self.dim, self.dim)
+
+    def hermiticity_deviation(self):
+        """Largest entry of |A - A^dagger|, read at the nonzero entries only: where
+        A[i, j] is 0, entry (j, i) has the same modulus, so this is the dense maximum."""
+        rows, cols = np.divmod(self.flat, self.dim)
+        transposed = entries_at(self, cols * self.dim + rows)
+        return float(np.max(np.abs(self.values - transposed.conj()), initial=0.0))
+
+    def __matmul__(self, vector):
+        rows, cols = np.divmod(self.flat, self.dim)
+        out = np.zeros(self.dim, dtype=complex)
+        np.add.at(out, rows, self.values * np.asarray(vector)[cols])
+        return out
+
+
+def entries_at(op, flat):
+    """Entries of a ChainOperator or a square array at the flat (row-major) indices
+    ``flat``; an index that a ChainOperator does not hold reads 0."""
+    if not isinstance(op, ChainOperator):
+        return np.asarray(op).reshape(-1)[flat]
+    pos = np.searchsorted(op.flat, flat)
+    found = np.append(op.flat, -1)[pos] == flat
+    return np.where(found, np.append(op.values, 0)[pos], 0)
 
 
 def fix_eigenvector_phases(vectors):
@@ -110,49 +189,52 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def eig_hermitian(mat, nonzero=None):
+def eig_hermitian(op):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
-    Each connected block of the nonzero pattern (:func:`connected_blocks`;
-    ``nonzero`` holds the flat indices of the nonzero entries when the
-    caller has already found them, as :func:`evolution_cache` has)
-    is diagonalized on its own, the blocks of one size in one stacked
-    ``eigh`` call; the eigenpairs are then sorted ascending (stably, so
-    equal eigenvalues keep the order of the solves: smaller blocks first,
-    then by smallest index).  A matrix that is one block goes to ``eigh``
-    whole.
+    ``op`` is a square array or a :class:`ChainOperator`, which is refused
+    above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
+    (:func:`connected_blocks`) is diagonalized on its own, the blocks of
+    one size in one stacked ``eigh`` call read from the entries; the
+    eigenpairs are then sorted ascending (stably, so equal eigenvalues
+    keep the order of the solves: smaller blocks first, then by smallest
+    index).  A matrix that is one block goes to ``eigh`` whole.
 
     Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
     HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
     so the deviation and the largest entry are those of the blocks.
     """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    blocks = connected_blocks(np.flatnonzero(mat) if nonzero is None else nonzero,
-                              mat.shape[0])
+    if isinstance(op, ChainOperator):
+        check_dense_dim(op.dim)
+        dim, nonzero = op.dim, op.flat
+    else:
+        op = np.asarray(op)
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {op.shape}")
+        dim, nonzero = op.shape[0], np.flatnonzero(op)
+    blocks = connected_blocks(nonzero, dim)
     if len(blocks) == 1:
-        stacks = [mat]
+        stacks = [op.dense() if isinstance(op, ChainOperator) else op]
     else:
         by_size = {}
         for block in blocks:
             by_size.setdefault(block.size, []).append(block)
         groups = [np.stack(by_size[size]) for size in sorted(by_size)]
-        stacks = [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
+        stacks = [entries_at(op, rows[:, :, None] * dim + rows[:, None, :]) for rows in groups]
     scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
     dev = max(hermiticity_deviation(s) for s in stacks)
     if dev > HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     if len(blocks) == 1:
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(stacks[0])
         return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
     solved = [np.linalg.eigh(stack) for stack in stacks]
     values = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vectors = np.zeros(mat.shape, dtype=complex)
+    vectors = np.zeros((dim, dim), dtype=complex)
     partition, offset = [], 0
     for rows, (_, v) in zip(groups, solved):
         count, size = rows.shape
@@ -215,18 +297,7 @@ _CACHE_LIMIT = 8
 _cache_by_fingerprint = {}
 
 
-def as_matrix(op):
-    """Dense matrix of an operator: a ChainOperator or an array.
-
-    A ChainOperator is recognized by its ``dense()`` method, since
-    spin_ops imports this module and cannot be imported here.
-    """
-    if isinstance(op, (HermitianEigenSystem, EvolutionCache)):
-        raise TypeError("pass the eigensystem through evolution_cache-aware APIs")
-    return op.dense() if hasattr(op, "dense") else np.asarray(op)
-
-
-def content_key(mat):
+def content_key(op):
     """sha256 key of a matrix's content, and the flat indices of its nonzero entries.
 
     The matrix is read as words of gcd(item size, 8) bytes: 64-bit words
@@ -236,30 +307,39 @@ def content_key(mat):
     differ, and so do equal bytes under another shape or dtype.  Only the
     nonzero words are hashed, which for a sparse Hamiltonian is a small
     part of its dense bytes.  The nonzero entries are those that compare
-    unequal to zero (a ``-0.0`` entry is not one), ascending.
+    unequal to zero (a ``-0.0`` entry is not one), ascending.  A
+    ChainOperator's key, from its entries, is that of its dense matrix.
     """
-    mat = np.ascontiguousarray(mat)
-    flat = mat.reshape(-1)
-    word = math.gcd(mat.itemsize, 8)
-    words = flat.view(f"u{word}")
-    where = (words != 0).nonzero()[0]
-    digest = hashlib.sha256(repr((mat.dtype.str, mat.shape)).encode())
+    if isinstance(op, ChainOperator):
+        dtype, shape, entries = op.values.dtype, (op.dim, op.dim), op.flat
+        words = op.values.view("u8")
+        # the real and the imaginary word of entry k sit at 2k and 2k + 1
+        where = (2 * entries[:, None] + np.arange(2)).ravel()[words != 0]
+        words = words[words != 0]
+    else:
+        mat = np.ascontiguousarray(op)
+        dtype, shape, flat = mat.dtype, mat.shape, mat.reshape(-1)
+        word = math.gcd(mat.itemsize, 8)
+        words = flat.view(f"u{word}")
+        where = (words != 0).nonzero()[0]
+        words = words[where]
+        entries = where // (mat.itemsize // word)
+        # an entry of several nonzero words is listed once
+        keep = flat[entries] != 0
+        keep[1:] &= entries[1:] != entries[:-1]
+        entries = entries[keep]
+    digest = hashlib.sha256(repr((dtype.str, shape)).encode())
     digest.update(where.tobytes())
-    digest.update(words[where].tobytes())
-    entries = where // (mat.itemsize // word)
-    # an entry of several nonzero words is listed once
-    keep = flat[entries] != 0
-    keep[1:] &= entries[1:] != entries[:-1]
-    return digest.hexdigest(), entries[keep]
+    digest.update(words.tobytes())
+    return digest.hexdigest(), entries
 
 
 def evolution_cache(op):
     """Memoized eigendecomposition keyed by matrix content (:func:`content_key`)."""
-    mat = as_matrix(op)
-    digest, nonzero = content_key(mat)
+    digest, nonzero = content_key(op)
     cached = _cache_by_fingerprint.get(digest)
     if cached is None:
-        cached = EvolutionCache(eig_hermitian(mat, nonzero), digest, nonzero)
+        cached = EvolutionCache(eig_hermitian(op), digest, nonzero)
         if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached

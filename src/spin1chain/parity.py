@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, connected_blocks, evolution_cache
+from .linalg import connected_blocks, entries_at, evolution_cache
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -113,20 +113,19 @@ def mirror_index(kind, dim):
 _GATHER_ELEMENTS = 1 << 18
 
 
-def commutator_residual(mat, index, nonzero):
+def commutator_residual(op, index, nonzero):
     """max |[H, M]| for the index mirror, read at the nonzero entries of H.
 
-    ``nonzero`` holds the flat indices of H's nonzero entries.  Entry
-    (i, j) of M H M - H is H[p i, p j] - H[i, j].  When H[i, j] is zero and
-    H[p i, p j] is not, (p i, p j) is a nonzero of H, and since every
-    mirror is an involution its entry is H[i, j] - H[p i, p j], of the same
-    modulus.  So the maximum over the nonzeros is the dense maximum, bit
-    for bit.
+    ``op`` is H as a square array or a ChainOperator and ``nonzero`` holds
+    the flat indices of its nonzero entries.  Entry (i, j) of M H M - H is
+    H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
+    (p i, p j) is a nonzero of H, and since every mirror is an involution
+    its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
+    maximum over the nonzeros is the dense maximum, bit for bit.
     """
-    dim = mat.shape[0]
-    flat = mat.reshape(-1)
+    dim = len(op)
     rows, cols = np.divmod(nonzero, dim)
-    diff = flat[index[rows] * dim + index[cols]] - flat[nonzero]
+    diff = entries_at(op, index[rows] * dim + index[cols]) - entries_at(op, nonzero)
     return float(np.max(np.abs(diff), initial=0.0))
 
 
@@ -257,15 +256,12 @@ def mirror_commutator(op, kind):
     Hamiltonian and kind and kept on its cache entry, from H's nonzero
     entries only.
     """
-    mat = as_matrix(op)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    index = mirror_index(kind, mat.shape[0])
-    cache = evolution_cache(mat)
+    index = mirror_index(kind, len(op))
+    cache = evolution_cache(op)
 
     def compute():
-        magnitude = np.max(np.abs(mat.reshape(-1)[cache.nonzero]), initial=0.0)
-        return commutator_residual(mat, index, cache.nonzero), max(1.0, float(magnitude))
+        magnitude = np.max(np.abs(entries_at(op, cache.nonzero)), initial=0.0)
+        return commutator_residual(op, index, cache.nonzero), max(1.0, float(magnitude))
 
     residual, scale = cache.memoized(("commutator", kind), compute)
     return cache, index, residual, scale

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_dense_dim, hermiticity_deviation, kron_all
+from .linalg import ChainOperator, kron_all  # noqa: F401  (ChainOperator is re-exported)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,45 +54,6 @@ class SiteOperator:
     mat: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChainOperator:
-    """An operator on the full 3^n product space.
-
-    ``mat`` is a dense ndarray, or the scipy CSR matrix that
-    ``chain_hamiltonian`` builds for long chains.  The CSR matrix is
-    recognized by its ``toarray`` method, so scipy is not imported here.
-    """
-
-    mat: object
-    n_sites: int
-
-    @property
-    def dim(self):
-        return 3 ** self.n_sites
-
-    @property
-    def is_sparse(self):
-        return hasattr(self.mat, "toarray")
-
-    def dense(self):
-        if self.is_sparse:
-            check_dense_dim(self.dim)
-            return self.mat.toarray()
-        return np.asarray(self.mat)
-
-    def hermiticity_deviation(self):
-        if self.is_sparse:
-            return abs(self.mat - self.mat.conj().T).max() if self.mat.nnz else 0.0
-        return hermiticity_deviation(self.mat)
-
-    def __matmul__(self, other):
-        if isinstance(other, ChainOperator):
-            if other.n_sites != self.n_sites:
-                raise ValueError("chain length mismatch")
-            return ChainOperator(self.mat @ other.mat, self.n_sites)
-        return self.mat @ other
-
-
 def site_operator(name):
     """Look up a single-site operator by label (Sx, Sy, Sz, Su, Sv, Sz2, A1, A2, I, P1, P0, Pm)."""
     try:
@@ -129,17 +90,12 @@ def ladder_identity_check():
     return devs
 
 
-def _factors(n, placed):
-    """Per-site factor list with 3x3 identities except at the placed sites."""
-    return [placed.get(s, IDENTITY3) for s in range(1, n + 1)]
-
-
 def embed(op, site, n):
     """Embed a single-site operator at ``site`` (1-based) into an n-site chain."""
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
     mat = op.mat if isinstance(op, SiteOperator) else np.asarray(op)
-    return ChainOperator(kron_all(_factors(n, {site: mat})), n)
+    return ChainOperator.from_terms([(site, mat)], n)
 
 
 def two_site(op_a, op_b, i, j, n):
@@ -151,7 +107,10 @@ def two_site(op_a, op_b, i, j, n):
             raise ValueError(f"site {s} out of range 1..{n}")
     mat_a = op_a.mat if isinstance(op_a, SiteOperator) else np.asarray(op_a)
     mat_b = op_b.mat if isinstance(op_b, SiteOperator) else np.asarray(op_b)
-    return ChainOperator(kron_all(_factors(n, {i: mat_a, j: mat_b})), n)
+    if i > j:
+        (i, mat_a), (j, mat_b) = (j, mat_b), (i, mat_a)
+    return ChainOperator.from_terms([(i, kron_all([mat_a] + [IDENTITY3] * (j - i - 1) + [mat_b]))],
+                                    n)
 
 
 _TRIT_BY_TOKEN = {"1": 0, "0": 1, "m": 2}

@@ -271,6 +271,19 @@ class TestTransfer:
         assert int(proc.stdout.splitlines()[-1]) < 300 * 1024  # peak RSS in KiB
         assert len((tmp_path / "n6_series.csv").read_text().splitlines()) == 125664 + 1
 
+    # a grid of 1e10 points needs 74.5 GiB
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--preset-n", "3", "--channel", "up", "--t-max", "1e4", "--dt", "1e-6"],
+        ["pst-check", "--n", "3", "--scan", "--t-max", "1e4", "--dt", "1e-6"]])
+    def test_grid_too_large_for_memory_is_an_input_error(self, tmp_path, run_limited, argv):
+        proc = run_limited("import sys\nfrom spin1chain.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))\n",
+                           *argv, "--output-dir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["stage"] == argv[0]
+        assert error["message"].startswith("out of memory: ") and "GiB" in error["message"]
+
 
 class TestPstCheck:
     def test_standard_n2(self, capsys):

@@ -1,11 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from spin1chain.hamiltonians import (
-    AUTO_DENSE_MAX,
     KINDS,
     ChainSpec,
     SigmaBasis,
@@ -108,8 +108,8 @@ def every_kind(n, seed):
             for kind in KINDS]
 
 
-# n = 9 is past the dense cap: the sparse build works, and every path that
-# would densify it must refuse with the dimension and the cap
+# n = 9 is past the dense cap: the build from entries works, and every path
+# that would densify it must refuse with the dimension and the cap
 DENSE_CAP_CHILD = """
 import numpy as np
 from spin1chain.dynamics import evolution_cache, mirror_check
@@ -121,10 +121,11 @@ spec = ChainSpec(n=9, kind="engineered", a=tuple(rng.uniform(-2, 2, 8)),
                  b=tuple(rng.uniform(-2, 2, 8)), B=tuple(rng.uniform(-2, 2, 9)),
                  C=tuple(rng.uniform(-2, 2, 9)))
 ham = chain_hamiltonian(spec)
-assert ham.is_sparse and ham.dim == 3 ** 9, (ham.is_sparse, ham.dim)
+# 8 bonds of 4 hopping entries on 3^7 states each, and at most 3^9 diagonal entries
+assert ham.dim == 3 ** 9 and ham.flat.size <= 8 * 4 * 3 ** 7 + 3 ** 9, (ham.dim, ham.flat.size)
 calls = {"dense": ham.dense, "evolution_cache": lambda: evolution_cache(ham),
          "mirror_check": lambda: mirror_check(ham, np.pi),
-         "embed": lambda: embed(site_operator("Sz"), 1, 9)}
+         "embed": lambda: embed(site_operator("Sz"), 1, 9).dense()}
 for name, call in calls.items():
     try:
         call()
@@ -323,26 +324,25 @@ class TestChainHamiltonian:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_dense_build_is_byte_identical_to_kron_sum(self, n):
-        for spec in every_kind(n, seed=40 + n):
-            assert chain_hamiltonian(spec).dense().tobytes() == kron_sum_reference(spec).tobytes()
+        for spec in every_kind(n, seed=40 + n) + [pst_preset(n, "standard")]:
+            ham, reference = chain_hamiltonian(spec), kron_sum_reference(spec)
+            # the summed entries are the nonzeros of the dense sum, bit for bit
+            assert np.array_equal(ham.flat, np.flatnonzero(reference))
+            assert ham.values.tobytes() == reference.reshape(-1)[ham.flat].tobytes()
+            assert ham.dense().tobytes() == reference.tobytes()
 
     def test_sparse_build_matches_kron_sum(self):
-        for spec in every_kind(AUTO_DENSE_MAX + 1, seed=47):
+        for spec in every_kind(7, seed=47):
             ham = chain_hamiltonian(spec)
-            assert ham.is_sparse
-            assert abs(ham.mat - kron_sum_reference(spec, sparse=True)).max() <= 1e-14
+            built = sp.csr_matrix((ham.values, np.divmod(ham.flat, ham.dim)),
+                                  shape=(ham.dim, ham.dim))
+            assert abs(built - kron_sum_reference(spec, sparse=True)).max() <= 1e-14
 
     def test_sparse_matches_dense(self):
-        n = AUTO_DENSE_MAX + 1
+        n = 7
         for spec in (random_engineered(np.random.default_rng(14), n), ChainSpec(n=n, kind="O5")):
             ham = chain_hamiltonian(spec)
-            assert ham.is_sparse
             assert np.max(np.abs(ham.dense() - dense_reference(spec))) <= 1e-14
-
-    def test_auto_switches_to_sparse(self):
-        rng = np.random.default_rng(15)
-        spec = random_engineered(rng, AUTO_DENSE_MAX + 1)
-        assert chain_hamiltonian(spec).is_sparse
 
     def test_dense_cap_enforced(self, run_limited):
         proc = run_limited(DENSE_CAP_CHILD)
@@ -418,6 +418,21 @@ class TestSigmaSubspace:
         rng = np.random.default_rng(19)
         spec = random_engineered(rng, 5)
         assert sigma_leakage(chain_hamiltonian(spec)) <= 1e-12
+
+    def test_eight_sites_read_only_the_entries(self):
+        spec = random_engineered(np.random.default_rng(20), 8)
+        tracemalloc.start()
+        try:
+            ham = chain_hamiltonian(spec)
+            leakage, block = sigma_leakage(ham), project_to_sigma(ham)
+            leaky = sigma_leakage(chain_hamiltonian(ChainSpec(n=8, kind="heisenberg")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leakage <= 1e-12 and leaky > 0.1
+        assert np.max(np.abs(block - engineered_sigma_block(spec))) <= 1e-14
+        # a dense complex 3^8 matrix alone is 689 MB
+        assert peak < 64 << 20, peak
 
     def test_example_up_block(self):
         spec = ChainSpec(n=2, kind="engineered", a=(0.5,), b=(0.5,), B=(0, 0), C=(1, 1))

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from spin1chain import linalg
 from spin1chain.hamiltonians import (
     KINDS,
     ChainSpec,
@@ -325,6 +326,17 @@ class TestContentKey:
         assert np.array_equal(content_key(mat)[1], np.flatnonzero(mat))
         # a transposed view has other bytes in memory but the same key as its copy
         assert self.key(mat.T) == self.key(mat.T.copy())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_operator_shares_the_key_of_its_dense_matrix(self, kind, n, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(chain_spec(kind, n, seed=n))
+        dense = ham.dense()
+        digest, nonzero = content_key(ham)
+        assert digest == self.key(dense)
+        assert np.array_equal(nonzero, np.flatnonzero(dense))
+        assert evolution_cache(ham) is evolution_cache(dense)
 
     def test_equal_content_hits_the_cache(self):
         mat = chain_hamiltonian(ChainSpec(n=3, kind="O3")).dense()

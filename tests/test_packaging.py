@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import spin1chain
+from spin1chain import cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -39,9 +40,54 @@ def loaded_modules(statements, prefix):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only the CSR build of chains longer than AUTO_DENSE_MAX,
-    # so it is no part of the import cost of every CLI run
+    # scipy is a test dependency only (the tests' references), so it is no
+    # part of the import cost of a CLI run
     assert loaded_modules("import spin1chain.cli", "scipy") == []
+
+
+# every subcommand, run from a directory holding chain.json; the full-space
+# transfer builds, solves and scans a seven-site chain
+CLI_RUNS = [
+    ["spectra", "--format", "json", "--output-dir", "out"],
+    ["swap-check"],
+    ["transfer", "--preset-n", "7", "--source", "1000000", "--target", "0000001",
+     "--t-max", "pi", "--dt", "0.1", "--output-dir", "out", "--tag", "full"],
+    ["transfer", "--preset-n", "4", "--channel", "up", "--t-max", "pi", "--dt", "0.1",
+     "--output-dir", "out", "--tag", "channel"],
+    ["pst-check", "--n", "4", "--scan", "--t-max", "pi", "--dt", "0.1", "--output-dir", "out"],
+    ["tomography", "--preset-n", "3", "--emit-records", "--output-dir", "out", "--tag", "emit"],
+    ["tomography", "--record-up", "out/emit_record_up.csv", "--record-down",
+     "out/emit_record_down.csv", "--order", "3", "--output-dir", "out", "--tag", "files"],
+    ["validate", "--spec", "chain.json"],
+]
+
+NO_SCIPY_CHILD = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+from spin1chain.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path, monkeypatch):
+    spec = json.dumps(spin1chain.pst_preset(3).to_json_dict())
+    for side in ("blocked", "present"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "chain.json").write_text(spec)
+    src = str(Path(spin1chain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(CLI_RUNS)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path / "blocked",
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout.splitlines()[-1])
+    monkeypatch.chdir(tmp_path / "present")
+    present = [cli.main(argv) for argv in CLI_RUNS]
+    assert blocked == present == [0] * len(CLI_RUNS)
+    blocked, present = ({p.name: p.read_bytes() for p in (tmp_path / side / "out").iterdir()}
+                        for side in ("blocked", "present"))
+    assert blocked == present and len(present) > len(CLI_RUNS)
 
 
 def test_swap_check_loads_no_optimizer():

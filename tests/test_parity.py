@@ -27,6 +27,7 @@ from spin1chain.parity import (
     reference_comparison,
     sigma_mirror_index,
 )
+from spin1chain.linalg import ChainOperator, hermiticity_deviation
 from spin1chain.spin_ops import SX, SY, basis_index, basis_label
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
@@ -303,6 +304,33 @@ class TestCommutatorResidual:
         assert commutator_residual(mat, mirror_index("two_site_exchange", 9),
                                    np.flatnonzero(mat)) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_operator_maxima_equal_dense(self, n):
+        # read from the entries, the [H, M] residual and the Hermiticity
+        # deviation equal the dense maxima bit for bit: on operators with
+        # one-sided entries, on perturbed (non-Hermitian) chains and on
+        # chains that are not mirror symmetric
+        rng = np.random.default_rng(60 + n)
+        dim = 3 ** n
+        index = mirror_index("chain_mirror", dim)
+        ops = []
+        for density in (0.02, 0.2, 1.0):
+            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            mat[rng.random((dim, dim)) >= density] = 0.0
+            ops.append(ChainOperator.from_terms([(1, mat)], n))
+        lopsided = ChainSpec(n=n, kind="engineered", a=tuple(rng.uniform(0.5, 1.5, n - 1)),
+                             b=tuple(rng.uniform(0.5, 1.5, n - 1)),
+                             B=tuple(rng.uniform(-1, 1, n)), C=tuple(rng.uniform(0.5, 2, n)))
+        for spec in (mirror_symmetric_chain(n, seed=n), lopsided):
+            ham = chain_hamiltonian(spec)
+            noise = 1 + 1e-9 * rng.normal(size=ham.values.size)
+            ops += [ham, ChainOperator(ham.flat, ham.values * noise, n)]
+        for op in ops:
+            mat = op.dense()
+            dense = float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
+            assert commutator_residual(op, index, op.flat) == dense
+            assert op.hermiticity_deviation() == hermiticity_deviation(mat)
+
 
 class TestChainParitySpectrum:
     @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (5, 6)
@@ -343,9 +371,9 @@ class TestChainParitySpectrum:
         decompositions, solved, shared = [], [], []
         eig_hermitian, eigh = linalg.eig_hermitian, np.linalg.eigh
 
-        def counted_eig(mat, *args, **kwargs):
-            decompositions.append(np.asarray(mat).shape)
-            return eig_hermitian(mat, *args, **kwargs)
+        def counted_eig(op, *args, **kwargs):
+            decompositions.append(len(op))
+            return eig_hermitian(op, *args, **kwargs)
 
         def counted_eigh(mat, *args, **kwargs):
             solved.append(np.asarray(mat).shape)
@@ -366,7 +394,7 @@ class TestChainParitySpectrum:
         mirror = dynamics.mirror_check(ham, np.pi)
         split = parity_spectrum(ham, kind="chain_mirror")
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert decompositions == [(81, 81)]
+        assert decompositions == [81]
         assert shared == ["commutator_residual", "clustered_parities"]
         block_sizes = sorted(b.size for b in blocks)
         # each call solves a stack of blocks of one size: (count, size, size)
@@ -376,7 +404,7 @@ class TestChainParitySpectrum:
         # a second analysis of the same H computes nothing again
         assert dynamics.mirror_check(ham, np.pi) == mirror
         assert parity_spectrum(ham, kind="chain_mirror") == split
-        assert len(shared) == 2 and decompositions == [(81, 81)]
+        assert len(shared) == 2 and decompositions == [81]
 
 
 class TestFeasibility:

@@ -132,9 +132,10 @@ class TestTwoSite:
 
     def test_equals_product_of_embeddings(self):
         a, b = site_operator("Su"), site_operator("Sv")
-        direct = two_site(a, b, 1, 3, 3).dense()
-        product = embed(a, 1, 3).dense() @ embed(b, 3, 3).dense()
-        assert np.max(np.abs(direct - product)) <= 1e-14
+        for i, j in ((1, 3), (3, 1), (2, 3), (2, 1)):
+            direct = two_site(a, b, i, j, 3).dense()
+            product = embed(a, i, 3).dense() @ embed(b, j, 3).dense()
+            assert np.max(np.abs(direct - product)) <= 1e-14
 
     def test_same_site_rejected(self):
         with pytest.raises(ValueError, match="distinct sites"):
