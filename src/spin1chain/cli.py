@@ -30,7 +30,7 @@ from .dynamics import (
     amplitude_scan,
     evolution_cache,
     qutrit_fidelity_series,
-    qutrit_transfer_fidelity,
+    qutrit_transfer_fidelities,
 )
 from .hamiltonians import (
     CANDIDATE_NAMES,
@@ -238,10 +238,9 @@ def cmd_transfer(args):
 def cmd_pst_check(args):
     t = parse_time(args.time)
     spec = pst_preset(args.n, args.variant)
+    fidelities = qutrit_transfer_fidelities(spec, QUTRIT_TEST_STATES, t)
     states = []
-    for amp in QUTRIT_TEST_STATES:
-        raw = qutrit_transfer_fidelity(spec, amp, t, phase_correct=False)
-        corrected = qutrit_transfer_fidelity(spec, amp, t, phase_correct=True)
+    for amp, (raw, corrected) in zip(QUTRIT_TEST_STATES, fidelities):
         states.append({
             "qutrit": [[z.real, z.imag] for z in map(complex, amp)],
             "raw_fidelity": raw,

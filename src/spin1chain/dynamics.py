@@ -6,14 +6,13 @@ convention).  Scans over dense time grids are evaluated through the
 kernels module, which is the package's hot path.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, apply_exp, evolution_cache
+from .linalg import EvolutionCache, apply_exp, chain_sites, evolution_cache
 from .parity import mirror_commutator, mirror_parities
 from .spin_ops import ChainOperator, basis_index
 
@@ -60,8 +59,8 @@ def evolve(op, state, t, sign=1):
 
 def _state_index(state, dim):
     if isinstance(state, str):
-        n = round(math.log(dim, 3)) if dim > 1 else 0
-        if 3 ** n != dim:
+        n = chain_sites(dim)
+        if n is None:
             raise ValueError(f"state label {state!r} addresses a 3^n product space, "
                              f"but the operator has dimension {dim}")
         return basis_index(state, n)
@@ -165,6 +164,23 @@ def block_transfer_amplitudes(spec, t):
     return complex(f_up[0]), complex(f_down[0])
 
 
+def _qutrit_weights(qutrit):
+    """|alpha|^2, |beta|^2, |gamma|^2 of a normalized qutrit (alpha, beta, gamma)."""
+    alpha, beta, gamma = (complex(x) for x in qutrit)
+    norm = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"qutrit amplitudes must be normalized, got |.|^2 = {norm}")
+    return abs(alpha) ** 2, abs(beta) ** 2, abs(gamma) ** 2
+
+
+def _fidelity(weights, f_up, f_down, phase_correct):
+    """Fidelity from the qutrit's weights and the band amplitudes on a grid."""
+    wa, wb, wg = weights
+    if phase_correct:
+        f_up, f_down = np.abs(f_up), np.abs(f_down)
+    return np.abs(wa + wb * f_up + wg * f_down) ** 2
+
+
 def qutrit_fidelity_series(spec, qutrit, times, phase_correct=False):
     """Fidelity of sending the qutrit (alpha, beta, gamma) through the chain.
 
@@ -176,20 +192,25 @@ def qutrit_fidelity_series(spec, qutrit, times, phase_correct=False):
     optimum is closed-form (each theta cancels the corresponding band's
     transfer phase).  One sigma block and one eigensystem serve the grid.
     """
-    alpha, beta, gamma = (complex(x) for x in qutrit)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"qutrit amplitudes must be normalized, got |.|^2 = {norm}")
-    f_up, f_down = _band_series(spec, times)
-    wa, wb, wg = abs(alpha) ** 2, abs(beta) ** 2, abs(gamma) ** 2
-    if phase_correct:
-        f_up, f_down = np.abs(f_up), np.abs(f_down)
-    return np.abs(wa + wb * f_up + wg * f_down) ** 2
+    weights = _qutrit_weights(qutrit)
+    return _fidelity(weights, *_band_series(spec, times), phase_correct)
 
 
 def qutrit_transfer_fidelity(spec, qutrit, t, phase_correct=False):
     """Qutrit transfer fidelity at one time t (see ``qutrit_fidelity_series``)."""
     return float(qutrit_fidelity_series(spec, qutrit, [t], phase_correct)[0])
+
+
+def qutrit_transfer_fidelities(spec, qutrits, t):
+    """(raw, phase-corrected) transfer fidelity of each qutrit at one time t.
+
+    One pair of band amplitudes serves every qutrit; each value equals
+    ``qutrit_transfer_fidelity`` of that qutrit, bit for bit.
+    """
+    weights = [_qutrit_weights(qutrit) for qutrit in qutrits]
+    bands = _band_series(spec, [t])
+    return [tuple(float(_fidelity(w, *bands, corrected)[0]) for corrected in (False, True))
+            for w in weights]
 
 
 # ---------------------------------------------------------------------------

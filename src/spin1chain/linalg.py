@@ -5,13 +5,16 @@ goes through :func:`eig_hermitian`, which enforces a deterministic
 eigenvector phase convention so that regression files are stable.  It
 diagonalizes each connected block of the matrix's nonzero pattern on its
 own, so a Hamiltonian that conserves something costs what its sectors
-cost.  :func:`evolution_cache` memoizes it by matrix content, so the
-analyses of one Hamiltonian share a single decomposition.
+cost, and splits a block of a chain operator that commutes exactly with
+the site inversion into its two parity sectors.  :func:`evolution_cache`
+memoizes it by matrix content, so the analyses of one Hamiltonian share
+a single decomposition.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,9 @@ MAX_DENSE_DIM = 6561
 
 PHASE_FIX_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class NonHermitianError(ValueError):
@@ -157,6 +163,37 @@ def connected_blocks(nonzero, dim):
     return np.split(order, starts)
 
 
+def chain_sites(dim):
+    """The site count n of a 3^n-dimensional space, or None when ``dim`` is no power of 3."""
+    n = round(math.log(dim, 3)) if dim > 1 else 0
+    return n if 3 ** n == dim else None
+
+
+def chain_mirror_index(n):
+    """Site inversion (site i <-> n+1-i) on 3^n as an index array p.
+
+    The mirror M is a permutation and an involution, so ``M x = x[p]``,
+    ``M H M = H[p][:, p]`` and ``tr(M^T U) = sum_j U[p[j], j]``.
+    """
+    return np.arange(3 ** n).reshape((3,) * n).transpose().ravel()
+
+
+def commutator_residual(op, index, nonzero):
+    """max |[H, M]| for the index mirror, read at the nonzero entries of H.
+
+    ``op`` is H as a square array or a ChainOperator and ``nonzero`` holds
+    the flat indices of its nonzero entries.  Entry (i, j) of M H M - H is
+    H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
+    (p i, p j) is a nonzero of H, and since every mirror is an involution
+    its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
+    maximum over the nonzeros is the dense maximum, bit for bit.
+    """
+    dim = len(op)
+    rows, cols = np.divmod(nonzero, dim)
+    diff = entries_at(op, index[rows] * dim + index[cols]) - entries_at(op, nonzero)
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
 @dataclass(frozen=True)
 class HermitianEigenSystem:
     """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues.
@@ -165,11 +202,15 @@ class HermitianEigenSystem:
     of index arrays, one pair per block size: ``rows[k]`` are the basis
     states of one block and ``columns[k]`` its eigenvectors, which vanish
     outside those rows.  Left empty, the whole space is one block.
+    :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
+    :func:`commutator_residual` of a matrix of dimension 3^n, n >= 2, and
+    leaves it None otherwise.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: tuple = ()
+    mirror_residual: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -189,16 +230,104 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
+class _Solve(NamedTuple):
+    """Matrices of one size to diagonalize, and where their eigenvectors go: an
+    eigenvector y of matrix k has w y on ``rows[k]`` and sign w y on
+    ``mirrored[k]``, w being ``weights[k]`` (1 when None)."""
+
+    matrices: np.ndarray
+    rows: np.ndarray
+    mirrored: np.ndarray
+    weights: np.ndarray | None
+    sign: float
+    numbers: np.ndarray  # the block number of each matrix
+
+
+def _parity_sectors(stack, rows, image, numbers):
+    """Even and odd sector solves of mirror-symmetric blocks of one size.
+
+    ``stack`` holds the blocks' matrices, ``rows`` their rows (ascending in
+    each block) and ``image`` the position of each row's mirror image in
+    its block; every block has the same number of fixed rows.  An orbit of
+    the mirror M is a fixed row i or a pair (i, M i), i < M i.  The even
+    sector has one basis vector per orbit, e_i or (e_i + e_Mi)/sqrt2, and
+    the odd sector one per pair, (e_i - e_Mi)/sqrt2, both in order of i.
+    As H[M i, M j] == H[i, j], an entry needs row i of its orbit only: the
+    even entry of two pairs is H[i, j] + H[i, M j], of a fixed row and a
+    pair sqrt2 H[i, j] and of two fixed rows H[i, j]; the odd entry is
+    H[i, j] - H[i, M j].  Both sectors are exactly Hermitian when H is.
+    Returns the two :class:`_Solve` of the sectors, numbered ``numbers``.
+    """
+    count, size = rows.shape
+    first = np.nonzero(np.arange(size) <= image)[1].reshape(count, -1)
+    second = np.take_along_axis(image, first, axis=1)
+    pair = first != second
+    at = np.arange(count)[:, None, None]
+    even = stack[at, first[:, :, None], first[:, None, :]]
+    even += np.where(pair[:, :, None] & pair[:, None, :],
+                     stack[at, first[:, :, None], second[:, None, :]], 0)
+    even *= np.where(pair[:, :, None] == pair[:, None, :], 1.0, _SQRT2)
+    odd_first, odd_second = first[pair].reshape(count, -1), second[pair].reshape(count, -1)
+    odd = (stack[at, odd_first[:, :, None], odd_first[:, None, :]]
+           - stack[at, odd_first[:, :, None], odd_second[:, None, :]])
+    first, second, odd_first, odd_second = (np.take_along_axis(rows, local, axis=1)
+                                            for local in (first, second, odd_first, odd_second))
+    return (_Solve(even, first, second, np.where(pair, _SQRT_HALF, 1.0), 1.0, numbers),
+            _Solve(odd, odd_first, odd_second, np.full(odd_first.shape, _SQRT_HALF), -1.0, numbers))
+
+
+def _solves(groups, stacks, mirror, dim):
+    """The :class:`_Solve` stacks of the blocks, numbered in the order of ``groups``.
+
+    Without a ``mirror`` each stack of blocks is solved whole.  With one, a
+    block that the mirror maps onto itself and that holds a pair i != M i
+    is solved as its two parity sectors (:func:`_parity_sectors`) and its
+    block matrix is not kept.
+    """
+    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
+    solves = []
+    if mirror is not None:
+        position, block_of = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+        for rows, first in zip(groups, numbers):
+            position[rows] = np.arange(rows.shape[1])
+            block_of[rows] = first + np.arange(rows.shape[0])[:, None]
+    for rows, stack, first in zip(groups, stacks, numbers):
+        count, size = rows.shape
+        ids = first + np.arange(count)
+        split = np.zeros(count, dtype=bool)
+        if mirror is not None:
+            image = position[mirror[rows]]
+            fixed = np.count_nonzero(image == np.arange(size), axis=1)
+            split = np.all(block_of[mirror[rows]] == ids[:, None], axis=1) & (fixed < size)
+        if not split.any():
+            solves.append(_Solve(stack, rows, rows, None, 1.0, ids))
+            continue
+        keep = ~split
+        if keep.any():
+            solves.append(_Solve(stack[keep], rows[keep], rows[keep], None, 1.0, ids[keep]))
+        for count_fixed in np.unique(fixed[split]):
+            same = split & (fixed == count_fixed)
+            pick = slice(None) if same.all() else same
+            solves += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
+    return solves
+
+
 def eig_hermitian(op):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
     ``op`` is a square array or a :class:`ChainOperator`, which is refused
     above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
-    (:func:`connected_blocks`) is diagonalized on its own, the blocks of
-    one size in one stacked ``eigh`` call read from the entries; the
-    eigenpairs are then sorted ascending (stably, so equal eigenvalues
-    keep the order of the solves: smaller blocks first, then by smallest
-    index).  A matrix that is one block goes to ``eigh`` whole.
+    (:func:`connected_blocks`) is diagonalized on its own, its matrix read
+    from the entries.  An operator of dimension 3^n, n >= 2, whose entries
+    equal those of M H M exactly (M the chain mirror; the residual is kept
+    as ``mirror_residual``) has each block that M maps onto itself and
+    that holds a pair i != M i solved as its even and odd parity sectors
+    instead (:func:`_parity_sectors`); its eigenvectors then have definite
+    parity.  Solves of one size share one stacked ``eigh`` call.  The
+    eigenpairs are sorted ascending; equal eigenvalues are ordered by block
+    (smaller blocks first, then by smallest index), the even sector before
+    the odd, then as ``eigh`` returns them.  A matrix that is one block and
+    is not split goes to ``eigh`` whole.
 
     Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
     HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
@@ -212,9 +341,13 @@ def eig_hermitian(op):
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {op.shape}")
         dim, nonzero = op.shape[0], np.flatnonzero(op)
+    n = chain_sites(dim)
+    mirror = chain_mirror_index(n) if n is not None and n >= 2 else None
+    residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
     blocks = connected_blocks(nonzero, dim)
     if len(blocks) == 1:
-        stacks = [op.dense() if isinstance(op, ChainOperator) else op]
+        groups = [blocks[0][None, :]]
+        stacks = [(op.dense() if isinstance(op, ChainOperator) else op)[None]]
     else:
         by_size = {}
         for block in blocks:
@@ -226,24 +359,68 @@ def eig_hermitian(op):
     if dev > HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    if len(blocks) == 1:
-        w, v = np.linalg.eigh(stacks[0])
-        return HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
-    solved = [np.linalg.eigh(stack) for stack in stacks]
-    values = np.concatenate([w.ravel() for w, _ in solved])
-    order = np.argsort(values, kind="stable")
+    solves = _solves(groups, stacks, mirror if residual == 0 else None, dim)
+    del stacks
+    if len(blocks) == 1 and len(solves) == 1:
+        w, v = np.linalg.eigh(solves[0].matrices[0])
+        es = HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
+    else:
+        es = _solve_stacked(solves, groups, dim)
+    object.__setattr__(es, "mirror_residual", residual)
+    return es
+
+
+def _join(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _solve_stacked(solves, groups, dim):
+    """Solve the ``solves`` of :func:`_solves` in one stacked ``eigh`` per size and
+    scatter their eigenvectors, expanded to rows and mirrored rows, into one matrix."""
+    by_size = {}
+    for solve in solves:
+        by_size.setdefault(solve.matrices.shape[-1], []).append(solve)
+    del solves
+    solved, block_keys, sector_keys = [], [], []
+    for size in sorted(by_size):
+        parts = by_size.pop(size)
+        mats, rows, mirrored, ids = (_join([getattr(part, name) for part in parts])
+                                     for name in ("matrices", "rows", "mirrored", "numbers"))
+        weights = None
+        if any(part.weights is not None for part in parts):
+            weights = _join([np.ones(part.rows.shape) if part.weights is None else part.weights
+                             for part in parts])
+        signs = np.repeat([part.sign for part in parts], [part.rows.shape[0] for part in parts])
+        del parts
+        w, v = np.linalg.eigh(mats)
+        del mats
+        solved.append((w.ravel(), v, rows, mirrored, weights, signs))
+        block_keys.append(np.repeat(ids, size))
+        sector_keys.append(np.repeat(signs < 0, size))
+    values = np.concatenate([w for w, *_ in solved])
+    block_keys = np.concatenate(block_keys)
+    order = np.lexsort((np.concatenate(sector_keys), block_keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros((dim, dim), dtype=complex)
-    partition, offset = [], 0
-    for rows, (_, v) in zip(groups, solved):
+    offset = 0
+    for _, v, rows, mirrored, weights, signs in solved:
         count, size = rows.shape
-        # the columns of every block of the stack side by side, phase-fixed at once
+        if weights is not None:
+            v = v * weights[:, :, None]
+        # the columns of every solve of the stack side by side, phase-fixed at once
         v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
         cols = column[offset:offset + rows.size].reshape(rows.shape)
         v = v.reshape(size, count, size).transpose(1, 0, 2)
         vectors[rows[:, :, None], cols[:, None, :]] = v
-        partition.append((rows, cols))
+        if weights is not None:
+            vectors[mirrored[:, :, None], cols[:, None, :]] = signs[:, None, None] * v
+        offset += rows.size
+    # each block's columns, blocks in the order of ``groups``
+    by_block = column[np.argsort(block_keys, kind="stable")]
+    partition, offset = [], 0
+    for rows in groups:
+        partition.append((rows, by_block[offset:offset + rows.size].reshape(rows.shape)))
         offset += rows.size
     return HermitianEigenSystem(eigenvalues=values[order], eigenvectors=vectors,
                                 blocks=tuple(partition))

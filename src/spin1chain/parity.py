@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import connected_blocks, entries_at, evolution_cache
+from .linalg import (
+    chain_mirror_index,
+    chain_sites,
+    commutator_residual,
+    connected_blocks,
+    entries_at,
+    evolution_cache,
+)
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -57,15 +64,6 @@ CANDIDATE_FORMS = {
 }
 
 
-def chain_mirror_index(n):
-    """Site inversion (site i <-> n+1-i) on 3^n as an index array p.
-
-    The mirror M is a permutation and an involution, so ``M x = x[p]``,
-    ``M H M = H[p][:, p]`` and ``tr(M^T U) = sum_j U[p[j], j]``.
-    """
-    return np.arange(3 ** n).reshape((3,) * n).transpose().ravel()
-
-
 def sigma_mirror_index(n):
     """Site inversion on the sigma basis (up and down runs reversed) as an index array."""
     up = np.arange(n)[::-1]
@@ -97,8 +95,8 @@ def mirror_index(kind, dim):
                              f"operator, got dimension {dim}")
         return chain_mirror_index(2)
     if kind == "chain_mirror":
-        n = round(np.log(dim) / np.log(3)) if dim > 1 else 0
-        if n < 1 or 3 ** n != dim:
+        n = chain_sites(dim)
+        if not n:
             raise ValueError(f"chain_mirror parity needs dimension 3^n, got dimension {dim}")
         return chain_mirror_index(n)
     if kind == "sigma":
@@ -111,22 +109,6 @@ def mirror_index(kind, dim):
 # complex entries per gathered block of eigenvector rows (4 MB): the gathers and
 # their flat indices stay a few times that, below one dense 3^6 matrix
 _GATHER_ELEMENTS = 1 << 18
-
-
-def commutator_residual(op, index, nonzero):
-    """max |[H, M]| for the index mirror, read at the nonzero entries of H.
-
-    ``op`` is H as a square array or a ChainOperator and ``nonzero`` holds
-    the flat indices of its nonzero entries.  Entry (i, j) of M H M - H is
-    H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
-    (p i, p j) is a nonzero of H, and since every mirror is an involution
-    its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
-    maximum over the nonzeros is the dense maximum, bit for bit.
-    """
-    dim = len(op)
-    rows, cols = np.divmod(nonzero, dim)
-    diff = entries_at(op, index[rows] * dim + index[cols]) - entries_at(op, nonzero)
-    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _cluster_bounds(evals):
@@ -254,14 +236,18 @@ def mirror_commutator(op, kind):
     Returns (cache, index, residual, scale), ``scale`` being max(1, largest
     |entry| of H).  The residual and the scale are computed once per
     Hamiltonian and kind and kept on its cache entry, from H's nonzero
-    entries only.
+    entries only; the residual of the chain mirror (and of the two-site
+    exchange, the same index) is the one ``eig_hermitian`` kept.
     """
     index = mirror_index(kind, len(op))
     cache = evolution_cache(op)
 
     def compute():
         magnitude = np.max(np.abs(entries_at(op, cache.nonzero)), initial=0.0)
-        return commutator_residual(op, index, cache.nonzero), max(1.0, float(magnitude))
+        residual = cache.eigensystem.mirror_residual
+        if kind == "sigma" or residual is None:
+            residual = commutator_residual(op, index, cache.nonzero)
+        return residual, max(1.0, float(magnitude))
 
     residual, scale = cache.memoized(("commutator", kind), compute)
     return cache, index, residual, scale

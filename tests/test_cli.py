@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spin1chain import cli, tomography
+from spin1chain import cli, dynamics, tomography
 from spin1chain.cli import build_parser, main, parse_time
+from spin1chain.dynamics import QUTRIT_TEST_STATES, qutrit_transfer_fidelity
 from spin1chain.hamiltonians import pst_preset
 
 
@@ -319,6 +320,29 @@ class TestPstCheck:
         k = int(np.argmax(fid))
         assert abs(t[k] - np.pi) <= 2e-2
         assert fid[k] >= 1 - 1e-4
+
+    @pytest.mark.parametrize("variant, n", [("standard", 3), ("phase_exact", 7),
+                                            ("standard", 11)])
+    def test_one_band_series_per_report(self, variant, n, capsys, monkeypatch):
+        # the report holds, bit for bit, the per-state qutrit_transfer_fidelity
+        # values, and the op computes the band amplitudes once
+        spec = pst_preset(n, variant)
+        want = [(qutrit_transfer_fidelity(spec, amp, np.pi, phase_correct=False),
+                 qutrit_transfer_fidelity(spec, amp, np.pi, phase_correct=True))
+                for amp in QUTRIT_TEST_STATES]
+        calls = []
+        band_series = dynamics._band_series
+
+        def counted(*args):
+            calls.append(args)
+            return band_series(*args)
+
+        monkeypatch.setattr(dynamics, "_band_series", counted)
+        code, out, _ = run_cli(["pst-check", "--n", str(n), "--variant", variant], capsys)
+        assert code == 0 and len(calls) == 1
+        got = [(s["raw_fidelity"], s["corrected_fidelity"]) for s in json.loads(out)["states"]]
+        assert got == want
+        assert json.loads(out)["min_raw_fidelity"] == min(raw for raw, _ in want)
 
 
 class TestTomography:

@@ -18,6 +18,7 @@ from spin1chain.linalg import (
     NonHermitianError,
     PHASE_FIX_THRESHOLD,
     apply_exp,
+    chain_mirror_index,
     connected_blocks,
     content_key,
     eig_hermitian,
@@ -265,6 +266,175 @@ class TestPhaseFix:
         assert fixed.tobytes() == loop_phase_fix(v).tobytes()
 
 
+def stacked_block_reference(mat):
+    """The block path without parity sectors, as a reference: every connected
+    block solved whole (a one-block matrix by one eigh), blocks of one size in
+    one stacked eigh, eigenpairs sorted stably, each stack's columns
+    phase-fixed side by side and scattered into one matrix."""
+    dim = mat.shape[0]
+    blocks = blocks_of(mat)
+    if len(blocks) == 1:
+        w, v = np.linalg.eigh(mat)
+        return w, fix_eigenvector_phases(v)
+    by_size = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    groups = [np.stack(by_size[size]) for size in sorted(by_size)]
+    solved = [np.linalg.eigh(mat[rows[:, :, None], rows[:, None, :]]) for rows in groups]
+    values = np.concatenate([w.ravel() for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    offset = 0
+    for rows, (_, v) in zip(groups, solved):
+        count, size = rows.shape
+        v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
+        cols = column[offset:offset + rows.size].reshape(rows.shape)
+        vectors[rows[:, :, None], cols[:, None, :]] = v.reshape(size, count, size).transpose(1, 0, 2)
+        offset += rows.size
+    return values[order], vectors
+
+
+def mirror_symmetrized(mat, index):
+    """(A + M A M) / 2: its entries equal those of M H M exactly, and it is
+    exactly Hermitian when A is."""
+    return (mat + mat[np.ix_(index, index)]) / 2
+
+
+def random_on_pattern(rng, mat):
+    """A random complex Hermitian matrix on the nonzero pattern of ``mat``."""
+    values = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+    values = np.where(mat != 0, values, 0)
+    return (values + values.conj().T) / 2
+
+
+def sector_solve_sizes(mat, index):
+    """Sizes of the eigensolves of an exactly mirror-symmetric matrix: a block
+    that the mirror maps onto itself and that holds a pair gives its even
+    sector (one state per orbit) and its odd one (one per pair); any other
+    block is solved whole."""
+    sizes = []
+    for block in blocks_of(mat):
+        fixed = int(np.count_nonzero(index[block] == block))
+        if np.array_equal(np.sort(index[block]), block) and fixed < block.size:
+            sizes += [(block.size + fixed) // 2, (block.size - fixed) // 2]
+        else:
+            sizes.append(block.size)
+    return sorted(size for size in sizes if size)
+
+
+def assert_sector_eigensystem(es, mat, index):
+    """Accuracy bounds, definite parity on blocks the mirror maps onto
+    themselves, and eigenvectors that vanish outside their block's rows."""
+    scale = max(np.max(np.abs(mat)), 1.0)
+    assert es.mirror_residual == 0
+    assert es.reconstruction_residual(mat) <= 1e-12 * scale
+    assert es.unitarity_deviation() <= 1e-12
+    assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(mat))) <= 1e-12
+    assert np.all(np.diff(es.eigenvalues) >= 0)
+    v = es.eigenvectors
+    for rows, cols in es.blocks:
+        for block_rows, block_cols in zip(rows, cols):
+            outside = np.delete(v[:, block_cols], block_rows, axis=0)
+            assert not np.any(outside)
+            if np.array_equal(np.sort(index[block_rows]), block_rows):
+                cols_v = v[:, block_cols]
+                mirrored = cols_v[index]
+                parity_gap = np.minimum(np.max(np.abs(mirrored - cols_v), axis=0),
+                                        np.max(np.abs(mirrored + cols_v), axis=0))
+                assert np.max(parity_gap) <= 1e-12
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("pattern", [None, "heisenberg", "O3", "heisenberg_squared_mix"])
+    def test_symmetrized_random_matrices(self, n, pattern, monkeypatch):
+        # dense, Sz-sector (every block maps onto itself) and O3 patterns
+        # (blocks the mirror pairs stay whole, in stacks with the sectors)
+        rng = np.random.default_rng(100 + n)
+        index = chain_mirror_index(n)
+        if pattern is None:
+            mat = random_hermitian(rng, 3 ** n)
+        else:
+            mat = random_on_pattern(rng, chain_hamiltonian(ChainSpec(n=n, kind=pattern)).dense())
+        mat = mirror_symmetrized(mat, index)
+        shapes, eigh = [], np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            shapes.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        es = eig_hermitian(mat)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sorted(shapes) == sector_solve_sizes(mat, index)
+        assert_sector_eigensystem(es, mat, index)
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "O1", "O2", "O4", "O5"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_paper_kinds(self, kind, n):
+        mat = chain_hamiltonian(ChainSpec(n=n, kind=kind)).dense()
+        index = chain_mirror_index(n)
+        assert np.array_equal(mat[np.ix_(index, index)], mat)
+        assert_sector_eigensystem(eig_hermitian(mat), mat, index)
+
+    def test_o5_six_sites_solves_its_two_sectors(self, monkeypatch):
+        ham = chain_hamiltonian(ChainSpec(n=6, kind="O5"))
+        shapes, eigh = [], np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            shapes.append(np.asarray(a).shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        eig_hermitian(ham)
+        assert sorted(shape[-2:] for shape in shapes) == [(351, 351), (378, 378)]
+
+    @pytest.mark.parametrize("spec", [ChainSpec(n=6, kind="heisenberg_squared_mix"),
+                                      ChainSpec(n=6, kind="heisenberg_squared_sum"),
+                                      ChainSpec(n=6, kind="O3"),
+                                      chain_spec("engineered", 6, seed=9),
+                                      ChainSpec(n=6, kind="engineered",
+                                                a=(0.7, 1.1, 0.9, 1.1, 0.7),
+                                                b=(1.2, 0.8, 1.3, 0.8, 1.2),
+                                                B=(0.1, -0.3, 0.6, 0.6, -0.3, 0.1),
+                                                C=(1.5, 0.9, 1.1, 1.1, 0.9, 1.5)),
+                                      ChainSpec(n=6, kind="O2")],
+                             ids=["mix", "sum", "O3", "engineered", "engineered-symmetric",
+                                  "O2-paired-blocks"])
+    def test_other_operators_keep_the_block_path(self, spec):
+        # operators that differ from their mirror image in the last bits, and
+        # an exact one whose blocks the mirror only pairs, are solved block by
+        # block exactly as without parity sectors
+        ham = chain_hamiltonian(spec)
+        es = eig_hermitian(ham)
+        assert (es.mirror_residual == 0) == (spec.kind == "O2")
+        w, v = stacked_block_reference(ham.dense())
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 10, 24])
+    def test_non_chain_dimensions_keep_the_block_path(self, dim):
+        # a 3^n mirror exists only on 3^n dimensions; the index reversal
+        # symmetry of these matrices does not split them
+        rng = np.random.default_rng(dim)
+        mat = permuted_block_diagonal(rng, [dim // 2, dim - dim // 2])
+        mat = (mat + mat[::-1, ::-1]) / 2
+        for case in (mat, mat[:dim // 2, :dim // 2]):
+            es = eig_hermitian(case)
+            w, v = stacked_block_reference(case)
+            assert es.mirror_residual is None
+            assert es.eigenvalues.tobytes() == w.tobytes()
+            assert es.eigenvectors.tobytes() == v.tobytes()
+
+    def test_rerun_is_byte_identical(self):
+        ham = chain_hamiltonian(ChainSpec(n=5, kind="heisenberg"))
+        first, second = eig_hermitian(ham), eig_hermitian(ham)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
 class TestBlockUnitary:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_dense_product_with_exact_zeros(self, sign):
@@ -337,6 +507,11 @@ class TestContentKey:
         assert digest == self.key(dense)
         assert np.array_equal(nonzero, np.flatnonzero(dense))
         assert evolution_cache(ham) is evolution_cache(dense)
+        # and the same eigensystem, parity sectors included, bit for bit
+        es, dense_es = evolution_cache(ham).eigensystem, eig_hermitian(dense)
+        assert es.eigenvalues.tobytes() == dense_es.eigenvalues.tobytes()
+        assert es.eigenvectors.tobytes() == dense_es.eigenvectors.tobytes()
+        assert es.mirror_residual == dense_es.mirror_residual
 
     def test_equal_content_hits_the_cache(self):
         mat = chain_hamiltonian(ChainSpec(n=3, kind="O3")).dense()

@@ -8,9 +8,11 @@ from spin1chain.hamiltonians import (
     ChainSpec,
     candidate_two_site,
     chain_hamiltonian,
+    engineered_sigma_block,
     h12,
     heisenberg_two_site,
     mix_two_site,
+    pst_preset,
 )
 from spin1chain.parity import (
     ADJUDICATED_SPECTRA,
@@ -299,6 +301,16 @@ class TestCommutatorResidual:
                 dense = float(np.max(np.abs(real[np.ix_(index, index)] - real)))
                 assert commutator_residual(real, index, np.flatnonzero(real)) == dense
 
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_sigma_kind_reads_its_own_mirror(self, n, monkeypatch):
+        # a sigma block of 3^k states gets the chain-mirror residual from
+        # eig_hermitian, which is not the residual of the sigma mirror
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        block = engineered_sigma_block(pst_preset(n, "standard"))
+        _, index, residual, _ = parity.mirror_commutator(block, "sigma")
+        assert linalg.evolution_cache(block).eigensystem.mirror_residual > 0
+        assert residual == commutator_residual(block, index, np.flatnonzero(block)) == 0
+
     def test_zero_matrix(self):
         mat = np.zeros((9, 9))
         assert commutator_residual(mat, mirror_index("two_site_exchange", 9),
@@ -348,11 +360,12 @@ class TestChainParitySpectrum:
         assert np.max(np.abs(np.array(split.even) - even)) <= 1e-12
         assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-12
 
-    @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (4, 5)
+    @pytest.mark.parametrize("spec", [ChainSpec(n=n, kind=kind) for n in (4, 5, 6)
                                       for kind in PAPER_KINDS]
-                             + [mirror_symmetric_chain(5, seed=17)],
-                             ids=[f"{kind}-n{n}" for n in (4, 5) for kind in PAPER_KINDS]
-                             + ["engineered-n5"])
+                             + [mirror_symmetric_chain(5, seed=17),
+                                mirror_symmetric_chain(6, seed=18)],
+                             ids=[f"{kind}-n{n}" for n in (4, 5, 6) for kind in PAPER_KINDS]
+                             + ["engineered-n5", "engineered-n6"])
     def test_split_equals_projector_sectors(self, spec):
         ham = chain_hamiltonian(spec)
         mat = ham.dense()
@@ -360,13 +373,16 @@ class TestChainParitySpectrum:
         p_even, p_odd = parity_projector_pair(chain_mirror_index(spec.n))
         even, odd = sector_spectrum(mat, p_even), sector_spectrum(mat, p_odd)
         assert len(split.even) == len(even) and len(split.odd) == len(odd)
-        assert np.max(np.abs(np.array(split.even) - even)) <= 1e-10
-        assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-10
+        assert np.max(np.abs(np.array(split.even) - even)) <= 1e-12
+        assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-12
 
-    def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
-        # one decomposition serves both analyses: a single eig_hermitian
-        # call, whose eigh calls cover every connected block exactly once;
-        # the commutator and the clustering are computed once as well
+    def _analyses_share_one_eigh(self, monkeypatch, spec):
+        """Run mirror_check and parity_spectrum of ``spec`` twice, counting calls.
+
+        Returns the dimension of each eig_hermitian call, the sizes of the
+        matrices each eigh call solved (one entry per matrix of a stack),
+        the names of the shared computations called, in order, and H.
+        """
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         decompositions, solved, shared = [], [], []
         eig_hermitian, eigh = linalg.eig_hermitian, np.linalg.eigh
@@ -376,7 +392,9 @@ class TestChainParitySpectrum:
             return eig_hermitian(op, *args, **kwargs)
 
         def counted_eigh(mat, *args, **kwargs):
-            solved.append(np.asarray(mat).shape)
+            # each call solves a stack of matrices of one size: (count, size, size)
+            count, size, _ = np.asarray(mat).shape
+            solved.extend([size] * count)
             return eigh(mat, *args, **kwargs)
 
         def counted(name, fn):
@@ -386,25 +404,53 @@ class TestChainParitySpectrum:
             return call
 
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
-        for name in ("commutator_residual", "clustered_parities"):
-            monkeypatch.setattr(parity, name, counted(name, getattr(parity, name)))
-        ham = chain_hamiltonian(mirror_symmetric_chain(4, seed=3))
-        blocks = linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
+        # eig_hermitian computes the chain-mirror residual in linalg, and
+        # parity would compute it again under its own binding
+        for module, name in ((linalg, "commutator_residual"), (parity, "commutator_residual"),
+                             (parity, "clustered_parities")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        ham = chain_hamiltonian(spec)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         mirror = dynamics.mirror_check(ham, np.pi)
         split = parity_spectrum(ham, kind="chain_mirror")
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert decompositions == [81]
-        assert shared == ["commutator_residual", "clustered_parities"]
-        block_sizes = sorted(b.size for b in blocks)
-        # each call solves a stack of blocks of one size: (count, size, size)
-        covered = sorted(size for count, size, _ in solved for _ in range(count))
-        assert covered == block_sizes
-        assert sum(covered) == 81
+        counts = (list(decompositions), sorted(solved), list(shared))
         # a second analysis of the same H computes nothing again
         assert dynamics.mirror_check(ham, np.pi) == mirror
         assert parity_spectrum(ham, kind="chain_mirror") == split
-        assert len(shared) == 2 and decompositions == [81]
+        assert (decompositions, sorted(solved), shared) == counts
+        return (*counts, ham)
+
+    def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
+        # one decomposition serves both analyses: a single eig_hermitian
+        # call, whose eigh calls cover every connected block exactly once;
+        # the commutator and the clustering are computed once as well
+        spec = mirror_symmetric_chain(4, seed=3)
+        decompositions, solved, shared, ham = self._analyses_share_one_eigh(monkeypatch, spec)
+        assert linalg.evolution_cache(ham).eigensystem.mirror_residual > 0
+        blocks = linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
+        assert decompositions == [81]
+        assert shared == ["commutator_residual", "clustered_parities"]
+        assert solved == sorted(b.size for b in blocks)
+        assert sum(solved) == 81
+
+    def test_exact_commuter_shares_one_sector_decomposition(self, monkeypatch):
+        # the exactly commuting twin: the one decomposition solves each
+        # parity sector of every block that the mirror maps onto itself
+        # once, and every other block whole
+        spec = ChainSpec(n=4, kind="heisenberg")
+        decompositions, solved, shared, ham = self._analyses_share_one_eigh(monkeypatch, spec)
+        assert linalg.evolution_cache(ham).eigensystem.mirror_residual == 0
+        index = chain_mirror_index(4)
+        sectors = []
+        for block in linalg.connected_blocks(np.flatnonzero(ham.dense()), 81):
+            fixed = int(np.count_nonzero(index[block] == block))
+            assert np.array_equal(np.sort(index[block]), block)  # Sz sectors map onto themselves
+            sectors += [(block.size + fixed) // 2, (block.size - fixed) // 2]
+        assert decompositions == [81]
+        assert shared == ["commutator_residual", "clustered_parities"]
+        assert solved == sorted(size for size in sectors if size)
+        assert sum(solved) == 81
 
 
 class TestFeasibility:
