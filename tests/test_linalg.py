@@ -349,16 +349,18 @@ def assert_sector_eigensystem(es, mat, index):
 class TestParitySectors:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("pattern", [None, "heisenberg", "O3", "heisenberg_squared_mix"])
-    def test_symmetrized_random_matrices(self, n, pattern, monkeypatch):
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_symmetrized_random_matrices(self, n, pattern, dtype, monkeypatch):
         # dense, Sz-sector (every block maps onto itself) and O3 patterns
-        # (blocks the mirror pairs stay whole, in stacks with the sectors)
+        # (blocks the mirror pairs stay whole, in stacks with the sectors);
+        # a real matrix keeps real sector matrices
         rng = np.random.default_rng(100 + n)
         index = chain_mirror_index(n)
         if pattern is None:
             mat = random_hermitian(rng, 3 ** n)
         else:
             mat = random_on_pattern(rng, chain_hamiltonian(ChainSpec(n=n, kind=pattern)).dense())
-        mat = mirror_symmetrized(mat, index)
+        mat = mirror_symmetrized(mat.real if dtype is float else mat, index)
         shapes, eigh = [], np.linalg.eigh
 
         def counted_eigh(a, *args, **kwargs):
