@@ -36,10 +36,8 @@ class StateVector:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
 
     @classmethod
-    def from_label(cls, label, basis="full"):
+    def from_label(cls, label):
         n = len(label)
-        if basis != "full":
-            raise ValueError("labels address the full product basis")
         amp = np.zeros(3 ** n, dtype=complex)
         amp[basis_index(label)] = 1.0
         return cls(amp, "full", n)
@@ -73,10 +71,10 @@ def _state_index(state, dim):
 def _transfer_terms(op, source, target):
     """Eigenvalues E_k and weights <target|v_k><v_k|source> of an amplitude."""
     cache = op if isinstance(op, EvolutionCache) else evolution_cache(op)
-    dim = cache.eigenvalues.shape[0]
-    src = _state_index(source, dim)
-    tgt = _state_index(target, dim)
-    return cache.eigenvalues, cache.eigenvectors[tgt, :] * np.conj(cache.eigenvectors[src, :])
+    es = cache.eigensystem
+    src = _state_index(source, es.dim)
+    tgt = _state_index(target, es.dim)
+    return es.eigenvalues, es.eigenvectors[tgt, :] * np.conj(es.eigenvectors[src, :])
 
 
 def transfer_amplitude(op, source, target, t, sign=1):
@@ -156,12 +154,6 @@ def _band_series(spec, times):
     cache = evolution_cache(engineered_sigma_block(spec))
     return tuple(kernels.phase_series(*_transfer_terms(cache, src, tgt), times, spec.time_sign)
                  for src, tgt in ((0, n - 1), (n + 1, 2 * n)))
-
-
-def block_transfer_amplitudes(spec, t):
-    """(f_up, f_down): end-to-end amplitudes of the two excitation bands."""
-    f_up, f_down = _band_series(spec, [t])
-    return complex(f_up[0]), complex(f_down[0])
 
 
 def _qutrit_weights(qutrit):

@@ -69,10 +69,8 @@ def candidate_two_site(name):
         raise ValueError(f"unknown candidate interaction {name!r}; valid: O1..O5") from None
 
 
-def h12(n=2):
+def h12():
     """The SWAP-generating two-site Hamiltonian as a ChainOperator."""
-    if n != 2:
-        raise ValueError("h12 is defined on exactly two sites")
     return ChainOperator.from_terms([(1, mix_two_site())], 2)
 
 

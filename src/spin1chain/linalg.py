@@ -14,7 +14,6 @@ a single decomposition.
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -201,7 +200,10 @@ class HermitianEigenSystem:
     ``blocks`` records the connected blocks of H as (rows, columns) pairs
     of index arrays, one pair per block size: ``rows[k]`` are the basis
     states of one block and ``columns[k]`` its eigenvectors, which vanish
-    outside those rows.  Left empty, the whole space is one block.
+    outside those rows.  A block solved whole lists its columns in
+    ascending order; a block split into parity sectors lists its smaller
+    sector's columns first (the even sector's at equal size), each sector
+    ascending.  Left empty, the whole space is one block.
     :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
     :func:`commutator_residual` of a matrix of dimension 3^n, n >= 2, and
     leaves it None otherwise.
@@ -210,7 +212,7 @@ class HermitianEigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: tuple = ()
-    mirror_residual: float | None = field(default=None, init=False, compare=False)
+    mirror_residual: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -230,35 +232,28 @@ class HermitianEigenSystem:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-class _Solve(NamedTuple):
-    """Matrices of one size to diagonalize, and where their eigenvectors go: an
-    eigenvector y of matrix k has w y on ``rows[k]`` and sign w y on
-    ``mirrored[k]``, w being ``weights[k]`` (1 when None)."""
-
-    matrices: np.ndarray
-    rows: np.ndarray
-    mirrored: np.ndarray
-    weights: np.ndarray | None
-    sign: float
-    numbers: np.ndarray  # the block number of each matrix
-
-
 def _parity_sectors(stack, rows, image, numbers):
-    """Even and odd sector solves of mirror-symmetric blocks of one size.
+    """The matrices to solve for blocks of one size with the same number of fixed rows.
 
     ``stack`` holds the blocks' matrices, ``rows`` their rows (ascending in
     each block) and ``image`` the position of each row's mirror image in
-    its block; every block has the same number of fixed rows.  An orbit of
-    the mirror M is a fixed row i or a pair (i, M i), i < M i.  The even
-    sector has one basis vector per orbit, e_i or (e_i + e_Mi)/sqrt2, and
-    the odd sector one per pair, (e_i - e_Mi)/sqrt2, both in order of i.
-    As H[M i, M j] == H[i, j], an entry needs row i of its orbit only: the
-    even entry of two pairs is H[i, j] + H[i, M j], of a fixed row and a
-    pair sqrt2 H[i, j] and of two fixed rows H[i, j]; the odd entry is
-    H[i, j] - H[i, M j].  Both sectors are exactly Hermitian when H is.
-    Returns the two :class:`_Solve` of the sectors, numbered ``numbers``.
+    its block.  Yields (matrices, rows, mirrored, weights, sign, numbers):
+    an eigenvector y of matrix k has w y on ``rows[k]`` and sign w y on
+    ``mirrored[k]``, w being ``weights[k]``; blocks with no pair (every row
+    fixed) are their own even sector and are yielded as given, with
+    ``weights`` None.  Otherwise an orbit of the mirror M is a fixed row i
+    or a pair (i, M i), i < M i.  The even sector has one basis vector per
+    orbit, e_i or (e_i + e_Mi)/sqrt2, and the odd sector one per pair,
+    (e_i - e_Mi)/sqrt2, both in order of i.  As H[M i, M j] == H[i, j],
+    an entry needs row i of its orbit only: the even entry of two pairs is
+    H[i, j] + H[i, M j], of a fixed row and a pair sqrt2 H[i, j] and of two
+    fixed rows H[i, j]; the odd entry is H[i, j] - H[i, M j].  Both sectors
+    are exactly Hermitian when H is.  The even sector is yielded first.
     """
     count, size = rows.shape
+    if np.array_equal(image[0], np.arange(size)):
+        yield stack, rows, rows, None, 1.0, numbers
+        return
     first = np.nonzero(np.arange(size) <= image)[1].reshape(count, -1)
     second = np.take_along_axis(image, first, axis=1)
     pair = first != second
@@ -272,44 +267,8 @@ def _parity_sectors(stack, rows, image, numbers):
            - stack[at, odd_first[:, :, None], odd_second[:, None, :]])
     first, second, odd_first, odd_second = (np.take_along_axis(rows, local, axis=1)
                                             for local in (first, second, odd_first, odd_second))
-    return (_Solve(even, first, second, np.where(pair, _SQRT_HALF, 1.0), 1.0, numbers),
-            _Solve(odd, odd_first, odd_second, np.full(odd_first.shape, _SQRT_HALF), -1.0, numbers))
-
-
-def _solves(groups, stacks, mirror, dim):
-    """The :class:`_Solve` stacks of the blocks, numbered in the order of ``groups``.
-
-    Without a ``mirror`` each stack of blocks is solved whole.  With one, a
-    block that the mirror maps onto itself and that holds a pair i != M i
-    is solved as its two parity sectors (:func:`_parity_sectors`) and its
-    block matrix is not kept.
-    """
-    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    solves = []
-    if mirror is not None:
-        position, block_of = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
-        for rows, first in zip(groups, numbers):
-            position[rows] = np.arange(rows.shape[1])
-            block_of[rows] = first + np.arange(rows.shape[0])[:, None]
-    for rows, stack, first in zip(groups, stacks, numbers):
-        count, size = rows.shape
-        ids = first + np.arange(count)
-        split = np.zeros(count, dtype=bool)
-        if mirror is not None:
-            image = position[mirror[rows]]
-            fixed = np.count_nonzero(image == np.arange(size), axis=1)
-            split = np.all(block_of[mirror[rows]] == ids[:, None], axis=1) & (fixed < size)
-        if not split.any():
-            solves.append(_Solve(stack, rows, rows, None, 1.0, ids))
-            continue
-        keep = ~split
-        if keep.any():
-            solves.append(_Solve(stack[keep], rows[keep], rows[keep], None, 1.0, ids[keep]))
-        for count_fixed in np.unique(fixed[split]):
-            same = split & (fixed == count_fixed)
-            pick = slice(None) if same.all() else same
-            solves += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
-    return solves
+    yield even, first, second, np.where(pair, _SQRT_HALF, 1.0), 1.0, numbers
+    yield odd, odd_first, odd_second, np.full(odd_first.shape, _SQRT_HALF), -1.0, numbers
 
 
 def eig_hermitian(op):
@@ -323,11 +282,12 @@ def eig_hermitian(op):
     as ``mirror_residual``) has each block that M maps onto itself and
     that holds a pair i != M i solved as its even and odd parity sectors
     instead (:func:`_parity_sectors`); its eigenvectors then have definite
-    parity.  Solves of one size share one stacked ``eigh`` call.  The
-    eigenpairs are sorted ascending; equal eigenvalues are ordered by block
-    (smaller blocks first, then by smallest index), the even sector before
-    the odd, then as ``eigh`` returns them.  A matrix that is one block and
-    is not split goes to ``eigh`` whole.
+    parity.  Every other block is its own even sector and is solved whole.
+    Blocks of one size and one fixed-row count go through one stacked
+    ``eigh`` call per sector.  The eigenpairs are sorted ascending; equal
+    eigenvalues are ordered by block (smaller blocks first, then by
+    smallest index), the even sector before the odd, then as ``eigh``
+    returns them.
 
     Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
     HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
@@ -359,62 +319,53 @@ def eig_hermitian(op):
     if dev > HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    solves = _solves(groups, stacks, mirror if residual == 0 else None, dim)
-    del stacks
-    if len(blocks) == 1 and len(solves) == 1:
-        w, v = np.linalg.eigh(solves[0].matrices[0])
-        es = HermitianEigenSystem(eigenvalues=w, eigenvectors=fix_eigenvector_phases(v))
-    else:
-        es = _solve_stacked(solves, groups, dim)
-    object.__setattr__(es, "mirror_residual", residual)
-    return es
-
-
-def _join(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _solve_stacked(solves, groups, dim):
-    """Solve the ``solves`` of :func:`_solves` in one stacked ``eigh`` per size and
-    scatter their eigenvectors, expanded to rows and mirrored rows, into one matrix."""
-    by_size = {}
-    for solve in solves:
-        by_size.setdefault(solve.matrices.shape[-1], []).append(solve)
-    del solves
-    solved, block_keys, sector_keys = [], [], []
-    for size in sorted(by_size):
-        parts = by_size.pop(size)
-        mats, rows, mirrored, ids = (_join([getattr(part, name) for part in parts])
-                                     for name in ("matrices", "rows", "mirrored", "numbers"))
-        weights = None
-        if any(part.weights is not None for part in parts):
-            weights = _join([np.ones(part.rows.shape) if part.weights is None else part.weights
-                             for part in parts])
-        signs = np.repeat([part.sign for part in parts], [part.rows.shape[0] for part in parts])
-        del parts
-        w, v = np.linalg.eigh(mats)
-        del mats
-        solved.append((w.ravel(), v, rows, mirrored, weights, signs))
-        block_keys.append(np.repeat(ids, size))
-        sector_keys.append(np.repeat(signs < 0, size))
-    values = np.concatenate([w for w, *_ in solved])
-    block_keys = np.concatenate(block_keys)
-    order = np.lexsort((np.concatenate(sector_keys), block_keys, values))
+    if residual != 0:
+        mirror = np.arange(dim)
+    # each row's position in its block, and its block's number
+    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
+    position, block_of = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+    for rows, first in zip(groups, numbers):
+        position[rows] = np.arange(rows.shape[1])
+        block_of[rows] = first + np.arange(rows.shape[0])[:, None]
+    solved = []
+    for rows, stack, first in zip(groups, stacks, numbers):
+        count, size = rows.shape
+        ids = first + np.arange(count)
+        # the position of each row's mirror image in its block, or the row's
+        # own where M does not map the block onto itself
+        images = mirror[rows]
+        image = np.where(np.all(block_of[images] == ids[:, None], axis=1)[:, None],
+                         position[images], np.arange(size))
+        fixed = np.count_nonzero(image == np.arange(size), axis=1)
+        for count_fixed in np.unique(fixed):
+            same = fixed == count_fixed
+            pick = slice(None) if same.all() else same
+            for mats, *scatter in _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick]):
+                solved.append((*np.linalg.eigh(mats), *scatter))
+    del stacks, stack, mats  # every matrix is solved: free them before the dense scatter
+    # solves of one size side by side, so a split block lists its smaller sector first
+    solved.sort(key=lambda solve: solve[2].shape[1])
+    values = np.concatenate([w.ravel() for w, *_ in solved])
+    block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
+                                 for _, _, rows, _, _, _, ids in solved])
+    sector_keys = np.concatenate([np.full(rows.size, sign < 0)
+                                  for _, _, rows, _, _, sign, _ in solved])
+    order = np.lexsort((sector_keys, block_keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros((dim, dim), dtype=complex)
     offset = 0
-    for _, v, rows, mirrored, weights, signs in solved:
+    for _, v, rows, mirrored, weights, sign, _ in solved:
         count, size = rows.shape
         if weights is not None:
             v = v * weights[:, :, None]
-        # the columns of every solve of the stack side by side, phase-fixed at once
+        # the columns of every matrix of the stack side by side, phase-fixed at once
         v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
         cols = column[offset:offset + rows.size].reshape(rows.shape)
         v = v.reshape(size, count, size).transpose(1, 0, 2)
         vectors[rows[:, :, None], cols[:, None, :]] = v
         if weights is not None:
-            vectors[mirrored[:, :, None], cols[:, None, :]] = signs[:, None, None] * v
+            vectors[mirrored[:, :, None], cols[:, None, :]] = sign * v
         offset += rows.size
     # each block's columns, blocks in the order of ``groups``
     by_block = column[np.argsort(block_keys, kind="stable")]
@@ -423,7 +374,7 @@ def _solve_stacked(solves, groups, dim):
         partition.append((rows, by_block[offset:offset + rows.size].reshape(rows.shape)))
         offset += rows.size
     return HermitianEigenSystem(eigenvalues=values[order], eigenvectors=vectors,
-                                blocks=tuple(partition))
+                                blocks=tuple(partition), mirror_residual=residual)
 
 
 class EvolutionCache:
@@ -445,14 +396,6 @@ class EvolutionCache:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    @property
-    def eigenvalues(self):
-        return self.eigensystem.eigenvalues
-
-    @property
-    def eigenvectors(self):
-        return self.eigensystem.eigenvectors
 
     def unitary(self, t, sign=1):
         """exp(i*sign*H*t) as a dense matrix, built block by block.

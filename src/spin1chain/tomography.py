@@ -490,17 +490,14 @@ def synthesized_tomography(hidden_spec, records):
     )
 
 
-def full_tomography(hidden_spec, times, mode="amplitude", shots=None, seed=None):
+def full_tomography(hidden_spec, times, shots=None, seed=None):
     """End-to-end parameter estimation treating ``hidden_spec`` as unknown.
 
-    Synthesizes both channels' records and passes them to
-    :func:`synthesized_tomography`.  Probability-mode records cannot fix
-    absolute energies, so this entry point requires amplitude mode.
+    Synthesizes both channels' amplitude records and passes them to
+    :func:`synthesized_tomography`.  Probability records cannot fix
+    absolute energies: they only determine eigenvalue gaps (see
+    :func:`probability_mode_analysis`).
     """
-    if mode != "amplitude":
-        raise ValueError(
-            "full tomography requires amplitude records; probability records "
-            "only determine eigenvalue gaps (see probability_mode_analysis)")
     return synthesized_tomography(
         hidden_spec, synthesize_records(hidden_spec, "amplitude", times, shots, seed))
 

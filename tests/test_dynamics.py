@@ -6,10 +6,10 @@ from scipy.linalg import expm
 
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
+    _band_series,
     _distinct_phases,
     StateVector,
     amplitude_scan,
-    block_transfer_amplitudes,
     evolution_cache,
     evolve,
     mirror_check,
@@ -206,7 +206,7 @@ class TestQutritFidelity:
     def test_band_phases_standard(self):
         # both bands mirror with the same phase +-i at t = pi
         for n in (2, 3, 5):
-            f_up, f_down = block_transfer_amplitudes(pst_preset(n, "standard"), np.pi)
+            (f_up,), (f_down,) = _band_series(pst_preset(n, "standard"), [np.pi])
             assert abs(abs(f_up) - 1) <= 1e-10
             assert abs(f_up - f_down) <= 1e-10
             assert abs(f_up.real) <= 1e-10

@@ -170,10 +170,6 @@ class TestTwoSiteBuilders:
         with pytest.raises(ValueError, match="O1..O5"):
             candidate_two_site("O6")
 
-    def test_h12_requires_two_sites(self):
-        with pytest.raises(ValueError):
-            h12(3)
-
 
 SWAP_CASES = {"mix": mix_two_site, "squared_sum": squared_sum_two_site,
               "heisenberg": heisenberg_two_site,

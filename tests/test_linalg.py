@@ -8,6 +8,7 @@ from spin1chain.hamiltonians import (
     KINDS,
     ChainSpec,
     PRESET_VARIANTS,
+    candidate_two_site,
     chain_hamiltonian,
     engineered_sigma_block,
     heisenberg_two_site,
@@ -324,6 +325,13 @@ def sector_solve_sizes(mat, index):
     return sorted(size for size in sizes if size)
 
 
+def is_split(index, block_rows):
+    """Whether a block of an exact mirror commuter is solved as two parity
+    sectors: the mirror maps it onto itself and it holds a pair i != M i."""
+    return (np.array_equal(np.sort(index[block_rows]), block_rows)
+            and np.any(index[block_rows] != block_rows))
+
+
 def assert_sector_eigensystem(es, mat, index):
     """Accuracy bounds, definite parity on blocks the mirror maps onto
     themselves, and eigenvectors that vanish outside their block's rows."""
@@ -429,6 +437,50 @@ class TestParitySectors:
             assert es.mirror_residual is None
             assert es.eigenvalues.tobytes() == w.tobytes()
             assert es.eigenvectors.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "engineered"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_unsplit_blocks_are_written_as_eigh_returns_them(self, kind, n):
+        # a block the mirror does not map onto itself, or one without a pair,
+        # is solved whole and written without any arithmetic on its vectors
+        ham = chain_hamiltonian(ChainSpec(n=n, kind=kind))
+        mat, index = ham.dense(), chain_mirror_index(n)
+        es = eig_hermitian(ham)
+        unsplit = 0
+        for rows, cols in es.blocks:
+            for block_rows, block_cols in zip(rows, cols):
+                if es.mirror_residual == 0 and is_split(index, block_rows):
+                    continue
+                unsplit += 1
+                assert np.array_equal(block_cols, np.sort(block_cols))
+                _, v = np.linalg.eigh(mat[np.ix_(block_rows, block_rows)])
+                got = es.eigenvectors[np.ix_(block_rows, block_cols)]
+                assert got.tobytes() == fix_eigenvector_phases(v).tobytes()
+        assert unsplit > 0 or kind == "O5"  # an O5 chain is one block, split
+
+    @pytest.mark.parametrize("mat", [chain_hamiltonian(ChainSpec(n=4, kind="heisenberg")).dense(),
+                                     candidate_two_site("O5")],
+                             ids=["heisenberg-4", "O5-two-site"])
+    def test_split_blocks_list_their_smaller_sector_first(self, mat):
+        index = chain_mirror_index(linalg.chain_sites(mat.shape[0]))
+        es = eig_hermitian(mat)
+        assert es.mirror_residual == 0
+        split = 0
+        for rows, cols in es.blocks:
+            for block_rows, block_cols in zip(rows, cols):
+                if not is_split(index, block_rows):
+                    continue
+                split += 1
+                fixed = np.count_nonzero(index[block_rows] == block_rows)
+                v = es.eigenvectors[:, block_cols]
+                even = np.all(v[index] == v, axis=0)
+                assert np.all(even | np.all(v[index] == -v, axis=0))
+                # the smaller sector first, the even one at equal size
+                sectors = sorted([((block_rows.size + fixed) // 2, 0, True),
+                                  ((block_rows.size - fixed) // 2, 1, False)])
+                assert even.tolist() == [parity for size, _, parity in sectors
+                                         for _ in range(size)]
+        assert split > 0
 
     def test_rerun_is_byte_identical(self):
         ham = chain_hamiltonian(ChainSpec(n=5, kind="heisenberg"))

@@ -1,6 +1,10 @@
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -94,3 +98,33 @@ def test_swap_check_loads_no_optimizer():
     statements = ("import numpy as np; from spin1chain.hamiltonians import swap_check; "
                   "swap_check(np.eye(9))")
     assert loaded_modules(statements, "scipy.optimize") == []
+
+
+def public_callables(module):
+    """Public functions of ``module`` and public methods of its classes, with the
+    constructors of its other classes; dataclass and exception constructors
+    are left out, as their fields are data, not settings."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            plain = not (dataclasses.is_dataclass(obj) or issubclass(obj, BaseException))
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class and static methods
+                if inspect.isfunction(member) and (
+                        not attr.startswith("_") or (attr == "__init__" and plain)):
+                    yield f"{name}.{attr}", member
+
+
+def test_settable_value_count():
+    # a parameter with a default is a value a caller may set; a new one has to
+    # change this count and the count in ROADMAP.md together
+    settable = [f"{info.name}.{qualname}({param.name})"
+                for info in pkgutil.iter_modules(spin1chain.__path__)
+                for qualname, func in public_callables(
+                    importlib.import_module(f"spin1chain.{info.name}"))
+                for param in inspect.signature(func).parameters.values()
+                if param.default is not param.empty]
+    assert len(settable) == 25, settable

@@ -287,11 +287,6 @@ class TestFullTomography:
         result = full_tomography(flipped, safe_grid(flipped))
         assert np.max(np.abs(result.C - np.array(spec.C))) <= 1e-8
 
-    def test_probability_mode_refused(self):
-        spec = pst_preset(2, "standard")
-        with pytest.raises(ValueError, match="amplitude"):
-            full_tomography(spec, safe_grid(spec), mode="probability")
-
     def test_shot_noise_eigenvalues(self):
         spec = pst_preset(3, "standard")
         times = safe_grid(spec, samples_per_dim=64)
