@@ -12,8 +12,8 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, apply_exp, chain_sites, evolution_cache
-from .parity import mirror_commutator, mirror_parities
+from .linalg import EvolutionCache, apply_exp, block_positions, chain_sites, evolution_cache
+from .parity import known_parities, mirror_commutator, mirror_parities
 from .spin_ops import ChainOperator, basis_index
 
 
@@ -268,6 +268,61 @@ def _distinct_phases(phases):
     return tuple(complex(p) for p in phases[keep])
 
 
+def _mirror_entries(eigensystem, index, phases):
+    """U[M j, j] for every column j of U = V diag(phases) V^dagger, and the largest
+    |U[i, j]| over the other entries, without forming U.
+
+    U is block diagonal, so an image M j in another block than j reads 0.
+    A block whose columns have no odd parity (:func:`known_parities`) is
+    formed as V_b diag(phases) V_b^dagger on its own rows, stacked with the
+    other such blocks of its size.  A block solved by parity sector has
+    v[M i] = p v[i] in each column, p its parity, so on its orbit-first rows
+    F (i <= M i, fixed rows first, then the pairs P) the even columns give
+    G_e and the odd ones G_o, which vanishes outside P x P: U[i, j] =
+    U[M i, M j] = (G_e + G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e -
+    G_o)[i, j].  So the mirror entries U[M i, i] and U[i, M i] are the
+    diagonal of G_e - G_o, which on a fixed row is also that of G_e + G_o;
+    every other entry of the block is an entry of one of the two off those
+    places.
+    """
+    evecs, parities = eigensystem.eigenvectors, known_parities(eigensystem, index)
+    block_of, position = block_positions([rows for rows, _ in eigensystem.blocks],
+                                         eigensystem.dim)
+    diagonal = np.zeros(eigensystem.dim, dtype=complex)
+    largest = 0.0
+    for rows, cols in eigensystem.blocks:
+        split = np.any(parities[cols] < 0, axis=1)
+        for block_rows, block_cols in zip(rows[split], cols[split]):
+            first = block_rows[block_rows <= index[block_rows]]
+            first = first[np.argsort(first != index[first], kind="stable")]
+            nfixed = np.count_nonzero(first == index[first])
+            pars = parities[block_cols]
+            even, odd = block_cols[pars > 0], block_cols[pars < 0]
+            v = evecs[first[:, None], even]
+            sums = (v * phases[even]) @ v.conj().T
+            v = evecs[first[nfixed:, None], odd]
+            odd_part = (v * phases[odd]) @ v.conj().T
+            diffs = sums.copy()
+            sums[nfixed:, nfixed:] += odd_part
+            diffs[nfixed:, nfixed:] -= odd_part
+            diagonal[first] = diagonal[index[first]] = diffs.diagonal()
+            np.fill_diagonal(diffs, 0)
+            sums[np.arange(nfixed), np.arange(nfixed)] = 0
+            largest = max(largest, np.max(np.abs(sums)), np.max(np.abs(diffs)))
+        rows, cols = rows[~split], cols[~split]
+        if not rows.size:
+            continue
+        v = evecs[rows[:, :, None], cols[:, None, :]]
+        unitary = (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1)
+        images = index[rows]
+        block, column = np.nonzero(block_of[images] == block_of[rows])
+        row = position[images[block, column]]
+        diagonal[rows[block, column]] = unitary[block, row, column]
+        unitary[block, row, column] = 0
+        largest = max(largest, np.max(np.abs(unitary)))
+    return diagonal, float(largest)
+
+
 def mirror_check(op, t, sign=1, space="full"):
     """Test whether exp(i*sign*H*t) equals the site inversion up to a phase.
 
@@ -277,18 +332,20 @@ def mirror_check(op, t, sign=1, space="full"):
     parity of their eigenvectors (mirroring requires each group to collapse
     to one value, the two groups differing by a factor -1).  ``space`` is
     ``full`` (dimension 3^n) or ``sigma`` (the (2n+1)-dimensional sigma
-    block).
+    block).  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
+    residual the largest |U - e^{i phi} M| entry, both read block by block
+    and parity sector by parity sector (:func:`_mirror_entries`), so the
+    dense unitary is never built.
     """
     if space == "sigma" and isinstance(op, ChainOperator):
         raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
                          "not a full-space ChainOperator")
     kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
-    unitary = cache.unitary(t, sign)
-    columns = np.arange(index.size)
-    phi = float(np.angle(np.sum(unitary[index, columns])))
-    unitary[index, columns] -= np.exp(1j * phi)
-    residual = float(np.max(np.abs(unitary)))
+    diagonal, largest = _mirror_entries(
+        cache.eigensystem, index, np.exp(1j * sign * cache.eigensystem.eigenvalues * t))
+    phi = float(np.angle(np.sum(diagonal)))
+    residual = max(largest, float(np.max(np.abs(diagonal - np.exp(1j * phi)))))
 
     even_phases = odd_phases = ()
     if comm <= 1e-10 * scale:

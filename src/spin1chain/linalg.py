@@ -206,18 +206,26 @@ class HermitianEigenSystem:
     ascending.  Left empty, the whole space is one block.
     :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
     :func:`commutator_residual` of a matrix of dimension 3^n, n >= 2, and
-    leaves it None otherwise.
+    leaves it None otherwise.  ``parities`` holds each column's known
+    parity under that chain mirror M: +1 or -1 for a column solved in a
+    sector of a block that M maps onto itself (a block of fixed rows only
+    is even), so that ``v[M] == parity * v`` exactly, and 0 for a column
+    whose parity was not found by the solve (every column when the
+    operator is not an exact mirror commuter).  Left empty, it is all 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: tuple = ()
     mirror_residual: float | None = field(default=None, compare=False)
+    parities: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
             whole = np.arange(self.dim)[None, :]
             object.__setattr__(self, "blocks", ((whole, whole),))
+        if self.parities is None:
+            object.__setattr__(self, "parities", np.zeros(self.dim, dtype=np.int8))
 
     @property
     def dim(self):
@@ -230,6 +238,22 @@ class HermitianEigenSystem:
     def unitarity_deviation(self):
         v = self.eigenvectors
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+
+
+def block_positions(groups, dim):
+    """Each row's block number and its position in its block's rows.
+
+    ``groups`` holds (count, size) arrays of block rows, one block per row
+    of each array; blocks are numbered group after group.
+    """
+    block_of, position = np.empty((2, dim), dtype=int)
+    first = 0
+    for rows in groups:
+        count, size = rows.shape
+        block_of[rows] = first + np.arange(count)[:, None]
+        position[rows] = np.arange(size)
+        first += count
+    return block_of, position
 
 
 def _parity_sectors(stack, rows, image, numbers):
@@ -282,7 +306,9 @@ def eig_hermitian(op):
     as ``mirror_residual``) has each block that M maps onto itself and
     that holds a pair i != M i solved as its even and odd parity sectors
     instead (:func:`_parity_sectors`); its eigenvectors then have definite
-    parity.  Every other block is its own even sector and is solved whole.
+    parity, recorded as ``parities``; so does a block of fixed rows only
+    that M maps onto itself (it is even).  Every other block is its own
+    even sector and is solved whole.
     Blocks of one size and one fixed-row count go through one stacked
     ``eigh`` call per sector.  The eigenpairs are sorted ascending; equal
     eigenvalues are ordered by block (smaller blocks first, then by
@@ -291,7 +317,8 @@ def eig_hermitian(op):
 
     Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
     HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
-    so the deviation and the largest entry are those of the blocks.
+    so the deviation and the largest entry are those of the blocks; a
+    ChainOperator's are read from its entries.
     """
     if isinstance(op, ChainOperator):
         check_dense_dim(op.dim)
@@ -314,29 +341,33 @@ def eig_hermitian(op):
             by_size.setdefault(block.size, []).append(block)
         groups = [np.stack(by_size[size]) for size in sorted(by_size)]
         stacks = [entries_at(op, rows[:, :, None] * dim + rows[:, None, :]) for rows in groups]
-    scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
-    dev = max(hermiticity_deviation(s) for s in stacks)
+    if isinstance(op, ChainOperator):
+        scale = max(float(np.max(np.abs(op.values), initial=0.0)), 1.0)
+        dev = op.hermiticity_deviation()
+    else:
+        scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
+        dev = max(hermiticity_deviation(s) for s in stacks)
     if dev > HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    if residual != 0:
-        mirror = np.arange(dim)
-    # each row's position in its block, and its block's number
+    # block k is numbered numbers[g] + k within group g
     numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    position, block_of = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
-    for rows, first in zip(groups, numbers):
-        position[rows] = np.arange(rows.shape[1])
-        block_of[rows] = first + np.arange(rows.shape[0])[:, None]
+    known = np.zeros(numbers[-1], dtype=np.int8)  # 1 where M maps the block onto itself
+    if residual == 0:
+        block_of, position = block_positions(groups, dim)
     solved = []
     for rows, stack, first in zip(groups, stacks, numbers):
         count, size = rows.shape
         ids = first + np.arange(count)
         # the position of each row's mirror image in its block, or the row's
-        # own where M does not map the block onto itself
-        images = mirror[rows]
-        image = np.where(np.all(block_of[images] == ids[:, None], axis=1)[:, None],
-                         position[images], np.arange(size))
-        fixed = np.count_nonzero(image == np.arange(size), axis=1)
+        # own where M does not map the block onto itself or nothing can split
+        image, fixed = np.tile(np.arange(size), (count, 1)), np.full(count, size)
+        if residual == 0:
+            images = mirror[rows]
+            kept = np.all(block_of[images] == ids[:, None], axis=1)
+            known[ids] = kept
+            image = np.where(kept[:, None], position[images], image)
+            fixed = np.count_nonzero(image == np.arange(size), axis=1)
         for count_fixed in np.unique(fixed):
             same = fixed == count_fixed
             pick = slice(None) if same.all() else same
@@ -348,9 +379,9 @@ def eig_hermitian(op):
     values = np.concatenate([w.ravel() for w, *_ in solved])
     block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
                                  for _, _, rows, _, _, _, ids in solved])
-    sector_keys = np.concatenate([np.full(rows.size, sign < 0)
-                                  for _, _, rows, _, _, sign, _ in solved])
-    order = np.lexsort((sector_keys, block_keys, values))
+    signs = np.concatenate([np.full(rows.size, sign, dtype=np.int8)
+                            for _, _, rows, _, _, sign, _ in solved])
+    order = np.lexsort((signs < 0, block_keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros((dim, dim), dtype=complex)
@@ -374,7 +405,8 @@ def eig_hermitian(op):
         partition.append((rows, by_block[offset:offset + rows.size].reshape(rows.shape)))
         offset += rows.size
     return HermitianEigenSystem(eigenvalues=values[order], eigenvectors=vectors,
-                                blocks=tuple(partition), mirror_residual=residual)
+                                blocks=tuple(partition), mirror_residual=residual,
+                                parities=(signs * known[block_keys])[order])
 
 
 class EvolutionCache:
@@ -401,7 +433,9 @@ class EvolutionCache:
         """exp(i*sign*H*t) as a dense matrix, built block by block.
 
         Each block contributes V_b diag(exp(i*sign*E_b*t)) V_b^dagger on its
-        own rows and columns; entries between blocks are exact zeros.
+        own rows and columns; entries between blocks are exact zeros.  Only
+        ``swap-check`` needs the whole two-site 9 x 9 unitary; the mirror
+        test reads its entries block by block without forming it.
         """
         es = self.eigensystem
         phases = np.exp(1j * sign * es.eigenvalues * t)

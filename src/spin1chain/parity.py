@@ -126,8 +126,9 @@ def _cluster_bounds(evals):
     return starts, stops
 
 
-def _mirror_pieces(eigensystem, index, cluster_of):
-    """Split every eigenvalue cluster into pieces that the mirror does not couple.
+def _mirror_pieces(eigensystem, index, cluster_of, unknown):
+    """Split the ``unknown`` columns of every eigenvalue cluster into pieces that
+    the mirror does not couple.
 
     Connected blocks that the mirror maps into each other form a mirror
     group, whose rows H and M both keep among themselves.  A piece is the
@@ -152,7 +153,8 @@ def _mirror_pieces(eigensystem, index, cluster_of):
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)),
                                                  [group.size for group in groups])
     key = cluster_of * len(groups) + group_of[col_block]
-    columns = np.argsort(key, kind="stable")
+    columns = np.flatnonzero(unknown)
+    columns = columns[np.argsort(key[columns], kind="stable")]
     starts = np.flatnonzero(np.diff(key[columns], prepend=-1))
     col_counts = np.diff(starts, append=columns.size)
     # each (piece, block) pair once, ordered by piece
@@ -168,6 +170,15 @@ def _mirror_pieces(eigensystem, index, cluster_of):
     return columns, col_counts, block_rows[picks], row_counts
 
 
+def known_parities(eigensystem, index):
+    """The eigensystem's ``parities`` where ``index`` is the chain mirror they were
+    found under (:func:`eig_hermitian` splits by the chain mirror only), else 0s."""
+    n = chain_sites(eigensystem.dim)
+    if n and np.array_equal(index, chain_mirror_index(n)):
+        return eigensystem.parities
+    return np.zeros(eigensystem.dim, dtype=np.int8)
+
+
 def clustered_parities(eigensystem, index):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
@@ -178,9 +189,15 @@ def clustered_parities(eigensystem, index):
     taken piece by piece and row-block by row-block
     (:func:`_mirror_pieces`), which leaves its eigenvalues as they are;
     the parities of a cluster are listed ascending, as one eigensolve of
-    the whole cluster lists them.  Pieces with the same count of members
-    and of rows are handled together: one stacked product gives their
-    mirror matrices and one stacked eigensolve their parities.
+    the whole cluster lists them.  A piece whose columns have a known
+    parity (:func:`known_parities`: they were solved in a parity sector,
+    so ``v[M] == parity * v`` and the mirror matrix is diagonal) takes
+    those parities as they are.  The columns of one mirror group are all
+    known or all unknown, so leaving the known ones out splits no piece:
+    only the pieces of the other columns are formed and resolved, and
+    those with the same count of members and of rows are handled
+    together: one stacked product gives their mirror matrices and one
+    stacked eigensolve their parities.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
     starts, stops = _cluster_bounds(evals)
@@ -191,10 +208,11 @@ def clustered_parities(eigensystem, index):
         # a row sum rounds like np.mean of the cluster alone
         out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
     cluster_of = np.repeat(np.arange(starts.size), sizes)
-    columns, col_counts, rows, row_counts = _mirror_pieces(eigensystem, index, cluster_of)
+    out_pars = known_parities(eigensystem, index).astype(int)
+    columns, col_counts, rows, row_counts = _mirror_pieces(eigensystem, index, cluster_of,
+                                                           out_pars == 0)
     col_starts = np.cumsum(col_counts) - col_counts
     row_starts = np.cumsum(row_counts) - row_counts
-    out_pars = np.empty(len(evals), dtype=int)
     flat, dim = vecs.reshape(-1), vecs.shape[0]
     for size, nrows in np.unique(np.column_stack((col_counts, row_counts)), axis=0):
         same = (col_counts == size) & (row_counts == nrows)

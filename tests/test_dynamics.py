@@ -24,8 +24,18 @@ from spin1chain.hamiltonians import (
     pst_preset,
     sigma_projector,
 )
-from spin1chain.parity import chain_mirror_index, clustered_parities, sigma_mirror_index
+from spin1chain.linalg import HermitianEigenSystem
+from spin1chain.parity import (
+    chain_mirror_index,
+    clustered_parities,
+    known_parities,
+    mirror_commutator,
+    sigma_mirror_index,
+)
 from spin1chain.spin_ops import basis_index
+
+PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
+               "O1", "O2", "O3", "O4", "O5")
 
 
 def three_site_formula(t):
@@ -290,6 +300,100 @@ class TestMirrorCheck:
             block = engineered_sigma_block(pst_preset(n, "standard"))
             mirror = np.eye(2 * n + 1)[sigma_mirror_index(n)]
             assert np.max(np.abs(block @ mirror - mirror @ block)) <= 1e-13
+
+
+def symmetric_engineered(n, seed):
+    """Engineered chain whose couplings and fields read the same from either end."""
+    rng = np.random.default_rng(seed)
+
+    def symmetric(values):
+        return tuple((values + values[::-1]) / 2.0)
+
+    return ChainSpec(n=n, kind="engineered", a=symmetric(rng.uniform(0.5, 1.5, n - 1)),
+                     b=symmetric(rng.uniform(0.5, 1.5, n - 1)),
+                     B=symmetric(rng.uniform(-1.0, 1.0, n)),
+                     C=symmetric(rng.uniform(0.5, 2.0, n)))
+
+
+def dense_mirror_reference(op, t, sign, space="full"):
+    """(phase, residual, even phases, odd phases, split) of the mirror test from
+    the dense unitary, with parities from the cluster-wise mirror eigensolve
+    alone; ``split`` says whether a block of the eigensystem was solved by
+    parity sector."""
+    kind = "sigma" if space == "sigma" else "chain_mirror"
+    cache, index, comm, scale = mirror_commutator(op, kind)
+    unitary = cache.unitary(t, sign)
+    columns = np.arange(index.size)
+    phi = float(np.angle(np.sum(unitary[index, columns])))
+    unitary[index, columns] -= np.exp(1j * phi)
+    es = cache.eigensystem
+    even = odd = ()
+    if comm <= 1e-10 * scale:
+        plain = HermitianEigenSystem(es.eigenvalues, es.eigenvectors, es.blocks)
+        vals, pars = clustered_parities(plain, index)
+        phases = np.exp(1j * sign * vals * t)
+        even, odd = _distinct_phases(phases[pars > 0]), _distinct_phases(phases[pars < 0])
+    split = bool(np.any(known_parities(es, index) < 0))
+    return phi, float(np.max(np.abs(unitary))), even, odd, split
+
+
+def assert_matches_dense(op, t, sign, space="full"):
+    """Same verdict and phase groups as the dense test; residual and phase bit for
+    bit unless a block was split, and within 1e-14 (e^{i phi}) if one was."""
+    result = mirror_check(op, t, sign, space)
+    phi, residual, even, odd, split = dense_mirror_reference(op, t, sign, space)
+    assert result.is_mirror == (residual <= 1e-8)
+    assert (result.even_phases, result.odd_phases) == (even, odd)
+    if split:
+        assert abs(result.residual - residual) <= 1e-14
+        assert abs(np.exp(1j * result.phase) - np.exp(1j * phi)) <= 1e-14
+    else:
+        assert result.residual == residual
+        assert result.phase == phi
+    return split
+
+
+class TestMirrorCheckByBlock:
+    @pytest.mark.parametrize("kind", PAPER_KINDS + ("engineered",))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_unitary(self, kind, n):
+        spec = symmetric_engineered(n, seed=n) if kind == "engineered" else ChainSpec(n=n, kind=kind)
+        ham = chain_hamiltonian(spec)
+        splits = {assert_matches_dense(ham, t, sign)
+                  for t in (np.pi, 2 * np.pi / 3, 0.77) for sign in (1, -1)}
+        # the sector route is taken where the solve split a block
+        if kind in ("heisenberg", "O1", "O5"):
+            assert splits == {True}
+        if kind in ("O2", "O4"):
+            assert splits == {False}
+
+    @pytest.mark.parametrize("variant", ["standard", "phase_exact"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
+    def test_sigma_space_matches_dense_unitary(self, variant, n):
+        block = engineered_sigma_block(pst_preset(n, variant))
+        for t in (np.pi, 0.77):
+            for sign in (1, -1):
+                assert not assert_matches_dense(block, t, sign, space="sigma")
+
+    def test_sigma_space_of_a_symmetric_engineered_chain(self):
+        block = engineered_sigma_block(symmetric_engineered(5, seed=21))
+        assert not assert_matches_dense(block, np.pi, 1, space="sigma")
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O2",
+                                      "engineered", "O5"])
+    def test_peak_memory_with_a_warm_cache(self, kind):
+        # no dense 3^6 unitary is formed: below one dense complex 729 x 729
+        # matrix, and for the one-block O5 below half the dense route's 40.6 MB
+        spec = symmetric_engineered(6, seed=6) if kind == "engineered" else ChainSpec(n=6, kind=kind)
+        ham = chain_hamiltonian(spec)
+        mirror_check(ham, 0.5)
+        tracemalloc.start()
+        try:
+            mirror_check(ham, np.pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (20 * 2 ** 20 if kind == "O5" else 729 ** 2 * 16)
 
 
 def greedy_phases(phases, tol=1e-9):

@@ -230,6 +230,23 @@ class TestEigHermitian:
         with pytest.raises(NonHermitianError):
             eig_hermitian(mat)
 
+    def test_chain_operator_hermiticity_read_from_entries(self, monkeypatch):
+        # an operator's deviation and scale come from its entries: the same
+        # floats, so the same message, as the dense matrix's stack check
+        ham = chain_hamiltonian(ChainSpec(n=3, kind="O5"))
+        skewed = linalg.ChainOperator(ham.flat, ham.values * (1 + 1e-9j), ham.n_sites)
+        with pytest.raises(NonHermitianError) as dense_error:
+            eig_hermitian(skewed.dense())
+
+        def no_stack_check(mat):
+            raise AssertionError("a ChainOperator's blocks were checked as a stack")
+
+        monkeypatch.setattr(linalg, "hermiticity_deviation", no_stack_check)
+        with pytest.raises(NonHermitianError) as entry_error:
+            eig_hermitian(skewed)
+        assert str(entry_error.value) == str(dense_error.value)
+        eig_hermitian(ham)
+
     def test_phase_fix_idempotent(self):
         rng = np.random.default_rng(5)
         mat = random_hermitian(rng, 6)
@@ -435,6 +452,7 @@ class TestParitySectors:
             es = eig_hermitian(case)
             w, v = stacked_block_reference(case)
             assert es.mirror_residual is None
+            assert not es.parities.any()
             assert es.eigenvalues.tobytes() == w.tobytes()
             assert es.eigenvectors.tobytes() == v.tobytes()
 
@@ -481,6 +499,34 @@ class TestParitySectors:
                 assert even.tolist() == [parity for size, _, parity in sectors
                                          for _ in range(size)]
         assert split > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_parities_are_exact_where_known(self, kind, n):
+        # a column of known parity p has v[M] == p v bit for bit; a parity is
+        # known on exactly the blocks of an exact commuter that M maps onto
+        # itself, and 0 on every other column
+        es = eig_hermitian(chain_hamiltonian(chain_spec(kind, n, seed=n)))
+        index, v, parities = chain_mirror_index(n), es.eigenvectors, es.parities
+        known = parities != 0
+        assert np.array_equal(v[index][:, known], parities[known] * v[:, known])
+        for rows, cols in es.blocks:
+            for block_rows, block_cols in zip(rows, cols):
+                kept = np.array_equal(np.sort(index[block_rows]), block_rows)
+                assert np.all(known[block_cols] == (kept and es.mirror_residual == 0))
+                if not is_split(index, block_rows):
+                    assert np.all(parities[block_cols] >= 0)
+
+    def test_fixed_point_blocks_are_even(self):
+        # O2 is diagonal: a palindromic basis state is its own block, kept by
+        # M and even; any other state's block is M's image of another block
+        n = 3
+        es = eig_hermitian(chain_hamiltonian(ChainSpec(n=n, kind="O2")))
+        index = chain_mirror_index(n)
+        (rows, cols), = es.blocks
+        palindrome = index[rows[:, 0]] == rows[:, 0]
+        assert np.array_equal(es.parities[cols[:, 0]], palindrome.astype(int))
+        assert np.count_nonzero(palindrome) == 9
 
     def test_rerun_is_byte_identical(self):
         ham = chain_hamiltonian(ChainSpec(n=5, kind="heisenberg"))

@@ -284,6 +284,45 @@ class TestClusteredParities:
         assert np.array_equal(pars, want_pars)
 
 
+    @pytest.mark.parametrize("kind", ["heisenberg", "O1", "O2", "O4", "O5"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_known_parities_copied_and_the_rest_resolved(self, kind, n, monkeypatch):
+        # exact commuters: the columns solved in a parity sector keep their
+        # parity, and only the pieces of the other columns (O2 and O4 pair
+        # their 1x1 blocks) get a mirror matrix and an eigensolve
+        es = linalg.eig_hermitian(chain_hamiltonian(ChainSpec(n=n, kind=kind)))
+        index = chain_mirror_index(n)
+        resolved, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            resolved.append(a.shape[0] * a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        vals, pars = clustered_parities(es, index)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(pars, want_pars)
+        assert sum(resolved) == np.count_nonzero(es.parities == 0)
+        assert np.any(es.parities != 0)
+        if kind in ("O2", "O4"):
+            assert np.any(es.parities == 0)
+
+    def test_known_parities_need_the_chain_mirror(self):
+        # parities found under the chain mirror say nothing about another mirror
+        # of the same dimension: a sigma block of four sites has dimension 9
+        # the two-site exchange keeps states 0, 4 and 8 and swaps the others
+        es = linalg.eig_hermitian(np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0]))
+        assert sorted(es.parities.tolist()) == [0] * 6 + [1] * 3
+        assert np.array_equal(parity.known_parities(es, chain_mirror_index(2)), es.parities)
+        assert not parity.known_parities(es, sigma_mirror_index(4)).any()
+        vals, pars = clustered_parities(es, sigma_mirror_index(4))
+        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
+                                                          sigma_mirror_index(4))
+        assert np.array_equal(pars, want_pars)
+
+
 class TestCommutatorResidual:
     @pytest.mark.parametrize("kind, dim", [("two_site_exchange", 9), ("chain_mirror", 27),
                                            ("chain_mirror", 81), ("sigma", 9), ("sigma", 11)])
