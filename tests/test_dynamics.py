@@ -383,7 +383,7 @@ class TestMirrorCheckByBlock:
                                       "engineered", "O5"])
     def test_peak_memory_with_a_warm_cache(self, kind):
         # no dense 3^6 unitary is formed: below one dense complex 729 x 729
-        # matrix, and for the one-block O5 below half the dense route's 40.6 MB
+        # matrix, and for the one-block O5 below half the dense route's 40.6 MiB
         spec = symmetric_engineered(6, seed=6) if kind == "engineered" else ChainSpec(n=6, kind=kind)
         ham = chain_hamiltonian(spec)
         mirror_check(ham, 0.5)
