@@ -229,8 +229,11 @@ def swap_check(unitary, tol=1e-10):
     of the nine is therefore smallest at one of those nine phases or where
     two of the deviations are equal (at most 72 crossings).  These
     candidates follow the trace-aligned phase, which is exact whenever U
-    really is a phased SWAP; all are scored at once and the first best one
-    is kept.  Non-unitary input is rejected.
+    really is a phased SWAP; all are scored at once.  Candidates within a
+    relative 1e-13 of the best score tie: the trace-aligned phase is kept
+    if it ties, otherwise the tied phase nearest 1 (a conjugate pair
+    resolves to the positive angle), so the choice does not follow the
+    last bits of U.  Non-unitary input is rejected.
     """
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (9, 9):
@@ -252,8 +255,21 @@ def swap_check(unitary, tol=1e-10):
     trace_phase = np.angle(np.trace(SWAP2.conj().T @ u))
     phis = np.concatenate(([trace_phase], np.angle(on), centre - spread, centre + spread))
     deviations = np.max(np.abs(u - np.exp(1j * phis)[:, None, None] * SWAP2), axis=(1, 2))
-    best = int(np.argmin(deviations))
-    residual = float(deviations[best])
+    # phases within 1e-13 of the smallest deviation tie: which of them is
+    # first follows the last bits of U, so pick by a rule on the phases
+    low = np.min(deviations)
+    tied = np.flatnonzero(deviations <= low * (1 + 1e-13))
+    if tied[0] == 0:
+        best = 0
+    else:
+        angles = np.angle(np.exp(1j * phis[tied]))
+        keep = np.abs(angles) <= np.min(np.abs(angles)) + 1e-9
+        if np.any(keep & (angles > 1e-9)):
+            keep &= angles > 1e-9
+        best = int(tied[keep][np.argmin(deviations[tied][keep])])
+    # tied phases reach the minimax residual only to rounding, so the
+    # residual is the mean of the best score and the reported phase's own
+    residual = float((low + deviations[best]) / 2)
     return SwapCheckResult(
         is_swap_up_to_phase=residual <= tol,
         phase=complex(np.exp(1j * float(phis[best]))),

@@ -153,10 +153,11 @@ SUBSPACE_TOL = 1e-13
 OVERSAMPLING = 10
 # the sketch is fixed, so a rerun gives the same bits
 SKETCH_SEED = 20110
-# a Hankel matrix of at most this many columns takes the dense SVD: the
-# iteration's fixed cost per product pair is too large a part of the SVD's
-# there (one BLAS thread: two pairs cost 0.22 ms against the SVD's 0.24 ms
-# at K = 64, and 1.3 against 4.7 ms at K = 256)
+# a Hankel matrix of at most this many columns takes the dense SVD, and a
+# default-length record skips its rank test: the iteration's fixed cost per
+# product pair is too large a part of the SVD's there (one BLAS thread: two
+# pairs cost 0.22 ms against the SVD's 0.24 ms at K = 64, and 1.3 against
+# 4.7 ms at K = 256)
 DENSE_PENCIL_COLS = 128
 
 
@@ -192,11 +193,14 @@ def _subspace_svd(y, order, dense_allowed):
 
     Blocked iteration from a seeded complex Gaussian sketch of
     ``order + OVERSAMPLING`` columns, with QR between the FFT products.
-    Returns (singular values of the block, vh with the top ``order`` rows
-    first), or (None, None) when the dense SVD is cheaper: when it has at
-    most DENSE_PENCIL_COLS columns, or when ``dense_allowed`` and the
-    projected iterations would cost more columns than its L + 1.  Without
-    a dense route it raises ValueError when the iteration stops improving.
+    A noisy record needs a number of product pairs set by the gap between
+    singular values ``order`` and ``order + OVERSAMPLING``; a record of
+    rank ``order`` (noise-free) stops after two.  Returns (singular values
+    of the block, vh with the top ``order`` rows first), or (None, None)
+    when the dense SVD is cheaper: when it has at most DENSE_PENCIL_COLS
+    columns, or when ``dense_allowed`` and the projected iterations would
+    cost more columns than its L + 1.  Without a dense route it raises
+    ValueError when the iteration stops improving.
     """
     K = y.shape[0]
     rows, cols = K - K // 2, K // 2 + 1
@@ -250,12 +254,17 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     vectors come from subspace iteration on FFT products, O(K log K) per
     column and O(K order) memory (see :func:`_subspace_svd`); its
     ``singular_values`` are then the ``order + OVERSAMPLING`` of the
-    block.  Where the Hankel matrix has at most DENSE_PENCIL_COLS columns,
-    or the projected iterations would cost more columns than L + 1, the
-    dense SVD of the Hankel matrix is cheaper and is taken, as
-    it is for ``order`` None and for 8 * order >= K // 2 (O(K^3) time and
-    O(K^2) memory); a dense SVD whose Hankel matrix would exceed the dense
-    cap raises ValueError.  Returns (E ascending, weights, diagnostics dict).
+    block.  When 8 * order >= K // 2 (a default-length record), the
+    singular values of the thin (K - order) x (order + 1) Hankel matrix
+    decide: a record whose (order+1)-th is at most ``sv_tol`` times the
+    largest has no noise floor and iterates on the L = K // 2 pencil, and
+    any other keeps the dense SVD.  Where the Hankel matrix has at most
+    DENSE_PENCIL_COLS columns, or the projected iterations would cost more
+    columns than L + 1, the dense SVD of the Hankel matrix is cheaper and
+    is taken, as it is for ``order`` None and for a default-length record
+    with a noise floor (O(K^3) time and O(K^2) memory); a dense SVD whose
+    Hankel matrix would exceed the dense cap raises ValueError.  Returns
+    (E ascending, weights, diagnostics dict).
     """
     y = np.asarray(values, dtype=complex)
     K = y.shape[0]
@@ -264,12 +273,19 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     if order is not None and order < 1:
         raise ValueError(f"model order must be at least 1, got {order}")
     svals = vh = None
+    dense_allowed = K // 2 + 1 <= MAX_DENSE_DIM
     # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
     if order is not None and 8 * order < K // 2:
         _, svals, vh = np.linalg.svd(sliding_window_view(y, 8 * order + 1),
                                      full_matrices=False)
         if svals[order] > sv_tol * svals[0]:
-            svals, vh = _subspace_svd(y, order, dense_allowed=K // 2 + 1 <= MAX_DENSE_DIM)
+            svals, vh = _subspace_svd(y, order, dense_allowed)
+    elif order is not None and K // 2 + 1 > DENSE_PENCIL_COLS and 2 * order < K:
+        # the thinnest Hankel matrix that shows rank order: without a noise
+        # floor the iteration converges in a few product pairs
+        thin = np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False)
+        if thin[order] <= sv_tol * thin[0]:
+            svals, vh = _subspace_svd(y, order, dense_allowed)
     if svals is None:
         L = K // 2
         if L + 1 > MAX_DENSE_DIM:

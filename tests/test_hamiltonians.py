@@ -240,6 +240,28 @@ class TestSwapCheck:
             assert plus.is_swap_up_to_phase == ((name, t) in SWAP_PASSES)
             assert abs(plus.residual - minus.residual) <= 1e-15
 
+    # failing unitaries where distinct phases reach the minimax residual to
+    # the last bits (a conjugate pair, or 1 against 0.5 -+ 0.866i)
+    @pytest.mark.parametrize("name, t, sign", [
+        ("O1", np.pi, 1), ("O5", np.pi, 1), ("O5", np.pi, -1), ("O5", 2 * np.pi / 3, 1),
+        ("O5", 2 * np.pi / 3, -1), ("squared_sum", np.pi, 1), ("squared_sum", np.pi, -1)])
+    def test_tied_phase_does_not_follow_last_bits(self, name, t, sign):
+        u = evolution_cache(SWAP_CASES[name]()).unitary(t, sign)
+        rng = np.random.default_rng(13)
+        kick = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        kick = kick + kick.conj().T
+        evals, evecs = np.linalg.eigh(kick / np.max(np.abs(np.linalg.eigvalsh(kick))))
+        result = swap_check(u)
+        for eps in (1e-15, -1e-15, 2e-15):
+            moved = swap_check(u @ ((evecs * np.exp(1j * eps * evals)) @ evecs.conj().T))
+            assert abs(moved.phase - result.phase) <= 1e-12, eps
+            assert abs(moved.residual - result.residual) <= 1e-13, eps
+        # of a conjugate pair, the positive angle
+        if name != "squared_sum":
+            assert result.phase.imag > 0.5
+        else:
+            assert abs(result.phase - 1) <= 1e-12
+
     @pytest.mark.parametrize("name, want", [("heisenberg", np.sqrt(5 / 3)),
                                             ("O2", np.sqrt(2)), ("O3", np.sqrt(2)),
                                             ("O4", np.sqrt(2))])

@@ -518,12 +518,56 @@ def pencil_record(n, samples, shots, seed):
 class TestBoundedPencil:
     @pytest.mark.parametrize("shots", [None, 10 ** 6])
     def test_default_length_matches_full_pencil(self, shots):
-        # K = 16 * order: 8 * order == K // 2, so the full pencil runs as before
+        # K = 16 * order: 8 * order == K // 2, so L = K // 2.  Shot records
+        # and records of at most DENSE_PENCIL_COLS Hankel columns take the
+        # dense SVD as before; noise-free ones past that iterate
         for n in range(3, 41):
-            _, rec = pencil_record(n, 16 * n, shots, 700 + n)
+            spec, rec = pencil_record(n, 16 * n, shots, 700 + n)
             dt = rec.grid_step()
-            assert_pencils_identical(matrix_pencil(rec.values, dt, order=n),
-                                     parent_matrix_pencil(rec.values, dt, n))
+            new = matrix_pencil(rec.values, dt, order=n)
+            old = parent_matrix_pencil(rec.values, dt, n)
+            if shots is not None or n < 16:
+                assert_pencils_identical(new, old)
+                continue
+            svals = new[2]["singular_values"]
+            assert svals.size == n + 10 and new[2]["order"] == n
+            assert np.max(np.abs(svals[:n] - old[2]["singular_values"][:n])) <= 1e-13 * svals[0]
+            # a level below the weight floor is not determined by either route
+            if np.min(band_spectral_data(spec, "up").weights) >= tomography.WEIGHT_FLOOR:
+                assert np.max(np.abs(new[0] - old[0])) <= 1e-7
+                assert np.max(np.abs(new[1] - old[1])) <= 1e-12
+
+    def test_default_length_route_guards(self, monkeypatch):
+        svd_shapes, products = [], []
+        svd, product = np.linalg.svd, tomography._hankel_product
+
+        def counted_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counted_product(*args):
+            products.append(args[2])
+            return product(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(tomography, "_hankel_product", counted_product)
+        for n in (16, 23, 31, 40):
+            K = 16 * n
+            _, exact = pencil_record(n, K, None, 700 + n)
+            _, noisy = pencil_record(n, K, 10 ** 6, 700 + n)
+            # noise-free: the thin rank test, then the iteration, and no
+            # dense SVD of the K // 2 Hankel matrix
+            svd_shapes.clear()
+            matrix_pencil(exact.values, exact.grid_step(), order=n)
+            assert (K - K // 2, K // 2 + 1) not in svd_shapes
+            assert (K - n, n + 1) in svd_shapes
+            # shot-sampled: the thin test finds the noise floor, so no
+            # product pair is spent before the dense SVD
+            products.clear()
+            svd_shapes.clear()
+            matrix_pencil(noisy.values, noisy.grid_step(), order=n)
+            assert products == []
+            assert (K - K // 2, K // 2 + 1) in svd_shapes
 
     @pytest.mark.parametrize("n, samples", [(3, 768), (7, 768), (12, 768), (5, 1024)])
     def test_noisy_long_record_matches_full_pencil(self, n, samples):
@@ -623,6 +667,14 @@ class TestSubspacePencil:
     def test_order_below_one_rejected(self, order):
         with pytest.raises(ValueError, match=f"model order must be at least 1, got {order}"):
             matrix_pencil(np.ones(64, dtype=complex), 0.1, order=order)
+
+    @pytest.mark.parametrize("order", [128, 200])
+    def test_order_above_pencil_rejected(self, order):
+        # past K // 2 the thin rank test has no (order+1)-th singular value,
+        # so the record goes to the dense pencil and its message
+        y = np.random.default_rng(order).standard_normal(256) + 0j
+        with pytest.raises(ValueError, match=f"model order {order} too large for 256 samples"):
+            matrix_pencil(y, 0.1, order=order)
 
     def test_stalled_iteration_names_the_ratio(self, monkeypatch):
         # a tolerance no change can meet: without a dense route the
