@@ -273,10 +273,12 @@ def _mirror_entries(eigensystem, index, phases):
     |U[i, j]| over the other entries, without forming U.
 
     U is block diagonal, so an image M j in another block than j reads 0.
-    A block whose columns have no odd parity (:func:`known_parities`) is
-    formed as V_b diag(phases) V_b^dagger on its own rows, stacked with the
-    other such blocks of its size.  A block solved by parity sector has
-    v[M i] = p v[i] in each column, p its parity, so on its orbit-first rows
+    A block is split when M maps it onto itself and it has odd columns
+    (:func:`known_parities`; the parities of two blocks that M swaps are
+    those of combinations of their columns).  Any other block is formed as
+    V_b diag(phases) V_b^dagger on its own rows, stacked with the other such
+    blocks of its size.  A split block has v[M i] = p v[i] in each column,
+    p its parity, so on its orbit-first rows
     F (i <= M i, fixed rows first, then the pairs P) the even columns give
     G_e and the odd ones G_o, which vanishes outside P x P: U[i, j] =
     U[M i, M j] = (G_e + G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e -
@@ -291,7 +293,8 @@ def _mirror_entries(eigensystem, index, phases):
     diagonal = np.zeros(eigensystem.dim, dtype=complex)
     largest = 0.0
     for rows, cols in eigensystem.blocks:
-        split = np.any(parities[cols] < 0, axis=1)
+        split = ((block_of[index[rows[:, 0]]] == block_of[rows[:, 0]])
+                 & np.any(parities[cols] < 0, axis=1))
         for block_rows, block_cols in zip(rows[split], cols[split]):
             first = block_rows[block_rows <= index[block_rows]]
             first = first[np.argsort(first != index[first], kind="stable")]
@@ -337,6 +340,8 @@ def mirror_check(op, t, sign=1, space="full"):
     and parity sector by parity sector (:func:`_mirror_entries`), so the
     dense unitary is never built.
     """
+    if space not in ("full", "sigma"):
+        raise ValueError(f"space must be 'full' or 'sigma', got {space!r}")
     if space == "sigma" and isinstance(op, ChainOperator):
         raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
                          "not a full-space ChainOperator")

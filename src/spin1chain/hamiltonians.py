@@ -187,7 +187,7 @@ class ChainSpec:
 
 
 def _local_terms(spec):
-    """(first site, 3x3 or 9x9 matrix) of each term of H, in summation order."""
+    """(first site, 3x3 or 9x9 matrix) of each term of H, bonds first."""
     n = spec.n
     if spec.kind != "engineered":
         term9 = _TWO_SITE_BUILDERS[spec.kind]()

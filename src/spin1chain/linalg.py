@@ -68,14 +68,17 @@ class ChainOperator:
     def from_terms(cls, terms, n):
         """The sum of I (x) local (x) I over ``terms``, (first site, local matrix) pairs.
 
-        Entries are summed in term order into zeros, as a dense matrix sums
-        them; entries that sum to exactly 0 are dropped.
+        Each entry sums its contributions into zero in ascending order (real
+        part, then imaginary), so with mirror-symmetric terms an entry and its
+        mirror image add the same values in the same order and H equals M H M
+        exactly.  Entries that sum to exactly 0 are dropped.
         """
         rows, cols, vals = (np.concatenate(part) for part in zip(
             *(_global_entries(local, site, n) for site, local in terms)))
         flat, where = np.unique(rows * 3 ** n + cols, return_inverse=True)
+        order = np.lexsort((vals.imag, vals.real, where))
         values = np.zeros(flat.size, dtype=complex)
-        np.add.at(values, where, vals)
+        np.add.at(values, where[order], vals[order])
         keep = values != 0
         return cls(flat[keep], values[keep], n)
 
@@ -206,12 +209,12 @@ class HermitianEigenSystem:
     ascending.  Left empty, the whole space is one block.
     :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
     :func:`commutator_residual` of a matrix of dimension 3^n, n >= 2, and
-    leaves it None otherwise.  ``parities`` holds each column's known
-    parity under that chain mirror M: +1 or -1 for a column solved in a
-    sector of a block that M maps onto itself (a block of fixed rows only
-    is even), so that ``v[M] == parity * v`` exactly, and 0 for a column
-    whose parity was not found by the solve (every column when the
-    operator is not an exact mirror commuter).  Left empty, it is all 0.
+    leaves it None otherwise.  ``parities`` holds each column's parity
+    under that chain mirror M when the residual is 0, else 0: on a block
+    that M maps onto itself ``v[M] == parity * v`` exactly (a block of
+    fixed rows only is even); two blocks that M swaps share their levels,
+    each level's pair of columns spanning one even and one odd combination,
+    so the block listed first reads +1 and its image -1.  Left empty, all 0.
     """
 
     eigenvalues: np.ndarray
@@ -308,7 +311,8 @@ def eig_hermitian(op):
     instead (:func:`_parity_sectors`); its eigenvectors then have definite
     parity, recorded as ``parities``; so does a block of fixed rows only
     that M maps onto itself (it is even).  Every other block is its own
-    even sector and is solved whole.
+    even sector and is solved whole; two blocks that M swaps get the
+    parities +1 and -1 (:class:`HermitianEigenSystem`).
     Blocks of one size and one fixed-row count go through one stacked
     ``eigh`` call per sector.  The eigenpairs are sorted ascending; equal
     eigenvalues are ordered by block (smaller blocks first, then by
@@ -352,7 +356,9 @@ def eig_hermitian(op):
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     # block k is numbered numbers[g] + k within group g
     numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    known = np.zeros(numbers[-1], dtype=np.int8)  # 1 where M maps the block onto itself
+    # each block's parity factor: 0 when H is no exact commuter, else -1 on the
+    # second of two blocks that M swaps and 1 on every other block
+    known = np.zeros(numbers[-1], dtype=np.int8)
     if residual == 0:
         block_of, position = block_positions(groups, dim)
     solved = []
@@ -364,8 +370,9 @@ def eig_hermitian(op):
         image, fixed = np.tile(np.arange(size), (count, 1)), np.full(count, size)
         if residual == 0:
             images = mirror[rows]
-            kept = np.all(block_of[images] == ids[:, None], axis=1)
-            known[ids] = kept
+            partner = block_of[images[:, 0]]  # M maps blocks onto blocks
+            kept = partner == ids
+            known[ids] = np.where(partner < ids, -1, 1)
             image = np.where(kept[:, None], position[images], image)
             fixed = np.count_nonzero(image == np.arange(size), axis=1)
         for count_fixed in np.unique(fixed):

@@ -16,7 +16,6 @@ from .linalg import (
     chain_mirror_index,
     chain_sites,
     commutator_residual,
-    connected_blocks,
     entries_at,
     evolution_cache,
 )
@@ -106,8 +105,8 @@ def mirror_index(kind, dim):
     raise ValueError(f"unknown parity kind {kind!r}")
 
 
-# complex entries per gathered block of eigenvector rows (4 MB): the gathers and
-# their flat indices stay a few times that, below one dense 3^6 matrix
+# complex entries per gathered block of eigenvector columns (4 MB): the gather
+# and its mirror image stay below one dense 3^6 matrix
 _GATHER_ELEMENTS = 1 << 18
 
 
@@ -126,53 +125,10 @@ def _cluster_bounds(evals):
     return starts, stops
 
 
-def _mirror_pieces(eigensystem, index, cluster_of, unknown):
-    """Split the ``unknown`` columns of every eigenvalue cluster into pieces that
-    the mirror does not couple.
-
-    Connected blocks that the mirror maps into each other form a mirror
-    group, whose rows H and M both keep among themselves.  A piece is the
-    part of a cluster in one group: every eigenvector vanishes outside its
-    block, so a cluster's mirror matrix <v_a|M|v_b> is exactly zero between
-    pieces, and inside a piece only the rows of its members' blocks add to
-    it.  Returns the pieces' columns (flat, piece after piece, ascending in
-    a piece) with their counts, and the pieces' rows (the union of their
-    members' blocks, flat) with their counts.
-    """
-    blocks = eigensystem.blocks
-    block_rows = np.concatenate([rows.ravel() for rows, _ in blocks])
-    block_size = np.concatenate([np.full(rows.shape[0], rows.shape[1]) for rows, _ in blocks])
-    nblocks = block_size.size
-    numbers = np.repeat(np.arange(nblocks), block_size)
-    row_block = np.empty(eigensystem.dim, dtype=int)
-    row_block[block_rows] = numbers
-    col_block = np.empty(eigensystem.dim, dtype=int)
-    col_block[np.concatenate([cols.ravel() for _, cols in blocks])] = numbers
-    groups = connected_blocks(np.unique(row_block * nblocks + row_block[index]), nblocks)
-    group_of = np.empty(nblocks, dtype=int)
-    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)),
-                                                 [group.size for group in groups])
-    key = cluster_of * len(groups) + group_of[col_block]
-    columns = np.flatnonzero(unknown)
-    columns = columns[np.argsort(key[columns], kind="stable")]
-    starts = np.flatnonzero(np.diff(key[columns], prepend=-1))
-    col_counts = np.diff(starts, append=columns.size)
-    # each (piece, block) pair once, ordered by piece
-    pairs = np.unique(np.repeat(np.arange(starts.size), col_counts) * nblocks
-                      + col_block[columns])
-    piece, block = np.divmod(pairs, nblocks)
-    lengths = block_size[block]
-    block_start = np.cumsum(block_size) - block_size
-    # the rows of every pair's block, pair after pair
-    picks = np.arange(lengths.sum()) + np.repeat(
-        block_start[block] - (np.cumsum(lengths) - lengths), lengths)
-    row_counts = np.bincount(piece, weights=lengths, minlength=starts.size).astype(int)
-    return columns, col_counts, block_rows[picks], row_counts
-
-
 def known_parities(eigensystem, index):
     """The eigensystem's ``parities`` where ``index`` is the chain mirror they were
-    found under (:func:`eig_hermitian` splits by the chain mirror only), else 0s."""
+    found under (:func:`eig_hermitian` splits by the chain mirror only), else 0s:
+    all or nothing, as an exact chain-mirror commuter has a parity on every column."""
     n = chain_sites(eigensystem.dim)
     if n and np.array_equal(index, chain_mirror_index(n)):
         return eigensystem.parities
@@ -182,52 +138,34 @@ def known_parities(eigensystem, index):
 def clustered_parities(eigensystem, index):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
-    Eigenvalues are clustered to 1e-9 and the mirror is
-    diagonalized inside each cluster, so degenerate subspaces that mix
-    parities under a plain eigensolver are resolved correctly.  Each
-    eigenvalue is its cluster's mean.  The mirror matrix of a cluster is
-    taken piece by piece and row-block by row-block
-    (:func:`_mirror_pieces`), which leaves its eigenvalues as they are;
-    the parities of a cluster are listed ascending, as one eigensolve of
-    the whole cluster lists them.  A piece whose columns have a known
-    parity (:func:`known_parities`: they were solved in a parity sector,
-    so ``v[M] == parity * v`` and the mirror matrix is diagonal) takes
-    those parities as they are.  The columns of one mirror group are all
-    known or all unknown, so leaving the known ones out splits no piece:
-    only the pieces of the other columns are formed and resolved, and
-    those with the same count of members and of rows are handled
-    together: one stacked product gives their mirror matrices and one
-    stacked eigensolve their parities.
+    Eigenvalues are clustered to 1e-9, each eigenvalue being its cluster's
+    mean, and a cluster lists its parities ascending.  Known parities
+    (:func:`known_parities`) are taken as they are.  Otherwise (sigma
+    blocks, band reversals, operators that are not exact chain-mirror
+    commuters) the mirror is diagonalized inside each cluster, so degenerate
+    subspaces that mix parities under a plain eigensolver are resolved
+    correctly: clusters of one size get one stacked product for their mirror
+    matrices <v_a|M|v_b> and one stacked eigensolve, on whole columns,
+    _GATHER_ELEMENTS entries of eigenvectors at a time.
     """
     evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
+    out_pars = known_parities(eigensystem, index).astype(int)
+    unknown = not out_pars.all()
     for size in np.unique(sizes):
         cols = starts[sizes == size, None] + np.arange(size)
         # a row sum rounds like np.mean of the cluster alone
         out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
+        if unknown:
+            step = max(1, _GATHER_ELEMENTS // (len(evals) * size))
+            for chunk in range(0, len(cols), step):
+                part = cols[chunk:chunk + step]
+                members = vecs[:, part]
+                mirror = np.einsum("rpm,rpn->pmn", members.conj(), members[index])
+                out_pars[part] = np.where(np.linalg.eigvalsh(mirror) > 0, 1, -1)
     cluster_of = np.repeat(np.arange(starts.size), sizes)
-    out_pars = known_parities(eigensystem, index).astype(int)
-    columns, col_counts, rows, row_counts = _mirror_pieces(eigensystem, index, cluster_of,
-                                                           out_pars == 0)
-    col_starts = np.cumsum(col_counts) - col_counts
-    row_starts = np.cumsum(row_counts) - row_counts
-    flat, dim = vecs.reshape(-1), vecs.shape[0]
-    for size, nrows in np.unique(np.column_stack((col_counts, row_counts)), axis=0):
-        same = (col_counts == size) & (row_counts == nrows)
-        col_first, row_first = col_starts[same], row_starts[same]
-        # at most _GATHER_ELEMENTS entries of eigenvectors are copied at a time
-        step = max(1, _GATHER_ELEMENTS // (nrows * size))
-        for chunk in range(0, col_first.size, step):
-            cols = columns[col_first[chunk:chunk + step, None] + np.arange(size)]
-            piece_rows = rows[np.arange(nrows)[:, None] + row_first[chunk:chunk + step]]
-            # (row, piece, member) entries by flat index, row-major, so pieces
-            # that share rows read each row of the eigenvectors once in order
-            members = flat.take(piece_rows[:, :, None] * dim + cols)
-            mirrored = flat.take(index[piece_rows][:, :, None] * dim + cols)
-            pvals = np.linalg.eigvalsh(np.einsum("rpm,rpn->pmn", members.conj(), mirrored))
-            out_pars[cols] = np.where(pvals > 0, 1, -1)
     return out_vals, out_pars[np.lexsort((out_pars, cluster_of))]
 
 

@@ -192,6 +192,21 @@ class TestAmplitudeScan:
         assert abs(scan.max_abs - 0.9998165) <= 1e-4
         assert abs(scan.argmax_time - 91.093) <= 1e-2
 
+    @pytest.mark.parametrize("kind", ["O2", "O3", "engineered"])
+    @pytest.mark.parametrize("source, target", [("1m00", "00m1"), ("10m0", "0m01")])
+    def test_mirror_paired_blocks_read_exact_zero(self, kind, source, target):
+        # the target is the source's mirror image in another block, which M
+        # maps onto the source's: every weight is an exact zero
+        spec = symmetric_engineered(4, seed=4) if kind == "engineered" else ChainSpec(n=4, kind=kind)
+        ham = chain_hamiltonian(spec)
+        src, tgt = basis_index(source), basis_index(target)
+        assert chain_mirror_index(4)[src] == tgt
+        assert not any(src in block and tgt in block
+                       for rows, _ in evolution_cache(ham).eigensystem.blocks for block in rows)
+        scan = amplitude_scan(ham, source, target, np.linspace(0.0, 20.0, 401))
+        assert scan.max_abs == 0.0
+        assert scan.argmax_time == 0.0
+
     def test_grid_validation(self, chain3):
         with pytest.raises(ValueError, match="strictly increasing"):
             amplitude_scan(chain3, "001", "100", np.array([0.0, 0.0, 1.0]))
@@ -291,6 +306,13 @@ class TestMirrorCheck:
         with pytest.raises(ValueError, match="2n\\+1, got dimension 10"):
             mirror_check(np.eye(10), np.pi, space="sigma")
 
+    def test_unknown_space_rejected(self):
+        # a misspelt space would otherwise take the two-site exchange of a 9-state block
+        block = engineered_sigma_block(pst_preset(4, "standard"))
+        with pytest.raises(ValueError, match="'full' or 'sigma', got 'Sigma'"):
+            mirror_check(block, np.pi, space="Sigma")
+        assert mirror_check(block, np.pi, space="sigma").commutator_residual <= 1e-13
+
     def test_sigma_space_rejects_chain_operator(self, chain3):
         with pytest.raises(ValueError, match="sigma block"):
             mirror_check(chain3, np.pi, space="sigma")
@@ -319,7 +341,7 @@ def dense_mirror_reference(op, t, sign, space="full"):
     """(phase, residual, even phases, odd phases, split) of the mirror test from
     the dense unitary, with parities from the cluster-wise mirror eigensolve
     alone; ``split`` says whether a block of the eigensystem was solved by
-    parity sector."""
+    parity sector: M maps it onto itself and it has odd columns."""
     kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
     unitary = cache.unitary(t, sign)
@@ -333,7 +355,10 @@ def dense_mirror_reference(op, t, sign, space="full"):
         vals, pars = clustered_parities(plain, index)
         phases = np.exp(1j * sign * vals * t)
         even, odd = _distinct_phases(phases[pars > 0]), _distinct_phases(phases[pars < 0])
-    split = bool(np.any(known_parities(es, index) < 0))
+    parities = known_parities(es, index)
+    split = any(np.array_equal(np.sort(index[block_rows]), block_rows)
+                and np.any(parities[block_cols] < 0)
+                for rows, cols in es.blocks for block_rows, block_cols in zip(rows, cols))
     return phi, float(np.max(np.abs(unitary))), even, odd, split
 
 
@@ -361,11 +386,9 @@ class TestMirrorCheckByBlock:
         ham = chain_hamiltonian(spec)
         splits = {assert_matches_dense(ham, t, sign)
                   for t in (np.pi, 2 * np.pi / 3, 0.77) for sign in (1, -1)}
-        # the sector route is taken where the solve split a block
-        if kind in ("heisenberg", "O1", "O5"):
-            assert splits == {True}
-        if kind in ("O2", "O4"):
-            assert splits == {False}
+        # the sector route is taken where the solve split a block: for every
+        # kind but the diagonal O2 and O4, whose blocks M keeps whole or swaps
+        assert splits == {kind not in ("O2", "O4")}
 
     @pytest.mark.parametrize("variant", ["standard", "phase_exact"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])

@@ -8,6 +8,7 @@ from spin1chain.hamiltonians import (
     KINDS,
     ChainSpec,
     PRESET_VARIANTS,
+    _local_terms,
     candidate_two_site,
     chain_hamiltonian,
     engineered_sigma_block,
@@ -35,14 +36,26 @@ def random_hermitian(rng, dim):
     return (mat + mat.conj().T) / 2
 
 
-def chain_spec(kind, n, seed=0):
-    """Every kind at length n; engineered chains get seeded couplings and fields."""
+def chain_spec(kind, n, seed=0, symmetric=False):
+    """Every kind at length n; engineered chains get seeded couplings and fields,
+    with ``symmetric`` ones that read the same from either end."""
     if kind != "engineered":
         return ChainSpec(n=n, kind=kind)
     rng = np.random.default_rng(seed)
-    return ChainSpec(n=n, kind=kind, a=tuple(rng.uniform(0.5, 1.5, n - 1)),
-                     b=tuple(rng.uniform(0.5, 1.5, n - 1)), B=tuple(rng.uniform(-1, 1, n)),
-                     C=tuple(rng.uniform(0.5, 2.0, n)))
+    values = dict(a=rng.uniform(0.5, 1.5, n - 1), b=rng.uniform(0.5, 1.5, n - 1),
+                  B=rng.uniform(-1, 1, n), C=rng.uniform(0.5, 2.0, n))
+    if symmetric:
+        values = {name: (v + v[::-1]) / 2.0 for name, v in values.items()}
+    return ChainSpec(n=n, kind=kind, **{name: tuple(v) for name, v in values.items()})
+
+
+def nudged_chain(spec):
+    """The chain with its last bond's term scaled by one ulp above 1: it misses
+    M H M == H by about one ulp of its largest entry, so it takes no sector solve."""
+    terms = _local_terms(spec)
+    site, local = terms[spec.n - 2]
+    terms[spec.n - 2] = (site, local * np.nextafter(1.0, 2.0))
+    return linalg.ChainOperator.from_terms(terms, spec.n)
 
 
 def random_sparse_hermitian(rng, dim, density):
@@ -398,13 +411,17 @@ class TestParitySectors:
         assert sorted(shapes) == sector_solve_sizes(mat, index)
         assert_sector_eigensystem(es, mat, index)
 
-    @pytest.mark.parametrize("kind", ["heisenberg", "O1", "O2", "O4", "O5"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_exact_paper_kinds(self, kind, n):
-        mat = chain_hamiltonian(ChainSpec(n=n, kind=kind)).dense()
+        # every kind, and engineered chains symmetric under site reversal,
+        # equals its mirror image entry for entry, and every column has a parity
+        mat = chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)).dense()
         index = chain_mirror_index(n)
         assert np.array_equal(mat[np.ix_(index, index)], mat)
-        assert_sector_eigensystem(eig_hermitian(mat), mat, index)
+        es = eig_hermitian(mat)
+        assert_sector_eigensystem(es, mat, index)
+        assert np.all(es.parities != 0)
 
     def test_o5_six_sites_solves_its_two_sectors(self, monkeypatch):
         ham = chain_hamiltonian(ChainSpec(n=6, kind="O5"))
@@ -418,25 +435,26 @@ class TestParitySectors:
         eig_hermitian(ham)
         assert sorted(shape[-2:] for shape in shapes) == [(351, 351), (378, 378)]
 
-    @pytest.mark.parametrize("spec", [ChainSpec(n=6, kind="heisenberg_squared_mix"),
-                                      ChainSpec(n=6, kind="heisenberg_squared_sum"),
-                                      ChainSpec(n=6, kind="O3"),
-                                      chain_spec("engineered", 6, seed=9),
-                                      ChainSpec(n=6, kind="engineered",
-                                                a=(0.7, 1.1, 0.9, 1.1, 0.7),
-                                                b=(1.2, 0.8, 1.3, 0.8, 1.2),
-                                                B=(0.1, -0.3, 0.6, 0.6, -0.3, 0.1),
-                                                C=(1.5, 0.9, 1.1, 1.1, 0.9, 1.5)),
-                                      ChainSpec(n=6, kind="O2")],
-                             ids=["mix", "sum", "O3", "engineered", "engineered-symmetric",
-                                  "O2-paired-blocks"])
-    def test_other_operators_keep_the_block_path(self, spec):
-        # operators that differ from their mirror image in the last bits, and
-        # an exact one whose blocks the mirror only pairs, are solved block by
-        # block exactly as without parity sectors
-        ham = chain_hamiltonian(spec)
+    @pytest.mark.parametrize("spec, nudge", [
+        (ChainSpec(n=6, kind="heisenberg_squared_mix"), True),
+        (ChainSpec(n=6, kind="heisenberg_squared_sum"), True),
+        (ChainSpec(n=6, kind="O3"), True),
+        (chain_spec("engineered", 6, seed=9), False),
+        (ChainSpec(n=6, kind="engineered", a=(0.7, 1.1, 0.9, 1.1, 0.7), b=(1.2, 0.8, 1.3, 0.8, 1.2),
+                   B=(0.1, -0.3, 0.6, 0.6, -0.3, 0.1), C=(1.5, 0.9, 1.1, 1.1, 0.9, 1.5)), True),
+        (ChainSpec(n=6, kind="O2"), False)],
+        ids=["mix", "sum", "O3", "engineered", "engineered-symmetric", "O2-paired-blocks"])
+    def test_other_operators_keep_the_block_path(self, spec, nudge):
+        # operators that differ from their mirror image in the last bits (a
+        # symmetric chain with one bond nudged by an ulp), and an exact one
+        # whose blocks the mirror only pairs, are solved block by block
+        # exactly as without parity sectors
+        ham = nudged_chain(spec) if nudge else chain_hamiltonian(spec)
         es = eig_hermitian(ham)
         assert (es.mirror_residual == 0) == (spec.kind == "O2")
+        assert not es.parities.any() or spec.kind == "O2"
+        if nudge:
+            assert es.mirror_residual <= 1e-12 * np.max(np.abs(ham.values))
         w, v = stacked_block_reference(ham.dense())
         assert es.eigenvalues.tobytes() == w.tobytes()
         assert es.eigenvectors.tobytes() == v.tobytes()
@@ -503,30 +521,39 @@ class TestParitySectors:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_parities_are_exact_where_known(self, kind, n):
-        # a column of known parity p has v[M] == p v bit for bit; a parity is
-        # known on exactly the blocks of an exact commuter that M maps onto
-        # itself, and 0 on every other column
-        es = eig_hermitian(chain_hamiltonian(chain_spec(kind, n, seed=n)))
+        # on a block that M maps onto itself a column of parity p has
+        # v[M] == p v bit for bit; two blocks that M swaps share their levels
+        # and read +1 on the block listed first and -1 on its image
+        es = eig_hermitian(chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)))
         index, v, parities = chain_mirror_index(n), es.eigenvectors, es.parities
-        known = parities != 0
-        assert np.array_equal(v[index][:, known], parities[known] * v[:, known])
+        assert es.mirror_residual == 0
+        assert np.all(parities != 0)
         for rows, cols in es.blocks:
             for block_rows, block_cols in zip(rows, cols):
-                kept = np.array_equal(np.sort(index[block_rows]), block_rows)
-                assert np.all(known[block_cols] == (kept and es.mirror_residual == 0))
-                if not is_split(index, block_rows):
-                    assert np.all(parities[block_cols] >= 0)
+                image = np.sort(index[block_rows])
+                if np.array_equal(image, block_rows):
+                    assert np.array_equal(v[index][:, block_cols],
+                                          parities[block_cols] * v[:, block_cols])
+                    if not is_split(index, block_rows):
+                        assert np.all(parities[block_cols] == 1)
+                    continue
+                assert np.all(parities[block_cols] == (1 if block_rows[0] < image[0] else -1))
+                image_cols = cols[np.flatnonzero(rows[:, 0] == image[0])[0]]
+                gap = np.abs(es.eigenvalues[block_cols] - es.eigenvalues[image_cols])
+                assert np.max(gap) <= 1e-12 * max(np.max(np.abs(es.eigenvalues)), 1.0)
 
     def test_fixed_point_blocks_are_even(self):
         # O2 is diagonal: a palindromic basis state is its own block, kept by
-        # M and even; any other state's block is M's image of another block
+        # M and even; any other state's block is M's image of another block,
+        # +1 when it is the smaller index of the two and -1 otherwise
         n = 3
         es = eig_hermitian(chain_hamiltonian(ChainSpec(n=n, kind="O2")))
         index = chain_mirror_index(n)
         (rows, cols), = es.blocks
-        palindrome = index[rows[:, 0]] == rows[:, 0]
-        assert np.array_equal(es.parities[cols[:, 0]], palindrome.astype(int))
-        assert np.count_nonzero(palindrome) == 9
+        image = index[rows[:, 0]]
+        assert np.array_equal(es.parities[cols[:, 0]], np.where(image < rows[:, 0], -1, 1))
+        assert np.count_nonzero(image == rows[:, 0]) == 9
+        assert np.count_nonzero(es.parities < 0) == 9
 
     def test_rerun_is_byte_identical(self):
         ham = chain_hamiltonian(ChainSpec(n=5, kind="heisenberg"))

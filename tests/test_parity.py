@@ -50,6 +50,13 @@ def mirror_symmetric_chain(n, seed):
                      C=_mirror_symmetric(rng.uniform(0.5, 2.0, n)))
 
 
+def nudged_chain(spec):
+    """An engineered chain with its last coupling one ulp above its mirror
+    partner's: it misses M H M == H by about an ulp, far below 1e-12."""
+    return ChainSpec(n=spec.n, kind=spec.kind, a=spec.a[:-1] + (np.nextafter(spec.a[-1], 2.0),),
+                     b=spec.b, B=spec.B, C=spec.C)
+
+
 def reference_permutation(dim, image):
     """Dense permutation matrix sending basis state j to image(j), entry by entry."""
     perm = np.zeros((dim, dim))
@@ -284,13 +291,14 @@ class TestClusteredParities:
         assert np.array_equal(pars, want_pars)
 
 
-    @pytest.mark.parametrize("kind", ["heisenberg", "O1", "O2", "O4", "O5"])
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", PAPER_KINDS + ("engineered",))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_known_parities_copied_and_the_rest_resolved(self, kind, n, monkeypatch):
-        # exact commuters: the columns solved in a parity sector keep their
-        # parity, and only the pieces of the other columns (O2 and O4 pair
-        # their 1x1 blocks) get a mirror matrix and an eigensolve
-        es = linalg.eig_hermitian(chain_hamiltonian(ChainSpec(n=n, kind=kind)))
+        # every exact commuter has a known parity on every column, sector
+        # solved or +-1 on two blocks that the mirror swaps, so no mirror
+        # matrix is formed and the counts equal the loop's
+        spec = mirror_symmetric_chain(n, seed=n) if kind == "engineered" else ChainSpec(n=n, kind=kind)
+        es = linalg.eig_hermitian(chain_hamiltonian(spec))
         index = chain_mirror_index(n)
         resolved, eigvalsh = [], np.linalg.eigvalsh
 
@@ -304,17 +312,39 @@ class TestClusteredParities:
         want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
         assert vals.tobytes() == want_vals.tobytes()
         assert np.array_equal(pars, want_pars)
-        assert sum(resolved) == np.count_nonzero(es.parities == 0)
-        assert np.any(es.parities != 0)
-        if kind in ("O2", "O4"):
-            assert np.any(es.parities == 0)
+        assert es.mirror_residual == 0
+        assert np.all(es.parities != 0)
+        assert resolved == []
+
+    def test_unknown_parities_are_resolved_on_whole_columns(self, monkeypatch):
+        # a chain an ulp off symmetric has no known parity: every cluster is
+        # resolved, one stacked eigensolve per cluster size
+        es = linalg.eig_hermitian(chain_hamiltonian(nudged_chain(mirror_symmetric_chain(4, 5))))
+        index = chain_mirror_index(4)
+        assert 0 < es.mirror_residual <= 1e-15
+        assert not es.parities.any()
+        resolved, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            resolved.append(a.shape[0] * a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        vals, pars = clustered_parities(es, index)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(pars, want_pars)
+        assert sum(resolved) == 81
 
     def test_known_parities_need_the_chain_mirror(self):
         # parities found under the chain mirror say nothing about another mirror
         # of the same dimension: a sigma block of four sites has dimension 9
-        # the two-site exchange keeps states 0, 4 and 8 and swaps the others
+        # the two-site exchange keeps states 0, 4 and 8 and swaps the others:
+        # each swapped pair of 1x1 blocks reads +1 on its smaller state and -1
+        # on the other (columns by eigenvalue: states 0, 1, 3, 2, 6, 4, 5, 7, 8)
         es = linalg.eig_hermitian(np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0]))
-        assert sorted(es.parities.tolist()) == [0] * 6 + [1] * 3
+        assert es.parities.tolist() == [1, 1, -1, 1, -1, 1, 1, -1, 1]
         assert np.array_equal(parity.known_parities(es, chain_mirror_index(2)), es.parities)
         assert not parity.known_parities(es, sigma_mirror_index(4)).any()
         vals, pars = clustered_parities(es, sigma_mirror_index(4))
@@ -464,7 +494,7 @@ class TestChainParitySpectrum:
         # one decomposition serves both analyses: a single eig_hermitian
         # call, whose eigh calls cover every connected block exactly once;
         # the commutator and the clustering are computed once as well
-        spec = mirror_symmetric_chain(4, seed=3)
+        spec = nudged_chain(mirror_symmetric_chain(4, seed=3))
         decompositions, solved, shared, ham = self._analyses_share_one_eigh(monkeypatch, spec)
         assert linalg.evolution_cache(ham).eigensystem.mirror_residual > 0
         blocks = linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
