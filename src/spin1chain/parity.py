@@ -8,7 +8,6 @@ integer eigenvalues and odd-parity states odd integers.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -272,6 +271,10 @@ MAX_DENOMINATOR = 64
 
 
 def _rational_multiple(x):
+    # imported here: fractions (and the decimal module it loads) would add
+    # about 3 ms to the import of every CLI run, and only this test uses it
+    from fractions import Fraction
+
     frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
     if abs(x - float(frac)) <= FEASIBILITY_TOL:
         return frac

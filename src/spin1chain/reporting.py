@@ -4,6 +4,16 @@ All floating-point output is printed with 17 significant digits so rerun
 artifacts are byte-identical; manifests carry everything needed to
 reproduce a run (command, inputs, parameters, seed, tool version) and
 deliberately no timestamps.
+
+CSV tables are rendered by a numpy kernel whose bytes equal ``%.17g`` per
+value.  For ±0 and for finite values with ``1e-280 <= |x| < 1e281`` it
+takes the exponent from ``log10``, corrected on the unrounded scaled
+value, and the 17 digits ``D = round(|x| * 10**(16 - e))`` from a Dekker
+double-double product with ``10**(16 - e)`` held as an exact (hi, lo)
+pair, which is accurate to about 1e-14 units.  A value whose remainder
+lies within ``TIE_MARGIN`` of a rounding tie, and every value outside that
+window (NaN, ±inf, subnormals, the extreme exponents), is rendered by
+``%.17g`` itself and written into its place in the row.
 """
 
 import json
@@ -16,6 +26,163 @@ from . import __version__
 
 
 _FLOAT = "%.17g"
+# the fallback's format: %.17g of a float64 is at most 24 characters
+# ("-2.2250738585072014e-308"), padded here to that width with spaces
+_PADDED = "%-24.17g"
+
+# rows rendered per block, which bounds the kernel's scratch arrays
+CSV_CHUNK_ROWS = 4096
+# |x| window of the kernel: the Dekker split and products neither overflow
+# nor underflow inside it
+FAST_MIN, FAST_MAX = 1e-280, 1e281
+# a scaled value whose remainder is this close to one half goes to %.17g
+TIE_MARGIN = 1e-6
+
+# field of one value, 32 bytes wide: the sign and the "0.000" of small
+# numbers in columns 1-6, the 17 digits in columns 7-23 (the last 16 as four
+# uint32-aligned groups of 4), then the exponent and the separator, written
+# right after the last kept digit
+_WIDTH = 32
+_LEAD = 7
+_COLS = np.arange(_WIDTH, dtype=np.uint8)
+_EXP = np.arange(6)
+
+
+def _digit_tables():
+    """ASCII of every 4-digit group as one uint32, and its trailing zeros."""
+    k = np.arange(10000)
+    ascii4 = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    groups = (ascii4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = ((k % 10 == 0).astype(np.int64) + (k % 100 == 0) + (k % 1000 == 0)
+             + (k == 0))
+    return groups, zeros
+
+
+def _split(a):
+    """Dekker's split of float64 ``a`` into two 26-bit halves."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10_table():
+    """``10**(16 - e)`` for ``e`` in ``[-_E_MAX, _E_MAX]`` as (hi, lo, split of hi):
+    hi the correctly rounded double, lo the correctly rounded remainder."""
+    hi, lo = [], []
+    for e in range(-_E_MAX, _E_MAX + 1):
+        k = 16 - e
+        if k >= 0:
+            h = float(10 ** k)
+            low = float(10 ** k - int(h))
+        else:
+            q = 10 ** -k
+            h = 1 / q
+            num, den = h.as_integer_ratio()
+            low = (den - num * q) / (den * q)
+        hi.append(h)
+        lo.append(low)
+    hi = np.array(hi)
+    return (hi, np.array(lo)) + _split(hi)
+
+
+_E_MAX = 281  # decimal exponents that log10 can give inside the window
+_GROUPS, _GROUP_ZEROS = _digit_tables()
+_P_HI, _P_LO, _P_HH, _P_HL = _pow10_table()
+
+
+def _scaled(a, e):
+    """``a * 10**(16 - e)`` as an unevaluated sum ``p + r``, p a double."""
+    i = e + _E_MAX
+    p = a * _P_HI[i]
+    ah, al = _split(a)
+    hh, hl = _P_HH[i], _P_HL[i]
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    return p, err + a * _P_LO[i]
+
+
+def _render(block):
+    """CSV lines of a 2-d float64 block, every value as ``%.17g``, as uint8."""
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    fast = zero | ((a >= FAST_MIN) & (a < FAST_MAX))
+    a = np.where(fast & ~zero, a, 1.0)
+
+    # exponent from log10, corrected on the unrounded scaled value p + r
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, e)
+    low = (p - 1e16) + r < 0
+    high = (p - 1e17) + r >= 0
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], r[fix] = _scaled(a[fix], e[fix])
+    whole = np.floor(r)
+    frac = r - whole
+    fast &= np.abs(frac - 0.5) >= TIE_MARGIN
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    e += carry
+    digits[zero] = 0
+    e[zero] = 0
+
+    field = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    field[:, :_LEAD] = ord("0")
+    upper, lower = np.divmod(digits, 10 ** 8)
+    lead, upper = np.divmod(upper, 10 ** 8)
+    field[:, _LEAD] = lead + ord("0")
+    groups = np.divmod(upper, 10 ** 4) + np.divmod(lower, 10 ** 4)
+    words = field.view(np.uint32)
+    for column, group in enumerate(groups, start=(_LEAD + 1) // 4):
+        words[:, column] = _GROUPS[group]
+    z1, z2, z3, z4 = (_GROUP_ZEROS[group] for group in groups)
+    last = 16 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+
+    # %g layout: digits 0..q move one column left and the point follows digit q
+    fixed = (e >= -4) & (e < 17)
+    q = np.where(fixed, e, 0)
+    for c in range(q.max() + 1):
+        field[:, _LEAD - 1 + c] = np.where(q >= c, field[:, _LEAD + c],
+                                           field[:, _LEAD - 1 + c])
+    base = np.arange(0, field.size, _WIDTH)
+    flat = field.reshape(-1)
+    flat[base + _LEAD + q] = ord(".")
+    neg = np.signbit(x)
+    start = _LEAD - 1 + np.minimum(q, 0) - neg
+    flat[base[neg] + start[neg]] = ord("-")
+    end = np.where(last > q, _LEAD + last, _LEAD - 1 + q)
+
+    # exponent and separator right after the last kept character
+    sep = np.full((rows, cols), ord(","), dtype=np.uint8)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = (_PADDED * slow.size) % tuple(x[slow].tolist())
+        chars = np.frombuffer(text.encode(), dtype=np.uint8).reshape(slow.size, -1)
+        field[slow, :chars.shape[1]] = chars
+        start[slow], end[slow], fixed[slow] = 0, (chars != ord(" ")).sum(axis=1) - 1, True
+    flat[base + end + 1] = sep
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        mag = np.abs(e[sci])
+        hundreds, tens = np.divmod(mag, 100)
+        tens, units = np.divmod(tens, 10)
+        sign = np.where(e[sci] < 0, ord("-"), ord("+"))
+        wide = mag >= 100
+        chars = np.stack([np.full(sci.size, ord("e")), sign,
+                          np.where(wide, hundreds + ord("0"), tens + ord("0")),
+                          np.where(wide, tens, units) + ord("0"),
+                          np.where(wide, units + ord("0"), sep[sci]),
+                          sep[sci]], axis=1)
+        flat[(base[sci] + end[sci] + 1)[:, None] + _EXP] = chars
+        end[sci] += 4 + wide
+
+    span = (end + 1 - start).astype(np.uint8)[:, None]
+    keep = (_COLS - start.astype(np.uint8)[:, None]) <= span
+    return np.compress(keep.ravel(), flat)
 
 
 def fmt(x):
@@ -26,16 +193,19 @@ def fmt(x):
 def write_csv(path, header, rows):
     """Write a header line, then one line of ``fmt``-rendered values per row.
 
-    ``rows`` is a 2-d array or any iterable of equal-length rows.  The whole
-    table is rendered by one %-format, byte-identical to ``fmt`` per value.
+    ``rows`` is a 2-d array or any iterable of equal-length rows.  The table
+    is rendered ``CSV_CHUNK_ROWS`` rows at a time by the vectorized kernel
+    described in the module docstring, byte-identical to ``fmt`` per value;
+    values outside its window (``FAST_MIN <= |x| < FAST_MAX``, or ±0) and
+    values within ``TIE_MARGIN`` of a rounding tie fall back to ``fmt``.
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
                        dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if table.size:
-            line = ",".join([_FLOAT] * table.shape[1]) + "\n"
-            fh.write(line * table.shape[0] % tuple(table.ravel().tolist()))
+            for i in range(0, table.shape[0], CSV_CHUNK_ROWS):
+                fh.write(_render(table[i:i + CSV_CHUNK_ROWS]))
 
 
 def write_json(path, payload):

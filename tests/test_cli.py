@@ -5,8 +5,16 @@ import pytest
 
 from spin1chain import cli, dynamics, tomography
 from spin1chain.cli import build_parser, main, parse_time
-from spin1chain.dynamics import QUTRIT_TEST_STATES, qutrit_transfer_fidelity
-from spin1chain.hamiltonians import pst_preset
+from spin1chain.dynamics import (QUTRIT_TEST_STATES, amplitude_scan, qutrit_fidelity_series,
+                                 qutrit_transfer_fidelity)
+from spin1chain.hamiltonians import ChainSpec, chain_hamiltonian, pst_preset
+from spin1chain.reporting import CSV_CHUNK_ROWS
+from spin1chain.spin_ops import basis_index
+from test_reporting import per_value_csv
+
+# a grid of more than one CSV chunk that is not a whole number of chunks
+LONG_GRID = np.arange(0.0, 5.0, 1e-3)
+assert LONG_GRID.size > CSV_CHUNK_ROWS and LONG_GRID.size % CSV_CHUNK_ROWS
 
 
 def run_cli(argv, capsys):
@@ -156,6 +164,20 @@ class TestTransfer:
         assert abs(summary["first_peak_time"] - 2 * np.pi / 3) <= 5e-3
         header = (tmp_path / "t3_series.csv").read_text().splitlines()[0]
         assert header == "t,abs,arg"
+
+    def test_full_space_series_is_the_library_series(self, tmp_path, capsys):
+        spec = ChainSpec.from_json_dict({"n": 3, "kind": "heisenberg_squared_sum"})
+        spec_path = tmp_path / "chain3.json"
+        spec_path.write_text(json.dumps(spec.to_json_dict()))
+        code, _, _ = run_cli([
+            "transfer", "--spec", str(spec_path), "--source", "001", "--target", "100",
+            "--t-max", "5", "--dt", "1e-3", "--output-dir", str(tmp_path), "--tag", "long",
+        ], capsys)
+        assert code == 0
+        scan = amplitude_scan(chain_hamiltonian(spec), basis_index("001", 3),
+                              basis_index("100", 3), LONG_GRID, sign=spec.time_sign)
+        assert ((tmp_path / "long_series.csv").read_bytes()
+                == per_value_csv(("t", "abs", "arg"), scan.rows()))
 
     def test_sigma_scan_preset(self, tmp_path, capsys):
         code, out, _ = run_cli([
@@ -320,6 +342,17 @@ class TestPstCheck:
         k = int(np.argmax(fid))
         assert abs(t[k] - np.pi) <= 2e-2
         assert fid[k] >= 1 - 1e-4
+
+    def test_fidelity_scan_is_the_library_series(self, tmp_path, capsys):
+        code, _, _ = run_cli([
+            "pst-check", "--n", "4", "--scan", "--t-max", "5", "--dt", "1e-3",
+            "--output-dir", str(tmp_path), "--tag", "long",
+        ], capsys)
+        assert code == 0
+        fidelity = qutrit_fidelity_series(pst_preset(4, "standard"), QUTRIT_TEST_STATES[3],
+                                          LONG_GRID)
+        assert ((tmp_path / "long_fidelity.csv").read_bytes()
+                == per_value_csv(("t", "fidelity"), np.column_stack((LONG_GRID, fidelity))))
 
     @pytest.mark.parametrize("variant, n", [("standard", 3), ("phase_exact", 7),
                                             ("standard", 11)])

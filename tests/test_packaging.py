@@ -49,6 +49,13 @@ def test_cli_import_loads_no_scipy():
     assert loaded_modules("import spin1chain.cli", "scipy") == []
 
 
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the CSV kernel builds its power-of-ten table from ints, so neither
+    # module is part of the import time of a CLI run
+    assert loaded_modules("import spin1chain.cli", "fractions") == []
+    assert loaded_modules("import spin1chain.cli", "decimal") == []
+
+
 # every subcommand, run from a directory holding chain.json; the full-space
 # transfer builds, solves and scans a seven-site chain
 CLI_RUNS = [

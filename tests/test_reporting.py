@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from spin1chain.reporting import fmt, write_csv
+from spin1chain.reporting import CSV_CHUNK_ROWS, FAST_MAX, FAST_MIN, fmt, write_csv
 
 
 def per_value_csv(header, rows):
@@ -49,3 +53,75 @@ def test_empty_table_writes_header_only(tmp_path):
     write_csv(tmp_path / "z.csv", ("t", "p"), np.empty((0, 2)))
     assert (tmp_path / "e.csv").read_bytes() == b"t,p\n"
     assert (tmp_path / "z.csv").read_bytes() == b"t,p\n"
+
+
+def assert_renders_per_value(path, table):
+    header = tuple(f"c{i}" for i in range(table.shape[1]))
+    write_csv(path, header, table)
+    assert path.read_bytes() == per_value_csv(header, table)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 4)),
+              elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_any_float_table_matches_per_value_fmt(tmp_path, table):
+    assert_renders_per_value(tmp_path / "h.csv", table)
+
+
+def both_signs_and_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    around = np.concatenate([np.nextafter(values, -np.inf), values,
+                             np.nextafter(values, np.inf)])
+    return np.concatenate([around, -around])
+
+
+def test_powers_of_ten_and_neighbours(tmp_path):
+    # correctly rounded 10**k, on both sides of each of which log10 may misjudge
+    # the exponent and the 17 digits may carry into a new one
+    powers = [float(f"1e{k}") for k in range(-307, 309)]
+    assert_renders_per_value(tmp_path / "p.csv",
+                             both_signs_and_neighbours(powers).reshape(-1, 4))
+
+
+def test_dyadic_halfway_values(tmp_path):
+    # (k + 1/2) * 2**j: exact ties in their 18th digit take the %.17g fallback
+    k = np.arange(0, 2000, 7, dtype=np.float64)
+    j = np.arange(-70, 71)
+    halfway = ((k[:, None] + 0.5) * 2.0 ** j).ravel()
+    assert_renders_per_value(tmp_path / "d.csv", np.concatenate([halfway, -halfway])
+                             .reshape(-1, 2))
+
+
+def test_integers_up_to_two_to_the_63(tmp_path):
+    rng = np.random.default_rng(63)
+    exact = [2 ** b + d for b in range(64) for d in (-1, 0, 1)]
+    exact += [10 ** k + d for k in range(20) for d in (-1, 0, 1)]
+    values = np.concatenate([np.array(exact, dtype=np.float64), np.arange(-2000, 2000),
+                             rng.integers(0, 2 ** 63, 4000).astype(np.float64)])
+    assert_renders_per_value(tmp_path / "i.csv", values.reshape(-1, 4))
+
+
+def test_fast_path_window_edges(tmp_path):
+    edges = both_signs_and_neighbours([FAST_MIN, FAST_MAX, 1e-281, 1e-279, 1e280, 1e282])
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308])
+    assert_renders_per_value(tmp_path / "w.csv",
+                             np.concatenate([edges, special, special[:1]]).reshape(-1, 1))
+
+
+def test_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(1801).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    assert_renders_per_value(tmp_path / "b.csv", bits.view(np.float64).reshape(-1, 4))
+
+
+@pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                  3 * CSV_CHUNK_ROWS + 1])
+def test_chunk_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    # values that take the fallback on both sides of every chunk edge
+    for edge in range(0, rows + 1, CSV_CHUNK_ROWS):
+        for row in (edge - 1, edge):
+            if 0 <= row < rows:
+                table[row] = (np.nan, 1 + 2.0 ** -17, -np.inf)
+    assert_renders_per_value(tmp_path / "c.csv", table)
