@@ -272,7 +272,7 @@ MAX_DENOMINATOR = 64
 
 def _rational_multiple(x):
     # imported here: fractions (and the decimal module it loads) would add
-    # about 3 ms to the import of every CLI run, and only this test uses it
+    # about 3 ms to every CLI run's import, and only the gap-ratio test uses it
     from fractions import Fraction
 
     frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)

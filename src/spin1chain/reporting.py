@@ -35,6 +35,8 @@ CSV_CHUNK_ROWS = 4096
 # |x| window of the kernel: the Dekker split and products neither overflow
 # nor underflow inside it
 FAST_MIN, FAST_MAX = 1e-280, 1e281
+# largest |floor(log10|x|)| inside the window, one estimate error included
+_E_MAX = 281
 # a scaled value whose remainder is this close to one half goes to %.17g
 TIE_MARGIN = 1e-6
 
@@ -45,7 +47,7 @@ TIE_MARGIN = 1e-6
 _WIDTH = 32
 _LEAD = 7
 _COLS = np.arange(_WIDTH, dtype=np.uint8)
-_EXP = np.arange(6)
+_EXP_OFFSETS = np.arange(6)  # exponent characters and separator
 
 
 def _digit_tables():
@@ -85,7 +87,6 @@ def _pow10_table():
     return (hi, np.array(lo)) + _split(hi)
 
 
-_E_MAX = 281  # decimal exponents that log10 can give inside the window
 _GROUPS, _GROUP_ZEROS = _digit_tables()
 _P_HI, _P_LO, _P_HH, _P_HL = _pow10_table()
 
@@ -126,7 +127,6 @@ def _render(block):
     digits[carry] = 10 ** 16
     e += carry
     digits[zero] = 0
-    e[zero] = 0
 
     field = np.empty((x.size, _WIDTH), dtype=np.uint8)
     field[:, :_LEAD] = ord("0")
@@ -177,7 +177,7 @@ def _render(block):
                           np.where(wide, tens, units) + ord("0"),
                           np.where(wide, units + ord("0"), sep[sci]),
                           sep[sci]], axis=1)
-        flat[(base[sci] + end[sci] + 1)[:, None] + _EXP] = chars
+        flat[(base[sci] + end[sci] + 1)[:, None] + _EXP_OFFSETS] = chars
         end[sci] += 4 + wide
 
     span = (end + 1 - start).astype(np.uint8)[:, None]
@@ -194,10 +194,11 @@ def write_csv(path, header, rows):
     """Write a header line, then one line of ``fmt``-rendered values per row.
 
     ``rows`` is a 2-d array or any iterable of equal-length rows.  The table
-    is rendered ``CSV_CHUNK_ROWS`` rows at a time by the vectorized kernel
-    described in the module docstring, byte-identical to ``fmt`` per value;
-    values outside its window (``FAST_MIN <= |x| < FAST_MAX``, or ±0) and
-    values within ``TIE_MARGIN`` of a rounding tie fall back to ``fmt``.
+    is rendered ``CSV_CHUNK_ROWS`` rows at a time by the numpy kernel of the
+    module docstring, byte-identical to ``fmt`` per value: it covers ±0 and
+    ``FAST_MIN <= |x| < FAST_MAX``, and every other value (NaN and ±inf
+    included) and every value within ``TIE_MARGIN`` of a rounding tie is
+    rendered by ``%.17g`` itself.
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
                        dtype=np.float64)

@@ -50,8 +50,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_fractions_or_decimal():
-    # the CSV kernel builds its power-of-ten table from ints, so neither
-    # module is part of the import time of a CLI run
+    # the CSV kernel builds its power-of-ten table from ints and parity imports
+    # fractions where its gap-ratio test runs, so neither module adds to the
+    # import time of a CLI run
     assert loaded_modules("import spin1chain.cli", "fractions") == []
     assert loaded_modules("import spin1chain.cli", "decimal") == []
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -82,6 +85,25 @@ def test_powers_of_ten_and_neighbours(tmp_path):
     powers = [float(f"1e{k}") for k in range(-307, 309)]
     assert_renders_per_value(tmp_path / "p.csv",
                              both_signs_and_neighbours(powers).reshape(-1, 4))
+
+
+def decimal_exponent(x):
+    """floor(log10(x)) of a positive float, exactly."""
+    k = math.floor(math.log10(x))
+    k -= Fraction(x) < Fraction(10) ** k
+    return k + (Fraction(x) >= Fraction(10) ** (k + 1))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_exponent_estimate_one_off_is_corrected(tmp_path, monkeypatch, shift):
+    # a log10 less exact than this platform's can misjudge the exponent by one
+    # near powers of ten; the kernel corrects it on the unrounded scaled value
+    powers = [float(f"1e{k}") for k in range(-279, 280, 7)]
+    values = np.concatenate([both_signs_and_neighbours(powers),
+                             np.random.default_rng(7).normal(size=300) * 1e3])
+    monkeypatch.setattr(np, "log10", lambda a: np.array(
+        [decimal_exponent(v) + shift + 0.5 for v in a.tolist()]))
+    assert_renders_per_value(tmp_path / "s.csv", values.reshape(-1, 2))
 
 
 def test_dyadic_halfway_values(tmp_path):
