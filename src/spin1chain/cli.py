@@ -40,10 +40,7 @@ from .hamiltonians import (
     candidate_two_site,
     chain_hamiltonian,
     engineered_sigma_block,
-    heisenberg_two_site,
-    mix_two_site,
     pst_preset,
-    squared_sum_two_site,
     swap_check,
 )
 from .parity import CANDIDATE_FORMS, LITERATURE_SPECTRA, parity_spectrum, reference_comparison
@@ -63,13 +60,12 @@ _TIME_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)?\s*(pi)?\s*(
 
 
 def parse_time(text):
-    """Parse '0.5pi', 'pi', '2pi/3' or a plain float into seconds of evolution."""
+    """Parse '0.5pi', 'pi', '2pi/3' or a plain float into a finite evolution time."""
+    usage = f"cannot parse time {text!r}; use e.g. 1.5, pi, 0.5pi, 2pi/3"
     m = _TIME_RE.match(text.strip())
     if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError(f"cannot parse time {text!r}; use e.g. 1.5, pi, 0.5pi, 2pi/3")
-    value = float(m.group(1)) if m.group(1) else 1.0
-    if m.group(2):
-        value *= np.pi
+        raise ValueError(usage)
+    value = float(m.group(1) or 1.0) * (np.pi if m.group(2) else 1.0)
     if m.group(3):
         if not m.group(2):
             raise ValueError(f"divisor without pi in {text!r}")
@@ -77,6 +73,8 @@ def parse_time(text):
         if divisor == 0:
             raise ValueError(f"zero divisor in {text!r}")
         value /= divisor
+    if not np.isfinite(value):
+        raise ValueError(usage)
     return value
 
 
@@ -92,7 +90,7 @@ def _load_spec(args):
             return ChainSpec.load(args.spec), args.spec
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read spec file: {exc}") from exc
-    if getattr(args, "preset_n", None):
+    if getattr(args, "preset_n", None) is not None:
         return pst_preset(args.preset_n, args.preset_variant), None
     raise SpecError("provide --spec FILE or --preset-n N")
 
@@ -100,7 +98,7 @@ def _load_spec(args):
 def _time_grid(args):
     t_max = parse_time(args.t_max)
     dt = float(args.dt)
-    if not (0 < dt < np.inf and 0 < t_max < np.inf):
+    if not (0 < dt < np.inf and 0 < t_max):
         raise SpecError("time grid requires positive finite --t-max and --dt")
     return np.arange(0.0, t_max, dt)
 
@@ -154,16 +152,16 @@ def cmd_spectra(args):
 
 
 _SWAP_INTERACTIONS = {
-    "mix": mix_two_site,
-    "squared_sum": squared_sum_two_site,
-    "heisenberg": heisenberg_two_site,
-    **{name: (lambda nm=name: candidate_two_site(nm)) for name in CANDIDATE_NAMES},
+    "mix": "heisenberg_squared_mix",
+    "squared_sum": "heisenberg_squared_sum",
+    "heisenberg": "heisenberg",
+    **{name: name for name in CANDIDATE_NAMES},
 }
 
 
 def cmd_swap_check(args):
     t = parse_time(args.time)
-    ham = _SWAP_INTERACTIONS[args.interaction]()
+    ham = chain_hamiltonian(ChainSpec(n=2, kind=_SWAP_INTERACTIONS[args.interaction]))
     result = swap_check(evolution_cache(ham).unitary(t, args.sign), tol=args.tol)
     payload = {
         "interaction": args.interaction,

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, apply_exp, block_positions, chain_sites, evolution_cache
-from .parity import known_parities, mirror_commutator, mirror_parities
-from .spin_ops import ChainOperator, basis_index
+from .linalg import EvolutionCache, apply_exp, block_positions, evolution_cache
+from .parity import mirror_commutator, mirror_eigensystem, mirror_parities
+from .spin_ops import basis_index
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,11 @@ def evolve(op, state, t, sign=1):
 
 def _state_index(state, dim):
     if isinstance(state, str):
-        n = chain_sites(dim)
-        if n is None:
-            raise ValueError(f"state label {state!r} addresses a 3^n product space, "
-                             f"but the operator has dimension {dim}")
-        return basis_index(state, n)
+        n = len(state)
+        if 3 ** n != dim:
+            raise ValueError(f"state label {state!r} has {n} sites, so it addresses 3^{n} "
+                             f"product states, but the operator has dimension {dim}")
+        return basis_index(state)
     idx = int(state)
     if not 0 <= idx < dim:
         raise ValueError(f"basis index {idx} out of range for dimension {dim}")
@@ -274,7 +274,7 @@ def _mirror_entries(eigensystem, index, phases):
 
     U is block diagonal, so an image M j in another block than j reads 0.
     A block is split when M maps it onto itself and it has odd columns
-    (:func:`known_parities`; the parities of two blocks that M swaps are
+    (its ``parities``; the parities of two blocks that M swaps are
     those of combinations of their columns).  Any other block is formed as
     V_b diag(phases) V_b^dagger on its own rows, stacked with the other such
     blocks of its size.  A split block has v[M i] = p v[i] in each column,
@@ -287,7 +287,7 @@ def _mirror_entries(eigensystem, index, phases):
     every other entry of the block is an entry of one of the two off those
     places.
     """
-    evecs, parities = eigensystem.eigenvectors, known_parities(eigensystem, index)
+    evecs, parities = eigensystem.eigenvectors, eigensystem.parities
     block_of, position = block_positions([rows for rows, _ in eigensystem.blocks],
                                          eigensystem.dim)
     diagonal = np.zeros(eigensystem.dim, dtype=complex)
@@ -334,21 +334,20 @@ def mirror_check(op, t, sign=1, space="full"):
     residual, and the distinct eigenphases exp(i E t) grouped by the mirror
     parity of their eigenvectors (mirroring requires each group to collapse
     to one value, the two groups differing by a factor -1).  ``space`` is
-    ``full`` (dimension 3^n) or ``sigma`` (the (2n+1)-dimensional sigma
-    block).  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
+    ``full`` (a ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block
+    array); ``t`` is finite.  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
     residual the largest |U - e^{i phi} M| entry, both read block by block
     and parity sector by parity sector (:func:`_mirror_entries`), so the
     dense unitary is never built.
     """
     if space not in ("full", "sigma"):
         raise ValueError(f"space must be 'full' or 'sigma', got {space!r}")
-    if space == "sigma" and isinstance(op, ChainOperator):
-        raise ValueError("space='sigma' takes the (2n+1)-dimensional sigma block, "
-                         "not a full-space ChainOperator")
+    if not np.isfinite(t):
+        raise ValueError(f"mirror_check needs a finite time, got {t!r}")
     kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
-    diagonal, largest = _mirror_entries(
-        cache.eigensystem, index, np.exp(1j * sign * cache.eigensystem.eigenvalues * t))
+    es = mirror_eigensystem(cache, kind)
+    diagonal, largest = _mirror_entries(es, index, np.exp(1j * sign * es.eigenvalues * t))
     phi = float(np.angle(np.sum(diagonal)))
     residual = max(largest, float(np.max(np.abs(diagonal - np.exp(1j * phi)))))
 

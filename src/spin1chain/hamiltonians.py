@@ -239,7 +239,7 @@ def swap_check(unitary, tol=1e-10):
     if u.shape != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {u.shape}")
     unit_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(9))))
-    if unit_dev > 1e-10:
+    if not unit_dev <= 1e-10:  # a NaN deviation is refused too
         raise ValueError(f"input is not unitary: ||U^dag U - I||_max = {unit_dev:.3e}")
 
     on = u[SWAP2 != 0]

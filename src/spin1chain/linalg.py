@@ -5,8 +5,8 @@ goes through :func:`eig_hermitian`, which enforces a deterministic
 eigenvector phase convention so that regression files are stable.  It
 diagonalizes each connected block of the matrix's nonzero pattern on its
 own, so a Hamiltonian that conserves something costs what its sectors
-cost, and splits a block of a chain operator that commutes exactly with
-the site inversion into its two parity sectors.  :func:`evolution_cache`
+cost, and splits a block of a :class:`ChainOperator` that commutes exactly
+with its site inversion into its two parity sectors.  :func:`evolution_cache`
 memoizes it by matrix content, so the analyses of one Hamiltonian share
 a single decomposition.
 """
@@ -165,12 +165,6 @@ def connected_blocks(nonzero, dim):
     return np.split(order, starts)
 
 
-def chain_sites(dim):
-    """The site count n of a 3^n-dimensional space, or None when ``dim`` is no power of 3."""
-    n = round(math.log(dim, 3)) if dim > 1 else 0
-    return n if 3 ** n == dim else None
-
-
 def chain_mirror_index(n):
     """Site inversion (site i <-> n+1-i) on 3^n as an index array p.
 
@@ -208,11 +202,11 @@ class HermitianEigenSystem:
     sector's columns first (the even sector's at equal size), each sector
     ascending.  Left empty, the whole space is one block.
     :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
-    :func:`commutator_residual` of a matrix of dimension 3^n, n >= 2, and
-    leaves it None otherwise.  ``parities`` holds each column's parity
-    under that chain mirror M when the residual is 0, else 0: on a block
-    that M maps onto itself ``v[M] == parity * v`` exactly (a block of
-    fixed rows only is even); two blocks that M swaps share their levels,
+    :func:`commutator_residual` of a :class:`ChainOperator` of n >= 2
+    sites, else None (an array has no chain mirror).  ``parities`` holds
+    each column's parity under that mirror M when the residual is 0, else
+    0: on a block that M maps onto itself ``v[M] == parity * v`` exactly (a
+    block of fixed rows only is even); two blocks that M swaps share their levels,
     each level's pair of columns spanning one even and one odd combination,
     so the block listed first reads +1 and its image -1.  Left empty, all 0.
     """
@@ -304,16 +298,17 @@ def eig_hermitian(op):
     ``op`` is a square array or a :class:`ChainOperator`, which is refused
     above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
     (:func:`connected_blocks`) is diagonalized on its own, its matrix read
-    from the entries.  An operator of dimension 3^n, n >= 2, whose entries
-    equal those of M H M exactly (M the chain mirror; the residual is kept
-    as ``mirror_residual``) has each block that M maps onto itself and
-    that holds a pair i != M i solved as its even and odd parity sectors
-    instead (:func:`_parity_sectors`); its eigenvectors then have definite
-    parity, recorded as ``parities``; so does a block of fixed rows only
-    that M maps onto itself (it is even).  Every other block is its own
-    even sector and is solved whole; two blocks that M swaps get the
-    parities +1 and -1 (:class:`HermitianEigenSystem`).
-    Blocks of one size and one fixed-row count go through one stacked
+    from the entries.  A ChainOperator of n >= 2 sites whose entries equal
+    those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
+    residual is kept as ``mirror_residual``) has each block that M maps
+    onto itself and that holds a pair i != M i solved as its even and odd
+    parity sectors instead (:func:`_parity_sectors`); its eigenvectors
+    then have definite parity, recorded as ``parities``; so does a block
+    of fixed rows only that M maps onto itself (it is even).  Every other
+    block is its own even sector and is solved whole; two blocks that M
+    swaps get the parities +1 and -1 (:class:`HermitianEigenSystem`).  An
+    array has no chain mirror, whatever its dimension: its blocks are solved
+    whole.  Blocks of one size and one fixed-row count go through one stacked
     ``eigh`` call per sector.  The eigenpairs are sorted ascending; equal
     eigenvalues are ordered by block (smaller blocks first, then by
     smallest index), the even sector before the odd, then as ``eigh``
@@ -327,13 +322,12 @@ def eig_hermitian(op):
     if isinstance(op, ChainOperator):
         check_dense_dim(op.dim)
         dim, nonzero = op.dim, op.flat
+        mirror = chain_mirror_index(op.n_sites) if op.n_sites >= 2 else None
     else:
         op = np.asarray(op)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {op.shape}")
-        dim, nonzero = op.shape[0], np.flatnonzero(op)
-    n = chain_sites(dim)
-    mirror = chain_mirror_index(n) if n is not None and n >= 2 else None
+        dim, nonzero, mirror = op.shape[0], np.flatnonzero(op), None
     residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
     blocks = connected_blocks(nonzero, dim)
     if len(blocks) == 1:
@@ -496,7 +490,9 @@ def content_key(op):
 
 
 def evolution_cache(op):
-    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`)."""
+    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`): a
+    ChainOperator and its dense matrix share one key, so the form solved first fills
+    the entry (from the array, with no chain-mirror residual or parities)."""
     digest, nonzero = content_key(op)
     cached = _cache_by_fingerprint.get(digest)
     if cached is None:

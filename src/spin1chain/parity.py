@@ -7,13 +7,13 @@ when, up to an affine rescaling, even-parity eigenstates carry even
 integer eigenvalues and odd-parity states odd integers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import (
+    ChainOperator,
     chain_mirror_index,
-    chain_sites,
     commutator_residual,
     entries_at,
     evolution_cache,
@@ -80,24 +80,29 @@ def chain_mirror_permutation(n):
     return perm
 
 
-def mirror_index(kind, dim):
-    """Index array of the ``kind`` inversion on a space of dimension ``dim``.
+def mirror_index(kind, op):
+    """Index array of the ``kind`` inversion on the space of the operator ``op``.
 
-    ``two_site_exchange`` needs dim 9, ``chain_mirror`` dim 3^n and
-    ``sigma`` (the sigma basis of n sites) dim 2n+1; any other dimension
-    raises ValueError.
+    ``chain_mirror`` reads n from a :class:`ChainOperator` and refuses an
+    array, whose dimension names no sites; ``two_site_exchange`` needs a
+    9-dimensional operator; ``sigma`` (the sigma basis of n sites) needs
+    a (2n+1)-dimensional array.  Any other input raises ValueError.
     """
+    dim = len(op)
     if kind == "two_site_exchange":
         if dim != 9:
             raise ValueError(f"two_site_exchange parity needs a 9-dimensional two-site "
                              f"operator, got dimension {dim}")
         return chain_mirror_index(2)
     if kind == "chain_mirror":
-        n = chain_sites(dim)
-        if not n:
-            raise ValueError(f"chain_mirror parity needs dimension 3^n, got dimension {dim}")
-        return chain_mirror_index(n)
+        if not isinstance(op, ChainOperator):
+            raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
+                             f"site count, got an array of dimension {dim}")
+        return chain_mirror_index(op.n_sites)
     if kind == "sigma":
+        if isinstance(op, ChainOperator):
+            raise ValueError("the sigma mirror takes the (2n+1)-dimensional sigma block, "
+                             "not a full-space ChainOperator")
         if dim < 3 or dim % 2 == 0:
             raise ValueError(f"the sigma mirror needs dimension 2n+1, got dimension {dim}")
         return sigma_mirror_index((dim - 1) // 2)
@@ -124,24 +129,14 @@ def _cluster_bounds(evals):
     return starts, stops
 
 
-def known_parities(eigensystem, index):
-    """The eigensystem's ``parities`` where ``index`` is the chain mirror they were
-    found under (:func:`eig_hermitian` splits by the chain mirror only), else 0s:
-    all or nothing, as an exact chain-mirror commuter has a parity on every column."""
-    n = chain_sites(eigensystem.dim)
-    if n and np.array_equal(index, chain_mirror_index(n)):
-        return eigensystem.parities
-    return np.zeros(eigensystem.dim, dtype=np.int8)
-
-
 def clustered_parities(eigensystem, index):
     """(eigenvalue, parity) per eigenvector, parities from the index mirror.
 
     Eigenvalues are clustered to 1e-9, each eigenvalue being its cluster's
-    mean, and a cluster lists its parities ascending.  Known parities
-    (:func:`known_parities`) are taken as they are.  Otherwise (sigma
-    blocks, band reversals, operators that are not exact chain-mirror
-    commuters) the mirror is diagonalized inside each cluster, so degenerate
+    mean, and a cluster lists its parities ascending.  The eigensystem's
+    ``parities`` (nonzero only for a ChainOperator that commutes exactly
+    with its chain mirror, ``index``) are taken as they are.  Otherwise
+    (arrays, inexact commuters) the mirror is diagonalized inside each cluster, so degenerate
     subspaces that mix parities under a plain eigensolver are resolved
     correctly: clusters of one size get one stacked product for their mirror
     matrices <v_a|M|v_b> and one stacked eigensolve, on whole columns,
@@ -151,7 +146,7 @@ def clustered_parities(eigensystem, index):
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
-    out_pars = known_parities(eigensystem, index).astype(int)
+    out_pars = eigensystem.parities.astype(int)
     unknown = not out_pars.all()
     for size in np.unique(sizes):
         cols = starts[sizes == size, None] + np.arange(size)
@@ -192,9 +187,12 @@ def mirror_commutator(op, kind):
     |entry| of H).  The residual and the scale are computed once per
     Hamiltonian and kind and kept on its cache entry, from H's nonzero
     entries only; the residual of the chain mirror (and of the two-site
-    exchange, the same index) is the one ``eig_hermitian`` kept.
+    exchange, the same index) is the one ``eig_hermitian`` kept.  Under the
+    two-site exchange a 9 x 9 array is taken as the two-site ChainOperator.
     """
-    index = mirror_index(kind, len(op))
+    index = mirror_index(kind, op)
+    if kind == "two_site_exchange" and not isinstance(op, ChainOperator):
+        op = ChainOperator.from_terms([(1, np.reshape(op, (9, 9)))], 2)
     cache = evolution_cache(op)
 
     def compute():
@@ -208,10 +206,17 @@ def mirror_commutator(op, kind):
     return cache, index, residual, scale
 
 
+def mirror_eigensystem(cache, kind):
+    """The cached eigensystem, its chain-mirror parities dropped for ``sigma``: a complex
+    sigma block shares its cache entry with a ChainOperator of the same entries."""
+    es = cache.eigensystem
+    return replace(es, parities=None) if kind == "sigma" and es.parities.any() else es
+
+
 def mirror_parities(cache, index, kind):
     """:func:`clustered_parities` of the cached eigensystem, once per Hamiltonian and kind."""
     def compute():
-        vals, pars = clustered_parities(cache.eigensystem, index)
+        vals, pars = clustered_parities(mirror_eigensystem(cache, kind), index)
         vals.flags.writeable = pars.flags.writeable = False
         return vals, pars
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ class TestParseTime:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["stage"] == "swap-check" and "zero divisor" in error["message"]
+
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308pi", "1e400pi/3"])
+    def test_rejects_times_that_overflow(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse time '{re.escape(text)}'"):
+            parse_time(text)
+
+    @pytest.mark.parametrize("argv", [["swap-check", "--time", "1e400"],
+                                      ["swap-check", "--time", "1e308pi"],
+                                      ["pst-check", "--n", "3", "--time", "1e400"],
+                                      ["pst-check", "--n", "3", "--time", "1e308pi", "--scan"]])
+    def test_subcommands_refuse_an_infinite_time(self, tmp_path, capsys, argv):
+        outdir = ["--output-dir", str(tmp_path)] if argv[0] == "pst-check" else []
+        code, out, err = run_cli([*argv, *outdir], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == argv[0] and "cannot parse time" in error["message"]
+        assert not list(tmp_path.iterdir())
 
 
 class TestValidate:
@@ -228,7 +247,20 @@ class TestTransfer:
         code, out, err = run_cli(["transfer", "--preset-n", "3", "--channel", "up", *grid,
                                   "--output-dir", str(tmp_path)], capsys)
         assert code == 2 and out == ""
-        assert "positive finite" in json.loads(err)["error"]["message"]
+        # a --t-max that overflows to inf is refused by the time parser itself
+        want = "cannot parse time '1e999'" if grid[0] == "--t-max" else "positive finite"
+        assert want in json.loads(err)["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["transfer", "--channel", "up"],
+                                      ["transfer", "--source", "00", "--target", "00"],
+                                      ["tomography"], ["tomography", "--emit-records"]])
+    def test_preset_n_zero_reports_the_preset_rule(self, tmp_path, capsys, argv):
+        # 0 is a given --preset-n, not a missing one
+        code, out, err = run_cli([*argv, "--preset-n", "0", "--output-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "presets require n >= 2"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("channel, flag, site", [("up", "--source-site", "0"),

@@ -28,8 +28,8 @@ from spin1chain.linalg import HermitianEigenSystem
 from spin1chain.parity import (
     chain_mirror_index,
     clustered_parities,
-    known_parities,
     mirror_commutator,
+    mirror_eigensystem,
     sigma_mirror_index,
 )
 from spin1chain.spin_ops import basis_index
@@ -144,7 +144,8 @@ class TestTransferAmplitude:
     def test_label_length_must_match_sites(self, source, target):
         ham = chain_hamiltonian(ChainSpec(n=4, kind="heisenberg"))
         wrong = source if len(source) != 4 else target
-        message = f"state label '{wrong}' has {len(wrong)} sites, expected 4"
+        message = (f"state label '{wrong}' has {len(wrong)} sites, so it addresses "
+                   rf"3\^{len(wrong)} product states, but the operator has dimension 81")
         with pytest.raises(ValueError, match=message):
             transfer_amplitude(ham, source, target, 1.0)
         with pytest.raises(ValueError, match=message):
@@ -301,10 +302,18 @@ class TestMirrorCheck:
         assert result.residual <= 1e-10
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"3\^n, got dimension 10"):
+        with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 10"):
             mirror_check(np.eye(10), np.pi)
         with pytest.raises(ValueError, match="2n\\+1, got dimension 10"):
             mirror_check(np.eye(10), np.pi, space="sigma")
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_rejected(self, t):
+        # at t = inf every phase is NaN, which max() would drop from the residual
+        with pytest.raises(ValueError, match="finite time"):
+            mirror_check(chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")), t)
+        with pytest.raises(ValueError, match="finite time"):
+            mirror_check(engineered_sigma_block(pst_preset(3, "standard")), t, space="sigma")
 
     def test_unknown_space_rejected(self):
         # a misspelt space would otherwise take the two-site exchange of a 9-state block
@@ -355,7 +364,7 @@ def dense_mirror_reference(op, t, sign, space="full"):
         vals, pars = clustered_parities(plain, index)
         phases = np.exp(1j * sign * vals * t)
         even, odd = _distinct_phases(phases[pars > 0]), _distinct_phases(phases[pars < 0])
-    parities = known_parities(es, index)
+    parities = mirror_eigensystem(cache, kind).parities
     split = any(np.array_equal(np.sort(index[block_rows]), block_rows)
                 and np.any(parities[block_cols] < 0)
                 for rows, cols in es.blocks for block_rows, block_cols in zip(rows, cols))

@@ -223,6 +223,14 @@ class TestSwapCheck:
         with pytest.raises(ValueError, match="not unitary"):
             swap_check(np.ones((9, 9)))
 
+    def test_nan_matrix_rejected(self):
+        # a NaN deviation fails every comparison, so the gate must not pass it
+        unitary = np.eye(9, dtype=complex)
+        unitary[4, 4] = np.nan
+        for bad in (unitary, np.full((9, 9), np.nan)):
+            with pytest.raises(ValueError, match="not unitary"):
+                swap_check(bad)
+
     @pytest.mark.parametrize("name", sorted(SWAP_CASES))
     def test_residual_is_the_minimum_over_all_phases(self, name):
         # the exact minimax lies at or below a scan of 2^16 phases, for both signs

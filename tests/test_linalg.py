@@ -11,9 +11,11 @@ from spin1chain.hamiltonians import (
     _local_terms,
     candidate_two_site,
     chain_hamiltonian,
+    down_block,
     engineered_sigma_block,
     heisenberg_two_site,
     pst_preset,
+    up_block,
 )
 from spin1chain.linalg import (
     EvolutionCache,
@@ -390,8 +392,8 @@ class TestParitySectors:
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_symmetrized_random_matrices(self, n, pattern, dtype, monkeypatch):
         # dense, Sz-sector (every block maps onto itself) and O3 patterns
-        # (blocks the mirror pairs stay whole, in stacks with the sectors);
-        # a real matrix keeps real sector matrices
+        # (blocks the mirror pairs stay whole, in stacks with the sectors),
+        # complex and real
         rng = np.random.default_rng(100 + n)
         index = chain_mirror_index(n)
         if pattern is None:
@@ -405,8 +407,9 @@ class TestParitySectors:
             shapes.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
             return eigh(a, *args, **kwargs)
 
+        op = linalg.ChainOperator.from_terms([(1, mat)], n)  # the chain mirror needs n
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        es = eig_hermitian(mat)
+        es = eig_hermitian(op)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert sorted(shapes) == sector_solve_sizes(mat, index)
         assert_sector_eigensystem(es, mat, index)
@@ -419,7 +422,7 @@ class TestParitySectors:
         mat = chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)).dense()
         index = chain_mirror_index(n)
         assert np.array_equal(mat[np.ix_(index, index)], mat)
-        es = eig_hermitian(mat)
+        es = eig_hermitian(linalg.ChainOperator.from_terms([(1, mat)], n))
         assert_sector_eigensystem(es, mat, index)
         assert np.all(es.parities != 0)
 
@@ -474,6 +477,36 @@ class TestParitySectors:
             assert es.eigenvalues.tobytes() == w.tobytes()
             assert es.eigenvectors.tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize("mat", [
+        *(band(pst_preset(n, "standard")) for n in (9, 27) for band in (up_block, down_block)),
+        *(engineered_sigma_block(pst_preset(n, "standard")) for n in (4, 13, 40)),
+        np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])],
+        ids=["up-9", "down-9", "up-27", "down-27", "sigma-4", "sigma-13", "sigma-40",
+             "diagonal-9"])
+    def test_arrays_of_3n_states_have_no_chain_mirror(self, mat, monkeypatch):
+        # bands and sigma blocks of 3^k states, and a diagonal that commutes
+        # with the two-site exchange, are arrays, not chain operators: no
+        # commutator is formed, no block is split and no column has a parity
+        def refused(*args):
+            raise AssertionError("an array got a chain-mirror commutator")
+
+        monkeypatch.setattr(linalg, "commutator_residual", refused)
+        es = eig_hermitian(mat)
+        assert es.mirror_residual is None
+        assert not es.parities.any()
+        w, v = stacked_block_reference(mat)
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == v.tobytes()
+
+    def test_two_site_operator_of_a_diagonal_has_parities(self):
+        # the same diagonal as a two-site operator: the exchange keeps states
+        # 0, 4 and 8 and swaps the others, each swapped pair of 1x1 blocks
+        # reading +1 on its smaller state and -1 on the other
+        mat = np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])
+        es = eig_hermitian(linalg.ChainOperator.from_terms([(1, mat)], 2))
+        assert es.mirror_residual == 0
+        assert es.parities.tolist() == [1, 1, -1, 1, -1, 1, 1, -1, 1]
+
     @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "engineered"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_unsplit_blocks_are_written_as_eigh_returns_them(self, kind, n):
@@ -494,12 +527,12 @@ class TestParitySectors:
                 assert got.tobytes() == fix_eigenvector_phases(v).tobytes()
         assert unsplit > 0 or kind == "O5"  # an O5 chain is one block, split
 
-    @pytest.mark.parametrize("mat", [chain_hamiltonian(ChainSpec(n=4, kind="heisenberg")).dense(),
-                                     candidate_two_site("O5")],
-                             ids=["heisenberg-4", "O5-two-site"])
-    def test_split_blocks_list_their_smaller_sector_first(self, mat):
-        index = chain_mirror_index(linalg.chain_sites(mat.shape[0]))
-        es = eig_hermitian(mat)
+    @pytest.mark.parametrize("mat, n", [
+        (chain_hamiltonian(ChainSpec(n=4, kind="heisenberg")).dense(), 4),
+        (candidate_two_site("O5"), 2)], ids=["heisenberg-4", "O5-two-site"])
+    def test_split_blocks_list_their_smaller_sector_first(self, mat, n):
+        index = chain_mirror_index(n)
+        es = eig_hermitian(linalg.ChainOperator.from_terms([(1, mat)], n))
         assert es.mirror_residual == 0
         split = 0
         for rows, cols in es.blocks:
@@ -634,8 +667,10 @@ class TestContentKey:
         assert digest == self.key(dense)
         assert np.array_equal(nonzero, np.flatnonzero(dense))
         assert evolution_cache(ham) is evolution_cache(dense)
-        # and the same eigensystem, parity sectors included, bit for bit
-        es, dense_es = evolution_cache(ham).eigensystem, eig_hermitian(dense)
+        # and the same eigensystem, parity sectors included, bit for bit, as
+        # the dense matrix taken as an n-site operator
+        es = evolution_cache(ham).eigensystem
+        dense_es = eig_hermitian(linalg.ChainOperator.from_terms([(1, dense)], n))
         assert es.eigenvalues.tobytes() == dense_es.eigenvalues.tobytes()
         assert es.eigenvectors.tobytes() == dense_es.eigenvectors.tobytes()
         assert es.mirror_residual == dense_es.mirror_residual

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -106,6 +107,20 @@ def test_swap_check_loads_no_optimizer():
     statements = ("import numpy as np; from spin1chain.hamiltonians import swap_check; "
                   "swap_check(np.eye(9))")
     assert loaded_modules(statements, "scipy.optimize") == []
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps package functions by name, so a deleted or
+    # renamed traced function breaks every traced benchmark run
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    traced, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(target, "id", None) == "TRACED" for target in node.targets))
+    assert len(traced) > 10
+    missing = [f"{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(f"spin1chain.{module}"), name,
+                                       None))]
+    assert missing == []
 
 
 def public_callables(module):

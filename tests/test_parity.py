@@ -57,6 +57,15 @@ def nudged_chain(spec):
                      b=spec.b, B=spec.B, C=spec.C)
 
 
+def index_of(kind, dim):
+    """The ``kind`` mirror index on dimension ``dim``: the chain mirror reads its
+    site count from a ChainOperator, here the identity on 3^n states."""
+    if kind == "chain_mirror":
+        return mirror_index(kind, ChainOperator.from_terms([(1, np.eye(dim))],
+                                                           {9: 2, 27: 3, 81: 4}[dim]))
+    return mirror_index(kind, np.eye(dim))
+
+
 def reference_permutation(dim, image):
     """Dense permutation matrix sending basis state j to image(j), entry by entry."""
     perm = np.zeros((dim, dim))
@@ -105,22 +114,30 @@ class TestIndexMirrors:
 
     def test_two_site_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
-        assert_index_matches(mirror_index("two_site_exchange", 9), reference)
+        assert_index_matches(mirror_index("two_site_exchange", np.eye(9)), reference)
 
     @pytest.mark.parametrize("kind, dim, needed", [
-        ("chain_mirror", 10, "3^n"),
-        ("chain_mirror", 1, "3^n"),
+        ("chain_mirror", 10, "ChainOperator"),
+        ("chain_mirror", 1, "ChainOperator"),
+        ("chain_mirror", 27, "ChainOperator"),
         ("two_site_exchange", 27, "9-dimensional"),
         ("sigma", 10, "2n+1"),
     ])
     def test_wrong_dimension_rejected(self, kind, dim, needed):
         with pytest.raises(ValueError, match=rf"{re.escape(needed)}.*dimension {dim}\b"):
-            mirror_index(kind, dim)
+            mirror_index(kind, np.eye(dim))
+
+    def test_chain_mirror_reads_the_site_count(self):
+        # the operator's site count names the mirror, never its dimension
+        op = ChainOperator.from_terms([(1, np.eye(27))], 3)
+        assert np.array_equal(mirror_index("chain_mirror", op), chain_mirror_index(3))
+        with pytest.raises(ValueError, match="not a full-space ChainOperator"):
+            mirror_index("sigma", op)
 
 
 class TestProjectors:
     def test_two_site_dimensions(self):
-        p_even, p_odd = parity_projector_pair(mirror_index("two_site_exchange", 9))
+        p_even, p_odd = parity_projector_pair(mirror_index("two_site_exchange", np.eye(9)))
         assert np.isclose(np.trace(p_even).real, 6.0)
         assert np.isclose(np.trace(p_odd).real, 3.0)
 
@@ -128,7 +145,7 @@ class TestProjectors:
         for n in (2, 3, 4):
             mirror = chain_mirror_permutation(n)
             assert np.allclose(mirror @ mirror, np.eye(3 ** n))
-        exchange = mirror_matrix(mirror_index("two_site_exchange", 9))
+        exchange = mirror_matrix(mirror_index("two_site_exchange", np.eye(9)))
         assert np.allclose(exchange @ exchange, np.eye(9))
 
     def test_projectors_sum_to_identity(self):
@@ -187,7 +204,7 @@ class TestParitySpectrum:
         # that diagonalizing the mirror inside its eigenvalue cluster gives
         op = candidate_two_site(name)
         es = linalg.eig_hermitian(op)
-        index = mirror_index("two_site_exchange", 9)
+        index = mirror_index("two_site_exchange", op)
         vals, pars = clustered_parities(es, index)
         _, _, vecs = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
         mirror = mirror_matrix(index)
@@ -196,8 +213,13 @@ class TestParitySpectrum:
             assert np.max(np.abs(op @ vecs[:, k] - vals[k] * vecs[:, k])) <= 1e-9
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"3\^n, got dimension 10"):
+        with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 10"):
             parity_spectrum(np.eye(10), kind="chain_mirror")
+        # a 3^n array has no chain mirror either: its dimension names no sites
+        with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 27"):
+            parity_spectrum(np.eye(27), kind="chain_mirror")
+        with pytest.raises(ValueError, match="not a full-space ChainOperator"):
+            parity_spectrum(h12(), kind="sigma")
         with pytest.raises(ValueError, match="9-dimensional two-site operator, got dimension 27"):
             parity_spectrum(np.eye(27))
 
@@ -343,12 +365,18 @@ class TestClusteredParities:
         # the two-site exchange keeps states 0, 4 and 8 and swaps the others:
         # each swapped pair of 1x1 blocks reads +1 on its smaller state and -1
         # on the other (columns by eigenvalue: states 0, 1, 3, 2, 6, 4, 5, 7, 8)
-        es = linalg.eig_hermitian(np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0]))
+        mat = np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])
+        es = linalg.eig_hermitian(ChainOperator.from_terms([(1, mat)], 2))
         assert es.parities.tolist() == [1, 1, -1, 1, -1, 1, 1, -1, 1]
-        assert np.array_equal(parity.known_parities(es, chain_mirror_index(2)), es.parities)
-        assert not parity.known_parities(es, sigma_mirror_index(4)).any()
-        vals, pars = clustered_parities(es, sigma_mirror_index(4))
-        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
+        vals, pars = clustered_parities(es, chain_mirror_index(2))
+        assert np.array_equal(pars, loop_clustered_parities(es.eigenvalues, es.eigenvectors,
+                                                            chain_mirror_index(2))[1])
+        # the array, the only form the sigma mirror takes, has no parities to
+        # misread: each is resolved under the sigma mirror
+        plain = linalg.eig_hermitian(mat)
+        assert plain.mirror_residual is None and not plain.parities.any()
+        vals, pars = clustered_parities(plain, sigma_mirror_index(4))
+        want_vals, want_pars, _ = loop_clustered_parities(plain.eigenvalues, plain.eigenvectors,
                                                           sigma_mirror_index(4))
         assert np.array_equal(pars, want_pars)
 
@@ -358,7 +386,7 @@ class TestCommutatorResidual:
                                            ("chain_mirror", 81), ("sigma", 9), ("sigma", 11)])
     def test_nonzero_pattern_equals_dense(self, kind, dim):
         rng = np.random.default_rng(dim)
-        index = mirror_index(kind, dim)
+        index = index_of(kind, dim)
         for density in (0.02, 0.1, 0.5, 1.0):
             for _ in range(10):
                 mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -370,19 +398,22 @@ class TestCommutatorResidual:
                 dense = float(np.max(np.abs(real[np.ix_(index, index)] - real)))
                 assert commutator_residual(real, index, np.flatnonzero(real)) == dense
 
-    @pytest.mark.parametrize("n", [4, 13])
-    def test_sigma_kind_reads_its_own_mirror(self, n, monkeypatch):
-        # a sigma block of 3^k states gets the chain-mirror residual from
-        # eig_hermitian, which is not the residual of the sigma mirror
+    @pytest.mark.parametrize("n, sites", [(4, 2), (13, 3)])
+    def test_sigma_kind_reads_its_own_mirror(self, n, sites, monkeypatch):
+        # a complex sigma block of 3^k states shares its cache entry with the
+        # k-site ChainOperator of its entries, whose chain-mirror residual
+        # eig_hermitian kept is not the residual of the sigma mirror
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        block = engineered_sigma_block(pst_preset(n, "standard"))
-        _, index, residual, _ = parity.mirror_commutator(block, "sigma")
+        block = engineered_sigma_block(pst_preset(n, "standard")).astype(complex)
+        cache = linalg.evolution_cache(ChainOperator.from_terms([(1, block)], sites))
+        same, index, residual, _ = parity.mirror_commutator(block, "sigma")
+        assert same is cache
         assert linalg.evolution_cache(block).eigensystem.mirror_residual > 0
         assert residual == commutator_residual(block, index, np.flatnonzero(block)) == 0
 
     def test_zero_matrix(self):
         mat = np.zeros((9, 9))
-        assert commutator_residual(mat, mirror_index("two_site_exchange", 9),
+        assert commutator_residual(mat, mirror_index("two_site_exchange", mat),
                                    np.flatnonzero(mat)) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -393,7 +424,7 @@ class TestCommutatorResidual:
         # chains that are not mirror symmetric
         rng = np.random.default_rng(60 + n)
         dim = 3 ** n
-        index = mirror_index("chain_mirror", dim)
+        index = index_of("chain_mirror", dim)
         ops = []
         for density in (0.02, 0.2, 1.0):
             mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -520,6 +551,69 @@ class TestChainParitySpectrum:
         assert shared == ["commutator_residual", "clustered_parities"]
         assert solved == sorted(size for size in sectors if size)
         assert sum(solved) == 81
+
+
+def analyses(op, space, t=np.pi):
+    """mirror_check and parity_spectrum of ``op`` in ``space`` ("full" or "sigma")."""
+    kind = "sigma" if space == "sigma" else "chain_mirror"
+    return dynamics.mirror_check(op, t, space=space), parity_spectrum(op, kind=kind)
+
+
+def assert_same_analyses(first, second):
+    """Same verdicts, phase counts and parity counts; values within 1e-12."""
+    (mirror, split), (other_mirror, other_split) = first, second
+    assert mirror.is_mirror == other_mirror.is_mirror
+    assert mirror.commutator_residual == other_mirror.commutator_residual
+    assert abs(mirror.residual - other_mirror.residual) <= 1e-12
+    assert abs(np.exp(1j * mirror.phase) - np.exp(1j * other_mirror.phase)) <= 1e-12
+    for phases, other in ((mirror.even_phases, other_mirror.even_phases),
+                          (mirror.odd_phases, other_mirror.odd_phases),
+                          (split.even, other_split.even), (split.odd, other_split.odd)):
+        assert len(phases) == len(other)
+        assert np.max(np.abs(np.array(phases) - np.array(other)), initial=0.0) <= 1e-12
+
+
+class TestCacheFilledByTheOtherForm:
+    @pytest.mark.parametrize("spec", [ChainSpec(n=4, kind=kind) for kind in PAPER_KINDS]
+                             + [mirror_symmetric_chain(4, seed=41)],
+                             ids=list(PAPER_KINDS) + ["engineered"])
+    def test_chain_operator_after_its_dense_matrix(self, spec, monkeypatch):
+        # a ChainOperator and its dense matrix share one cache entry; filled
+        # from the array, it has no residual or parities, and the analyses of
+        # the operator find both themselves, to the same verdicts and splits
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(spec)
+        split_first = analyses(ham, "full")
+        assert linalg.evolution_cache(ham).eigensystem.mirror_residual == 0
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        dense_es = linalg.evolution_cache(ham.dense()).eigensystem
+        assert dense_es.mirror_residual is None and not dense_es.parities.any()
+        assert_same_analyses(analyses(ham, "full"), split_first)
+
+    def test_sigma_block_after_a_chain_operator_of_its_entries(self, monkeypatch):
+        # a complex 9 x 9 array that commutes exactly with the two-site
+        # exchange and with the sigma mirror of four sites: filled by its
+        # two-site ChainOperator, the entry holds exchange parities, which the
+        # sigma analyses must not read
+        exchange, sigma = chain_mirror_index(2), sigma_mirror_index(4)
+        group, grown = {tuple(range(9))}, True
+        while grown:
+            new = {tuple(np.array(g)[list(m)]) for g in group for m in (exchange, sigma)}
+            grown = not new <= group
+            group |= new
+        pairs = np.minimum.outer(np.arange(9), np.arange(9)) * 9 + np.maximum.outer(
+            np.arange(9), np.arange(9))
+        orbit = np.min([pairs[np.ix_(g, g)] for g in map(list, group)], axis=0)
+        mat = np.random.default_rng(9).normal(size=81)[orbit].astype(complex)
+        for index in (exchange, sigma):
+            assert np.array_equal(mat[np.ix_(index, index)], mat)
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        plain = analyses(mat, "sigma")
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        es = linalg.evolution_cache(ChainOperator.from_terms([(1, mat)], 2)).eigensystem
+        assert es.parities.all()
+        assert linalg.evolution_cache(mat).eigensystem is es
+        assert_same_analyses(analyses(mat, "sigma"), plain)
 
 
 class TestFeasibility:
