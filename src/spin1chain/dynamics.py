@@ -295,22 +295,29 @@ def _mirror_entries(eigensystem, index, phases):
     for rows, cols in eigensystem.blocks:
         split = ((block_of[index[rows[:, 0]]] == block_of[rows[:, 0]])
                  & np.any(parities[cols] < 0, axis=1))
-        for block_rows, block_cols in zip(rows[split], cols[split]):
-            first = block_rows[block_rows <= index[block_rows]]
-            first = first[np.argsort(first != index[first], kind="stable")]
-            nfixed = np.count_nonzero(first == index[first])
+        fixed = np.count_nonzero(index[rows] == rows, axis=1)
+        for nfixed in np.unique(fixed[split]):
+            # the split blocks with this many fixed rows, stacked: in each its
+            # orbit-first rows (fixed rows first) and its even and odd columns
+            pick = split & (fixed == nfixed)
+            block_rows, block_cols, count = rows[pick], cols[pick], np.count_nonzero(pick)
+            first = block_rows[block_rows <= index[block_rows]].reshape(count, -1)
+            first = np.take_along_axis(
+                first, np.argsort(first != index[first], axis=1, kind="stable"), axis=1)
             pars = parities[block_cols]
-            even, odd = block_cols[pars > 0], block_cols[pars < 0]
-            v = evecs[first[:, None], even]
-            sums = (v * phases[even]) @ v.conj().T
-            v = evecs[first[nfixed:, None], odd]
-            odd_part = (v * phases[odd]) @ v.conj().T
+            even = block_cols[pars > 0].reshape(count, -1)
+            odd = block_cols[pars < 0].reshape(count, -1)
+            v = evecs[first[:, :, None], even[:, None, :]]
+            sums = (v * phases[even][:, None, :]) @ v.conj().transpose(0, 2, 1)
+            v = evecs[first[:, nfixed:, None], odd[:, None, :]]
+            odd_part = (v * phases[odd][:, None, :]) @ v.conj().transpose(0, 2, 1)
             diffs = sums.copy()
-            sums[nfixed:, nfixed:] += odd_part
-            diffs[nfixed:, nfixed:] -= odd_part
-            diagonal[first] = diagonal[index[first]] = diffs.diagonal()
-            np.fill_diagonal(diffs, 0)
-            sums[np.arange(nfixed), np.arange(nfixed)] = 0
+            sums[:, nfixed:, nfixed:] += odd_part
+            diffs[:, nfixed:, nfixed:] -= odd_part
+            on = np.arange(first.shape[1])
+            diagonal[first] = diagonal[index[first]] = diffs[:, on, on]
+            diffs[:, on, on] = 0
+            sums[:, on[:nfixed], on[:nfixed]] = 0
             largest = max(largest, np.max(np.abs(sums)), np.max(np.abs(diffs)))
         rows, cols = rows[~split], cols[~split]
         if not rows.size:

@@ -192,7 +192,8 @@ def commutator_residual(op, index, nonzero):
 
 @dataclass(frozen=True)
 class HermitianEigenSystem:
-    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues.
+    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues; V is
+    complex whether a block was solved in real or in complex arithmetic.
 
     ``blocks`` records the connected blocks of H as (rows, columns) pairs
     of index arrays, one pair per block size: ``rows[k]`` are the basis
@@ -309,15 +310,21 @@ def eig_hermitian(op):
     swaps get the parities +1 and -1 (:class:`HermitianEigenSystem`).  An
     array has no chain mirror, whatever its dimension: its blocks are solved
     whole.  Blocks of one size and one fixed-row count go through one stacked
-    ``eigh`` call per sector.  The eigenpairs are sorted ascending; equal
-    eigenvalues are ordered by block (smaller blocks first, then by
-    smallest index), the even sector before the odd, then as ``eigh``
-    returns them.
+    ``eigh`` call per sector, a real one where the stack has no nonzero
+    imaginary part.  Complex blocks that R: i -> dim-1-i maps onto themselves
+    with H[R i, R j] == conj(H[i, j]) exactly (centrohermitian, as O5) are
+    solved as the real symmetric G = Re H - Im H J, J the block's reversal;
+    H's eigenvectors are (y + i J y)/sqrt2, and as R commutes with M, G splits
+    into the same sectors and they keep y's parity.  The eigenpairs are
+    sorted ascending; equal eigenvalues are ordered by block (smaller blocks
+    first, then by smallest index), the even sector before the odd, then as
+    ``eigh`` returns them.
 
-    Raises :class:`NonHermitianError` when the Hermiticity deviation exceeds
-    HERMITIAN_TOL relative to the largest entry.  No entry links two blocks,
-    so the deviation and the largest entry are those of the blocks; a
-    ChainOperator's are read from its entries.
+    Raises ValueError, naming their count and the first, on NaN or infinite
+    entries, and :class:`NonHermitianError` when the Hermiticity deviation
+    exceeds HERMITIAN_TOL relative to the largest entry.  No entry links two
+    blocks, so the deviation and the largest entry are those of the blocks;
+    a ChainOperator's are read from its entries.
     """
     if isinstance(op, ChainOperator):
         check_dense_dim(op.dim)
@@ -339,13 +346,15 @@ def eig_hermitian(op):
             by_size.setdefault(block.size, []).append(block)
         groups = [np.stack(by_size[size]) for size in sorted(by_size)]
         stacks = [entries_at(op, rows[:, :, None] * dim + rows[:, None, :]) for rows in groups]
-    if isinstance(op, ChainOperator):
-        scale = max(float(np.max(np.abs(op.values), initial=0.0)), 1.0)
-        dev = op.hermiticity_deviation()
-    else:
-        scale = max(max(float(np.max(np.abs(s))) for s in stacks), 1.0)
-        dev = max(hermiticity_deviation(s) for s in stacks)
-    if dev > HERMITIAN_TOL * scale:
+    chain = isinstance(op, ChainOperator)
+    largest = [float(np.max(np.abs(s), initial=0.0)) for s in ([op.values] if chain else stacks)]
+    if not all(map(math.isfinite, largest)):
+        bad = nonzero[~np.isfinite(entries_at(op, nonzero))]
+        raise ValueError(f"matrix has {bad.size} non-finite entries (NaN or inf), the first at "
+                         f"(row, column) {tuple(int(k) for k in divmod(bad[0], dim))}")
+    scale = max(*largest, 1.0)
+    dev = op.hermiticity_deviation() if chain else max(hermiticity_deviation(s) for s in stacks)
+    if not dev <= HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     # block k is numbered numbers[g] + k within group g
@@ -358,6 +367,13 @@ def eig_hermitian(op):
     solved = []
     for rows, stack, first in zip(groups, stacks, numbers):
         count, size = rows.shape
+        # a real stack is solved as its real part, and complex blocks that R (i -> dim-1-i)
+        # maps onto themselves with H[R i, R j] == conj(H[i, j]) as G = Re H - Im H J
+        real = not (np.iscomplexobj(stack) and stack.imag.any())
+        centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
+                  and np.array_equal(stack[:, ::-1, ::-1], stack.conj()))
+        if real or centro:
+            stack = stack.real - stack.imag[..., ::-1] if centro else stack.real
         ids = first + np.arange(count)
         # the position of each row's mirror image in its block, or the row's
         # own where M does not map the block onto itself or nothing can split
@@ -373,24 +389,33 @@ def eig_hermitian(op):
             same = fixed == count_fixed
             pick = slice(None) if same.all() else same
             for mats, *scatter in _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick]):
-                solved.append((*np.linalg.eigh(mats), *scatter))
+                solved.append((*np.linalg.eigh(mats), *scatter, centro))
     del stacks, stack, mats  # every matrix is solved: free them before the dense scatter
     # solves of one size side by side, so a split block lists its smaller sector first
     solved.sort(key=lambda solve: solve[2].shape[1])
     values = np.concatenate([w.ravel() for w, *_ in solved])
     block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
-                                 for _, _, rows, _, _, _, ids in solved])
+                                 for _, _, rows, _, _, _, ids, _ in solved])
     signs = np.concatenate([np.full(rows.size, sign, dtype=np.int8)
-                            for _, _, rows, _, _, sign, _ in solved])
+                            for _, _, rows, _, _, sign, _, _ in solved])
     order = np.lexsort((signs < 0, block_keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros((dim, dim), dtype=complex)
     offset = 0
-    for _, v, rows, mirrored, weights, sign, _ in solved:
+    for _, v, rows, mirrored, weights, sign, _, centro in solved:
         count, size = rows.shape
         if weights is not None:
             v = v * weights[:, :, None]
+        if centro:
+            # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
+            # held on its orbit's first row, signed as the mirrored rows are
+            position, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
+            position[mirrored] = position[rows] = np.arange(size)
+            held[rows], reflected = True, dim - 1 - rows
+            v = v * complex(_SQRT_HALF)
+            v.imag = (np.take_along_axis(v.real, position[reflected][:, :, None], axis=1)
+                      * np.where(held[reflected], 1.0, sign)[:, :, None])
         # the columns of every matrix of the stack side by side, phase-fixed at once
         v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
         cols = column[offset:offset + rows.size].reshape(rows.shape)

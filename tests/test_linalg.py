@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from spin1chain import linalg
+from spin1chain.dynamics import mirror_check
 from spin1chain.hamiltonians import (
     KINDS,
     ChainSpec,
@@ -30,6 +32,7 @@ from spin1chain.linalg import (
     fix_eigenvector_phases,
     kron_all,
 )
+from spin1chain.parity import parity_spectrum
 from spin1chain.spin_ops import SX
 
 
@@ -299,21 +302,27 @@ class TestPhaseFix:
         assert fixed.tobytes() == loop_phase_fix(v).tobytes()
 
 
+def real_where_real_eigh(mats):
+    """np.linalg.eigh of a matrix or a stack, which is solved as its real part
+    when it has no nonzero imaginary part."""
+    return np.linalg.eigh(mats if mats.imag.any() else mats.real)
+
+
 def stacked_block_reference(mat):
     """The block path without parity sectors, as a reference: every connected
     block solved whole (a one-block matrix by one eigh), blocks of one size in
-    one stacked eigh, eigenpairs sorted stably, each stack's columns
-    phase-fixed side by side and scattered into one matrix."""
+    one stacked eigh (real when the stack is real), eigenpairs sorted stably,
+    each stack's columns phase-fixed side by side and scattered into one matrix."""
     dim = mat.shape[0]
     blocks = blocks_of(mat)
     if len(blocks) == 1:
-        w, v = np.linalg.eigh(mat)
+        w, v = real_where_real_eigh(mat)
         return w, fix_eigenvector_phases(v)
     by_size = {}
     for block in blocks:
         by_size.setdefault(block.size, []).append(block)
     groups = [np.stack(by_size[size]) for size in sorted(by_size)]
-    solved = [np.linalg.eigh(mat[rows[:, :, None], rows[:, None, :]]) for rows in groups]
+    solved = [real_where_real_eigh(mat[rows[:, :, None], rows[:, None, :]]) for rows in groups]
     values = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
@@ -522,7 +531,7 @@ class TestParitySectors:
                     continue
                 unsplit += 1
                 assert np.array_equal(block_cols, np.sort(block_cols))
-                _, v = np.linalg.eigh(mat[np.ix_(block_rows, block_rows)])
+                _, v = real_where_real_eigh(mat[np.ix_(block_rows, block_rows)])
                 got = es.eigenvectors[np.ix_(block_rows, block_cols)]
                 assert got.tobytes() == fix_eigenvector_phases(v).tobytes()
         assert unsplit > 0 or kind == "O5"  # an O5 chain is one block, split
@@ -593,6 +602,129 @@ class TestParitySectors:
         first, second = eig_hermitian(ham), eig_hermitian(ham)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
+def recorded_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record the dtype of every matrix it is given."""
+    dtypes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return dtypes
+
+
+def random_centrohermitian(rng, dim):
+    """A random Hermitian H with H[R i, R j] == conj(H[i, j]) exactly, R: i -> dim-1-i."""
+    mat = random_hermitian(rng, dim)
+    return (mat + mat[::-1, ::-1].conj()) / 2
+
+
+def assert_accurate(es, mat):
+    """Eigenvalues against scipy, the residual ||H psi - psi E|| and the unitarity of psi."""
+    scale = max(np.max(np.abs(mat)), 1.0)
+    v = es.eigenvectors
+    assert np.max(np.abs(es.eigenvalues - scipy.linalg.eigvalsh(mat))) <= 1e-13 * scale
+    assert np.max(np.abs(mat @ v - v * es.eigenvalues)) <= 1e-13 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(v)))) <= 1e-13 * scale
+
+
+class TestRealForms:
+    def test_real_valued_complex_array_is_solved_as_real(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        mat = random_hermitian(rng, 17).real.astype(complex)
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(mat)
+        assert dtypes == [np.float64]
+        w, v = np.linalg.eigh(mat.real)
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+
+    def test_real_chain_operator_is_solved_as_real(self, monkeypatch):
+        # a random real two-site operator: not a mirror commuter, so one block solved whole
+        rng = np.random.default_rng(62)
+        op = linalg.ChainOperator.from_terms([(1, random_hermitian(rng, 9).real)], 2)
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(op)
+        assert es.mirror_residual > 0 and dtypes == [np.float64]
+        w, v = np.linalg.eigh(op.dense().real)
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+
+    @pytest.mark.parametrize("n, counts", [(2, (6, 3)), (3, (18, 9)), (4, (45, 36)),
+                                           (5, (135, 108)), (6, (378, 351))])
+    def test_o5_is_solved_through_its_real_form(self, n, counts, monkeypatch):
+        # O5 is complex and centrohermitian: its even and odd sectors are solved
+        # as real symmetric matrices, and its eigenvectors keep their parities
+        ham = chain_hamiltonian(ChainSpec(n=n, kind="O5"))
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(ham)
+        monkeypatch.undo()
+        assert dtypes == [np.float64, np.float64]
+        mat, index = ham.dense(), chain_mirror_index(n)
+        assert_accurate(es, mat)
+        assert (np.count_nonzero(es.parities > 0), np.count_nonzero(es.parities < 0)) == counts
+        assert np.array_equal(es.eigenvectors[index], es.parities * es.eigenvectors)
+        for t in (np.pi, 0.5 * np.pi, 1.3):
+            assert not mirror_check(ham, t).is_mirror
+
+    def test_centrohermitian_array_is_solved_as_real(self, monkeypatch):
+        mat = random_centrohermitian(np.random.default_rng(63), 12)
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(mat)
+        assert dtypes == [np.float64]
+        assert_accurate(es, mat)
+
+    def test_nudged_centrohermitian_array_is_solved_complex(self, monkeypatch):
+        # one entry (and its transpose) an ulp off: no longer centrohermitian
+        mat = random_centrohermitian(np.random.default_rng(63), 12)
+        mat[0, 1] = complex(np.nextafter(mat[0, 1].real, 2.0), mat[0, 1].imag)
+        mat[1, 0] = mat[0, 1].conjugate()
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(mat)
+        monkeypatch.undo()
+        assert dtypes == [np.complex128]
+        w, v = np.linalg.eigh(mat)
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+
+    def test_blocks_that_the_reversal_moves_are_solved_complex(self, monkeypatch):
+        # two centrohermitian 6 x 6 blocks, each the other's image under the
+        # reversal of all 12 indices: neither is mapped onto itself
+        rng = np.random.default_rng(64)
+        mat = np.zeros((12, 12), dtype=complex)
+        mat[:6, :6], mat[6:, 6:] = random_centrohermitian(rng, 6), random_centrohermitian(rng, 6)
+        dtypes = recorded_eigh(monkeypatch)
+        es = eig_hermitian(mat)
+        monkeypatch.undo()
+        assert dtypes == [np.complex128]
+        w, v = stacked_block_reference(mat)
+        assert es.eigenvalues.tobytes() == w.tobytes()
+        assert es.eigenvectors.tobytes() == v.tobytes()
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_array_is_refused(self, bad):
+        refusal = r"1 non-finite entries .* \(row, column\) \(0, 0\)"
+        with pytest.raises(ValueError, match=refusal) as error:
+            eig_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        assert not isinstance(error.value, NonHermitianError)
+
+    def test_chain_operator_is_refused_by_every_analysis(self):
+        ham = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg"))
+        values = ham.values.copy()
+        values[4] = np.nan
+        bad = linalg.ChainOperator(ham.flat, values, ham.n_sites)
+        where = tuple(int(k) for k in divmod(ham.flat[4], 27))
+        for analysis in (eig_hermitian, lambda op: mirror_check(op, np.pi),
+                         lambda op: parity_spectrum(op, kind="chain_mirror")):
+            with pytest.raises(ValueError, match=r"non-finite entries") as error:
+                analysis(bad)
+            assert not isinstance(error.value, NonHermitianError)
+            assert f"(row, column) {where}" in str(error.value)
 
 
 class TestBlockUnitary:
