@@ -30,15 +30,12 @@ from .hamiltonians import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     AmplitudeScan,
     EvolutionCache,
-    StateVector,
     amplitude_scan,
-    evolve,
     mirror_check,
     qutrit_fidelity_series,
     qutrit_transfer_fidelity,
-    transfer_amplitude,
 )
-from .linalg import HermitianEigenSystem, apply_exp, eig_hermitian  # noqa: F401
+from .linalg import HermitianEigenSystem, eig_hermitian  # noqa: F401
 from .parity import (  # noqa: F401
     ParitySplit,
     mirroring_feasibility_report,

@@ -1,4 +1,4 @@
-"""Exact time evolution, transfer amplitudes, scans and mirroring tests.
+"""Transfer amplitudes, scans, qutrit fidelities and mirroring tests.
 
 Evolution is computed from a cached Hermitian eigendecomposition, with the
 exponent convention exp(+iHt) by default (``sign=-1`` for the physical
@@ -12,47 +12,9 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, apply_exp, block_positions, evolution_cache
+from .linalg import EvolutionCache, block_positions, evolution_cache
 from .parity import mirror_commutator, mirror_eigensystem, mirror_parities
 from .spin_ops import basis_index
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitude vector over the full or sigma basis."""
-
-    amplitudes: np.ndarray
-    basis: str  # "full" or "sigma"
-    n: int
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        expected = 3 ** self.n if self.basis == "full" else 2 * self.n + 1
-        if amp.shape != (expected,):
-            raise ValueError(f"{self.basis} basis for n={self.n} needs {expected} amplitudes")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
-
-    @classmethod
-    def from_label(cls, label):
-        n = len(label)
-        amp = np.zeros(3 ** n, dtype=complex)
-        amp[basis_index(label)] = 1.0
-        return cls(amp, "full", n)
-
-    def overlap(self, other):
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def evolve(op, state, t, sign=1):
-    """exp(i*sign*H*t) applied to a state (StateVector or plain vector)."""
-    cache = op if isinstance(op, EvolutionCache) else evolution_cache(op)
-    if isinstance(state, StateVector):
-        out = apply_exp(cache.eigensystem, state.amplitudes, t, sign)
-        return StateVector(out, state.basis, state.n)
-    return apply_exp(cache.eigensystem, np.asarray(state, dtype=complex), t, sign)
 
 
 def _state_index(state, dim):
@@ -74,13 +36,8 @@ def _transfer_terms(op, source, target):
     es = cache.eigensystem
     src = _state_index(source, es.dim)
     tgt = _state_index(target, es.dim)
-    return es.eigenvalues, es.eigenvectors[tgt, :] * np.conj(es.eigenvectors[src, :])
-
-
-def transfer_amplitude(op, source, target, t, sign=1):
-    """<target| exp(i*sign*H*t) |source> for computational basis states."""
-    energies, coeffs = _transfer_terms(op, source, target)
-    return complex(kernels.phase_series(energies, coeffs, [t], float(sign))[0])
+    target_row, source_row = es.eigenvector_rows([tgt, src])
+    return es.eigenvalues, target_row * np.conj(source_row)
 
 
 @dataclass(frozen=True)
@@ -273,56 +230,53 @@ def _mirror_entries(eigensystem, index, phases):
     |U[i, j]| over the other entries, without forming U.
 
     U is block diagonal, so an image M j in another block than j reads 0.
-    A block is split when M maps it onto itself and it has odd columns
-    (its ``parities``; the parities of two blocks that M swaps are
-    those of combinations of their columns).  Any other block is formed as
-    V_b diag(phases) V_b^dagger on its own rows, stacked with the other such
-    blocks of its size.  A split block has v[M i] = p v[i] in each column,
-    p its parity, so on its orbit-first rows
-    F (i <= M i, fixed rows first, then the pairs P) the even columns give
-    G_e and the odd ones G_o, which vanishes outside P x P: U[i, j] =
+    A block that the solve split into parity sectors of the chain mirror
+    (when the eigensystem carries its parities) is read from the sectors'
+    vectors.  Any other block is formed as V_b diag(phases) V_b^dagger on its
+    own rows (:meth:`~spin1chain.linalg.HermitianEigenSystem.block_vectors`),
+    stacked with the other such blocks of its size.  A split block has
+    v[M i] = p v[i] in each column, p its parity, so on its orbit-first rows
+    F (i <= M i, fixed rows first, then the pairs P) the even sector gives
+    G_e and the odd one G_o, which vanishes outside P x P: U[i, j] =
     U[M i, M j] = (G_e + G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e -
     G_o)[i, j].  So the mirror entries U[M i, i] and U[i, M i] are the
     diagonal of G_e - G_o, which on a fixed row is also that of G_e + G_o;
     every other entry of the block is an entry of one of the two off those
     places.
     """
-    evecs, parities = eigensystem.eigenvectors, eigensystem.parities
     block_of, position = block_positions([rows for rows, _ in eigensystem.blocks],
                                          eigensystem.dim)
     diagonal = np.zeros(eigensystem.dim, dtype=complex)
     largest = 0.0
-    for rows, cols in eigensystem.blocks:
-        split = ((block_of[index[rows[:, 0]]] == block_of[rows[:, 0]])
-                 & np.any(parities[cols] < 0, axis=1))
-        fixed = np.count_nonzero(index[rows] == rows, axis=1)
-        for nfixed in np.unique(fixed[split]):
-            # the split blocks with this many fixed rows, stacked: in each its
-            # orbit-first rows (fixed rows first) and its even and odd columns
-            pick = split & (fixed == nfixed)
-            block_rows, block_cols, count = rows[pick], cols[pick], np.count_nonzero(pick)
-            first = block_rows[block_rows <= index[block_rows]].reshape(count, -1)
-            first = np.take_along_axis(
-                first, np.argsort(first != index[first], axis=1, kind="stable"), axis=1)
-            pars = parities[block_cols]
-            even = block_cols[pars > 0].reshape(count, -1)
-            odd = block_cols[pars < 0].reshape(count, -1)
-            v = evecs[first[:, :, None], even[:, None, :]]
-            sums = (v * phases[even][:, None, :]) @ v.conj().transpose(0, 2, 1)
-            v = evecs[first[:, nfixed:, None], odd[:, None, :]]
-            odd_part = (v * phases[odd][:, None, :]) @ v.conj().transpose(0, 2, 1)
-            diffs = sums.copy()
-            sums[:, nfixed:, nfixed:] += odd_part
-            diffs[:, nfixed:, nfixed:] -= odd_part
-            on = np.arange(first.shape[1])
-            diagonal[first] = diagonal[index[first]] = diffs[:, on, on]
-            diffs[:, on, on] = 0
-            sums[:, on[:nfixed], on[:nfixed]] = 0
-            largest = max(largest, np.max(np.abs(sums)), np.max(np.abs(diffs)))
-        rows, cols = rows[~split], cols[~split]
+    # the even and odd sector solves of the split blocks, by their first block
+    sectors = {}
+    if eigensystem.parities.any():
+        for solve in eigensystem.solves:
+            if solve.mirrored is not None:
+                sectors.setdefault(int(block_of[solve.rows[0, 0]]), {})[solve.sign] = solve
+    for pair in sectors.values():
+        even, odd = pair[1.0], pair[-1.0]
+        # each block's orbit-first rows with its fixed rows first, and the even
+        # vectors on them; the odd sector holds the pairs' first rows in order
+        fixed = even.rows == even.mirrored
+        nfixed = np.count_nonzero(fixed[0])
+        fixed_first = np.argsort(~fixed, axis=1, kind="stable")
+        first = np.take_along_axis(even.rows, fixed_first, axis=1)
+        v = np.take_along_axis(even.vectors, fixed_first[:, :, None], axis=1)
+        sums = (v * phases[even.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
+        v = odd.vectors
+        odd_part = (v * phases[odd.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
+        diffs = sums.copy()
+        sums[:, nfixed:, nfixed:] += odd_part
+        diffs[:, nfixed:, nfixed:] -= odd_part
+        on = np.arange(first.shape[1])
+        diagonal[first] = diagonal[index[first]] = diffs[:, on, on]
+        diffs[:, on, on] = 0
+        sums[:, on[:nfixed], on[:nfixed]] = 0
+        largest = max(largest, np.max(np.abs(sums)), np.max(np.abs(diffs)))
+    for rows, cols, v in eigensystem.block_vectors(unsplit_only=bool(sectors)):
         if not rows.size:
             continue
-        v = evecs[rows[:, :, None], cols[:, None, :]]
         unitary = (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1)
         images = index[rows]
         block, column = np.nonzero(block_of[images] == block_of[rows])

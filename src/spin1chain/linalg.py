@@ -6,11 +6,14 @@ eigenvector phase convention so that regression files are stable.  It
 diagonalizes each connected block of the matrix's nonzero pattern on its
 own, so a Hamiltonian that conserves something costs what its sectors
 cost, and splits a block of a :class:`ChainOperator` that commutes exactly
-with its site inversion into its two parity sectors.  :func:`evolution_cache`
+with its site inversion into its two parity sectors.  The eigensystem keeps
+those solves, and its readers give rows, columns or blocks of the
+eigenvector matrix without forming it.  :func:`evolution_cache`
 memoizes it by matrix content, so the analyses of one Hamiltonian share
 a single decomposition.
 """
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -191,9 +194,38 @@ def commutator_residual(op, index, nonzero):
 
 
 @dataclass(frozen=True)
+class EigenSolve:
+    """One stacked eigensolve: ``count`` matrices of one size, each a connected block
+    or one parity sector of a block.
+
+    Eigenvector ``columns[k, c]`` is ``vectors[k, :, c]`` on the basis states
+    ``rows[k]``.  For a parity sector it is also ``sign * vectors[k, :, c]`` on
+    ``mirrored[k]``, the chain-mirror images of those rows (a fixed row is its own
+    image); ``mirrored`` is None for a block solved whole.  It is zero elsewhere.
+    """
+
+    rows: np.ndarray
+    mirrored: np.ndarray | None
+    sign: float
+    columns: np.ndarray
+    vectors: np.ndarray
+
+    def held(self):
+        """(rows, sign) of each place the vectors are written, in the order that the
+        dense matrix is written: ``rows`` (sign None), then ``mirrored`` times
+        ``sign``; a fixed row is in both and keeps the second value."""
+        yield self.rows, None
+        if self.mirrored is not None:
+            yield self.mirrored, self.sign
+
+
+@dataclass(frozen=True)
 class HermitianEigenSystem:
-    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues; V is
-    complex whether a block was solved in real or in complex arithmetic.
+    """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues, held as
+    its stacked solves (:class:`EigenSolve`): V is never stored.  The readers
+    :meth:`eigenvector_rows`, :meth:`eigenvector_columns` and :meth:`block_vectors`
+    give parts of V, and :attr:`eigenvectors` assembles the whole dense matrix on
+    request; V is complex whether a block was solved in real or in complex arithmetic.
 
     ``blocks`` records the connected blocks of H as (rows, columns) pairs
     of index arrays, one pair per block size: ``rows[k]`` are the basis
@@ -213,7 +245,7 @@ class HermitianEigenSystem:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    solves: tuple
     blocks: tuple = ()
     mirror_residual: float | None = field(default=None, compare=False)
     parities: np.ndarray | None = field(default=None, compare=False)
@@ -229,8 +261,93 @@ class HermitianEigenSystem:
     def dim(self):
         return self.eigenvalues.shape[0]
 
+    @property
+    def eigenvectors(self):
+        """The dense dim x dim eigenvector matrix V, assembled from the solves on every
+        call and not kept."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for solve in self.solves:
+            for rows, sign in solve.held():
+                out[rows[:, :, None], solve.columns[:, None, :]] = (
+                    solve.vectors if sign is None else sign * solve.vectors)
+        return out
+
+    def eigenvector_rows(self, rows):
+        """V[rows, :], read from the solves that hold those rows, bit for bit.
+
+        The rows that the solves write are listed in the order the dense matrix
+        is written and sorted stably, so each wanted row finds its places, in
+        that order, by one search."""
+        rows = np.asarray(rows)
+        runs, written, first = [], [], 0
+        for solve in self.solves:
+            for held, sign in solve.held():
+                runs.append((first, solve, sign))
+                written.append(held.ravel())
+                first += held.size
+        written = np.concatenate(written)
+        order = np.argsort(written, kind="stable")
+        written, firsts = written[order], [first for first, _, _ in runs]
+        starts, stops = np.searchsorted(written, rows), np.searchsorted(written, rows, "right")
+        out = np.zeros((rows.size, self.dim), dtype=complex)
+        for i, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+            for place in order[start:stop].tolist():
+                base, solve, sign = runs[bisect.bisect_right(firsts, place) - 1]
+                k, r = divmod(place - base, solve.rows.shape[1])
+                v = solve.vectors[k, r]
+                out[i, solve.columns[k]] = v if sign is None else sign * v
+        return out
+
+    def eigenvector_columns(self, columns):
+        """V[:, columns], read from the solves that hold those columns, bit for bit."""
+        columns = np.asarray(columns)
+        out = np.zeros((self.dim, columns.size), dtype=complex)
+        for solve in self.solves:
+            which, k, c = np.nonzero(solve.columns == columns[:, None, None])
+            v = solve.vectors[k, :, c]
+            for held, sign in solve.held():
+                out[held[k], which[:, None]] = v if sign is None else sign * v
+        return out
+
+    def block_vectors(self, *, unsplit_only):
+        """(rows, columns, vectors) per entry of ``blocks``, vectors[k] being
+        V[rows[k]][:, columns[k]], bit for bit.  With ``unsplit_only`` the blocks
+        solved as parity sectors are left out, and their solves are not read."""
+        groups = [rows for rows, _ in self.blocks]
+        block_of, position = block_positions(groups, self.dim)
+        numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
+        wanted = np.ones(numbers[-1], dtype=bool)
+        if unsplit_only:
+            for solve in self.solves:
+                if solve.mirrored is not None:
+                    wanted[block_of[solve.rows[:, 0]]] = False
+        # each wanted block's place in its group's stack, and each column's in its block
+        place, column_at = np.full(numbers[-1], -1), np.empty(self.dim, dtype=int)
+        out = []
+        for (rows, cols), first, last in zip(self.blocks, numbers, numbers[1:]):
+            pick = wanted[first:last]
+            place[first:last][pick] = np.arange(np.count_nonzero(pick))
+            column_at[cols] = np.arange(cols.shape[1])
+            size = rows.shape[1]
+            out.append((rows[pick], cols[pick],
+                        np.zeros((np.count_nonzero(pick), size, size), dtype=complex)))
+        for solve in self.solves:
+            blocks = block_of[solve.rows[:, 0]]
+            pick = place[blocks] >= 0
+            if not pick.any():
+                continue
+            group = int(np.searchsorted(numbers, blocks[0], side="right")) - 1
+            at = place[blocks[pick]][:, None, None]
+            v = solve.vectors[pick]
+            cols = column_at[solve.columns[pick]][:, None, :]
+            for held, sign in solve.held():
+                out[group][2][at, position[held[pick]][:, :, None], cols] = (
+                    v if sign is None else sign * v)
+        return out
+
     def reconstruction_residual(self, mat):
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        v = self.eigenvectors
+        rebuilt = (v * self.eigenvalues) @ v.conj().T
         return float(np.max(np.abs(rebuilt - mat)))
 
     def unitarity_deviation(self):
@@ -318,7 +435,9 @@ def eig_hermitian(op):
     into the same sectors and they keep y's parity.  The eigenpairs are
     sorted ascending; equal eigenvalues are ordered by block (smaller blocks
     first, then by smallest index), the even sector before the odd, then as
-    ``eigh`` returns them.
+    ``eigh`` returns them.  Each stack's phase-fixed vectors are kept as one
+    :class:`EigenSolve` with their rows and global columns; no dense eigenvector
+    matrix is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
     entries, and :class:`NonHermitianError` when the Hermiticity deviation
@@ -390,7 +509,7 @@ def eig_hermitian(op):
             pick = slice(None) if same.all() else same
             for mats, *scatter in _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick]):
                 solved.append((*np.linalg.eigh(mats), *scatter, centro))
-    del stacks, stack, mats  # every matrix is solved: free them before the dense scatter
+    del stacks, stack, mats  # every matrix is solved: free them before the phase fix
     # solves of one size side by side, so a split block lists its smaller sector first
     solved.sort(key=lambda solve: solve[2].shape[1])
     values = np.concatenate([w.ravel() for w, *_ in solved])
@@ -401,8 +520,7 @@ def eig_hermitian(op):
     order = np.lexsort((signs < 0, block_keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vectors = np.zeros((dim, dim), dtype=complex)
-    offset = 0
+    solves, offset = [], 0
     for _, v, rows, mirrored, weights, sign, _, centro in solved:
         count, size = rows.shape
         if weights is not None:
@@ -418,11 +536,10 @@ def eig_hermitian(op):
                       * np.where(held[reflected], 1.0, sign)[:, :, None])
         # the columns of every matrix of the stack side by side, phase-fixed at once
         v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
-        cols = column[offset:offset + rows.size].reshape(rows.shape)
-        v = v.reshape(size, count, size).transpose(1, 0, 2)
-        vectors[rows[:, :, None], cols[:, None, :]] = v
-        if weights is not None:
-            vectors[mirrored[:, :, None], cols[:, None, :]] = sign * v
+        solves.append(EigenSolve(
+            rows, None if weights is None else mirrored, sign,
+            column[offset:offset + rows.size].reshape(rows.shape),
+            np.ascontiguousarray(v.reshape(size, count, size).transpose(1, 0, 2))))
         offset += rows.size
     # each block's columns, blocks in the order of ``groups``
     by_block = column[np.argsort(block_keys, kind="stable")]
@@ -430,7 +547,7 @@ def eig_hermitian(op):
     for rows in groups:
         partition.append((rows, by_block[offset:offset + rows.size].reshape(rows.shape)))
         offset += rows.size
-    return HermitianEigenSystem(eigenvalues=values[order], eigenvectors=vectors,
+    return HermitianEigenSystem(eigenvalues=values[order], solves=tuple(solves),
                                 blocks=tuple(partition), mirror_residual=residual,
                                 parities=(signs * known[block_keys])[order])
 
@@ -466,8 +583,7 @@ class EvolutionCache:
         es = self.eigensystem
         phases = np.exp(1j * sign * es.eigenvalues * t)
         out = np.zeros((es.dim, es.dim), dtype=complex)
-        for rows, cols in es.blocks:
-            v = es.eigenvectors[rows[:, :, None], cols[:, None, :]]
+        for rows, cols, v in es.block_vectors(unsplit_only=False):
             out[rows[:, :, None], rows[:, None, :]] = (
                 (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1))
         return out
@@ -515,26 +631,22 @@ def content_key(op):
 
 
 def evolution_cache(op):
-    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`): a
-    ChainOperator and its dense matrix share one key, so the form solved first fills
-    the entry (from the array, with no chain-mirror residual or parities)."""
+    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`).
+
+    A ChainOperator and its dense matrix share one key.  An entry that the array
+    filled has no chain-mirror residual or parities, so a ChainOperator of n >= 2
+    sites that finds one solves itself and replaces it: its analyses then do not
+    depend on which form was solved first.
+    """
     digest, nonzero = content_key(op)
     cached = _cache_by_fingerprint.get(digest)
-    if cached is None:
+    if cached is None or (isinstance(op, ChainOperator) and op.n_sites >= 2
+                          and cached.eigensystem.mirror_residual is None):
         cached = EvolutionCache(eig_hermitian(op), digest, nonzero)
-        if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
+        if digest not in _cache_by_fingerprint and len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached
     return cached
-
-
-def apply_exp(es, psi, t, sign=1):
-    """Apply exp(i * sign * H * t) to a vector via a precomputed eigensystem."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[0] != es.dim:
-        raise ValueError(f"dimension mismatch: state {psi.shape[0]}, operator {es.dim}")
-    phases = np.exp(1j * sign * es.eigenvalues * t)
-    return es.eigenvectors @ (phases * (es.eigenvectors.conj().T @ psi))
 
 
 def check_dense_dim(dim):

@@ -139,10 +139,11 @@ def clustered_parities(eigensystem, index):
     (arrays, inexact commuters) the mirror is diagonalized inside each cluster, so degenerate
     subspaces that mix parities under a plain eigensolver are resolved
     correctly: clusters of one size get one stacked product for their mirror
-    matrices <v_a|M|v_b> and one stacked eigensolve, on whole columns,
-    _GATHER_ELEMENTS entries of eigenvectors at a time.
+    matrices <v_a|M|v_b> and one stacked eigensolve, on whole columns read
+    from the solves that hold them, _GATHER_ELEMENTS entries of eigenvectors
+    at a time.
     """
-    evals, vecs = eigensystem.eigenvalues, eigensystem.eigenvectors
+    evals = eigensystem.eigenvalues
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
@@ -156,7 +157,7 @@ def clustered_parities(eigensystem, index):
             step = max(1, _GATHER_ELEMENTS // (len(evals) * size))
             for chunk in range(0, len(cols), step):
                 part = cols[chunk:chunk + step]
-                members = vecs[:, part]
+                members = eigensystem.eigenvector_columns(part.ravel()).reshape(-1, *part.shape)
                 mirror = np.einsum("rpm,rpn->pmn", members.conj(), members[index])
                 out_pars[part] = np.where(np.linalg.eigvalsh(mirror) > 0, 1, -1)
     cluster_of = np.repeat(np.arange(starts.size), sizes)

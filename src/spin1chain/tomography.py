@@ -106,7 +106,7 @@ def band_matrix(spec, channel):
 def band_spectral_data(spec, channel):
     """Ground-truth eigenvalues and first-site weights of one band."""
     es = eig_hermitian(band_matrix(spec, channel))
-    weights = np.abs(es.eigenvectors[0, :]) ** 2
+    weights = np.abs(es.eigenvector_rows([0])[0]) ** 2
     return SpectralData(es.eigenvalues, weights)
 
 

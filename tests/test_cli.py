@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from spin1chain import cli, dynamics, tomography
+from spin1chain import cli, dynamics, linalg, parity, tomography
 from spin1chain.cli import build_parser, main, parse_time
 from spin1chain.dynamics import (QUTRIT_TEST_STATES, amplitude_scan, qutrit_fidelity_series,
                                  qutrit_transfer_fidelity)
-from spin1chain.hamiltonians import ChainSpec, chain_hamiltonian, pst_preset
+from spin1chain.hamiltonians import (KINDS, ChainSpec, chain_hamiltonian, engineered_sigma_block,
+                                     pst_preset)
 from spin1chain.reporting import CSV_CHUNK_ROWS
 from spin1chain.spin_ops import basis_index
 from test_reporting import per_value_csv
@@ -678,3 +679,50 @@ class TestParserReuse:
         for argv in self.SEQUENCE[:4]:
             assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
         assert cli._parser() is parser
+
+
+@pytest.fixture
+def no_dense_eigenvectors(monkeypatch):
+    """An empty eigensystem cache, and a dense eigenvector matrix that cannot be assembled."""
+    def refused(self):
+        raise AssertionError(f"a dense {self.dim} x {self.dim} eigenvector matrix was assembled")
+
+    monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+    monkeypatch.setattr(linalg.HermitianEigenSystem, "eigenvectors", property(refused))
+
+
+class TestNoDenseEigenvectors:
+    """The analyses and the CLI read eigensystems through their solves alone."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mirror_analyses_at_six_sites(self, kind, no_dense_eigenvectors):
+        # the engineered chain is the n = 6 preset, which reads the same from either end
+        ham = chain_hamiltonian(pst_preset(6, "standard") if kind == "engineered"
+                                else ChainSpec(n=6, kind=kind))
+        result = dynamics.mirror_check(ham, np.pi)
+        split = parity.parity_spectrum(ham, kind="chain_mirror")
+        assert result.commutator_residual == 0
+        assert split.dim == 729
+
+    def test_sigma_mirror_analyses(self, no_dense_eigenvectors):
+        block = engineered_sigma_block(pst_preset(5, "phase_exact"))
+        assert dynamics.mirror_check(block, np.pi, space="sigma").is_mirror
+        assert parity.parity_spectrum(block, kind="sigma").dim == 11
+
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--spec", "chain.json", "--source", "1m000", "--target", "000m1",
+         "--t-max", "pi", "--dt", "1e-2"],
+        ["transfer", "--preset-n", "4", "--channel", "down", "--t-max", "pi", "--dt", "1e-2"],
+        ["pst-check", "--n", "4", "--scan", "--t-max", "0.2pi"],
+        ["pst-check", "--n", "5"],
+        ["tomography", "--preset-n", "4", "--emit-records"],
+        ["tomography", "--preset-n", "3", "--seed", "2", "--shots", "1000"],
+        ["spectra", "--format", "json"],
+        ["swap-check"]], ids=["transfer-full", "transfer-sigma", "pst-scan", "pst",
+                              "tomography", "tomography-shots", "spectra", "swap-check"])
+    def test_cli_runs(self, argv, tmp_path, capsys, monkeypatch, no_dense_eigenvectors):
+        (tmp_path / "chain.json").write_text(json.dumps({"n": 5, "kind": "O5"}))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli([*argv, "--output-dir", "out"] if argv[0] != "swap-check"
+                               else argv, capsys)
+        assert code == 0, err

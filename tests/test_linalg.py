@@ -23,7 +23,6 @@ from spin1chain.linalg import (
     EvolutionCache,
     NonHermitianError,
     PHASE_FIX_THRESHOLD,
-    apply_exp,
     chain_mirror_index,
     connected_blocks,
     content_key,
@@ -604,6 +603,74 @@ class TestParitySectors:
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
+def storage_inputs():
+    """(id, operator, mirror index or None) of the eigensystem storage tests: every
+    kind at n = 2-6 (engineered chains mirror-symmetric), an engineered chain that is
+    not, a 9 x 9 coupling array, a sigma block and a tomography band."""
+    inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)),
+               chain_mirror_index(n)) for kind in KINDS for n in (2, 3, 4, 5, 6)]
+    inputs += [("engineered-asymmetric-4", chain_hamiltonian(chain_spec("engineered", 4, seed=4)),
+                chain_mirror_index(4)),
+               ("O5-coupling", candidate_two_site("O5"), None),
+               ("sigma-5", engineered_sigma_block(pst_preset(5, "standard")), None),
+               ("band-9", up_block(pst_preset(9, "standard")), None)]
+    return inputs
+
+
+STORAGE_INPUTS = storage_inputs()
+
+
+@pytest.mark.parametrize("name, op, index", STORAGE_INPUTS,
+                         ids=[name for name, _, _ in STORAGE_INPUTS])
+class TestBlockLocalStorage:
+    """An eigensystem holds its stacked solves; the dense matrix is assembled on request."""
+
+    @staticmethod
+    def dense(op):
+        return op.dense() if isinstance(op, linalg.ChainOperator) else np.asarray(op)
+
+    def test_assembled_vectors_reconstruct_and_are_unitary(self, name, op, index):
+        es = eig_hermitian(op)
+        mat = self.dense(op)
+        assert es.reconstruction_residual(mat) <= 1e-12 * max(np.max(np.abs(mat)), 1.0)
+        assert es.unitarity_deviation() <= 1e-12
+
+    def test_split_blocks_have_exact_parity(self, name, op, index):
+        es = eig_hermitian(op)
+        v = es.eigenvectors
+        sectors = [solve for solve in es.solves if solve.mirrored is not None]
+        if es.mirror_residual != 0:
+            # no exact chain mirror: no sector, no parity
+            assert not sectors and not es.parities.any()
+            return
+        # the diagonal O2 and O4 have no block that M maps onto itself with a pair
+        assert bool(sectors) != name.startswith(("O2", "O4"))
+        for solve in sectors:
+            cols = solve.columns.ravel()
+            assert np.all(es.parities[cols] == solve.sign)
+            assert np.array_equal(v[index][:, cols], es.parities[cols] * v[:, cols])
+            assert np.array_equal(index[solve.rows], solve.mirrored)
+
+    def test_readers_equal_the_assembled_matrix(self, name, op, index):
+        es = eig_hermitian(op)
+        v = es.eigenvectors
+        everything = np.arange(es.dim)
+        assert es.eigenvector_rows(everything).tobytes() == v.tobytes()
+        assert es.eigenvector_columns(everything).tobytes() == v.tobytes()
+        rng = np.random.default_rng(es.dim)
+        some = rng.choice(es.dim, size=min(es.dim, 5), replace=False)
+        assert es.eigenvector_rows(some).tobytes() == v[some].tobytes()
+        assert es.eigenvector_columns(some).tobytes() == v[:, some].tobytes()
+        split = {int(block) for solve in es.solves if solve.mirrored is not None
+                 for block in solve.rows[:, 0]}
+        for unsplit_only in (False, True):
+            for rows, cols, vectors in es.block_vectors(unsplit_only=unsplit_only):
+                assert vectors.tobytes() == v[rows[:, :, None], cols[:, None, :]].tobytes()
+                assert not unsplit_only or not split & set(rows.ravel().tolist())
+        listed = sum(rows.size for rows, _, _ in es.block_vectors(unsplit_only=False))
+        assert listed == es.dim
+
+
 def recorded_eigh(monkeypatch):
     """Patch np.linalg.eigh to record the dtype of every matrix it is given."""
     dtypes, eigh = [], np.linalg.eigh
@@ -815,21 +882,25 @@ class TestContentKey:
         assert np.array_equal(first.nonzero, np.flatnonzero(mat))
 
 
-class TestApplyExp:
+class TestUnitaryFromEigensystem:
+    @staticmethod
+    def evolved(es, psi, t, sign=1):
+        return EvolutionCache(es, "", None).unitary(t, sign) @ psi
+
     def test_t_zero_is_identity(self):
         rng = np.random.default_rng(6)
         mat = random_hermitian(rng, 9)
         es = eig_hermitian(mat)
         psi = rng.normal(size=9) + 1j * rng.normal(size=9)
         psi /= np.linalg.norm(psi)
-        assert np.max(np.abs(apply_exp(es, psi, 0.0) - psi)) <= 1e-13
+        assert np.max(np.abs(self.evolved(es, psi, 0.0) - psi)) <= 1e-13
 
     def test_eigenvector_picks_up_phase(self):
         es = eig_hermitian(np.diag([2.0, -1.0]))
         vec = np.array([0.0, 1.0], dtype=complex)
-        out = apply_exp(es, vec, 0.7, sign=1)
+        out = self.evolved(es, vec, 0.7, sign=1)
         assert np.allclose(out, np.exp(-1j * 0.7) * vec)
-        out = apply_exp(es, vec, 0.7, sign=-1)
+        out = self.evolved(es, vec, 0.7, sign=-1)
         assert np.allclose(out, np.exp(1j * 0.7) * vec)
 
     def test_norm_preserved(self):
@@ -838,13 +909,8 @@ class TestApplyExp:
         es = eig_hermitian(mat)
         psi = rng.normal(size=15) + 1j * rng.normal(size=15)
         psi /= np.linalg.norm(psi)
-        out = apply_exp(es, psi, 3.3)
+        out = self.evolved(es, psi, 3.3)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        es = eig_hermitian(np.eye(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_exp(es, np.ones(4), 1.0)
 
 
 class TestKron:

@@ -282,7 +282,9 @@ class TestClusteredParities:
         rng = np.random.default_rng(71)
         vecs = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
         index = np.append(np.arange(dim - 1) ^ 1, dim - 1)
-        es = linalg.HermitianEigenSystem(evals, vecs)
+        whole = np.arange(dim)[None, :]
+        es = linalg.HermitianEigenSystem(
+            evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),))
         want_vals, want_pars, _ = loop_clustered_parities(evals, vecs, index)
         vals, pars = clustered_parities(es, index)
         assert vals.tobytes() == want_vals.tobytes()
@@ -589,6 +591,22 @@ class TestCacheFilledByTheOtherForm:
         dense_es = linalg.evolution_cache(ham.dense()).eigensystem
         assert dense_es.mirror_residual is None and not dense_es.parities.any()
         assert_same_analyses(analyses(ham, "full"), split_first)
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "O5"])
+    def test_dense_matrix_first_gives_the_same_bits(self, kind, monkeypatch):
+        # an entry filled from the dense matrix is replaced by the operator's own
+        # solve, so the operator's analyses do not depend on the call order
+        ham = chain_hamiltonian(ChainSpec(n=4, kind=kind))
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        operator_first = analyses(ham, "full")
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        assert linalg.evolution_cache(ham.dense()).eigensystem.mirror_residual is None
+        dense_first = analyses(ham, "full")
+        assert dense_first == operator_first
+        cache = linalg.evolution_cache(ham)
+        assert cache.eigensystem.mirror_residual == 0
+        assert linalg.evolution_cache(ham.dense()) is cache
+        assert len(linalg._cache_by_fingerprint) == 1
 
     def test_sigma_block_after_a_chain_operator_of_its_entries(self, monkeypatch):
         # a complex 9 x 9 array that commutes exactly with the two-site
