@@ -130,8 +130,10 @@ def cmd_spectra(args):
         sys.stdout.write("\n")
     else:
         for e in entries:
-            even = ", ".join(f"{v:.6g}" for v in e["even"])
-            odd = ", ".join(f"{v:.6g}" for v in e["odd"])
+            # a level within rounding of zero, relative to the operator's largest, prints as 0
+            floor = 1e-12 * max(1.0, *(abs(v) for v in e["even"] + e["odd"]))
+            even, odd = (", ".join("0" if abs(v) <= floor else f"{v:.6g}" for v in e[sector])
+                         for sector in ("even", "odd"))
             if e["matches_literature"]:
                 flag = "ok"
             elif e["matches_adjudicated"]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, block_positions, evolution_cache
+from .linalg import EvolutionCache, evolution_cache
 from .parity import mirror_commutator, mirror_eigensystem, mirror_parities
 from .spin_ops import basis_index
 
@@ -227,63 +227,31 @@ def _distinct_phases(phases):
 
 def _mirror_entries(eigensystem, index, phases):
     """U[M j, j] for every column j of U = V diag(phases) V^dagger, and the largest
-    |U[i, j]| over the other entries, without forming U.
+    |U[i, j]| over the other entries, read tile by tile from
+    :meth:`~spin1chain.linalg.HermitianEigenSystem.unitary_blocks` without forming U.
 
-    U is block diagonal, so an image M j in another block than j reads 0.
-    A block that the solve split into parity sectors of the chain mirror
-    (when the eigensystem carries its parities) is read from the sectors'
-    vectors.  Any other block is formed as V_b diag(phases) V_b^dagger on its
-    own rows (:meth:`~spin1chain.linalg.HermitianEigenSystem.block_vectors`),
-    stacked with the other such blocks of its size.  A split block has
-    v[M i] = p v[i] in each column, p its parity, so on its orbit-first rows
-    F (i <= M i, fixed rows first, then the pairs P) the even sector gives
-    G_e and the odd one G_o, which vanishes outside P x P: U[i, j] =
-    U[M i, M j] = (G_e + G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e -
-    G_o)[i, j].  So the mirror entries U[M i, i] and U[i, M i] are the
-    diagonal of G_e - G_o, which on a fixed row is also that of G_e + G_o;
-    every other entry of the block is an entry of one of the two off those
-    places.
+    Every entry of U that may be nonzero lies in one tile, so an image M j
+    that no tile of column j holds reads 0.  Each row is marked with the
+    number of the tile holding it, tiles numbered across the stacks so that
+    a mark left by an earlier stack never matches, and with its position in
+    that tile's rows.
     """
-    block_of, position = block_positions([rows for rows, _ in eigensystem.blocks],
-                                         eigensystem.dim)
     diagonal = np.zeros(eigensystem.dim, dtype=complex)
     largest = 0.0
-    # the even and odd sector solves of the split blocks, by their first block
-    sectors = {}
-    if eigensystem.parities.any():
-        for solve in eigensystem.solves:
-            if solve.mirrored is not None:
-                sectors.setdefault(int(block_of[solve.rows[0, 0]]), {})[solve.sign] = solve
-    for pair in sectors.values():
-        even, odd = pair[1.0], pair[-1.0]
-        # each block's orbit-first rows with its fixed rows first, and the even
-        # vectors on them; the odd sector holds the pairs' first rows in order
-        fixed = even.rows == even.mirrored
-        nfixed = np.count_nonzero(fixed[0])
-        fixed_first = np.argsort(~fixed, axis=1, kind="stable")
-        first = np.take_along_axis(even.rows, fixed_first, axis=1)
-        v = np.take_along_axis(even.vectors, fixed_first[:, :, None], axis=1)
-        sums = (v * phases[even.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
-        v = odd.vectors
-        odd_part = (v * phases[odd.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
-        diffs = sums.copy()
-        sums[:, nfixed:, nfixed:] += odd_part
-        diffs[:, nfixed:, nfixed:] -= odd_part
-        on = np.arange(first.shape[1])
-        diagonal[first] = diagonal[index[first]] = diffs[:, on, on]
-        diffs[:, on, on] = 0
-        sums[:, on[:nfixed], on[:nfixed]] = 0
-        largest = max(largest, np.max(np.abs(sums)), np.max(np.abs(diffs)))
-    for rows, cols, v in eigensystem.block_vectors(unsplit_only=bool(sectors)):
-        if not rows.size:
-            continue
-        unitary = (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1)
-        images = index[rows]
-        block, column = np.nonzero(block_of[images] == block_of[rows])
-        row = position[images[block, column]]
-        diagonal[rows[block, column]] = unitary[block, row, column]
-        unitary[block, row, column] = 0
-        largest = max(largest, np.max(np.abs(unitary)))
+    tile_of, position = np.full((2, eigensystem.dim), -1)
+    numbered = 0
+    for rows, columns, tile in eigensystem.unitary_blocks(phases):
+        count, size = rows.shape
+        numbers = numbered + np.arange(count)[:, None]
+        numbered += count
+        tile_of[rows], position[rows] = numbers, np.arange(size)
+        images = index[columns]
+        k, c = np.nonzero(tile_of[images] == numbers)
+        r = position[images[k, c]]
+        diagonal[columns[k, c]] = tile[k, r, c]
+        magnitude = np.abs(tile)
+        magnitude[k, r, c] = 0
+        largest = np.max(magnitude, initial=largest)
     return diagonal, float(largest)
 
 
@@ -297,9 +265,9 @@ def mirror_check(op, t, sign=1, space="full"):
     to one value, the two groups differing by a factor -1).  ``space`` is
     ``full`` (a ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block
     array); ``t`` is finite.  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
-    residual the largest |U - e^{i phi} M| entry, both read block by block
-    and parity sector by parity sector (:func:`_mirror_entries`), so the
-    dense unitary is never built.
+    residual the largest |U - e^{i phi} M| entry, both read tile by tile
+    (:func:`_mirror_entries`), so neither a block of the unitary nor the
+    dense unitary is built.
     """
     if space not in ("full", "sigma"):
         raise ValueError(f"space must be 'full' or 'sigma', got {space!r}")

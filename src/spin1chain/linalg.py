@@ -7,10 +7,10 @@ diagonalizes each connected block of the matrix's nonzero pattern on its
 own, so a Hamiltonian that conserves something costs what its sectors
 cost, and splits a block of a :class:`ChainOperator` that commutes exactly
 with its site inversion into its two parity sectors.  The eigensystem keeps
-those solves, and its readers give rows, columns or blocks of the
-eigenvector matrix without forming it.  :func:`evolution_cache`
-memoizes it by matrix content, so the analyses of one Hamiltonian share
-a single decomposition.
+those solves, and its readers give rows or columns of the eigenvector
+matrix, or the unitary V diag(phases) V^dagger tile by tile, without forming
+either.  :func:`evolution_cache` memoizes it by matrix content, so the
+analyses of one Hamiltonian share a single decomposition.
 """
 
 import bisect
@@ -223,37 +223,30 @@ class EigenSolve:
 class HermitianEigenSystem:
     """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues, held as
     its stacked solves (:class:`EigenSolve`): V is never stored.  The readers
-    :meth:`eigenvector_rows`, :meth:`eigenvector_columns` and :meth:`block_vectors`
-    give parts of V, and :attr:`eigenvectors` assembles the whole dense matrix on
-    request; V is complex whether a block was solved in real or in complex arithmetic.
+    :meth:`eigenvector_rows` and :meth:`eigenvector_columns` give parts of V,
+    :meth:`unitary_blocks` gives V diag(phases) V^dagger tile by tile, and
+    :attr:`eigenvectors` assembles the whole dense matrix on request; V is complex
+    whether a block was solved in real or in complex arithmetic.
 
-    ``blocks`` records the connected blocks of H as (rows, columns) pairs
-    of index arrays, one pair per block size: ``rows[k]`` are the basis
-    states of one block and ``columns[k]`` its eigenvectors, which vanish
-    outside those rows.  A block solved whole lists its columns in
-    ascending order; a block split into parity sectors lists its smaller
-    sector's columns first (the even sector's at equal size), each sector
-    ascending.  Left empty, the whole space is one block.
-    :func:`eig_hermitian` sets ``mirror_residual`` to the chain-mirror
-    :func:`commutator_residual` of a :class:`ChainOperator` of n >= 2
-    sites, else None (an array has no chain mirror).  ``parities`` holds
-    each column's parity under that mirror M when the residual is 0, else
-    0: on a block that M maps onto itself ``v[M] == parity * v`` exactly (a
-    block of fixed rows only is even); two blocks that M swaps share their levels,
-    each level's pair of columns spanning one even and one odd combination,
-    so the block listed first reads +1 and its image -1.  Left empty, all 0.
+    Each solve holds connected blocks of H solved whole, or one parity
+    sector of blocks split in two, the odd sector's solve right after the
+    even one's.  :func:`eig_hermitian` sets ``mirror_residual`` to the
+    chain-mirror :func:`commutator_residual` of a :class:`ChainOperator` of
+    n >= 2 sites, else None (an array has no chain mirror).  ``parities``
+    holds each column's parity under that mirror M when the residual is 0,
+    else 0: on a block that M maps onto itself ``v[M] == parity * v``
+    exactly (a block of fixed rows only is even); two blocks that M swaps
+    share their levels, each level's pair of columns spanning one even and
+    one odd combination, so the block with the smaller first row reads +1
+    and its image -1.  Left empty, all 0.
     """
 
     eigenvalues: np.ndarray
     solves: tuple
-    blocks: tuple = ()
     mirror_residual: float | None = field(default=None, compare=False)
     parities: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.blocks:
-            whole = np.arange(self.dim)[None, :]
-            object.__setattr__(self, "blocks", ((whole, whole),))
         if self.parities is None:
             object.__setattr__(self, "parities", np.zeros(self.dim, dtype=np.int8))
 
@@ -309,41 +302,43 @@ class HermitianEigenSystem:
                 out[held[k], which[:, None]] = v if sign is None else sign * v
         return out
 
-    def block_vectors(self, *, unsplit_only):
-        """(rows, columns, vectors) per entry of ``blocks``, vectors[k] being
-        V[rows[k]][:, columns[k]], bit for bit.  With ``unsplit_only`` the blocks
-        solved as parity sectors are left out, and their solves are not read."""
-        groups = [rows for rows, _ in self.blocks]
-        block_of, position = block_positions(groups, self.dim)
-        numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-        wanted = np.ones(numbers[-1], dtype=bool)
-        if unsplit_only:
-            for solve in self.solves:
-                if solve.mirrored is not None:
-                    wanted[block_of[solve.rows[:, 0]]] = False
-        # each wanted block's place in its group's stack, and each column's in its block
-        place, column_at = np.full(numbers[-1], -1), np.empty(self.dim, dtype=int)
-        out = []
-        for (rows, cols), first, last in zip(self.blocks, numbers, numbers[1:]):
-            pick = wanted[first:last]
-            place[first:last][pick] = np.arange(np.count_nonzero(pick))
-            column_at[cols] = np.arange(cols.shape[1])
-            size = rows.shape[1]
-            out.append((rows[pick], cols[pick],
-                        np.zeros((np.count_nonzero(pick), size, size), dtype=complex)))
+    def unitary_blocks(self, phases):
+        """(rows, columns, tile) stacks of U = V diag(phases) V^dagger, tile[k] being
+        U[rows[k]][:, columns[k]]; every entry of U that may be nonzero lies in
+        exactly one tile, and no block of U is assembled.
+
+        A solve of whole blocks gives one tile per block.  An even and an odd
+        parity sector of the same blocks give four: each eigenvector has v[M i]
+        = p v[i], p its parity, so on a block's orbit-first rows F (fixed rows
+        first, then the pairs' first rows P) the even sector gives G_e and the
+        odd one G_o, nonzero on P x P only, and U[i, j] = U[M i, M j] = (G_e +
+        G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e - G_o)[i, j].  The tiles
+        F x F, MP x MP, F x MP and MP x F (MP the mirror images of P) are views
+        of those two products; the last two share the entries of P x P.
+        """
         for solve in self.solves:
-            blocks = block_of[solve.rows[:, 0]]
-            pick = place[blocks] >= 0
-            if not pick.any():
-                continue
-            group = int(np.searchsorted(numbers, blocks[0], side="right")) - 1
-            at = place[blocks[pick]][:, None, None]
-            v = solve.vectors[pick]
-            cols = column_at[solve.columns[pick]][:, None, :]
-            for held, sign in solve.held():
-                out[group][2][at, position[held[pick]][:, :, None], cols] = (
-                    v if sign is None else sign * v)
-        return out
+            rows, images, v = solve.rows, solve.mirrored, solve.vectors
+            if images is not None and solve.sign > 0:
+                # the even sector's orbit-first rows with the fixed rows first
+                order = np.argsort(rows != images, axis=1, kind="stable")
+                rows, images = (np.take_along_axis(r, order, axis=1) for r in (rows, images))
+                v = np.take_along_axis(v, order[:, :, None], axis=1)
+            product = (v * phases[solve.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
+            if images is None:
+                yield rows, rows, product
+            elif solve.sign > 0:
+                even = rows, images, product  # its odd sector's solve comes next
+            else:
+                (first, images, sums), odd = even, product
+                nfixed = first.shape[1] - odd.shape[1]
+                diffs = sums.copy()
+                sums[:, nfixed:, nfixed:] += odd
+                diffs[:, nfixed:, nfixed:] -= odd
+                pairs = images[:, nfixed:]
+                yield first, first, sums
+                yield pairs, pairs, sums[:, nfixed:, nfixed:]
+                yield first, pairs, diffs[:, :, nfixed:]
+                yield pairs, first, diffs[:, nfixed:, :]
 
     def reconstruction_residual(self, mat):
         v = self.eigenvectors
@@ -353,22 +348,6 @@ class HermitianEigenSystem:
     def unitarity_deviation(self):
         v = self.eigenvectors
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
-
-
-def block_positions(groups, dim):
-    """Each row's block number and its position in its block's rows.
-
-    ``groups`` holds (count, size) arrays of block rows, one block per row
-    of each array; blocks are numbered group after group.
-    """
-    block_of, position = np.empty((2, dim), dtype=int)
-    first = 0
-    for rows in groups:
-        count, size = rows.shape
-        block_of[rows] = first + np.arange(count)[:, None]
-        position[rows] = np.arange(size)
-        first += count
-    return block_of, position
 
 
 def _parity_sectors(stack, rows, image, numbers):
@@ -482,7 +461,11 @@ def eig_hermitian(op):
     # second of two blocks that M swaps and 1 on every other block
     known = np.zeros(numbers[-1], dtype=np.int8)
     if residual == 0:
-        block_of, position = block_positions(groups, dim)
+        # each row's block number and its position in its block's rows
+        block_of, position = np.empty((2, dim), dtype=int)
+        for rows, first in zip(groups, numbers):
+            block_of[rows] = first + np.arange(rows.shape[0])[:, None]
+            position[rows] = np.arange(rows.shape[1])
     solved = []
     for rows, stack, first in zip(groups, stacks, numbers):
         count, size = rows.shape
@@ -510,8 +493,6 @@ def eig_hermitian(op):
             for mats, *scatter in _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick]):
                 solved.append((*np.linalg.eigh(mats), *scatter, centro))
     del stacks, stack, mats  # every matrix is solved: free them before the phase fix
-    # solves of one size side by side, so a split block lists its smaller sector first
-    solved.sort(key=lambda solve: solve[2].shape[1])
     values = np.concatenate([w.ravel() for w, *_ in solved])
     block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
                                  for _, _, rows, _, _, _, ids, _ in solved])
@@ -541,14 +522,8 @@ def eig_hermitian(op):
             column[offset:offset + rows.size].reshape(rows.shape),
             np.ascontiguousarray(v.reshape(size, count, size).transpose(1, 0, 2))))
         offset += rows.size
-    # each block's columns, blocks in the order of ``groups``
-    by_block = column[np.argsort(block_keys, kind="stable")]
-    partition, offset = [], 0
-    for rows in groups:
-        partition.append((rows, by_block[offset:offset + rows.size].reshape(rows.shape)))
-        offset += rows.size
     return HermitianEigenSystem(eigenvalues=values[order], solves=tuple(solves),
-                                blocks=tuple(partition), mirror_residual=residual,
+                                mirror_residual=residual,
                                 parities=(signs * known[block_keys])[order])
 
 
@@ -573,19 +548,16 @@ class EvolutionCache:
         return self._memo[key]
 
     def unitary(self, t, sign=1):
-        """exp(i*sign*H*t) as a dense matrix, built block by block.
+        """exp(i*sign*H*t) as a dense matrix, the tiles of
+        :meth:`HermitianEigenSystem.unitary_blocks` scattered into zeros.
 
-        Each block contributes V_b diag(exp(i*sign*E_b*t)) V_b^dagger on its
-        own rows and columns; entries between blocks are exact zeros.  Only
-        ``swap-check`` needs the whole two-site 9 x 9 unitary; the mirror
-        test reads its entries block by block without forming it.
+        Only ``swap-check`` needs the whole two-site 9 x 9 unitary; the mirror
+        test reads the tiles without forming it.
         """
         es = self.eigensystem
-        phases = np.exp(1j * sign * es.eigenvalues * t)
         out = np.zeros((es.dim, es.dim), dtype=complex)
-        for rows, cols, v in es.block_vectors(unsplit_only=False):
-            out[rows[:, :, None], rows[:, None, :]] = (
-                (v * phases[cols][:, None, :]) @ v.conj().transpose(0, 2, 1))
+        for rows, cols, tile in es.unitary_blocks(np.exp(1j * sign * es.eigenvalues * t)):
+            out[rows[:, :, None], cols[:, None, :]] = tile
         return out
 
 

@@ -136,6 +136,13 @@ class TestSpectra:
         assert np.allclose(entry["even"], [1, 1, 1, 0, 0, 0], atol=1e-10)
         assert np.allclose(entry["odd"], [1, 0, 0], atol=1e-10)
 
+    def test_text_prints_rounding_level_as_zero(self, capsys):
+        # O5's zero levels come out of the solve at rounding level (-8.3e-17 with
+        # numpy 2.4); the text report prints them as 0
+        code, out, _ = run_cli(["spectra", "--op", "O5", "--format", "text"], capsys)
+        assert code == 0
+        assert "even: {2.44949, 1.41421, 0, 0, -1.41421, -2.44949}  odd: {0, 0, 0}  [ok]" in out
+
     def test_artifact_written(self, tmp_path, capsys):
         code, _, _ = run_cli(["spectra", "--format", "json",
                               "--output-dir", str(tmp_path), "--tag", "tbl"], capsys)

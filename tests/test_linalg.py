@@ -116,6 +116,26 @@ def blocks_of(mat):
     return connected_blocks(np.flatnonzero(mat), mat.shape[0])
 
 
+def solved_blocks(es):
+    """(rows, columns) of each connected block, read from the solves, both ascending
+    and blocks ordered by first row.  A block solved whole is one matrix of a solve;
+    a split block has its even sector's rows and their mirror images, and the
+    columns of both sectors, which meet at the block's first pair row."""
+    found = {}
+    for solve in es.solves:
+        for k, (rows, columns) in enumerate(zip(solve.rows, solve.columns)):
+            pairs = rows
+            if solve.mirrored is not None:
+                pairs = rows[rows != solve.mirrored[k]]
+                rows = np.union1d(rows, solve.mirrored[k])
+            block = found.setdefault(int(pairs[0]), ([], []))
+            block[0].append(rows)
+            block[1].append(columns)
+    blocks = [(np.unique(np.concatenate(rows)), np.sort(np.concatenate(columns)))
+              for rows, columns in found.values()]
+    return sorted(blocks, key=lambda block: block[0][0])
+
+
 class TestConnectedBlocks:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -214,14 +234,13 @@ class TestEigHermitian:
         assert es.reconstruction_residual(mat) <= 1e-12 * max(np.max(np.abs(mat)), 1.0)
         assert es.unitarity_deviation() <= 1e-12
         assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(mat))) <= 1e-12
-        rows = np.concatenate([r.ravel() for r, _ in es.blocks])
-        cols = np.concatenate([c.ravel() for _, c in es.blocks])
-        assert np.array_equal(np.sort(rows), np.arange(24))
+        blocks = solved_blocks(es)
+        assert [rows.tolist() for rows, _ in blocks] == [rows.tolist() for rows in blocks_of(mat)]
+        cols = np.concatenate([c for _, c in blocks])
         assert np.array_equal(np.sort(cols), np.arange(24))
-        for r, c in es.blocks:
-            for block_rows, block_cols in zip(r, c):
-                outside = np.delete(es.eigenvectors[:, block_cols], block_rows, axis=0)
-                assert not np.any(outside)
+        for block_rows, block_cols in blocks:
+            outside = np.delete(es.eigenvectors[:, block_cols], block_rows, axis=0)
+            assert not np.any(outside)
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_one_block_is_bit_identical_to_eigh(self, seed):
@@ -229,7 +248,8 @@ class TestEigHermitian:
         mat = random_hermitian(rng, int(rng.integers(2, 60)))
         es = eig_hermitian(mat)
         w, v = np.linalg.eigh(mat)
-        assert len(es.blocks) == 1
+        (solve,) = es.solves
+        assert solve.rows.shape[0] == 1
         assert es.eigenvalues.tobytes() == w.tobytes()
         assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
 
@@ -382,16 +402,17 @@ def assert_sector_eigensystem(es, mat, index):
     assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(mat))) <= 1e-12
     assert np.all(np.diff(es.eigenvalues) >= 0)
     v = es.eigenvectors
-    for rows, cols in es.blocks:
-        for block_rows, block_cols in zip(rows, cols):
-            outside = np.delete(v[:, block_cols], block_rows, axis=0)
-            assert not np.any(outside)
-            if np.array_equal(np.sort(index[block_rows]), block_rows):
-                cols_v = v[:, block_cols]
-                mirrored = cols_v[index]
-                parity_gap = np.minimum(np.max(np.abs(mirrored - cols_v), axis=0),
-                                        np.max(np.abs(mirrored + cols_v), axis=0))
-                assert np.max(parity_gap) <= 1e-12
+    blocks = solved_blocks(es)
+    assert [rows.tolist() for rows, _ in blocks] == [rows.tolist() for rows in blocks_of(mat)]
+    for block_rows, block_cols in blocks:
+        outside = np.delete(v[:, block_cols], block_rows, axis=0)
+        assert not np.any(outside)
+        if np.array_equal(np.sort(index[block_rows]), block_rows):
+            cols_v = v[:, block_cols]
+            mirrored = cols_v[index]
+            parity_gap = np.minimum(np.max(np.abs(mirrored - cols_v), axis=0),
+                                    np.max(np.abs(mirrored + cols_v), axis=0))
+            assert np.max(parity_gap) <= 1e-12
 
 
 class TestParitySectors:
@@ -524,10 +545,11 @@ class TestParitySectors:
         mat, index = ham.dense(), chain_mirror_index(n)
         es = eig_hermitian(ham)
         unsplit = 0
-        for rows, cols in es.blocks:
-            for block_rows, block_cols in zip(rows, cols):
-                if es.mirror_residual == 0 and is_split(index, block_rows):
-                    continue
+        for solve in es.solves:
+            if solve.mirrored is not None:
+                continue
+            for block_rows, block_cols in zip(solve.rows, solve.columns):
+                assert not (es.mirror_residual == 0 and is_split(index, block_rows))
                 unsplit += 1
                 assert np.array_equal(block_cols, np.sort(block_cols))
                 _, v = real_where_real_eigh(mat[np.ix_(block_rows, block_rows)])
@@ -538,25 +560,21 @@ class TestParitySectors:
     @pytest.mark.parametrize("mat, n", [
         (chain_hamiltonian(ChainSpec(n=4, kind="heisenberg")).dense(), 4),
         (candidate_two_site("O5"), 2)], ids=["heisenberg-4", "O5-two-site"])
-    def test_split_blocks_list_their_smaller_sector_first(self, mat, n):
+    def test_split_blocks_have_one_sector_per_parity(self, mat, n):
         index = chain_mirror_index(n)
         es = eig_hermitian(linalg.ChainOperator.from_terms([(1, mat)], n))
         assert es.mirror_residual == 0
         split = 0
-        for rows, cols in es.blocks:
-            for block_rows, block_cols in zip(rows, cols):
-                if not is_split(index, block_rows):
-                    continue
-                split += 1
-                fixed = np.count_nonzero(index[block_rows] == block_rows)
-                v = es.eigenvectors[:, block_cols]
-                even = np.all(v[index] == v, axis=0)
-                assert np.all(even | np.all(v[index] == -v, axis=0))
-                # the smaller sector first, the even one at equal size
-                sectors = sorted([((block_rows.size + fixed) // 2, 0, True),
-                                  ((block_rows.size - fixed) // 2, 1, False)])
-                assert even.tolist() == [parity for size, _, parity in sectors
-                                         for _ in range(size)]
+        for block_rows, block_cols in solved_blocks(es):
+            if not is_split(index, block_rows):
+                continue
+            split += 1
+            fixed = np.count_nonzero(index[block_rows] == block_rows)
+            v = es.eigenvectors[:, block_cols]
+            even = np.all(v[index] == v, axis=0)
+            assert np.all(even | np.all(v[index] == -v, axis=0))
+            # one even column per orbit of M, one odd column per pair
+            assert np.count_nonzero(even) == (block_rows.size + fixed) // 2
         assert split > 0
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -564,24 +582,24 @@ class TestParitySectors:
     def test_parities_are_exact_where_known(self, kind, n):
         # on a block that M maps onto itself a column of parity p has
         # v[M] == p v bit for bit; two blocks that M swaps share their levels
-        # and read +1 on the block listed first and -1 on its image
+        # and read +1 on the block with the smaller first row and -1 on its image
         es = eig_hermitian(chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)))
         index, v, parities = chain_mirror_index(n), es.eigenvectors, es.parities
         assert es.mirror_residual == 0
         assert np.all(parities != 0)
-        for rows, cols in es.blocks:
-            for block_rows, block_cols in zip(rows, cols):
-                image = np.sort(index[block_rows])
-                if np.array_equal(image, block_rows):
-                    assert np.array_equal(v[index][:, block_cols],
-                                          parities[block_cols] * v[:, block_cols])
-                    if not is_split(index, block_rows):
-                        assert np.all(parities[block_cols] == 1)
-                    continue
-                assert np.all(parities[block_cols] == (1 if block_rows[0] < image[0] else -1))
-                image_cols = cols[np.flatnonzero(rows[:, 0] == image[0])[0]]
-                gap = np.abs(es.eigenvalues[block_cols] - es.eigenvalues[image_cols])
-                assert np.max(gap) <= 1e-12 * max(np.max(np.abs(es.eigenvalues)), 1.0)
+        blocks = solved_blocks(es)
+        columns_of = {int(block_rows[0]): block_cols for block_rows, block_cols in blocks}
+        for block_rows, block_cols in blocks:
+            image = np.sort(index[block_rows])
+            if np.array_equal(image, block_rows):
+                assert np.array_equal(v[index][:, block_cols],
+                                      parities[block_cols] * v[:, block_cols])
+                if not is_split(index, block_rows):
+                    assert np.all(parities[block_cols] == 1)
+                continue
+            assert np.all(parities[block_cols] == (1 if block_rows[0] < image[0] else -1))
+            gap = np.abs(es.eigenvalues[block_cols] - es.eigenvalues[columns_of[int(image[0])]])
+            assert np.max(gap) <= 1e-12 * max(np.max(np.abs(es.eigenvalues)), 1.0)
 
     def test_fixed_point_blocks_are_even(self):
         # O2 is diagonal: a palindromic basis state is its own block, kept by
@@ -590,10 +608,11 @@ class TestParitySectors:
         n = 3
         es = eig_hermitian(chain_hamiltonian(ChainSpec(n=n, kind="O2")))
         index = chain_mirror_index(n)
-        (rows, cols), = es.blocks
-        image = index[rows[:, 0]]
-        assert np.array_equal(es.parities[cols[:, 0]], np.where(image < rows[:, 0], -1, 1))
-        assert np.count_nonzero(image == rows[:, 0]) == 9
+        rows, cols = (np.concatenate(part) for part in zip(*solved_blocks(es)))
+        assert rows.size == cols.size == 27  # every block is one state
+        image = index[rows]
+        assert np.array_equal(es.parities[cols], np.where(image < rows, -1, 1))
+        assert np.count_nonzero(image == rows) == 9
         assert np.count_nonzero(es.parities < 0) == 9
 
     def test_rerun_is_byte_identical(self):
@@ -606,13 +625,18 @@ class TestParitySectors:
 def storage_inputs():
     """(id, operator, mirror index or None) of the eigensystem storage tests: every
     kind at n = 2-6 (engineered chains mirror-symmetric), an engineered chain that is
-    not, a 9 x 9 coupling array, a sigma block and a tomography band."""
+    not, a 9 x 9 coupling array, a sigma block, the two-site operator of a complex
+    sigma block and a tomography band."""
     inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)),
                chain_mirror_index(n)) for kind in KINDS for n in (2, 3, 4, 5, 6)]
     inputs += [("engineered-asymmetric-4", chain_hamiltonian(chain_spec("engineered", 4, seed=4)),
                 chain_mirror_index(4)),
                ("O5-coupling", candidate_two_site("O5"), None),
                ("sigma-5", engineered_sigma_block(pst_preset(5, "standard")), None),
+               # a complex sigma block of 3^2 states shares its cache entry with this operator
+               ("sigma-4-chain", linalg.ChainOperator.from_terms(
+                   [(1, engineered_sigma_block(pst_preset(4, "standard")).astype(complex))], 2),
+                chain_mirror_index(2)),
                ("band-9", up_block(pst_preset(9, "standard")), None)]
     return inputs
 
@@ -661,14 +685,32 @@ class TestBlockLocalStorage:
         some = rng.choice(es.dim, size=min(es.dim, 5), replace=False)
         assert es.eigenvector_rows(some).tobytes() == v[some].tobytes()
         assert es.eigenvector_columns(some).tobytes() == v[:, some].tobytes()
-        split = {int(block) for solve in es.solves if solve.mirrored is not None
-                 for block in solve.rows[:, 0]}
-        for unsplit_only in (False, True):
-            for rows, cols, vectors in es.block_vectors(unsplit_only=unsplit_only):
-                assert vectors.tobytes() == v[rows[:, :, None], cols[:, None, :]].tobytes()
-                assert not unsplit_only or not split & set(rows.ravel().tolist())
-        listed = sum(rows.size for rows, _, _ in es.block_vectors(unsplit_only=False))
-        assert listed == es.dim
+
+    def test_unitary_tiles_cover_the_dense_product_once(self, name, op, index):
+        es = eig_hermitian(op)
+        v = es.eigenvectors
+        phases = np.exp(1j * np.random.default_rng(es.dim).uniform(-np.pi, np.pi, es.dim))
+        dense = (v * phases) @ v.conj().T
+        tiles = list(es.unitary_blocks(phases))
+        scattered = np.zeros_like(dense)
+        for rows, cols, tile in tiles:
+            assert tile.shape == rows.shape + cols.shape[1:]
+            scattered[rows[:, :, None], cols[:, None, :]] = tile
+        assert np.max(np.abs(scattered - dense)) <= 1e-15
+        # each entry of every block once: the tiles hold sum (block size)^2 entries
+        assert sum(tile.size for _, _, tile in tiles) == sum(
+            block.size ** 2 for block in blocks_of(self.dense(op)))
+        # a block solved whole is one tile, the product of its own vectors
+        for solve in es.solves:
+            if solve.mirrored is not None:
+                continue
+            rows, cols = solve.rows, solve.columns
+            block = v[rows[:, :, None], cols[:, None, :]]
+            want = (block * phases[cols][:, None, :]) @ block.conj().transpose(0, 2, 1)
+            (tile,) = [tile for tile_rows, tile_cols, tile in tiles
+                       if tile_rows.shape == rows.shape and np.array_equal(tile_rows, rows)
+                       and np.array_equal(tile_cols, rows)]
+            assert tile.tobytes() == want.tobytes()
 
 
 def recorded_eigh(monkeypatch):
