@@ -44,7 +44,8 @@ from .hamiltonians import (
     swap_check,
 )
 from .parity import CANDIDATE_FORMS, LITERATURE_SPECTRA, parity_spectrum, reference_comparison
-from .reporting import RunManifest, fmt, resolve_output_dir, write_csv, write_json
+from .reporting import (RunManifest, fmt, json_text, resolve_output_dir, write_csv,
+                        write_json)
 from .spin_ops import basis_index
 from .tomography import (
     band_matrix,
@@ -125,9 +126,15 @@ def cmd_spectra(args):
             **cmp,
         })
     payload = {"operators": entries, "all_match_adjudicated": all_adjudicated}
+    text = None
+    if args.output_dir or args.tag:
+        outdir = resolve_output_dir(args.output_dir)
+        base = os.path.join(outdir, args.tag or "spectra")
+        text = write_json(base + "_spectra.json", payload)
+        RunManifest("spectra", None, {"op": args.op or "all", "format": args.format},
+                    (base + "_spectra.json",), None).write(base + "_manifest.json")
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text or json_text(payload))
     else:
         for e in entries:
             # a level within rounding of zero, relative to the operator's largest, prints as 0
@@ -141,12 +148,6 @@ def cmd_spectra(args):
             else:
                 flag = f"MISMATCH ({e['deviation_from_adjudicated']:.2e})"
             print(f"{e['name']:3s}  {e['form']:40s} even: {{{even}}}  odd: {{{odd}}}  [{flag}]")
-    if args.output_dir or args.tag:
-        outdir = resolve_output_dir(args.output_dir)
-        base = os.path.join(outdir, args.tag or "spectra")
-        write_json(base + "_spectra.json", payload)
-        RunManifest("spectra", None, {"op": args.op or "all", "format": args.format},
-                    (base + "_spectra.json",), None).write(base + "_manifest.json")
     if not all_adjudicated:
         return _error({"check": "spectra",
                        "message": "computed spectra deviate from the adjudicated references"}, 4)
@@ -173,8 +174,7 @@ def cmd_swap_check(args):
         "phase_im": result.phase.imag,
         "residual": result.residual,
     }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(payload))
     if not result.is_swap_up_to_phase:
         return _error({"check": "swap", "residual": result.residual}, 4)
     return 0
@@ -256,13 +256,12 @@ def cmd_pst_check(args):
         "min_raw_fidelity": min(s["raw_fidelity"] for s in states),
         "min_corrected_fidelity": min(s["corrected_fidelity"] for s in states),
     }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    text = None
     if args.output_dir or args.tag or args.scan:
         outdir = resolve_output_dir(args.output_dir)
         base = os.path.join(outdir, args.tag or f"pst_{args.variant}_n{args.n}")
         outputs = [base + "_report.json"]
-        write_json(base + "_report.json", payload)
+        text = write_json(base + "_report.json", payload)
         if args.scan:
             grid = _time_grid(args)
             fidelity = qutrit_fidelity_series(spec, QUTRIT_TEST_STATES[3], grid,
@@ -275,6 +274,7 @@ def cmd_pst_check(args):
                      "scan": bool(args.scan), "phase_correct": bool(args.phase_correct),
                      "t_max": args.t_max, "dt": args.dt},
                     tuple(outputs), None).write(base + "_manifest.json")
+    sys.stdout.write(text or json_text(payload))
     return 0
 
 
@@ -346,12 +346,11 @@ def cmd_tomography(args):
                 write_record_csv(record, path)
                 outputs.append(path)
     result_path = base + "_result.json"
-    write_json(result_path, payload)
+    text = write_json(result_path, payload)
     outputs.insert(0, result_path)
     RunManifest("tomography", spec_path, parameters,
                 tuple(outputs), args.seed).write(base + "_manifest.json")
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(text)
     return 0
 
 

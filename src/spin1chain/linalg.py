@@ -17,6 +17,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -265,13 +266,12 @@ class HermitianEigenSystem:
                     solve.vectors if sign is None else sign * solve.vectors)
         return out
 
-    def eigenvector_rows(self, rows):
-        """V[rows, :], read from the solves that hold those rows, bit for bit.
-
-        The rows that the solves write are listed in the order the dense matrix
-        is written and sorted stably, so each wanted row finds its places, in
-        that order, by one search."""
-        rows = np.asarray(rows)
+    @cached_property
+    def _written_rows(self):
+        """The rows that the solves write, listed in the order the dense matrix is
+        written and sorted stably, as (runs, firsts, sorted rows, order): ``runs``
+        holds (first place, solve, sign) of each place list and ``firsts`` its
+        first places.  Sorted once per eigensystem, on the first row read."""
         runs, written, first = [], [], 0
         for solve in self.solves:
             for held, sign in solve.held():
@@ -280,7 +280,14 @@ class HermitianEigenSystem:
                 first += held.size
         written = np.concatenate(written)
         order = np.argsort(written, kind="stable")
-        written, firsts = written[order], [first for first, _, _ in runs]
+        return runs, [first for first, _, _ in runs], written[order], order
+
+    def eigenvector_rows(self, rows):
+        """V[rows, :], read from the solves that hold those rows, bit for bit: each
+        wanted row finds its places, in the order the dense matrix is written,
+        by one search of the sorted written rows."""
+        rows = np.asarray(rows)
+        runs, firsts, written, order = self._written_rows
         starts, stops = np.searchsorted(written, rows), np.searchsorted(written, rows, "right")
         out = np.zeros((rows.size, self.dim), dtype=complex)
         for i, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):

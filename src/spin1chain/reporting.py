@@ -13,7 +13,10 @@ double-double product with ``10**(16 - e)`` held as an exact (hi, lo)
 pair, which is accurate to about 1e-14 units.  A value whose remainder
 lies within ``TIE_MARGIN`` of a rounding tie, and every value outside that
 window (NaN, ±inf, subnormals, the extreme exponents), is rendered by
-``%.17g`` itself and written into its place in the row.
+``%.17g`` itself and written into its place in the row.  Each value is
+laid out in a 32-byte field from lookup tables, and its bytes are cut out
+of the field by one row of a table of kept columns per (first, last)
+column pair.
 """
 
 import json
@@ -40,24 +43,26 @@ _E_MAX = 281
 # a scaled value whose remainder is this close to one half goes to %.17g
 TIE_MARGIN = 1e-6
 
-# field of one value, 32 bytes wide: the sign and the "0.000" of small
-# numbers in columns 1-6, the 17 digits in columns 7-23 (the last 16 as four
-# uint32-aligned groups of 4), then the exponent and the separator, written
-# right after the last kept digit
+# field of one value, 32 bytes wide: columns 0-7 one uint64 from a table
+# (the sign, the "0.000" of small numbers, the lead digit and for q >= 0 the
+# point), the other 16 digits in columns 8-23 as four uint32-aligned groups
+# of 4, then the exponent and the separator, written right after the last
+# kept digit
 _WIDTH = 32
 _LEAD = 7
-_COLS = np.arange(_WIDTH, dtype=np.uint8)
 _EXP_OFFSETS = np.arange(6)  # exponent characters and separator
 
 
 def _digit_tables():
-    """ASCII of every 4-digit group as one uint32, and its trailing zeros."""
+    """ASCII of every 4-digit group as one uint32, and for the group in place
+    i = 0..3 of the 16 digits after the lead, the place (1-16) of its last
+    nonzero digit among those 16, or 0 if the group is 0."""
     k = np.arange(10000)
     ascii4 = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
     groups = (ascii4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    zeros = ((k % 10 == 0).astype(np.int64) + (k % 100 == 0) + (k % 1000 == 0)
-             + (k == 0))
-    return groups, zeros
+    zeros = (k % 10 == 0).astype(np.int64) + (k % 100 == 0) + (k % 1000 == 0)
+    last = np.where(k > 0, 4 * np.arange(1, 5)[:, None] - zeros, 0)
+    return groups, last.astype(np.uint8)
 
 
 def _split(a):
@@ -67,9 +72,24 @@ def _split(a):
     return hi, a - hi
 
 
+def _prefix_table():
+    """Columns 0-7 of a field as one uint64, at ``((min(q, 0) + 4) * 2 + negative)
+    * 10 + lead digit``: for q < 0 the sign, "0.", -q - 1 zeros and the lead
+    digit in column 7, for q >= 0 the sign, the lead digit in column 6 and the
+    point; the columns before the sign are "0" and never kept."""
+    prefixes = []
+    for small in range(-4, 1):
+        for sign in ("", "-"):
+            for lead in "0123456789":
+                body = f"0.{'0' * (-small - 1)}{lead}" if small < 0 else f"{lead}."
+                prefixes.append((sign + body).rjust(8, "0"))
+    return np.frombuffer("".join(prefixes).encode(), dtype=np.uint64)
+
+
 def _pow10_table():
-    """``10**(16 - e)`` for ``e`` in ``[-_E_MAX, _E_MAX]`` as (hi, lo, split of hi):
-    hi the correctly rounded double, lo the correctly rounded remainder."""
+    """``10**(16 - e)`` for ``e`` in ``[-_E_MAX, _E_MAX]`` as the rows (hi, lo,
+    split of hi): hi the correctly rounded double, lo the correctly rounded
+    remainder."""
     hi, lo = [], []
     for e in range(-_E_MAX, _E_MAX + 1):
         k = 16 - e
@@ -84,21 +104,30 @@ def _pow10_table():
         hi.append(h)
         lo.append(low)
     hi = np.array(hi)
-    return (hi, np.array(lo)) + _split(hi)
+    return np.stack((hi, np.array(lo)) + _split(hi), axis=1)
 
 
-_GROUPS, _GROUP_ZEROS = _digit_tables()
-_P_HI, _P_LO, _P_HH, _P_HL = _pow10_table()
+def _keep_table():
+    """Row ``start * _WIDTH + end`` keeps a field's columns ``start .. end + 1``:
+    its first character through the separator that follows the last."""
+    start, end = np.divmod(np.arange(_WIDTH * _WIDTH)[:, None], _WIDTH)
+    columns = np.arange(_WIDTH)
+    return (columns >= start) & (columns <= end + 1)
+
+
+_GROUPS, _GROUP_LAST = _digit_tables()
+_PREFIXES = _prefix_table()
+_POW10 = _pow10_table()
+_KEEP = _keep_table()
 
 
 def _scaled(a, e):
     """``a * 10**(16 - e)`` as an unevaluated sum ``p + r``, p a double."""
-    i = e + _E_MAX
-    p = a * _P_HI[i]
+    hi, lo, hh, hl = _POW10.take(e + _E_MAX, axis=0).T
+    p = a * hi
     ah, al = _split(a)
-    hh, hl = _P_HH[i], _P_HL[i]
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
-    return p, err + a * _P_LO[i]
+    return p, err + a * lo
 
 
 def _render(block):
@@ -128,30 +157,40 @@ def _render(block):
     e += carry
     digits[zero] = 0
 
+    # the lead digit and the other 16 in groups of 4, each a quotient and a
+    # remainder by floor division, which numpy does faster than divmod
+    upper = digits // 10 ** 8
+    lower = digits - upper * 10 ** 8
+    lead = upper // 10 ** 8
+    upper -= lead * 10 ** 8
+    groups = []
+    for half in (upper, lower):
+        top = half // 10 ** 4
+        groups += [top, half - top * 10 ** 4]
+    # the place of the last nonzero digit among the 16, 0 if all are 0
+    last = _GROUP_LAST[0][groups[0]]
+    for place, group in enumerate(groups[1:], start=1):
+        np.maximum(last, _GROUP_LAST[place][group], out=last)
+
+    # %g layout: the prefix puts the lead digit in column 6 and the point
+    # after it when q >= 0; digits 1..q move one column left and the point
+    # follows digit q
+    fixed = (e >= -4) & (e < 17)
+    q = np.where(fixed, e, 0)
+    small = np.minimum(q, 0)
+    neg = np.signbit(x)
     field = np.empty((x.size, _WIDTH), dtype=np.uint8)
-    field[:, :_LEAD] = ord("0")
-    upper, lower = np.divmod(digits, 10 ** 8)
-    lead, upper = np.divmod(upper, 10 ** 8)
-    field[:, _LEAD] = lead + ord("0")
-    groups = np.divmod(upper, 10 ** 4) + np.divmod(lower, 10 ** 4)
+    field.view(np.uint64)[:, 0] = _PREFIXES[((small + 4) * 2 + neg) * 10 + lead]
     words = field.view(np.uint32)
     for column, group in enumerate(groups, start=(_LEAD + 1) // 4):
         words[:, column] = _GROUPS[group]
-    z1, z2, z3, z4 = (_GROUP_ZEROS[group] for group in groups)
-    last = 16 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
-
-    # %g layout: digits 0..q move one column left and the point follows digit q
-    fixed = (e >= -4) & (e < 17)
-    q = np.where(fixed, e, 0)
-    for c in range(q.max() + 1):
-        field[:, _LEAD - 1 + c] = np.where(q >= c, field[:, _LEAD + c],
-                                           field[:, _LEAD - 1 + c])
+    for c in range(1, q.max() + 1):
+        np.copyto(field[:, _LEAD - 1 + c], field[:, _LEAD + c], where=q >= c)
     base = np.arange(0, field.size, _WIDTH)
     flat = field.reshape(-1)
-    flat[base + _LEAD + q] = ord(".")
-    neg = np.signbit(x)
-    start = _LEAD - 1 + np.minimum(q, 0) - neg
-    flat[base[neg] + start[neg]] = ord("-")
+    moved = np.flatnonzero(q > 0)
+    flat[base[moved] + _LEAD + q[moved]] = ord(".")
+    start = _LEAD - 1 + small - neg
     end = np.where(last > q, _LEAD + last, _LEAD - 1 + q)
 
     # exponent and separator right after the last kept character
@@ -180,9 +219,7 @@ def _render(block):
         flat[(base[sci] + end[sci] + 1)[:, None] + _EXP_OFFSETS] = chars
         end[sci] += 4 + wide
 
-    span = (end + 1 - start).astype(np.uint8)[:, None]
-    keep = (_COLS - start.astype(np.uint8)[:, None]) <= span
-    return np.compress(keep.ravel(), flat)
+    return flat[_KEEP[start * _WIDTH + end].ravel()]
 
 
 def fmt(x):
@@ -209,10 +246,17 @@ def write_csv(path, header, rows):
                 fh.write(_render(table[i:i + CSV_CHUNK_ROWS]))
 
 
+def json_text(payload):
+    """``payload`` as JSON text: indented by 2, keys sorted, newline-terminated."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, payload):
+    """Write ``json_text(payload)`` to ``path`` and return that text."""
+    text = json_text(payload)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 @dataclass(frozen=True)

@@ -276,8 +276,13 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     dense_allowed = K // 2 + 1 <= MAX_DENSE_DIM
     # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
     if order is not None and 8 * order < K // 2:
-        _, svals, vh = np.linalg.svd(sliding_window_view(y, 8 * order + 1),
-                                     full_matrices=False)
+        view = sliding_window_view(y, 8 * order + 1)
+        if view.shape[0] >= 2 * view.shape[1]:
+            # vh is read and U is not: the SVD of R (view = QR) gives svals and
+            # vh without forming U; on a view less than twice as tall as wide
+            # it moves their last digits, so such a view keeps the plain SVD
+            view = np.linalg.qr(view, mode="r")
+        _, svals, vh = np.linalg.svd(view, full_matrices=False)
         if svals[order] > sv_tol * svals[0]:
             svals, vh = _subspace_svd(y, order, dense_allowed)
     elif order is not None and K // 2 + 1 > DENSE_PENCIL_COLS and 2 * order < K:

@@ -628,6 +628,21 @@ class TestTomography:
         assert json.loads(err)["error"]["stage"] == "io"
 
 
+class TestJsonStdout:
+    @pytest.mark.parametrize("argv, artifact", [
+        (["tomography", "--preset-n", "3", "--seed", "2", "--shots", "1000"],
+         "tomography_result.json"),
+        (["pst-check", "--n", "4", "--variant", "phase_exact"],
+         "pst_phase_exact_n4_report.json"),
+        (["spectra", "--format", "json"], "spectra_spectra.json")],
+        ids=["tomography", "pst-check", "spectra"])
+    def test_stdout_is_the_result_file(self, argv, artifact, tmp_path, capsys):
+        code, out, err = run_cli([*argv, "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert out.encode() == (tmp_path / artifact).read_bytes()
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestOutputDirEnv:
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPIN1CHAIN_OUTPUT_DIR", str(tmp_path))

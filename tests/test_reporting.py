@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spin1chain import reporting
 from spin1chain.reporting import CSV_CHUNK_ROWS, FAST_MAX, FAST_MIN, fmt, write_csv
 
 
@@ -147,3 +148,65 @@ def test_chunk_edges(tmp_path, rows):
             if 0 <= row < rows:
                 table[row] = (np.nan, 1 + 2.0 ** -17, -np.inf)
     assert_renders_per_value(tmp_path / "c.csv", table)
+
+
+def significant_digits(x):
+    """Digits of ``%.17g`` of x from its first to its last nonzero one."""
+    mantissa = f"{x:.17g}".lstrip("-").partition("e")[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+def field_span(text):
+    """(start, end) of a fast-path value's characters in its 32-byte field: the
+    lead digit sits in column 7 after the "0." and zeros of a number below 0.1,
+    else in column 6, and the sign right before the first character."""
+    body = text.lstrip("-")
+    if body.startswith("0."):
+        start = 7 - (len(body) - len(body[2:].lstrip("0")))
+    else:
+        start = 6
+    start -= text.startswith("-")
+    return start, start + len(text) - 1
+
+
+def layout_spans():
+    """Every (start, end) the field layout gives a fast-path value: q is the
+    exponent of fixed notation (0 for scientific), ``last`` the place of the
+    last nonzero digit after the lead, ``wide`` a 3-digit exponent."""
+    spans = set()
+    for neg in (0, 1):
+        for last in range(17):
+            spans |= {(6 + q - neg, 7 + last) for q in range(-4, 0)}
+            spans |= {(6 - neg, 7 + last if last > q else 6 + q) for q in range(17)}
+            digits_end = 7 + last if last > 0 else 6
+            spans |= {(6 - neg, digits_end + 4 + wide) for wide in (0, 1)}
+    return spans
+
+
+def test_every_field_span_matches_per_value_fmt(tmp_path):
+    # fixed notation at each q = -4..16, and scientific notation with 2- and
+    # 3-digit exponents, each with 1..17 significant digits (so every run of
+    # trailing zeros), the first such float of each, in both signs
+    exponent_classes = [[q] for q in range(-4, 17)]
+    exponent_classes += [[-5, -6, -7, 17, 18, -99, 99], [-100, -101, 100, 101, -280, 280]]
+    values = [next(x for q in exponents for m in range(10 ** (k - 1), 10 ** k) if m % 10
+                   for x in [float(f"{m}e{q - k + 1}")] if significant_digits(x) == k)
+              for exponents in exponent_classes for k in range(1, 18)]
+    values += [0.0]
+    fast = values + [-x for x in values]
+    assert {field_span(f"{x:.17g}") for x in fast} == layout_spans()
+    fallback = [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+                1 + 2.0 ** -17, -(1 + 2.0 ** -17)]
+    table = np.array(fast + fallback + [1.0] * (-len(fast + fallback) % 3)).reshape(-1, 3)
+    assert_renders_per_value(tmp_path / "spans.csv", table)
+
+
+def test_keep_table_matches_the_span_rule():
+    # row start * 32 + end of the kept-columns table against the per-value rule
+    # it replaced, (column - start) mod 256 <= end + 1 - start, on every pair
+    # with end >= start (the layout gives no other)
+    start, end = np.divmod(np.arange(32 * 32), 32)
+    span = (end + 1 - start).astype(np.uint8)[:, None]
+    rule = (np.arange(32, dtype=np.uint8) - start.astype(np.uint8)[:, None]) <= span
+    used = end >= start
+    assert np.array_equal(reporting._KEEP[used], rule[used])

@@ -600,6 +600,28 @@ class TestBoundedPencil:
             assert np.max(np.abs(result.B - np.array(spec.B))) <= 1e-6
             assert np.max(np.abs(result.C - np.array(spec.C))) <= 1e-6
 
+    @pytest.mark.parametrize("samples", [768, 2048])
+    def test_small_pencil_r_factor_matches_plain_svd(self, samples, monkeypatch):
+        # the small pencil takes the SVD of its Hankel view's R factor; with the
+        # QR step left out it is the plain SVD of the view
+        for n in range(3, 13):
+            _, rec = pencil_record(n, samples, None, 900 + n)
+            dt = rec.grid_step()
+            new = matrix_pencil(rec.values, dt, order=n)
+            views = []
+
+            def no_qr(a, mode):
+                views.append(np.shape(a))
+                return a
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "qr", no_qr)
+                old = matrix_pencil(rec.values, dt, order=n)
+            assert views == [(samples - 8 * n, 8 * n + 1)]
+            for got, want in zip(new[:2] + (new[2]["singular_values"],),
+                                 old[:2] + (old[2]["singular_values"],)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_oversized_full_pencil_fails_early(self):
         samples = 2 * 6561 + 4
         # probability mode picks its order from every singular value, so it
