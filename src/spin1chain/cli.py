@@ -258,12 +258,13 @@ def cmd_pst_check(args):
     }
     text = None
     if args.output_dir or args.tag or args.scan:
+        # a bad scan grid fails before any file is written
+        grid = _time_grid(args) if args.scan else None
         outdir = resolve_output_dir(args.output_dir)
         base = os.path.join(outdir, args.tag or f"pst_{args.variant}_n{args.n}")
         outputs = [base + "_report.json"]
         text = write_json(base + "_report.json", payload)
         if args.scan:
-            grid = _time_grid(args)
             fidelity = qutrit_fidelity_series(spec, QUTRIT_TEST_STATES[3], grid,
                                               phase_correct=args.phase_correct)
             write_csv(base + "_fidelity.csv", ("t", "fidelity"),

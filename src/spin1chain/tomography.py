@@ -153,11 +153,12 @@ SUBSPACE_TOL = 1e-13
 OVERSAMPLING = 10
 # the sketch is fixed, so a rerun gives the same bits
 SKETCH_SEED = 20110
-# a Hankel matrix of at most this many columns takes the dense SVD, and a
+# a Hankel matrix of at most this many columns takes the dense pencil, and a
 # default-length record skips its rank test: the iteration's fixed cost per
-# product pair is too large a part of the SVD's there (one BLAS thread: two
-# pairs cost 0.22 ms against the SVD's 0.24 ms at K = 64, and 1.3 against
-# 4.7 ms at K = 256)
+# product pair is too large a part of the dense pencil's there (one BLAS
+# thread, best of 7 x 200 calls on a 2-vCPU VM: two real pairs cost 0.33 ms
+# against the dense pencil's 0.19 ms at K = 64, and 1.2 against 3.8 ms at
+# K = 256)
 DENSE_PENCIL_COLS = 128
 
 
@@ -172,6 +173,61 @@ def _hankel_product(y_hat, block, rows):
     """
     spread = np.fft.ifft(block, n=y_hat.size, axis=0, norm="forward")
     return np.fft.ifft(y_hat[:, None] * spread, axis=0)[:rows]
+
+
+# The pencil reads the signal subspace from the forward-backward data matrix
+# Z = [X, P conj(X) P] of X = H^T (X[i, m] = y[i + m], L + 1 rows; P the
+# exchange matrix).  Poles on the unit circle, which Hermitian dynamics
+# gives, make Z centro-Hermitian, and the sparse unitary Q of Unitary ESPRIT
+# (Haardt & Nossek 1995) makes it real: with S = sqrt(2) Q^H, the real
+# T = [Re(S X), Im(S X)] equals Q^H Z Q' for a unitary Q', so T has Z's
+# singular values and S^H u / sqrt(2) turns T's left singular vectors u
+# into Z's.  Of S's L + 1 rows, row i < (L + 1) // 2 is e_i + e_{L-i}, the
+# middle row (L even) is sqrt(2) e_{L/2}, and the row (L + 1) // 2 + i
+# after it is -1j (e_i - e_{L-i}): S and S^H are sums and differences of
+# mirrored rows, and T those of mirrored windows of the record.
+
+
+def _to_real(v):
+    """``Re(S @ v)`` for a complex block ``v`` of L + 1 rows."""
+    half, odd = divmod(v.shape[0], 2)
+    ends = v[::-1][:half]
+    return np.concatenate((v[:half].real + ends.real, np.sqrt(2.0) * v[half:half + odd].real,
+                           v[:half].imag - ends.imag))
+
+
+def _from_real(u):
+    """``S^H @ u`` for a real block ``u`` of L + 1 rows."""
+    half, odd = divmod(u.shape[0], 2)
+    top = u[:half] + 1j * u[half + odd:]
+    return np.concatenate((top, np.sqrt(2.0) * u[half:half + odd], top[::-1].conj()))
+
+
+def _pencil_svd(y, L):
+    """All singular values of T for pencil parameter L, and its left singular
+    vectors as the rows of vt: T^T = QR, and the SVD of the (L+1)x(L+1) R.
+
+    T is built from the record's mirrored windows.  Row i of X, the window
+    y[i:i+K-L], is read as its (re, im) pairs, so T's columns come as
+    (re, im) pairs of [Re(S X), Im(S X)]: a permutation of T's columns,
+    which changes no singular value or left singular vector.  T is
+    C-ordered, so T^T is Fortran-ordered, the layout LAPACK works in: the
+    QR copies it column by column (the QR of a C-ordered T^T took 1.1-1.2
+    times as long at K = 768 and 2048).  ``y`` must be contiguous.
+    """
+    cols, size = L + 1, y.shape[0] - L
+    half, odd = divmod(cols, 2)
+    x = sliding_window_view(y, size).view(float).reshape(cols, size, 2)
+    mirror = x[::-1][:half]
+    t = np.empty((cols, size, 2))
+    np.add(x[:half], mirror, out=t[:half])
+    np.multiply(x[half:half + odd], np.sqrt(2.0), out=t[half:half + odd])
+    # -1j (x_i - x_mirror): (Im, -Re) of the difference
+    np.subtract(x[:half, :, 1], mirror[:, :, 1], out=t[half + odd:, :, 0])
+    np.subtract(mirror[:, :, 0], x[:half, :, 0], out=t[half + odd:, :, 1])
+    r = np.linalg.qr(t.reshape(cols, 2 * size).T, mode="r")
+    _, svals, vt = np.linalg.svd(r)
+    return svals, vt
 
 
 def _iterations_needed(svals, order):
@@ -189,18 +245,21 @@ def _iterations_needed(svals, order):
 
 
 def _subspace_svd(y, order, dense_allowed):
-    """Top right singular vectors of the L = K // 2 Hankel matrix by subspace iteration.
+    """Top left singular vectors of the L = K // 2 pencil's T by subspace iteration.
 
-    Blocked iteration from a seeded complex Gaussian sketch of
-    ``order + OVERSAMPLING`` columns, with QR between the FFT products.
-    A noisy record needs a number of product pairs set by the gap between
-    singular values ``order`` and ``order + OVERSAMPLING``; a record of
-    rank ``order`` (noise-free) stops after two.  Returns (singular values
-    of the block, vh with the top ``order`` rows first), or (None, None)
-    when the dense SVD is cheaper: when it has at most DENSE_PENCIL_COLS
-    columns, or when ``dense_allowed`` and the projected iterations would
-    cost more columns than its L + 1.  Without a dense route it raises
-    ValueError when the iteration stops improving.
+    Blocked iteration from a seeded real Gaussian sketch of
+    ``order + OVERSAMPLING`` columns, with QR between the products, all in
+    real arithmetic: ``T^T @ b`` is the Hankel product of ``conj(S^H b)``
+    split into its real and imaginary rows, and ``T @ q`` the real form of
+    the Hankel product of X with ``q[:rows] - 1j q[rows:]``, one FFT
+    product each.  A noisy record needs a number of product pairs set by
+    the gap between singular values ``order`` and ``order + OVERSAMPLING``;
+    a record of rank ``order`` (noise-free) stops after two.  Returns
+    (singular values of the block, vt with the top ``order`` rows first),
+    or (None, None) when the dense pencil is cheaper: when the Hankel matrix
+    has at most DENSE_PENCIL_COLS columns, or when ``dense_allowed`` and the
+    projected iterations would cost more columns than its L + 1.  Without a
+    dense route it raises ValueError when the iteration stops improving.
     """
     K = y.shape[0]
     rows, cols = K - K // 2, K // 2 + 1
@@ -209,13 +268,15 @@ def _subspace_svd(y, order, dense_allowed):
     width = min(order + OVERSAMPLING, rows)
     y_hat = np.fft.fft(y)
     rng = np.random.default_rng(SKETCH_SEED)
-    block = rng.standard_normal((cols, width)) + 1j * rng.standard_normal((cols, width))
+    block = rng.standard_normal((cols, width))
     svals = change = None
     done = 0
     while True:
-        q, _ = np.linalg.qr(_hankel_product(y_hat, block, rows))
-        # block holds an orthonormal basis of H^H q; its R gives the values
-        block, tri = np.linalg.qr(_hankel_product(y_hat, q.conj(), cols).conj())
+        product = _hankel_product(y_hat, _from_real(block).conj(), rows)
+        q, _ = np.linalg.qr(np.concatenate((product.real, product.imag)))
+        # block holds an orthonormal basis of T q; its R gives the values
+        block, tri = np.linalg.qr(_to_real(_hankel_product(y_hat, q[:rows] - 1j * q[rows:],
+                                                           cols)))
         new = np.linalg.svd(tri, compute_uv=False)
         done += 1
         previous, change = change, (None if svals is None
@@ -223,7 +284,7 @@ def _subspace_svd(y, order, dense_allowed):
         svals = new
         if change is not None and change <= SUBSPACE_TOL * svals[0]:
             u_tri, svals, _ = np.linalg.svd(tri)
-            return svals, (block @ u_tri).conj().T
+            return svals, (block @ u_tri).T
         if dense_allowed:
             if max(_iterations_needed(svals, order), done + 1) * width > cols:
                 return None, None
@@ -238,76 +299,78 @@ def _subspace_svd(y, order, dense_allowed):
 def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     """Frequencies and complex weights of y_k = sum_j w_j exp(i*E_j*(t0+k*dt)).
 
-    Hankel data matrix with pencil parameter L; the signal subspace comes
-    from the top ``order`` right singular vectors and the shifted pencil's
-    eigenvalues give the unit-circle poles.  When ``order`` is None it is
-    the number of singular values above ``sv_tol`` times the largest, and a
-    record with no floor below that threshold raises ValueError.
+    Forward-backward (unitary) matrix pencil with pencil parameter L: the
+    signal subspace is spanned by the top ``order`` left singular vectors
+    of Z = [X, P conj(X) P], X the (L+1)-row Hankel matrix of the record
+    and P the exchange matrix, and the shifted pencil's eigenvalues give
+    the unit-circle poles.  Unit-circle poles make Z centro-Hermitian, so
+    every route works in real arithmetic on its real form T, which has the
+    same singular values and is built from sums and differences of the
+    record's windows (Haardt & Nossek 1995; see :func:`_pencil_svd`).
+    When ``order`` is None it is the number of singular values above
+    ``sv_tol`` times the largest, and a record with no floor below that
+    threshold raises ValueError.
 
     L is K // 2, where the pencil's variance under noise is near its
     lowest (Hua & Sarkar 1990: L between K/3 and K/2).  When ``order`` is
-    given and 8 * order < K // 2, the reduced SVD at L = 8 * order (the
+    given and 8 * order < K // 2, the small pencil at L = 8 * order (the
     parameter of a record of K = 16 * order samples) is tried first and
     kept when its (order+1)-th singular value is at most ``sv_tol`` times
     the largest: a record of rank ``order`` has no noise to average.  A
-    record with a noise floor keeps L = K // 2, but its top right singular
-    vectors come from subspace iteration on FFT products, O(K log K) per
-    column and O(K order) memory (see :func:`_subspace_svd`); its
+    record with a noise floor keeps L = K // 2, but its top singular
+    vectors come from real subspace iteration on FFT products, O(K log K)
+    per column and O(K order) memory (see :func:`_subspace_svd`); its
     ``singular_values`` are then the ``order + OVERSAMPLING`` of the
     block.  When 8 * order >= K // 2 (a default-length record), the
     singular values of the thin (K - order) x (order + 1) Hankel matrix
     decide: a record whose (order+1)-th is at most ``sv_tol`` times the
     largest has no noise floor and iterates on the L = K // 2 pencil, and
-    any other keeps the dense SVD.  Where the Hankel matrix has at most
+    any other keeps the dense pencil.  Where the Hankel matrix has at most
     DENSE_PENCIL_COLS columns, or the projected iterations would cost more
-    columns than L + 1, the dense SVD of the Hankel matrix is cheaper and
-    is taken, as it is for ``order`` None and for a default-length record
-    with a noise floor (O(K^3) time and O(K^2) memory); a dense SVD whose
-    Hankel matrix would exceed the dense cap raises ValueError.  Returns
-    (E ascending, weights, diagnostics dict).
+    columns than L + 1, the dense pencil is cheaper and is taken, as it is
+    for ``order`` None and for a default-length record with a noise floor
+    (O(K^3) time and O(K^2) memory); a dense pencil whose Hankel matrix
+    would exceed the dense cap raises ValueError.  The small and dense
+    pencils take the QR of T^T and the SVD of its (L+1)x(L+1) R factor,
+    and report all L + 1 singular values of Z.  Returns (E ascending,
+    weights, diagnostics dict).
     """
-    y = np.asarray(values, dtype=complex)
+    # contiguous: the dense and small pencils read its windows as float pairs
+    y = np.ascontiguousarray(values, dtype=complex)
     K = y.shape[0]
     if K < 4:
         raise ValueError("need at least 4 samples for the pencil")
     if order is not None and order < 1:
         raise ValueError(f"model order must be at least 1, got {order}")
-    svals = vh = None
+    svals = vt = None
     dense_allowed = K // 2 + 1 <= MAX_DENSE_DIM
     # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
     if order is not None and 8 * order < K // 2:
-        view = sliding_window_view(y, 8 * order + 1)
-        if view.shape[0] >= 2 * view.shape[1]:
-            # vh is read and U is not: the SVD of R (view = QR) gives svals and
-            # vh without forming U; on a view less than twice as tall as wide
-            # it moves their last digits, so such a view keeps the plain SVD
-            view = np.linalg.qr(view, mode="r")
-        _, svals, vh = np.linalg.svd(view, full_matrices=False)
+        svals, vt = _pencil_svd(y, 8 * order)
         if svals[order] > sv_tol * svals[0]:
-            svals, vh = _subspace_svd(y, order, dense_allowed)
+            svals, vt = _subspace_svd(y, order, dense_allowed)
     elif order is not None and K // 2 + 1 > DENSE_PENCIL_COLS and 2 * order < K:
         # the thinnest Hankel matrix that shows rank order: without a noise
         # floor the iteration converges in a few product pairs
         thin = np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False)
         if thin[order] <= sv_tol * thin[0]:
-            svals, vh = _subspace_svd(y, order, dense_allowed)
+            svals, vt = _subspace_svd(y, order, dense_allowed)
     if svals is None:
         L = K // 2
         if L + 1 > MAX_DENSE_DIM:
             raise ValueError(
                 f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
                 f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
-        hank = sliding_window_view(y, L + 1)
-        _, svals, vh = np.linalg.svd(hank)
+        svals, vt = _pencil_svd(y, L)
         if order is None:
             order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
-            if order > min(hank.shape) - 1:
+            if order > min(K - L, L + 1) - 1:
                 raise ValueError(
                     f"{order} of {svals.size} singular values exceed the relative threshold "
                     f"{sv_tol:.0e} (smallest ratio {svals[-1] / svals[0]:.2e}): the record "
                     "shows no floor below the threshold, so its noise, or more frequencies "
                     f"than {K} samples resolve, lies above it")
-        elif order > min(hank.shape) - 1:
+        elif order > min(K - L, L + 1) - 1:
             raise ValueError(f"model order {order} too large for {K} samples")
     diagnostics = {
         "singular_values": svals,
@@ -315,7 +378,8 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
         "ill_conditioned": bool(svals[order - 1] / svals[0] < sv_tol),
         "order": int(order),
     }
-    w = vh[:order, :]
+    # rows of w: the top order left singular vectors of Z, times sqrt(2)
+    w = _from_real(vt[:order].T).T
     poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
     angles = np.angle(poles)
     diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))

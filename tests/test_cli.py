@@ -383,6 +383,14 @@ class TestPstCheck:
         assert abs(t[k] - np.pi) <= 2e-2
         assert fid[k] >= 1 - 1e-4
 
+    @pytest.mark.parametrize("grid", [["--dt", "0"], ["--t-max", "0"], ["--dt", "inf"]])
+    def test_bad_scan_grid_writes_no_file(self, tmp_path, capsys, grid):
+        code, out, err = run_cli(["pst-check", "--n", "3", "--scan", *grid,
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert "time grid requires" in json.loads(err)["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_fidelity_scan_is_the_library_series(self, tmp_path, capsys):
         code, _, _ = run_cli([
             "pst-check", "--n", "4", "--scan", "--t-max", "5", "--dt", "1e-3",
@@ -467,7 +475,7 @@ class TestTomography:
                                   "--output-dir", str(tmp_path)], capsys)
         assert code == 2 and out == ""
         message = json.loads(err)["error"]["message"]
-        assert message.startswith("32 of 32 singular values exceed the relative threshold "
+        assert message.startswith("33 of 33 singular values exceed the relative threshold "
                                   "1e-07 (smallest ratio ")
         assert "no floor below the threshold" in message
         assert "model order" not in message

@@ -499,12 +499,76 @@ def parent_matrix_pencil(values, dt, order, t_start=0.0):
     return energies[order_idx], weights[order_idx], diagnostics
 
 
+def unitary_matrix(size):
+    """The sparse unitary Q of Unitary ESPRIT, whose rows are fixed by the exchange
+    matrix up to conjugation (P Q = conj(Q))."""
+    half, odd = divmod(size, 2)
+    eye, exchange = np.eye(half), np.eye(half)[::-1]
+    q = np.zeros((size, size), dtype=complex)
+    q[:half, :half], q[:half, half + odd:] = eye, 1j * eye
+    q[half + odd:, :half], q[half + odd:, half + odd:] = exchange, -1j * exchange
+    if odd:
+        q[half, half] = np.sqrt(2.0)
+    return q / np.sqrt(2.0)
+
+
+def parent_unitary_pencil(values, dt, order, t_start=0.0, L=None):
+    """The forward-backward pencil from explicit matrices: L = K // 2 unless given,
+    Z = [X, P conj(X) P] for X = H^T, and the complex SVD of Q_p^H Z Q_2N, whose
+    imaginary part is rounding."""
+    y = np.asarray(values, dtype=complex)
+    K = y.shape[0]
+    L = K // 2 if L is None else L
+    x = np.empty((L + 1, K - L), dtype=complex)
+    for i in range(L + 1):
+        x[i, :] = y[i:i + K - L]
+    z = np.hstack((x, x.conj()[::-1, ::-1]))
+    q_p, q_2n = unitary_matrix(L + 1), unitary_matrix(2 * (K - L))
+    real_form = q_p.conj().T @ z @ q_2n
+    assert np.max(np.abs(real_form.imag)) <= 1e-13 * np.max(np.abs(real_form))
+    u, svals, _ = np.linalg.svd(real_form, full_matrices=False)
+    diagnostics = {
+        "singular_values": svals,
+        "sv_ratio": float(svals[order - 1] / svals[0]),
+        "ill_conditioned": bool(svals[order - 1] / svals[0] < 1e-8),
+        "order": int(order),
+    }
+    w = (q_p @ u[:, :order]).T
+    poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+    angles = np.angle(poles)
+    diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
+    diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
+    energies = angles / dt
+    tgrid = t_start + dt * np.arange(K)
+    vand = np.exp(1j * np.outer(tgrid, energies))
+    weights, *_ = np.linalg.lstsq(vand, y, rcond=None)
+    order_idx = np.argsort(energies)
+    return energies[order_idx], weights[order_idx], diagnostics
+
+
 def assert_pencils_identical(new, old):
     for a, b in zip(new[:2], old[:2]):
         assert np.array_equal(a, b)
     assert new[2].keys() == old[2].keys()
     for key, value in old[2].items():
         assert np.array_equal(new[2][key], value), key
+
+
+def assert_pencils_match(new, ref):
+    """A dense pencil against :func:`parent_unitary_pencil`: the same diagnostics and
+    every one of the L + 1 singular values within 1e-13 of the largest; the
+    estimates within 1e-9, which the rounding of the two SVDs, carried through the
+    eigenvalues and the least squares, stays far below on these records."""
+    assert new[2].keys() == ref[2].keys()
+    svals, ref_svals = new[2]["singular_values"], ref[2]["singular_values"]
+    assert svals.size == ref_svals.size
+    assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+    for key in ("order", "ill_conditioned", "aliasing_risk"):
+        assert new[2][key] == ref[2][key], key
+    for key in ("sv_ratio", "nyquist_margin"):
+        assert abs(new[2][key] - ref[2][key]) <= 1e-9, key
+    assert np.max(np.abs(new[0] - ref[0])) <= 1e-9
+    assert np.max(np.abs(new[1] - ref[1])) <= 1e-9
 
 
 def pencil_record(n, samples, shots, seed):
@@ -520,71 +584,81 @@ class TestBoundedPencil:
     def test_default_length_matches_full_pencil(self, shots):
         # K = 16 * order: 8 * order == K // 2, so L = K // 2.  Shot records
         # and records of at most DENSE_PENCIL_COLS Hankel columns take the
-        # dense SVD as before; noise-free ones past that iterate
+        # dense SVD, with all L + 1 singular values; noise-free ones past
+        # that iterate, with the block's order + OVERSAMPLING
         for n in range(3, 41):
             spec, rec = pencil_record(n, 16 * n, shots, 700 + n)
             dt = rec.grid_step()
             new = matrix_pencil(rec.values, dt, order=n)
-            old = parent_matrix_pencil(rec.values, dt, n)
-            if shots is not None or n < 16:
-                assert_pencils_identical(new, old)
-                continue
+            ref = parent_unitary_pencil(rec.values, dt, n)
+            dense = shots is not None or n < 16
             svals = new[2]["singular_values"]
-            assert svals.size == n + 10 and new[2]["order"] == n
-            assert np.max(np.abs(svals[:n] - old[2]["singular_values"][:n])) <= 1e-13 * svals[0]
+            assert svals.size == (8 * n + 1 if dense else n + 10) and new[2]["order"] == n
+            top = svals.size if dense else n
+            assert np.max(np.abs(svals[:top] - ref[2]["singular_values"][:top])) <= 1e-13 * svals[0]
             # a level below the weight floor is not determined by either route
             if np.min(band_spectral_data(spec, "up").weights) >= tomography.WEIGHT_FLOOR:
-                assert np.max(np.abs(new[0] - old[0])) <= 1e-7
-                assert np.max(np.abs(new[1] - old[1])) <= 1e-12
+                assert np.max(np.abs(new[0] - ref[0])) <= 1e-7
+                assert np.max(np.abs(new[1] - ref[1])) <= 1e-12
 
     def test_default_length_route_guards(self, monkeypatch):
-        svd_shapes, products = [], []
-        svd, product = np.linalg.svd, tomography._hankel_product
+        svd_shapes, qr_shapes, products = [], [], []
+        svd, qr, product = np.linalg.svd, np.linalg.qr, tomography._hankel_product
 
         def counted_svd(a, *args, **kwargs):
             svd_shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
+
+        def counted_qr(a, *args, **kwargs):
+            qr_shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
 
         def counted_product(*args):
             products.append(args[2])
             return product(*args)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(tomography, "_hankel_product", counted_product)
         for n in (16, 23, 31, 40):
             K = 16 * n
+            L = K // 2
+            # the dense pencil: QR of the real T^T, then the SVD of its R
+            dense = [(2 * (K - L), L + 1), (L + 1, L + 1)]
             _, exact = pencil_record(n, K, None, 700 + n)
             _, noisy = pencil_record(n, K, 10 ** 6, 700 + n)
             # noise-free: the thin rank test, then the iteration, and no
-            # dense SVD of the K // 2 Hankel matrix
+            # dense SVD of the K // 2 pencil
             svd_shapes.clear()
+            qr_shapes.clear()
             matrix_pencil(exact.values, exact.grid_step(), order=n)
-            assert (K - K // 2, K // 2 + 1) not in svd_shapes
+            assert dense[0] not in qr_shapes and dense[1] not in svd_shapes
             assert (K - n, n + 1) in svd_shapes
             # shot-sampled: the thin test finds the noise floor, so no
             # product pair is spent before the dense SVD
             products.clear()
             svd_shapes.clear()
+            qr_shapes.clear()
             matrix_pencil(noisy.values, noisy.grid_step(), order=n)
             assert products == []
-            assert (K - K // 2, K // 2 + 1) in svd_shapes
+            assert qr_shapes == dense[:1] and dense[1] in svd_shapes
 
     @pytest.mark.parametrize("n, samples", [(3, 768), (7, 768), (12, 768), (5, 1024)])
     def test_noisy_long_record_matches_full_pencil(self, n, samples):
         _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
         dt = rec.grid_step()
         new = matrix_pencil(rec.values, dt, order=n)
-        old = parent_matrix_pencil(rec.values, dt, n)
+        ref = parent_unitary_pencil(rec.values, dt, n)
         if (n, samples) in DENSE_AT_NOISE_FLOOR:
-            assert_pencils_identical(new, old)
+            assert_pencils_match(new, ref)
             return
         # subspace iteration: the block's singular values, and the full
         # pencil's parameters within the iteration's tolerance
         svals = new[2]["singular_values"]
         assert svals.size == n + 10
-        assert np.max(np.abs(svals[:n] - old[2]["singular_values"][:n])) <= 1e-12 * svals[0]
-        assert np.max(np.abs(new[0] - old[0])) <= 1e-6
-        assert np.max(np.abs(new[1] - old[1])) <= 1e-6
+        assert np.max(np.abs(svals[:n] - ref[2]["singular_values"][:n])) <= 1e-12 * svals[0]
+        assert np.max(np.abs(new[0] - ref[0])) <= 1e-6
+        assert np.max(np.abs(new[1] - ref[1])) <= 1e-6
         assert new[2]["order"] == n and not new[2]["aliasing_risk"]
 
     @pytest.mark.parametrize("samples", [768, 2048])
@@ -601,26 +675,31 @@ class TestBoundedPencil:
             assert np.max(np.abs(result.C - np.array(spec.C))) <= 1e-6
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_small_pencil_r_factor_matches_plain_svd(self, samples, monkeypatch):
-        # the small pencil takes the SVD of its Hankel view's R factor; with the
-        # QR step left out it is the plain SVD of the view
+    def test_small_pencil_matches_unitary_reference(self, samples, monkeypatch):
+        # the small pencil takes one QR, of its real (2 (K - L)) x (L + 1)
+        # matrix T^T at L = 8 * order, and the SVD of the R factor
+        qr = np.linalg.qr
         for n in range(3, 13):
             _, rec = pencil_record(n, samples, None, 900 + n)
             dt = rec.grid_step()
-            new = matrix_pencil(rec.values, dt, order=n)
-            views = []
+            shapes = []
 
-            def no_qr(a, mode):
-                views.append(np.shape(a))
-                return a
+            def counted_qr(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return qr(a, *args, **kwargs)
 
             with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "qr", no_qr)
-                old = matrix_pencil(rec.values, dt, order=n)
-            assert views == [(samples - 8 * n, 8 * n + 1)]
-            for got, want in zip(new[:2] + (new[2]["singular_values"],),
-                                 old[:2] + (old[2]["singular_values"],)):
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                patch.setattr(np.linalg, "qr", counted_qr)
+                new = matrix_pencil(rec.values, dt, order=n)
+            assert shapes == [(2 * (samples - 8 * n), 8 * n + 1)]
+            ref = parent_unitary_pencil(rec.values, dt, n, L=8 * n)
+            svals, ref_svals = new[2]["singular_values"], ref[2]["singular_values"]
+            assert svals.size == 8 * n + 1
+            assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+            # the two SVDs round differently, and the Vandermonde least squares
+            # of K rows carries an eigenvalue's last digits into the weights
+            for got, want in zip(new[:2], ref[:2]):
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_oversized_full_pencil_fails_early(self):
         samples = 2 * 6561 + 4
@@ -653,6 +732,67 @@ class TestBoundedPencil:
 DENSE_AT_NOISE_FLOOR = {(12, 768)}
 
 
+def random_mirror_chain(rng, n):
+    """Engineered chain with couplings and fields symmetric under site reversal."""
+    def mirrored(values):
+        return tuple((values + values[::-1]) / 2.0)
+
+    return ChainSpec(n=n, kind="engineered",
+                     a=mirrored(rng.uniform(0.5, 1.5, n - 1)),
+                     b=mirrored(rng.uniform(0.5, 1.5, n - 1)),
+                     B=mirrored(rng.uniform(-1.0, 1.0, n)),
+                     C=mirrored(rng.uniform(0.5, 2.0, n)))
+
+
+def tomography_passes(spec, shots, seed):
+    """Whether tomography of ``spec`` from records at the CLI's default length
+    and step recovers |a|, |b|, B and C within 1e-6 (noise-free) or 20 shot-noise
+    units (shots)."""
+    times = safe_grid(spec)[1] * np.arange(max(16 * spec.n, 64))
+    records = tomography.synthesize_records(spec, "amplitude", times, shots, seed)
+    try:
+        result = tomography.synthesized_tomography(spec, records)
+    except ValueError:
+        return False
+    error = max(np.max(np.abs(np.asarray(got) - np.asarray(truth)))
+                for got, truth in ((result.a_abs, np.abs(spec.a)), (result.b_abs, np.abs(spec.b)),
+                                   (result.B, spec.B), (result.C, spec.C)))
+    return error <= (1e-6 if shots is None else 20 / np.sqrt(shots))
+
+
+# seeded random mirror chains: four per chain length, noise-free at n = 3-15 and
+# with 1e6 shots at n = 3-14
+ACCURACY_CASES = [(n, shots, 1000 * n + k) for shots, top in ((None, 15), (10 ** 6, 14))
+                  for n in range(3, top + 1) for k in range(4)]
+
+
+# the one shot record of ACCURACY_CASES that the forward pencil passes and the
+# unitary one does not: errors 1.71e-2 and 2.80e-2 against the 2e-2 tolerance,
+# both at the shot-noise scale (the unitary pencil passes three that the
+# forward one fails)
+SHOT_NOISE_BORDERLINE = {(8, 10 ** 6, 8001)}
+
+
+def test_unitary_pencil_keeps_every_forward_pass(monkeypatch):
+    def forward(values, dt, order=None, t_start=0.0):
+        return parent_matrix_pencil(values, dt, order, t_start)
+
+    cases = [(random_mirror_chain(np.random.default_rng(seed), n), shots, seed)
+             for n, shots, seed in ACCURACY_CASES]
+    unitary = [tomography_passes(*case) for case in cases]
+    monkeypatch.setattr(tomography, "matrix_pencil", forward)
+    forward_passes = [tomography_passes(*case) for case in cases]
+    missed = {case for case, old, new in zip(ACCURACY_CASES, forward_passes, unitary)
+              if old and not new}
+    assert missed <= SHOT_NOISE_BORDERLINE
+    for shots in (None, 10 ** 6):
+        mode = [k for k, (_, case_shots, _) in enumerate(ACCURACY_CASES) if case_shots == shots]
+        assert sum(unitary[k] for k in mode) >= sum(forward_passes[k] for k in mode)
+    # every noise-free record is recovered by both pencils
+    assert all(unitary[k] and forward_passes[k]
+               for k, (_, shots, _) in enumerate(ACCURACY_CASES) if shots is None)
+
+
 class TestSubspacePencil:
     @pytest.mark.parametrize("samples", [4, 5, 8, 9, 64, 65, 257])
     def test_fft_products_match_hankel(self, samples):
@@ -678,12 +818,12 @@ class TestSubspacePencil:
     # at the noise floor, the first sketch projects more work than the
     # dense SVD; below DENSE_PENCIL_COLS columns the dense SVD is cheaper
     @pytest.mark.parametrize("n, samples", [(30, 512), (3, 64), (3, 254)])
-    def test_dense_route_is_bit_identical(self, n, samples):
+    def test_dense_route_matches_unitary_reference(self, n, samples):
         _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
         dt = rec.grid_step()
         new = matrix_pencil(rec.values, dt, order=n)
-        assert new[2]["singular_values"].size == samples // 2
-        assert_pencils_identical(new, parent_matrix_pencil(rec.values, dt, n))
+        assert new[2]["singular_values"].size == samples // 2 + 1
+        assert_pencils_match(new, parent_unitary_pencil(rec.values, dt, n))
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_rejected(self, order):
