@@ -189,11 +189,17 @@ def _hankel_product(y_hat, block, rows):
 
 
 def _to_real(v):
-    """``Re(S @ v)`` for a complex block ``v`` of L + 1 rows."""
+    """``S @ v`` as (re, im) pairs, for a block ``v`` of L + 1 rows given as
+    the (re, im) float pairs of its entries; the [..., 0] part is ``Re(S @ v)``."""
     half, odd = divmod(v.shape[0], 2)
-    ends = v[::-1][:half]
-    return np.concatenate((v[:half].real + ends.real, np.sqrt(2.0) * v[half:half + odd].real,
-                           v[:half].imag - ends.imag))
+    out = np.empty(v.shape)
+    mirror = v[::-1][:half]
+    np.add(v[:half], mirror, out=out[:half])
+    np.multiply(v[half:half + odd], np.sqrt(2.0), out=out[half:half + odd])
+    # -1j (v_i - v_mirror): (Im, -Re) of the difference
+    np.subtract(v[:half, ..., 1], mirror[..., 1], out=out[half + odd:, ..., 0])
+    np.subtract(mirror[..., 0], v[:half, ..., 0], out=out[half + odd:, ..., 1])
+    return out
 
 
 def _from_real(u):
@@ -216,17 +222,9 @@ def _pencil_svd(y, L):
     times as long at K = 768 and 2048).  ``y`` must be contiguous.
     """
     cols, size = L + 1, y.shape[0] - L
-    half, odd = divmod(cols, 2)
-    x = sliding_window_view(y, size).view(float).reshape(cols, size, 2)
-    mirror = x[::-1][:half]
-    t = np.empty((cols, size, 2))
-    np.add(x[:half], mirror, out=t[:half])
-    np.multiply(x[half:half + odd], np.sqrt(2.0), out=t[half:half + odd])
-    # -1j (x_i - x_mirror): (Im, -Re) of the difference
-    np.subtract(x[:half, :, 1], mirror[:, :, 1], out=t[half + odd:, :, 0])
-    np.subtract(mirror[:, :, 0], x[:half, :, 0], out=t[half + odd:, :, 1])
+    t = _to_real(sliding_window_view(y, size).view(float).reshape(cols, size, 2))
     r = np.linalg.qr(t.reshape(cols, 2 * size).T, mode="r")
-    _, svals, vt = np.linalg.svd(r)
+    _, svals, vt = np.linalg.svd(r, full_matrices=False)
     return svals, vt
 
 
@@ -275,8 +273,8 @@ def _subspace_svd(y, order, dense_allowed):
         product = _hankel_product(y_hat, _from_real(block).conj(), rows)
         q, _ = np.linalg.qr(np.concatenate((product.real, product.imag)))
         # block holds an orthonormal basis of T q; its R gives the values
-        block, tri = np.linalg.qr(_to_real(_hankel_product(y_hat, q[:rows] - 1j * q[rows:],
-                                                           cols)))
+        product = _hankel_product(y_hat, q[:rows] - 1j * q[rows:], cols)
+        block, tri = np.linalg.qr(_to_real(product.view(float).reshape(cols, width, 2))[..., 0])
         new = np.linalg.svd(tri, compute_uv=False)
         done += 1
         previous, change = change, (None if svals is None
