@@ -11,8 +11,9 @@ Subcommands::
 
 Times are accepted as plain numbers or exact multiples of pi: ``pi``,
 ``0.5pi``, ``2pi/3``.  Exit codes: 0 success (and check passed), 2 usage or
-input error (an input too large for memory included), 4 a verification-style
-check failed; errors are mirrored as JSON on stderr.
+input error (an input too large for memory and a file that cannot be read or
+written included), 4 a verification-style check failed; errors are mirrored
+as JSON on stderr.
 """
 
 import argparse
@@ -164,8 +165,9 @@ _SWAP_INTERACTIONS = {
 
 def cmd_swap_check(args):
     t = parse_time(args.time)
+    tol = _positive(args.tol, "--tol")
     ham = chain_hamiltonian(ChainSpec(n=2, kind=_SWAP_INTERACTIONS[args.interaction]))
-    result = swap_check(evolution_cache(ham).unitary(t, args.sign), tol=args.tol)
+    result = swap_check(evolution_cache(ham).unitary(t, args.sign), tol=tol)
     payload = {
         "interaction": args.interaction,
         "time": t,
@@ -299,6 +301,9 @@ def _positive(value, flag):
 
 def cmd_tomography(args):
     _positive(args.shots, "--shots")
+    # the binomial sampler draws int64 counts
+    if args.shots is not None and args.shots > np.iinfo(np.int64).max:
+        raise SpecError(f"must be at most 2**63 - 1, got {args.shots}", "--shots")
     _positive(args.order, "--order")
     outdir = resolve_output_dir(args.output_dir)
     base = os.path.join(outdir, args.tag or "tomography")
@@ -307,11 +312,8 @@ def cmd_tomography(args):
         if not (args.record_up and args.record_down and args.order is not None):
             raise SpecError("file-based tomography needs --record-up, --record-down "
                             "and --order")
-        try:
-            rec_up = read_record_csv(args.record_up, "up", shots=args.shots)
-            rec_down = read_record_csv(args.record_down, "down", shots=args.shots)
-        except OSError as exc:
-            return _error({"stage": "io", "message": str(exc)}, 2)
+        rec_up = read_record_csv(args.record_up, "up", shots=args.shots)
+        rec_down = read_record_csv(args.record_down, "down", shots=args.shots)
         result = tomography_from_records(rec_up, rec_down, args.order)
         payload = result.to_json_dict()
         spec_path = None
@@ -360,7 +362,7 @@ def cmd_validate(args):
         spec = ChainSpec.load(args.spec)
     except SpecError as exc:
         return _error({"stage": "schema", "path": exc.path, "message": str(exc)}, 2)
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         return _error({"stage": "io", "message": str(exc)}, 2)
     print(json.dumps(spec.to_json_dict(), sort_keys=True))
     return 0
@@ -464,6 +466,8 @@ def main(argv=None):
         return _error({"stage": args.command, "message": str(exc)}, 2)
     except MemoryError as exc:
         return _error({"stage": args.command, "message": f"out of memory: {exc}"}, 2)
+    except OSError as exc:
+        return _error({"stage": "io", "message": str(exc)}, 2)
 
 
 if __name__ == "__main__":

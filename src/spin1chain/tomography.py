@@ -153,8 +153,8 @@ SUBSPACE_TOL = 1e-13
 OVERSAMPLING = 10
 # the sketch is fixed, so a rerun gives the same bits
 SKETCH_SEED = 20110
-# a Hankel matrix of at most this many columns takes the dense pencil, and a
-# default-length record skips its rank test: the iteration's fixed cost per
+# a record whose Hankel matrix has at most this many columns takes the dense
+# pencil where it would otherwise iterate: the iteration's fixed cost per
 # product pair is too large a part of the dense pencil's there (one BLAS
 # thread, best of 7 x 200 calls on a 2-vCPU VM: two real pairs cost 0.33 ms
 # against the dense pencil's 0.19 ms at K = 64, and 1.2 against 3.8 ms at
@@ -254,15 +254,12 @@ def _subspace_svd(y, order, dense_allowed):
     the gap between singular values ``order`` and ``order + OVERSAMPLING``;
     a record of rank ``order`` (noise-free) stops after two.  Returns
     (singular values of the block, vt with the top ``order`` rows first),
-    or (None, None) when the dense pencil is cheaper: when the Hankel matrix
-    has at most DENSE_PENCIL_COLS columns, or when ``dense_allowed`` and the
-    projected iterations would cost more columns than its L + 1.  Without a
-    dense route it raises ValueError when the iteration stops improving.
+    or (None, None) when ``dense_allowed`` and the projected iterations
+    would cost more columns than the dense pencil's L + 1.  Without a dense
+    route it raises ValueError when the iteration stops improving.
     """
     K = y.shape[0]
     rows, cols = K - K // 2, K // 2 + 1
-    if cols <= DENSE_PENCIL_COLS:
-        return None, None
     width = min(order + OVERSAMPLING, rows)
     y_hat = np.fft.fft(y)
     rng = np.random.default_rng(SKETCH_SEED)
@@ -311,27 +308,24 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
 
     L is K // 2, where the pencil's variance under noise is near its
     lowest (Hua & Sarkar 1990: L between K/3 and K/2).  When ``order`` is
-    given and 8 * order < K // 2, the small pencil at L = 8 * order (the
-    parameter of a record of K = 16 * order samples) is tried first and
-    kept when its (order+1)-th singular value is at most ``sv_tol`` times
-    the largest: a record of rank ``order`` has no noise to average.  A
-    record with a noise floor keeps L = K // 2, but its top singular
-    vectors come from real subspace iteration on FFT products, O(K log K)
-    per column and O(K order) memory (see :func:`_subspace_svd`); its
-    ``singular_values`` are then the ``order + OVERSAMPLING`` of the
-    block.  When 8 * order >= K // 2 (a default-length record), the
-    singular values of the thin (K - order) x (order + 1) Hankel matrix
-    decide: a record whose (order+1)-th is at most ``sv_tol`` times the
-    largest has no noise floor and iterates on the L = K // 2 pencil, and
-    any other keeps the dense pencil.  Where the Hankel matrix has at most
-    DENSE_PENCIL_COLS columns, or the projected iterations would cost more
-    columns than L + 1, the dense pencil is cheaper and is taken, as it is
-    for ``order`` None and for a default-length record with a noise floor
-    (O(K^3) time and O(K^2) memory); a dense pencil whose Hankel matrix
-    would exceed the dense cap raises ValueError.  The small and dense
-    pencils take the QR of T^T and the SVD of its (L+1)x(L+1) R factor,
-    and report all L + 1 singular values of Z.  Returns (E ascending,
-    weights, diagnostics dict).
+    given, one probe decides whether the record has noise to average: the
+    singular values of its thin (K - order) x (order + 1) Hankel matrix,
+    whose (order+1)-th is at most ``sv_tol`` times the largest only for a
+    record of rank ``order``.  It is taken once, and only where its answer
+    picks the route.  A noise-free record longer than 16 * order samples
+    (8 * order < K // 2) is solved on the small pencil at L = 8 * order,
+    the parameter of a record of 16 * order samples.  A noise-free record
+    of the default length, or a noisy longer one, keeps L = K // 2 and,
+    when its Hankel matrix has more than DENSE_PENCIL_COLS columns, finds
+    its top singular vectors by real subspace iteration on FFT products,
+    O(K log K) per column and O(K order) memory (see :func:`_subspace_svd`);
+    its ``singular_values`` are then the ``order + OVERSAMPLING`` of the
+    block.  Every other record, and one whose projected iterations would
+    cost more columns than L + 1, takes the dense pencil (O(K^3) time and
+    O(K^2) memory); a dense pencil whose Hankel matrix would exceed the
+    dense cap raises ValueError.  The small and dense pencils take the QR
+    of T^T and the SVD of its (L+1)x(L+1) R factor, and report all L + 1
+    singular values of Z.  Returns (E ascending, weights, diagnostics dict).
     """
     # contiguous: the dense and small pencils read its windows as float pairs
     y = np.ascontiguousarray(values, dtype=complex)
@@ -341,20 +335,19 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     if order is not None and order < 1:
         raise ValueError(f"model order must be at least 1, got {order}")
     svals = vt = None
-    dense_allowed = K // 2 + 1 <= MAX_DENSE_DIM
+    L = K // 2
     # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
-    if order is not None and 8 * order < K // 2:
-        svals, vt = _pencil_svd(y, 8 * order)
-        if svals[order] > sv_tol * svals[0]:
-            svals, vt = _subspace_svd(y, order, dense_allowed)
-    elif order is not None and K // 2 + 1 > DENSE_PENCIL_COLS and 2 * order < K:
-        # the thinnest Hankel matrix that shows rank order: without a noise
-        # floor the iteration converges in a few product pairs
+    long_record = order is not None and 8 * order < L
+    iterate = L + 1 > DENSE_PENCIL_COLS
+    if order is not None and (long_record or iterate) and 2 * order < K:
+        # the thinnest Hankel matrix that shows rank order
         thin = np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False)
-        if thin[order] <= sv_tol * thin[0]:
-            svals, vt = _subspace_svd(y, order, dense_allowed)
+        noise_free = thin[order] <= sv_tol * thin[0]
+        if long_record and noise_free:
+            svals, vt = _pencil_svd(y, 8 * order)
+        elif iterate and (long_record or noise_free):
+            svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
     if svals is None:
-        L = K // 2
         if L + 1 > MAX_DENSE_DIM:
             raise ValueError(
                 f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
@@ -513,7 +506,7 @@ def _channel_estimate(record, order):
     return diag, off, residual, diagnostics
 
 
-def tomography_from_records(record_up, record_down, order, extra_diagnostics=None):
+def tomography_from_records(record_up, record_down, order):
     """Parameter estimation from one amplitude record per excitation channel.
 
     Records must follow the exp(+iEt) convention.  The up channel yields
@@ -529,16 +522,13 @@ def tomography_from_records(record_up, record_down, order, extra_diagnostics=Non
             raise ValueError(f"expected a {channel}-channel record, got {rec.channel}")
     d_up, a_abs, res_up, diag_up = _channel_estimate(record_up, order)
     d_down, b_abs, res_down, diag_down = _channel_estimate(record_down, order)
-    diagnostics = {"up": diag_up, "down": diag_down}
-    if extra_diagnostics:
-        diagnostics.update(extra_diagnostics)
     return TomographyResult(
         a_abs=a_abs,
         b_abs=b_abs,
         B=(d_up - d_down) / 2.0,
         C=(d_up + d_down) / 2.0,
         residuals={"up_fit": res_up, "down_fit": res_down},
-        diagnostics=diagnostics,
+        diagnostics={"up": diag_up, "down": diag_down},
     )
 
 
@@ -566,11 +556,11 @@ def synthesized_tomography(hidden_spec, records):
     if hidden_spec.time_sign != 1:
         records = [replace(rec, values=np.conj(rec.values)) for rec in records]
     up, down = records
-    return tomography_from_records(
-        up, down, hidden_spec.n,
-        extra_diagnostics={"shots": up.shots if up.shots is not None else 0,
-                           "seed": up.seed if up.seed is not None else -1},
-    )
+    result = tomography_from_records(up, down, hidden_spec.n)
+    return replace(result, diagnostics={
+        **result.diagnostics,
+        "shots": up.shots if up.shots is not None else 0,
+        "seed": up.seed if up.seed is not None else -1})
 
 
 def full_tomography(hidden_spec, times, shots=None, seed=None):

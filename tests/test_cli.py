@@ -174,6 +174,14 @@ class TestSwapCheck:
         assert code == 4
         assert not json.loads(out)["is_swap_up_to_phase"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_tolerance_must_be_positive(self, capsys, tol):
+        # a tolerance no residual can meet is a usage error, not a failed check
+        code, out, err = run_cli(["swap-check", "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == "--tol"
+
 
 class TestTransfer:
     def test_three_site_scan(self, tmp_path, capsys):
@@ -572,6 +580,15 @@ class TestTomography:
         assert error["message"].startswith(f"{flag}: must be positive and finite")
         assert list(tmp_path.iterdir()) == []
 
+    def test_shots_beyond_int64_named(self, tmp_path, capsys):
+        code, out, err = run_cli(["tomography", "--preset-n", "3", "--shots", str(2 ** 63),
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == "--shots"
+        assert error["message"] == f"--shots: must be at most 2**63 - 1, got {2 ** 63}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_record_files_need_positive_shots(self, tmp_path, capsys):
         code, _, err = run_cli(["tomography", "--record-up", "x.csv", "--record-down",
                                 "y.csv", "--order", "3", "--shots", "0"], capsys)
@@ -634,6 +651,24 @@ class TestTomography:
                                 "--output-dir", str(tmp_path)], capsys)
         assert code == 2
         assert json.loads(err)["error"]["stage"] == "io"
+
+
+class TestFileErrors:
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run_cli(["transfer", "--preset-n", "3", "--channel", "up",
+                                  "--output-dir", str(target)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "io" and str(target) in error["message"]
+
+    def test_tag_into_missing_directory(self, tmp_path, capsys):
+        code, out, err = run_cli(["pst-check", "--n", "3", "--tag", "missing/x",
+                                  "--output-dir", str(tmp_path / "d")], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "io" and "x_report.json" in error["message"]
 
 
 class TestJsonStdout:

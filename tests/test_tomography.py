@@ -579,6 +579,26 @@ def pencil_record(n, samples, shots, seed):
                                    shots=shots, seed=seed)
 
 
+@pytest.fixture
+def pencil_calls(monkeypatch):
+    """The pencil parameter of each ``_pencil_svd`` call and the shape of each
+    ``np.linalg.svd`` input, as lists that a test may clear between calls."""
+    calls = {"L": [], "svd": []}
+    pencil_svd, svd = tomography._pencil_svd, np.linalg.svd
+
+    def counted_pencil(y, L):
+        calls["L"].append(L)
+        return pencil_svd(y, L)
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd"].append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "_pencil_svd", counted_pencil)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
 class TestBoundedPencil:
     @pytest.mark.parametrize("shots", [None, 10 ** 6])
     def test_default_length_matches_full_pencil(self, shots):
@@ -714,6 +734,36 @@ class TestBoundedPencil:
             assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
             for got, want in zip(new[:2], ref[:2]):
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("samples", [768, 2048])
+    def test_long_record_probes_once(self, samples, pencil_calls):
+        # the thin (K - order) x (order + 1) Hankel matrix is the only noise
+        # probe: a noise-free record then builds the small L = 8 * order
+        # pencil once, and a shot-sampled one never builds it
+        for n in range(3, 13):
+            for shots in (None, 10 ** 6):
+                _, rec = pencil_record(n, samples, shots, 900 + n)
+                pencil_calls["L"].clear()
+                pencil_calls["svd"].clear()
+                _, _, diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)
+                assert pencil_calls["svd"].count((samples - n, n + 1)) == 1
+                if shots is None:
+                    svals = diagnostics["singular_values"]
+                    assert pencil_calls["L"] == [8 * n]
+                    assert svals.size == 8 * n + 1 and svals[n] <= 1e-8 * svals[0]
+                else:
+                    assert 8 * n not in pencil_calls["L"]
+
+    def test_default_length_probes_only_past_dense_cols(self, pencil_calls):
+        # at most DENSE_PENCIL_COLS Hankel columns, every default-length
+        # record takes the dense pencil, so none is probed
+        for n in range(3, 41):
+            for shots in (None, 10 ** 6):
+                _, rec = pencil_record(n, 16 * n, shots, 700 + n)
+                pencil_calls["svd"].clear()
+                matrix_pencil(rec.values, rec.grid_step(), order=n)
+                probes = pencil_calls["svd"].count((15 * n, n + 1))
+                assert probes == (8 * n + 1 > tomography.DENSE_PENCIL_COLS)
 
     def test_oversized_full_pencil_fails_early(self):
         samples = 2 * 6561 + 4
