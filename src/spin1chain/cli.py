@@ -49,6 +49,7 @@ from .reporting import (RunManifest, fmt, json_text, resolve_output_dir, write_c
                         write_json)
 from .spin_ops import basis_index
 from .tomography import (
+    AmplitudeBoundError,
     band_matrix,
     probability_mode_analysis,
     read_record_csv,
@@ -167,7 +168,7 @@ def cmd_swap_check(args):
     t = parse_time(args.time)
     tol = _positive(args.tol, "--tol")
     ham = chain_hamiltonian(ChainSpec(n=2, kind=_SWAP_INTERACTIONS[args.interaction]))
-    result = swap_check(evolution_cache(ham).unitary(t, args.sign), tol=tol)
+    result = swap_check(evolution_cache(ham).unitary(args.sign * t), tol=tol)
     payload = {
         "interaction": args.interaction,
         "time": t,
@@ -312,9 +313,14 @@ def cmd_tomography(args):
         if not (args.record_up and args.record_down and args.order is not None):
             raise SpecError("file-based tomography needs --record-up, --record-down "
                             "and --order")
-        rec_up = read_record_csv(args.record_up, "up", shots=args.shots)
-        rec_down = read_record_csv(args.record_down, "down", shots=args.shots)
-        result = tomography_from_records(rec_up, rec_down, args.order)
+        records = []
+        for path, channel in ((args.record_up, "up"), (args.record_down, "down")):
+            try:
+                records.append(read_record_csv(path, channel, shots=args.shots))
+            except AmplitudeBoundError as exc:
+                raise SpecError(f"{path}: {exc}; a shot-sampled record is read with the "
+                                "--shots it was taken with", "--shots") from exc
+        result = tomography_from_records(*records, args.order)
         payload = result.to_json_dict()
         spec_path = None
         parameters = {"mode": "amplitude", "order": args.order,

@@ -255,8 +255,8 @@ def _mirror_entries(eigensystem, index, phases):
     return diagonal, float(largest)
 
 
-def mirror_check(op, t, sign=1, space="full"):
-    """Test whether exp(i*sign*H*t) equals the site inversion up to a phase.
+def mirror_check(op, t, space="full"):
+    """Test whether exp(i*H*t) equals the site inversion up to a phase.
 
     Reports the optimal global phase, the entrywise residual against
     e^{i phi} M (a mirror when it is at most 1e-8), the [H, M] commutator
@@ -264,7 +264,8 @@ def mirror_check(op, t, sign=1, space="full"):
     parity of their eigenvectors (mirroring requires each group to collapse
     to one value, the two groups differing by a factor -1).  ``space`` is
     ``full`` (a ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block
-    array); ``t`` is finite.  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
+    array); ``t`` is finite, and the time sign folds into it (-t for the
+    physical exp(-iHt)).  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
     residual the largest |U - e^{i phi} M| entry, both read tile by tile
     (:func:`_mirror_entries`), so neither a block of the unitary nor the
     dense unitary is built.
@@ -276,14 +277,14 @@ def mirror_check(op, t, sign=1, space="full"):
     kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
     es = mirror_eigensystem(cache, kind)
-    diagonal, largest = _mirror_entries(es, index, np.exp(1j * sign * es.eigenvalues * t))
+    diagonal, largest = _mirror_entries(es, index, np.exp(1j * es.eigenvalues * t))
     phi = float(np.angle(np.sum(diagonal)))
     residual = max(largest, float(np.max(np.abs(diagonal - np.exp(1j * phi)))))
 
     even_phases = odd_phases = ()
     if comm <= 1e-10 * scale:
         vals, pars = mirror_parities(cache, index, kind)
-        phases = np.exp(1j * sign * vals * t)
+        phases = np.exp(1j * vals * t)
         even_phases = _distinct_phases(phases[pars > 0])
         odd_phases = _distinct_phases(phases[pars < 0])
     return MirrorCheckResult(

@@ -554,8 +554,8 @@ class EvolutionCache:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def unitary(self, t, sign=1):
-        """exp(i*sign*H*t) as a dense matrix, the tiles of
+    def unitary(self, t):
+        """exp(i*H*t) as a dense matrix, the tiles of
         :meth:`HermitianEigenSystem.unitary_blocks` scattered into zeros.
 
         Only ``swap-check`` needs the whole two-site 9 x 9 unitary; the mirror
@@ -563,7 +563,7 @@ class EvolutionCache:
         """
         es = self.eigensystem
         out = np.zeros((es.dim, es.dim), dtype=complex)
-        for rows, cols, tile in es.unitary_blocks(np.exp(1j * sign * es.eigenvalues * t)):
+        for rows, cols, tile in es.unitary_blocks(np.exp(1j * es.eigenvalues * t)):
             out[rows[:, :, None], cols[:, None, :]] = tile
         return out
 

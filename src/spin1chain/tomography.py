@@ -31,6 +31,10 @@ MODES = ("amplitude", "probability")
 WEIGHT_FLOOR = 1e-10
 
 
+class AmplitudeBoundError(ValueError):
+    """An amplitude record without ``shots`` has a value with |f| > 1."""
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """First-site record: times plus amplitudes f(t) or probabilities |f(t)|^2."""
@@ -62,7 +66,7 @@ class MeasurementRecord:
             if np.any((vals < -1e-12) | (vals > 1 + 1e-12)):
                 raise ValueError("probabilities must lie in [0, 1]")
         elif self.shots is None and np.any(np.abs(vals) > 1 + 1e-9):
-            raise ValueError("survival amplitudes must satisfy |f| <= 1")
+            raise AmplitudeBoundError("survival amplitudes must satisfy |f| <= 1")
         object.__setattr__(self, "values", vals)
 
     def grid_step(self):
@@ -154,7 +158,7 @@ OVERSAMPLING = 10
 # the sketch is fixed, so a rerun gives the same bits
 SKETCH_SEED = 20110
 # a record whose Hankel matrix has at most this many columns takes the dense
-# pencil where it would otherwise iterate: the iteration's fixed cost per
+# pencil, whatever its length or noise: the iteration's fixed cost per
 # product pair is too large a part of the dense pencil's there (one BLAS
 # thread, best of 7 x 200 calls on a 2-vCPU VM: two real pairs cost 0.33 ms
 # against the dense pencil's 0.19 ms at K = 64, and 1.2 against 3.8 ms at
@@ -209,9 +213,9 @@ def _from_real(u):
     return np.concatenate((top, np.sqrt(2.0) * u[half:half + odd], top[::-1].conj()))
 
 
-def _pencil_svd(y, L):
-    """All singular values of T for pencil parameter L, and its left singular
-    vectors as the rows of vt: T^T = QR, and the SVD of the (L+1)x(L+1) R.
+def _pencil_svd(y):
+    """All singular values of T at L = K // 2, and its left singular vectors
+    as the rows of vt: T^T = QR, and the SVD of the (L+1)x(L+1) R.
 
     T is built from the record's mirrored windows.  Row i of X, the window
     y[i:i+K-L], is read as its (re, im) pairs, so T's columns come as
@@ -221,6 +225,7 @@ def _pencil_svd(y, L):
     QR copies it column by column (the QR of a C-ordered T^T took 1.1-1.2
     times as long at K = 768 and 2048).  ``y`` must be contiguous.
     """
+    L = y.shape[0] // 2
     cols, size = L + 1, y.shape[0] - L
     t = _to_real(sliding_window_view(y, size).view(float).reshape(cols, size, 2))
     r = np.linalg.qr(t.reshape(cols, 2 * size).T, mode="r")
@@ -306,28 +311,23 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     ``sv_tol`` times the largest, and a record with no floor below that
     threshold raises ValueError.
 
-    L is K // 2, where the pencil's variance under noise is near its
-    lowest (Hua & Sarkar 1990: L between K/3 and K/2).  When ``order`` is
-    given, one probe decides whether the record has noise to average: the
-    singular values of its thin (K - order) x (order + 1) Hankel matrix,
-    whose (order+1)-th is at most ``sv_tol`` times the largest only for a
-    record of rank ``order``.  It is taken once, and only where its answer
-    picks the route.  A noise-free record longer than 16 * order samples
-    (8 * order < K // 2) is solved on the small pencil at L = 8 * order,
-    the parameter of a record of 16 * order samples.  A noise-free record
-    of the default length, or a noisy longer one, keeps L = K // 2 and,
-    when its Hankel matrix has more than DENSE_PENCIL_COLS columns, finds
-    its top singular vectors by real subspace iteration on FFT products,
-    O(K log K) per column and O(K order) memory (see :func:`_subspace_svd`);
-    its ``singular_values`` are then the ``order + OVERSAMPLING`` of the
-    block.  Every other record, and one whose projected iterations would
-    cost more columns than L + 1, takes the dense pencil (O(K^3) time and
-    O(K^2) memory); a dense pencil whose Hankel matrix would exceed the
-    dense cap raises ValueError.  The small and dense pencils take the QR
-    of T^T and the SVD of its (L+1)x(L+1) R factor, and report all L + 1
-    singular values of Z.  Returns (E ascending, weights, diagnostics dict).
+    L is K // 2 on every route, where the pencil's variance under noise is
+    near its lowest (Hua & Sarkar 1990: L between K/3 and K/2).  With
+    ``order`` given, a record of more than DENSE_PENCIL_COLS Hankel columns
+    finds its top singular vectors by real subspace iteration on FFT
+    products (:func:`_subspace_svd`: O(K log K) per column, O(K order)
+    memory, and ``singular_values`` the ``order + OVERSAMPLING`` of the
+    block) if it is longer than 16 * order samples, or if it has the default
+    length and rank ``order``.  The one noise probe, taken only then, is the
+    thin (K - order) x (order + 1) Hankel matrix, whose (order+1)-th
+    singular value is at most ``sv_tol`` times the largest only at rank
+    ``order``.  Every other record, and one whose projected iterations
+    would cost more columns than L + 1, takes the dense pencil: the QR of
+    T^T and the SVD of its (L+1)x(L+1) R factor, all L + 1 singular values
+    of Z, O(K^3) time and O(K^2) memory, and ValueError past the dense cap.
+    Returns (E ascending, weights, diagnostics dict).
     """
-    # contiguous: the dense and small pencils read its windows as float pairs
+    # contiguous: the dense pencil reads its windows as float pairs
     y = np.ascontiguousarray(values, dtype=complex)
     K = y.shape[0]
     if K < 4:
@@ -336,23 +336,19 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
         raise ValueError(f"model order must be at least 1, got {order}")
     svals = vt = None
     L = K // 2
-    # 8 * order: the pencil parameter of a default-length record (K = 16 * order)
-    long_record = order is not None and 8 * order < L
-    iterate = L + 1 > DENSE_PENCIL_COLS
-    if order is not None and (long_record or iterate) and 2 * order < K:
-        # the thinnest Hankel matrix that shows rank order
-        thin = np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False)
-        noise_free = thin[order] <= sv_tol * thin[0]
-        if long_record and noise_free:
-            svals, vt = _pencil_svd(y, 8 * order)
-        elif iterate and (long_record or noise_free):
+    if order is not None and L + 1 > DENSE_PENCIL_COLS and 2 * order < K:
+        # longer than 16 * order: unprobed; default length: iterate if the
+        # thinnest Hankel matrix that shows rank order has it
+        thin = (None if 8 * order < L
+                else np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False))
+        if thin is None or thin[order] <= sv_tol * thin[0]:
             svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
     if svals is None:
         if L + 1 > MAX_DENSE_DIM:
             raise ValueError(
                 f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
                 f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
-        svals, vt = _pencil_svd(y, L)
+        svals, vt = _pencil_svd(y)
         if order is None:
             order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
             if order > min(K - L, L + 1) - 1:

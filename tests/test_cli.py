@@ -595,6 +595,30 @@ class TestTomography:
         assert code == 2
         assert json.loads(err)["error"]["path"] == "--shots"
 
+    def test_shot_sampled_records_read_back_need_shots(self, tmp_path, capsys):
+        # a shot-sampled amplitude may exceed |f| = 1; read without --shots the
+        # record is held to the exact bound, and the error names the flag
+        code, _, _ = run_cli(["tomography", "--preset-n", "8", "--shots", "1000000", "--seed",
+                              "1", "--emit-records", "--output-dir", str(tmp_path), "--tag",
+                              "emit"], capsys)
+        assert code == 0
+        paths = [str(tmp_path / f"emit_record_{channel}.csv") for channel in ("up", "down")]
+        argv = ["tomography", "--record-up", paths[0], "--record-down", paths[1], "--order",
+                "8", "--output-dir", str(tmp_path), "--tag", "back"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == "--shots"
+        assert "|f| <= 1" in error["message"] and paths[0] in error["message"]
+        assert "--shots it was taken with" in error["message"]
+        assert not list(tmp_path.glob("back_*"))
+        code, _, _ = run_cli(argv + ["--shots", "1000000"], capsys)
+        assert code == 0
+        # an exact record keeps the bound without a hint
+        with pytest.raises(tomography.AmplitudeBoundError, match=r"^survival amplitudes must "
+                                                                 r"satisfy \|f\| <= 1$"):
+            tomography.MeasurementRecord(np.arange(2.0), [1.0, 1.1], "up", "amplitude")
+
     @pytest.mark.parametrize("order", ["0", "-3"])
     def test_non_positive_order_named(self, tmp_path, capsys, order):
         code, _, _ = run_cli(["tomography", "--preset-n", "2", "--emit-records",

@@ -44,9 +44,9 @@ def basis_state(label):
     return state
 
 
-def evolved(op, state, t, sign=1):
-    """exp(i*sign*H*t) applied to ``state``, from the block-built unitary."""
-    return evolution_cache(op).unitary(t, sign) @ state
+def evolved(op, state, t):
+    """exp(i*H*t) applied to ``state``, from the block-built unitary."""
+    return evolution_cache(op).unitary(t) @ state
 
 
 def amplitude(op, source, target, t, sign=1):
@@ -75,7 +75,7 @@ class TestEvolve:
     def test_cache_unitary_is_exponential(self, chain3, sign):
         t = 0.83
         expected = expm(1j * sign * t * chain3.dense())
-        assert np.max(np.abs(evolution_cache(chain3).unitary(t, sign) - expected)) <= 1e-12
+        assert np.max(np.abs(evolution_cache(chain3).unitary(sign * t) - expected)) <= 1e-12
 
     def test_time_zero_identity(self, chain3):
         psi = basis_state("001")
@@ -109,8 +109,8 @@ class TestEvolve:
 
     def test_time_sign_conjugation(self, chain3):
         psi = basis_state("001")
-        fwd = evolved(chain3, psi, 1.3, sign=1)
-        bwd = evolved(chain3, psi, 1.3, sign=-1)
+        fwd = evolved(chain3, psi, 1.3)
+        bwd = evolved(chain3, psi, -1.3)
         # real Hamiltonian, real initial state: reversed evolution is the conjugate
         assert np.max(np.abs(np.conj(fwd) - bwd)) <= 1e-12
 
@@ -350,13 +350,13 @@ def symmetric_engineered(n, seed):
                      C=symmetric(rng.uniform(0.5, 2.0, n)))
 
 
-def dense_mirror_reference(op, t, sign, space="full"):
+def dense_mirror_reference(op, t, space="full"):
     """(phase, residual, even phases, odd phases, split) of the mirror test from
     the dense unitary, with parities from the cluster-wise mirror eigensolve
     alone; ``split`` says whether the eigensystem holds parity-sector solves."""
     kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
-    unitary = cache.unitary(t, sign)
+    unitary = cache.unitary(t)
     columns = np.arange(index.size)
     phi = float(np.angle(np.sum(unitary[index, columns])))
     unitary[index, columns] -= np.exp(1j * phi)
@@ -365,17 +365,17 @@ def dense_mirror_reference(op, t, sign, space="full"):
     if comm <= 1e-10 * scale:
         plain = replace(es, parities=None)
         vals, pars = clustered_parities(plain, index)
-        phases = np.exp(1j * sign * vals * t)
+        phases = np.exp(1j * vals * t)
         even, odd = _distinct_phases(phases[pars > 0]), _distinct_phases(phases[pars < 0])
     split = any(solve.mirrored is not None for solve in es.solves)
     return phi, float(np.max(np.abs(unitary))), even, odd, split
 
 
-def assert_matches_dense(op, t, sign, space="full"):
+def assert_matches_dense(op, t, space="full"):
     """Same verdict, phase groups, residual and phase as the dense test, bit for bit:
     the dense unitary is scattered from the tiles that the mirror test reads."""
-    result = mirror_check(op, t, sign, space)
-    phi, residual, even, odd, split = dense_mirror_reference(op, t, sign, space)
+    result = mirror_check(op, t, space)
+    phi, residual, even, odd, split = dense_mirror_reference(op, t, space)
     assert result.is_mirror == (residual <= 1e-8)
     assert (result.even_phases, result.odd_phases) == (even, odd)
     assert result.residual == residual
@@ -389,7 +389,7 @@ class TestMirrorCheckByBlock:
     def test_matches_dense_unitary(self, kind, n):
         spec = symmetric_engineered(n, seed=n) if kind == "engineered" else ChainSpec(n=n, kind=kind)
         ham = chain_hamiltonian(spec)
-        splits = {assert_matches_dense(ham, t, sign)
+        splits = {assert_matches_dense(ham, sign * t)
                   for t in (np.pi, 2 * np.pi / 3, 0.77) for sign in (1, -1)}
         # the sector route is taken where the solve split a block: for every
         # kind but the diagonal O2 and O4, whose blocks M keeps whole or swaps
@@ -401,11 +401,11 @@ class TestMirrorCheckByBlock:
         block = engineered_sigma_block(pst_preset(n, variant))
         for t in (np.pi, 0.77):
             for sign in (1, -1):
-                assert not assert_matches_dense(block, t, sign, space="sigma")
+                assert not assert_matches_dense(block, sign * t, space="sigma")
 
     def test_sigma_space_of_a_symmetric_engineered_chain(self):
         block = engineered_sigma_block(symmetric_engineered(5, seed=21))
-        assert not assert_matches_dense(block, np.pi, 1, space="sigma")
+        assert not assert_matches_dense(block, np.pi, space="sigma")
 
     def test_sigma_space_reads_the_sectors_of_a_shared_cache_entry(self, monkeypatch):
         # the complex O5 coupling taken as a sigma block of four sites shares its
@@ -416,7 +416,7 @@ class TestMirrorCheckByBlock:
         evolution_cache(ChainOperator.from_terms([(1, block)], 2))
         for t in (np.pi, 0.77):
             for sign in (1, -1):
-                assert assert_matches_dense(block, t, sign, space="sigma")
+                assert assert_matches_dense(block, sign * t, space="sigma")
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O2",
                                       "engineered", "O5"])

@@ -237,7 +237,7 @@ class TestSwapCheck:
         phis = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
         for t in SWAP_TIMES:
             for sign in (1, -1):
-                u = evolution_cache(SWAP_CASES[name]()).unitary(t, sign)
+                u = evolution_cache(SWAP_CASES[name]()).unitary(sign * t)
                 scan = min(
                     float(np.min(np.max(np.abs(u - np.exp(1j * chunk)[:, None, None] * SWAP2),
                                         axis=(1, 2))))
@@ -250,7 +250,7 @@ class TestSwapCheck:
     @pytest.mark.parametrize("name", sorted(SWAP_CASES))
     def test_verdict_and_residual_agree_for_both_signs(self, name):
         for t in SWAP_TIMES:
-            plus, minus = (swap_check(evolution_cache(SWAP_CASES[name]()).unitary(t, sign))
+            plus, minus = (swap_check(evolution_cache(SWAP_CASES[name]()).unitary(sign * t))
                            for sign in (1, -1))
             assert plus.is_swap_up_to_phase == minus.is_swap_up_to_phase
             assert plus.is_swap_up_to_phase == ((name, t) in SWAP_PASSES)
@@ -262,7 +262,7 @@ class TestSwapCheck:
         ("O1", np.pi, 1), ("O5", np.pi, 1), ("O5", np.pi, -1), ("O5", 2 * np.pi / 3, 1),
         ("O5", 2 * np.pi / 3, -1), ("squared_sum", np.pi, 1), ("squared_sum", np.pi, -1)])
     def test_tied_phase_does_not_follow_last_bits(self, name, t, sign):
-        u = evolution_cache(SWAP_CASES[name]()).unitary(t, sign)
+        u = evolution_cache(SWAP_CASES[name]()).unitary(sign * t)
         rng = np.random.default_rng(13)
         kick = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         kick = kick + kick.conj().T

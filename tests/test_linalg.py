@@ -843,7 +843,7 @@ class TestBlockUnitary:
         mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2])
         es = eig_hermitian(mat)
         t = 0.83
-        unitary = EvolutionCache(es, "", np.flatnonzero(mat)).unitary(t, sign)
+        unitary = EvolutionCache(es, "", np.flatnonzero(mat)).unitary(sign * t)
         v = es.eigenvectors
         dense = (v * np.exp(1j * sign * es.eigenvalues * t)) @ v.conj().T
         assert np.max(np.abs(unitary - dense)) <= 1e-14
@@ -926,8 +926,8 @@ class TestContentKey:
 
 class TestUnitaryFromEigensystem:
     @staticmethod
-    def evolved(es, psi, t, sign=1):
-        return EvolutionCache(es, "", None).unitary(t, sign) @ psi
+    def evolved(es, psi, t):
+        return EvolutionCache(es, "", None).unitary(t) @ psi
 
     def test_t_zero_is_identity(self):
         rng = np.random.default_rng(6)
@@ -940,9 +940,9 @@ class TestUnitaryFromEigensystem:
     def test_eigenvector_picks_up_phase(self):
         es = eig_hermitian(np.diag([2.0, -1.0]))
         vec = np.array([0.0, 1.0], dtype=complex)
-        out = self.evolved(es, vec, 0.7, sign=1)
+        out = self.evolved(es, vec, 0.7)
         assert np.allclose(out, np.exp(-1j * 0.7) * vec)
-        out = self.evolved(es, vec, 0.7, sign=-1)
+        out = self.evolved(es, vec, -0.7)
         assert np.allclose(out, np.exp(1j * 0.7) * vec)
 
     def test_norm_preserved(self):

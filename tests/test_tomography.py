@@ -512,13 +512,13 @@ def unitary_matrix(size):
     return q / np.sqrt(2.0)
 
 
-def parent_unitary_pencil(values, dt, order, t_start=0.0, L=None):
-    """The forward-backward pencil from explicit matrices: L = K // 2 unless given,
+def parent_unitary_pencil(values, dt, order, t_start=0.0):
+    """The forward-backward pencil from explicit matrices: L = K // 2,
     Z = [X, P conj(X) P] for X = H^T, and the complex SVD of Q_p^H Z Q_2N, whose
     imaginary part is rounding."""
     y = np.asarray(values, dtype=complex)
     K = y.shape[0]
-    L = K // 2 if L is None else L
+    L = K // 2
     x = np.empty((L + 1, K - L), dtype=complex)
     for i in range(L + 1):
         x[i, :] = y[i:i + K - L]
@@ -581,14 +581,14 @@ def pencil_record(n, samples, shots, seed):
 
 @pytest.fixture
 def pencil_calls(monkeypatch):
-    """The pencil parameter of each ``_pencil_svd`` call and the shape of each
+    """The record length of each ``_pencil_svd`` call and the shape of each
     ``np.linalg.svd`` input, as lists that a test may clear between calls."""
-    calls = {"L": [], "svd": []}
+    calls = {"K": [], "svd": []}
     pencil_svd, svd = tomography._pencil_svd, np.linalg.svd
 
-    def counted_pencil(y, L):
-        calls["L"].append(L)
-        return pencil_svd(y, L)
+    def counted_pencil(y):
+        calls["K"].append(y.shape[0])
+        return pencil_svd(y)
 
     def counted_svd(a, *args, **kwargs):
         calls["svd"].append(np.shape(a))
@@ -690,24 +690,27 @@ class TestBoundedPencil:
         assert new[2]["order"] == n and not new[2]["aliasing_risk"]
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_noise_free_long_record_takes_small_pencil(self, samples):
+    def test_noise_free_long_record_iterates(self, samples):
         for n in range(3, 13):
             spec, up = pencil_record(n, samples, None, 900 + n)
             down = synthesize_record(spec, "down", "amplitude", up.times)
             result = tomography_from_records(up, down, order=n)
             for channel in ("up", "down"):
-                assert result.diagnostics[channel]["singular_values"].size == 8 * n + 1
+                assert result.diagnostics[channel]["singular_values"].size == n + 10
             assert np.max(np.abs(result.a_abs - np.abs(spec.a))) <= 1e-6
             assert np.max(np.abs(result.b_abs - np.abs(spec.b))) <= 1e-6
             assert np.max(np.abs(result.B - np.array(spec.B))) <= 1e-6
             assert np.max(np.abs(result.C - np.array(spec.C))) <= 1e-6
 
-    @pytest.mark.parametrize("samples", [768, 2048])
-    def test_small_pencil_r_factor_matches_plain_svd(self, samples, monkeypatch):
-        # the small pencil takes the SVD of the R factor of its real
-        # (2 (K - L)) x (L + 1) matrix T^T at L = 8 * order; with the QR step
-        # left out it is the plain SVD of T^T
+    @pytest.mark.parametrize("long_record", [False, True])
+    def test_dense_pencil_r_factor_matches_plain_svd(self, long_record, monkeypatch):
+        # the dense pencil takes the SVD of the R factor of its real
+        # (2 (K - L)) x (L + 1) matrix T^T at L = K // 2; with the QR step
+        # left out it is the plain SVD of T^T.  Noise-free records of
+        # 16 * order samples, or of 254 (longer than 16 * order), have at most
+        # DENSE_PENCIL_COLS Hankel columns
         for n in range(3, 13):
+            samples = 254 if long_record else 16 * n
             _, rec = pencil_record(n, samples, None, 900 + n)
             dt = rec.grid_step()
             new = matrix_pencil(rec.values, dt, order=n)
@@ -720,39 +723,53 @@ class TestBoundedPencil:
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "qr", no_qr)
                 old = matrix_pencil(rec.values, dt, order=n)
-            assert views == [(2 * (samples - 8 * n), 8 * n + 1)]
+            L = samples // 2
+            assert views == [(2 * (samples - L), L + 1)]
             for got, want in zip(new[:2] + (new[2]["singular_values"],),
                                  old[:2] + (old[2]["singular_values"],)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             # against the explicit-matrix reference: its complex SVD rounds
             # differently, and the pencil's eigenvalues and the least squares of
-            # K rows carry that into the last digits of the estimates (at most
-            # 2.5e-12 of the largest on these records)
-            ref = parent_unitary_pencil(rec.values, dt, n, L=8 * n)
+            # K rows carry that into the last digits of the estimates
+            ref = parent_unitary_pencil(rec.values, dt, n)
             svals, ref_svals = new[2]["singular_values"], ref[2]["singular_values"]
-            assert svals.size == 8 * n + 1
+            assert svals.size == L + 1
             assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
             for got, want in zip(new[:2], ref[:2]):
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_long_record_probes_once(self, samples, pencil_calls):
-        # the thin (K - order) x (order + 1) Hankel matrix is the only noise
-        # probe: a noise-free record then builds the small L = 8 * order
-        # pencil once, and a shot-sampled one never builds it
+    def test_long_record_is_never_probed(self, samples, pencil_calls):
+        # a record longer than 16 * order iterates whatever its noise, so the
+        # thin (K - order) x (order + 1) probe is never taken.  A noise-free
+        # record stops on the iteration; a shot-sampled one at the noise floor
+        # may be handed to the dense pencil, whose parameter is K // 2 too
         for n in range(3, 13):
             for shots in (None, 10 ** 6):
                 _, rec = pencil_record(n, samples, shots, 900 + n)
-                pencil_calls["L"].clear()
+                pencil_calls["K"].clear()
                 pencil_calls["svd"].clear()
                 _, _, diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)
-                assert pencil_calls["svd"].count((samples - n, n + 1)) == 1
+                assert pencil_calls["svd"].count((samples - n, n + 1)) == 0
+                assert set(pencil_calls["K"]) <= {samples}
                 if shots is None:
                     svals = diagnostics["singular_values"]
-                    assert pencil_calls["L"] == [8 * n]
-                    assert svals.size == 8 * n + 1 and svals[n] <= 1e-8 * svals[0]
-                else:
-                    assert 8 * n not in pencil_calls["L"]
+                    assert pencil_calls["K"] == []
+                    assert svals.size == n + 10 and svals[n] <= 1e-8 * svals[0]
+
+    def test_noise_free_preset_long_records_at_larger_n(self):
+        # records of 32 * n samples at n = 14-30 iterate; every energy and
+        # weight of both bands is recovered (2.4e-9 at most on these records)
+        for n in range(14, 31):
+            spec = pst_preset(n, "standard")
+            times = safe_grid(spec, samples_per_dim=32)
+            for channel in ("up", "down"):
+                record = synthesize_record(spec, channel, "amplitude", times)
+                sd, diagnostics = extract_spectrum(record, order=n)
+                truth = band_spectral_data(spec, channel)
+                assert diagnostics["singular_values"].size == n + 10
+                assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 1e-8
+                assert np.max(np.abs(sd.weights - truth.weights)) <= 1e-8
 
     def test_default_length_probes_only_past_dense_cols(self, pencil_calls):
         # at most DENSE_PENCIL_COLS Hankel columns, every default-length
@@ -783,10 +800,10 @@ class TestBoundedPencil:
         assert diagnostics["singular_values"].size == 13
         truth = band_spectral_data(spec, "up")
         assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 20 / np.sqrt(10 ** 6)
-        # and a noise-free one on the small pencil
+        # and so does a noise-free one
         spec, exact = pencil_record(3, samples, None, 5)
         sd, diagnostics = extract_spectrum(exact, order=3)
-        assert diagnostics["singular_values"].size == 25
+        assert diagnostics["singular_values"].size == 13
         truth = band_spectral_data(spec, "up")
         assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 1e-8
 
