@@ -309,6 +309,7 @@ def cmd_tomography(args):
     outdir = resolve_output_dir(args.output_dir)
     base = os.path.join(outdir, args.tag or "tomography")
     outputs = []
+    seed = args.seed
     if args.record_up or args.record_down:
         if not (args.record_up and args.record_down and args.order is not None):
             raise SpecError("file-based tomography needs --record-up, --record-down "
@@ -335,7 +336,10 @@ def cmd_tomography(args):
         parameters = {"mode": args.mode, "dt": dt, "samples": int(samples),
                       "shots": args.shots, "preset_n": args.preset_n,
                       "preset_variant": args.preset_variant}
-        records = synthesize_records(spec, args.mode, times, shots=args.shots, seed=args.seed)
+        if args.shots is not None and seed is None:
+            # one seed from OS entropy, recorded, so that --seed repeats the run
+            seed = int(np.random.SeedSequence().entropy)
+        records = synthesize_records(spec, args.mode, times, shots=args.shots, seed=seed)
         if args.mode == "amplitude":
             payload = synthesized_tomography(spec, records).to_json_dict()
         else:
@@ -358,7 +362,7 @@ def cmd_tomography(args):
     text = write_json(result_path, payload)
     outputs.insert(0, result_path)
     RunManifest("tomography", spec_path, parameters,
-                tuple(outputs), args.seed).write(base + "_manifest.json")
+                tuple(outputs), seed).write(base + "_manifest.json")
     sys.stdout.write(text)
     return 0
 

@@ -130,8 +130,11 @@ def _scaled(a, e):
     return p, err + a * lo
 
 
-def _render(block):
-    """CSV lines of a 2-d float64 block, every value as ``%.17g``, as uint8."""
+def _render(block, field):
+    """CSV lines of a 2-d float64 block, every value as ``%.17g``, as uint8.
+
+    ``field`` is a C-ordered uint8 work array of ``block.size`` rows of
+    ``_WIDTH`` columns; every column that the lines keep is written first."""
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
@@ -179,7 +182,6 @@ def _render(block):
     q = np.where(fixed, e, 0)
     small = np.minimum(q, 0)
     neg = np.signbit(x)
-    field = np.empty((x.size, _WIDTH), dtype=np.uint8)
     field.view(np.uint64)[:, 0] = _PREFIXES[((small + 4) * 2 + neg) * 10 + lead]
     words = field.view(np.uint32)
     for column, group in enumerate(groups, start=(_LEAD + 1) // 4):
@@ -242,8 +244,13 @@ def write_csv(path, header, rows):
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if table.size:
+            # one field for every block: the first write into fresh memory
+            # costs several times a later one
+            field = np.empty((min(table.shape[0], CSV_CHUNK_ROWS) * table.shape[1], _WIDTH),
+                             dtype=np.uint8)
             for i in range(0, table.shape[0], CSV_CHUNK_ROWS):
-                fh.write(_render(table[i:i + CSV_CHUNK_ROWS]))
+                block = table[i:i + CSV_CHUNK_ROWS]
+                fh.write(_render(block, field[:block.size]))
 
 
 def json_text(payload):

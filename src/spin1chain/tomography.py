@@ -162,7 +162,8 @@ SKETCH_SEED = 20110
 # product pair is too large a part of the dense pencil's there (one BLAS
 # thread, best of 7 x 200 calls on a 2-vCPU VM: two real pairs cost 0.33 ms
 # against the dense pencil's 0.19 ms at K = 64, and 1.2 against 3.8 ms at
-# K = 256)
+# K = 256).  The noise probe still runs on such a record with ``order``
+# given: it picks the dense pencil's Gram or SVD route
 DENSE_PENCIL_COLS = 128
 
 
@@ -213,22 +214,47 @@ def _from_real(u):
     return np.concatenate((top, np.sqrt(2.0) * u[half:half + odd], top[::-1].conj()))
 
 
-def _pencil_svd(y):
+def _shows_noise(y, order, sv_tol):
+    """Whether the record's thin (K - order) x (order + 1) Hankel matrix has an
+    (order+1)-th singular value above ``sv_tol`` times its largest: a noise
+    floor, or more than ``order`` frequencies.  A record of rank ``order``
+    (noise-free) has none.  Needs ``2 * order < K``."""
+    thin = np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False)
+    return bool(thin[order] > sv_tol * thin[0])
+
+
+def _pencil_svd(y, noisy):
     """All singular values of T at L = K // 2, and its left singular vectors
-    as the rows of vt: T^T = QR, and the SVD of the (L+1)x(L+1) R.
+    as the rows of vt, the largest first.
 
     T is built from the record's mirrored windows.  Row i of X, the window
     y[i:i+K-L], is read as its (re, im) pairs, so T's columns come as
     (re, im) pairs of [Re(S X), Im(S X)]: a permutation of T's columns,
-    which changes no singular value or left singular vector.  T is
-    C-ordered, so T^T is Fortran-ordered, the layout LAPACK works in: the
-    QR copies it column by column (the QR of a C-ordered T^T took 1.1-1.2
-    times as long at K = 768 and 2048).  ``y`` must be contiguous.
+    which changes no singular value or left singular vector.  ``y`` must be
+    contiguous.
+
+    A record without a noise floor (not ``noisy``) takes T^T = QR and the
+    SVD of the (L+1)x(L+1) R.  T is C-ordered, so T^T is Fortran-ordered, the
+    layout LAPACK works in: the QR copies it column by column (the QR of a
+    C-ordered T^T took 1.1-1.2 times as long at K = 768 and 2048).  A
+    ``noisy`` record takes the eigenvectors of the Gram matrix T T^T, and
+    each singular value as the norm of its vector's row of vt T, whose
+    Rayleigh quotient has no first-order error: every value lies within
+    about 1e-13 times the largest of the SVD's.  The Gram moves the top
+    ``order`` vectors by about eps s[0]^2 / (s[order-1]^2 - s[order]^2)
+    (Davis-Kahan), less than the noise floor above ``sv_tol`` moves them;
+    on a record of rank ``order`` it would lose the small weights, so such
+    records keep the SVD.
     """
     L = y.shape[0] // 2
     cols, size = L + 1, y.shape[0] - L
     t = _to_real(sliding_window_view(y, size).view(float).reshape(cols, size, 2))
-    r = np.linalg.qr(t.reshape(cols, 2 * size).T, mode="r")
+    t = t.reshape(cols, 2 * size)
+    if noisy:
+        _, vecs = np.linalg.eigh(t @ t.T)
+        vt = vecs[:, ::-1].T
+        return np.linalg.norm(vt @ t, axis=1), vt
+    r = np.linalg.qr(t.T, mode="r")
     _, svals, vt = np.linalg.svd(r, full_matrices=False)
     return svals, vt
 
@@ -318,13 +344,18 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     products (:func:`_subspace_svd`: O(K log K) per column, O(K order)
     memory, and ``singular_values`` the ``order + OVERSAMPLING`` of the
     block) if it is longer than 16 * order samples, or if it has the default
-    length and rank ``order``.  The one noise probe, taken only then, is the
-    thin (K - order) x (order + 1) Hankel matrix, whose (order+1)-th
-    singular value is at most ``sv_tol`` times the largest only at rank
-    ``order``.  Every other record, and one whose projected iterations
-    would cost more columns than L + 1, takes the dense pencil: the QR of
-    T^T and the SVD of its (L+1)x(L+1) R factor, all L + 1 singular values
-    of Z, O(K^3) time and O(K^2) memory, and ValueError past the dense cap.
+    length and rank ``order``.  Every other record, and one whose projected
+    iterations would cost more columns than L + 1, takes the dense pencil,
+    with all L + 1 singular values of Z, O(K^3) time and O(K^2) memory, and
+    ValueError past the dense cap.  With ``order`` given, every record that
+    is not iterated unprobed, and a long one that the iteration hands back,
+    is probed once, and the probe alone picks its route: the thin
+    (K - order) x (order + 1) Hankel matrix, whose (order+1)-th singular
+    value is above ``sv_tol`` times the largest unless the record has rank
+    ``order``.  A record with that noise floor reads the dense pencil from
+    the eigh of the Gram matrix T T^T; a record of rank ``order``, and every
+    record without ``order``, from the QR of T^T and the SVD of its
+    (L+1)x(L+1) R factor (see :func:`_pencil_svd`).
     Returns (E ascending, weights, diagnostics dict).
     """
     # contiguous: the dense pencil reads its windows as float pairs
@@ -336,19 +367,25 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
         raise ValueError(f"model order must be at least 1, got {order}")
     svals = vt = None
     L = K // 2
-    if order is not None and L + 1 > DENSE_PENCIL_COLS and 2 * order < K:
-        # longer than 16 * order: unprobed; default length: iterate if the
-        # thinnest Hankel matrix that shows rank order has it
-        thin = (None if 8 * order < L
-                else np.linalg.svd(sliding_window_view(y, order + 1), compute_uv=False))
-        if thin is None or thin[order] <= sv_tol * thin[0]:
+    noisy = False
+    wide = order is not None and L + 1 > DENSE_PENCIL_COLS
+    long_record = wide and 8 * order < L
+    if long_record:
+        # longer than 16 * order: iterate unprobed, whatever the noise
+        svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
+    if svals is None and order is not None and 2 * order < K:
+        # the one probe: a wide default-length record of rank order
+        # iterates, and a dense pencil with a noise floor takes the Gram
+        # branch
+        noisy = _shows_noise(y, order, sv_tol)
+        if wide and not (long_record or noisy):
             svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
     if svals is None:
         if L + 1 > MAX_DENSE_DIM:
             raise ValueError(
                 f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
                 f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
-        svals, vt = _pencil_svd(y)
+        svals, vt = _pencil_svd(y, noisy)
         if order is None:
             order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
             if order > min(K - L, L + 1) - 1:

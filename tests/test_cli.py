@@ -498,6 +498,23 @@ class TestTomography:
         capsys.readouterr()
         assert (tmp_path / "noisy_result.json").read_bytes() == first
 
+    def test_seedless_shots_record_their_seed(self, tmp_path, capsys):
+        # a shot run without --seed draws one seed and records it in the
+        # manifest and the payload; --seed with it repeats the result bytes
+        args = ["tomography", "--preset-n", "3", "--shots", "100000", "--samples", "64",
+                "--output-dir", str(tmp_path)]
+        assert main(args + ["--tag", "fresh"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "fresh_manifest.json").read_text())
+        payload = json.loads((tmp_path / "fresh_result.json").read_text())
+        seed = manifest["seed"]
+        assert isinstance(seed, int) and payload["diagnostics"]["seed"] == seed
+        assert main(args + ["--tag", "again", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "again_result.json").read_bytes()
+                == (tmp_path / "fresh_result.json").read_bytes())
+        assert json.loads((tmp_path / "again_manifest.json").read_text())["seed"] == seed
+
     def test_non_engineered_rejected(self, tmp_path, capsys):
         path = tmp_path / "heis.json"
         path.write_text(json.dumps({"n": 3, "kind": "heisenberg"}))

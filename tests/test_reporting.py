@@ -150,6 +150,19 @@ def test_chunk_edges(tmp_path, rows):
     assert_renders_per_value(tmp_path / "c.csv", table)
 
 
+def test_field_reused_across_blocks(tmp_path):
+    # one field serves every block of a table, so a block of short values
+    # follows one of the longest, and the other way round: no byte of an
+    # earlier block may show through
+    long_values = np.array([-2.2250738585072014e-308, -1.2345678901234567e-100,
+                            -np.inf, np.nan, -1.0000000000000002e-5, 5e-324])
+    short_values = np.array([0.0, 1.0, -2.0, 0.5, 1e20, np.inf])
+    blocks = [np.resize(values, (CSV_CHUNK_ROWS, 3))
+              for values in (long_values, short_values, long_values)]
+    table = np.concatenate(blocks + [np.resize(short_values, (17, 3))])
+    assert_renders_per_value(tmp_path / "r.csv", table)
+
+
 def significant_digits(x):
     """Digits of ``%.17g`` of x from its first to its last nonzero one."""
     mantissa = f"{x:.17g}".lstrip("-").partition("e")[0]

@@ -512,10 +512,11 @@ def unitary_matrix(size):
     return q / np.sqrt(2.0)
 
 
-def parent_unitary_pencil(values, dt, order, t_start=0.0):
-    """The forward-backward pencil from explicit matrices: L = K // 2,
-    Z = [X, P conj(X) P] for X = H^T, and the complex SVD of Q_p^H Z Q_2N, whose
-    imaginary part is rounding."""
+def unitary_reference_svd(values):
+    """Q_p, and the left singular vectors and singular values of the real form
+    Q_p^H Z Q_2N of Z = [X, P conj(X) P] for X = H^T at L = K // 2, from
+    explicit matrices and a complex SVD (the real form's imaginary part is
+    rounding)."""
     y = np.asarray(values, dtype=complex)
     K = y.shape[0]
     L = K // 2
@@ -527,6 +528,15 @@ def parent_unitary_pencil(values, dt, order, t_start=0.0):
     real_form = q_p.conj().T @ z @ q_2n
     assert np.max(np.abs(real_form.imag)) <= 1e-13 * np.max(np.abs(real_form))
     u, svals, _ = np.linalg.svd(real_form, full_matrices=False)
+    return q_p, u, svals
+
+
+def parent_unitary_pencil(values, dt, order, t_start=0.0):
+    """The forward-backward pencil from explicit matrices: L = K // 2, and the
+    signal subspace from :func:`unitary_reference_svd`."""
+    y = np.asarray(values, dtype=complex)
+    K = y.shape[0]
+    q_p, u, svals = unitary_reference_svd(y)
     diagnostics = {
         "singular_values": svals,
         "sv_ratio": float(svals[order - 1] / svals[0]),
@@ -581,14 +591,16 @@ def pencil_record(n, samples, shots, seed):
 
 @pytest.fixture
 def pencil_calls(monkeypatch):
-    """The record length of each ``_pencil_svd`` call and the shape of each
-    ``np.linalg.svd`` input, as lists that a test may clear between calls."""
-    calls = {"K": [], "svd": []}
+    """The record length and the ``noisy`` flag of each ``_pencil_svd`` call and
+    the shape of each ``np.linalg.svd`` input, as lists that a test may clear
+    between calls."""
+    calls = {"K": [], "noisy": [], "svd": []}
     pencil_svd, svd = tomography._pencil_svd, np.linalg.svd
 
-    def counted_pencil(y):
+    def counted_pencil(y, noisy):
         calls["K"].append(y.shape[0])
-        return pencil_svd(y)
+        calls["noisy"].append(noisy)
+        return pencil_svd(y, noisy)
 
     def counted_svd(a, *args, **kwargs):
         calls["svd"].append(np.shape(a))
@@ -599,12 +611,48 @@ def pencil_calls(monkeypatch):
     return calls
 
 
+def force_svd_branch(patch):
+    """Put every dense pencil on the QR and SVD branch, whatever the probe
+    found: the dense pencil from before the Gram branch."""
+    pencil_svd = tomography._pencil_svd
+    patch.setattr(tomography, "_pencil_svd", lambda y, noisy: pencil_svd(y, False))
+
+
+@pytest.fixture
+def svd_branch(monkeypatch):
+    """The SVD branch for every record, so that it stays covered on shot records."""
+    force_svd_branch(monkeypatch)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The input shape of each ``np.linalg`` QR, SVD and ``eigh`` call, as lists
+    that a test may clear between calls."""
+    calls = {}
+    for name in ("qr", "svd", "eigh"):
+        calls[name] = []
+
+        def counted(a, *args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(np.shape(a))
+            return _func(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def clear(calls):
+    for shapes in calls.values():
+        shapes.clear()
+
+
 class TestBoundedPencil:
     @pytest.mark.parametrize("shots", [None, 10 ** 6])
-    def test_default_length_matches_full_pencil(self, shots):
+    def test_default_length_matches_full_pencil(self, shots, svd_branch):
         # K = 16 * order: 8 * order == K // 2, so L = K // 2.  Shot records
         # and records of at most DENSE_PENCIL_COLS Hankel columns take the
-        # dense SVD, with all L + 1 singular values; noise-free ones past
+        # dense pencil, with all L + 1 singular values, here on its SVD
+        # branch (shot records take the Gram branch otherwise, see
+        # test_gram_route_matches_unitary_reference); noise-free ones past
         # that iterate, with the block's order + OVERSAMPLING
         for n in range(3, 41):
             spec, rec = pencil_record(n, 16 * n, shots, 700 + n)
@@ -629,47 +677,91 @@ class TestBoundedPencil:
                 assert np.max(np.abs(new[0] - ref[0])[kept]) <= 1e-7
                 assert np.max(np.abs(new[1] - ref[1])) <= 1e-11
 
-    def test_default_length_route_guards(self, monkeypatch):
-        svd_shapes, qr_shapes, products = [], [], []
-        svd, qr, product = np.linalg.svd, np.linalg.qr, tomography._hankel_product
-
-        def counted_svd(a, *args, **kwargs):
-            svd_shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        def counted_qr(a, *args, **kwargs):
-            qr_shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
+    def test_default_length_route_guards(self, linalg_calls, monkeypatch):
+        products = []
+        product = tomography._hankel_product
 
         def counted_product(*args):
             products.append(args[2])
             return product(*args)
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(tomography, "_hankel_product", counted_product)
-        for n in (16, 23, 31, 40):
+        for n in (4, 7, 16, 23, 31, 40):
             K = 16 * n
             L = K // 2
-            # the dense pencil: QR of the real T^T, then the SVD of its R
-            dense = [(2 * (K - L), L + 1), (L + 1, L + 1)]
+            probe = (K - n, n + 1)
+            # the dense pencil's SVD branch: QR of the real T^T, then the SVD of
+            # its R; its Gram branch: the eigh of T T^T
+            qr, svd, gram = (2 * (K - L), L + 1), (L + 1, L + 1), (L + 1, L + 1)
             _, exact = pencil_record(n, K, None, 700 + n)
             _, noisy = pencil_record(n, K, 10 ** 6, 700 + n)
-            # noise-free: the thin rank test, then the iteration, and no
-            # dense SVD of the K // 2 pencil
-            svd_shapes.clear()
-            qr_shapes.clear()
+            # noise-free: the thin rank test, then past DENSE_PENCIL_COLS the
+            # iteration and no dense pencil, else the SVD branch
+            clear(linalg_calls)
             matrix_pencil(exact.values, exact.grid_step(), order=n)
-            assert dense[0] not in qr_shapes and dense[1] not in svd_shapes
-            assert (K - n, n + 1) in svd_shapes
-            # shot-sampled: the thin test finds the noise floor, so no
-            # product pair is spent before the dense SVD
+            assert linalg_calls["svd"].count(probe) == 1 and gram not in linalg_calls["eigh"]
+            if L + 1 > tomography.DENSE_PENCIL_COLS:
+                assert qr not in linalg_calls["qr"] and svd not in linalg_calls["svd"]
+            else:
+                assert linalg_calls["qr"] == [qr] and svd in linalg_calls["svd"]
+            # shot-sampled: the thin test finds the noise floor, so no product
+            # pair is spent, and the dense pencil takes no QR and no SVD of
+            # the pencil, and one eigh of its Gram matrix
             products.clear()
-            svd_shapes.clear()
-            qr_shapes.clear()
+            clear(linalg_calls)
             matrix_pencil(noisy.values, noisy.grid_step(), order=n)
-            assert products == []
-            assert qr_shapes == dense[:1] and dense[1] in svd_shapes
+            assert products == [] and linalg_calls["qr"] == []
+            assert linalg_calls["svd"] == [probe] and linalg_calls["eigh"] == [gram]
+
+    def test_probe_alone_picks_the_dense_branch(self, linalg_calls, monkeypatch):
+        # the probe's answer, and nothing else, picks the branch: told the record
+        # is noisy, a noise-free one takes the Gram branch, with no QR and no
+        # SVD; told it has rank order, a shot record takes the QR and the SVD
+        for n in (3, 8, 15):
+            K = 16 * n
+            L = K // 2
+            for shots in (None, 10 ** 6):
+                _, rec = pencil_record(n, K, shots, 700 + n)
+                told = shots is None
+                probes = []
+
+                def probe(y, order, sv_tol, _told=told):
+                    probes.append(order)
+                    return _told
+
+                monkeypatch.setattr(tomography, "_shows_noise", probe)
+                clear(linalg_calls)
+                matrix_pencil(rec.values, rec.grid_step(), order=n)
+                assert probes == [n]
+                if told:
+                    assert linalg_calls["qr"] == [] and linalg_calls["svd"] == []
+                    assert linalg_calls["eigh"] == [(L + 1, L + 1)]
+                else:
+                    assert linalg_calls["qr"] == [(2 * (K - L), L + 1)]
+                    assert linalg_calls["svd"] == [(L + 1, L + 1)]
+                    assert linalg_calls["eigh"] == []
+
+    def test_noise_free_records_keep_the_svd_bits(self, monkeypatch):
+        # noise-free records and probability mode never take the Gram branch:
+        # every output equals, bit for bit, the pencil whose dense branch is
+        # always the QR and SVD, the route from before the Gram branch
+        records = []
+        for n in (3, 5, 8, 12, 16, 24, 40):
+            _, rec = pencil_record(n, 16 * n, None, 700 + n)
+            records.append((rec.values, rec.grid_step(), n))
+        for n in (3, 7, 12):
+            _, rec = pencil_record(n, 768, None, 900 + n)
+            records.append((rec.values, rec.grid_step(), n))
+        for n in (3, 4):
+            spec = random_engineered(np.random.default_rng(5), n)
+            rec = synthesize_record(spec, "up", "probability", safe_grid(spec))
+            records.append((rec.values.astype(complex), rec.grid_step(), None))
+        new = [matrix_pencil(values, dt, order=order, sv_tol=1e-7 if order is None else 1e-8)
+               for values, dt, order in records]
+        force_svd_branch(monkeypatch)
+        for got, (values, dt, order) in zip(new, records):
+            old = matrix_pencil(values, dt, order=order, sv_tol=1e-7 if order is None else 1e-8)
+            assert_pencils_identical(got, old)
 
     @pytest.mark.parametrize("n, samples", [(3, 768), (7, 768), (12, 768), (5, 1024)])
     def test_noisy_long_record_matches_full_pencil(self, n, samples):
@@ -739,23 +831,31 @@ class TestBoundedPencil:
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_long_record_is_never_probed(self, samples, pencil_calls):
+    def test_long_record_probed_only_when_handed_back(self, samples, pencil_calls):
         # a record longer than 16 * order iterates whatever its noise, so the
-        # thin (K - order) x (order + 1) probe is never taken.  A noise-free
-        # record stops on the iteration; a shot-sampled one at the noise floor
-        # may be handed to the dense pencil, whose parameter is K // 2 too
+        # thin (K - order) x (order + 1) probe is not taken first.  A
+        # noise-free record stops on the iteration; a shot-sampled one at the
+        # noise floor may be handed to the dense pencil, whose parameter is
+        # K // 2 too, and only then is it probed, once, to pick the branch
+        handed = 0
         for n in range(3, 13):
             for shots in (None, 10 ** 6):
                 _, rec = pencil_record(n, samples, shots, 900 + n)
                 pencil_calls["K"].clear()
+                pencil_calls["noisy"].clear()
                 pencil_calls["svd"].clear()
                 _, _, diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)
-                assert pencil_calls["svd"].count((samples - n, n + 1)) == 0
+                probes = pencil_calls["svd"].count((samples - n, n + 1))
+                assert probes == len(pencil_calls["K"]) <= 1
                 assert set(pencil_calls["K"]) <= {samples}
+                handed += probes
                 if shots is None:
                     svals = diagnostics["singular_values"]
                     assert pencil_calls["K"] == []
                     assert svals.size == n + 10 and svals[n] <= 1e-8 * svals[0]
+                else:
+                    assert pencil_calls["noisy"] in ([], [True])
+        assert handed > 0
 
     def test_noise_free_preset_long_records_at_larger_n(self):
         # records of 32 * n samples at n = 14-30 iterate; every energy and
@@ -771,16 +871,27 @@ class TestBoundedPencil:
                 assert np.max(np.abs(sd.eigenvalues - truth.eigenvalues)) <= 1e-8
                 assert np.max(np.abs(sd.weights - truth.weights)) <= 1e-8
 
-    def test_default_length_probes_only_past_dense_cols(self, pencil_calls):
-        # at most DENSE_PENCIL_COLS Hankel columns, every default-length
-        # record takes the dense pencil, so none is probed
+    def test_dense_bound_records_are_probed_once(self, pencil_calls):
+        # every default-length record with an order is bound for the dense
+        # pencil unless the probe shows rank order past DENSE_PENCIL_COLS
+        # columns, so each is probed exactly once, and the dense pencil takes
+        # the Gram branch exactly when the probe found noise
         for n in range(3, 41):
             for shots in (None, 10 ** 6):
                 _, rec = pencil_record(n, 16 * n, shots, 700 + n)
                 pencil_calls["svd"].clear()
+                pencil_calls["noisy"].clear()
                 matrix_pencil(rec.values, rec.grid_step(), order=n)
-                probes = pencil_calls["svd"].count((15 * n, n + 1))
-                assert probes == (8 * n + 1 > tomography.DENSE_PENCIL_COLS)
+                assert pencil_calls["svd"].count((15 * n, n + 1)) == 1
+                dense = shots is not None or 8 * n + 1 <= tomography.DENSE_PENCIL_COLS
+                assert pencil_calls["noisy"] == ([shots is not None] if dense else [])
+        # without an order nothing is probed, and the SVD branch runs
+        _, rec = pencil_record(40, 640, None, 740)
+        pencil_calls["svd"].clear()
+        pencil_calls["noisy"].clear()
+        matrix_pencil(rec.values, rec.grid_step())
+        assert pencil_calls["noisy"] == [False]
+        assert pencil_calls["svd"] == [(321, 321)]
 
     def test_oversized_full_pencil_fails_early(self):
         samples = 2 * 6561 + 4
@@ -811,6 +922,13 @@ class TestBoundedPencil:
 # a record at the shot-noise floor: its first sketch projects more
 # iterations than the dense SVD costs, so it takes the dense route
 DENSE_AT_NOISE_FLOOR = {(12, 768)}
+
+# shot records whose dense pencil takes the Gram branch, as (n, samples,
+# seed): every default length at n = 3-40, the records of
+# test_dense_route_matches_unitary_reference and the long record that the
+# iteration hands back
+GRAM_CASES = ([(n, 16 * n, 700 + n) for n in range(3, 41)]
+              + [(30, 512, 830), (3, 64, 803), (3, 254, 803), (12, 768, 812)])
 
 
 def random_mirror_chain(rng, n):
@@ -891,12 +1009,41 @@ class TestSubspacePencil:
     # at the noise floor, the first sketch projects more work than the
     # dense SVD; below DENSE_PENCIL_COLS columns the dense SVD is cheaper
     @pytest.mark.parametrize("n, samples", [(30, 512), (3, 64), (3, 254)])
-    def test_dense_route_matches_unitary_reference(self, n, samples):
+    def test_dense_route_matches_unitary_reference(self, n, samples, svd_branch):
+        # on the SVD branch; the Gram branch that these shot records take is
+        # held to the reference by test_gram_route_matches_unitary_reference
         _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
         dt = rec.grid_step()
         new = matrix_pencil(rec.values, dt, order=n)
         assert new[2]["singular_values"].size == samples // 2 + 1
         assert_pencils_match(new, parent_unitary_pencil(rec.values, dt, n))
+
+    @pytest.mark.parametrize("n, samples, seed", GRAM_CASES)
+    def test_gram_route_matches_unitary_reference(self, n, samples, seed, pencil_calls):
+        # a shot record's dense pencil takes the Gram branch: every singular
+        # value within 1e-13 of the largest from the reference's SVD, the top
+        # order subspace within (L + 1) times the Davis-Kahan scale
+        # eps s[0]^2 / (s[order-1]^2 - s[order]^2), and estimates within 20
+        # shot-noise units of the truth wherever the reference's are
+        spec, rec = pencil_record(n, samples, 10 ** 6, seed)
+        dt = rec.grid_step()
+        new = matrix_pencil(rec.values, dt, order=n)
+        assert pencil_calls["noisy"] == [True]
+        ref = parent_unitary_pencil(rec.values, dt, n)
+        _, u, ref_svals = unitary_reference_svd(rec.values)
+        svals, vt = tomography._pencil_svd(np.ascontiguousarray(rec.values), True)
+        assert np.array_equal(svals, new[2]["singular_values"])
+        assert svals.size == samples // 2 + 1 and new[2]["order"] == n
+        assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+        scale = np.finfo(float).eps * ref_svals[0] ** 2 / (ref_svals[n - 1] ** 2 - ref_svals[n] ** 2)
+        top, ref_top = vt[:n], u[:, :n]
+        distance = np.linalg.norm(top.T @ top - ref_top @ ref_top.conj().T, 2)
+        assert distance <= (samples // 2 + 1) * scale
+        truth = band_spectral_data(spec, "up")
+        tol = 20 / np.sqrt(10 ** 6)
+        for got, want, exact in zip(new[:2], ref[:2], (truth.eigenvalues, truth.weights)):
+            if np.max(np.abs(want - exact)) <= tol:
+                assert np.max(np.abs(got - exact)) <= tol
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_rejected(self, order):
