@@ -38,7 +38,6 @@ from .hamiltonians import (
     ChainSpec,
     PRESET_VARIANTS,
     SpecError,
-    candidate_two_site,
     chain_hamiltonian,
     engineered_sigma_block,
     pst_preset,
@@ -115,7 +114,7 @@ def cmd_spectra(args):
     entries = []
     all_adjudicated = True
     for name in names:
-        split = parity_spectrum(candidate_two_site(name), kind="two_site_exchange")
+        split = parity_spectrum(chain_hamiltonian(ChainSpec(n=2, kind=name)))
         cmp = reference_comparison(name, split)
         all_adjudicated &= cmp["matches_adjudicated"]
         entries.append({

@@ -255,26 +255,24 @@ def _mirror_entries(eigensystem, index, phases):
     return diagonal, float(largest)
 
 
-def mirror_check(op, t, space="full"):
+def mirror_check(op, t, kind="chain_mirror"):
     """Test whether exp(i*H*t) equals the site inversion up to a phase.
 
     Reports the optimal global phase, the entrywise residual against
     e^{i phi} M (a mirror when it is at most 1e-8), the [H, M] commutator
     residual, and the distinct eigenphases exp(i E t) grouped by the mirror
     parity of their eigenvectors (mirroring requires each group to collapse
-    to one value, the two groups differing by a factor -1).  ``space`` is
-    ``full`` (a ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block
-    array); ``t`` is finite, and the time sign folds into it (-t for the
+    to one value, the two groups differing by a factor -1).  ``kind`` is the
+    mirror of :func:`~spin1chain.parity.mirror_index`: ``chain_mirror`` (a
+    ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block array);
+    ``t`` is finite, and the time sign folds into it (-t for the
     physical exp(-iHt)).  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
     residual the largest |U - e^{i phi} M| entry, both read tile by tile
     (:func:`_mirror_entries`), so neither a block of the unitary nor the
     dense unitary is built.
     """
-    if space not in ("full", "sigma"):
-        raise ValueError(f"space must be 'full' or 'sigma', got {space!r}")
     if not np.isfinite(t):
         raise ValueError(f"mirror_check needs a finite time, got {t!r}")
-    kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
     es = mirror_eigensystem(cache, kind)
     diagonal, largest = _mirror_entries(es, index, np.exp(1j * es.eigenvalues * t))

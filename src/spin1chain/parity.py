@@ -1,10 +1,10 @@
 """Parity-resolved spectra and the mirroring feasibility diagnosis.
 
 Parity refers to the eigenvalue (+1 even, -1 odd) under the site-inversion
-permutation: the two-site exchange for n = 2, or reversal of the whole
-chain for general n.  An interaction can only generate perfect mirroring
-when, up to an affine rescaling, even-parity eigenstates carry even
-integer eigenvalues and odd-parity states odd integers.
+permutation: reversal of the whole chain, the two-site exchange for n = 2.
+An interaction can only generate perfect mirroring when, up to an affine
+rescaling, even-parity eigenstates carry even integer eigenvalues and
+odd-parity states odd integers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -84,16 +84,11 @@ def mirror_index(kind, op):
     """Index array of the ``kind`` inversion on the space of the operator ``op``.
 
     ``chain_mirror`` reads n from a :class:`ChainOperator` and refuses an
-    array, whose dimension names no sites; ``two_site_exchange`` needs a
-    9-dimensional operator; ``sigma`` (the sigma basis of n sites) needs
-    a (2n+1)-dimensional array.  Any other input raises ValueError.
+    array, whose dimension names no sites; ``sigma`` (the sigma basis of n
+    sites) needs a (2n+1)-dimensional array.  Any other input raises
+    ValueError.
     """
     dim = len(op)
-    if kind == "two_site_exchange":
-        if dim != 9:
-            raise ValueError(f"two_site_exchange parity needs a 9-dimensional two-site "
-                             f"operator, got dimension {dim}")
-        return chain_mirror_index(2)
     if kind == "chain_mirror":
         if not isinstance(op, ChainOperator):
             raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
@@ -187,13 +182,10 @@ def mirror_commutator(op, kind):
     Returns (cache, index, residual, scale), ``scale`` being max(1, largest
     |entry| of H).  The residual and the scale are computed once per
     Hamiltonian and kind and kept on its cache entry, from H's nonzero
-    entries only; the residual of the chain mirror (and of the two-site
-    exchange, the same index) is the one ``eig_hermitian`` kept.  Under the
-    two-site exchange a 9 x 9 array is taken as the two-site ChainOperator.
+    entries only; the residual of the chain mirror is the one
+    ``eig_hermitian`` kept.
     """
     index = mirror_index(kind, op)
-    if kind == "two_site_exchange" and not isinstance(op, ChainOperator):
-        op = ChainOperator.from_terms([(1, np.reshape(op, (9, 9)))], 2)
     cache = evolution_cache(op)
 
     def compute():
@@ -224,7 +216,7 @@ def mirror_parities(cache, index, kind):
     return cache.memoized(("parities", kind), compute)
 
 
-def parity_spectrum(op, kind="two_site_exchange"):
+def parity_spectrum(op, kind="chain_mirror"):
     """Split an operator's spectrum by mirror parity.
 
     The operator must commute with the inversion to 1e-12 relative to its

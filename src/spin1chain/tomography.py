@@ -162,8 +162,8 @@ SKETCH_SEED = 20110
 # product pair is too large a part of the dense pencil's there (one BLAS
 # thread, best of 7 x 200 calls on a 2-vCPU VM: two real pairs cost 0.33 ms
 # against the dense pencil's 0.19 ms at K = 64, and 1.2 against 3.8 ms at
-# K = 256).  The noise probe still runs on such a record with ``order``
-# given: it picks the dense pencil's Gram or SVD route
+# K = 256).  Like every record with ``order`` given, such a record is probed
+# first, and the probe picks the dense pencil's Gram or SVD route
 DENSE_PENCIL_COLS = 128
 
 
@@ -322,6 +322,15 @@ def _subspace_svd(y, order, dense_allowed):
                 f"{width}): the record does not separate {order} frequencies from its noise")
 
 
+def _dense_cap_check(K):
+    """Raise ValueError if the dense pencil of ``K`` samples is past the dense cap."""
+    L = K // 2
+    if L + 1 > MAX_DENSE_DIM:
+        raise ValueError(
+            f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
+            f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
+
+
 def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     """Frequencies and complex weights of y_k = sum_j w_j exp(i*E_j*(t0+k*dt)).
 
@@ -338,24 +347,34 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     threshold raises ValueError.
 
     L is K // 2 on every route, where the pencil's variance under noise is
-    near its lowest (Hua & Sarkar 1990: L between K/3 and K/2).  With
-    ``order`` given, a record of more than DENSE_PENCIL_COLS Hankel columns
-    finds its top singular vectors by real subspace iteration on FFT
-    products (:func:`_subspace_svd`: O(K log K) per column, O(K order)
-    memory, and ``singular_values`` the ``order + OVERSAMPLING`` of the
-    block) if it is longer than 16 * order samples, or if it has the default
-    length and rank ``order``.  Every other record, and one whose projected
-    iterations would cost more columns than L + 1, takes the dense pencil,
-    with all L + 1 singular values of Z, O(K^3) time and O(K^2) memory, and
-    ValueError past the dense cap.  With ``order`` given, every record that
-    is not iterated unprobed, and a long one that the iteration hands back,
-    is probed once, and the probe alone picks its route: the thin
-    (K - order) x (order + 1) Hankel matrix, whose (order+1)-th singular
-    value is above ``sv_tol`` times the largest unless the record has rank
-    ``order``.  A record with that noise floor reads the dense pencil from
-    the eigh of the Gram matrix T T^T; a record of rank ``order``, and every
-    record without ``order``, from the QR of T^T and the SVD of its
-    (L+1)x(L+1) R factor (see :func:`_pencil_svd`).
+    near its lowest (Hua & Sarkar 1990: L between K/3 and K/2).  An
+    ``order`` past min(K - L, L + 1) - 1 is refused first (by the dense
+    cap's message past the cap).  Then every record with ``order`` is
+    probed once, before any factorization: the thin (K - order) x
+    (order + 1) Hankel matrix, whose (order+1)-th singular value is above
+    ``sv_tol`` times the largest unless the record has rank ``order``
+    (:func:`_shows_noise`).  The probe, K and ``order`` alone pick the
+    route:
+
+    ==========================================  ===================  ===================
+    record with ``order``                       probe: rank order    probe: noise floor
+    ==========================================  ===================  ===================
+    L + 1 <= DENSE_PENCIL_COLS                  QR + SVD             Gram
+    L + 1 > DENSE_PENCIL_COLS, 8 order >= L     iterate; hand-back   Gram
+                                                -> QR + SVD
+    L + 1 > DENSE_PENCIL_COLS, 8 order < L      iterate; hand-back   iterate; hand-back
+                                                -> QR + SVD          -> Gram
+    ==========================================  ===================  ===================
+
+    "iterate" is real subspace iteration on FFT products
+    (:func:`_subspace_svd`: O(K log K) per column, O(K order) memory, and
+    ``singular_values`` the ``order + OVERSAMPLING`` of the block); it hands
+    a record back when its projected iterations would cost more columns than
+    L + 1.  The dense pencil reports all L + 1 singular values of Z, with
+    O(K^3) time, O(K^2) memory and ValueError past the dense cap: "Gram" is
+    the eigh of T T^T, "QR + SVD" the QR of T^T and the SVD of its
+    (L+1)x(L+1) R factor (see :func:`_pencil_svd`).  Without ``order``
+    (probability mode) nothing is probed, and the QR + SVD runs.
     Returns (E ascending, weights, diagnostics dict).
     """
     # contiguous: the dense pencil reads its windows as float pairs
@@ -363,39 +382,29 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     K = y.shape[0]
     if K < 4:
         raise ValueError("need at least 4 samples for the pencil")
-    if order is not None and order < 1:
-        raise ValueError(f"model order must be at least 1, got {order}")
-    svals = vt = None
     L = K // 2
-    noisy = False
-    wide = order is not None and L + 1 > DENSE_PENCIL_COLS
-    long_record = wide and 8 * order < L
-    if long_record:
-        # longer than 16 * order: iterate unprobed, whatever the noise
+    max_order = min(K - L, L + 1) - 1
+    if order is not None:
+        if order < 1:
+            raise ValueError(f"model order must be at least 1, got {order}")
+        if order > max_order:
+            _dense_cap_check(K)
+            raise ValueError(f"model order {order} too large for {K} samples")
+    noisy = order is not None and _shows_noise(y, order, sv_tol)
+    svals = None
+    if order is not None and L + 1 > DENSE_PENCIL_COLS and (8 * order < L or not noisy):
         svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
-    if svals is None and order is not None and 2 * order < K:
-        # the one probe: a wide default-length record of rank order
-        # iterates, and a dense pencil with a noise floor takes the Gram
-        # branch
-        noisy = _shows_noise(y, order, sv_tol)
-        if wide and not (long_record or noisy):
-            svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
     if svals is None:
-        if L + 1 > MAX_DENSE_DIM:
-            raise ValueError(
-                f"the full pencil of a record of {K} samples needs a {K - L}x{L + 1} Hankel "
-                f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
+        _dense_cap_check(K)
         svals, vt = _pencil_svd(y, noisy)
         if order is None:
             order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
-            if order > min(K - L, L + 1) - 1:
+            if order > max_order:
                 raise ValueError(
                     f"{order} of {svals.size} singular values exceed the relative threshold "
                     f"{sv_tol:.0e} (smallest ratio {svals[-1] / svals[0]:.2e}): the record "
                     "shows no floor below the threshold, so its noise, or more frequencies "
                     f"than {K} samples resolve, lies above it")
-        elif order > min(K - L, L + 1) - 1:
-            raise ValueError(f"model order {order} too large for {K} samples")
     diagnostics = {
         "singular_values": svals,
         "sv_ratio": float(svals[order - 1] / svals[0]),

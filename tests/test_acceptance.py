@@ -23,9 +23,7 @@ from spin1chain.hamiltonians import (
     ChainSpec,
     SWAP2,
     chain_hamiltonian,
-    candidate_two_site,
     mix_two_site,
-    heisenberg_two_site,
     pst_preset,
     sigma_leakage,
 )
@@ -104,7 +102,7 @@ def test_criterion_1_swap_construction():
 
 
 def test_criterion_2_heisenberg_parity_spectrum():
-    split = parity_spectrum(heisenberg_two_site(), kind="two_site_exchange")
+    split = parity_spectrum(chain_hamiltonian(ChainSpec(n=2, kind="heisenberg")))
     even_ok = np.allclose(split.even, [1, 1, 1, 1, 1, -2], atol=1e-10)
     odd_ok = np.allclose(split.odd, [-1, -1, -1], atol=1e-10)
     report(2, even_ok and odd_ok,
@@ -155,7 +153,7 @@ def test_criterion_4_candidate_interaction_table():
     all_adjudicated = True
     mismatches_reported = True
     for name in ("O1", "O2", "O3", "O4", "O5"):
-        split = parity_spectrum(candidate_two_site(name), kind="two_site_exchange")
+        split = parity_spectrum(chain_hamiltonian(ChainSpec(n=2, kind=name)))
         cmp = reference_comparison(name, split)
         all_adjudicated &= cmp["matches_adjudicated"]
         if not cmp["matches_literature"]:
@@ -172,9 +170,9 @@ def test_criterion_4_candidate_interaction_table():
     assert mismatches_reported, "every deviation from the tabulated values must carry a report"
     # the two known tabulation errors stay visible
     assert not reference_comparison(
-        "O2", parity_spectrum(candidate_two_site("O2")))["matches_literature"]
+        "O2", parity_spectrum(chain_hamiltonian(ChainSpec(n=2, kind="O2"))))["matches_literature"]
     assert not reference_comparison(
-        "O3", parity_spectrum(candidate_two_site("O3")))["matches_literature"]
+        "O3", parity_spectrum(chain_hamiltonian(ChainSpec(n=2, kind="O3"))))["matches_literature"]
 
 
 def test_criterion_5_perfect_transfer_presets():

@@ -174,6 +174,20 @@ class TestSwapCheck:
         assert code == 4
         assert not json.loads(out)["is_swap_up_to_phase"]
 
+    @pytest.mark.parametrize("interaction, time, expected_code",
+                             [("mix", "pi", 0), ("heisenberg", "0.5pi", 4)])
+    def test_negative_sign_conjugates_the_phase(self, capsys, interaction, time, expected_code):
+        # exp(-iHt) is the conjugate of exp(iHt) for a real H: the same verdict,
+        # residual and exit code, with phase_im negated
+        runs = {}
+        for sign in ("1", "-1"):
+            code, out, _ = run_cli(["swap-check", "--interaction", interaction, "--time", time,
+                                    "--sign", sign], capsys)
+            assert code == expected_code
+            runs[sign] = json.loads(out)
+        conjugated = dict(runs["1"], phase_im=-runs["1"]["phase_im"])
+        assert runs["-1"] == conjugated
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_tolerance_must_be_positive(self, capsys, tol):
         # a tolerance no residual can meet is a usage error, not a failed check
@@ -812,7 +826,7 @@ class TestNoDenseEigenvectors:
 
     def test_sigma_mirror_analyses(self, no_dense_eigenvectors):
         block = engineered_sigma_block(pst_preset(5, "phase_exact"))
-        assert dynamics.mirror_check(block, np.pi, space="sigma").is_mirror
+        assert dynamics.mirror_check(block, np.pi, kind="sigma").is_mirror
         assert parity.parity_spectrum(block, kind="sigma").dim == 11
 
     @pytest.mark.parametrize("argv", [

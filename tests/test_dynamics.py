@@ -300,7 +300,7 @@ class TestMirrorCheck:
     def test_sigma_block_phase_exact(self):
         spec = pst_preset(5, "phase_exact")
         block = engineered_sigma_block(spec)
-        result = mirror_check(block, np.pi, space="sigma")
+        result = mirror_check(block, np.pi, kind="sigma")
         assert result.is_mirror
         assert abs(result.phase) <= 1e-9
         assert result.residual <= 1e-10
@@ -309,7 +309,7 @@ class TestMirrorCheck:
         with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 10"):
             mirror_check(np.eye(10), np.pi)
         with pytest.raises(ValueError, match="2n\\+1, got dimension 10"):
-            mirror_check(np.eye(10), np.pi, space="sigma")
+            mirror_check(np.eye(10), np.pi, kind="sigma")
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_rejected(self, t):
@@ -317,18 +317,19 @@ class TestMirrorCheck:
         with pytest.raises(ValueError, match="finite time"):
             mirror_check(chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")), t)
         with pytest.raises(ValueError, match="finite time"):
-            mirror_check(engineered_sigma_block(pst_preset(3, "standard")), t, space="sigma")
+            mirror_check(engineered_sigma_block(pst_preset(3, "standard")), t, kind="sigma")
 
-    def test_unknown_space_rejected(self):
-        # a misspelt space would otherwise take the two-site exchange of a 9-state block
+    def test_unknown_kind_rejected(self):
+        # parity.mirror_index, the one validator of a mirror kind, refuses a
+        # misspelt kind
         block = engineered_sigma_block(pst_preset(4, "standard"))
-        with pytest.raises(ValueError, match="'full' or 'sigma', got 'Sigma'"):
-            mirror_check(block, np.pi, space="Sigma")
-        assert mirror_check(block, np.pi, space="sigma").commutator_residual <= 1e-13
+        with pytest.raises(ValueError, match="unknown parity kind 'Sigma'"):
+            mirror_check(block, np.pi, kind="Sigma")
+        assert mirror_check(block, np.pi, kind="sigma").commutator_residual <= 1e-13
 
-    def test_sigma_space_rejects_chain_operator(self, chain3):
+    def test_sigma_kind_rejects_chain_operator(self, chain3):
         with pytest.raises(ValueError, match="sigma block"):
-            mirror_check(chain3, np.pi, space="sigma")
+            mirror_check(chain3, np.pi, kind="sigma")
 
     def test_sigma_block_commutes_with_mirror(self):
         for n in (2, 4, 6):
@@ -350,11 +351,10 @@ def symmetric_engineered(n, seed):
                      C=symmetric(rng.uniform(0.5, 2.0, n)))
 
 
-def dense_mirror_reference(op, t, space="full"):
+def dense_mirror_reference(op, t, kind="chain_mirror"):
     """(phase, residual, even phases, odd phases, split) of the mirror test from
     the dense unitary, with parities from the cluster-wise mirror eigensolve
     alone; ``split`` says whether the eigensystem holds parity-sector solves."""
-    kind = "sigma" if space == "sigma" else "chain_mirror"
     cache, index, comm, scale = mirror_commutator(op, kind)
     unitary = cache.unitary(t)
     columns = np.arange(index.size)
@@ -371,11 +371,11 @@ def dense_mirror_reference(op, t, space="full"):
     return phi, float(np.max(np.abs(unitary))), even, odd, split
 
 
-def assert_matches_dense(op, t, space="full"):
+def assert_matches_dense(op, t, kind="chain_mirror"):
     """Same verdict, phase groups, residual and phase as the dense test, bit for bit:
     the dense unitary is scattered from the tiles that the mirror test reads."""
-    result = mirror_check(op, t, space)
-    phi, residual, even, odd, split = dense_mirror_reference(op, t, space)
+    result = mirror_check(op, t, kind)
+    phi, residual, even, odd, split = dense_mirror_reference(op, t, kind)
     assert result.is_mirror == (residual <= 1e-8)
     assert (result.even_phases, result.odd_phases) == (even, odd)
     assert result.residual == residual
@@ -401,11 +401,11 @@ class TestMirrorCheckByBlock:
         block = engineered_sigma_block(pst_preset(n, variant))
         for t in (np.pi, 0.77):
             for sign in (1, -1):
-                assert not assert_matches_dense(block, sign * t, space="sigma")
+                assert not assert_matches_dense(block, sign * t, kind="sigma")
 
     def test_sigma_space_of_a_symmetric_engineered_chain(self):
         block = engineered_sigma_block(symmetric_engineered(5, seed=21))
-        assert not assert_matches_dense(block, np.pi, space="sigma")
+        assert not assert_matches_dense(block, np.pi, kind="sigma")
 
     def test_sigma_space_reads_the_sectors_of_a_shared_cache_entry(self, monkeypatch):
         # the complex O5 coupling taken as a sigma block of four sites shares its
@@ -416,7 +416,7 @@ class TestMirrorCheckByBlock:
         evolution_cache(ChainOperator.from_terms([(1, block)], 2))
         for t in (np.pi, 0.77):
             for sign in (1, -1):
-                assert assert_matches_dense(block, sign * t, space="sigma")
+                assert assert_matches_dense(block, sign * t, kind="sigma")
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O2",
                                       "engineered", "O5"])

@@ -57,6 +57,16 @@ def nudged_chain(spec):
                      b=spec.b, B=spec.B, C=spec.C)
 
 
+def two_site_chain(name):
+    """The two-site ChainOperator of a candidate coupling, as ``spectra`` builds it."""
+    return chain_hamiltonian(ChainSpec(n=2, kind=name))
+
+
+def two_site(mat):
+    """The two-site ChainOperator of a 9 x 9 array."""
+    return ChainOperator.from_terms([(1, mat)], 2)
+
+
 def index_of(kind, dim):
     """The ``kind`` mirror index on dimension ``dim``: the chain mirror reads its
     site count from a ChainOperator, here the identity on 3^n states."""
@@ -112,15 +122,20 @@ class TestIndexMirrors:
         reference = reference_permutation(2 * n + 1, image)
         assert_index_matches(sigma_mirror_index(n), reference)
 
-    def test_two_site_exchange(self):
+    def test_two_site_chain_mirror_is_the_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
-        assert_index_matches(mirror_index("two_site_exchange", np.eye(9)), reference)
+        assert_index_matches(mirror_index("chain_mirror", two_site(np.eye(9))), reference)
+
+    def test_unknown_kind_rejected(self):
+        # the two-site exchange is the chain mirror of a two-site ChainOperator,
+        # and no kind of its own
+        with pytest.raises(ValueError, match="unknown parity kind 'two_site_exchange'"):
+            mirror_index("two_site_exchange", np.eye(9))
 
     @pytest.mark.parametrize("kind, dim, needed", [
         ("chain_mirror", 10, "ChainOperator"),
         ("chain_mirror", 1, "ChainOperator"),
         ("chain_mirror", 27, "ChainOperator"),
-        ("two_site_exchange", 27, "9-dimensional"),
         ("sigma", 10, "2n+1"),
     ])
     def test_wrong_dimension_rejected(self, kind, dim, needed):
@@ -137,7 +152,7 @@ class TestIndexMirrors:
 
 class TestProjectors:
     def test_two_site_dimensions(self):
-        p_even, p_odd = parity_projector_pair(mirror_index("two_site_exchange", np.eye(9)))
+        p_even, p_odd = parity_projector_pair(chain_mirror_index(2))
         assert np.isclose(np.trace(p_even).real, 6.0)
         assert np.isclose(np.trace(p_odd).real, 3.0)
 
@@ -145,7 +160,7 @@ class TestProjectors:
         for n in (2, 3, 4):
             mirror = chain_mirror_permutation(n)
             assert np.allclose(mirror @ mirror, np.eye(3 ** n))
-        exchange = mirror_matrix(mirror_index("two_site_exchange", np.eye(9)))
+        exchange = mirror_matrix(chain_mirror_index(2))
         assert np.allclose(exchange @ exchange, np.eye(9))
 
     def test_projectors_sum_to_identity(self):
@@ -171,21 +186,21 @@ class TestProjectors:
 class TestParitySpectrum:
     @pytest.mark.parametrize("name", ["O1", "O2", "O3", "O4", "O5"])
     def test_matches_adjudicated_values(self, name):
-        split = parity_spectrum(candidate_two_site(name))
+        split = parity_spectrum(two_site_chain(name))
         ref_even, ref_odd = ADJUDICATED_SPECTRA[name]
         assert np.allclose(split.even, ref_even, atol=1e-10)
         assert np.allclose(split.odd, ref_odd, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["O1", "O4", "O5"])
     def test_consistent_rows_match_literature(self, name):
-        split = parity_spectrum(candidate_two_site(name))
+        split = parity_spectrum(two_site_chain(name))
         cmp = reference_comparison(name, split)
         assert cmp["matches_literature"]
         assert cmp["matches_adjudicated"]
 
     @pytest.mark.parametrize("name", ["O2", "O3"])
     def test_trace_inconsistent_rows_are_flagged(self, name):
-        split = parity_spectrum(candidate_two_site(name))
+        split = parity_spectrum(two_site_chain(name))
         cmp = reference_comparison(name, split)
         assert not cmp["matches_literature"]
         assert cmp["matches_adjudicated"]
@@ -194,7 +209,7 @@ class TestParitySpectrum:
     @pytest.mark.parametrize("name", ["O1", "O2", "O3", "O4", "O5"])
     def test_union_is_full_spectrum(self, name):
         op = candidate_two_site(name)
-        split = parity_spectrum(op)
+        split = parity_spectrum(two_site_chain(name))
         combined = sorted(list(split.even) + list(split.odd))
         assert np.allclose(combined, np.linalg.eigvalsh(op), atol=1e-10)
 
@@ -204,7 +219,7 @@ class TestParitySpectrum:
         # that diagonalizing the mirror inside its eigenvalue cluster gives
         op = candidate_two_site(name)
         es = linalg.eig_hermitian(op)
-        index = mirror_index("two_site_exchange", op)
+        index = chain_mirror_index(2)
         vals, pars = clustered_parities(es, index)
         _, _, vecs = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
         mirror = mirror_matrix(index)
@@ -220,11 +235,12 @@ class TestParitySpectrum:
             parity_spectrum(np.eye(27), kind="chain_mirror")
         with pytest.raises(ValueError, match="not a full-space ChainOperator"):
             parity_spectrum(h12(), kind="sigma")
-        with pytest.raises(ValueError, match="9-dimensional two-site operator, got dimension 27"):
-            parity_spectrum(np.eye(27))
+        # the default kind is the chain mirror, so a bare 9 x 9 array is refused too
+        with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 9\b"):
+            parity_spectrum(np.eye(9))
 
     def test_heisenberg_parities(self):
-        split = parity_spectrum(heisenberg_two_site())
+        split = parity_spectrum(two_site(heisenberg_two_site()))
         assert np.allclose(split.even, [1, 1, 1, 1, 1, -2], atol=1e-12)
         assert np.allclose(split.odd, [-1, -1, -1], atol=1e-12)
 
@@ -233,7 +249,7 @@ class TestParitySpectrum:
         # asymmetric quartic-cubic coupling: not exchange symmetric
         op = np.kron(sx2, SX) + np.kron(sy2, SY) + np.kron(SX, sx2) + np.kron(sy2, SY)
         with pytest.raises(ParityCommutationError, match="residual"):
-            parity_spectrum(op)
+            parity_spectrum(two_site(op))
 
 
 def sector_spectrum(mat, projector):
@@ -384,7 +400,7 @@ class TestClusteredParities:
 
 
 class TestCommutatorResidual:
-    @pytest.mark.parametrize("kind, dim", [("two_site_exchange", 9), ("chain_mirror", 27),
+    @pytest.mark.parametrize("kind, dim", [("chain_mirror", 9), ("chain_mirror", 27),
                                            ("chain_mirror", 81), ("sigma", 9), ("sigma", 11)])
     def test_nonzero_pattern_equals_dense(self, kind, dim):
         rng = np.random.default_rng(dim)
@@ -415,8 +431,7 @@ class TestCommutatorResidual:
 
     def test_zero_matrix(self):
         mat = np.zeros((9, 9))
-        assert commutator_residual(mat, mirror_index("two_site_exchange", mat),
-                                   np.flatnonzero(mat)) == 0.0
+        assert commutator_residual(mat, chain_mirror_index(2), np.flatnonzero(mat)) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_operator_maxima_equal_dense(self, n):
@@ -555,10 +570,9 @@ class TestChainParitySpectrum:
         assert sum(solved) == 81
 
 
-def analyses(op, space, t=np.pi):
-    """mirror_check and parity_spectrum of ``op`` in ``space`` ("full" or "sigma")."""
-    kind = "sigma" if space == "sigma" else "chain_mirror"
-    return dynamics.mirror_check(op, t, space=space), parity_spectrum(op, kind=kind)
+def analyses(op, kind, t=np.pi):
+    """mirror_check and parity_spectrum of ``op`` under the ``kind`` mirror."""
+    return dynamics.mirror_check(op, t, kind=kind), parity_spectrum(op, kind=kind)
 
 
 def assert_same_analyses(first, second):
@@ -585,12 +599,12 @@ class TestCacheFilledByTheOtherForm:
         # the operator find both themselves, to the same verdicts and splits
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(spec)
-        split_first = analyses(ham, "full")
+        split_first = analyses(ham, "chain_mirror")
         assert linalg.evolution_cache(ham).eigensystem.mirror_residual == 0
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         dense_es = linalg.evolution_cache(ham.dense()).eigensystem
         assert dense_es.mirror_residual is None and not dense_es.parities.any()
-        assert_same_analyses(analyses(ham, "full"), split_first)
+        assert_same_analyses(analyses(ham, "chain_mirror"), split_first)
 
     @pytest.mark.parametrize("kind", ["heisenberg", "O5"])
     def test_dense_matrix_first_gives_the_same_bits(self, kind, monkeypatch):
@@ -598,10 +612,10 @@ class TestCacheFilledByTheOtherForm:
         # solve, so the operator's analyses do not depend on the call order
         ham = chain_hamiltonian(ChainSpec(n=4, kind=kind))
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        operator_first = analyses(ham, "full")
+        operator_first = analyses(ham, "chain_mirror")
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         assert linalg.evolution_cache(ham.dense()).eigensystem.mirror_residual is None
-        dense_first = analyses(ham, "full")
+        dense_first = analyses(ham, "chain_mirror")
         assert dense_first == operator_first
         cache = linalg.evolution_cache(ham)
         assert cache.eigensystem.mirror_residual == 0
@@ -636,17 +650,17 @@ class TestCacheFilledByTheOtherForm:
 
 class TestFeasibility:
     def test_o1_irrational(self):
-        report = mirroring_feasibility_report(parity_spectrum(candidate_two_site("O1")))
+        report = mirroring_feasibility_report(parity_spectrum(two_site_chain("O1")))
         assert not report.feasible
         assert not report.ratios_rational
 
     def test_o2_parity_overlap(self):
-        report = mirroring_feasibility_report(parity_spectrum(candidate_two_site("O2")))
+        report = mirroring_feasibility_report(parity_spectrum(two_site_chain("O2")))
         assert not report.feasible
         assert report.parity_overlap
 
     def test_swap_generator_feasible(self):
-        report = mirroring_feasibility_report(parity_spectrum(h12().dense()))
+        report = mirroring_feasibility_report(parity_spectrum(h12()))
         assert report.feasible
         assert not report.parity_overlap
         assert report.ratios_rational
@@ -655,17 +669,17 @@ class TestFeasibility:
     def test_heisenberg_two_site_infeasible(self):
         # even sector spans {1, -2}: the gap 3 is an odd multiple of the
         # cross-sector gap unit, so parities cannot be matched
-        report = mirroring_feasibility_report(parity_spectrum(heisenberg_two_site()))
+        report = mirroring_feasibility_report(parity_spectrum(two_site(heisenberg_two_site())))
         assert not report.feasible
         assert report.ratios_rational
         assert report.parity_consistent is False
 
     def test_single_value_split(self):
         report = mirroring_feasibility_report(
-            ParitySplit(even=(2.0, 2.0), odd=(), parity_operator="two_site_exchange"))
+            ParitySplit(even=(2.0, 2.0), odd=(), parity_operator="chain_mirror"))
         assert report.feasible
 
     def test_mix_generator_alternative_route(self):
         # the SWAP generator shifted by a constant stays feasible
-        split = parity_spectrum(mix_two_site() + 2.0 * np.eye(9))
+        split = parity_spectrum(two_site(mix_two_site() + 2.0 * np.eye(9)))
         assert mirroring_feasibility_report(split).feasible

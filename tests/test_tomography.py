@@ -640,6 +640,36 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def route_events(monkeypatch):
+    """The pencil's steps in the order they run, as one list that a test may clear
+    between calls: ``probe`` for each ``_shows_noise``, ``iterate`` for each
+    ``_subspace_svd``, ``product`` for each FFT Hankel product, ``gram`` or
+    ``qr + svd`` for each dense pencil by the ``noisy`` flag it was given, and
+    ``qr``, ``svd`` and ``eigh`` for each such ``np.linalg`` call."""
+    events = []
+
+    def spy(name, func):
+        def counted(*args, **kwargs):
+            events.append(name)
+            return func(*args, **kwargs)
+        return counted
+
+    for name in ("qr", "svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    for name, func in (("probe", "_shows_noise"), ("iterate", "_subspace_svd"),
+                       ("product", "_hankel_product")):
+        monkeypatch.setattr(tomography, func, spy(name, getattr(tomography, func)))
+    pencil_svd = tomography._pencil_svd
+
+    def counted_pencil(y, noisy):
+        events.append("gram" if noisy else "qr + svd")
+        return pencil_svd(y, noisy)
+
+    monkeypatch.setattr(tomography, "_pencil_svd", counted_pencil)
+    return events
+
+
 def clear(calls):
     for shapes in calls.values():
         shapes.clear()
@@ -831,31 +861,65 @@ class TestBoundedPencil:
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_long_record_probed_only_when_handed_back(self, samples, pencil_calls):
-        # a record longer than 16 * order iterates whatever its noise, so the
-        # thin (K - order) x (order + 1) probe is not taken first.  A
-        # noise-free record stops on the iteration; a shot-sampled one at the
-        # noise floor may be handed to the dense pencil, whose parameter is
-        # K // 2 too, and only then is it probed, once, to pick the branch
+    def test_long_record_probed_once_before_any_product(self, samples, route_events):
+        # a record longer than 16 * order is probed first, like every record
+        # with an order: the thin (K - order) x (order + 1) probe runs once,
+        # before the first product pair, whether the iteration stops on the
+        # record or hands it to the dense pencil, whose parameter is K // 2
+        # too and whose branch the probe's verdict picks
         handed = 0
         for n in range(3, 13):
             for shots in (None, 10 ** 6):
                 _, rec = pencil_record(n, samples, shots, 900 + n)
-                pencil_calls["K"].clear()
-                pencil_calls["noisy"].clear()
-                pencil_calls["svd"].clear()
+                route_events.clear()
                 _, _, diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)
-                probes = pencil_calls["svd"].count((samples - n, n + 1))
-                assert probes == len(pencil_calls["K"]) <= 1
-                assert set(pencil_calls["K"]) <= {samples}
-                handed += probes
+                assert route_events[:3] == ["probe", "svd", "iterate"]
+                assert route_events.count("probe") == 1 and route_events[3] == "product"
+                dense = [e for e in route_events if e in ("gram", "qr + svd")]
+                handed += len(dense)
                 if shots is None:
                     svals = diagnostics["singular_values"]
-                    assert pencil_calls["K"] == []
+                    assert dense == []
                     assert svals.size == n + 10 and svals[n] <= 1e-8 * svals[0]
                 else:
-                    assert pencil_calls["noisy"] in ([], [True])
+                    assert dense in ([], ["gram"])
         assert handed > 0
+
+    # one record per cell of matrix_pencil's route table, as (n, samples, shots,
+    # the probe's verdict where a test sets it, the solvers that run): at most
+    # DENSE_PENCIL_COLS Hankel columns, past them at the default length 16 n,
+    # and longer; a verdict of rank order on a shot record makes the iteration
+    # hand it back to the QR and SVD
+    ROUTE_CASES = [
+        (4, 64, None, None, ["qr + svd"]),
+        (4, 64, 10 ** 6, None, ["gram"]),
+        (20, 320, None, None, ["iterate"]),
+        (20, 320, 10 ** 6, False, ["iterate", "qr + svd"]),
+        (20, 320, 10 ** 6, None, ["gram"]),
+        (3, 768, None, None, ["iterate"]),
+        (12, 768, 10 ** 6, False, ["iterate", "qr + svd"]),
+        (3, 768, 10 ** 6, None, ["iterate"]),
+        (12, 768, 10 ** 6, None, ["iterate", "gram"]),
+    ]
+
+    @pytest.mark.parametrize("n, samples, shots, told, route", ROUTE_CASES, ids=[
+        "64-rank", "64-floor", "320-rank", "320-rank-hand-back", "320-floor", "768-rank",
+        "768-rank-hand-back", "768-floor", "768-floor-hand-back"])
+    def test_probe_runs_once_before_any_factorization(self, n, samples, shots, told, route,
+                                                      route_events, monkeypatch):
+        # with an order, the probe is the first step of every route and runs
+        # once; its verdict, K and the order pick the solvers that follow
+        _, rec = pencil_record(n, samples, shots, 900 + n)
+        if told is not None:
+            def probe(y, order, sv_tol):
+                route_events.append("probe")
+                return told
+
+            monkeypatch.setattr(tomography, "_shows_noise", probe)
+        route_events.clear()
+        matrix_pencil(rec.values, rec.grid_step(), order=n)
+        assert route_events[0] == "probe" and route_events.count("probe") == 1
+        assert [e for e in route_events if e in ("iterate", "gram", "qr + svd")] == route
 
     def test_noise_free_preset_long_records_at_larger_n(self):
         # records of 32 * n samples at n = 14-30 iterate; every energy and
@@ -1050,13 +1114,22 @@ class TestSubspacePencil:
         with pytest.raises(ValueError, match=f"model order must be at least 1, got {order}"):
             matrix_pencil(np.ones(64, dtype=complex), 0.1, order=order)
 
-    @pytest.mark.parametrize("order", [128, 200])
-    def test_order_above_pencil_rejected(self, order):
-        # past K // 2 the thin rank test has no (order+1)-th singular value,
-        # so the record goes to the dense pencil and its message
-        y = np.random.default_rng(order).standard_normal(256) + 0j
-        with pytest.raises(ValueError, match=f"model order {order} too large for 256 samples"):
+    @pytest.mark.parametrize("samples, order", [(256, 128), (256, 200), (2048, 1024)])
+    def test_order_above_pencil_rejected(self, samples, order, route_events):
+        # refused before the probe and every factorization
+        y = np.random.default_rng(order).standard_normal(samples) + 0j
+        message = f"model order {order} too large for {samples} samples"
+        with pytest.raises(ValueError, match=message):
             matrix_pencil(y, 0.1, order=order)
+        assert route_events == []
+
+    def test_order_above_pencil_past_the_cap_names_the_cap(self, route_events):
+        # past the dense cap, a too large order gets the cap's message, also
+        # before any step
+        samples = 2 * 6561 + 4
+        with pytest.raises(ValueError, match="6563x6564 Hankel matrix, above the dense cap 6561"):
+            matrix_pencil(np.ones(samples, dtype=complex), 0.1, order=samples // 2)
+        assert route_events == []
 
     def test_stalled_iteration_names_the_ratio(self, monkeypatch):
         # a tolerance no change can meet: without a dense route the
