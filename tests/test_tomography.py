@@ -861,8 +861,9 @@ class TestBoundedPencil:
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("samples", [768, 2048])
-    def test_long_record_probed_once_before_any_product(self, samples, route_events):
-        # a record longer than 16 * order is probed first, like every record
+    def test_long_record_probed_once_before_any_product(self, samples, route_events,
+                                                         pencil_calls):
+        # a record with 8 * order < K // 2 is probed first, like every record
         # with an order: the thin (K - order) x (order + 1) probe runs once,
         # before the first product pair, whether the iteration stops on the
         # record or hands it to the dense pencil, whose parameter is K // 2
@@ -872,10 +873,12 @@ class TestBoundedPencil:
             for shots in (None, 10 ** 6):
                 _, rec = pencil_record(n, samples, shots, 900 + n)
                 route_events.clear()
+                pencil_calls["K"].clear()
                 _, _, diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)
                 assert route_events[:3] == ["probe", "svd", "iterate"]
                 assert route_events.count("probe") == 1 and route_events[3] == "product"
                 dense = [e for e in route_events if e in ("gram", "qr + svd")]
+                assert pencil_calls["K"] == [samples] * len(dense)
                 handed += len(dense)
                 if shots is None:
                     svals = diagnostics["singular_values"]
