@@ -14,7 +14,8 @@ base phase and a small shared table,
 with blocks of B = ceil(sqrt(N)) points, so the series is one GEMM of an
 (N/B) x m weight matrix with a B x m table: about 2*sqrt(N)*m complex
 exponentials instead of N*m.  Each base phase is taken from the grid time
-t_{bB} itself, so no error builds up along the grid.  Any other grid is
+t_{bB} itself, so no error builds up along the grid (:func:`block_phases`,
+which the matrix pencil's Vandermonde reads too).  Any other grid is
 evaluated directly, one chunk of time points at a time.
 """
 
@@ -48,6 +49,16 @@ def _phases(times, energies, sign):
     return np.exp(z, out=z)
 
 
+def block_phases(times, dt, energies, sign):
+    """exp(i*sign*E*t) on the uniform grid ``times`` of step ``dt``, split
+    into blocks of B = isqrt(N - 1) + 1 points: (base, table), with
+    base[b] = exp(i s E times[b*B]) at each block's start and
+    table[j] = exp(i s E j dt), so the factor at times[b*B + j] is
+    base[b] * table[j]."""
+    block = math.isqrt(times.shape[0] - 1) + 1
+    return _phases(times[::block], energies, sign), _phases(dt * np.arange(block), energies, sign)
+
+
 def phase_series(energies, coeffs, times, sign=1.0):
     """Evaluate sum_j coeffs[j] * exp(i*sign*energies[j]*t) on a time grid."""
     energies = np.ascontiguousarray(energies, dtype=np.float64)
@@ -59,10 +70,8 @@ def phase_series(energies, coeffs, times, sign=1.0):
     n = times.shape[0]
     dt = _uniform_step(times)
     if dt is not None:
-        block = math.isqrt(n - 1) + 1
-        table = _phases(dt * np.arange(block), energies, sign)
-        weights = _phases(times[::block], energies, sign) * coeffs
-        return (weights @ table.T).ravel()[:n]
+        base, table = block_phases(times, dt, energies, sign)
+        return ((base * coeffs) @ table.T).ravel()[:n]
     out = np.empty(n, dtype=np.complex128)
     rows = max(1, _CHUNK_BYTES // (16 * max(energies.shape[0], 1)))
     for s in range(0, n, rows):

@@ -223,9 +223,9 @@ def _shows_noise(y, order, sv_tol):
     return bool(thin[order] > sv_tol * thin[0])
 
 
-def _pencil_svd(y, noisy):
-    """All singular values of T at L = K // 2, and its left singular vectors
-    as the rows of vt, the largest first.
+def _pencil_svd(y, noisy, width):
+    """The top ``width`` singular values of T at L = K // 2, and their left
+    singular vectors as the rows of vt, the largest first.
 
     T is built from the record's mirrored windows.  Row i of X, the window
     y[i:i+K-L], is read as its (re, im) pairs, so T's columns come as
@@ -238,13 +238,13 @@ def _pencil_svd(y, noisy):
     layout LAPACK works in: the QR copies it column by column (the QR of a
     C-ordered T^T took 1.1-1.2 times as long at K = 768 and 2048).  A
     ``noisy`` record takes the eigenvectors of the Gram matrix T T^T, and
-    each singular value as the norm of its vector's row of vt T, whose
-    Rayleigh quotient has no first-order error: every value lies within
-    about 1e-13 times the largest of the SVD's.  The Gram moves the top
-    ``order`` vectors by about eps s[0]^2 / (s[order-1]^2 - s[order]^2)
-    (Davis-Kahan), less than the noise floor above ``sv_tol`` moves them;
-    on a record of rank ``order`` it would lose the small weights, so such
-    records keep the SVD.
+    each singular value as the norm of its vector's row of vt T, formed for
+    the top ``width`` rows only; the Rayleigh quotient has no first-order
+    error, so every value lies within about 1e-13 times the largest of the
+    SVD's.  The Gram moves the top ``order`` vectors by about
+    eps s[0]^2 / (s[order-1]^2 - s[order]^2) (Davis-Kahan), less than the
+    noise floor above ``sv_tol`` moves them; on a record of rank ``order``
+    it would lose the small weights, so such records keep the SVD.
     """
     L = y.shape[0] // 2
     cols, size = L + 1, y.shape[0] - L
@@ -252,11 +252,11 @@ def _pencil_svd(y, noisy):
     t = t.reshape(cols, 2 * size)
     if noisy:
         _, vecs = np.linalg.eigh(t @ t.T)
-        vt = vecs[:, ::-1].T
+        vt = vecs.T[::-1][:width]
         return np.linalg.norm(vt @ t, axis=1), vt
     r = np.linalg.qr(t.T, mode="r")
     _, svals, vt = np.linalg.svd(r, full_matrices=False)
-    return svals, vt
+    return svals[:width], vt[:width]
 
 
 def _iterations_needed(svals, order):
@@ -291,7 +291,7 @@ def _subspace_svd(y, order, dense_allowed):
     """
     K = y.shape[0]
     rows, cols = K - K // 2, K // 2 + 1
-    width = min(order + OVERSAMPLING, rows)
+    width = min(order + OVERSAMPLING, cols)
     y_hat = np.fft.fft(y)
     rng = np.random.default_rng(SKETCH_SEED)
     block = rng.standard_normal((cols, width))
@@ -331,6 +331,23 @@ def _dense_cap_check(K):
             f"matrix, above the dense cap {MAX_DENSE_DIM}: shorten the record")
 
 
+def _shift_poles(w):
+    """Eigenvalues of the least-squares shift Psi, w[:, :-1]^T Psi = w[:, 1:]^T,
+    for rows w that are sqrt(2) times orthonormal vectors (LS-ESPRIT, Roy &
+    Kailath 1989).  Since w w^H = 2I, the normal matrix is 2I - conj(c) c^T,
+    c = w[:, -1], so Psi takes one order x order solve and no SVD."""
+    c = w[:, -1]
+    normal = 2.0 * np.eye(c.shape[0]) - np.outer(c.conj(), c)
+    return np.linalg.eigvals(np.linalg.solve(normal, w[:, :-1].conj() @ w[:, 1:].T))
+
+
+def _vandermonde(times, dt, energies):
+    """exp(i E_j t_k) on the uniform grid ``times`` of step ``dt``, from the
+    phase-sum kernel's block table: about 2 sqrt(K) order exponentials."""
+    base, table = kernels.block_phases(times, dt, energies, 1.0)
+    return (base[:, None] * table).reshape(-1, energies.shape[0])[:times.shape[0]]
+
+
 def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     """Frequencies and complex weights of y_k = sum_j w_j exp(i*E_j*(t0+k*dt)).
 
@@ -367,14 +384,23 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
     ==========================================  ===================  ===================
 
     "iterate" is real subspace iteration on FFT products
-    (:func:`_subspace_svd`: O(K log K) per column, O(K order) memory, and
-    ``singular_values`` the ``order + OVERSAMPLING`` of the block); it hands
-    a record back when its projected iterations would cost more columns than
-    L + 1.  The dense pencil reports all L + 1 singular values of Z, with
-    O(K^3) time, O(K^2) memory and ValueError past the dense cap: "Gram" is
-    the eigh of T T^T, "QR + SVD" the QR of T^T and the SVD of its
-    (L+1)x(L+1) R factor (see :func:`_pencil_svd`).  Without ``order``
-    (probability mode) nothing is probed, and the QR + SVD runs.
+    (:func:`_subspace_svd`: O(K log K) per column, O(K order) memory); it
+    hands a record back when its projected iterations would cost more
+    columns than L + 1.  The dense pencil takes O(K^3) time, O(K^2) memory
+    and raises ValueError past the dense cap: "Gram" is the eigh of T T^T,
+    "QR + SVD" the QR of T^T and the SVD of its (L+1)x(L+1) R factor (see
+    :func:`_pencil_svd`).  Without ``order`` (probability mode) nothing is
+    probed, the QR + SVD runs, and the order and its refusal are read from
+    all L + 1 singular values.  Every route reports the top
+    min(order + OVERSAMPLING, L + 1) singular values of Z in
+    ``singular_values``.
+
+    The poles are the eigenvalues of the least-squares shift of the signal
+    rows, solved in closed form (:func:`_shift_poles`), and
+    ``pole_modulus_deviation`` is their largest ||z| - 1|: the energies
+    read only their angles.  The weights are the least-squares fit of the
+    record by unit-modulus exponentials, whose K x order Vandermonde comes
+    from the phase-sum kernel's block table (:func:`_vandermonde`).
     Returns (E ascending, weights, diagnostics dict).
     """
     # contiguous: the dense pencil reads its windows as float pairs
@@ -396,7 +422,9 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
         svals, vt = _subspace_svd(y, order, L + 1 <= MAX_DENSE_DIM)
     if svals is None:
         _dense_cap_check(K)
-        svals, vt = _pencil_svd(y, noisy)
+        # probability mode picks its order from all L + 1 values, then cuts them
+        svals, vt = _pencil_svd(y, noisy,
+                                L + 1 if order is None else min(order + OVERSAMPLING, L + 1))
         if order is None:
             order = max(int(np.sum(svals > svals[0] * sv_tol)), 1)
             if order > max_order:
@@ -405,6 +433,7 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
                     f"{sv_tol:.0e} (smallest ratio {svals[-1] / svals[0]:.2e}): the record "
                     "shows no floor below the threshold, so its noise, or more frequencies "
                     f"than {K} samples resolve, lies above it")
+            svals = svals[:min(order + OVERSAMPLING, L + 1)]
     diagnostics = {
         "singular_values": svals,
         "sv_ratio": float(svals[order - 1] / svals[0]),
@@ -412,16 +441,15 @@ def matrix_pencil(values, dt, order=None, t_start=0.0, sv_tol=1e-8):
         "order": int(order),
     }
     # rows of w: the top order left singular vectors of Z, times sqrt(2)
-    w = _from_real(vt[:order].T).T
-    poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+    poles = _shift_poles(_from_real(vt[:order].T).T)
     angles = np.angle(poles)
+    diagnostics["pole_modulus_deviation"] = float(np.max(np.abs(np.abs(poles) - 1.0)))
     diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
     diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
     energies = angles / dt
     # least-squares weights against the unit-modulus model (poles are
     # projected onto the unit circle; Hermitian dynamics guarantees it)
-    tgrid = t_start + dt * np.arange(K)
-    vand = np.exp(1j * np.outer(tgrid, energies))
+    vand = _vandermonde(t_start + dt * np.arange(K), dt, energies)
     weights, *_ = np.linalg.lstsq(vand, y, rcond=None)
     order_idx = np.argsort(energies)
     return energies[order_idx], weights[order_idx], diagnostics

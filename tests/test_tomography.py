@@ -471,6 +471,12 @@ class TestMatrixPencil:
             matrix_pencil(np.ones(3, dtype=complex), 0.1)
 
 
+def pinv_shift_poles(w):
+    """The pencil's poles from the pseudoinverse of the shifted block, the
+    step that :func:`tomography._shift_poles` solves in closed form."""
+    return np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+
+
 def parent_matrix_pencil(values, dt, order, t_start=0.0):
     """The pencil before the bounded parameter: row-loop Hankel, L = K // 2, full SVD."""
     y = np.asarray(values, dtype=complex)
@@ -487,8 +493,9 @@ def parent_matrix_pencil(values, dt, order, t_start=0.0):
         "order": int(order),
     }
     w = vh[:order, :]
-    poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+    poles = pinv_shift_poles(w)
     angles = np.angle(poles)
+    diagnostics["pole_modulus_deviation"] = float(np.max(np.abs(np.abs(poles) - 1.0)))
     diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
     diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
     energies = angles / dt
@@ -544,8 +551,9 @@ def parent_unitary_pencil(values, dt, order, t_start=0.0):
         "order": int(order),
     }
     w = (q_p @ u[:, :order]).T
-    poles = np.linalg.eigvals(np.linalg.pinv(w[:, :-1].T) @ w[:, 1:].T)
+    poles = pinv_shift_poles(w)
     angles = np.angle(poles)
+    diagnostics["pole_modulus_deviation"] = float(np.max(np.abs(np.abs(poles) - 1.0)))
     diagnostics["nyquist_margin"] = float(np.pi - np.max(np.abs(angles)))
     diagnostics["aliasing_risk"] = bool(np.max(np.abs(angles)) > 0.995 * np.pi)
     energies = angles / dt
@@ -565,14 +573,15 @@ def assert_pencils_identical(new, old):
 
 
 def assert_pencils_match(new, ref):
-    """A dense pencil against :func:`parent_unitary_pencil`: the same diagnostics and
-    every one of the L + 1 singular values within 1e-13 of the largest; the
-    estimates within 1e-9, which the rounding of the two SVDs, carried through the
-    eigenvalues and the least squares, stays far below on these records."""
+    """A dense pencil against :func:`parent_unitary_pencil`: the same diagnostics,
+    the top min(order + OVERSAMPLING, L + 1) of the reference's L + 1 singular
+    values reported, each within 1e-13 of the largest; the estimates within 1e-9,
+    which the rounding of the two SVDs, carried through the eigenvalues and the
+    least squares, stays far below on these records."""
     assert new[2].keys() == ref[2].keys()
     svals, ref_svals = new[2]["singular_values"], ref[2]["singular_values"]
-    assert svals.size == ref_svals.size
-    assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+    assert svals.size == min(new[2]["order"] + tomography.OVERSAMPLING, ref_svals.size)
+    assert np.max(np.abs(svals - ref_svals[:svals.size])) <= 1e-13 * ref_svals[0]
     for key in ("order", "ill_conditioned", "aliasing_risk"):
         assert new[2][key] == ref[2][key], key
     for key in ("sv_ratio", "nyquist_margin"):
@@ -597,10 +606,10 @@ def pencil_calls(monkeypatch):
     calls = {"K": [], "noisy": [], "svd": []}
     pencil_svd, svd = tomography._pencil_svd, np.linalg.svd
 
-    def counted_pencil(y, noisy):
+    def counted_pencil(y, noisy, width):
         calls["K"].append(y.shape[0])
         calls["noisy"].append(noisy)
-        return pencil_svd(y, noisy)
+        return pencil_svd(y, noisy, width)
 
     def counted_svd(a, *args, **kwargs):
         calls["svd"].append(np.shape(a))
@@ -615,7 +624,7 @@ def force_svd_branch(patch):
     """Put every dense pencil on the QR and SVD branch, whatever the probe
     found: the dense pencil from before the Gram branch."""
     pencil_svd = tomography._pencil_svd
-    patch.setattr(tomography, "_pencil_svd", lambda y, noisy: pencil_svd(y, False))
+    patch.setattr(tomography, "_pencil_svd", lambda y, noisy, width: pencil_svd(y, False, width))
 
 
 @pytest.fixture
@@ -662,9 +671,9 @@ def route_events(monkeypatch):
         monkeypatch.setattr(tomography, func, spy(name, getattr(tomography, func)))
     pencil_svd = tomography._pencil_svd
 
-    def counted_pencil(y, noisy):
+    def counted_pencil(y, noisy, width):
         events.append("gram" if noisy else "qr + svd")
-        return pencil_svd(y, noisy)
+        return pencil_svd(y, noisy, width)
 
     monkeypatch.setattr(tomography, "_pencil_svd", counted_pencil)
     return events
@@ -680,10 +689,10 @@ class TestBoundedPencil:
     def test_default_length_matches_full_pencil(self, shots, svd_branch):
         # K = 16 * order: 8 * order == K // 2, so L = K // 2.  Shot records
         # and records of at most DENSE_PENCIL_COLS Hankel columns take the
-        # dense pencil, with all L + 1 singular values, here on its SVD
-        # branch (shot records take the Gram branch otherwise, see
-        # test_gram_route_matches_unitary_reference); noise-free ones past
-        # that iterate, with the block's order + OVERSAMPLING
+        # dense pencil, here on its SVD branch (shot records take the Gram
+        # branch otherwise, see test_gram_route_matches_unitary_reference);
+        # noise-free ones past that iterate.  Every route reports the top
+        # min(order + OVERSAMPLING, L + 1) singular values
         for n in range(3, 41):
             spec, rec = pencil_record(n, 16 * n, shots, 700 + n)
             dt = rec.grid_step()
@@ -691,7 +700,7 @@ class TestBoundedPencil:
             ref = parent_unitary_pencil(rec.values, dt, n)
             dense = shots is not None or n < 16
             svals = new[2]["singular_values"]
-            assert svals.size == (8 * n + 1 if dense else n + 10) and new[2]["order"] == n
+            assert svals.size == min(n + 10, 8 * n + 1) and new[2]["order"] == n
             top = svals.size if dense else n
             assert np.max(np.abs(svals[:top] - ref[2]["singular_values"][:top])) <= 1e-13 * svals[0]
             # a level below the weight floor is not determined by either route:
@@ -855,8 +864,8 @@ class TestBoundedPencil:
             # K rows carry that into the last digits of the estimates
             ref = parent_unitary_pencil(rec.values, dt, n)
             svals, ref_svals = new[2]["singular_values"], ref[2]["singular_values"]
-            assert svals.size == L + 1
-            assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+            assert svals.size == min(n + 10, L + 1)
+            assert np.max(np.abs(svals - ref_svals[:svals.size])) <= 1e-13 * ref_svals[0]
             for got, want in zip(new[:2], ref[:2]):
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -923,6 +932,34 @@ class TestBoundedPencil:
         matrix_pencil(rec.values, rec.grid_step(), order=n)
         assert route_events[0] == "probe" and route_events.count("probe") == 1
         assert [e for e in route_events if e in ("iterate", "gram", "qr + svd")] == route
+
+    def test_every_route_reports_order_plus_oversampling(self, route_events, monkeypatch):
+        # every route reports the top min(order + OVERSAMPLING, L + 1) singular
+        # values: one record per cell of the route table, a record of 9 Hankel
+        # columns (fewer than order + OVERSAMPLING) on each dense branch, and
+        # probability mode, which picks its order from all L + 1 values first
+        cases = self.ROUTE_CASES + [(3, 16, None, None, ["qr + svd"]),
+                                    (3, 16, 10 ** 6, None, ["gram"])]
+        for n, samples, shots, told, route in cases:
+            _, rec = pencil_record(n, samples, shots, 900 + n)
+            with monkeypatch.context() as patch:
+                if told is not None:
+                    patch.setattr(tomography, "_shows_noise",
+                                  lambda y, order, sv_tol, _told=told: _told)
+                route_events.clear()
+                diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)[2]
+            assert [e for e in route_events if e in ("iterate", "gram", "qr + svd")] == route
+            assert diagnostics["singular_values"].size == min(n + tomography.OVERSAMPLING,
+                                                              samples // 2 + 1)
+        for n, samples in ((3, 16), (3, 48), (4, 64)):
+            spec = random_engineered(np.random.default_rng(5), n)
+            times = safe_grid(spec)[1] * np.arange(samples)
+            rec = synthesize_record(spec, "up", "probability", times)
+            route_events.clear()
+            diagnostics = probability_mode_analysis(rec).diagnostics
+            assert [e for e in route_events if e in ("iterate", "gram", "qr + svd")] == ["qr + svd"]
+            assert diagnostics["singular_values"].size == min(
+                diagnostics["order"] + tomography.OVERSAMPLING, samples // 2 + 1)
 
     def test_noise_free_preset_long_records_at_larger_n(self):
         # records of 32 * n samples at n = 14-30 iterate; every energy and
@@ -1082,13 +1119,14 @@ class TestSubspacePencil:
         _, rec = pencil_record(n, samples, 10 ** 6, 800 + n)
         dt = rec.grid_step()
         new = matrix_pencil(rec.values, dt, order=n)
-        assert new[2]["singular_values"].size == samples // 2 + 1
+        assert new[2]["singular_values"].size == min(n + 10, samples // 2 + 1)
         assert_pencils_match(new, parent_unitary_pencil(rec.values, dt, n))
 
     @pytest.mark.parametrize("n, samples, seed", GRAM_CASES)
     def test_gram_route_matches_unitary_reference(self, n, samples, seed, pencil_calls):
-        # a shot record's dense pencil takes the Gram branch: every singular
-        # value within 1e-13 of the largest from the reference's SVD, the top
+        # a shot record's dense pencil takes the Gram branch: every reported
+        # singular value within 1e-13 of the largest from the reference's
+        # leading ones, the top
         # order subspace within (L + 1) times the Davis-Kahan scale
         # eps s[0]^2 / (s[order-1]^2 - s[order]^2), and estimates within 20
         # shot-noise units of the truth wherever the reference's are
@@ -1098,10 +1136,11 @@ class TestSubspacePencil:
         assert pencil_calls["noisy"] == [True]
         ref = parent_unitary_pencil(rec.values, dt, n)
         _, u, ref_svals = unitary_reference_svd(rec.values)
-        svals, vt = tomography._pencil_svd(np.ascontiguousarray(rec.values), True)
+        width = min(n + 10, samples // 2 + 1)
+        svals, vt = tomography._pencil_svd(np.ascontiguousarray(rec.values), True, width)
         assert np.array_equal(svals, new[2]["singular_values"])
-        assert svals.size == samples // 2 + 1 and new[2]["order"] == n
-        assert np.max(np.abs(svals - ref_svals)) <= 1e-13 * ref_svals[0]
+        assert svals.size == width and new[2]["order"] == n
+        assert np.max(np.abs(svals - ref_svals[:width])) <= 1e-13 * ref_svals[0]
         scale = np.finfo(float).eps * ref_svals[0] ** 2 / (ref_svals[n - 1] ** 2 - ref_svals[n] ** 2)
         top, ref_top = vt[:n], u[:, :n]
         distance = np.linalg.norm(top.T @ top - ref_top @ ref_top.conj().T, 2)
@@ -1160,3 +1199,56 @@ class TestSubspacePencil:
         peak, size = map(int, done.stdout.split())
         assert size == 13
         assert peak < 256 << 20
+
+
+# the largest deviations over each sweep below, rounded up: energies and
+# weights of the closed-form shift solve against pinv_shift_poles (measured
+# 4.9e-14 and 6.6e-13), and the table Vandermonde against np.exp in units of
+# eps max|E t| (measured 1.19)
+SHIFT_SOLVE_ENERGY_TOL = 5e-14
+SHIFT_SOLVE_WEIGHT_TOL = 7e-13
+VANDERMONDE_TOL = 1.2
+
+
+class TestPencilSteps:
+    def test_shift_solve_matches_pinv(self, monkeypatch):
+        # noise-free and 1e6-shot records at n = 3-40, on every route that
+        # default-length records take; only the shift step differs
+        records = [(n, pencil_record(n, 16 * n, shots, 700 + n)[1])
+                   for n in range(3, 41) for shots in (None, 10 ** 6)]
+        new = [matrix_pencil(rec.values, rec.grid_step(), order=n) for n, rec in records]
+        monkeypatch.setattr(tomography, "_shift_poles", pinv_shift_poles)
+        for got, (n, rec) in zip(new, records):
+            want = matrix_pencil(rec.values, rec.grid_step(), order=n)
+            assert np.max(np.abs(got[0] - want[0])) <= SHIFT_SOLVE_ENERGY_TOL
+            assert np.max(np.abs(got[1] - want[1])) <= SHIFT_SOLVE_WEIGHT_TOL
+
+    @pytest.mark.parametrize("samples", [4, 5, 64, 65, 257, 2048])
+    def test_table_vandermonde_matches_exp(self, samples):
+        rng = np.random.default_rng(samples)
+        dt = 0.37
+        energies = rng.uniform(-np.pi, np.pi, 12) / dt
+        times = 2.5 + dt * np.arange(samples)
+        phases = np.outer(times, energies)
+        got = tomography._vandermonde(times, dt, energies)
+        assert got.shape == (samples, 12)
+        bound = VANDERMONDE_TOL * np.finfo(float).eps * np.max(np.abs(phases))
+        assert np.max(np.abs(got - np.exp(1j * phases))) <= bound
+
+    def test_pole_modulus_deviation(self):
+        # noise-free records whose weights all lie above WEIGHT_FLOOR, on the
+        # dense pencil (16 n samples) and on the iteration (768 samples)
+        records = ([(n, 16 * n, 700 + n) for n in range(3, 15)]
+                   + [(n, 768, 900 + n) for n in range(3, 13)])
+        for n, samples, seed in records:
+            _, rec = pencil_record(n, samples, None, seed)
+            diagnostics = matrix_pencil(rec.values, rec.grid_step(), order=n)[2]
+            assert diagnostics["pole_modulus_deviation"] <= 1e-10
+        # one damped component, |z| = 0.99: the forward-backward pencil sees
+        # it with its mirror pole 1 / conj(z), the threshold counts both, and
+        # the deviation reads about 0.01
+        k = np.arange(64)
+        y = 0.6 * (0.99 * np.exp(0.4j)) ** k + 0.4 * np.exp(-1.1j * k)
+        diagnostics = matrix_pencil(y, 1.0)[2]
+        assert diagnostics["order"] == 3
+        assert abs(diagnostics["pole_modulus_deviation"] - (1 / 0.99 - 1)) <= 1e-9
