@@ -13,7 +13,7 @@ import numpy as np
 from . import kernels
 from .hamiltonians import engineered_sigma_block
 from .linalg import EvolutionCache, evolution_cache
-from .parity import mirror_commutator, mirror_eigensystem, mirror_parities
+from .parity import mirror_commutator, mirror_parities
 from .spin_ops import basis_index
 
 
@@ -59,13 +59,16 @@ class AmplitudeScan:
 def amplitude_scan(op, source, target, times, sign=1):
     """Scan the transfer amplitude over a monotone time grid.
 
-    Reports the grid maximum of |amplitude|, the time achieving it, and the
-    earliest grid time coming within 1e-6 of the maximum (ties from
-    near-degenerate recurrences resolve to the first peak).
+    The grid is finite.  Reports the grid maximum of |amplitude|, the time
+    achieving it, and the earliest grid time coming within 1e-6 of the
+    maximum (ties from near-degenerate recurrences resolve to the first
+    peak).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite (a NaN or inf is present)")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     energies, coeffs = _transfer_terms(op, source, target)
@@ -226,8 +229,9 @@ def _distinct_phases(phases):
 
 
 def _mirror_entries(eigensystem, index, phases):
-    """U[M j, j] for every column j of U = V diag(phases) V^dagger, and the largest
-    |U[i, j]| over the other entries, read tile by tile from
+    """U[M j, j] for every column j of U = V diag(phases) V^dagger, M the chain
+    mirror given as ``index``, and the largest |U[i, j]| over the other
+    entries, read tile by tile from
     :meth:`~spin1chain.linalg.HermitianEigenSystem.unitary_blocks` without forming U.
 
     Every entry of U that may be nonzero lies in one tile, so an image M j
@@ -255,33 +259,33 @@ def _mirror_entries(eigensystem, index, phases):
     return diagonal, float(largest)
 
 
-def mirror_check(op, t, kind="chain_mirror"):
+def mirror_check(op, t):
     """Test whether exp(i*H*t) equals the site inversion up to a phase.
 
-    Reports the optimal global phase, the entrywise residual against
-    e^{i phi} M (a mirror when it is at most 1e-8), the [H, M] commutator
-    residual, and the distinct eigenphases exp(i E t) grouped by the mirror
-    parity of their eigenvectors (mirroring requires each group to collapse
-    to one value, the two groups differing by a factor -1).  ``kind`` is the
-    mirror of :func:`~spin1chain.parity.mirror_index`: ``chain_mirror`` (a
-    ChainOperator) or ``sigma`` (a (2n+1)-dimensional sigma block array);
-    ``t`` is finite, and the time sign folds into it (-t for the
-    physical exp(-iHt)).  The phase is the angle of tr(M^T U) = sum_j U[M j, j] and the
-    residual the largest |U - e^{i phi} M| entry, both read tile by tile
-    (:func:`_mirror_entries`), so neither a block of the unitary nor the
-    dense unitary is built.
+    ``op`` is a :class:`~spin1chain.linalg.ChainOperator` and M its chain
+    mirror.  Reports the optimal global phase, the entrywise residual
+    against e^{i phi} M (a mirror when it is at most 1e-8), the [H, M]
+    commutator residual, and, when that residual is exactly 0, the distinct
+    eigenphases exp(i E t) grouped by the mirror parity of their
+    eigenvectors (mirroring requires each group to collapse to one value,
+    the two groups differing by a factor -1); an inexact commuter has no
+    parities and gets empty groups.  ``t`` is finite, and the time sign
+    folds into it (-t for the physical exp(-iHt)).  The phase is the angle
+    of tr(M^T U) = sum_j U[M j, j] and the residual the largest
+    |U - e^{i phi} M| entry, both read tile by tile (:func:`_mirror_entries`),
+    so neither a block of the unitary nor the dense unitary is built.
     """
     if not np.isfinite(t):
         raise ValueError(f"mirror_check needs a finite time, got {t!r}")
-    cache, index, comm, scale = mirror_commutator(op, kind)
-    es = mirror_eigensystem(cache, kind)
+    cache, index, comm = mirror_commutator(op, "chain_mirror")
+    es = cache.eigensystem
     diagonal, largest = _mirror_entries(es, index, np.exp(1j * es.eigenvalues * t))
     phi = float(np.angle(np.sum(diagonal)))
     residual = max(largest, float(np.max(np.abs(diagonal - np.exp(1j * phi)))))
 
     even_phases = odd_phases = ()
-    if comm <= 1e-10 * scale:
-        vals, pars = mirror_parities(cache, index, kind)
+    if comm == 0:
+        vals, pars = mirror_parities(cache)
         phases = np.exp(1j * vals * t)
         even_phases = _distinct_phases(phases[pars > 0])
         odd_phases = _distinct_phases(phases[pars < 0])

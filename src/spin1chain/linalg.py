@@ -7,10 +7,10 @@ diagonalizes each connected block of the matrix's nonzero pattern on its
 own, so a Hamiltonian that conserves something costs what its sectors
 cost, and splits a block of a :class:`ChainOperator` that commutes exactly
 with its site inversion into its two parity sectors.  The eigensystem keeps
-those solves, and its readers give rows or columns of the eigenvector
-matrix, or the unitary V diag(phases) V^dagger tile by tile, without forming
-either.  :func:`evolution_cache` memoizes it by matrix content, so the
-analyses of one Hamiltonian share a single decomposition.
+those solves, and its readers give rows of the eigenvector matrix, or the
+unitary V diag(phases) V^dagger tile by tile, without forming either.
+:func:`evolution_cache` memoizes it by matrix content, so the analyses of
+one Hamiltonian share a single decomposition.
 """
 
 import bisect
@@ -46,9 +46,13 @@ def _global_entries(local, site, n):
 
     With L = 3^(site-1) states to the left, d = local.shape[0] and R states
     to the right, local entry (a, b) lands at ((l*d + a)*R + r,
-    (l*d + b)*R + r) for every l < L and r < R.
+    (l*d + b)*R + r) for every l < L and r < R.  A term that does not fit
+    on the chain (site below 1, or L * d not dividing 3^n) raises ValueError.
     """
     width = local.shape[0]
+    if site < 1 or 3 ** n % (3 ** (site - 1) * width):
+        raise ValueError(f"a term of width {width} at site {site} does not fit "
+                         f"on a chain of {n} sites")
     left = 3 ** (site - 1)
     right = 3 ** n // (left * width)
     offsets = (np.arange(left)[:, None] * (width * right) + np.arange(right)).ravel()
@@ -223,17 +227,17 @@ class EigenSolve:
 @dataclass(frozen=True)
 class HermitianEigenSystem:
     """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues, held as
-    its stacked solves (:class:`EigenSolve`): V is never stored.  The readers
-    :meth:`eigenvector_rows` and :meth:`eigenvector_columns` give parts of V,
-    :meth:`unitary_blocks` gives V diag(phases) V^dagger tile by tile, and
+    its stacked solves (:class:`EigenSolve`): V is never stored.  The reader
+    :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_blocks` gives
+    V diag(phases) V^dagger tile by tile, and
     :attr:`eigenvectors` assembles the whole dense matrix on request; V is complex
     whether a block was solved in real or in complex arithmetic.
 
     Each solve holds connected blocks of H solved whole, or one parity
     sector of blocks split in two, the odd sector's solve right after the
     even one's.  :func:`eig_hermitian` sets ``mirror_residual`` to the
-    chain-mirror :func:`commutator_residual` of a :class:`ChainOperator` of
-    n >= 2 sites, else None (an array has no chain mirror).  ``parities``
+    chain-mirror :func:`commutator_residual` of a :class:`ChainOperator`,
+    else None (an array has no chain mirror).  ``parities``
     holds each column's parity under that mirror M when the residual is 0,
     else 0: on a block that M maps onto itself ``v[M] == parity * v``
     exactly (a block of fixed rows only is even); two blocks that M swaps
@@ -296,17 +300,6 @@ class HermitianEigenSystem:
                 k, r = divmod(place - base, solve.rows.shape[1])
                 v = solve.vectors[k, r]
                 out[i, solve.columns[k]] = v if sign is None else sign * v
-        return out
-
-    def eigenvector_columns(self, columns):
-        """V[:, columns], read from the solves that hold those columns, bit for bit."""
-        columns = np.asarray(columns)
-        out = np.zeros((self.dim, columns.size), dtype=complex)
-        for solve in self.solves:
-            which, k, c = np.nonzero(solve.columns == columns[:, None, None])
-            v = solve.vectors[k, :, c]
-            for held, sign in solve.held():
-                out[held[k], which[:, None]] = v if sign is None else sign * v
         return out
 
     def unitary_blocks(self, phases):
@@ -402,7 +395,7 @@ def eig_hermitian(op):
     ``op`` is a square array or a :class:`ChainOperator`, which is refused
     above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
     (:func:`connected_blocks`) is diagonalized on its own, its matrix read
-    from the entries.  A ChainOperator of n >= 2 sites whose entries equal
+    from the entries.  A ChainOperator whose entries equal
     those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
     residual is kept as ``mirror_residual``) has each block that M maps
     onto itself and that holds a pair i != M i solved as its even and odd
@@ -434,7 +427,7 @@ def eig_hermitian(op):
     if isinstance(op, ChainOperator):
         check_dense_dim(op.dim)
         dim, nonzero = op.dim, op.flat
-        mirror = chain_mirror_index(op.n_sites) if op.n_sites >= 2 else None
+        mirror = chain_mirror_index(op.n_sites)
     else:
         op = np.asarray(op)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
@@ -613,13 +606,14 @@ def evolution_cache(op):
     """Memoized eigendecomposition keyed by matrix content (:func:`content_key`).
 
     A ChainOperator and its dense matrix share one key.  An entry that the array
-    filled has no chain-mirror residual or parities, so a ChainOperator of n >= 2
-    sites that finds one solves itself and replaces it: its analyses then do not
-    depend on which form was solved first.
+    filled has no chain-mirror residual or parities, so a ChainOperator that
+    finds one solves itself and replaces it: this is the only way its mirror
+    analyses get their parities, and they then do not depend on which form
+    was solved first.
     """
     digest, nonzero = content_key(op)
     cached = _cache_by_fingerprint.get(digest)
-    if cached is None or (isinstance(op, ChainOperator) and op.n_sites >= 2
+    if cached is None or (isinstance(op, ChainOperator)
                           and cached.eigensystem.mirror_residual is None):
         cached = EvolutionCache(eig_hermitian(op), digest, nonzero)
         if digest not in _cache_by_fingerprint and len(_cache_by_fingerprint) >= _CACHE_LIMIT:

@@ -2,22 +2,20 @@
 
 Parity refers to the eigenvalue (+1 even, -1 odd) under the site-inversion
 permutation: reversal of the whole chain, the two-site exchange for n = 2.
-An interaction can only generate perfect mirroring when, up to an affine
-rescaling, even-parity eigenstates carry even integer eigenvalues and
-odd-parity states odd integers.
+Parities are assigned one way: :func:`~spin1chain.linalg.eig_hermitian`
+solves a :class:`~spin1chain.linalg.ChainOperator` that commutes exactly
+with its chain mirror by parity sector and keeps each eigenvector's parity,
+and the analyses here read those; an operator that misses exact
+commutation has no parity split.  An interaction can only generate perfect
+mirroring when, up to an affine rescaling, even-parity eigenstates carry
+even integer eigenvalues and odd-parity states odd integers.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    ChainOperator,
-    chain_mirror_index,
-    commutator_residual,
-    entries_at,
-    evolution_cache,
-)
+from .linalg import ChainOperator, chain_mirror_index, evolution_cache
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -62,12 +60,6 @@ CANDIDATE_FORMS = {
 }
 
 
-def sigma_mirror_index(n):
-    """Site inversion on the sigma basis (up and down runs reversed) as an index array."""
-    up = np.arange(n)[::-1]
-    return np.concatenate([up, [n], n + 1 + up])
-
-
 def chain_mirror_permutation(n):
     """Permutation matrix inverting site order (site i <-> n+1-i) on 3^n.
 
@@ -83,30 +75,16 @@ def chain_mirror_permutation(n):
 def mirror_index(kind, op):
     """Index array of the ``kind`` inversion on the space of the operator ``op``.
 
-    ``chain_mirror`` reads n from a :class:`ChainOperator` and refuses an
-    array, whose dimension names no sites; ``sigma`` (the sigma basis of n
-    sites) needs a (2n+1)-dimensional array.  Any other input raises
+    The one kind, ``chain_mirror``, reads n from a :class:`ChainOperator` and
+    refuses an array, whose dimension names no sites.  Any other input raises
     ValueError.
     """
-    dim = len(op)
-    if kind == "chain_mirror":
-        if not isinstance(op, ChainOperator):
-            raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
-                             f"site count, got an array of dimension {dim}")
-        return chain_mirror_index(op.n_sites)
-    if kind == "sigma":
-        if isinstance(op, ChainOperator):
-            raise ValueError("the sigma mirror takes the (2n+1)-dimensional sigma block, "
-                             "not a full-space ChainOperator")
-        if dim < 3 or dim % 2 == 0:
-            raise ValueError(f"the sigma mirror needs dimension 2n+1, got dimension {dim}")
-        return sigma_mirror_index((dim - 1) // 2)
-    raise ValueError(f"unknown parity kind {kind!r}")
-
-
-# complex entries per gathered block of eigenvector columns (4 MB): the gather
-# and its mirror image stay below one dense 3^6 matrix
-_GATHER_ELEMENTS = 1 << 18
+    if kind != "chain_mirror":
+        raise ValueError(f"unknown parity kind {kind!r}")
+    if not isinstance(op, ChainOperator):
+        raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
+                         f"site count, got an array of dimension {len(op)}")
+    return chain_mirror_index(op.n_sites)
 
 
 def _cluster_bounds(evals):
@@ -124,39 +102,25 @@ def _cluster_bounds(evals):
     return starts, stops
 
 
-def clustered_parities(eigensystem, index):
-    """(eigenvalue, parity) per eigenvector, parities from the index mirror.
+def clustered_parities(eigensystem):
+    """(eigenvalue, parity) per eigenvector, the parities the eigensystem's own.
 
     Eigenvalues are clustered to 1e-9, each eigenvalue being its cluster's
-    mean, and a cluster lists its parities ascending.  The eigensystem's
-    ``parities`` (nonzero only for a ChainOperator that commutes exactly
-    with its chain mirror, ``index``) are taken as they are.  Otherwise
-    (arrays, inexact commuters) the mirror is diagonalized inside each cluster, so degenerate
-    subspaces that mix parities under a plain eigensolver are resolved
-    correctly: clusters of one size get one stacked product for their mirror
-    matrices <v_a|M|v_b> and one stacked eigensolve, on whole columns read
-    from the solves that hold them, _GATHER_ELEMENTS entries of eigenvectors
-    at a time.
+    mean, and a cluster lists its parities ascending.  The parities are
+    those that :func:`~spin1chain.linalg.eig_hermitian` read from the parity
+    sectors of an exact commuter, so degenerate levels never mix parities.
     """
     evals = eigensystem.eigenvalues
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
     out_vals = np.empty(len(evals))
-    out_pars = eigensystem.parities.astype(int)
-    unknown = not out_pars.all()
+    pars = eigensystem.parities.astype(int)
     for size in np.unique(sizes):
         cols = starts[sizes == size, None] + np.arange(size)
         # a row sum rounds like np.mean of the cluster alone
         out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
-        if unknown:
-            step = max(1, _GATHER_ELEMENTS // (len(evals) * size))
-            for chunk in range(0, len(cols), step):
-                part = cols[chunk:chunk + step]
-                members = eigensystem.eigenvector_columns(part.ravel()).reshape(-1, *part.shape)
-                mirror = np.einsum("rpm,rpn->pmn", members.conj(), members[index])
-                out_pars[part] = np.where(np.linalg.eigvalsh(mirror) > 0, 1, -1)
     cluster_of = np.repeat(np.arange(starts.size), sizes)
-    return out_vals, out_pars[np.lexsort((out_pars, cluster_of))]
+    return out_vals, pars[np.lexsort((pars, cluster_of))]
 
 
 @dataclass(frozen=True)
@@ -177,60 +141,38 @@ class ParityCommutationError(ValueError):
 
 
 def mirror_commutator(op, kind):
-    """The evolution cache of ``op``, the ``kind`` mirror index and the [H, M] residual.
-
-    Returns (cache, index, residual, scale), ``scale`` being max(1, largest
-    |entry| of H).  The residual and the scale are computed once per
-    Hamiltonian and kind and kept on its cache entry, from H's nonzero
-    entries only; the residual of the chain mirror is the one
-    ``eig_hermitian`` kept.
-    """
+    """The evolution cache of ``op``, the ``kind`` mirror index and the [H, M] residual
+    that :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem."""
     index = mirror_index(kind, op)
     cache = evolution_cache(op)
+    return cache, index, cache.eigensystem.mirror_residual
 
+
+def mirror_parities(cache):
+    """:func:`clustered_parities` of the cached eigensystem, once per Hamiltonian."""
     def compute():
-        magnitude = np.max(np.abs(entries_at(op, cache.nonzero)), initial=0.0)
-        residual = cache.eigensystem.mirror_residual
-        if kind == "sigma" or residual is None:
-            residual = commutator_residual(op, index, cache.nonzero)
-        return residual, max(1.0, float(magnitude))
-
-    residual, scale = cache.memoized(("commutator", kind), compute)
-    return cache, index, residual, scale
-
-
-def mirror_eigensystem(cache, kind):
-    """The cached eigensystem, its chain-mirror parities dropped for ``sigma``: a complex
-    sigma block shares its cache entry with a ChainOperator of the same entries."""
-    es = cache.eigensystem
-    return replace(es, parities=None) if kind == "sigma" and es.parities.any() else es
-
-
-def mirror_parities(cache, index, kind):
-    """:func:`clustered_parities` of the cached eigensystem, once per Hamiltonian and kind."""
-    def compute():
-        vals, pars = clustered_parities(mirror_eigensystem(cache, kind), index)
+        vals, pars = clustered_parities(cache.eigensystem)
         vals.flags.writeable = pars.flags.writeable = False
         return vals, pars
 
-    return cache.memoized(("parities", kind), compute)
+    return cache.memoized("parities", compute)
 
 
 def parity_spectrum(op, kind="chain_mirror"):
     """Split an operator's spectrum by mirror parity.
 
-    The operator must commute with the inversion to 1e-12 relative to its
-    largest entry.  The eigensystem, the commutator and the parities come
-    from :func:`evolution_cache`'s entry, so they are shared with the other
-    analyses of the same operator; see :func:`clustered_parities` for how
-    degenerate levels are resolved.
+    The operator must commute exactly with the inversion (a residual of 0):
+    only then are its eigenvectors solved by parity sector.  The eigensystem,
+    the commutator and the parities come from :func:`evolution_cache`'s
+    entry, so they are shared with the other analyses of the same operator.
     """
-    cache, index, comm, scale = mirror_commutator(op, kind)
-    if comm > 1e-12 * scale:
+    cache, _, comm = mirror_commutator(op, kind)
+    if comm != 0:
         raise ParityCommutationError(
-            f"operator does not commute with the {kind} inversion: residual {comm:.3e}"
+            f"operator does not commute with the {kind} inversion: residual {comm:.3e}, "
+            f"and a parity split needs exact commutation"
         )
-    vals, pars = mirror_parities(cache, index, kind)
+    vals, pars = mirror_parities(cache)
     return ParitySplit(
         even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),

@@ -8,8 +8,7 @@ from spin1chain import cli, dynamics, linalg, parity, tomography
 from spin1chain.cli import build_parser, main, parse_time
 from spin1chain.dynamics import (QUTRIT_TEST_STATES, amplitude_scan, qutrit_fidelity_series,
                                  qutrit_transfer_fidelity)
-from spin1chain.hamiltonians import (KINDS, ChainSpec, chain_hamiltonian, engineered_sigma_block,
-                                     pst_preset)
+from spin1chain.hamiltonians import KINDS, ChainSpec, chain_hamiltonian, pst_preset
 from spin1chain.reporting import CSV_CHUNK_ROWS
 from spin1chain.spin_ops import basis_index
 from test_reporting import per_value_csv
@@ -823,11 +822,6 @@ class TestNoDenseEigenvectors:
         split = parity.parity_spectrum(ham, kind="chain_mirror")
         assert result.commutator_residual == 0
         assert split.dim == 729
-
-    def test_sigma_mirror_analyses(self, no_dense_eigenvectors):
-        block = engineered_sigma_block(pst_preset(5, "phase_exact"))
-        assert dynamics.mirror_check(block, np.pi, kind="sigma").is_mirror
-        assert parity.parity_spectrum(block, kind="sigma").dim == 11
 
     @pytest.mark.parametrize("argv", [
         ["transfer", "--spec", "chain.json", "--source", "1m000", "--target", "000m1",

@@ -30,8 +30,9 @@ from spin1chain.hamiltonians import (
     up_block,
 )
 from spin1chain.linalg import chain_mirror_index, eig_hermitian, evolution_cache
-from spin1chain.parity import clustered_parities
 from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
+
+from mirror_reference import loop_clustered_parities
 
 
 def random_engineered(rng, n, low=-2.0, high=2.0):
@@ -493,7 +494,10 @@ class TestSigmaSubspace:
 
 def reversal_parities(block):
     """Eigenvalues of a tridiagonal block and their parities under index reversal."""
-    return clustered_parities(eig_hermitian(block), np.arange(block.shape[0])[::-1])
+    es = eig_hermitian(block)
+    vals, pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
+                                            np.arange(block.shape[0])[::-1])
+    return vals, pars
 
 
 def searched_phase_exact_field(n):

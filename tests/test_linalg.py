@@ -32,7 +32,7 @@ from spin1chain.linalg import (
     kron_all,
 )
 from spin1chain.parity import parity_spectrum
-from spin1chain.spin_ops import SX
+from spin1chain.spin_ops import SX, SZ
 
 
 def random_hermitian(rng, dim):
@@ -134,6 +134,20 @@ def solved_blocks(es):
     blocks = [(np.unique(np.concatenate(rows)), np.sort(np.concatenate(columns)))
               for rows, columns in found.values()]
     return sorted(blocks, key=lambda block: block[0][0])
+
+
+class TestChainOperatorTerms:
+    @pytest.mark.parametrize("site, local, n", [
+        (0, np.kron(SZ, SZ), 2),  # site 0 would give float flat indices
+        (-1, SZ, 3),
+        (3, np.eye(9), 3),  # a two-site term past the last site: no entries at all
+        (2, np.eye(27), 3),
+        (1, np.eye(2), 2),  # not 3^k states wide
+    ])
+    def test_term_off_the_chain_refused(self, site, local, n):
+        with pytest.raises(ValueError, match=rf"width {local.shape[0]} at site {site} does "
+                                             rf"not fit on a chain of {n} sites"):
+            linalg.ChainOperator.from_terms([(1, np.eye(3 ** n)), (site, local)], n)
 
 
 class TestConnectedBlocks:
@@ -680,11 +694,9 @@ class TestBlockLocalStorage:
         v = es.eigenvectors
         everything = np.arange(es.dim)
         assert es.eigenvector_rows(everything).tobytes() == v.tobytes()
-        assert es.eigenvector_columns(everything).tobytes() == v.tobytes()
         rng = np.random.default_rng(es.dim)
         some = rng.choice(es.dim, size=min(es.dim, 5), replace=False)
         assert es.eigenvector_rows(some).tobytes() == v[some].tobytes()
-        assert es.eigenvector_columns(some).tobytes() == v[:, some].tobytes()
 
     def test_unitary_tiles_cover_the_dense_product_once(self, name, op, index):
         es = eig_hermitian(op)

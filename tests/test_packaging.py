@@ -150,4 +150,4 @@ def test_settable_value_count():
                     importlib.import_module(f"spin1chain.{info.name}"))
                 for param in inspect.signature(func).parameters.values()
                 if param.default is not param.empty]
-    assert len(settable) == 19, settable
+    assert len(settable) == 18, settable

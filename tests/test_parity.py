@@ -8,11 +8,9 @@ from spin1chain.hamiltonians import (
     ChainSpec,
     candidate_two_site,
     chain_hamiltonian,
-    engineered_sigma_block,
     h12,
     heisenberg_two_site,
     mix_two_site,
-    pst_preset,
 )
 from spin1chain.parity import (
     ADJUDICATED_SPECTRA,
@@ -22,15 +20,15 @@ from spin1chain.parity import (
     chain_mirror_index,
     chain_mirror_permutation,
     clustered_parities,
-    commutator_residual,
     mirror_index,
     mirroring_feasibility_report,
     parity_spectrum,
     reference_comparison,
-    sigma_mirror_index,
 )
-from spin1chain.linalg import ChainOperator, hermiticity_deviation
+from spin1chain.linalg import ChainOperator, commutator_residual, hermiticity_deviation
 from spin1chain.spin_ops import SX, SY, basis_index, basis_label
+
+from mirror_reference import loop_clustered_parities
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
                "O1", "O2", "O3", "O4", "O5")
@@ -69,11 +67,13 @@ def two_site(mat):
 
 def index_of(kind, dim):
     """The ``kind`` mirror index on dimension ``dim``: the chain mirror reads its
-    site count from a ChainOperator, here the identity on 3^n states."""
+    site count from a ChainOperator, here the identity on 3^n states; ``sigma``
+    reverses the up and the down run of a (2n+1)-dimensional sigma basis."""
     if kind == "chain_mirror":
         return mirror_index(kind, ChainOperator.from_terms([(1, np.eye(dim))],
                                                            {9: 2, 27: 3, 81: 4}[dim]))
-    return mirror_index(kind, np.eye(dim))
+    up = np.arange((dim - 1) // 2)[::-1]
+    return np.concatenate([up, [up.size], up.size + 1 + up])
 
 
 def reference_permutation(dim, image):
@@ -111,32 +111,23 @@ class TestIndexMirrors:
         assert np.array_equal(chain_mirror_permutation(n), reference)
         assert_index_matches(chain_mirror_index(n), reference)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    def test_sigma_mirror_reverses_both_runs(self, n):
-        def image(j):
-            if j < n:
-                return n - 1 - j
-            if j == n:
-                return n
-            return 3 * n + 1 - j  # down run n+1..2n reversed
-        reference = reference_permutation(2 * n + 1, image)
-        assert_index_matches(sigma_mirror_index(n), reference)
-
     def test_two_site_chain_mirror_is_the_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
         assert_index_matches(mirror_index("chain_mirror", two_site(np.eye(9))), reference)
 
     def test_unknown_kind_rejected(self):
         # the two-site exchange is the chain mirror of a two-site ChainOperator,
-        # and no kind of its own
+        # and no kind of its own; the chain mirror is the only kind
         with pytest.raises(ValueError, match="unknown parity kind 'two_site_exchange'"):
             mirror_index("two_site_exchange", np.eye(9))
+        for op in (np.eye(9), two_site(np.eye(9))):
+            with pytest.raises(ValueError, match="unknown parity kind 'sigma'"):
+                mirror_index("sigma", op)
 
     @pytest.mark.parametrize("kind, dim, needed", [
         ("chain_mirror", 10, "ChainOperator"),
         ("chain_mirror", 1, "ChainOperator"),
         ("chain_mirror", 27, "ChainOperator"),
-        ("sigma", 10, "2n+1"),
     ])
     def test_wrong_dimension_rejected(self, kind, dim, needed):
         with pytest.raises(ValueError, match=rf"{re.escape(needed)}.*dimension {dim}\b"):
@@ -146,8 +137,6 @@ class TestIndexMirrors:
         # the operator's site count names the mirror, never its dimension
         op = ChainOperator.from_terms([(1, np.eye(27))], 3)
         assert np.array_equal(mirror_index("chain_mirror", op), chain_mirror_index(3))
-        with pytest.raises(ValueError, match="not a full-space ChainOperator"):
-            mirror_index("sigma", op)
 
 
 class TestProjectors:
@@ -175,12 +164,6 @@ class TestProjectors:
         src[basis_index("001")] = 1.0
         out = mirror @ src
         assert out[basis_index("100")] == 1.0
-
-    def test_sigma_mirror_involution(self):
-        for n in (2, 5):
-            m = mirror_matrix(sigma_mirror_index(n))
-            assert np.allclose(m @ m, np.eye(2 * n + 1))
-            assert m[n, n] == 1.0
 
 
 class TestParitySpectrum:
@@ -215,12 +198,13 @@ class TestParitySpectrum:
 
     @pytest.mark.parametrize("name", ["O1", "O2", "O3", "O4", "O5"])
     def test_parity_labels_are_eigenvectors_of_mirror(self, name):
-        # each label belongs to an eigenvector of H and the mirror: the one
-        # that diagonalizing the mirror inside its eigenvalue cluster gives
+        # each label, read from the parity sectors, belongs to an eigenvector of
+        # H and the mirror: the one that diagonalizing the mirror inside its
+        # eigenvalue cluster gives
         op = candidate_two_site(name)
-        es = linalg.eig_hermitian(op)
+        es = linalg.eig_hermitian(two_site_chain(name))
         index = chain_mirror_index(2)
-        vals, pars = clustered_parities(es, index)
+        vals, pars = clustered_parities(es)
         _, _, vecs = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
         mirror = mirror_matrix(index)
         for k in range(9):
@@ -233,7 +217,8 @@ class TestParitySpectrum:
         # a 3^n array has no chain mirror either: its dimension names no sites
         with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 27"):
             parity_spectrum(np.eye(27), kind="chain_mirror")
-        with pytest.raises(ValueError, match="not a full-space ChainOperator"):
+        # the chain mirror is the only kind
+        with pytest.raises(ValueError, match="unknown parity kind 'sigma'"):
             parity_spectrum(h12(), kind="sigma")
         # the default kind is the chain mirror, so a bare 9 x 9 array is refused too
         with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 9\b"):
@@ -251,33 +236,25 @@ class TestParitySpectrum:
         with pytest.raises(ParityCommutationError, match="residual"):
             parity_spectrum(two_site(op))
 
+    def test_one_site_operator_is_all_even(self):
+        # the chain mirror of one site is the identity: every level is even,
+        # and the eigenphases at t = pi form one group
+        op = ChainOperator.from_terms([(1, np.diag([1.0, -2.0, 0.5]) + 0.25 * SX)], 1)
+        split = parity_spectrum(op)
+        es = linalg.evolution_cache(op).eigensystem
+        assert es.mirror_residual == 0 and es.parities.tolist() == [1, 1, 1]
+        assert split.even == tuple(es.eigenvalues[::-1].tolist()) and split.odd == ()
+        assert np.allclose(split.even, np.linalg.eigvalsh(op.dense())[::-1], atol=1e-14)
+        result = dynamics.mirror_check(op, np.pi)
+        assert result.commutator_residual == 0
+        assert len(result.even_phases) == 3 and result.odd_phases == ()
+
 
 def sector_spectrum(mat, projector):
     """Eigenvalues of H restricted to an orthonormal basis of range(P), descending."""
     weights, vectors = np.linalg.eigh(projector)
     basis = vectors[:, weights > 0.5]
     return np.sort(np.linalg.eigvalsh(basis.conj().T @ mat @ basis))[::-1]
-
-
-def loop_clustered_parities(evals, vecs, index, cluster_tol=1e-9):
-    """(eigenvalue, parity, vector) per eigenvector, one cluster at a time.
-
-    A cluster holds the values within cluster_tol of its first; its
-    eigenvalue is the cluster mean and the mirror is diagonalized in it.
-    """
-    vals, pars, out_vecs = [], [], []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j + 1 < len(evals) and evals[j + 1] - evals[i] < cluster_tol:
-            j += 1
-        cluster = vecs[:, i:j + 1]
-        pvals, pvecs = np.linalg.eigh(cluster.conj().T @ cluster[index])
-        vals += [float(np.mean(evals[i:j + 1]))] * len(pvals)
-        pars += [1 if p > 0 else -1 for p in pvals]
-        out_vecs.append(cluster @ pvecs)
-        i = j + 1
-    return np.array(vals), np.array(pars), np.hstack(out_vecs)
 
 
 def dense_split_reference(mat, index, cluster_tol=1e-9):
@@ -290,7 +267,8 @@ def dense_split_reference(mat, index, cluster_tol=1e-9):
 class TestClusteredParities:
     def test_clusters_and_means_match_loop(self):
         # tight clusters, a chain of 0.4e-9 steps that must be split from its
-        # first value, and singletons; the mirror pairs states 2k and 2k+1
+        # first value, and singletons; the mirror pairs states 2k and 2k+1.
+        # The eigensystem's own parities are listed ascending in each cluster
         evals = np.sort(np.concatenate([
             [-3.0, -1.0, 0.0], 1.0 + np.array([0.0, 1e-15, 3e-10, 7e-10]),
             2.0 + 0.4e-9 * np.arange(9), [4.0, 4.0 + 2e-16], [7.5]]))
@@ -299,19 +277,23 @@ class TestClusteredParities:
         vecs = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
         index = np.append(np.arange(dim - 1) ^ 1, dim - 1)
         whole = np.arange(dim)[None, :]
+        parities = rng.choice(np.array([-1, 1], dtype=np.int8), size=dim)
         es = linalg.HermitianEigenSystem(
-            evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),))
-        want_vals, want_pars, _ = loop_clustered_parities(evals, vecs, index)
-        vals, pars = clustered_parities(es, index)
+            evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),), parities=parities)
+        want_vals, _, _ = loop_clustered_parities(evals, vecs, index)
+        vals, pars = clustered_parities(es)
         assert vals.tobytes() == want_vals.tobytes()
-        assert np.array_equal(pars, want_pars)
+        clusters = np.split(parities, np.flatnonzero(np.diff(want_vals)) + 1)
+        assert len(clusters) == 9
+        assert np.array_equal(pars, np.concatenate([np.sort(c) for c in clusters]))
 
     def test_one_block_chain_matches_loop_bitwise(self):
-        ham = chain_hamiltonian(ChainSpec(n=4, kind="O5")).dense()
+        ham = chain_hamiltonian(ChainSpec(n=4, kind="O5"))
+        assert len(linalg.connected_blocks(ham.flat, ham.dim)) == 1
         es = linalg.eig_hermitian(ham)
         index = chain_mirror_index(4)
         want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
-        vals, pars = clustered_parities(es, index)
+        vals, pars = clustered_parities(es)
         assert vals.tobytes() == want_vals.tobytes()
         assert np.array_equal(pars, want_pars)
 
@@ -320,13 +302,12 @@ class TestClusteredParities:
                              + [mirror_symmetric_chain(6, seed=12)],
                              ids=list(PAPER_KINDS) + ["engineered"])
     def test_block_local_matches_loop_on_chains(self, spec):
-        # every eigenvector vanishes outside its connected block, so reading
-        # only the blocks' rows gives the loop's counts and means exactly
-        ham = chain_hamiltonian(spec).dense()
-        es = linalg.eig_hermitian(ham)
+        # every eigenvector vanishes outside its connected block, so the
+        # sector parities give the loop's counts and means exactly
+        es = linalg.eig_hermitian(chain_hamiltonian(spec))
         index = chain_mirror_index(6)
         want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
-        vals, pars = clustered_parities(es, index)
+        vals, pars = clustered_parities(es)
         assert vals.tobytes() == want_vals.tobytes()
         assert np.array_equal(pars, want_pars)
 
@@ -347,7 +328,7 @@ class TestClusteredParities:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        vals, pars = clustered_parities(es, index)
+        vals, pars = clustered_parities(es)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
         assert vals.tobytes() == want_vals.tobytes()
@@ -356,47 +337,46 @@ class TestClusteredParities:
         assert np.all(es.parities != 0)
         assert resolved == []
 
-    def test_unknown_parities_are_resolved_on_whole_columns(self, monkeypatch):
-        # a chain an ulp off symmetric has no known parity: every cluster is
-        # resolved, one stacked eigensolve per cluster size
-        es = linalg.eig_hermitian(chain_hamiltonian(nudged_chain(mirror_symmetric_chain(4, 5))))
-        index = chain_mirror_index(4)
+    def test_unknown_parities_are_refused(self, monkeypatch):
+        # a chain an ulp off symmetric has no known parity, and none is
+        # guessed: parity_spectrum refuses it, naming the residual, and
+        # mirror_check reports the residual with no phase groups; both
+        # analyses read the one eigh of each connected block
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(nudged_chain(mirror_symmetric_chain(4, 5)))
+        solved, eigh = [], np.linalg.eigh
+
+        def counted_eigh(mat, *args, **kwargs):
+            count, size, _ = np.asarray(mat).shape
+            solved.extend([size] * count)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        result = dynamics.mirror_check(ham, np.pi)
+        with pytest.raises(ParityCommutationError,
+                           match=r"residual \d\.\d{3}e-\d+, and a parity split needs exact"):
+            parity_spectrum(ham)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        es = linalg.evolution_cache(ham).eigensystem
         assert 0 < es.mirror_residual <= 1e-15
         assert not es.parities.any()
-        resolved, eigvalsh = [], np.linalg.eigvalsh
-
-        def counted_eigvalsh(a, *args, **kwargs):
-            resolved.append(a.shape[0] * a.shape[-1])
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        vals, pars = clustered_parities(es, index)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        want_vals, want_pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
-        assert vals.tobytes() == want_vals.tobytes()
-        assert np.array_equal(pars, want_pars)
-        assert sum(resolved) == 81
+        assert result.commutator_residual == es.mirror_residual
+        assert result.even_phases == result.odd_phases == ()
+        assert sum(solved) == 81
 
     def test_known_parities_need_the_chain_mirror(self):
-        # parities found under the chain mirror say nothing about another mirror
-        # of the same dimension: a sigma block of four sites has dimension 9
         # the two-site exchange keeps states 0, 4 and 8 and swaps the others:
         # each swapped pair of 1x1 blocks reads +1 on its smaller state and -1
         # on the other (columns by eigenvalue: states 0, 1, 3, 2, 6, 4, 5, 7, 8)
         mat = np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])
         es = linalg.eig_hermitian(ChainOperator.from_terms([(1, mat)], 2))
         assert es.parities.tolist() == [1, 1, -1, 1, -1, 1, 1, -1, 1]
-        vals, pars = clustered_parities(es, chain_mirror_index(2))
+        vals, pars = clustered_parities(es)
         assert np.array_equal(pars, loop_clustered_parities(es.eigenvalues, es.eigenvectors,
                                                             chain_mirror_index(2))[1])
-        # the array, the only form the sigma mirror takes, has no parities to
-        # misread: each is resolved under the sigma mirror
+        # the array has no chain mirror, so no parities
         plain = linalg.eig_hermitian(mat)
         assert plain.mirror_residual is None and not plain.parities.any()
-        vals, pars = clustered_parities(plain, sigma_mirror_index(4))
-        want_vals, want_pars, _ = loop_clustered_parities(plain.eigenvalues, plain.eigenvectors,
-                                                          sigma_mirror_index(4))
-        assert np.array_equal(pars, want_pars)
 
 
 class TestCommutatorResidual:
@@ -415,19 +395,6 @@ class TestCommutatorResidual:
                 real = mat.real.copy()
                 dense = float(np.max(np.abs(real[np.ix_(index, index)] - real)))
                 assert commutator_residual(real, index, np.flatnonzero(real)) == dense
-
-    @pytest.mark.parametrize("n, sites", [(4, 2), (13, 3)])
-    def test_sigma_kind_reads_its_own_mirror(self, n, sites, monkeypatch):
-        # a complex sigma block of 3^k states shares its cache entry with the
-        # k-site ChainOperator of its entries, whose chain-mirror residual
-        # eig_hermitian kept is not the residual of the sigma mirror
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        block = engineered_sigma_block(pst_preset(n, "standard")).astype(complex)
-        cache = linalg.evolution_cache(ChainOperator.from_terms([(1, block)], sites))
-        same, index, residual, _ = parity.mirror_commutator(block, "sigma")
-        assert same is cache
-        assert linalg.evolution_cache(block).eigensystem.mirror_residual > 0
-        assert residual == commutator_residual(block, index, np.flatnonzero(block)) == 0
 
     def test_zero_matrix(self):
         mat = np.zeros((9, 9))
@@ -494,7 +461,8 @@ class TestChainParitySpectrum:
         assert np.max(np.abs(np.array(split.odd) - odd)) <= 1e-12
 
     def _analyses_share_one_eigh(self, monkeypatch, spec):
-        """Run mirror_check and parity_spectrum of ``spec`` twice, counting calls.
+        """Run mirror_check and parity_spectrum of ``spec`` twice, counting calls;
+        a parity split that is refused is refused both times.
 
         Returns the dimension of each eig_hermitian call, the sizes of the
         matrices each eigh call solved (one entry per matrix of a stack),
@@ -520,34 +488,39 @@ class TestChainParitySpectrum:
                 return fn(*args, **kwargs)
             return call
 
+        def split_or_refusal(ham):
+            try:
+                return parity_spectrum(ham, kind="chain_mirror")
+            except ParityCommutationError as refusal:
+                return str(refusal)
+
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
-        # eig_hermitian computes the chain-mirror residual in linalg, and
-        # parity would compute it again under its own binding
-        for module, name in ((linalg, "commutator_residual"), (parity, "commutator_residual"),
-                             (parity, "clustered_parities")):
+        for module, name in ((linalg, "commutator_residual"), (parity, "clustered_parities")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         ham = chain_hamiltonian(spec)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         mirror = dynamics.mirror_check(ham, np.pi)
-        split = parity_spectrum(ham, kind="chain_mirror")
+        split = split_or_refusal(ham)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         counts = (list(decompositions), sorted(solved), list(shared))
         # a second analysis of the same H computes nothing again
         assert dynamics.mirror_check(ham, np.pi) == mirror
-        assert parity_spectrum(ham, kind="chain_mirror") == split
+        assert split_or_refusal(ham) == split
         assert (decompositions, sorted(solved), shared) == counts
         return (*counts, ham)
 
     def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
         # one decomposition serves both analyses: a single eig_hermitian
         # call, whose eigh calls cover every connected block exactly once;
-        # the commutator and the clustering are computed once as well
+        # the commutator is computed once as well, and an operator that
+        # misses exact commutation is refused a parity split, so no
+        # parities are clustered
         spec = nudged_chain(mirror_symmetric_chain(4, seed=3))
         decompositions, solved, shared, ham = self._analyses_share_one_eigh(monkeypatch, spec)
         assert linalg.evolution_cache(ham).eigensystem.mirror_residual > 0
         blocks = linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
         assert decompositions == [81]
-        assert shared == ["commutator_residual", "clustered_parities"]
+        assert shared == ["commutator_residual"]
         assert solved == sorted(b.size for b in blocks)
         assert sum(solved) == 81
 
@@ -570,9 +543,9 @@ class TestChainParitySpectrum:
         assert sum(solved) == 81
 
 
-def analyses(op, kind, t=np.pi):
-    """mirror_check and parity_spectrum of ``op`` under the ``kind`` mirror."""
-    return dynamics.mirror_check(op, t, kind=kind), parity_spectrum(op, kind=kind)
+def analyses(op, t=np.pi):
+    """mirror_check and parity_spectrum of ``op`` under its chain mirror."""
+    return dynamics.mirror_check(op, t), parity_spectrum(op)
 
 
 def assert_same_analyses(first, second):
@@ -599,12 +572,12 @@ class TestCacheFilledByTheOtherForm:
         # the operator find both themselves, to the same verdicts and splits
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(spec)
-        split_first = analyses(ham, "chain_mirror")
+        split_first = analyses(ham)
         assert linalg.evolution_cache(ham).eigensystem.mirror_residual == 0
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         dense_es = linalg.evolution_cache(ham.dense()).eigensystem
         assert dense_es.mirror_residual is None and not dense_es.parities.any()
-        assert_same_analyses(analyses(ham, "chain_mirror"), split_first)
+        assert_same_analyses(analyses(ham), split_first)
 
     @pytest.mark.parametrize("kind", ["heisenberg", "O5"])
     def test_dense_matrix_first_gives_the_same_bits(self, kind, monkeypatch):
@@ -612,40 +585,15 @@ class TestCacheFilledByTheOtherForm:
         # solve, so the operator's analyses do not depend on the call order
         ham = chain_hamiltonian(ChainSpec(n=4, kind=kind))
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        operator_first = analyses(ham, "chain_mirror")
+        operator_first = analyses(ham)
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         assert linalg.evolution_cache(ham.dense()).eigensystem.mirror_residual is None
-        dense_first = analyses(ham, "chain_mirror")
+        dense_first = analyses(ham)
         assert dense_first == operator_first
         cache = linalg.evolution_cache(ham)
         assert cache.eigensystem.mirror_residual == 0
         assert linalg.evolution_cache(ham.dense()) is cache
         assert len(linalg._cache_by_fingerprint) == 1
-
-    def test_sigma_block_after_a_chain_operator_of_its_entries(self, monkeypatch):
-        # a complex 9 x 9 array that commutes exactly with the two-site
-        # exchange and with the sigma mirror of four sites: filled by its
-        # two-site ChainOperator, the entry holds exchange parities, which the
-        # sigma analyses must not read
-        exchange, sigma = chain_mirror_index(2), sigma_mirror_index(4)
-        group, grown = {tuple(range(9))}, True
-        while grown:
-            new = {tuple(np.array(g)[list(m)]) for g in group for m in (exchange, sigma)}
-            grown = not new <= group
-            group |= new
-        pairs = np.minimum.outer(np.arange(9), np.arange(9)) * 9 + np.maximum.outer(
-            np.arange(9), np.arange(9))
-        orbit = np.min([pairs[np.ix_(g, g)] for g in map(list, group)], axis=0)
-        mat = np.random.default_rng(9).normal(size=81)[orbit].astype(complex)
-        for index in (exchange, sigma):
-            assert np.array_equal(mat[np.ix_(index, index)], mat)
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        plain = analyses(mat, "sigma")
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        es = linalg.evolution_cache(ChainOperator.from_terms([(1, mat)], 2)).eigensystem
-        assert es.parities.all()
-        assert linalg.evolution_cache(mat).eigensystem is es
-        assert_same_analyses(analyses(mat, "sigma"), plain)
 
 
 class TestFeasibility:
