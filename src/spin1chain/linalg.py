@@ -79,10 +79,13 @@ class ChainOperator:
         Each entry sums its contributions into zero in ascending order (real
         part, then imaginary), so with mirror-symmetric terms an entry and its
         mirror image add the same values in the same order and H equals M H M
-        exactly.  Entries that sum to exactly 0 are dropped.
+        exactly.  Entries that sum to exactly 0 are dropped.  An empty ``terms``
+        raises ValueError.
         """
-        rows, cols, vals = (np.concatenate(part) for part in zip(
-            *(_global_entries(local, site, n) for site, local in terms)))
+        entries = [_global_entries(local, site, n) for site, local in terms]
+        if not entries:
+            raise ValueError(f"a ChainOperator on {n} sites needs at least one term, got none")
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
         flat, where = np.unique(rows * 3 ** n + cols, return_inverse=True)
         order = np.lexsort((vals.imag, vals.real, where))
         values = np.zeros(flat.size, dtype=complex)

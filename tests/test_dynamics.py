@@ -16,6 +16,7 @@ from spin1chain.dynamics import (
 )
 from spin1chain.hamiltonians import (
     ChainSpec,
+    SigmaBasis,
     chain_hamiltonian,
     engineered_sigma_block,
     pst_preset,
@@ -316,6 +317,24 @@ class TestMirrorCheck:
             mirror = np.eye(2 * n + 1)[np.concatenate([up, [n], n + 1 + up])]
             assert np.max(np.abs(block @ mirror - mirror @ block)) <= 1e-13
 
+    @pytest.mark.parametrize("variant", ["standard", "phase_exact"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_preset_unitary_mirrors_the_sigma_states(self, variant, n):
+        # U(pi) = exp(i pi H) of the whole chain sends each sigma state to its
+        # chain-mirror image: the vacuum (eigenvalue 0) with phase 1 and every
+        # excitation with the phase exp(i pi (c + J)), J = (n - 1)/2, of the top
+        # up level c + J, which is -i (-1)^n for the standard field c = n/2 and
+        # 1 for the phase-exact field c = -J mod 2
+        sigma = SigmaBasis(n).full_space_indices()
+        columns = evolution_cache(chain_hamiltonian(pst_preset(n, variant))).unitary(np.pi)[:, sigma]
+        images = chain_mirror_index(n)[sigma]
+        excitation = -1j * (-1) ** n if variant == "standard" else 1.0
+        want = np.full(sigma.size, excitation, dtype=complex)
+        want[n] = 1.0
+        assert np.max(np.abs(columns[images, np.arange(sigma.size)] - want)) <= 1e-12
+        columns[images, np.arange(sigma.size)] = 0
+        assert np.max(np.abs(columns)) <= 1e-12
+
 
 def symmetric_engineered(n, seed):
     """Engineered chain whose couplings and fields read the same from either end."""
@@ -372,6 +391,17 @@ class TestMirrorCheckByBlock:
         # the sector route is taken where the solve split a block: for every
         # kind but the diagonal O2 and O4, whose blocks M keeps whole or swaps
         assert splits == {kind not in ("O2", "O4")}
+
+    @pytest.mark.parametrize("variant", ["standard", "phase_exact"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_preset_matches_dense_unitary(self, variant, n):
+        # the transfer presets have whole- or half-integer levels, so the chain
+        # has wide degenerate clusters (up to 120 levels at n = 6) that hold
+        # both parities
+        ham = chain_hamiltonian(pst_preset(n, variant))
+        splits = {assert_matches_dense(ham, sign * t)
+                  for t in (np.pi, 2 * np.pi / 3, 0.77) for sign in (1, -1)}
+        assert splits == {True}
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O2",
                                       "engineered", "O5"])

@@ -149,6 +149,13 @@ class TestChainOperatorTerms:
                                              rf"not fit on a chain of {n} sites"):
             linalg.ChainOperator.from_terms([(1, np.eye(3 ** n)), (site, local)], n)
 
+    def test_empty_term_list_refused(self):
+        # an empty list, or an exhausted generator of terms, names the missing
+        # terms rather than failing to unpack them
+        for terms in ([], (term for term in [])):
+            with pytest.raises(ValueError, match="on 3 sites needs at least one term, got none"):
+                linalg.ChainOperator.from_terms(terms, 3)
+
 
 class TestConnectedBlocks:
     @pytest.mark.parametrize("kind", KINDS)

@@ -6,6 +6,7 @@ import pytest
 from spin1chain import dynamics, linalg, parity
 from spin1chain.hamiltonians import (
     ChainSpec,
+    SigmaBasis,
     candidate_two_site,
     chain_hamiltonian,
     h12,
@@ -110,6 +111,20 @@ class TestIndexMirrors:
             3 ** n, lambda j: basis_index(basis_label(j, n)[::-1]))
         assert np.array_equal(chain_mirror_permutation(n), reference)
         assert_index_matches(chain_mirror_index(n), reference)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_chain_mirror_reverses_both_sigma_runs(self, n):
+        # the chain mirror maps the sigma states (up runs on sites 1..n, the
+        # vacuum, down runs on sites 1..n) onto sigma states, reversing the up
+        # and the down run and keeping the vacuum: it is the site inversion of
+        # the sigma subspace, with no mirror of its own
+        sigma = SigmaBasis(n).full_space_indices()
+        run = np.arange(n)[::-1]
+        reversed_runs = np.concatenate([run, [n], n + 1 + run])
+        assert np.array_equal(chain_mirror_index(n)[sigma], sigma[reversed_runs])
+        labels = SigmaBasis(n).labels()
+        assert [basis_label(j, n) for j in chain_mirror_index(n)[sigma]] == [
+            label[::-1] for label in labels]
 
     def test_two_site_chain_mirror_is_the_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
