@@ -231,30 +231,44 @@ def _distinct_phases(phases):
 def _mirror_entries(eigensystem, index, phases):
     """U[M j, j] for every column j of U = V diag(phases) V^dagger, M the chain
     mirror given as ``index``, and the largest |U[i, j]| over the other
-    entries, read tile by tile from
-    :meth:`~spin1chain.linalg.HermitianEigenSystem.unitary_blocks` without forming U.
+    entries, read from the products of
+    :meth:`~spin1chain.linalg.HermitianEigenSystem.unitary_sectors` without forming U.
 
-    Every entry of U that may be nonzero lies in one tile, so an image M j
-    that no tile of column j holds reads 0.  Each row is marked with the
-    number of the tile holding it, tiles numbered across the stacks so that
-    a mark left by an earlier stack never matches, and with its position in
-    that tile's rows.
+    Every entry of U that may be nonzero lies in one product.  In a tile of
+    blocks solved whole, an image M j that the tile of column j does not hold
+    reads 0: each row is marked with the number of the tile holding it, tiles
+    numbered across the stacks so that a mark left by an earlier stack never
+    matches, and with its position in that tile's rows.  A split block's U[M j,
+    j] is sums[j, j] on a fixed row and diffs[i, i] on both rows of a pair (i,
+    M i); its other entries are those of sums and diffs, so the tile U[MP, MP],
+    which repeats sums on P x P, and the sums that U[F, MP] and U[MP, F] share
+    are not read again.
     """
     diagonal = np.zeros(eigensystem.dim, dtype=complex)
     largest = 0.0
     tile_of, position = np.full((2, eigensystem.dim), -1)
     numbered = 0
-    for rows, columns, tile in eigensystem.unitary_blocks(phases):
+    for rows, images, sums, diffs in eigensystem.unitary_sectors(phases):
         count, size = rows.shape
-        numbers = numbered + np.arange(count)[:, None]
-        numbered += count
-        tile_of[rows], position[rows] = numbers, np.arange(size)
-        images = index[columns]
-        k, c = np.nonzero(tile_of[images] == numbers)
-        r = position[images[k, c]]
-        diagonal[columns[k, c]] = tile[k, r, c]
-        magnitude = np.abs(tile)
-        magnitude[k, r, c] = 0
+        if images is None:
+            numbers = numbered + np.arange(count)[:, None]
+            numbered += count
+            tile_of[rows], position[rows] = numbers, np.arange(size)
+            images = index[rows]
+            k, c = np.nonzero(tile_of[images] == numbers)
+            on_diagonal = k, position[images[k, c]], c
+            diagonal[rows[k, c]] = sums[on_diagonal]
+        else:
+            nfixed = size - diffs.shape[1]
+            fixed, paired = np.arange(nfixed), np.arange(diffs.shape[1])
+            diagonal[rows[:, :nfixed]] = sums[:, fixed, fixed]
+            diagonal[rows[:, nfixed:]] = diagonal[images[:, nfixed:]] = diffs[:, paired, paired]
+            magnitude = np.abs(diffs)
+            magnitude[:, paired, paired] = 0
+            largest = np.max(magnitude, initial=largest)
+            on_diagonal = slice(None), fixed, fixed
+        magnitude = np.abs(sums)
+        magnitude[on_diagonal] = 0
         largest = np.max(magnitude, initial=largest)
     return diagonal, float(largest)
 

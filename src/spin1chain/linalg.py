@@ -126,8 +126,9 @@ def entries_at(op, flat):
     if not isinstance(op, ChainOperator):
         return np.asarray(op).reshape(-1)[flat]
     pos = np.searchsorted(op.flat, flat)
-    found = np.append(op.flat, -1)[pos] == flat
-    return np.where(found, np.append(op.values, 0)[pos], 0)
+    out = np.append(op.values, 0)[pos]
+    out[np.append(op.flat, -1)[pos] != flat] = 0
+    return out
 
 
 def fix_eigenvector_phases(vectors):
@@ -136,13 +137,22 @@ def fix_eigenvector_phases(vectors):
     Columns without a component above PHASE_FIX_THRESHOLD are left untouched.
     The modulus is taken with ``np.hypot``, which rounds like the scalar
     ``abs`` of one complex number, so the result does not depend on how
-    many columns are fixed at once.
+    many columns are fixed at once.  ``vectors`` is not changed: the fixed
+    columns are a new complex array.
     """
-    fixed = np.array(vectors, dtype=complex, copy=True)
+    return _rotate_columns(np.array(vectors, dtype=complex, copy=True)[None])[0]
+
+
+def _rotate_columns(fixed):
+    """:func:`fix_eigenvector_phases` in place on a complex stack of matrices, which is
+    returned; :func:`eig_hermitian` hands it the arrays it has just built."""
     significant = np.abs(fixed) > PHASE_FIX_THRESHOLD
-    cols = np.flatnonzero(significant.any(axis=0))
-    lead = fixed[np.argmax(significant[:, cols], axis=0), cols]
-    fixed[:, cols] *= np.hypot(lead.real, lead.imag) / lead
+    found = significant.any(axis=1)
+    lead = fixed[np.arange(len(fixed))[:, None], np.argmax(significant, axis=1),
+                 np.arange(fixed.shape[2])]
+    lead = np.where(found, lead, 1)
+    np.multiply(fixed, (np.hypot(lead.real, lead.imag) / lead)[:, None, :], out=fixed,
+                where=found[:, None, :])
     return fixed
 
 
@@ -231,8 +241,10 @@ class EigenSolve:
 class HermitianEigenSystem:
     """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues, held as
     its stacked solves (:class:`EigenSolve`): V is never stored.  The reader
-    :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_blocks` gives
-    V diag(phases) V^dagger tile by tile, and
+    :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_sectors` and
+    :meth:`unitary_blocks` give V diag(phases) V^dagger product by product and tile
+    by tile, the self-checks :meth:`reconstruction_residual` and
+    :meth:`unitarity_deviation` run solve by solve, and
     :attr:`eigenvectors` assembles the whole dense matrix on request; V is complex
     whether a block was solved in real or in complex arithmetic.
 
@@ -305,19 +317,19 @@ class HermitianEigenSystem:
                 out[i, solve.columns[k]] = v if sign is None else sign * v
         return out
 
-    def unitary_blocks(self, phases):
-        """(rows, columns, tile) stacks of U = V diag(phases) V^dagger, tile[k] being
-        U[rows[k]][:, columns[k]]; every entry of U that may be nonzero lies in
-        exactly one tile, and no block of U is assembled.
+    def unitary_sectors(self, phases):
+        """The products that make up U = V diag(phases) V^dagger, per solve: (rows, None,
+        tile, None) for blocks solved whole, tile[k] being U on rows[k] x rows[k], and
+        (first, images, sums, diffs) for blocks split in two.
 
-        A solve of whole blocks gives one tile per block.  An even and an odd
-        parity sector of the same blocks give four: each eigenvector has v[M i]
-        = p v[i], p its parity, so on a block's orbit-first rows F (fixed rows
-        first, then the pairs' first rows P) the even sector gives G_e and the
-        odd one G_o, nonzero on P x P only, and U[i, j] = U[M i, M j] = (G_e +
-        G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e - G_o)[i, j].  The tiles
-        F x F, MP x MP, F x MP and MP x F (MP the mirror images of P) are views
-        of those two products; the last two share the entries of P x P.
+        Each eigenvector of a split block has v[M i] = p v[i], p its parity, so on
+        the block's orbit-first rows F (``first``: fixed rows first, then the pairs'
+        first rows P; ``images`` their mirror images) the even sector gives G_e and
+        the odd one G_o, nonzero on P x P only, and U[i, j] = U[M i, M j] = (G_e +
+        G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e - G_o)[i, j].  ``sums`` is G_e +
+        G_o on F x F, and ``diffs`` is G_e - G_o on P x P only: off P x P it equals
+        ``sums``.  Each product is formed once, from the solve's vectors and one
+        weighted conjugate copy of them, and no block of U is assembled.
         """
         for solve in self.solves:
             rows, images, v = solve.rows, solve.mirrored, solve.vectors
@@ -326,31 +338,107 @@ class HermitianEigenSystem:
                 order = np.argsort(rows != images, axis=1, kind="stable")
                 rows, images = (np.take_along_axis(r, order, axis=1) for r in (rows, images))
                 v = np.take_along_axis(v, order[:, :, None], axis=1)
-            product = (v * phases[solve.columns][:, None, :]) @ v.conj().transpose(0, 2, 1)
+            # v diag(phases) v^dagger is the conjugate of conj(v diag(phases)) v^T, bit
+            # for bit (conj(a) conj(b) == conj(a b) in each product and sum), which reads
+            # v itself and needs one weighted copy only
+            product = np.conj(v)
+            product *= np.conj(phases[solve.columns])[:, None, :]
+            product = product @ v.transpose(0, 2, 1)
+            np.conj(product, out=product)
             if images is None:
-                yield rows, rows, product
+                yield rows, None, product, None
             elif solve.sign > 0:
                 even = rows, images, product  # its odd sector's solve comes next
+                del v  # the reordered copy
             else:
-                (first, images, sums), odd = even, product
-                nfixed = first.shape[1] - odd.shape[1]
-                diffs = sums.copy()
-                sums[:, nfixed:, nfixed:] += odd
-                diffs[:, nfixed:, nfixed:] -= odd
-                pairs = images[:, nfixed:]
-                yield first, first, sums
-                yield pairs, pairs, sums[:, nfixed:, nfixed:]
-                yield first, pairs, diffs[:, :, nfixed:]
-                yield pairs, first, diffs[:, nfixed:, :]
+                first, images, sums = even
+                nfixed = first.shape[1] - product.shape[1]
+                diffs = sums[:, nfixed:, nfixed:] - product
+                sums[:, nfixed:, nfixed:] += product
+                del product
+                yield first, images, sums, diffs
+
+    def unitary_blocks(self, phases):
+        """(rows, columns, tile) stacks of U = V diag(phases) V^dagger, tile[k] being
+        U[rows[k]][:, columns[k]]; every entry of U that may be nonzero lies in
+        exactly one tile, and no block of U is assembled.
+
+        A solve of whole blocks gives one tile per block.  A split block
+        (:meth:`unitary_sectors`) gives six views of its sums and diffs: F x F and
+        MP x MP (MP the mirror images of the pair rows P) read the sums, and so
+        do the entries U[i, M j] = U[M i, j] with i or j fixed; those with both in
+        P, in P x MP and MP x P, read the diffs.
+        """
+        for rows, images, sums, diffs in self.unitary_sectors(phases):
+            if images is None:
+                yield rows, rows, sums
+                continue
+            nfixed = rows.shape[1] - diffs.shape[1]
+            fixed, paired, pairs = rows[:, :nfixed], rows[:, nfixed:], images[:, nfixed:]
+            yield rows, rows, sums
+            yield pairs, pairs, sums[:, nfixed:, nfixed:]
+            yield fixed, pairs, sums[:, :nfixed, nfixed:]
+            yield pairs, fixed, sums[:, nfixed:, :nfixed]
+            yield paired, pairs, diffs
+            yield pairs, paired, diffs
 
     def reconstruction_residual(self, mat):
-        v = self.eigenvectors
-        rebuilt = (v * self.eigenvalues) @ v.conj().T
-        return float(np.max(np.abs(rebuilt - mat)))
+        """Largest entry of |V diag(w) V^dagger - mat|, ``mat`` a square array or a
+        :class:`ChainOperator` of this dimension, computed solve by solve.
+
+        Each tile of :meth:`unitary_blocks` with the eigenvalues as phases is compared
+        with the entries of ``mat`` it covers.  V diag(w) V^dagger is exactly zero
+        between two blocks, so there the entries of ``mat`` count by their modulus.
+        Neither V nor any product of dense matrices is formed; the result agrees with
+        the dense formula to a few ulps.
+        """
+        shape = (len(mat), len(mat)) if isinstance(mat, ChainOperator) else np.shape(mat)
+        if shape != (self.dim, self.dim):
+            raise ValueError(f"a matrix of shape {shape} cannot be compared with an "
+                             f"eigensystem of shape {(self.dim, self.dim)}")
+        if isinstance(mat, ChainOperator):
+            flat, values = mat.flat, mat.values
+        else:
+            mat = np.asarray(mat)
+            flat = np.flatnonzero(mat)
+            values = mat.reshape(-1)[flat]
+        # each row's block: whole blocks and even sectors hold every row of theirs
+        block, numbered = np.empty(self.dim, dtype=int), 0
+        for solve in self.solves:
+            if solve.sign > 0:
+                for rows, _ in solve.held():
+                    block[rows] = numbered + np.arange(rows.shape[0])[:, None]
+                numbered += solve.rows.shape[0]
+        rows, cols = np.divmod(flat, self.dim)
+        largest = np.max(np.abs(values[block[rows] != block[cols]]), initial=0.0)
+        for rows, cols, tile in self.unitary_blocks(self.eigenvalues):
+            gap = entries_at(mat, rows[:, :, None] * self.dim + cols[:, None, :])
+            gap = np.subtract(tile, gap, out=gap if gap.dtype == tile.dtype else None)
+            largest = np.max(np.abs(gap), initial=largest)
+        return float(largest)
 
     def unitarity_deviation(self):
-        v = self.eigenvectors
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+        """Largest entry of |V^dagger V - I|, computed solve by solve as the Gram matrix
+        v^dagger D v of each stacked solve, D each row's multiplicity in V: 2 for the
+        rows a parity sector also holds on their mirror images, else 1.
+
+        Columns of different blocks have disjoint rows, and an even and an odd sector
+        of one block cancel (v^dagger on F meets +v and -v on P and MP), so their entries
+        of V^dagger V are 0.  Neither V nor any product of dense matrices is formed;
+        the result agrees with the dense formula to a few ulps.
+        """
+        largest = 0.0
+        for solve in self.solves:
+            v = solve.vectors
+            weighted = np.conj(v)
+            if solve.mirrored is not None:
+                weighted *= np.where(solve.rows == solve.mirrored, 1.0, 2.0)[:, :, None]
+            gram = weighted.transpose(0, 2, 1) @ v
+            del weighted
+            diagonal = np.arange(gram.shape[1])
+            gram[:, diagonal, diagonal] -= 1
+            largest = np.max(np.abs(gram), initial=largest)
+        return float(largest)
 
 
 def _parity_sectors(stack, rows, image, numbers):
@@ -380,25 +468,71 @@ def _parity_sectors(stack, rows, image, numbers):
     pair = first != second
     at = np.arange(count)[:, None, None]
     even = stack[at, first[:, :, None], first[:, None, :]]
-    even += np.where(pair[:, :, None] & pair[:, None, :],
-                     stack[at, first[:, :, None], second[:, None, :]], 0)
-    even *= np.where(pair[:, :, None] == pair[:, None, :], 1.0, _SQRT2)
+    mirrored = stack[at, first[:, :, None], second[:, None, :]]
+    mirrored[~(pair[:, :, None] & pair[:, None, :])] = 0
+    even += mirrored
+    del mirrored
+    even[pair[:, :, None] != pair[:, None, :]] *= _SQRT2
     odd_first, odd_second = first[pair].reshape(count, -1), second[pair].reshape(count, -1)
-    odd = (stack[at, odd_first[:, :, None], odd_first[:, None, :]]
-           - stack[at, odd_first[:, :, None], odd_second[:, None, :]])
+    odd = stack[at, odd_first[:, :, None], odd_first[:, None, :]]
+    odd -= stack[at, odd_first[:, :, None], odd_second[:, None, :]]
     first, second, odd_first, odd_second = (np.take_along_axis(rows, local, axis=1)
                                             for local in (first, second, odd_first, odd_second))
     yield even, first, second, np.where(pair, _SQRT_HALF, 1.0), 1.0, numbers
     yield odd, odd_first, odd_second, np.full(odd_first.shape, _SQRT_HALF), -1.0, numbers
 
 
+def _entry_form(op, rows, first, entries, block_of, position):
+    """The matrices of the blocks ``rows`` of a ChainOperator (numbered from ``first``),
+    scattered from its ``entries`` (their indices in ``op.flat``, ascending) in the form
+    they are solved in, and whether they are centrohermitian.
+
+    Entry (i, j) lands at [block_of[i] - first, position[i], position[j]].  The blocks
+    are real when no entry has a nonzero imaginary part.  Complex blocks that R: i ->
+    dim-1-i maps onto themselves are centrohermitian when R, which maps flat index f to
+    dim^2-1-f and so reverses their order, maps the entries onto themselves with
+    conjugate values; their G = Re H - Im H J then takes each entry's real part at (i, j)
+    and subtracts its imaginary part at (i, R j), so every place is re - im once, as in
+    the dense form.  A real or centrohermitian stack is one float array: neither the
+    dense matrix nor a complex copy of the blocks is built.
+    """
+    count, size = rows.shape
+    dim = op.dim
+    flat, values = op.flat[entries], op.values[entries]
+    i, j = np.divmod(flat, dim)
+    at = block_of[i] - first, position[i], position[j]
+    real = not (np.iscomplexobj(values) and values.imag.any())
+    centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
+              and np.array_equal(dim * dim - 1 - flat[::-1], flat)
+              and np.array_equal(values[::-1], values.conj()))
+    stack = np.zeros((count, size, size), dtype=float if real or centro else values.dtype)
+    stack[at] = values.real if real or centro else values
+    if centro:
+        stack[at[0], at[1], size - 1 - at[2]] -= values.imag
+    return stack, centro
+
+
+def _array_form(stack, rows, dim):
+    """The stack of blocks ``rows`` of a dim x dim array in the form it is solved in, and
+    whether it is centrohermitian (see :func:`_entry_form`)."""
+    real = not (np.iscomplexobj(stack) and stack.imag.any())
+    centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
+              and np.array_equal(stack[:, ::-1, ::-1], stack.conj()))
+    if real or centro:
+        stack = stack.real - stack.imag[..., ::-1] if centro else stack.real
+    return stack, centro
+
+
 def eig_hermitian(op):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
-    ``op`` is a square array or a :class:`ChainOperator`, which is refused
-    above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
-    (:func:`connected_blocks`) is diagonalized on its own, its matrix read
-    from the entries.  A ChainOperator whose entries equal
+    ``op`` is a non-empty square array or a :class:`ChainOperator`, which is
+    refused above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
+    (:func:`connected_blocks`) is diagonalized on its own.  An array's blocks
+    are read from it; a ChainOperator's are scattered from its entries, in one
+    pass per group of blocks of one size (:func:`_entry_form`), so neither its
+    dense matrix nor an index per block entry is built, and its blocks stay in
+    memory only until their sectors are formed.  A ChainOperator whose entries equal
     those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
     residual is kept as ``mirror_residual``) has each block that M maps
     onto itself and that holds a pair i != M i solved as its even and odd
@@ -412,14 +546,15 @@ def eig_hermitian(op):
     ``eigh`` call per sector, a real one where the stack has no nonzero
     imaginary part.  Complex blocks that R: i -> dim-1-i maps onto themselves
     with H[R i, R j] == conj(H[i, j]) exactly (centrohermitian, as O5) are
-    solved as the real symmetric G = Re H - Im H J, J the block's reversal;
-    H's eigenvectors are (y + i J y)/sqrt2, and as R commutes with M, G splits
-    into the same sectors and they keep y's parity.  The eigenpairs are
-    sorted ascending; equal eigenvalues are ordered by block (smaller blocks
-    first, then by smallest index), the even sector before the odd, then as
-    ``eigh`` returns them.  Each stack's phase-fixed vectors are kept as one
-    :class:`EigenSolve` with their rows and global columns; no dense eigenvector
-    matrix is built.
+    solved as the real symmetric G = Re H - Im H J, J the block's reversal,
+    which a ChainOperator's entries give straight as one float stack, with
+    no complex copy; H's eigenvectors are (y + i J y)/sqrt2, and as R commutes
+    with M, G splits into the same sectors and they keep y's parity.  The
+    eigenpairs are sorted ascending; equal eigenvalues are ordered by block
+    (smaller blocks first, then by smallest index), the even sector before the
+    odd, then as ``eigh`` returns them.  Each stack's vectors are phase-fixed in
+    place in the array built from ``eigh``'s and kept as one :class:`EigenSolve`
+    with their rows and global columns; no dense eigenvector matrix is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
     entries, and :class:`NonHermitianError` when the Hermiticity deviation
@@ -427,7 +562,8 @@ def eig_hermitian(op):
     blocks, so the deviation and the largest entry are those of the blocks;
     a ChainOperator's are read from its entries.
     """
-    if isinstance(op, ChainOperator):
+    chain = isinstance(op, ChainOperator)
+    if chain:
         check_dense_dim(op.dim)
         dim, nonzero = op.dim, op.flat
         mirror = chain_mirror_index(op.n_sites)
@@ -435,20 +571,26 @@ def eig_hermitian(op):
         op = np.asarray(op)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {op.shape}")
+        if not op.size:
+            raise ValueError(f"expected a non-empty square matrix, got shape {op.shape}")
         dim, nonzero, mirror = op.shape[0], np.flatnonzero(op), None
     residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
     blocks = connected_blocks(nonzero, dim)
     if len(blocks) == 1:
         groups = [blocks[0][None, :]]
-        stacks = [(op.dense() if isinstance(op, ChainOperator) else op)[None]]
     else:
         by_size = {}
         for block in blocks:
             by_size.setdefault(block.size, []).append(block)
         groups = [np.stack(by_size[size]) for size in sorted(by_size)]
-        stacks = [entries_at(op, rows[:, :, None] * dim + rows[:, None, :]) for rows in groups]
-    chain = isinstance(op, ChainOperator)
-    largest = [float(np.max(np.abs(s), initial=0.0)) for s in ([op.values] if chain else stacks)]
+    # block k is numbered numbers[g] + k within group g
+    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
+    if chain:
+        largest = [float(np.max(np.abs(op.values), initial=0.0))]
+    else:
+        stacks = ([op[None]] if len(blocks) == 1
+                  else [op[rows[:, :, None], rows[:, None, :]] for rows in groups])
+        largest = [float(np.max(np.abs(s), initial=0.0)) for s in stacks]
     if not all(map(math.isfinite, largest)):
         bad = nonzero[~np.isfinite(entries_at(op, nonzero))]
         raise ValueError(f"matrix has {bad.size} non-finite entries (NaN or inf), the first at "
@@ -458,27 +600,27 @@ def eig_hermitian(op):
     if not dev <= HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    # block k is numbered numbers[g] + k within group g
-    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    # each block's parity factor: 0 when H is no exact commuter, else -1 on the
-    # second of two blocks that M swaps and 1 on every other block
-    known = np.zeros(numbers[-1], dtype=np.int8)
-    if residual == 0:
+    if chain:
         # each row's block number and its position in its block's rows
         block_of, position = np.empty((2, dim), dtype=int)
         for rows, first in zip(groups, numbers):
             block_of[rows] = first + np.arange(rows.shape[0])[:, None]
             position[rows] = np.arange(rows.shape[1])
+        # the entries of each group, in ascending flat order
+        group = np.searchsorted(numbers, block_of[nonzero // dim], side="right") - 1
+        by_group = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1))
+    # each block's parity factor: 0 when H is no exact commuter, else -1 on the
+    # second of two blocks that M swaps and 1 on every other block
+    known = np.zeros(numbers[-1], dtype=np.int8)
     solved = []
-    for rows, stack, first in zip(groups, stacks, numbers):
+    for g, (rows, first) in enumerate(zip(groups, numbers)):
         count, size = rows.shape
-        # a real stack is solved as its real part, and complex blocks that R (i -> dim-1-i)
-        # maps onto themselves with H[R i, R j] == conj(H[i, j]) as G = Re H - Im H J
-        real = not (np.iscomplexobj(stack) and stack.imag.any())
-        centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
-                  and np.array_equal(stack[:, ::-1, ::-1], stack.conj()))
-        if real or centro:
-            stack = stack.real - stack.imag[..., ::-1] if centro else stack.real
+        if chain:
+            stack, centro = _entry_form(op, rows, first, by_group[bounds[g]:bounds[g + 1]],
+                                        block_of, position)
+        else:
+            stack, centro = _array_form(stacks[g], rows, dim)
         ids = first + np.arange(count)
         # the position of each row's mirror image in its block, or the row's
         # own where M does not map the block onto itself or nothing can split
@@ -490,12 +632,17 @@ def eig_hermitian(op):
             known[ids] = np.where(partner < ids, -1, 1)
             image = np.where(kept[:, None], position[images], image)
             fixed = np.count_nonzero(image == np.arange(size), axis=1)
+        sectors = []
         for count_fixed in np.unique(fixed):
             same = fixed == count_fixed
             pick = slice(None) if same.all() else same
-            for mats, *scatter in _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick]):
-                solved.append((*np.linalg.eigh(mats), *scatter, centro))
-    del stacks, stack, mats  # every matrix is solved: free them before the phase fix
+            sectors += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
+        del stack  # the sectors are built: free the blocks before they are solved
+        for mats, *scatter in sectors:
+            solved.append((*np.linalg.eigh(mats), *scatter, centro))
+        del sectors, mats
+    if not chain:
+        del stacks
     values = np.concatenate([w.ravel() for w, *_ in solved])
     block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
                                  for _, _, rows, _, _, _, ids, _ in solved])
@@ -505,25 +652,26 @@ def eig_hermitian(op):
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     solves, offset = [], 0
-    for _, v, rows, mirrored, weights, sign, _, centro in solved:
-        count, size = rows.shape
+    solved.reverse()  # taken in order, so each solve's real vectors go once converted
+    while solved:
+        _, v, rows, mirrored, weights, sign, _, centro = solved.pop()
+        size = rows.shape[1]
         if weights is not None:
-            v = v * weights[:, :, None]
+            v *= weights[:, :, None]
         if centro:
             # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
             # held on its orbit's first row, signed as the mirrored rows are
-            position, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
-            position[mirrored] = position[rows] = np.arange(size)
+            place, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
+            place[mirrored] = place[rows] = np.arange(size)
             held[rows], reflected = True, dim - 1 - rows
             v = v * complex(_SQRT_HALF)
-            v.imag = (np.take_along_axis(v.real, position[reflected][:, :, None], axis=1)
-                      * np.where(held[reflected], 1.0, sign)[:, :, None])
-        # the columns of every matrix of the stack side by side, phase-fixed at once
-        v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
+            np.multiply(np.take_along_axis(v.real, place[reflected][:, :, None], axis=1),
+                        np.where(held[reflected], 1.0, sign)[:, :, None], out=v.imag)
+        # every column of the stack phase-fixed at once, in place
         solves.append(EigenSolve(
             rows, None if weights is None else mirrored, sign,
             column[offset:offset + rows.size].reshape(rows.shape),
-            np.ascontiguousarray(v.reshape(size, count, size).transpose(1, 0, 2))))
+            _rotate_columns(np.asarray(v, dtype=complex))))
         offset += rows.size
     return HermitianEigenSystem(eigenvalues=values[order], solves=tuple(solves),
                                 mirror_residual=residual,

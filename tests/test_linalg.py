@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -214,6 +217,16 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_empty_matrix(self, dtype):
+        # refused up front, naming the shape, rather than failing inside numpy
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            eig_hermitian(np.zeros((0, 0), dtype=dtype))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            eig_hermitian(np.zeros((2, 3)))
 
     def test_residual_and_unitarity_bounds(self):
         rng = np.random.default_rng(3)
@@ -645,11 +658,14 @@ class TestParitySectors:
 
 def storage_inputs():
     """(id, operator, mirror index or None) of the eigensystem storage tests: every
-    kind at n = 2-6 (engineered chains mirror-symmetric), an engineered chain that is
-    not, a 9 x 9 coupling array, a sigma block, the two-site operator of a complex
-    sigma block and a tomography band."""
+    kind at n = 2-6 (engineered chains mirror-symmetric), both transfer presets at
+    n = 2-6, an engineered chain that is not mirror-symmetric, a 9 x 9 coupling array,
+    a sigma block, the two-site operator of a complex sigma block, a tomography band
+    and a random Hermitian array of several blocks."""
     inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)),
                chain_mirror_index(n)) for kind in KINDS for n in (2, 3, 4, 5, 6)]
+    inputs += [(f"{variant}-{n}", chain_hamiltonian(pst_preset(n, variant)), chain_mirror_index(n))
+               for variant in PRESET_VARIANTS for n in (2, 3, 4, 5, 6)]
     inputs += [("engineered-asymmetric-4", chain_hamiltonian(chain_spec("engineered", 4, seed=4)),
                 chain_mirror_index(4)),
                ("O5-coupling", candidate_two_site("O5"), None),
@@ -658,7 +674,9 @@ def storage_inputs():
                ("sigma-4-chain", linalg.ChainOperator.from_terms(
                    [(1, engineered_sigma_block(pst_preset(4, "standard")).astype(complex))], 2),
                 chain_mirror_index(2)),
-               ("band-9", up_block(pst_preset(9, "standard")), None)]
+               ("band-9", up_block(pst_preset(9, "standard")), None),
+               ("random-blocks", permuted_block_diagonal(np.random.default_rng(71),
+                                                         [7, 1, 4, 7, 2, 4, 1]), None)]
     return inputs
 
 
@@ -677,8 +695,18 @@ class TestBlockLocalStorage:
     def test_assembled_vectors_reconstruct_and_are_unitary(self, name, op, index):
         es = eig_hermitian(op)
         mat = self.dense(op)
-        assert es.reconstruction_residual(mat) <= 1e-12 * max(np.max(np.abs(mat)), 1.0)
+        scale = max(np.max(np.abs(mat)), 1.0)
+        assert es.reconstruction_residual(mat) <= 1e-12 * scale
         assert es.unitarity_deviation() <= 1e-12
+        # the self-checks run solve by solve and agree with the dense formulas, the
+        # largest entries of |V diag(w) V^dagger - H| and of |V^dagger V - I|
+        v = es.eigenvectors
+        rebuilt = (v * es.eigenvalues) @ v.conj().T
+        assert abs(es.reconstruction_residual(mat) - np.max(np.abs(rebuilt - mat))) <= 1e-14 * scale
+        gram = v.conj().T @ v
+        assert abs(es.unitarity_deviation() - np.max(np.abs(gram - np.eye(len(v))))) <= 1e-14
+        # the operator that was solved reads as its dense matrix does
+        assert es.reconstruction_residual(op) == es.reconstruction_residual(mat)
 
     def test_split_blocks_have_exact_parity(self, name, op, index):
         es = eig_hermitian(op)
@@ -994,3 +1022,116 @@ class TestKron:
         big = np.eye(100)
         with pytest.raises(ValueError, match="exceeds cap"):
             kron_all([big, big])
+
+
+class TestReconstructionInput:
+    """What :meth:`HermitianEigenSystem.reconstruction_residual` takes besides the
+    matrix that was solved."""
+
+    def test_other_matrix_is_measured_entry_by_entry(self):
+        # a matrix with entries between the solved blocks, and other entries in them
+        ham = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg"))
+        es = eig_hermitian(ham)
+        rng = np.random.default_rng(72)
+        other = ham.dense() + random_hermitian(rng, 27) * (rng.random((27, 27)) < 0.1)
+        other = (other + other.conj().T) / 2
+        assert len(blocks_of(other)) < len(blocks_of(ham.dense()))
+        v = es.eigenvectors
+        residual = np.max(np.abs((v * es.eigenvalues) @ v.conj().T - other))
+        assert abs(es.reconstruction_residual(other) - residual) <= 1e-14 * np.max(np.abs(other))
+
+    @pytest.mark.parametrize("mat", [np.zeros((26, 26)), np.zeros((27, 9)), np.zeros(27),
+                                     chain_hamiltonian(ChainSpec(n=2, kind="heisenberg"))],
+                             ids=["smaller", "not-square", "vector", "other-chain"])
+    def test_other_shapes_are_refused(self, mat):
+        es = eig_hermitian(chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")))
+        shape = (9, 9) if isinstance(mat, linalg.ChainOperator) else mat.shape
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} cannot be compared with "
+                                                       "an eigensystem of shape (27, 27)")):
+            es.reconstruction_residual(mat)
+
+
+def entry_forms(monkeypatch):
+    """Patch linalg._entry_form to record (rows, stack, centro) of every group it forms."""
+    forms, entry_form = [], linalg._entry_form
+
+    def recording(*args):
+        stack, centro = entry_form(*args)
+        forms.append((args[1], stack.copy(), centro))
+        return stack, centro
+
+    monkeypatch.setattr(linalg, "_entry_form", recording)
+    return forms
+
+
+class TestEntryForms:
+    """A ChainOperator's blocks are scattered from its entries in the form they are solved
+    in, equal byte for byte to the form the dense matrix gives."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_forms_equal_the_dense_forms(self, kind, n, monkeypatch):
+        ham = chain_hamiltonian(chain_spec(kind, n, seed=n))
+        forms = entry_forms(monkeypatch)
+        eig_hermitian(ham)
+        mat = ham.dense()
+        assert sum(rows.size for rows, _, _ in forms) == mat.shape[0]
+        for rows, stack, centro in forms:
+            dense = mat[rows[:, :, None], rows[:, None, :]]
+            real = not dense.imag.any()
+            assert centro == (not real and np.array_equal(rows[:, ::-1], 3 ** n - 1 - rows)
+                              and np.array_equal(dense[:, ::-1, ::-1], dense.conj()))
+            want = dense.real - dense.imag[..., ::-1] if centro else dense.real if real else dense
+            assert stack.dtype == want.dtype
+            assert stack.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_o5_real_form_is_scattered_from_the_entries(self, n, monkeypatch):
+        # O5 is one centrohermitian block: its G = Re H - Im H J is one float array
+        ham = chain_hamiltonian(ChainSpec(n=n, kind="O5"))
+        forms = entry_forms(monkeypatch)
+        monkeypatch.setattr(linalg.ChainOperator, "dense", None)  # never built
+        eig_hermitian(ham)
+        monkeypatch.undo()
+        ((rows, stack, centro),) = forms
+        mat = ham.dense()
+        assert centro and np.array_equal(rows, np.arange(3 ** n)[None])
+        assert stack.tobytes() == (mat.real - mat.imag[:, ::-1])[None].tobytes()
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees ``call()`` allocate."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 2 ** 20
+
+
+class TestSectorSizedMemory:
+    # tracemalloc peaks at n = 6 (dim 729, a dense complex matrix 8.1 MiB).  Where
+    # the eigensystem formed the dense V and its products, and O5 was solved from
+    # its dense complex matrix and a conjugate copy, the peaks were: evolution_cache
+    # 17.3 (O5) and 2.7 MiB (Heisenberg), mirror_check 8.8 and 0.8,
+    # reconstruction_residual 32.4 and 32.4, unitarity_deviation 24.3 and 24.3.
+    # Solve by solve they read 8.4 and 0.8, 6.6 and 0.7, 9.4 and 0.8, 5.9 and 0.4
+    # (numpy 2.4); the bounds leave at least a third more.
+    BOUNDS = {"O5": (11, 9, 12.5, 8), "heisenberg": (1.5, 1.2, 1.5, 1)}
+
+    @pytest.mark.parametrize("kind", ["O5", "heisenberg"])
+    def test_analyses_stay_within_their_sectors(self, kind, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(ChainSpec(n=6, kind=kind))
+        mat = ham.dense()
+        solve_peak = traced_peak(lambda: evolution_cache(ham))
+        es = evolution_cache(ham).eigensystem
+        peaks = (solve_peak, traced_peak(lambda: mirror_check(ham, np.pi)),
+                 traced_peak(lambda: es.reconstruction_residual(mat)),
+                 traced_peak(es.unitarity_deviation))
+        steps = "evolution_cache", "mirror_check", "reconstruction_residual", "unitarity_deviation"
+        for step, peak, bound in zip(steps, peaks, self.BOUNDS[kind]):
+            assert peak < bound * MiB, f"{step} peaked at {peak / MiB:.1f} MiB"
