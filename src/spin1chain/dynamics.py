@@ -228,86 +228,44 @@ def _distinct_phases(phases):
     return tuple(complex(p) for p in phases[keep])
 
 
-def _mirror_entries(eigensystem, index, phases):
-    """U[M j, j] for every column j of U = V diag(phases) V^dagger, M the chain
-    mirror given as ``index``, and the largest |U[i, j]| over the other
-    entries, read from the products of
-    :meth:`~spin1chain.linalg.HermitianEigenSystem.unitary_sectors` without forming U.
-
-    Every entry of U that may be nonzero lies in one product.  In a tile of
-    blocks solved whole, an image M j that the tile of column j does not hold
-    reads 0: each row is marked with the number of the tile holding it, tiles
-    numbered across the stacks so that a mark left by an earlier stack never
-    matches, and with its position in that tile's rows.  A split block's U[M j,
-    j] is sums[j, j] on a fixed row and diffs[i, i] on both rows of a pair (i,
-    M i); its other entries are those of sums and diffs, so the tile U[MP, MP],
-    which repeats sums on P x P, and the sums that U[F, MP] and U[MP, F] share
-    are not read again.
-    """
-    diagonal = np.zeros(eigensystem.dim, dtype=complex)
-    largest = 0.0
-    tile_of, position = np.full((2, eigensystem.dim), -1)
-    numbered = 0
-    for rows, images, sums, diffs in eigensystem.unitary_sectors(phases):
-        count, size = rows.shape
-        if images is None:
-            numbers = numbered + np.arange(count)[:, None]
-            numbered += count
-            tile_of[rows], position[rows] = numbers, np.arange(size)
-            images = index[rows]
-            k, c = np.nonzero(tile_of[images] == numbers)
-            on_diagonal = k, position[images[k, c]], c
-            diagonal[rows[k, c]] = sums[on_diagonal]
-        else:
-            nfixed = size - diffs.shape[1]
-            fixed, paired = np.arange(nfixed), np.arange(diffs.shape[1])
-            diagonal[rows[:, :nfixed]] = sums[:, fixed, fixed]
-            diagonal[rows[:, nfixed:]] = diagonal[images[:, nfixed:]] = diffs[:, paired, paired]
-            magnitude = np.abs(diffs)
-            magnitude[:, paired, paired] = 0
-            largest = np.max(magnitude, initial=largest)
-            on_diagonal = slice(None), fixed, fixed
-        magnitude = np.abs(sums)
-        magnitude[on_diagonal] = 0
-        largest = np.max(magnitude, initial=largest)
-    return diagonal, float(largest)
-
-
 def mirror_check(op, t):
     """Test whether exp(i*H*t) equals the site inversion up to a phase.
 
     ``op`` is a :class:`~spin1chain.linalg.ChainOperator` and M its chain
-    mirror.  Reports the optimal global phase, the entrywise residual
-    against e^{i phi} M (a mirror when it is at most 1e-8), the [H, M]
-    commutator residual, and, when that residual is exactly 0, the distinct
-    eigenphases exp(i E t) grouped by the mirror parity of their
-    eigenvectors (mirroring requires each group to collapse to one value,
-    the two groups differing by a factor -1); an inexact commuter has no
-    parities and gets empty groups.  ``t`` is finite, and the time sign
-    folds into it (-t for the physical exp(-iHt)).  The phase is the angle
-    of tr(M^T U) = sum_j U[M j, j] and the residual the largest
-    |U - e^{i phi} M| entry, both read tile by tile (:func:`_mirror_entries`),
-    so neither a block of the unitary nor the dense unitary is built.
+    mirror.  Reports the optimal global phase, the residual ||U - e^{i phi}
+    M||_2 (a mirror when it is at most 1e-8), the [H, M] commutator residual,
+    and the distinct eigenphases exp(i E t) grouped by the mirror parity of
+    their eigenvectors (mirroring requires each group to collapse to one
+    value, the two groups differing by a factor -1).  ``t`` is finite, and the
+    time sign folds into it (-t for the physical exp(-iHt)).
+
+    U = e^{i phi} M makes M a function of H, so only an exact commuter ([H, M]
+    residual 0) can mirror.  Its eigensystem holds each column's parity p_k,
+    U and M share the eigenbasis, and so the phase is the angle of
+    tr(M^T U) = sum_k p_k e^{i E_k t} and the residual is
+    max_k |e^{i E_k t} - e^{i phi} p_k|, read from the eigenvalues and
+    parities alone: no eigenvector and no unitary is formed.  An inexact
+    commuter has no parities and never mirrors: it reports ``is_mirror``
+    False, an infinite residual, a NaN phase and empty groups.
     """
     if not np.isfinite(t):
         raise ValueError(f"mirror_check needs a finite time, got {t!r}")
-    cache, index, comm = mirror_commutator(op, "chain_mirror")
+    cache, comm = mirror_commutator(op, "chain_mirror")
+    if comm != 0:
+        return MirrorCheckResult(is_mirror=False, phase=float("nan"), residual=float("inf"),
+                                 commutator_residual=comm, even_phases=(), odd_phases=())
     es = cache.eigensystem
-    diagonal, largest = _mirror_entries(es, index, np.exp(1j * es.eigenvalues * t))
-    phi = float(np.angle(np.sum(diagonal)))
-    residual = max(largest, float(np.max(np.abs(diagonal - np.exp(1j * phi)))))
-
-    even_phases = odd_phases = ()
-    if comm == 0:
-        vals, pars = mirror_parities(cache)
-        phases = np.exp(1j * vals * t)
-        even_phases = _distinct_phases(phases[pars > 0])
-        odd_phases = _distinct_phases(phases[pars < 0])
+    signed = es.parities * np.exp(1j * es.eigenvalues * t)  # p_k e^{i E_k t}
+    phi = float(np.angle(np.sum(signed)))
+    # |e^{i E_k t} - e^{i phi} p_k| == |p_k e^{i E_k t} - e^{i phi}|, as p_k = +-1
+    residual = float(np.max(np.abs(signed - np.exp(1j * phi))))
+    vals, pars = mirror_parities(cache)
+    phases = np.exp(1j * vals * t)
     return MirrorCheckResult(
         is_mirror=residual <= 1e-8,
         phase=phi,
         residual=residual,
         commutator_residual=comm,
-        even_phases=even_phases,
-        odd_phases=odd_phases,
+        even_phases=_distinct_phases(phases[pars > 0]),
+        odd_phases=_distinct_phases(phases[pars < 0]),
     )

@@ -241,12 +241,11 @@ class EigenSolve:
 class HermitianEigenSystem:
     """Spectral decomposition H = V diag(w) V^dagger, ascending eigenvalues, held as
     its stacked solves (:class:`EigenSolve`): V is never stored.  The reader
-    :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_sectors` and
-    :meth:`unitary_blocks` give V diag(phases) V^dagger product by product and tile
-    by tile, the self-checks :meth:`reconstruction_residual` and
-    :meth:`unitarity_deviation` run solve by solve, and
-    :attr:`eigenvectors` assembles the whole dense matrix on request; V is complex
-    whether a block was solved in real or in complex arithmetic.
+    :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_blocks` gives
+    V diag(phases) V^dagger tile by tile, the self-checks
+    :meth:`reconstruction_residual` and :meth:`unitarity_deviation` run solve by
+    solve, and :attr:`eigenvectors` assembles the whole dense matrix on request;
+    V is complex whether a block was solved in real or in complex arithmetic.
 
     Each solve holds connected blocks of H solved whole, or one parity
     sector of blocks split in two, the odd sector's solve right after the
@@ -258,7 +257,9 @@ class HermitianEigenSystem:
     exactly (a block of fixed rows only is even); two blocks that M swaps
     share their levels, each level's pair of columns spanning one even and
     one odd combination, so the block with the smaller first row reads +1
-    and its image -1.  Left empty, all 0.
+    and its image -1.  Left empty, all 0.  The eigenvalues and these parities
+    alone decide the mirror test (:func:`~spin1chain.dynamics.mirror_check`),
+    which reads no eigenvector.
     """
 
     eigenvalues: np.ndarray
@@ -317,19 +318,21 @@ class HermitianEigenSystem:
                 out[i, solve.columns[k]] = v if sign is None else sign * v
         return out
 
-    def unitary_sectors(self, phases):
-        """The products that make up U = V diag(phases) V^dagger, per solve: (rows, None,
-        tile, None) for blocks solved whole, tile[k] being U on rows[k] x rows[k], and
-        (first, images, sums, diffs) for blocks split in two.
+    def unitary_blocks(self, phases):
+        """(rows, columns, tile) stacks of U = V diag(phases) V^dagger, tile[k] being
+        U[rows[k]][:, columns[k]]; every entry of U that may be nonzero lies in
+        exactly one tile, and no block of U is assembled.
 
-        Each eigenvector of a split block has v[M i] = p v[i], p its parity, so on
-        the block's orbit-first rows F (``first``: fixed rows first, then the pairs'
-        first rows P; ``images`` their mirror images) the even sector gives G_e and
-        the odd one G_o, nonzero on P x P only, and U[i, j] = U[M i, M j] = (G_e +
-        G_o)[i, j] and U[i, M j] = U[M i, j] = (G_e - G_o)[i, j].  ``sums`` is G_e +
-        G_o on F x F, and ``diffs`` is G_e - G_o on P x P only: off P x P it equals
-        ``sums``.  Each product is formed once, from the solve's vectors and one
-        weighted conjugate copy of them, and no block of U is assembled.
+        A solve of whole blocks gives one tile per block, the product of its own
+        vectors.  Each eigenvector of a split block has v[M i] = p v[i], p its
+        parity, so on the block's orbit-first rows F (fixed rows first, then the
+        pairs' first rows P) the even sector gives G_e and the odd one G_o, nonzero
+        on P x P only, and U[i, j] = U[M i, M j] = (G_e + G_o)[i, j] and U[i, M j]
+        = U[M i, j] = (G_e - G_o)[i, j].  Its sums G_e + G_o are formed on F x F and
+        its diffs G_e - G_o on P x P only, off which they equal the sums.  It gives
+        six views of them: F x F and MP x MP (MP the mirror images of P) read the
+        sums, and so do the entries U[i, M j] = U[M i, j] with i or j fixed; those
+        with both in P, in P x MP and MP x P, read the diffs.
         """
         for solve in self.solves:
             rows, images, v = solve.rows, solve.mirrored, solve.vectors
@@ -346,7 +349,7 @@ class HermitianEigenSystem:
             product = product @ v.transpose(0, 2, 1)
             np.conj(product, out=product)
             if images is None:
-                yield rows, None, product, None
+                yield rows, rows, product
             elif solve.sign > 0:
                 even = rows, images, product  # its odd sector's solve comes next
                 del v  # the reordered copy
@@ -356,31 +359,13 @@ class HermitianEigenSystem:
                 diffs = sums[:, nfixed:, nfixed:] - product
                 sums[:, nfixed:, nfixed:] += product
                 del product
-                yield first, images, sums, diffs
-
-    def unitary_blocks(self, phases):
-        """(rows, columns, tile) stacks of U = V diag(phases) V^dagger, tile[k] being
-        U[rows[k]][:, columns[k]]; every entry of U that may be nonzero lies in
-        exactly one tile, and no block of U is assembled.
-
-        A solve of whole blocks gives one tile per block.  A split block
-        (:meth:`unitary_sectors`) gives six views of its sums and diffs: F x F and
-        MP x MP (MP the mirror images of the pair rows P) read the sums, and so
-        do the entries U[i, M j] = U[M i, j] with i or j fixed; those with both in
-        P, in P x MP and MP x P, read the diffs.
-        """
-        for rows, images, sums, diffs in self.unitary_sectors(phases):
-            if images is None:
-                yield rows, rows, sums
-                continue
-            nfixed = rows.shape[1] - diffs.shape[1]
-            fixed, paired, pairs = rows[:, :nfixed], rows[:, nfixed:], images[:, nfixed:]
-            yield rows, rows, sums
-            yield pairs, pairs, sums[:, nfixed:, nfixed:]
-            yield fixed, pairs, sums[:, :nfixed, nfixed:]
-            yield pairs, fixed, sums[:, nfixed:, :nfixed]
-            yield paired, pairs, diffs
-            yield pairs, paired, diffs
+                fixed, paired, pairs = first[:, :nfixed], first[:, nfixed:], images[:, nfixed:]
+                yield first, first, sums
+                yield pairs, pairs, sums[:, nfixed:, nfixed:]
+                yield fixed, pairs, sums[:, :nfixed, nfixed:]
+                yield pairs, fixed, sums[:, nfixed:, :nfixed]
+                yield paired, pairs, diffs
+                yield pairs, paired, diffs
 
     def reconstruction_residual(self, mat):
         """Largest entry of |V diag(w) V^dagger - mat|, ``mat`` a square array or a
@@ -703,7 +688,7 @@ class EvolutionCache:
         :meth:`HermitianEigenSystem.unitary_blocks` scattered into zeros.
 
         Only ``swap-check`` needs the whole two-site 9 x 9 unitary; the mirror
-        test reads the tiles without forming it.
+        test reads the eigenvalues and parities instead of any unitary.
         """
         es = self.eigensystem
         out = np.zeros((es.dim, es.dim), dtype=complex)

@@ -141,11 +141,12 @@ class ParityCommutationError(ValueError):
 
 
 def mirror_commutator(op, kind):
-    """The evolution cache of ``op``, the ``kind`` mirror index and the [H, M] residual
-    that :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem."""
-    index = mirror_index(kind, op)
+    """The evolution cache of ``op`` and the [H, M] residual that
+    :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem, once
+    :func:`mirror_index` has accepted ``kind`` for ``op``."""
+    mirror_index(kind, op)
     cache = evolution_cache(op)
-    return cache, index, cache.eigensystem.mirror_residual
+    return cache, cache.eigensystem.mirror_residual
 
 
 def mirror_parities(cache):
@@ -166,7 +167,7 @@ def parity_spectrum(op, kind="chain_mirror"):
     the commutator and the parities come from :func:`evolution_cache`'s
     entry, so they are shared with the other analyses of the same operator.
     """
-    cache, _, comm = mirror_commutator(op, kind)
+    cache, comm = mirror_commutator(op, kind)
     if comm != 0:
         raise ParityCommutationError(
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}, "
@@ -210,45 +211,46 @@ FEASIBILITY_TOL = 1e-9
 MAX_DENOMINATOR = 64
 
 
-def _rational_multiple(x):
-    # imported here: fractions (and the decimal module it loads) would add
-    # about 3 ms to every CLI run's import, and only the gap-ratio test uses it
-    from fractions import Fraction
-
-    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-    if abs(x - float(frac)) <= FEASIBILITY_TOL:
-        return frac
-    return None
-
-
 def mirroring_feasibility_report(split):
     """Decide whether the split can support mirroring after affine rescaling.
 
     Mirroring needs an affine map sending every eigenvalue to an integer
-    whose parity matches its sector.  Equivalently: all pairwise gaps are
-    integer multiples of a unit, with cross-sector gaps odd multiples and
-    same-sector gaps even multiples.
+    whose parity matches its sector.  Equivalently: all gaps from the first
+    level (the first even one, else the first odd one) are integer multiples
+    of a unit, odd multiples across the sectors and even ones within a
+    sector.  Then exp(i H t) is e^{i phi} M at t = pi / ``rational_unit``, the
+    earliest such time (the multiples share no common factor); a feasible
+    split of one distinct level has no unit and mirrors at every t.
+
+    A gap ratio r is rational when some fraction p/q with q at most
+    MAX_DENOMINATOR lies within FEASIBILITY_TOL of it; two such fractions lie at
+    least 1/MAX_DENOMINATOR^2 apart, so that fraction is unique, and the smallest
+    such q is its denominator.
     """
-    values = [(v, 0) for v in split.even] + [(v, 1) for v in split.odd]
+    even, odd = np.asarray(split.even, dtype=float), np.asarray(split.odd, dtype=float)
     notes = []
 
+    # |v - w| rounds monotonically in v, so of the even levels the nearest one
+    # below and the nearest one above each odd level w come closest
     overlap = False
-    for v, s in values:
-        for w, sw in values:
-            if s != sw and abs(v - w) <= FEASIBILITY_TOL:
-                overlap = True
+    if even.size:
+        ascending = np.sort(even)
+        above = np.searchsorted(ascending, odd)
+        near = ascending[np.clip((above - 1, above), 0, ascending.size - 1)]
+        overlap = bool(np.any(np.abs(near - odd) <= FEASIBILITY_TOL))
     if overlap:
         notes.append("an eigenvalue occurs in both parity sectors")
 
     # cross-sector 0-gaps already decide infeasibility; gap rationality is
     # assessed on the remaining structure
-    ref_val, ref_sec = values[0]
-    gaps = [(v - ref_val, s) for v, s in values[1:]]
-    nonzero = [g for g, _ in gaps if abs(g) > FEASIBILITY_TOL]
-    if not nonzero:
+    values = np.concatenate((even, odd))
+    in_odd = np.arange(values.size) >= even.size
+    gaps, crosses = values[1:] - values[0], in_odd[1:] != in_odd[0]
+    nonzero = np.abs(gaps) > FEASIBILITY_TOL
+    if not nonzero.any():
         notes.append("single distinct eigenvalue; trivially rational")
         return FeasibilityReport(
-            feasible=not overlap and len({s for _, s in values}) == 1,
+            feasible=not overlap and not (even.size and odd.size),
             parity_overlap=overlap,
             ratios_rational=True,
             parity_consistent=None,
@@ -256,37 +258,26 @@ def mirroring_feasibility_report(split):
             notes=tuple(notes),
         )
 
-    base = min(nonzero, key=abs)
-    fracs = []
-    rational = True
-    for g, _ in gaps:
-        frac = _rational_multiple(g / base)
-        if frac is None:
-            rational = False
-            notes.append(f"gap ratio {g / base:.9f} is not rational within denominator "
-                         f"{MAX_DENOMINATOR}")
-            break
-        fracs.append(frac)
-
+    base = gaps[nonzero][np.argmin(np.abs(gaps[nonzero]))]
+    ratios = gaps[:, None] / base
+    denominators = np.arange(1, MAX_DENOMINATOR + 1)
+    close = np.abs(ratios - np.round(ratios * denominators) / denominators) <= FEASIBILITY_TOL
+    rational = bool(close.any(axis=1).all())
     unit = None
     consistent = None
-    if rational:
-        denom = 1
-        for frac in fracs:
-            denom = denom * frac.denominator // np.gcd(denom, frac.denominator)
-        unit = abs(base) / denom
-        multiples = [round(g / unit) for g, _ in gaps]
-        consistent = True
-        for m, (_, s) in zip(multiples, gaps):
-            want_odd = s != ref_sec
-            if (m % 2 == 1) != want_odd:
-                consistent = False
+    if not rational:
+        ratio = ratios[np.argmin(close.any(axis=1)), 0]
+        notes.append(f"gap ratio {ratio:.9f} is not rational within denominator "
+                     f"{MAX_DENOMINATOR}")
+    else:
+        unit = float(abs(base) / np.lcm.reduce(denominators[np.argmax(close, axis=1)]))
+        multiples = np.round(gaps / unit).astype(np.int64)
+        consistent = bool(np.array_equal(multiples % 2 == 1, crosses))
         if not consistent:
             notes.append("integer pattern does not alternate with parity sectors")
 
-    feasible = (not overlap) and rational and bool(consistent)
     return FeasibilityReport(
-        feasible=feasible,
+        feasible=not overlap and rational and consistent,
         parity_overlap=overlap,
         ratios_rational=rational,
         parity_consistent=consistent,

@@ -12,6 +12,7 @@ from spin1chain.hamiltonians import (
     h12,
     heisenberg_two_site,
     mix_two_site,
+    pst_preset,
 )
 from spin1chain.parity import (
     ADJUDICATED_SPECTRA,
@@ -29,7 +30,7 @@ from spin1chain.parity import (
 from spin1chain.linalg import ChainOperator, commutator_residual, hermiticity_deviation
 from spin1chain.spin_ops import SX, SY, basis_index, basis_label
 
-from mirror_reference import loop_clustered_parities
+from mirror_reference import loop_clustered_parities, loop_feasibility_report
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
                "O1", "O2", "O3", "O4", "O5")
@@ -355,8 +356,9 @@ class TestClusteredParities:
     def test_unknown_parities_are_refused(self, monkeypatch):
         # a chain an ulp off symmetric has no known parity, and none is
         # guessed: parity_spectrum refuses it, naming the residual, and
-        # mirror_check reports the residual with no phase groups; both
-        # analyses read the one eigh of each connected block
+        # mirror_check reports the residual with no phase groups, and no
+        # mirror (U = e^{i phi} M would make [H, M] = 0), an infinite residual
+        # and a NaN phase; both analyses read the one eigh of each connected block
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(nudged_chain(mirror_symmetric_chain(4, 5)))
         solved, eigh = [], np.linalg.eigh
@@ -377,6 +379,9 @@ class TestClusteredParities:
         assert not es.parities.any()
         assert result.commutator_residual == es.mirror_residual
         assert result.even_phases == result.odd_phases == ()
+        assert result.is_mirror is False
+        assert result.residual == np.inf
+        assert np.isnan(result.phase)
         assert sum(solved) == 81
 
     def test_known_parities_need_the_chain_mirror(self):
@@ -518,8 +523,9 @@ class TestChainParitySpectrum:
         split = split_or_refusal(ham)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         counts = (list(decompositions), sorted(solved), list(shared))
-        # a second analysis of the same H computes nothing again
-        assert dynamics.mirror_check(ham, np.pi) == mirror
+        # a second analysis of the same H computes nothing again; the reprs
+        # compare every field, the NaN phase of an inexact commuter included
+        assert repr(dynamics.mirror_check(ham, np.pi)) == repr(mirror)
         assert split_or_refusal(ham) == split
         assert (decompositions, sorted(solved), shared) == counts
         return (*counts, ham)
@@ -641,8 +647,53 @@ class TestFeasibility:
         report = mirroring_feasibility_report(
             ParitySplit(even=(2.0, 2.0), odd=(), parity_operator="chain_mirror"))
         assert report.feasible
+        # one level in one sector, in the other, and in both
+        for even, odd in [((2.0, 2.0), ()), ((), (1.0, 1.0)), ((1.0,), (1.0 + 1e-10,))]:
+            split = ParitySplit(even=even, odd=odd, parity_operator="chain_mirror")
+            assert mirroring_feasibility_report(split) == loop_feasibility_report(split)
+
+    @pytest.mark.parametrize("shift", [-5e-10, 5e-10, -2e-9, 2e-9])
+    def test_overlap_within_tolerance_on_either_side(self, shift):
+        # an odd level just below or just above an even one, with even levels on
+        # both sides, overlaps when it lies within FEASIBILITY_TOL
+        split = ParitySplit(even=(3.0, 1.0, -1.0), odd=(1.0 + shift, 0.5),
+                            parity_operator="chain_mirror")
+        report = mirroring_feasibility_report(split)
+        assert report == loop_feasibility_report(split)
+        assert report.parity_overlap == (abs(shift) <= 1e-9)
 
     def test_mix_generator_alternative_route(self):
         # the SWAP generator shifted by a constant stays feasible
         split = parity_spectrum(two_site(mix_two_site() + 2.0 * np.eye(9)))
         assert mirroring_feasibility_report(split).feasible
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chain_splits_equal_the_loop_reference(self, n):
+        # every field and note of the vectorized report equals the pairwise loop's
+        # with exact fractions; of these chains only the two-site SWAP generators
+        # are feasible, and each mirrors at t = pi / rational_unit
+        ops = {kind: chain_hamiltonian(ChainSpec(n=n, kind=kind)) for kind in PAPER_KINDS}
+        ops.update((variant, chain_hamiltonian(pst_preset(n, variant)))
+                   for variant in ("standard", "phase_exact"))
+        feasible = set()
+        for name, op in ops.items():
+            split = parity_spectrum(op)
+            report = mirroring_feasibility_report(split)
+            assert report == loop_feasibility_report(split), name
+            if report.feasible:
+                feasible.add(name)
+                assert dynamics.mirror_check(op, np.pi / report.rational_unit).is_mirror
+        assert feasible == ({"heisenberg_squared_mix", "heisenberg_squared_sum"} if n == 2
+                            else set())
+
+    @pytest.mark.parametrize("build", [
+        lambda: two_site_chain("O1"), lambda: two_site_chain("O2"), h12,
+        lambda: two_site(heisenberg_two_site()), lambda: two_site(mix_two_site() + 2.0 * np.eye(9)),
+    ])
+    def test_hand_made_splits_equal_the_loop_reference(self, build):
+        op = build()
+        split = parity_spectrum(op)
+        report = mirroring_feasibility_report(split)
+        assert report == loop_feasibility_report(split)
+        if report.feasible:
+            assert dynamics.mirror_check(op, np.pi / report.rational_unit).is_mirror
