@@ -36,11 +36,6 @@ class NonHermitianError(ValueError):
     """Input matrix fails the Hermiticity tolerance."""
 
 
-def hermiticity_deviation(mat):
-    """Largest entry of |A - A^dagger|; a stack is taken matrix by matrix."""
-    return float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))) if mat.size else 0.0
-
-
 def _global_entries(local, site, n):
     """Rows, columns and values of the nonzeros of I (x) local (x) I on n sites.
 
@@ -107,11 +102,8 @@ class ChainOperator:
         return out.reshape(self.dim, self.dim)
 
     def hermiticity_deviation(self):
-        """Largest entry of |A - A^dagger|, read at the nonzero entries only: where
-        A[i, j] is 0, entry (j, i) has the same modulus, so this is the dense maximum."""
-        rows, cols = np.divmod(self.flat, self.dim)
-        transposed = entries_at(self, cols * self.dim + rows)
-        return float(np.max(np.abs(self.values - transposed.conj()), initial=0.0))
+        """Largest entry of |A - A^dagger| (see :func:`_hermiticity_deviation`)."""
+        return _hermiticity_deviation(self)
 
     def __matmul__(self, vector):
         rows, cols = np.divmod(self.flat, self.dim)
@@ -120,15 +112,68 @@ class ChainOperator:
         return out
 
 
+@dataclass(frozen=True)
+class _Entries:
+    """A square array as a ChainOperator holds its operator: ``flat``, the ascending flat
+    indices of its nonzero entries, their ``values`` as complex128, and ``dim``; no site
+    count, so no chain mirror."""
+
+    flat: np.ndarray
+    values: np.ndarray
+    dim: int
+
+
+# a dense array is scanned for its nonzero entries this many entries at a time, so the
+# scan's temporaries stay small beside the array
+_SCAN_ENTRIES = 1 << 16
+
+
+def _read_entries(op):
+    """``op`` in entry form: a ChainOperator as it is, a non-empty square array as
+    :class:`_Entries`; any other shape raises ValueError.  An entry is nonzero when
+    it compares unequal to 0 (a ``-0.0`` is not); a complex one when either float
+    word does, the two comparisons read as one 16-bit word, which is several times
+    faster than ``np.flatnonzero`` on a complex array."""
+    if isinstance(op, ChainOperator):
+        return op
+    mat = np.ascontiguousarray(op)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    dim = mat.shape[0]
+    if not dim:
+        raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
+    pairs = np.iscomplexobj(mat)
+    words = mat.view(mat.real.dtype) if pairs else mat
+    step = max(1, _SCAN_ENTRIES // dim)
+    found = []
+    for start in range(0, dim, step):
+        nonzero = words[start:start + step] != 0
+        if pairs:
+            nonzero = nonzero.view(np.uint16) != 0
+        found.append(np.flatnonzero(nonzero) + start * dim)
+    flat = np.concatenate(found)
+    return _Entries(flat, np.asarray(mat.reshape(-1)[flat], dtype=complex), dim)
+
+
 def entries_at(op, flat):
-    """Entries of a ChainOperator or a square array at the flat (row-major) indices
-    ``flat``; an index that a ChainOperator does not hold reads 0."""
-    if not isinstance(op, ChainOperator):
+    """Entries of a ChainOperator, :class:`_Entries` or a square array (which only
+    callers of :func:`commutator_residual` pass) at the flat (row-major) indices
+    ``flat``; an index that the entry form does not hold reads 0."""
+    if not isinstance(op, (ChainOperator, _Entries)):
         return np.asarray(op).reshape(-1)[flat]
     pos = np.searchsorted(op.flat, flat)
     out = np.append(op.values, 0)[pos]
     out[np.append(op.flat, -1)[pos] != flat] = 0
     return out
+
+
+def _hermiticity_deviation(op):
+    """Largest entry of |A - A^dagger| of an operator in entry form, read at its nonzero
+    entries only: where A[i, j] is 0, entry (j, i) has the same modulus, so this is
+    the dense maximum."""
+    rows, cols = np.divmod(op.flat, op.dim)
+    transposed = entries_at(op, cols * op.dim + rows)
+    return float(np.max(np.abs(op.values - transposed.conj()), initial=0.0))
 
 
 def fix_eigenvector_phases(vectors):
@@ -198,7 +243,7 @@ def chain_mirror_index(n):
 def commutator_residual(op, index, nonzero):
     """max |[H, M]| for the index mirror, read at the nonzero entries of H.
 
-    ``op`` is H as a square array or a ChainOperator and ``nonzero`` holds
+    ``op`` is H in entry form or as a square array and ``nonzero`` holds
     the flat indices of its nonzero entries.  Entry (i, j) of M H M - H is
     H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
     (p i, p j) is a nonzero of H, and since every mirror is an involution
@@ -381,12 +426,8 @@ class HermitianEigenSystem:
         if shape != (self.dim, self.dim):
             raise ValueError(f"a matrix of shape {shape} cannot be compared with an "
                              f"eigensystem of shape {(self.dim, self.dim)}")
-        if isinstance(mat, ChainOperator):
-            flat, values = mat.flat, mat.values
-        else:
-            mat = np.asarray(mat)
-            flat = np.flatnonzero(mat)
-            values = mat.reshape(-1)[flat]
+        mat = _read_entries(mat)
+        flat, values = mat.flat, mat.values
         # each row's block: whole blocks and even sectors hold every row of theirs
         block, numbered = np.empty(self.dim, dtype=int), 0
         for solve in self.solves:
@@ -468,9 +509,9 @@ def _parity_sectors(stack, rows, image, numbers):
 
 
 def _entry_form(op, rows, first, entries, block_of, position):
-    """The matrices of the blocks ``rows`` of a ChainOperator (numbered from ``first``),
-    scattered from its ``entries`` (their indices in ``op.flat``, ascending) in the form
-    they are solved in, and whether they are centrohermitian.
+    """The matrices of the blocks ``rows`` of an operator in entry form (numbered from
+    ``first``), scattered from its ``entries`` (their indices in ``op.flat``, ascending,
+    or a slice) in the form they are solved in, and whether they are centrohermitian.
 
     Entry (i, j) lands at [block_of[i] - first, position[i], position[j]].  The blocks
     are real when no entry has a nonzero imaginary part.  Complex blocks that R: i ->
@@ -497,68 +538,53 @@ def _entry_form(op, rows, first, entries, block_of, position):
     return stack, centro
 
 
-def _array_form(stack, rows, dim):
-    """The stack of blocks ``rows`` of a dim x dim array in the form it is solved in, and
-    whether it is centrohermitian (see :func:`_entry_form`)."""
-    real = not (np.iscomplexobj(stack) and stack.imag.any())
-    centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
-              and np.array_equal(stack[:, ::-1, ::-1], stack.conj()))
-    if real or centro:
-        stack = stack.real - stack.imag[..., ::-1] if centro else stack.real
-    return stack, centro
-
-
 def eig_hermitian(op):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
     ``op`` is a non-empty square array or a :class:`ChainOperator`, which is
-    refused above MAX_DENSE_DIM.  Each connected block of the nonzero pattern
-    (:func:`connected_blocks`) is diagonalized on its own.  An array's blocks
-    are read from it; a ChainOperator's are scattered from its entries, in one
-    pass per group of blocks of one size (:func:`_entry_form`), so neither its
-    dense matrix nor an index per block entry is built, and its blocks stay in
-    memory only until their sectors are formed.  A ChainOperator whose entries equal
-    those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
-    residual is kept as ``mirror_residual``) has each block that M maps
-    onto itself and that holds a pair i != M i solved as its even and odd
-    parity sectors instead (:func:`_parity_sectors`); its eigenvectors
-    then have definite parity, recorded as ``parities``; so does a block
-    of fixed rows only that M maps onto itself (it is even).  Every other
-    block is its own even sector and is solved whole; two blocks that M
-    swaps get the parities +1 and -1 (:class:`HermitianEigenSystem`).  An
-    array has no chain mirror, whatever its dimension: its blocks are solved
+    refused above MAX_DENSE_DIM.  An array is read once as its nonzero entries
+    (:func:`_read_entries`), the form a ChainOperator holds, and from there both
+    take one route.  Each connected block of the nonzero pattern
+    (:func:`connected_blocks`) is scattered from the entries, one group of blocks
+    of one size at a time (:func:`_entry_form`), and diagonalized on its own; no
+    dense matrix is built, and the blocks stay in memory only until their sectors
+    are formed.  A ChainOperator whose entries equal those of M H M exactly (M its
+    chain mirror, site i <-> n+1-i; the residual is kept as ``mirror_residual``)
+    has each block that M maps onto itself and that holds a pair i != M i solved
+    as its even and odd parity sectors instead (:func:`_parity_sectors`), and each
+    column's parity kept as ``parities`` (:class:`HermitianEigenSystem`); every
+    other block, and every block of an array, is its own even sector, solved
     whole.  Blocks of one size and one fixed-row count go through one stacked
-    ``eigh`` call per sector, a real one where the stack has no nonzero
-    imaginary part.  Complex blocks that R: i -> dim-1-i maps onto themselves
-    with H[R i, R j] == conj(H[i, j]) exactly (centrohermitian, as O5) are
-    solved as the real symmetric G = Re H - Im H J, J the block's reversal,
-    which a ChainOperator's entries give straight as one float stack, with
-    no complex copy; H's eigenvectors are (y + i J y)/sqrt2, and as R commutes
-    with M, G splits into the same sectors and they keep y's parity.  The
-    eigenpairs are sorted ascending; equal eigenvalues are ordered by block
-    (smaller blocks first, then by smallest index), the even sector before the
-    odd, then as ``eigh`` returns them.  Each stack's vectors are phase-fixed in
-    place in the array built from ``eigh``'s and kept as one :class:`EigenSolve`
+    ``eigh`` per sector, in real arithmetic where the stack has no nonzero
+    imaginary part or is centrohermitian (H[R i, R j] == conj(H[i, j]) exactly, R:
+    i -> dim-1-i, as O5): then it is solved as G = Re H - Im H J, J the block's
+    reversal, and H's eigenvectors are (y + i J y)/sqrt2; R commutes with M, so G
+    splits into the same sectors.  The eigenpairs are sorted ascending; equal
+    eigenvalues are ordered by block (smaller blocks first, then by smallest
+    index), the even sector before the odd, then as ``eigh`` returns them.  Each
+    stack's vectors are phase-fixed in place and kept as one :class:`EigenSolve`
     with their rows and global columns; no dense eigenvector matrix is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
-    entries, and :class:`NonHermitianError` when the Hermiticity deviation
-    exceeds HERMITIAN_TOL relative to the largest entry.  No entry links two
-    blocks, so the deviation and the largest entry are those of the blocks;
-    a ChainOperator's are read from its entries.
+    entries, and :class:`NonHermitianError` when the Hermiticity deviation, read
+    from the entries, exceeds HERMITIAN_TOL relative to the largest entry.
     """
-    chain = isinstance(op, ChainOperator)
-    if chain:
+    mirror = None
+    if isinstance(op, ChainOperator):
         check_dense_dim(op.dim)
-        dim, nonzero = op.dim, op.flat
         mirror = chain_mirror_index(op.n_sites)
-    else:
-        op = np.asarray(op)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {op.shape}")
-        if not op.size:
-            raise ValueError(f"expected a non-empty square matrix, got shape {op.shape}")
-        dim, nonzero, mirror = op.shape[0], np.flatnonzero(op), None
+    op = _read_entries(op)
+    dim, nonzero = op.dim, op.flat
+    largest = float(np.max(np.abs(op.values), initial=0.0))
+    if not math.isfinite(largest):
+        bad = nonzero[~np.isfinite(op.values)]
+        raise ValueError(f"matrix has {bad.size} non-finite entries (NaN or inf), the first at "
+                         f"(row, column) {tuple(int(k) for k in divmod(bad[0], dim))}")
+    scale = max(largest, 1.0)
+    dev = _hermiticity_deviation(op)
+    if not dev <= HERMITIAN_TOL * scale:
+        raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
+                                f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
     blocks = connected_blocks(nonzero, dim)
     if len(blocks) == 1:
@@ -570,64 +596,46 @@ def eig_hermitian(op):
         groups = [np.stack(by_size[size]) for size in sorted(by_size)]
     # block k is numbered numbers[g] + k within group g
     numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    if chain:
-        largest = [float(np.max(np.abs(op.values), initial=0.0))]
+    # each row's block number and its position in its block's rows
+    block_of, position = np.empty((2, dim), dtype=int)
+    for rows, first in zip(groups, numbers):
+        block_of[rows] = first + np.arange(rows.shape[0])[:, None]
+        position[rows] = np.arange(rows.shape[1])
+    # the entries of each group, in ascending flat order
+    if len(groups) == 1:
+        entries = [slice(None)]
     else:
-        stacks = ([op[None]] if len(blocks) == 1
-                  else [op[rows[:, :, None], rows[:, None, :]] for rows in groups])
-        largest = [float(np.max(np.abs(s), initial=0.0)) for s in stacks]
-    if not all(map(math.isfinite, largest)):
-        bad = nonzero[~np.isfinite(entries_at(op, nonzero))]
-        raise ValueError(f"matrix has {bad.size} non-finite entries (NaN or inf), the first at "
-                         f"(row, column) {tuple(int(k) for k in divmod(bad[0], dim))}")
-    scale = max(*largest, 1.0)
-    dev = op.hermiticity_deviation() if chain else max(hermiticity_deviation(s) for s in stacks)
-    if not dev <= HERMITIAN_TOL * scale:
-        raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
-                                f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    if chain:
-        # each row's block number and its position in its block's rows
-        block_of, position = np.empty((2, dim), dtype=int)
-        for rows, first in zip(groups, numbers):
-            block_of[rows] = first + np.arange(rows.shape[0])[:, None]
-            position[rows] = np.arange(rows.shape[1])
-        # the entries of each group, in ascending flat order
         group = np.searchsorted(numbers, block_of[nonzero // dim], side="right") - 1
         by_group = np.argsort(group, kind="stable")
-        bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1))
+        bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1)).tolist()
+        entries = [by_group[a:b] for a, b in zip(bounds, bounds[1:])]
     # each block's parity factor: 0 when H is no exact commuter, else -1 on the
     # second of two blocks that M swaps and 1 on every other block
     known = np.zeros(numbers[-1], dtype=np.int8)
     solved = []
-    for g, (rows, first) in enumerate(zip(groups, numbers)):
+    for rows, first, part in zip(groups, numbers, entries):
         count, size = rows.shape
-        if chain:
-            stack, centro = _entry_form(op, rows, first, by_group[bounds[g]:bounds[g + 1]],
-                                        block_of, position)
-        else:
-            stack, centro = _array_form(stacks[g], rows, dim)
+        stack, centro = _entry_form(op, rows, first, part, block_of, position)
         ids = first + np.arange(count)
-        # the position of each row's mirror image in its block, or the row's
-        # own where M does not map the block onto itself or nothing can split
-        image, fixed = np.tile(np.arange(size), (count, 1)), np.full(count, size)
+        # without an exact mirror every block is its own even sector
+        sectors = [(stack, rows, rows, None, 1.0, ids)]
         if residual == 0:
+            # the position of each row's mirror image in its block, or the row's
+            # own where M does not map the block onto itself
             images = mirror[rows]
             partner = block_of[images[:, 0]]  # M maps blocks onto blocks
-            kept = partner == ids
             known[ids] = np.where(partner < ids, -1, 1)
-            image = np.where(kept[:, None], position[images], image)
+            image = np.where((partner == ids)[:, None], position[images], np.arange(size))
             fixed = np.count_nonzero(image == np.arange(size), axis=1)
-        sectors = []
-        for count_fixed in np.unique(fixed):
-            same = fixed == count_fixed
-            pick = slice(None) if same.all() else same
-            sectors += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
+            sectors = []
+            for count_fixed in np.unique(fixed):
+                same = fixed == count_fixed
+                pick = slice(None) if same.all() else same
+                sectors += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
         del stack  # the sectors are built: free the blocks before they are solved
         for mats, *scatter in sectors:
             solved.append((*np.linalg.eigh(mats), *scatter, centro))
         del sectors, mats
-    if not chain:
-        del stacks
     values = np.concatenate([w.ravel() for w, *_ in solved])
     block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
                                  for _, _, rows, _, _, _, ids, _ in solved])
@@ -666,15 +674,13 @@ def eig_hermitian(op):
 class EvolutionCache:
     """Eigendecomposition of one Hamiltonian, reusable across time points.
 
-    ``nonzero`` holds the flat indices of the Hamiltonian's nonzero
-    entries.  :meth:`memoized` keeps other results derived from the
-    Hamiltonian (its mirror analyses), so they too are computed once.
+    :meth:`memoized` keeps other results derived from the Hamiltonian (its
+    mirror analyses), so they too are computed once.
     """
 
-    def __init__(self, eigensystem, fingerprint, nonzero):
+    def __init__(self, eigensystem, fingerprint):
         self.eigensystem = eigensystem
         self.fingerprint = fingerprint
-        self.nonzero = nonzero
         self._memo = {}
 
     def memoized(self, key, compute):
@@ -702,40 +708,19 @@ _cache_by_fingerprint = {}
 
 
 def content_key(op):
-    """sha256 key of a matrix's content, and the flat indices of its nonzero entries.
+    """sha256 key of an operator's content, read as its entries (:func:`_read_entries`).
 
-    The matrix is read as words of gcd(item size, 8) bytes: 64-bit words
-    for float64 and complex128.  The key hashes the dtype, the shape, the
-    positions of the nonzero words and those words, so it is as injective
-    on the matrix bytes as a hash of all of them: ``-0.0`` and ``0.0``
-    differ, and so do equal bytes under another shape or dtype.  Only the
-    nonzero words are hashed, which for a sparse Hamiltonian is a small
-    part of its dense bytes.  The nonzero entries are those that compare
-    unequal to zero (a ``-0.0`` entry is not one), ascending.  A
-    ChainOperator's key, from its entries, is that of its dense matrix.
+    The key hashes the dimension, the flat indices of the nonzero entries and their
+    values as complex128: exactly what :func:`eig_hermitian` reads.  So a
+    ChainOperator and its dense matrix share one key, and so do a float array and
+    its complex copy, or arrays that differ only in a ``-0.0`` zero; each pair also
+    has one eigensystem, bit for bit.  A non-square or empty array raises ValueError.
     """
-    if isinstance(op, ChainOperator):
-        dtype, shape, entries = op.values.dtype, (op.dim, op.dim), op.flat
-        words = op.values.view("u8")
-        # the real and the imaginary word of entry k sit at 2k and 2k + 1
-        where = (2 * entries[:, None] + np.arange(2)).ravel()[words != 0]
-        words = words[words != 0]
-    else:
-        mat = np.ascontiguousarray(op)
-        dtype, shape, flat = mat.dtype, mat.shape, mat.reshape(-1)
-        word = math.gcd(mat.itemsize, 8)
-        words = flat.view(f"u{word}")
-        where = (words != 0).nonzero()[0]
-        words = words[where]
-        entries = where // (mat.itemsize // word)
-        # an entry of several nonzero words is listed once
-        keep = flat[entries] != 0
-        keep[1:] &= entries[1:] != entries[:-1]
-        entries = entries[keep]
-    digest = hashlib.sha256(repr((dtype.str, shape)).encode())
-    digest.update(where.tobytes())
-    digest.update(words.tobytes())
-    return digest.hexdigest(), entries
+    op = _read_entries(op)
+    digest = hashlib.sha256(str(op.dim).encode())
+    digest.update(np.asarray(op.flat, dtype=np.int64).tobytes())
+    digest.update(np.asarray(op.values, dtype=complex).tobytes())
+    return digest.hexdigest()
 
 
 def evolution_cache(op):
@@ -747,11 +732,11 @@ def evolution_cache(op):
     analyses get their parities, and they then do not depend on which form
     was solved first.
     """
-    digest, nonzero = content_key(op)
+    digest = content_key(op)
     cached = _cache_by_fingerprint.get(digest)
     if cached is None or (isinstance(op, ChainOperator)
                           and cached.eigensystem.mirror_residual is None):
-        cached = EvolutionCache(eig_hermitian(op), digest, nonzero)
+        cached = EvolutionCache(eig_hermitian(op), digest)
         if digest not in _cache_by_fingerprint and len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached

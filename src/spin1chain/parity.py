@@ -11,6 +11,7 @@ mirroring when, up to an affine rescaling, even-parity eigenstates carry
 even integer eigenvalues and odd-parity states odd integers.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,7 +226,8 @@ def mirroring_feasibility_report(split):
     A gap ratio r is rational when some fraction p/q with q at most
     MAX_DENOMINATOR lies within FEASIBILITY_TOL of it; two such fractions lie at
     least 1/MAX_DENOMINATOR^2 apart, so that fraction is unique, and the smallest
-    such q is its denominator.
+    such q is its denominator.  The unit is the base gap over the exact lcm of the
+    denominators, and each multiple's parity is read from its numerator exactly.
     """
     even, odd = np.asarray(split.even, dtype=float), np.asarray(split.odd, dtype=float)
     notes = []
@@ -270,9 +272,15 @@ def mirroring_feasibility_report(split):
         notes.append(f"gap ratio {ratio:.9f} is not rational within denominator "
                      f"{MAX_DENOMINATOR}")
     else:
-        unit = float(abs(base) / np.lcm.reduce(denominators[np.argmax(close, axis=1)]))
-        multiples = np.round(gaps / unit).astype(np.int64)
-        consistent = bool(np.array_equal(multiples % 2 == 1, crosses))
+        # gap k is p_k / q_k of the base gap, so p_k (lcm / q_k) units, with the lcm a
+        # Python int (it can pass 2^63): that multiple is odd exactly when p_k is odd
+        # and q_k holds as many factors 2 as the lcm
+        q = denominators[np.argmax(close, axis=1)]
+        lcm = math.lcm(*q.tolist())
+        unit = float(abs(base)) / lcm
+        p = np.round(ratios[:, 0] * q).astype(np.int64)
+        twos = q & -q
+        consistent = bool(np.array_equal((p % 2 == 1) & (twos == twos.max()), crosses))
         if not consistent:
             notes.append("integer pattern does not alternate with parity sectors")
 

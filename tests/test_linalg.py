@@ -288,11 +288,19 @@ class TestEigHermitian:
         assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
 
     def test_tridiagonal_band_is_one_block(self):
-        mat = np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1) + np.diag(np.full(5, 0.3), -1)
-        es = eig_hermitian(mat)
-        w, v = np.linalg.eigh(mat)
-        assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+        # a hand-made band, and the up and down bands of both presets and of
+        # seeded engineered chains: each is one block, solved as one bare eigh
+        bands = [np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1)
+                 + np.diag(np.full(5, 0.3), -1)]
+        for n in range(2, 41):
+            specs = [pst_preset(n, variant) for variant in PRESET_VARIANTS]
+            specs.append(chain_spec("engineered", n, seed=1000 + n))
+            bands += [block(spec) for spec in specs for block in (up_block, down_block)]
+        for mat in bands:
+            es = eig_hermitian(mat)
+            w, v = np.linalg.eigh(mat)
+            assert es.eigenvalues.tobytes() == w.tobytes()
+            assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
 
     def test_rejects_non_hermitian_block(self):
         mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -301,21 +309,21 @@ class TestEigHermitian:
         with pytest.raises(NonHermitianError):
             eig_hermitian(mat)
 
-    def test_chain_operator_hermiticity_read_from_entries(self, monkeypatch):
-        # an operator's deviation and scale come from its entries: the same
-        # floats, so the same message, as the dense matrix's stack check
+    def test_chain_operator_hermiticity_read_from_entries(self):
+        # the deviation and the scale come from the entries, which the operator and
+        # its dense matrix share: the same message, naming the dense maxima
         ham = chain_hamiltonian(ChainSpec(n=3, kind="O5"))
         skewed = linalg.ChainOperator(ham.flat, ham.values * (1 + 1e-9j), ham.n_sites)
+        mat = skewed.dense()
         with pytest.raises(NonHermitianError) as dense_error:
-            eig_hermitian(skewed.dense())
-
-        def no_stack_check(mat):
-            raise AssertionError("a ChainOperator's blocks were checked as a stack")
-
-        monkeypatch.setattr(linalg, "hermiticity_deviation", no_stack_check)
+            eig_hermitian(mat)
         with pytest.raises(NonHermitianError) as entry_error:
             eig_hermitian(skewed)
         assert str(entry_error.value) == str(dense_error.value)
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        scale = max(float(np.max(np.abs(mat))), 1.0)
+        assert f"deviation {dev:.3e} exceeds" in str(entry_error.value)
+        assert str(entry_error.value).endswith(f"* {scale:.3e}")
         eig_hermitian(ham)
 
     def test_phase_fix_idempotent(self):
@@ -890,7 +898,7 @@ class TestBlockUnitary:
         mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2])
         es = eig_hermitian(mat)
         t = 0.83
-        unitary = EvolutionCache(es, "", np.flatnonzero(mat)).unitary(sign * t)
+        unitary = EvolutionCache(es, "").unitary(sign * t)
         v = es.eigenvectors
         dense = (v * np.exp(1j * sign * es.eigenvalues * t)) @ v.conj().T
         assert np.max(np.abs(unitary - dense)) <= 1e-14
@@ -901,49 +909,75 @@ class TestBlockUnitary:
 
 
 class TestContentKey:
-    @staticmethod
-    def key(mat):
-        return content_key(mat)[0]
-
     def test_one_entry_changes_the_key(self):
         mat = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")).dense()
         other = mat.copy()
         other[4, 10] += 1e-15
-        assert self.key(mat) != self.key(other)
+        assert content_key(mat) != content_key(other)
 
-    def test_signed_zero_changes_the_key(self):
-        plus, minus = np.zeros((3, 3)), np.zeros((3, 3))
-        minus[1, 2] = -0.0
+    @staticmethod
+    def assert_one_entry(mat, twin):
+        """``mat`` and ``twin`` share one key, one cache entry and one eigensystem."""
+        assert content_key(mat) == content_key(twin)
+        first = evolution_cache(mat)
+        assert evolution_cache(twin) is first
+        es, twin_es = first.eigensystem, eig_hermitian(twin)
+        assert es.eigenvalues.tobytes() == twin_es.eigenvalues.tobytes()
+        assert es.eigenvectors.tobytes() == twin_es.eigenvectors.tobytes()
+        assert es.parities.tobytes() == twin_es.parities.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_signed_zero_shares_the_key(self, dtype, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        plus = engineered_sigma_block(chain_spec("engineered", 6, seed=3)).astype(dtype)
+        minus = plus.copy()
+        minus[plus == 0] = -0.0
         assert plus.tobytes() != minus.tobytes()
-        assert self.key(plus) != self.key(minus)
-        # neither entry is a nonzero of the pattern
-        assert content_key(minus)[1].size == 0
+        self.assert_one_entry(minus, plus)
 
-    def test_shape_changes_the_key(self):
-        flat = np.arange(1.0, 5.0).reshape(1, 4)
-        square = flat.reshape(2, 2)
-        assert flat.tobytes() == square.tobytes()
-        assert self.key(flat) != self.key(square)
+    @pytest.mark.parametrize("mat", [
+        engineered_sigma_block(pst_preset(7)),
+        up_block(chain_spec("engineered", 9, seed=4)),
+        chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")).dense().real.copy(),
+        permuted_block_diagonal(np.random.default_rng(5), [3, 1, 5, 3, 2]).real.copy(),
+    ], ids=["preset-sigma-block", "band", "heisenberg", "blocks"])
+    def test_float_array_shares_the_key_of_its_complex_copy(self, mat, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        mat = (mat + mat.T) / 2
+        self.assert_one_entry(mat, mat.astype(complex))
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        self.assert_one_entry(mat.astype(complex), mat)
 
-    def test_dtype_changes_the_key(self):
+    def test_other_values_change_the_key(self):
         real = np.array([[1.0, 2.0], [2.0, 0.0]])
-        assert self.key(real) != self.key(real.astype(complex))
-        # equal bytes and shape, another dtype
-        assert self.key(real) != self.key(real.view(np.int64))
-        pair = np.array([[0.5, 0.25]])
-        assert pair.tobytes() == pair.view(complex).tobytes()
-        assert self.key(pair) != self.key(pair.view(complex))
+        # equal bytes and shape, other values
+        assert content_key(real) != content_key(real.view(np.int64))
+        assert content_key(real) != content_key(real * 1j)
 
+    @pytest.mark.parametrize("mat", [np.zeros((3, 4)), np.zeros((1, 4)), np.zeros(4),
+                                     np.zeros((0, 0))], ids=["3x4", "1x4", "vector", "empty"])
+    def test_non_square_is_refused(self, mat):
+        # the key reads what the solve reads, so it refuses what the solve refuses
+        with pytest.raises(ValueError, match="square matrix"):
+            content_key(mat)
+
+    @pytest.mark.parametrize("dim", [7, 300])
     @pytest.mark.parametrize("dtype", [float, complex, np.float32, np.int8, bool])
-    def test_nonzero_entries_match_flatnonzero(self, dtype):
+    def test_read_entries_match_flatnonzero(self, dtype, dim):
+        # 300 rows are scanned in two runs
         rng = np.random.default_rng(31)
-        mat = (rng.normal(size=(7, 7)) * (rng.random((7, 7)) < 0.3)).astype(dtype)
+        mat = (rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.3)).astype(dtype)
         if dtype is complex:
             mat[2, 3] = 1j  # a zero real part
             mat[5, 1] = complex(-0.0, 0.0)
-        assert np.array_equal(content_key(mat)[1], np.flatnonzero(mat))
+            mat[4, 4] = complex(0.0, -0.0)
+        entries = linalg._read_entries(mat)
+        assert entries.dim == dim
+        assert np.array_equal(entries.flat, np.flatnonzero(mat))
+        assert entries.values.dtype == complex
+        assert np.array_equal(entries.values, mat.reshape(-1)[np.flatnonzero(mat)])
         # a transposed view has other bytes in memory but the same key as its copy
-        assert self.key(mat.T) == self.key(mat.T.copy())
+        assert content_key(mat.T) == content_key(mat.T.copy())
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -951,9 +985,8 @@ class TestContentKey:
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(chain_spec(kind, n, seed=n))
         dense = ham.dense()
-        digest, nonzero = content_key(ham)
-        assert digest == self.key(dense)
-        assert np.array_equal(nonzero, np.flatnonzero(dense))
+        assert content_key(ham) == content_key(dense)
+        assert np.array_equal(linalg._read_entries(dense).flat, ham.flat)
         assert evolution_cache(ham) is evolution_cache(dense)
         # and the same eigensystem, parity sectors included, bit for bit, as
         # the dense matrix taken as an n-site operator
@@ -968,13 +1001,12 @@ class TestContentKey:
         first = evolution_cache(mat)
         assert evolution_cache(mat.copy()) is first
         assert evolution_cache(np.asfortranarray(mat)) is first
-        assert np.array_equal(first.nonzero, np.flatnonzero(mat))
 
 
 class TestUnitaryFromEigensystem:
     @staticmethod
     def evolved(es, psi, t):
-        return EvolutionCache(es, "", None).unitary(t) @ psi
+        return EvolutionCache(es, "").unitary(t) @ psi
 
     def test_t_zero_is_identity(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from spin1chain.parity import (
     parity_spectrum,
     reference_comparison,
 )
-from spin1chain.linalg import ChainOperator, commutator_residual, hermiticity_deviation
+from spin1chain.linalg import ChainOperator, commutator_residual
 from spin1chain.spin_ops import SX, SY, basis_index, basis_label
 
 from mirror_reference import loop_clustered_parities, loop_feasibility_report
@@ -445,7 +447,7 @@ class TestCommutatorResidual:
             mat = op.dense()
             dense = float(np.max(np.abs(mat[np.ix_(index, index)] - mat)))
             assert commutator_residual(op, index, op.flat) == dense
-            assert op.hermiticity_deviation() == hermiticity_deviation(mat)
+            assert op.hermiticity_deviation() == float(np.max(np.abs(mat - mat.conj().T)))
 
 
 class TestChainParitySpectrum:
@@ -685,6 +687,34 @@ class TestFeasibility:
                 assert dynamics.mirror_check(op, np.pi / report.rational_unit).is_mirror
         assert feasible == ({"heisenberg_squared_mix", "heisenberg_squared_sum"} if n == 2
                             else set())
+
+    @pytest.mark.parametrize("consistent", [False, True])
+    def test_unit_past_int64_is_exact(self, consistent):
+        # gap ratios 1 + 1/q whose denominators' lcm passes 2^63: with 64 among them
+        # the cross-sector gap 1 is an even multiple of the unit, so the pattern
+        # breaks; with odd denominators only and the levels 1 + 1/q in the even
+        # sector, every multiple matches its sector
+        qs = (64, 63, 61, 59, 53, 47, 43, 41, 37, 31, 29, 23, 19, 17, 13, 11)
+        if consistent:
+            split = ParitySplit(even=(0.0,) + tuple(1 + 1 / q for q in qs[1:]), odd=(1.0,),
+                                parity_operator="chain_mirror")
+        else:
+            split = ParitySplit(even=(0.0,), odd=(1.0,) + tuple(1 + 1 / q for q in qs),
+                                parity_operator="chain_mirror")
+        report = mirroring_feasibility_report(split)
+        # the same verdict in exact fractions
+        levels = [(Fraction(v), 0) for v in split.even] + [(Fraction(v), 1) for v in split.odd]
+        (first, sector), rest = levels[0], levels[1:]
+        base = min((v - first for v, _ in rest if v != first), key=abs)
+        fracs = [((v - first) / base).limit_denominator(64) for v, _ in rest]
+        lcm = math.lcm(*(frac.denominator for frac in fracs))
+        multiples = [frac * lcm for frac in fracs]
+        assert lcm > 2 ** 63 and all(m.denominator == 1 for m in multiples)
+        matches = all((m.numerator % 2 == 1) == (s != sector) for m, (_, s) in zip(multiples, rest))
+        assert matches is consistent
+        assert report.ratios_rational and not report.parity_overlap
+        assert report.parity_consistent is consistent and report.feasible is consistent
+        assert report.rational_unit == pytest.approx(float(abs(base) / lcm), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("build", [
         lambda: two_site_chain("O1"), lambda: two_site_chain("O2"), h12,
