@@ -29,13 +29,12 @@ from .hamiltonians import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     AmplitudeScan,
-    EvolutionCache,
     amplitude_scan,
     mirror_check,
     qutrit_fidelity_series,
     qutrit_transfer_fidelity,
 )
-from .linalg import HermitianEigenSystem, eig_hermitian  # noqa: F401
+from .linalg import EvolutionCache, HermitianEigenSystem, eig_hermitian  # noqa: F401
 from .parity import (  # noqa: F401
     ParitySplit,
     mirroring_feasibility_report,

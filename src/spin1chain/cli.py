@@ -4,7 +4,7 @@ Subcommands::
 
     spectra     parity-resolved spectra of the candidate two-site couplings
     swap-check  is exp(i t H) a SWAP gate (up to global phase)?
-    transfer    amplitude scan over a time grid (full space or sigma block)
+    transfer    amplitude scan over a time grid (full space or one band)
     pst-check   qutrit transfer fidelities of the engineered presets
     tomography  one-end parameter estimation of a hidden engineered chain
     validate    schema-check a chain-spec JSON file
@@ -29,17 +29,19 @@ from . import __version__
 from .dynamics import (
     QUTRIT_TEST_STATES,
     amplitude_scan,
+    band_scan,
     evolution_cache,
     qutrit_fidelity_series,
     qutrit_transfer_fidelities,
 )
 from .hamiltonians import (
     CANDIDATE_NAMES,
+    CHANNELS,
     ChainSpec,
     PRESET_VARIANTS,
     SpecError,
+    band,
     chain_hamiltonian,
-    engineered_sigma_block,
     pst_preset,
     swap_check,
 )
@@ -49,7 +51,6 @@ from .reporting import (RunManifest, fmt, json_text, resolve_output_dir, write_c
 from .spin_ops import basis_index
 from .tomography import (
     AmplitudeBoundError,
-    band_matrix,
     probability_mode_analysis,
     read_record_csv,
     synthesize_records,
@@ -200,9 +201,7 @@ def cmd_transfer(args):
             raise SpecError("--channel scans need an engineered chain")
         source_site = _channel_site(args.source_site, 1, "--source-site", spec.n)
         target_site = _channel_site(args.target_site, spec.n, "--target-site", spec.n)
-        offset = 0 if args.channel == "up" else spec.n + 1
-        scan = amplitude_scan(engineered_sigma_block(spec), offset + source_site - 1,
-                              offset + target_site - 1, times, sign=spec.time_sign)
+        scan = band_scan(spec, args.channel, source_site - 1, target_site - 1, times)
         source_label = f"{args.channel}@{source_site}"
         target_label = f"{args.channel}@{target_site}"
     else:
@@ -282,14 +281,23 @@ def cmd_pst_check(args):
 
 
 def _auto_dt(spec):
-    """Safe sampling step from a Gershgorin bound on the band matrices."""
-    bound = 0.0
-    for channel in ("up", "down"):
-        mat = band_matrix(spec, channel)
-        radii = np.sum(np.abs(mat), axis=1)
-        bound = max(bound, float(np.max(radii)))
-    bound = max(bound, 1e-6)
+    """Safe sampling step from a Gershgorin bound on the bands."""
+    bound = max(1e-6, *(float(np.max(_radii(*band(spec, c)))) for c in CHANNELS))
     return np.pi / (1.3 * bound)
+
+
+def _radii(diag, off):
+    """Gershgorin radii of a band: row i adds |off[i-1]|, |diag[i]| and |off[i]| as
+    ``np.sum`` adds that row of the dense band, so the radii have its bits.  numpy's
+    pairwise sum adds a row as eight partial sums of interleaved entries, paired
+    (0 1)(2 3)(4 5)(6 7), then the tail past the last multiple of 8 one by one; a
+    row of more than 128 entries is first split at multiples of 8, which keeps
+    those pairs.  So off[i-1] is added last where i is even and i + 1 precedes the
+    tail."""
+    diag, left, right = np.abs(diag), np.abs(np.append(0.0, off)), np.abs(np.append(off, 0.0))
+    row = np.arange(diag.size)
+    last = (row % 2 == 0) & (row + 1 < diag.size - diag.size % 8)
+    return np.where(last, left + (diag + right), (left + diag) + right)
 
 
 def _positive(value, flag):
@@ -407,8 +415,8 @@ def build_parser():
     p.add_argument("--preset-variant", choices=PRESET_VARIANTS, default="standard")
     p.add_argument("--source", help="full-space source label over {1,0,m}, e.g. 001")
     p.add_argument("--target", help="full-space target label")
-    p.add_argument("--channel", choices=("up", "down"),
-                   help="scan the sigma block of an engineered chain instead")
+    p.add_argument("--channel", choices=CHANNELS,
+                   help="scan one excitation band of an engineered chain instead")
     p.add_argument("--source-site", type=int)
     p.add_argument("--target-site", type=int)
     p.add_argument("--t-max", default="4pi")

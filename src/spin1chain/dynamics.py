@@ -1,9 +1,9 @@
 """Transfer amplitudes, scans, qutrit fidelities and mirroring tests.
 
-Evolution is computed from a cached Hermitian eigendecomposition, with the
-exponent convention exp(+iHt) by default (``sign=-1`` for the physical
-convention).  Scans over dense time grids are evaluated through the
-kernels module, which is the package's hot path.
+Evolution is computed from a cached Hermitian eigendecomposition, or from
+the solve of one band of an engineered chain, with the exponent convention
+exp(+iHt) by default (``sign=-1`` for the physical convention).  Scans over
+dense time grids are evaluated through the kernels module, the hot path.
 """
 
 from dataclasses import dataclass
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hamiltonians import engineered_sigma_block
-from .linalg import EvolutionCache, evolution_cache
+from .hamiltonians import CHANNELS, band_eigensystem
+from .linalg import evolution_cache
 from .parity import mirror_commutator, mirror_parities
 from .spin_ops import basis_index
 
@@ -32,12 +32,17 @@ def _state_index(state, dim):
 
 def _transfer_terms(op, source, target):
     """Eigenvalues E_k and weights <target|v_k><v_k|source> of an amplitude."""
-    cache = op if isinstance(op, EvolutionCache) else evolution_cache(op)
-    es = cache.eigensystem
-    src = _state_index(source, es.dim)
-    tgt = _state_index(target, es.dim)
+    es = evolution_cache(op).eigensystem
+    src, tgt = (_state_index(state, es.dim) for state in (source, target))
     target_row, source_row = es.eigenvector_rows([tgt, src])
     return es.eigenvalues, target_row * np.conj(source_row)
+
+
+def _band_terms(spec, channel, source, target):
+    """:func:`_transfer_terms` between two sites (0..n-1) of one band of an engineered chain."""
+    energies, vectors = band_eigensystem(spec, channel)
+    src, tgt = (_state_index(site, spec.n) for site in (source, target))
+    return energies, vectors[tgt] * np.conj(vectors[src])
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,17 @@ def amplitude_scan(op, source, target, times, sign=1):
     maximum (ties from near-degenerate recurrences resolve to the first
     peak).
     """
+    return _scan(times, sign, _transfer_terms, op, source, target)
+
+
+def band_scan(spec, channel, source, target, times):
+    """:func:`amplitude_scan` from site ``source`` to site ``target`` (0..n-1) of one
+    band (:func:`~spin1chain.hamiltonians.band`), in the chain's time sign."""
+    return _scan(times, spec.time_sign, _band_terms, spec, channel, source, target)
+
+
+def _scan(times, sign, terms, *args):
+    """Check the grid, then scan the amplitude of the terms ``terms(*args)`` gives."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d grid")
@@ -71,7 +87,7 @@ def amplitude_scan(op, source, target, times, sign=1):
         raise ValueError("times must be finite (a NaN or inf is present)")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    energies, coeffs = _transfer_terms(op, source, target)
+    energies, coeffs = terms(*args)
     keep = np.abs(coeffs) > 1e-16
     series = kernels.phase_series(energies[keep], coeffs[keep], times, float(sign))
     abs_vals = np.abs(series)
@@ -110,10 +126,8 @@ QUTRIT_TEST_STATES = (
 
 def _band_series(spec, times):
     """(f_up, f_down): end-to-end amplitudes of the two excitation bands on a grid."""
-    n = spec.n
-    cache = evolution_cache(engineered_sigma_block(spec))
-    return tuple(kernels.phase_series(*_transfer_terms(cache, src, tgt), times, spec.time_sign)
-                 for src, tgt in ((0, n - 1), (n + 1, 2 * n)))
+    return tuple(kernels.phase_series(*_band_terms(spec, channel, 0, spec.n - 1), times,
+                                      spec.time_sign) for channel in CHANNELS)
 
 
 def _qutrit_weights(qutrit):
@@ -142,7 +156,7 @@ def qutrit_fidelity_series(spec, qutrit, times, phase_correct=False):
     the fidelity is maximized over diagonal corrections
     diag(1, e^{i th1}, e^{i th2}) on the (vacuum, up, down) components; the
     optimum is closed-form (each theta cancels the corresponding band's
-    transfer phase).  One sigma block and one eigensystem serve the grid.
+    transfer phase).  One solve of each band serves the grid.
     """
     weights = _qutrit_weights(qutrit)
     return _fidelity(weights, *_band_series(spec, times), phase_correct)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ChainOperator, entries_at
+from .linalg import MAX_DENSE_DIM, ChainOperator, entries_at, fix_eigenvector_phases
 from .spin_ops import A1, A2, SX, SY, SZ, SZ2
 
 SWAP2 = np.zeros((9, 9), dtype=complex)
@@ -357,41 +357,50 @@ def project_to_sigma(chain_op):
     return block
 
 
-def up_block(spec):
-    """Tridiagonal up-excitation block: diagonal C_i + B_i, off-diagonal a_i."""
-    _require_engineered(spec)
-    diag = np.array(spec.C) + np.array(spec.B)
-    return _tridiag(diag, np.array(spec.a))
+CHANNELS = ("up", "down")
 
 
-def down_block(spec):
-    """Tridiagonal down-excitation block: diagonal C_i - B_i, off-diagonal b_i."""
-    _require_engineered(spec)
-    diag = np.array(spec.C) - np.array(spec.B)
-    return _tridiag(diag, np.array(spec.b))
+def band(spec, channel):
+    """One excitation band of an engineered chain as its Jacobi data ``(diag, off)``,
+    the diagonal and the couplings of a tridiagonal matrix: C_i + B_i and a_i for
+    the ``up`` channel, C_i - B_i and b_i for ``down``."""
+    if spec.kind != "engineered":
+        raise ValueError(f"operation requires kind='engineered', got {spec.kind!r}")
+    if channel == "up":
+        return np.array(spec.C) + np.array(spec.B), np.array(spec.a)
+    if channel == "down":
+        return np.array(spec.C) - np.array(spec.B), np.array(spec.b)
+    raise ValueError(f"unknown channel {channel!r}; valid: {CHANNELS}")
+
+
+def band_eigensystem(spec, channel):
+    """Ascending eigenvalues and eigenvectors of one band (:func:`band`): ``eigh`` of
+    its tridiagonal matrix and the phase convention of
+    :func:`~spin1chain.linalg.fix_eigenvector_phases`, bit for bit what
+    :func:`~spin1chain.linalg.eig_hermitian` gives a band with no zero coupling.  A
+    band of more than MAX_DENSE_DIM sites is refused before its matrix is built."""
+    diag, off = band(spec, channel)
+    if diag.size > MAX_DENSE_DIM:
+        raise ValueError(f"a band of {diag.size} sites exceeds the dense cap of "
+                         f"{MAX_DENSE_DIM} sites: shorten the chain")
+    energies, vectors = np.linalg.eigh(_tridiag(diag, off))
+    return energies, fix_eigenvector_phases(vectors)
 
 
 def engineered_sigma_block(spec):
     """The (2n+1) sigma-space matrix assembled directly from the couplings.
 
     Equals project_to_sigma(chain_hamiltonian(spec)) without touching the
-    3^n space, so it scales to long chains.
+    3^n space: the up band, the vacuum's zero and the down band.
     """
-    _require_engineered(spec)
     n = spec.n
     block = np.zeros((2 * n + 1, 2 * n + 1))
-    block[:n, :n] = up_block(spec)
-    block[n + 1:, n + 1:] = down_block(spec)
+    block[:n, :n], block[n + 1:, n + 1:] = (_tridiag(*band(spec, c)) for c in CHANNELS)
     return block
 
 
 def _tridiag(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def _require_engineered(spec):
-    if spec.kind != "engineered":
-        raise ValueError(f"operation requires kind='engineered', got {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------

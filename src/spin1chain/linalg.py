@@ -1,6 +1,6 @@
 """Chain operators as summed nonzero entries, and the shared Hermitian eigen-machinery.
 
-Everything downstream (time evolution, parity splitting, tomography)
+Every chain-space analysis (time evolution, parity splitting, mirroring)
 goes through :func:`eig_hermitian`, which enforces a deterministic
 eigenvector phase convention so that regression files are stable.  It
 diagonalizes each connected block of the matrix's nonzero pattern on its
@@ -123,36 +123,19 @@ class _Entries:
     dim: int
 
 
-# a dense array is scanned for its nonzero entries this many entries at a time, so the
-# scan's temporaries stay small beside the array
-_SCAN_ENTRIES = 1 << 16
-
-
 def _read_entries(op):
     """``op`` in entry form: a ChainOperator as it is, a non-empty square array as
     :class:`_Entries`; any other shape raises ValueError.  An entry is nonzero when
-    it compares unequal to 0 (a ``-0.0`` is not); a complex one when either float
-    word does, the two comparisons read as one 16-bit word, which is several times
-    faster than ``np.flatnonzero`` on a complex array."""
+    it compares unequal to 0 (a ``-0.0`` is not), a complex one when either part does."""
     if isinstance(op, ChainOperator):
         return op
-    mat = np.ascontiguousarray(op)
+    mat = np.asarray(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    if not dim:
+    if not mat.shape[0]:
         raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
-    pairs = np.iscomplexobj(mat)
-    words = mat.view(mat.real.dtype) if pairs else mat
-    step = max(1, _SCAN_ENTRIES // dim)
-    found = []
-    for start in range(0, dim, step):
-        nonzero = words[start:start + step] != 0
-        if pairs:
-            nonzero = nonzero.view(np.uint16) != 0
-        found.append(np.flatnonzero(nonzero) + start * dim)
-    flat = np.concatenate(found)
-    return _Entries(flat, np.asarray(mat.reshape(-1)[flat], dtype=complex), dim)
+    flat = np.flatnonzero(mat)
+    return _Entries(flat, np.asarray(mat.reshape(-1)[flat], dtype=complex), mat.shape[0])
 
 
 def entries_at(op, flat):
@@ -510,8 +493,8 @@ def _parity_sectors(stack, rows, image, numbers):
 
 def _entry_form(op, rows, first, entries, block_of, position):
     """The matrices of the blocks ``rows`` of an operator in entry form (numbered from
-    ``first``), scattered from its ``entries`` (their indices in ``op.flat``, ascending,
-    or a slice) in the form they are solved in, and whether they are centrohermitian.
+    ``first``), scattered from its ``entries`` (their indices in ``op.flat``, ascending)
+    in the form they are solved in, and whether they are centrohermitian.
 
     Entry (i, j) lands at [block_of[i] - first, position[i], position[j]].  The blocks
     are real when no entry has a nonzero imaginary part.  Complex blocks that R: i ->
@@ -542,9 +525,11 @@ def eig_hermitian(op):
     """Full spectral decomposition of a Hermitian matrix, block by block.
 
     ``op`` is a non-empty square array or a :class:`ChainOperator`, which is
-    refused above MAX_DENSE_DIM.  An array is read once as its nonzero entries
-    (:func:`_read_entries`), the form a ChainOperator holds, and from there both
-    take one route.  Each connected block of the nonzero pattern
+    refused above MAX_DENSE_DIM.  No package path passes an array (a band is
+    solved on its own, :func:`~spin1chain.hamiltonians.band_eigensystem`); the
+    benchmark checker and the tests do.  An array is read once as its nonzero
+    entries (:func:`_read_entries`), the form a ChainOperator holds, and from there
+    both take one route.  Each connected block of the nonzero pattern
     (:func:`connected_blocks`) is scattered from the entries, one group of blocks
     of one size at a time (:func:`_entry_form`), and diagonalized on its own; no
     dense matrix is built, and the blocks stay in memory only until their sectors
@@ -586,14 +571,10 @@ def eig_hermitian(op):
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
     residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
-    blocks = connected_blocks(nonzero, dim)
-    if len(blocks) == 1:
-        groups = [blocks[0][None, :]]
-    else:
-        by_size = {}
-        for block in blocks:
-            by_size.setdefault(block.size, []).append(block)
-        groups = [np.stack(by_size[size]) for size in sorted(by_size)]
+    by_size = {}
+    for block in connected_blocks(nonzero, dim):
+        by_size.setdefault(block.size, []).append(block)
+    groups = [np.stack(by_size[size]) for size in sorted(by_size)]
     # block k is numbered numbers[g] + k within group g
     numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
     # each row's block number and its position in its block's rows
@@ -602,13 +583,10 @@ def eig_hermitian(op):
         block_of[rows] = first + np.arange(rows.shape[0])[:, None]
         position[rows] = np.arange(rows.shape[1])
     # the entries of each group, in ascending flat order
-    if len(groups) == 1:
-        entries = [slice(None)]
-    else:
-        group = np.searchsorted(numbers, block_of[nonzero // dim], side="right") - 1
-        by_group = np.argsort(group, kind="stable")
-        bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1)).tolist()
-        entries = [by_group[a:b] for a, b in zip(bounds, bounds[1:])]
+    group = np.searchsorted(numbers, block_of[nonzero // dim], side="right") - 1
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1)).tolist()
+    entries = [by_group[a:b] for a, b in zip(bounds, bounds[1:])]
     # each block's parity factor: 0 when H is no exact commuter, else -1 on the
     # second of two blocks that M swaps and 1 on every other block
     known = np.zeros(numbers[-1], dtype=np.int8)
@@ -726,11 +704,12 @@ def content_key(op):
 def evolution_cache(op):
     """Memoized eigendecomposition keyed by matrix content (:func:`content_key`).
 
-    A ChainOperator and its dense matrix share one key.  An entry that the array
-    filled has no chain-mirror residual or parities, so a ChainOperator that
-    finds one solves itself and replaces it: this is the only way its mirror
-    analyses get their parities, and they then do not depend on which form
-    was solved first.
+    A ChainOperator and its dense matrix share one key; arrays are still taken
+    because the benchmark checker keys the cache with ``ham.dense()``.  An entry
+    that the array filled has no chain-mirror residual or parities, so a
+    ChainOperator that finds one solves itself and replaces it: this is the only
+    way its mirror analyses get their parities, and they then do not depend on
+    which form was solved first.
     """
     digest = content_key(op)
     cached = _cache_by_fingerprint.get(digest)

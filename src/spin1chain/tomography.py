@@ -21,11 +21,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .hamiltonians import down_block, engineered_sigma_block, up_block
-from .linalg import MAX_DENSE_DIM, eig_hermitian
+from .hamiltonians import CHANNELS, band_eigensystem
+from .linalg import MAX_DENSE_DIM
 from .reporting import write_csv
 
-CHANNELS = ("up", "down")
 MODES = ("amplitude", "probability")
 # smallest first-site weight a reconstruction accepts
 WEIGHT_FLOOR = 1e-10
@@ -99,19 +98,10 @@ class SpectralData:
             raise ValueError("weights must sum to 1")
 
 
-def band_matrix(spec, channel):
-    if channel == "up":
-        return up_block(spec)
-    if channel == "down":
-        return down_block(spec)
-    raise ValueError(f"unknown channel {channel!r}")
-
-
 def band_spectral_data(spec, channel):
     """Ground-truth eigenvalues and first-site weights of one band."""
-    es = eig_hermitian(band_matrix(spec, channel))
-    weights = np.abs(es.eigenvector_rows([0])[0]) ** 2
-    return SpectralData(es.eigenvalues, weights)
+    energies, vectors = band_eigensystem(spec, channel)
+    return SpectralData(energies, np.abs(vectors[0]) ** 2)
 
 
 def synthesize_record(spec, channel, mode, times, shots=None, seed=None):

@@ -5,9 +5,10 @@ solved it.  :func:`loop_clustered_parities` knows nothing of sectors: it
 diagonalizes the mirror inside each eigenvalue cluster of any eigenvector
 matrix, so degenerate levels that a plain eigensolver mixes are resolved too.
 :func:`loop_feasibility_report` decides mirroring feasibility pair by pair and
-gap by gap, with exact fractions.
+gap by gap, with exact fractions and an exact integer lcm.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,11 +88,9 @@ def loop_feasibility_report(split):
     unit = None
     consistent = None
     if rational:
-        denom = 1
-        for frac in fracs:
-            denom = denom * frac.denominator // np.gcd(denom, frac.denominator)
+        denom = math.lcm(*(frac.denominator for frac in fracs))
         unit = abs(base) / denom
-        multiples = [round(g / unit) for g, _ in gaps]
+        multiples = [frac.numerator * (denom // frac.denominator) for frac in fracs]
         consistent = True
         for m, (_, s) in zip(multiples, gaps):
             want_odd = s != ref_sec

@@ -16,7 +16,6 @@ import pytest
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
     amplitude_scan,
-    evolution_cache,
     qutrit_transfer_fidelity,
 )
 from spin1chain.hamiltonians import (
@@ -36,12 +35,13 @@ from spin1chain.parity import (
 )
 from spin1chain.spin_ops import basis_index
 from spin1chain.tomography import (
-    band_matrix,
     band_spectral_data,
     extract_spectrum,
     full_tomography,
     synthesize_record,
 )
+
+from band_reference import dense_band
 
 
 def report(num, ok, message):
@@ -115,21 +115,20 @@ def test_criterion_2_heisenberg_parity_spectrum():
 def test_criterion_3_three_site_amplitude_regression():
     start = time.perf_counter()
     chain = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg_squared_sum"))
-    cache = evolution_cache(chain)
     times = np.arange(0.0, 4 * np.pi, 1e-3)
-    scan = amplitude_scan(cache, basis_index("001"), basis_index("100"), times)
+    scan = amplitude_scan(chain, basis_index("001"), basis_index("100"), times)
     series = scan.abs_values * np.exp(1j * scan.arg_values)
     max_dev = float(np.max(np.abs(series - formula3(times))))
 
     t_star = 2 * np.pi / 3
-    amp = amplitude(cache, basis_index("001"), basis_index("100"), t_star)
+    amp = amplitude(chain, basis_index("001"), basis_index("100"), t_star)
     phase_dev = abs(np.angle(amp) - 5 * np.pi / 6)
     simulated_modulus = abs(amp)
     modulus_dev = abs(simulated_modulus - np.sqrt(3) / 2)
 
     # the same amplitude under the 1/2-normalized interaction of the SWAP
     # construction appears at doubled time (frequencies halve)
-    half = evolution_cache(chain_hamiltonian(ChainSpec(n=3, kind="heisenberg_squared_mix")))
+    half = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg_squared_mix"))
     amp_half = amplitude(half, basis_index("001"), basis_index("100"), 2 * t_star)
     normalization_dev = abs(amp_half - amp)
 
@@ -305,7 +304,7 @@ def test_criterion_7_tomography_round_trip():
             B=tuple(rng.uniform(0.3, 1.5, n) * rng.choice([-1, 1], n)),
             C=tuple(rng.uniform(0.5, 2.5, n)),
         )
-        bound = max(float(np.max(np.sum(np.abs(band_matrix(spec, ch)), axis=1)))
+        bound = max(float(np.max(np.sum(np.abs(dense_band(spec, ch)), axis=1)))
                     for ch in ("up", "down"))
         dt = np.pi / (1.3 * bound)
         times = dt * np.arange(16 * n)
@@ -317,7 +316,7 @@ def test_criterion_7_tomography_round_trip():
     worst_noisy = 0.0
     for n in (2, 3, 4):
         spec = pst_preset(n, "standard")
-        bound = float(np.max(np.sum(np.abs(band_matrix(spec, "up")), axis=1)))
+        bound = float(np.max(np.sum(np.abs(dense_band(spec, "up")), axis=1)))
         dt = np.pi / (1.3 * bound)
         times = dt * np.arange(max(64 * n, 128))
         record = synthesize_record(spec, "up", "amplitude", times, shots=10 ** 6,

@@ -11,6 +11,7 @@ from spin1chain.dynamics import (QUTRIT_TEST_STATES, amplitude_scan, qutrit_fide
 from spin1chain.hamiltonians import KINDS, ChainSpec, chain_hamiltonian, pst_preset
 from spin1chain.reporting import CSV_CHUNK_ROWS
 from spin1chain.spin_ops import basis_index
+from band_reference import dense_band
 from test_reporting import per_value_csv
 
 # a grid of more than one CSV chunk that is not a whole number of chunks
@@ -368,6 +369,28 @@ class TestTransfer:
         assert error["stage"] == argv[0]
         assert error["message"].startswith("out of memory: ") and "GiB" in error["message"]
 
+    # a band of 10000 sites is refused before its 10000 x 10000 matrix (or a
+    # 20001 x 20001 sigma block) is built, so each command stops at once
+    @pytest.mark.parametrize("argv", [
+        ["pst-check", "--n", "10000"],
+        ["transfer", "--preset-n", "10000", "--channel", "down"],
+        ["tomography", "--preset-n", "10000"]], ids=["pst-check", "transfer", "tomography"])
+    def test_band_past_dense_cap_fails_early(self, tmp_path, run_limited, argv):
+        proc = run_limited(
+            "import resource, sys, time\n"
+            "from spin1chain.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n",
+            *argv, "--output-dir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["stage"] == argv[0]
+        assert "10000 sites" in error["message"] and "6561" in error["message"]
+        elapsed, peak = proc.stdout.split()
+        assert float(elapsed) < 5 and int(peak) < 200 * 1024  # peak RSS in KiB
+
 
 class TestPstCheck:
     def test_standard_n2(self, capsys):
@@ -448,6 +471,30 @@ class TestPstCheck:
 
 
 class TestTomography:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 17, 40, 127, 128, 129, 136, 300, 1000])
+    def test_auto_dt_has_the_dense_bound_bits(self, n):
+        # the radii add each band row's three entries as np.sum adds the dense
+        # row, whose pairwise sum groups them by their places in the row
+        rng = np.random.default_rng(n)
+        specs = [pst_preset(n, "standard"), pst_preset(n, "phase_exact")] + [ChainSpec(
+            n=n, kind="engineered", a=tuple(rng.uniform(-1.5, 1.5, n - 1)),
+            b=tuple(rng.uniform(-1.5, 1.5, n - 1)), B=tuple(rng.uniform(-1.0, 1.0, n)),
+            C=tuple(rng.uniform(-2.0, 2.0, n))) for _ in range(20)]
+        for spec in specs:
+            bound = max(1e-6, *(float(np.max(np.sum(np.abs(dense_band(spec, channel)), axis=1)))
+                                for channel in ("up", "down")))
+            assert cli._auto_dt(spec) == np.pi / (1.3 * bound), spec
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 64, 127, 128, 129, 137, 300, 1000, 4097])
+    def test_radii_add_as_the_dense_rows(self, n):
+        # every row, not only the largest: rows in the tail past the last
+        # multiple of 8 and rows across a split of a row of more than 128
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            diag, off = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.5, 1.5, n - 1)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert cli._radii(diag, off).tobytes() == np.sum(np.abs(dense), axis=1).tobytes()
+
     def test_preset_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(["tomography", "--preset-n", "4",
                                 "--output-dir", str(tmp_path), "--tag", "tomo"], capsys)

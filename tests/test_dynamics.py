@@ -1,17 +1,23 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spin1chain import kernels
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
     _band_series,
     _distinct_phases,
+    _fidelity,
+    _qutrit_weights,
     amplitude_scan,
+    band_scan,
     evolution_cache,
     mirror_check,
     qutrit_fidelity_series,
+    qutrit_transfer_fidelities,
     qutrit_transfer_fidelity,
 )
 from spin1chain.hamiltonians import (
@@ -117,9 +123,8 @@ class TestEvolve:
 
 class TestTransferAmplitude:
     def test_formula_regression(self, chain3):
-        cache = evolution_cache(chain3)
         for t in np.linspace(0, 4 * np.pi, 257):
-            amp = amplitude(cache, "001", "100", t)
+            amp = amplitude(chain3, "001", "100", t)
             assert abs(amp - three_site_formula(t)) <= 1e-10
 
     def test_value_at_two_thirds_pi(self, chain3):
@@ -131,9 +136,8 @@ class TestTransferAmplitude:
     def test_half_normalized_chain_needs_doubled_time(self, chain3_mix):
         # the 1/2-normalized interaction halves every frequency: the same
         # amplitude appears at twice the time
-        cache = evolution_cache(chain3_mix)
         for t in (0.7, 2 * np.pi / 3, 3.1):
-            amp = amplitude(cache, "001", "100", 2 * t)
+            amp = amplitude(chain3_mix, "001", "100", 2 * t)
             assert abs(amp - three_site_formula(t)) <= 1e-10
 
     def test_t_zero_orthogonal(self, chain3):
@@ -281,6 +285,74 @@ class TestQutritFidelity:
         spec = ChainSpec(n=3, kind="heisenberg")
         with pytest.raises(ValueError, match="engineered"):
             qutrit_transfer_fidelity(spec, (1, 0, 0), 1.0)
+
+
+def sigma_block_series(spec, times):
+    """(f_up, f_down) as the two end-to-end amplitudes of the (2n+1) sigma block's
+    eigensystem, each summed over every one of its 2n+1 levels."""
+    n = spec.n
+    es = evolution_cache(engineered_sigma_block(spec)).eigensystem
+    first_up, last_up, first_down, last_down = es.eigenvector_rows([0, n - 1, n + 1, 2 * n])
+    return tuple(kernels.phase_series(es.eigenvalues, target * np.conj(source), times,
+                                      spec.time_sign)
+                 for source, target in ((first_up, last_up), (first_down, last_down)))
+
+
+def band_route_specs():
+    """Both presets and a seeded engineered chain at n = 2..40, each in both time signs."""
+    specs = []
+    for n in range(2, 41):
+        rng = np.random.default_rng(3800 + n)
+        specs += [pst_preset(n, "standard"), pst_preset(n, "phase_exact"), ChainSpec(
+            n=n, kind="engineered",
+            a=tuple(rng.uniform(0.3, 2.0, n - 1) * rng.choice([-1, 1], n - 1)),
+            b=tuple(rng.uniform(0.3, 2.0, n - 1)), B=tuple(rng.uniform(-1.5, 1.5, n)),
+            C=tuple(rng.uniform(0.5, 2.5, n)))]
+    return specs + [dataclasses.replace(spec, time_sign=-1) for spec in specs]
+
+
+class TestBandRouteMatchesSigmaBlock:
+    """Each band solved on its own gives what the sigma block's eigensystem gave."""
+
+    def test_channel_scans_are_bit_identical(self):
+        # the CLI's default channel grid, between the end sites and two inner ones
+        times = np.arange(0.0, 4 * np.pi, 1e-3)
+        for spec in band_route_specs():
+            n = spec.n
+            block = engineered_sigma_block(spec)
+            for offset, channel in ((0, "up"), (n + 1, "down")):
+                for source, target in ((0, n - 1), (n // 2, n // 3)):
+                    got = band_scan(spec, channel, source, target, times)
+                    want = amplitude_scan(block, offset + source, offset + target, times,
+                                          sign=spec.time_sign)
+                    assert got.rows().tobytes() == want.rows().tobytes(), (spec, channel)
+                    assert (got.max_abs, got.argmax_time, got.first_peak_time) == (
+                        want.max_abs, want.argmax_time, want.first_peak_time)
+
+    def test_fidelity_series_are_bit_identical(self):
+        # the pst-check --scan grid, raw and phase-corrected
+        times = np.arange(0.0, 2 * np.pi, 1e-2)
+        for spec in band_route_specs():
+            want = sigma_block_series(spec, times)
+            for got, expected in zip(_band_series(spec, times), want):
+                assert got.tobytes() == expected.tobytes(), spec
+            for phase_correct in (False, True):
+                series = qutrit_fidelity_series(spec, QUTRIT_TEST_STATES[3], times, phase_correct)
+                expected = _fidelity(_qutrit_weights(QUTRIT_TEST_STATES[3]), *want, phase_correct)
+                assert series.tobytes() == expected.tobytes(), spec
+
+    def test_single_time_fidelities_agree(self):
+        # a single-time sum adds the band's levels without the other band's
+        # zero-weight ones, so its last bit may differ
+        for spec in band_route_specs():
+            for t in (np.pi, 0.77):
+                want = sigma_block_series(spec, [t])
+                for qutrit, pair in zip(QUTRIT_TEST_STATES,
+                                        qutrit_transfer_fidelities(spec, QUTRIT_TEST_STATES, t)):
+                    weights = _qutrit_weights(qutrit)
+                    expected = [float(_fidelity(weights, *want, corrected)[0])
+                                for corrected in (False, True)]
+                    assert np.max(np.abs(np.subtract(pair, expected))) <= 1e-15, spec
 
 
 class TestMirrorCheck:

@@ -13,9 +13,10 @@ from spin1chain.hamiltonians import (
     SpecError,
     SubspaceLeakageError,
     SWAP2,
+    band,
+    band_eigensystem,
     candidate_two_site,
     chain_hamiltonian,
-    down_block,
     engineered_sigma_block,
     h12,
     heisenberg_two_site,
@@ -27,9 +28,8 @@ from spin1chain.hamiltonians import (
     squared_sum_two_site,
     swap_check,
     transfer_couplings,
-    up_block,
 )
-from spin1chain.linalg import chain_mirror_index, eig_hermitian, evolution_cache
+from spin1chain.linalg import MAX_DENSE_DIM, chain_mirror_index, eig_hermitian, evolution_cache
 from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
 
 from mirror_reference import loop_clustered_parities
@@ -446,9 +446,34 @@ class TestSigmaSubspace:
 
     def test_down_block_uniform_fields(self):
         spec = ChainSpec(n=2, kind="engineered", a=(0.3,), b=(0.4,), B=(0.2, 0.2), C=(0.9, 0.9))
-        block = down_block(spec)
-        assert np.allclose(np.diag(block), [0.7, 0.7])
-        assert np.isclose(block[0, 1], 0.4)
+        diag, off = band(spec, "down")
+        assert np.allclose(diag, [0.7, 0.7])
+        assert np.allclose(off, [0.4])
+
+    def test_band_refuses_unknown_channels_and_other_kinds(self):
+        spec = pst_preset(3)
+        with pytest.raises(ValueError, match="unknown channel 'vacuum'"):
+            band(spec, "vacuum")
+        with pytest.raises(ValueError, match="requires kind='engineered'"):
+            band(ChainSpec(n=3, kind="heisenberg"), "up")
+
+    def test_band_solve_refuses_bands_past_the_dense_cap(self):
+        spec = pst_preset(MAX_DENSE_DIM + 1)
+        with pytest.raises(ValueError, match=f"band of {MAX_DENSE_DIM + 1} sites exceeds "
+                                             f"the dense cap of {MAX_DENSE_DIM} sites"):
+            band_eigensystem(spec, "up")
+
+    def test_sigma_block_holds_the_bands(self):
+        # the sigma block is the up band, the vacuum's zero and the down band
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 7):
+            spec = random_engineered(rng, n)
+            block = engineered_sigma_block(spec)
+            for channel, part in (("up", block[:n, :n]), ("down", block[n + 1:, n + 1:])):
+                diag, off = band(spec, channel)
+                assert np.diag(part).tobytes() == diag.tobytes()
+                assert np.diag(part, 1).tobytes() == np.diag(part, -1).tobytes() == off.tobytes()
+                assert not np.any(np.triu(part, 2))
 
     def test_direct_block_matches_projection(self):
         rng = np.random.default_rng(18)
@@ -487,16 +512,15 @@ class TestSigmaSubspace:
 
     def test_example_up_block(self):
         spec = ChainSpec(n=2, kind="engineered", a=(0.5,), b=(0.5,), B=(0, 0), C=(1, 1))
-        block = up_block(spec)
-        assert np.allclose(block, [[1.0, 0.5], [0.5, 1.0]])
-        assert np.allclose(np.linalg.eigvalsh(block), [0.5, 1.5])
+        diag, off = band(spec, "up")
+        assert np.allclose(diag, [1.0, 1.0]) and np.allclose(off, [0.5])
+        assert np.allclose(band_eigensystem(spec, "up")[0], [0.5, 1.5])
 
 
-def reversal_parities(block):
-    """Eigenvalues of a tridiagonal block and their parities under index reversal."""
-    es = eig_hermitian(block)
-    vals, pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
-                                            np.arange(block.shape[0])[::-1])
+def reversal_parities(spec):
+    """Eigenvalues of the up band and their parities under index reversal."""
+    energies, vectors = band_eigensystem(spec, "up")
+    vals, pars, _ = loop_clustered_parities(energies, vectors, np.arange(spec.n)[::-1])
     return vals, pars
 
 
@@ -507,8 +531,8 @@ def searched_phase_exact_field(n):
     couplings = tuple(transfer_couplings(n))
     c = 0.0
     while c <= 2.0 * n + 1e-12:
-        evals, pars = reversal_parities(up_block(ChainSpec(
-            n=n, kind="engineered", a=couplings, b=couplings, B=(0.0,) * n, C=(c,) * n)))
+        evals, pars = reversal_parities(ChainSpec(
+            n=n, kind="engineered", a=couplings, b=couplings, B=(0.0,) * n, C=(c,) * n))
         rounded = np.round(evals)
         if np.all(np.abs(evals - rounded) <= 1e-9) and np.all(
                 pars == np.where(rounded % 2 == 0, 1, -1)):
@@ -530,12 +554,12 @@ class TestPresets:
 
     def test_standard_preset_n2_block(self):
         spec = pst_preset(2, "standard")
-        assert np.allclose(np.linalg.eigvalsh(up_block(spec)), [0.5, 1.5])
+        assert np.allclose(band_eigensystem(spec, "up")[0], [0.5, 1.5])
 
     def test_phase_exact_n2(self):
         spec = pst_preset(2, "phase_exact")
         assert np.isclose(spec.C[0], 1.5)
-        evals, parities = reversal_parities(up_block(spec))
+        evals, parities = reversal_parities(spec)
         assert np.allclose(evals, [1.0, 2.0])
         assert np.allclose(parities, [-1.0, 1.0])  # odd eigenvalue odd vector, even even
 
@@ -553,7 +577,7 @@ class TestPresets:
 
     def test_unit_gap_spectrum(self):
         for n in range(2, 9):
-            evals = np.linalg.eigvalsh(up_block(pst_preset(n, "standard")))
+            evals = band_eigensystem(pst_preset(n, "standard"), "up")[0]
             assert np.max(np.abs(np.diff(evals) - 1.0)) <= 1e-10
 
     def test_bad_variant(self):
@@ -562,7 +586,7 @@ class TestPresets:
 
     def test_eigenvalue_parity_match_for_phase_exact(self):
         for n in (3, 6):
-            evals, parities = reversal_parities(up_block(pst_preset(n, "phase_exact")))
+            evals, parities = reversal_parities(pst_preset(n, "phase_exact"))
             for ev, par in zip(evals, parities):
                 assert abs(ev - round(ev)) <= 1e-9
                 assert par == (1.0 if round(ev) % 2 == 0 else -1.0)

@@ -10,17 +10,17 @@ from scipy.sparse.csgraph import connected_components
 from spin1chain import linalg
 from spin1chain.dynamics import mirror_check
 from spin1chain.hamiltonians import (
+    CHANNELS,
     KINDS,
     ChainSpec,
     PRESET_VARIANTS,
     _local_terms,
+    band_eigensystem,
     candidate_two_site,
     chain_hamiltonian,
-    down_block,
     engineered_sigma_block,
     heisenberg_two_site,
     pst_preset,
-    up_block,
 )
 from spin1chain.linalg import (
     EvolutionCache,
@@ -36,6 +36,8 @@ from spin1chain.linalg import (
 )
 from spin1chain.parity import parity_spectrum
 from spin1chain.spin_ops import SX, SZ
+
+from band_reference import dense_band
 
 
 def random_hermitian(rng, dim):
@@ -289,18 +291,24 @@ class TestEigHermitian:
 
     def test_tridiagonal_band_is_one_block(self):
         # a hand-made band, and the up and down bands of both presets and of
-        # seeded engineered chains: each is one block, solved as one bare eigh
-        bands = [np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1)
-                 + np.diag(np.full(5, 0.3), -1)]
+        # seeded engineered chains: each is one block, solved as one bare eigh,
+        # and the band solve gives the same bits without the dense band
+        bands = [(None, np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1)
+                  + np.diag(np.full(5, 0.3), -1))]
         for n in range(2, 41):
             specs = [pst_preset(n, variant) for variant in PRESET_VARIANTS]
             specs.append(chain_spec("engineered", n, seed=1000 + n))
-            bands += [block(spec) for spec in specs for block in (up_block, down_block)]
-        for mat in bands:
+            bands += [((spec, channel), dense_band(spec, channel))
+                      for spec in specs for channel in CHANNELS]
+        for source, mat in bands:
             es = eig_hermitian(mat)
             w, v = np.linalg.eigh(mat)
             assert es.eigenvalues.tobytes() == w.tobytes()
             assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+            if source is not None:
+                energies, vectors = band_eigensystem(*source)
+                assert energies.tobytes() == es.eigenvalues.tobytes()
+                assert vectors.tobytes() == es.eigenvectors.tobytes()
 
     def test_rejects_non_hermitian_block(self):
         mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -549,7 +557,7 @@ class TestParitySectors:
             assert es.eigenvectors.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("mat", [
-        *(band(pst_preset(n, "standard")) for n in (9, 27) for band in (up_block, down_block)),
+        *(dense_band(pst_preset(n, "standard"), channel) for n in (9, 27) for channel in CHANNELS),
         *(engineered_sigma_block(pst_preset(n, "standard")) for n in (4, 13, 40)),
         np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])],
         ids=["up-9", "down-9", "up-27", "down-27", "sigma-4", "sigma-13", "sigma-40",
@@ -682,7 +690,7 @@ def storage_inputs():
                ("sigma-4-chain", linalg.ChainOperator.from_terms(
                    [(1, engineered_sigma_block(pst_preset(4, "standard")).astype(complex))], 2),
                 chain_mirror_index(2)),
-               ("band-9", up_block(pst_preset(9, "standard")), None),
+               ("band-9", dense_band(pst_preset(9, "standard"), "up"), None),
                ("random-blocks", permuted_block_diagonal(np.random.default_rng(71),
                                                          [7, 1, 4, 7, 2, 4, 1]), None)]
     return inputs
@@ -937,7 +945,7 @@ class TestContentKey:
 
     @pytest.mark.parametrize("mat", [
         engineered_sigma_block(pst_preset(7)),
-        up_block(chain_spec("engineered", 9, seed=4)),
+        dense_band(chain_spec("engineered", 9, seed=4), "up"),
         chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")).dense().real.copy(),
         permuted_block_diagonal(np.random.default_rng(5), [3, 1, 5, 3, 2]).real.copy(),
     ], ids=["preset-sigma-block", "band", "heisenberg", "blocks"])

@@ -702,6 +702,7 @@ class TestFeasibility:
             split = ParitySplit(even=(0.0,), odd=(1.0,) + tuple(1 + 1 / q for q in qs),
                                 parity_operator="chain_mirror")
         report = mirroring_feasibility_report(split)
+        assert report == loop_feasibility_report(split)
         # the same verdict in exact fractions
         levels = [(Fraction(v), 0) for v in split.even] + [(Fraction(v), 1) for v in split.odd]
         (first, sector), rest = levels[0], levels[1:]

@@ -11,7 +11,6 @@ from spin1chain.tomography import (
     MeasurementRecord,
     SpectralData,
     _hankel_product,
-    band_matrix,
     band_spectral_data,
     extract_spectrum,
     full_tomography,
@@ -23,6 +22,8 @@ from spin1chain.tomography import (
     tomography_from_records,
     write_record_csv,
 )
+
+from band_reference import dense_band
 
 
 def random_engineered(rng, n, with_fields=True):
@@ -42,7 +43,7 @@ def safe_grid(spec, samples_per_dim=16):
     """Uniform grid below the sampling bound of both excitation bands."""
     bound = 0.0
     for channel in ("up", "down"):
-        mat = band_matrix(spec, channel)
+        mat = dense_band(spec, channel)
         bound = max(bound, float(np.max(np.sum(np.abs(mat), axis=1))))
     dt = np.pi / (1.3 * max(bound, 1e-6))
     return dt * np.arange(max(samples_per_dim * spec.n, 48))
