@@ -45,6 +45,7 @@ from .hamiltonians import (
     pst_preset,
     swap_check,
 )
+from .linalg import check_dense_sites
 from .parity import CANDIDATE_FORMS, LITERATURE_SPECTRA, parity_spectrum, reference_comparison
 from .reporting import (RunManifest, fmt, json_text, resolve_output_dir, write_csv,
                         write_json)
@@ -207,9 +208,12 @@ def cmd_transfer(args):
     else:
         if not args.source or not args.target:
             raise SpecError("full-space scans need --source and --target basis labels")
-        ham = chain_hamiltonian(spec)
-        scan = amplitude_scan(ham, basis_index(args.source, spec.n),
-                              basis_index(args.target, spec.n), times, sign=spec.time_sign)
+        source, target = (basis_index(label, spec.n) for label in (args.source, args.target))
+        # the dense cap is checked from n alone: building H past it costs about 3x
+        # per site, and a spec's n is unbounded
+        check_dense_sites(spec.n)
+        scan = amplitude_scan(chain_hamiltonian(spec), source, target, times,
+                              sign=spec.time_sign)
         source_label, target_label = args.source, args.target
     csv_path = base + "_series.csv"
     write_csv(csv_path, ("t", "abs", "arg"), scan.rows())

@@ -13,7 +13,7 @@ import numpy as np
 from . import kernels
 from .hamiltonians import CHANNELS, band_eigensystem
 from .linalg import evolution_cache
-from .parity import mirror_commutator, mirror_parities
+from .parity import mirror_commutator
 from .spin_ops import basis_index
 
 
@@ -189,57 +189,6 @@ class MirrorCheckResult:
     phase: float  # global phase phi with U(t) ~ e^{i phi} M
     residual: float
     commutator_residual: float
-    even_phases: tuple
-    odd_phases: tuple
-
-
-def _distance(z, w):
-    """|z - w| rounded like the scalar ``abs`` of one complex number."""
-    diff = z - w
-    return np.hypot(diff.real, diff.imag)
-
-
-def _distinct_phases(phases):
-    """The unit-modulus phases in order, dropping each within 1e-9 of a kept earlier one.
-
-    Equals the greedy loop that keeps a phase unless ``abs(phase - q) < 1e-9``
-    for some kept ``q``, without comparing every pair: phases are sorted by
-    angle and split into runs wherever neighbours lie more than 2e-9 apart
-    (wrapping at +-pi).  On the unit circle such neighbours are more than
-    1e-9 apart, so phases in different runs are never merged; off the
-    circle angles say nothing about distance, hence the unit modulus.  A
-    run whose members all lie within 1e-9 of its earliest member keeps only
-    that one; any other run is decided by the greedy rule, one kept phase
-    at a time.  Memory stays linear in the count.
-    """
-    tol = 1e-9
-    phases = np.asarray(phases, dtype=complex)
-    if not phases.size:
-        return ()
-    angle = np.angle(phases)
-    order = np.argsort(angle, kind="stable")
-    gap = np.diff(angle[order], append=angle[order[0]] + 2 * np.pi) > 2 * tol
-    if gap.any():
-        # start the circle just after a gap, so no run wraps around the ends
-        shift = int(np.argmax(gap)) + 1
-        order, gap = np.roll(order, -shift), np.roll(gap, -shift)
-    else:
-        gap[-1] = True
-    starts = np.concatenate(([0], np.flatnonzero(gap[:-1]) + 1))
-    run = np.cumsum(np.concatenate(([0], gap[:-1])))
-    earliest = np.minimum.reduceat(order, starts)[run]
-    covered = _distance(phases[order], phases[earliest]) < tol
-    keep = np.zeros(phases.size, dtype=bool)
-    keep[earliest] = True
-    for r in np.unique(run[~covered]):
-        members = np.sort(order[run == r])
-        undecided = np.ones(members.size, dtype=bool)
-        while undecided.any():
-            first = members[np.argmax(undecided)]
-            keep[first] = True
-            undecided &= ~(_distance(phases[members], phases[first]) < tol)
-            undecided[members == first] = False
-    return tuple(complex(p) for p in phases[keep])
 
 
 def mirror_check(op, t):
@@ -247,11 +196,9 @@ def mirror_check(op, t):
 
     ``op`` is a :class:`~spin1chain.linalg.ChainOperator` and M its chain
     mirror.  Reports the optimal global phase, the residual ||U - e^{i phi}
-    M||_2 (a mirror when it is at most 1e-8), the [H, M] commutator residual,
-    and the distinct eigenphases exp(i E t) grouped by the mirror parity of
-    their eigenvectors (mirroring requires each group to collapse to one
-    value, the two groups differing by a factor -1).  ``t`` is finite, and the
-    time sign folds into it (-t for the physical exp(-iHt)).
+    M||_2 (a mirror when it is at most 1e-8) and the [H, M] commutator
+    residual.  ``t`` is finite, and the time sign folds into it (-t for the
+    physical exp(-iHt)).
 
     U = e^{i phi} M makes M a function of H, so only an exact commuter ([H, M]
     residual 0) can mirror.  Its eigensystem holds each column's parity p_k,
@@ -260,26 +207,18 @@ def mirror_check(op, t):
     max_k |e^{i E_k t} - e^{i phi} p_k|, read from the eigenvalues and
     parities alone: no eigenvector and no unitary is formed.  An inexact
     commuter has no parities and never mirrors: it reports ``is_mirror``
-    False, an infinite residual, a NaN phase and empty groups.
+    False, an infinite residual and a NaN phase.
     """
     if not np.isfinite(t):
         raise ValueError(f"mirror_check needs a finite time, got {t!r}")
     cache, comm = mirror_commutator(op, "chain_mirror")
     if comm != 0:
         return MirrorCheckResult(is_mirror=False, phase=float("nan"), residual=float("inf"),
-                                 commutator_residual=comm, even_phases=(), odd_phases=())
+                                 commutator_residual=comm)
     es = cache.eigensystem
     signed = es.parities * np.exp(1j * es.eigenvalues * t)  # p_k e^{i E_k t}
     phi = float(np.angle(np.sum(signed)))
     # |e^{i E_k t} - e^{i phi} p_k| == |p_k e^{i E_k t} - e^{i phi}|, as p_k = +-1
     residual = float(np.max(np.abs(signed - np.exp(1j * phi))))
-    vals, pars = mirror_parities(cache)
-    phases = np.exp(1j * vals * t)
-    return MirrorCheckResult(
-        is_mirror=residual <= 1e-8,
-        phase=phi,
-        residual=residual,
-        commutator_residual=comm,
-        even_phases=_distinct_phases(phases[pars > 0]),
-        odd_phases=_distinct_phases(phases[pars < 0]),
-    )
+    return MirrorCheckResult(is_mirror=residual <= 1e-8, phase=phi, residual=residual,
+                             commutator_residual=comm)

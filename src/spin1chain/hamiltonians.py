@@ -69,11 +69,6 @@ def candidate_two_site(name):
         raise ValueError(f"unknown candidate interaction {name!r}; valid: O1..O5") from None
 
 
-def h12():
-    """The SWAP-generating two-site Hamiltonian as a ChainOperator."""
-    return ChainOperator.from_terms([(1, mix_two_site())], 2)
-
-
 CANDIDATE_NAMES = ("O1", "O2", "O3", "O4", "O5")
 
 _TWO_SITE_BUILDERS = {
@@ -92,6 +87,15 @@ class SpecError(ValueError):
     def __init__(self, message, path=""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def _as_float(x):
+    """float(x), with an integer too large for a float read as inf, which the
+    finiteness check then refuses."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ class ChainSpec:
                             "time_sign")
         for name in ("a", "b", "B", "C"):
             raw = getattr(self, name)
-            values = tuple(float(x) for x in raw)
+            values = tuple(_as_float(x) for x in raw)
             for k, (x, value) in enumerate(zip(raw, values)):
                 if isinstance(x, (bool, np.bool_)) or not math.isfinite(value):
                     raise SpecError(f"entry {k} is {x!r}: couplings must be finite numbers",
@@ -281,44 +285,13 @@ def swap_check(unitary, tol=1e-10):
 # single-excitation (sigma) subspace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaBasis:
-    """Ordered basis of the vacuum plus all one-excitation states.
-
-    Ordering: up excitation on sites 1..n, then the vacuum, then down
-    excitation on sites 1..n; dimension 2n + 1 with the vacuum at index n.
-    """
-
-    n: int
-
-    @property
-    def dim(self):
-        return 2 * self.n + 1
-
-    @property
-    def vacuum_position(self):
-        return self.n
-
-    def labels(self):
-        vac = "0" * self.n
-        ups = [vac[:i] + "1" + vac[i + 1:] for i in range(self.n)]
-        downs = [vac[:i] + "m" + vac[i + 1:] for i in range(self.n)]
-        return ups + [vac] + downs
-
-    def full_space_indices(self):
-        vac_index = (3 ** self.n - 1) // 2  # all trits equal 1
-        ups = [vac_index - 3 ** (self.n - 1 - i) for i in range(self.n)]
-        downs = [vac_index + 3 ** (self.n - 1 - i) for i in range(self.n)]
-        return np.array(ups + [vac_index] + downs, dtype=np.intp)
-
-
-def sigma_projector(n):
-    """The (2n+1) x 3^n isometry selecting the sigma states in basis order."""
-    basis = SigmaBasis(n)
-    idx = basis.full_space_indices()
-    proj = np.zeros((basis.dim, 3 ** n), dtype=complex)
-    proj[np.arange(basis.dim), idx] = 1.0
-    return proj
+def _sigma_indices(n):
+    """Full-space indices of the sigma states, the vacuum plus every one-excitation
+    state: up excitations on sites 1..n, the vacuum, down excitations on sites 1..n."""
+    vac_index = (3 ** n - 1) // 2  # all trits equal 1
+    ups = [vac_index - 3 ** (n - 1 - i) for i in range(n)]
+    downs = [vac_index + 3 ** (n - 1 - i) for i in range(n)]
+    return np.array(ups + [vac_index] + downs, dtype=np.intp)
 
 
 LEAKAGE_TOL = 1e-12
@@ -331,7 +304,7 @@ class SubspaceLeakageError(RuntimeError):
 def _sigma_columns(chain_op):
     """H's columns at the sigma states, read from H's entries: the sigma block
     in sigma ordering and the spectral norm of the part outside sigma."""
-    idx = SigmaBasis(chain_op.n_sites).full_space_indices()
+    idx = _sigma_indices(chain_op.n_sites)
     cols = entries_at(chain_op, np.arange(chain_op.dim)[:, None] * chain_op.dim + idx)
     outside = np.delete(cols, idx, axis=0)
     return cols[idx, :], float(np.linalg.norm(outside, 2)) if outside.size else 0.0

@@ -722,21 +722,22 @@ def evolution_cache(op):
     return cached
 
 
+def _dense_cap_error(dim):
+    return ValueError(f"dense matrix of dimension {dim} exceeds cap {MAX_DENSE_DIM}: "
+                      "full-space dense work stops at 3^8 (eight sites)")
+
+
 def check_dense_dim(dim):
     """Refuse to create a dense matrix of dimension above MAX_DENSE_DIM."""
     if dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"dense matrix of dimension {dim} exceeds cap {MAX_DENSE_DIM}: "
-            "full-space dense work stops at 3^8 (eight sites)"
-        )
+        raise _dense_cap_error(dim)
 
 
-def kron_all(factors):
-    """Associative n-fold Kronecker product of 2-d factors, held to MAX_DENSE_DIM."""
-    factors = [np.asarray(f) for f in factors]
-    # the whole product is checked first, so no prefix of an oversized one is built
-    check_dense_dim(math.prod(f.shape[0] for f in factors))
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+def check_dense_sites(n):
+    """:func:`check_dense_dim` of an n-site chain's 3^n states, decided from n before
+    any entry of the chain is built.  A chain spec's n is unbounded, so past 40
+    sites (3^40 is far past the cap) the dimension is named 3^n, not computed."""
+    if n > 40:
+        raise _dense_cap_error(f"3^{n}")
+    check_dense_dim(3 ** n)
+

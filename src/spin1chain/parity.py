@@ -1,4 +1,4 @@
-"""Parity-resolved spectra and the mirroring feasibility diagnosis.
+"""Parity-resolved spectra and their comparison with the tabulated values.
 
 Parity refers to the eigenvalue (+1 even, -1 odd) under the site-inversion
 permutation: reversal of the whole chain, the two-site exchange for n = 2.
@@ -8,11 +8,11 @@ with its chain mirror by parity sector and keeps each eigenvector's parity,
 and the analyses here read those; an operator that misses exact
 commutation has no parity split.  An interaction can only generate perfect
 mirroring when, up to an affine rescaling, even-parity eigenstates carry
-even integer eigenvalues and odd-parity states odd integers.
+even integer eigenvalues and odd-parity states odd integers;
+:func:`~spin1chain.dynamics.mirror_check` tests one evolution time.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,23 +150,14 @@ def mirror_commutator(op, kind):
     return cache, cache.eigensystem.mirror_residual
 
 
-def mirror_parities(cache):
-    """:func:`clustered_parities` of the cached eigensystem, once per Hamiltonian."""
-    def compute():
-        vals, pars = clustered_parities(cache.eigensystem)
-        vals.flags.writeable = pars.flags.writeable = False
-        return vals, pars
-
-    return cache.memoized("parities", compute)
-
-
 def parity_spectrum(op, kind="chain_mirror"):
     """Split an operator's spectrum by mirror parity.
 
     The operator must commute exactly with the inversion (a residual of 0):
     only then are its eigenvectors solved by parity sector.  The eigensystem,
-    the commutator and the parities come from :func:`evolution_cache`'s
-    entry, so they are shared with the other analyses of the same operator.
+    the commutator and the parities (:func:`clustered_parities`, computed
+    once per Hamiltonian) come from :func:`evolution_cache`'s entry, so they
+    are shared with the other analyses of the same operator.
     """
     cache, comm = mirror_commutator(op, kind)
     if comm != 0:
@@ -174,123 +165,11 @@ def parity_spectrum(op, kind="chain_mirror"):
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}, "
             f"and a parity split needs exact commutation"
         )
-    vals, pars = mirror_parities(cache)
+    vals, pars = cache.memoized("parities", lambda: clustered_parities(cache.eigensystem))
     return ParitySplit(
         even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),
         parity_operator=kind,
-    )
-
-
-# ---------------------------------------------------------------------------
-# mirroring feasibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Diagnosis of whether a parity split admits mirror dynamics.
-
-    ``parity_overlap`` flags an eigenvalue shared by both parity sectors
-    (no affine map can then give it both an even and an odd integer).
-    ``ratios_rational`` reports whether all eigenvalue gaps are rational
-    multiples of a common unit (bounded-denominator detection, heuristic).
-    When a unit exists, ``parity_consistent`` says whether the integer
-    pattern matches the even/odd sector assignment.
-    """
-
-    feasible: bool
-    parity_overlap: bool
-    ratios_rational: bool
-    parity_consistent: bool | None
-    rational_unit: float | None
-    notes: tuple = field(default=())
-
-
-# values within FEASIBILITY_TOL are equal; a gap ratio is rational when it
-# lies that close to a fraction with denominator at most MAX_DENOMINATOR
-FEASIBILITY_TOL = 1e-9
-MAX_DENOMINATOR = 64
-
-
-def mirroring_feasibility_report(split):
-    """Decide whether the split can support mirroring after affine rescaling.
-
-    Mirroring needs an affine map sending every eigenvalue to an integer
-    whose parity matches its sector.  Equivalently: all gaps from the first
-    level (the first even one, else the first odd one) are integer multiples
-    of a unit, odd multiples across the sectors and even ones within a
-    sector.  Then exp(i H t) is e^{i phi} M at t = pi / ``rational_unit``, the
-    earliest such time (the multiples share no common factor); a feasible
-    split of one distinct level has no unit and mirrors at every t.
-
-    A gap ratio r is rational when some fraction p/q with q at most
-    MAX_DENOMINATOR lies within FEASIBILITY_TOL of it; two such fractions lie at
-    least 1/MAX_DENOMINATOR^2 apart, so that fraction is unique, and the smallest
-    such q is its denominator.  The unit is the base gap over the exact lcm of the
-    denominators, and each multiple's parity is read from its numerator exactly.
-    """
-    even, odd = np.asarray(split.even, dtype=float), np.asarray(split.odd, dtype=float)
-    notes = []
-
-    # |v - w| rounds monotonically in v, so of the even levels the nearest one
-    # below and the nearest one above each odd level w come closest
-    overlap = False
-    if even.size:
-        ascending = np.sort(even)
-        above = np.searchsorted(ascending, odd)
-        near = ascending[np.clip((above - 1, above), 0, ascending.size - 1)]
-        overlap = bool(np.any(np.abs(near - odd) <= FEASIBILITY_TOL))
-    if overlap:
-        notes.append("an eigenvalue occurs in both parity sectors")
-
-    # cross-sector 0-gaps already decide infeasibility; gap rationality is
-    # assessed on the remaining structure
-    values = np.concatenate((even, odd))
-    in_odd = np.arange(values.size) >= even.size
-    gaps, crosses = values[1:] - values[0], in_odd[1:] != in_odd[0]
-    nonzero = np.abs(gaps) > FEASIBILITY_TOL
-    if not nonzero.any():
-        notes.append("single distinct eigenvalue; trivially rational")
-        return FeasibilityReport(
-            feasible=not overlap and not (even.size and odd.size),
-            parity_overlap=overlap,
-            ratios_rational=True,
-            parity_consistent=None,
-            rational_unit=None,
-            notes=tuple(notes),
-        )
-
-    base = gaps[nonzero][np.argmin(np.abs(gaps[nonzero]))]
-    ratios = gaps[:, None] / base
-    denominators = np.arange(1, MAX_DENOMINATOR + 1)
-    close = np.abs(ratios - np.round(ratios * denominators) / denominators) <= FEASIBILITY_TOL
-    rational = bool(close.any(axis=1).all())
-    unit = None
-    consistent = None
-    if not rational:
-        ratio = ratios[np.argmin(close.any(axis=1)), 0]
-        notes.append(f"gap ratio {ratio:.9f} is not rational within denominator "
-                     f"{MAX_DENOMINATOR}")
-    else:
-        # gap k is p_k / q_k of the base gap, so p_k (lcm / q_k) units, with the lcm a
-        # Python int (it can pass 2^63): that multiple is odd exactly when p_k is odd
-        # and q_k holds as many factors 2 as the lcm
-        q = denominators[np.argmax(close, axis=1)]
-        lcm = math.lcm(*q.tolist())
-        unit = float(abs(base)) / lcm
-        p = np.round(ratios[:, 0] * q).astype(np.int64)
-        twos = q & -q
-        consistent = bool(np.array_equal((p % 2 == 1) & (twos == twos.max()), crosses))
-        if not consistent:
-            notes.append("integer pattern does not alternate with parity sectors")
-
-    return FeasibilityReport(
-        feasible=not overlap and rational and consistent,
-        parity_overlap=overlap,
-        ratios_rational=rational,
-        parity_consistent=consistent,
-        rational_unit=unit,
-        notes=tuple(notes),
     )
 
 

@@ -5,15 +5,42 @@ solved it.  :func:`loop_clustered_parities` knows nothing of sectors: it
 diagonalizes the mirror inside each eigenvalue cluster of any eigenvector
 matrix, so degenerate levels that a plain eigensolver mixes are resolved too.
 :func:`loop_feasibility_report` decides mirroring feasibility pair by pair and
-gap by gap, with exact fractions and an exact integer lcm.
+gap by gap, with exact fractions and an exact integer lcm: mirroring needs an
+affine map sending every eigenvalue to an integer whose parity matches its
+sector.
 """
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from spin1chain.parity import FEASIBILITY_TOL, MAX_DENOMINATOR, FeasibilityReport
+# values within FEASIBILITY_TOL are equal; a gap ratio is rational when it
+# lies that close to a fraction with denominator at most MAX_DENOMINATOR
+FEASIBILITY_TOL = 1e-9
+MAX_DENOMINATOR = 64
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    """Diagnosis of whether a parity split admits mirror dynamics.
+
+    ``parity_overlap`` flags an eigenvalue shared by both parity sectors
+    (no affine map can then give it both an even and an odd integer).
+    ``ratios_rational`` reports whether all eigenvalue gaps are rational
+    multiples of a common unit (bounded-denominator detection, heuristic).
+    When a unit exists, ``parity_consistent`` says whether the integer
+    pattern matches the even/odd sector assignment, and a feasible split
+    mirrors first at t = pi / ``rational_unit``.
+    """
+
+    feasible: bool
+    parity_overlap: bool
+    ratios_rational: bool
+    parity_consistent: bool | None
+    rational_unit: float | None
+    notes: tuple = field(default=())
 
 
 def loop_clustered_parities(evals, vecs, index, cluster_tol=1e-9):

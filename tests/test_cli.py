@@ -106,6 +106,27 @@ class TestValidate:
             assert "finite numbers" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    # a JSON integer converts to a float only below about 1.8e308; validate reads
+    # the spec as a schema, transfer and tomography build the chain from it
+    @pytest.mark.parametrize("argv,stage", [
+        (["validate"], "schema"),
+        (["transfer", "--source", "10", "--target", "01"], "spec"),
+        (["tomography"], "spec"),
+    ])
+    def test_integer_coupling_too_large_for_a_float(self, tmp_path, capsys, argv, stage):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 2, "kind": "engineered", "a": [1], "b": [1], '
+                        '"B": [0, 0], "C": [1, 1%s]}' % ("0" * 400))
+        if argv[0] != "validate":
+            argv = [*argv, "--output-dir", str(tmp_path / "out")]
+        code, out, err = run_cli([*argv, "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == stage and error["path"] == "C"
+        if stage == "spec":
+            assert error["message"].startswith("C: entry 1 is 1000")
+            assert error["message"].endswith("couplings must be finite numbers")
+
     @pytest.mark.parametrize("value", ["true", "1.0"])
     def test_time_sign_must_be_an_integer(self, tmp_path, capsys, value):
         path = tmp_path / "spec.json"
@@ -321,23 +342,28 @@ class TestTransfer:
         assert code == 2
         assert json.loads(err)["error"]["stage"] == "spec"
 
-    def test_full_space_past_dense_cap_fails_early(self, tmp_path, run_limited):
-        spec_path = tmp_path / "chain9.json"
-        spec_path.write_text(json.dumps({"n": 9, "kind": "heisenberg"}))
+    # the cap is checked from n before H is built: building it took 1.2 s and
+    # 798 MB at n = 12, ran out of memory at n = 14 and overflowed int64 at n = 40
+    @pytest.mark.parametrize("n", [9, 14, 40])
+    def test_full_space_past_dense_cap_fails_early(self, tmp_path, run_limited, n):
+        spec_path = tmp_path / f"chain{n}.json"
+        spec_path.write_text(json.dumps({"n": n, "kind": "heisenberg"}))
         proc = run_limited(
-            "import resource, sys\n"
+            "import resource, sys, time\n"
             "from spin1chain.cli import main\n"
+            "start = time.perf_counter()\n"
             "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
             "sys.exit(code)\n",
-            "transfer", "--spec", str(spec_path), "--source", "000000001",
-            "--target", "100000000", "--t-max", "1", "--dt", "0.1",
+            "transfer", "--spec", str(spec_path), "--source", "0" * (n - 1) + "1",
+            "--target", "1" + "0" * (n - 1), "--t-max", "1", "--dt", "0.1",
             "--output-dir", str(tmp_path))
         assert proc.returncode == 2, proc.stderr
-        message = json.loads(proc.stderr)["error"]["message"]
-        assert "19683" in message and "6561" in message
-        assert int(proc.stdout) < 200 * 1024  # peak RSS in KiB
-
+        error = json.loads(proc.stderr)["error"]
+        assert error["stage"] == "transfer"
+        assert f"dimension {3 ** n} exceeds cap 6561" in error["message"]
+        elapsed, peak = proc.stdout.split()
+        assert float(elapsed) < 5 and int(peak) < 100 * 1024  # peak RSS in KiB
 
     def test_long_full_space_scan_stays_small(self, tmp_path, run_limited):
         # about 640 of 729 energies on a 125664-point grid: an N x m phase

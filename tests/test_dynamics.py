@@ -9,7 +9,6 @@ from spin1chain import kernels
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
     _band_series,
-    _distinct_phases,
     _fidelity,
     _qutrit_weights,
     amplitude_scan,
@@ -22,15 +21,14 @@ from spin1chain.dynamics import (
 )
 from spin1chain.hamiltonians import (
     ChainSpec,
-    SigmaBasis,
     chain_hamiltonian,
     engineered_sigma_block,
     pst_preset,
-    sigma_projector,
 )
-from spin1chain.parity import chain_mirror_index
+from spin1chain.parity import chain_mirror_index, parity_spectrum
 from spin1chain.spin_ops import basis_index
 
+from band_reference import sigma_labels
 from mirror_reference import loop_clustered_parities
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
@@ -161,11 +159,11 @@ class TestTransferAmplitude:
         spec = pst_preset(4, "standard")
         ham = chain_hamiltonian(spec)
         cache = evolution_cache(ham)
-        proj = sigma_projector(4)
+        sigma = [basis_index(label) for label in sigma_labels(4)]
         psi = basis_state("1000")
         for t in (0.3, 1.7, np.pi):
             out = cache.unitary(t) @ psi
-            inside = np.linalg.norm(proj @ out) ** 2
+            inside = np.linalg.norm(out[sigma]) ** 2
             assert abs(inside - 1.0) <= 1e-12
 
 
@@ -363,13 +361,32 @@ class TestMirrorCheck:
         assert abs(abs(result.phase) - np.pi) <= 1e-9
         assert result.residual <= 1e-12
         # even states evolve with phase -1, odd states with +1
-        assert len(result.even_phases) == 1 and abs(result.even_phases[0] + 1) <= 1e-9
-        assert len(result.odd_phases) == 1 and abs(result.odd_phases[0] - 1) <= 1e-9
+        split = parity_spectrum(ham)
+        assert np.max(np.abs(np.exp(1j * np.pi * np.array(split.even)) + 1)) <= 1e-9
+        assert np.max(np.abs(np.exp(1j * np.pi * np.array(split.odd)) - 1)) <= 1e-9
 
     def test_three_site_fails(self, chain3):
         result = mirror_check(chain3, 2 * np.pi / 3)
         assert not result.is_mirror
         assert result.residual > 0.1
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O3", "O5"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_verdict_follows_the_loop_parities(self, kind, n):
+        # U(pi) = e^{i phi} M needs p_k e^{i pi E_k} to take one value over the
+        # spectrum, p_k the parity that the loop reference finds cluster by
+        # cluster; only the two-site SWAP generator mirrors, and no kind does
+        # at four sites
+        ham = chain_hamiltonian(ChainSpec(n=n, kind=kind))
+        result = mirror_check(ham, np.pi)
+        es = evolution_cache(ham).eigensystem
+        vals, pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
+                                                chain_mirror_index(n))
+        signed = pars * np.exp(1j * np.pi * vals)
+        phi = np.angle(np.sum(signed))
+        assert result.is_mirror == (n == 2 and kind == "heisenberg_squared_mix")
+        assert abs(result.residual - np.max(np.abs(signed - np.exp(1j * phi)))) <= 1e-12
+        assert abs(np.exp(1j * result.phase) - np.exp(1j * phi)) <= 1e-12
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 10"):
@@ -397,7 +414,7 @@ class TestMirrorCheck:
         # excitation with the phase exp(i pi (c + J)), J = (n - 1)/2, of the top
         # up level c + J, which is -i (-1)^n for the standard field c = n/2 and
         # 1 for the phase-exact field c = -J mod 2
-        sigma = SigmaBasis(n).full_space_indices()
+        sigma = np.array([basis_index(label) for label in sigma_labels(n)])
         columns = evolution_cache(chain_hamiltonian(pst_preset(n, variant))).unitary(np.pi)[:, sigma]
         images = chain_mirror_index(n)[sigma]
         excitation = -1j * (-1) ** n if variant == "standard" else 1.0
@@ -422,10 +439,9 @@ def symmetric_engineered(n, seed):
 
 
 def dense_mirror_reference(op, t):
-    """(phase, residual, even phases, odd phases, split) of the mirror test from
-    the dense unitary U: the phase of tr(M^T U) and the spectral norm of
-    U - e^{i phase} M, with parities from the cluster-wise mirror eigensolve
-    alone; ``split`` says whether the eigensystem holds parity-sector solves."""
+    """(phase, residual, split) of the mirror test from the dense unitary U: the
+    phase of tr(M^T U) and the spectral norm of U - e^{i phase} M; ``split`` says
+    whether the eigensystem holds parity-sector solves."""
     cache = evolution_cache(op)
     es = cache.eigensystem
     assert es.mirror_residual == 0
@@ -434,21 +450,17 @@ def dense_mirror_reference(op, t):
     columns = np.arange(index.size)
     phi = float(np.angle(np.sum(unitary[index, columns])))
     unitary[index, columns] -= np.exp(1j * phi)
-    vals, pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors, index)
-    phases = np.exp(1j * vals * t)
-    even, odd = _distinct_phases(phases[pars > 0]), _distinct_phases(phases[pars < 0])
     split = any(solve.mirrored is not None for solve in es.solves)
-    return phi, float(np.linalg.norm(unitary, 2)), even, odd, split
+    return phi, float(np.linalg.norm(unitary, 2)), split
 
 
 def assert_matches_dense(op, t):
-    """Same verdict and phase groups as the dense test, bit for bit, and the phase
-    and the residual within 1e-12: the mirror test reads the spectrum, where U and
-    M share their eigenbasis, and the dense test the unitary."""
+    """Same verdict as the dense test, and the phase and the residual within
+    1e-12: the mirror test reads the spectrum, where U and M share their
+    eigenbasis, and the dense test the unitary."""
     result = mirror_check(op, t)
-    phi, residual, even, odd, split = dense_mirror_reference(op, t)
+    phi, residual, split = dense_mirror_reference(op, t)
     assert result.is_mirror == (residual <= 1e-8)
-    assert (result.even_phases, result.odd_phases) == (even, odd)
     assert abs(result.residual - residual) <= 1e-12
     assert abs(np.exp(1j * result.phase) - np.exp(1j * phi)) <= 1e-12
     return split
@@ -496,81 +508,3 @@ class TestMirrorCheckByBlock:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
-
-
-def greedy_phases(phases, tol=1e-9):
-    """Keep each phase unless it lies within tol of a phase kept before it."""
-    kept = []
-    for phase in phases:
-        if not any(abs(phase - q) < tol for q in kept):
-            kept.append(complex(phase))
-    return tuple(kept)
-
-
-def assert_same_phases(phases):
-    got = _distinct_phases(phases)
-    want = greedy_phases(phases)
-    assert len(got) == len(want)
-    assert all(complex(a) == complex(b) for a, b in zip(got, want))
-
-
-class TestDistinctPhases:
-    def test_near_duplicates(self):
-        rng = np.random.default_rng(61)
-        base = np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
-        near = base * np.exp(0.5e-9j * rng.choice([-1, 1], size=40))
-        phases = rng.permutation(np.concatenate([base, near, base]))
-        assert_same_phases(phases)
-        assert len(_distinct_phases(phases)) == 40
-
-    def test_chains_keep_every_other_link(self):
-        # links 0.6e-9 apart: each is within tol of its neighbours only, so
-        # the greedy rule keeps the first, drops the second, keeps the third...
-        steps = np.exp(1j * (0.3 + 0.6e-9 * np.arange(7)))
-        for order in (np.arange(7), np.arange(7)[::-1], np.array([3, 0, 6, 1, 5, 2, 4])):
-            assert_same_phases(steps[order])
-        assert len(_distinct_phases(steps)) == 4
-
-    def test_wraps_at_pi(self):
-        rng = np.random.default_rng(62)
-        angles = np.pi - np.array([0.0, 0.3e-9, -0.4e-9, 0.9e-9, 1.7e-9, -1.2e-9])
-        angles = np.concatenate([angles, angles - 2 * np.pi, rng.uniform(-3, 3, 20)])
-        for _ in range(20):
-            phases = np.exp(1j * rng.permutation(angles))
-            assert_same_phases(phases)
-        assert_same_phases(np.array([-1.0 + 0.0j, complex(-1.0, -0.0), complex(-1.0, 1e-10)]))
-
-    def test_random_clusters(self):
-        rng = np.random.default_rng(63)
-        for _ in range(30):
-            centres = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 12)))
-            angles = rng.choice(centres, size=int(rng.integers(1, 200)))
-            angles = angles + rng.normal(scale=1e-9, size=angles.size)
-            assert_same_phases(np.exp(1j * angles))
-
-    def test_small_inputs(self):
-        assert _distinct_phases(np.array([], dtype=complex)) == ()
-        assert _distinct_phases(np.array([1j])) == (1j,)
-
-    def test_memory_stays_linear(self):
-        rng = np.random.default_rng(64)
-        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 6561))
-        phases[::3] = phases[1::3]  # many exact duplicates, as at t = pi
-        tracemalloc.start()
-        try:
-            _distinct_phases(phases)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
-
-    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared_mix", "O3", "O5"])
-    def test_mirror_check_phases_follow_greedy_rule(self, kind):
-        ham = chain_hamiltonian(ChainSpec(n=4, kind=kind))
-        result = mirror_check(ham, np.pi)
-        es = evolution_cache(ham).eigensystem
-        vals, pars, _ = loop_clustered_parities(es.eigenvalues, es.eigenvectors,
-                                                chain_mirror_index(4))
-        phases = np.exp(1j * vals * np.pi)
-        assert result.even_phases == greedy_phases(phases[pars > 0])
-        assert result.odd_phases == greedy_phases(phases[pars < 0])

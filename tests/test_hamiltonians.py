@@ -9,7 +9,6 @@ from spin1chain.hamiltonians import (
     KINDS,
     PRESET_VARIANTS,
     ChainSpec,
-    SigmaBasis,
     SpecError,
     SubspaceLeakageError,
     SWAP2,
@@ -18,19 +17,18 @@ from spin1chain.hamiltonians import (
     candidate_two_site,
     chain_hamiltonian,
     engineered_sigma_block,
-    h12,
     heisenberg_two_site,
     mix_two_site,
     project_to_sigma,
     pst_preset,
     sigma_leakage,
-    sigma_projector,
     squared_sum_two_site,
     swap_check,
     transfer_couplings,
 )
-from spin1chain.linalg import MAX_DENSE_DIM, chain_mirror_index, eig_hermitian, evolution_cache
-from spin1chain.spin_ops import A1, A2, IDENTITY3, SZ, SZ2, basis_index, embed, site_operator
+from spin1chain.linalg import (MAX_DENSE_DIM, ChainOperator, chain_mirror_index, eig_hermitian,
+                               evolution_cache)
+from spin1chain.spin_ops import A1, A2, SZ, SZ2, basis_index
 
 from mirror_reference import loop_clustered_parities
 
@@ -82,7 +80,8 @@ def kron_sum_reference(spec, sparse=False):
     kron = (lambda a, b: sp.kron(a, b, format="csr")) if sparse else np.kron
 
     def placed(op, site, width):
-        factors = [IDENTITY3] * (site - 1) + [op] + [IDENTITY3] * (n - site - width + 1)
+        eye = np.eye(3, dtype=complex)
+        factors = [eye] * (site - 1) + [op] + [eye] * (n - site - width + 1)
         out = factors[0]
         for f in factors[1:]:
             out = kron(out, f)
@@ -123,7 +122,8 @@ DENSE_CAP_CHILD = """
 import numpy as np
 from spin1chain.dynamics import evolution_cache, mirror_check
 from spin1chain.hamiltonians import ChainSpec, chain_hamiltonian
-from spin1chain.spin_ops import embed, site_operator
+from spin1chain.linalg import ChainOperator
+from spin1chain.spin_ops import SZ
 
 rng = np.random.default_rng(16)
 spec = ChainSpec(n=9, kind="engineered", a=tuple(rng.uniform(-2, 2, 8)),
@@ -134,7 +134,7 @@ ham = chain_hamiltonian(spec)
 assert ham.dim == 3 ** 9 and ham.flat.size <= 8 * 4 * 3 ** 7 + 3 ** 9, (ham.dim, ham.flat.size)
 calls = {"dense": ham.dense, "evolution_cache": lambda: evolution_cache(ham),
          "mirror_check": lambda: mirror_check(ham, np.pi),
-         "embed": lambda: embed(site_operator("Sz"), 1, 9).dense()}
+         "one_site_term": lambda: ChainOperator.from_terms([(1, SZ)], 9).dense()}
 for name, call in calls.items():
     try:
         call()
@@ -153,7 +153,7 @@ class TestTwoSiteBuilders:
         assert np.allclose(evals, [-2] + [-1] * 3 + [1] * 5, atol=1e-12)
 
     def test_h12_spectrum_and_trace(self):
-        mat = h12().dense()
+        mat = chain_hamiltonian(ChainSpec(n=2, kind="heisenberg_squared_mix")).dense()
         evals = np.linalg.eigvalsh(mat)
         assert np.allclose(evals, [0] * 3 + [1] * 6, atol=1e-12)
         assert np.isclose(np.trace(mat).real, 6.0)
@@ -417,20 +417,23 @@ class TestChainHamiltonian:
 
 
 class TestSigmaSubspace:
-    def test_basis_labels_n2(self):
-        basis = SigmaBasis(2)
-        assert basis.labels() == ["10", "01", "00", "m0", "0m"]
-        assert basis.dim == 5
-        assert basis.vacuum_position == 2
+    def test_sigma_states_n2(self):
+        # up excitations, the vacuum, then down excitations, each run by site
+        block = project_to_sigma(chain_hamiltonian(
+            ChainSpec(n=2, kind="engineered", a=(0.5,), b=(0.25,), B=(0.0, 0.0), C=(1.0, 2.0))))
+        labels = ["10", "01", "00", "m0", "0m"]
+        assert block.shape == (5, 5)
+        assert block[labels.index("10"), labels.index("01")] == 0.5
+        assert block[labels.index("m0"), labels.index("0m")] == 0.25
+        assert np.diag(block).tolist() == [1.0, 2.0, 0.0, 1.0, 2.0]
 
     def test_projector_is_isometry(self):
+        # P P^dagger = 1 on the 2n + 1 sigma states: the identity restricts to
+        # the identity and leaves nothing outside sigma
         for n in (2, 3, 4):
-            proj = sigma_projector(n)
-            assert proj.shape == (2 * n + 1, 3 ** n)
-            assert np.allclose(proj @ proj.conj().T, np.eye(2 * n + 1))
-            gram = proj.conj().T @ proj
-            assert np.isclose(np.trace(gram).real, 2 * n + 1)
-            assert np.allclose(gram @ gram, gram)
+            identity = ChainOperator.from_terms([(1, np.eye(3))], n)
+            assert np.array_equal(project_to_sigma(identity), np.eye(2 * n + 1))
+            assert sigma_leakage(identity) == 0.0
 
     def test_projection_reproduces_couplings(self):
         rng = np.random.default_rng(17)

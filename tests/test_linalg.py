@@ -23,16 +23,19 @@ from spin1chain.hamiltonians import (
     pst_preset,
 )
 from spin1chain.linalg import (
+    MAX_DENSE_DIM,
+    ChainOperator,
     EvolutionCache,
     NonHermitianError,
     PHASE_FIX_THRESHOLD,
     chain_mirror_index,
+    check_dense_dim,
+    check_dense_sites,
     connected_blocks,
     content_key,
     eig_hermitian,
     evolution_cache,
     fix_eigenvector_phases,
-    kron_all,
 )
 from spin1chain.parity import parity_spectrum
 from spin1chain.spin_ops import SX, SZ
@@ -1043,25 +1046,44 @@ class TestUnitaryFromEigensystem:
 
 
 class TestKron:
+    """Terms placed on distinct sites multiply out to the Kronecker product of
+    their local matrices, site 1 the left factor."""
+
+    @staticmethod
+    def kron_pair(a, b):
+        return (ChainOperator.from_terms([(1, a)], 2).dense()
+                @ ChainOperator.from_terms([(2, b)], 2).dense())
+
     def test_identity(self):
-        assert np.allclose(kron_all([np.eye(3), np.eye(3)]), np.eye(9))
+        assert np.array_equal(self.kron_pair(np.eye(3), np.eye(3)), np.eye(9))
 
     def test_diagonal_products(self):
         d = np.diag([1.0, 0.0, -1.0])
         expected = [1, 0, -1, 0, 0, 0, -1, 0, 1]
-        assert np.allclose(np.diag(kron_all([d, d])), expected)
+        assert np.allclose(np.diag(self.kron_pair(d, d)), expected)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert np.isclose(np.trace(kron_all([a, b])), np.trace(a) * np.trace(b))
+            product = self.kron_pair(a, b)
+            assert np.max(np.abs(product - np.kron(a, b))) <= 1e-14
+            assert np.isclose(np.trace(product), np.trace(a) * np.trace(b))
 
+
+class TestDenseCap:
     def test_overflow_guard(self):
-        big = np.eye(100)
-        with pytest.raises(ValueError, match="exceeds cap"):
-            kron_all([big, big])
+        with pytest.raises(ValueError, match="dimension 10000 exceeds cap 6561"):
+            check_dense_dim(100 * 100)
+        check_dense_dim(MAX_DENSE_DIM)
+
+    def test_sites_decide_without_forming_the_dimension(self):
+        # eight sites fit; past forty the dimension is named, not written out
+        check_dense_sites(8)
+        for n, named in ((9, "19683"), (40, str(3 ** 40)), (41, "3^41"), (10 ** 9, "3^1000000000")):
+            with pytest.raises(ValueError, match=rf"dimension {re.escape(named)} exceeds cap 6561"):
+                check_dense_sites(n)
 
 
 class TestReconstructionInput:

@@ -8,10 +8,8 @@ import pytest
 from spin1chain import dynamics, linalg, parity
 from spin1chain.hamiltonians import (
     ChainSpec,
-    SigmaBasis,
     candidate_two_site,
     chain_hamiltonian,
-    h12,
     heisenberg_two_site,
     mix_two_site,
     pst_preset,
@@ -25,13 +23,13 @@ from spin1chain.parity import (
     chain_mirror_permutation,
     clustered_parities,
     mirror_index,
-    mirroring_feasibility_report,
     parity_spectrum,
     reference_comparison,
 )
 from spin1chain.linalg import ChainOperator, commutator_residual
-from spin1chain.spin_ops import SX, SY, basis_index, basis_label
+from spin1chain.spin_ops import SX, SY, basis_index
 
+from band_reference import sigma_labels
 from mirror_reference import loop_clustered_parities, loop_feasibility_report
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
@@ -110,8 +108,9 @@ def assert_index_matches(index, dense):
 class TestIndexMirrors:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_chain_mirror_matches_reversed_labels(self, n):
+        # site 1 is the most significant base-3 digit, so the mirror reverses the digits
         reference = reference_permutation(
-            3 ** n, lambda j: basis_index(basis_label(j, n)[::-1]))
+            3 ** n, lambda j: int(np.base_repr(j, 3).zfill(n)[::-1], 3))
         assert np.array_equal(chain_mirror_permutation(n), reference)
         assert_index_matches(chain_mirror_index(n), reference)
 
@@ -121,13 +120,13 @@ class TestIndexMirrors:
         # vacuum, down runs on sites 1..n) onto sigma states, reversing the up
         # and the down run and keeping the vacuum: it is the site inversion of
         # the sigma subspace, with no mirror of its own
-        sigma = SigmaBasis(n).full_space_indices()
+        labels = sigma_labels(n)
+        sigma = np.array([basis_index(label) for label in labels])
         run = np.arange(n)[::-1]
         reversed_runs = np.concatenate([run, [n], n + 1 + run])
         assert np.array_equal(chain_mirror_index(n)[sigma], sigma[reversed_runs])
-        labels = SigmaBasis(n).labels()
-        assert [basis_label(j, n) for j in chain_mirror_index(n)[sigma]] == [
-            label[::-1] for label in labels]
+        assert chain_mirror_index(n)[sigma].tolist() == [
+            basis_index(label[::-1]) for label in labels]
 
     def test_two_site_chain_mirror_is_the_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
@@ -237,7 +236,7 @@ class TestParitySpectrum:
             parity_spectrum(np.eye(27), kind="chain_mirror")
         # the chain mirror is the only kind
         with pytest.raises(ValueError, match="unknown parity kind 'sigma'"):
-            parity_spectrum(h12(), kind="sigma")
+            parity_spectrum(two_site_chain("heisenberg_squared_mix"), kind="sigma")
         # the default kind is the chain mirror, so a bare 9 x 9 array is refused too
         with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 9\b"):
             parity_spectrum(np.eye(9))
@@ -255,17 +254,14 @@ class TestParitySpectrum:
             parity_spectrum(two_site(op))
 
     def test_one_site_operator_is_all_even(self):
-        # the chain mirror of one site is the identity: every level is even,
-        # and the eigenphases at t = pi form one group
+        # the chain mirror of one site is the identity: every level is even
         op = ChainOperator.from_terms([(1, np.diag([1.0, -2.0, 0.5]) + 0.25 * SX)], 1)
         split = parity_spectrum(op)
         es = linalg.evolution_cache(op).eigensystem
         assert es.mirror_residual == 0 and es.parities.tolist() == [1, 1, 1]
         assert split.even == tuple(es.eigenvalues[::-1].tolist()) and split.odd == ()
         assert np.allclose(split.even, np.linalg.eigvalsh(op.dense())[::-1], atol=1e-14)
-        result = dynamics.mirror_check(op, np.pi)
-        assert result.commutator_residual == 0
-        assert len(result.even_phases) == 3 and result.odd_phases == ()
+        assert dynamics.mirror_check(op, np.pi).commutator_residual == 0
 
 
 def sector_spectrum(mat, projector):
@@ -358,9 +354,9 @@ class TestClusteredParities:
     def test_unknown_parities_are_refused(self, monkeypatch):
         # a chain an ulp off symmetric has no known parity, and none is
         # guessed: parity_spectrum refuses it, naming the residual, and
-        # mirror_check reports the residual with no phase groups, and no
-        # mirror (U = e^{i phi} M would make [H, M] = 0), an infinite residual
-        # and a NaN phase; both analyses read the one eigh of each connected block
+        # mirror_check reports the residual and no mirror (U = e^{i phi} M
+        # would make [H, M] = 0), an infinite residual and a NaN phase; both
+        # analyses read the one eigh of each connected block
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(nudged_chain(mirror_symmetric_chain(4, 5)))
         solved, eigh = [], np.linalg.eigh
@@ -380,7 +376,6 @@ class TestClusteredParities:
         assert 0 < es.mirror_residual <= 1e-15
         assert not es.parities.any()
         assert result.commutator_residual == es.mirror_residual
-        assert result.even_phases == result.odd_phases == ()
         assert result.is_mirror is False
         assert result.residual == np.inf
         assert np.isnan(result.phase)
@@ -572,17 +567,15 @@ def analyses(op, t=np.pi):
 
 
 def assert_same_analyses(first, second):
-    """Same verdicts, phase counts and parity counts; values within 1e-12."""
+    """Same verdicts and parity counts; values within 1e-12."""
     (mirror, split), (other_mirror, other_split) = first, second
     assert mirror.is_mirror == other_mirror.is_mirror
     assert mirror.commutator_residual == other_mirror.commutator_residual
     assert abs(mirror.residual - other_mirror.residual) <= 1e-12
     assert abs(np.exp(1j * mirror.phase) - np.exp(1j * other_mirror.phase)) <= 1e-12
-    for phases, other in ((mirror.even_phases, other_mirror.even_phases),
-                          (mirror.odd_phases, other_mirror.odd_phases),
-                          (split.even, other_split.even), (split.odd, other_split.odd)):
-        assert len(phases) == len(other)
-        assert np.max(np.abs(np.array(phases) - np.array(other)), initial=0.0) <= 1e-12
+    for levels, other in ((split.even, other_split.even), (split.odd, other_split.odd)):
+        assert len(levels) == len(other)
+        assert np.max(np.abs(np.array(levels) - np.array(other)), initial=0.0) <= 1e-12
 
 
 class TestCacheFilledByTheOtherForm:
@@ -620,18 +613,20 @@ class TestCacheFilledByTheOtherForm:
 
 
 class TestFeasibility:
+    """The paper's mirroring verdicts, from the exact feasibility reference."""
+
     def test_o1_irrational(self):
-        report = mirroring_feasibility_report(parity_spectrum(two_site_chain("O1")))
+        report = loop_feasibility_report(parity_spectrum(two_site_chain("O1")))
         assert not report.feasible
         assert not report.ratios_rational
 
     def test_o2_parity_overlap(self):
-        report = mirroring_feasibility_report(parity_spectrum(two_site_chain("O2")))
+        report = loop_feasibility_report(parity_spectrum(two_site_chain("O2")))
         assert not report.feasible
         assert report.parity_overlap
 
     def test_swap_generator_feasible(self):
-        report = mirroring_feasibility_report(parity_spectrum(h12()))
+        report = loop_feasibility_report(parity_spectrum(two_site_chain("heisenberg_squared_mix")))
         assert report.feasible
         assert not report.parity_overlap
         assert report.ratios_rational
@@ -640,19 +635,20 @@ class TestFeasibility:
     def test_heisenberg_two_site_infeasible(self):
         # even sector spans {1, -2}: the gap 3 is an odd multiple of the
         # cross-sector gap unit, so parities cannot be matched
-        report = mirroring_feasibility_report(parity_spectrum(two_site(heisenberg_two_site())))
+        report = loop_feasibility_report(parity_spectrum(two_site(heisenberg_two_site())))
         assert not report.feasible
         assert report.ratios_rational
         assert report.parity_consistent is False
 
     def test_single_value_split(self):
-        report = mirroring_feasibility_report(
-            ParitySplit(even=(2.0, 2.0), odd=(), parity_operator="chain_mirror"))
-        assert report.feasible
-        # one level in one sector, in the other, and in both
-        for even, odd in [((2.0, 2.0), ()), ((), (1.0, 1.0)), ((1.0,), (1.0 + 1e-10,))]:
-            split = ParitySplit(even=even, odd=odd, parity_operator="chain_mirror")
-            assert mirroring_feasibility_report(split) == loop_feasibility_report(split)
+        # one level in one sector is feasible, one level in both sectors is not
+        for even, odd, feasible in [((2.0, 2.0), (), True), ((), (1.0, 1.0), True),
+                                    ((1.0,), (1.0 + 1e-10,), False)]:
+            report = loop_feasibility_report(
+                ParitySplit(even=even, odd=odd, parity_operator="chain_mirror"))
+            assert report.feasible is feasible
+            assert report.parity_overlap is not feasible
+            assert report.rational_unit is None
 
     @pytest.mark.parametrize("shift", [-5e-10, 5e-10, -2e-9, 2e-9])
     def test_overlap_within_tolerance_on_either_side(self, shift):
@@ -660,28 +656,24 @@ class TestFeasibility:
         # both sides, overlaps when it lies within FEASIBILITY_TOL
         split = ParitySplit(even=(3.0, 1.0, -1.0), odd=(1.0 + shift, 0.5),
                             parity_operator="chain_mirror")
-        report = mirroring_feasibility_report(split)
-        assert report == loop_feasibility_report(split)
+        report = loop_feasibility_report(split)
         assert report.parity_overlap == (abs(shift) <= 1e-9)
 
     def test_mix_generator_alternative_route(self):
         # the SWAP generator shifted by a constant stays feasible
         split = parity_spectrum(two_site(mix_two_site() + 2.0 * np.eye(9)))
-        assert mirroring_feasibility_report(split).feasible
+        assert loop_feasibility_report(split).feasible
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_chain_splits_equal_the_loop_reference(self, n):
-        # every field and note of the vectorized report equals the pairwise loop's
-        # with exact fractions; of these chains only the two-site SWAP generators
-        # are feasible, and each mirrors at t = pi / rational_unit
+    def test_chain_split_verdicts(self, n):
+        # of every kind and preset only the two-site SWAP generators are
+        # feasible, and each mirrors at t = pi / rational_unit
         ops = {kind: chain_hamiltonian(ChainSpec(n=n, kind=kind)) for kind in PAPER_KINDS}
         ops.update((variant, chain_hamiltonian(pst_preset(n, variant)))
                    for variant in ("standard", "phase_exact"))
         feasible = set()
         for name, op in ops.items():
-            split = parity_spectrum(op)
-            report = mirroring_feasibility_report(split)
-            assert report == loop_feasibility_report(split), name
+            report = loop_feasibility_report(parity_spectrum(op))
             if report.feasible:
                 feasible.add(name)
                 assert dynamics.mirror_check(op, np.pi / report.rational_unit).is_mirror
@@ -701,8 +693,7 @@ class TestFeasibility:
         else:
             split = ParitySplit(even=(0.0,), odd=(1.0,) + tuple(1 + 1 / q for q in qs),
                                 parity_operator="chain_mirror")
-        report = mirroring_feasibility_report(split)
-        assert report == loop_feasibility_report(split)
+        report = loop_feasibility_report(split)
         # the same verdict in exact fractions
         levels = [(Fraction(v), 0) for v in split.even] + [(Fraction(v), 1) for v in split.odd]
         (first, sector), rest = levels[0], levels[1:]
@@ -717,14 +708,15 @@ class TestFeasibility:
         assert report.parity_consistent is consistent and report.feasible is consistent
         assert report.rational_unit == pytest.approx(float(abs(base) / lcm), rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("build", [
-        lambda: two_site_chain("O1"), lambda: two_site_chain("O2"), h12,
-        lambda: two_site(heisenberg_two_site()), lambda: two_site(mix_two_site() + 2.0 * np.eye(9)),
-    ])
-    def test_hand_made_splits_equal_the_loop_reference(self, build):
+    @pytest.mark.parametrize("build,feasible", [
+        (lambda: two_site_chain("O1"), False), (lambda: two_site_chain("O2"), False),
+        (lambda: two_site_chain("heisenberg_squared_mix"), True),
+        (lambda: two_site(heisenberg_two_site()), False),
+        (lambda: two_site(mix_two_site() + 2.0 * np.eye(9)), True),
+    ], ids=["O1", "O2", "swap-generator", "heisenberg", "shifted-swap-generator"])
+    def test_hand_made_split_verdicts(self, build, feasible):
         op = build()
-        split = parity_spectrum(op)
-        report = mirroring_feasibility_report(split)
-        assert report == loop_feasibility_report(split)
-        if report.feasible:
+        report = loop_feasibility_report(parity_spectrum(op))
+        assert report.feasible is feasible
+        if feasible:
             assert dynamics.mirror_check(op, np.pi / report.rational_unit).is_mirror

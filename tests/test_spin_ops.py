@@ -1,108 +1,121 @@
 import numpy as np
 import pytest
 
-from spin1chain import spin_ops
-from spin1chain.spin_ops import (
-    basis_index,
-    basis_label,
-    embed,
-    ladder_identity_check,
-    site_operator,
-    two_site,
-)
+from spin1chain.linalg import ChainOperator
+from spin1chain.spin_ops import A1, A2, SX, SY, SZ, SZ2, basis_index
 
 SQRT2 = np.sqrt(2.0)
+
+# the anticommutators Su = {Sz, Sx} and Sv = {Sz, Sy}, which with Sx and Sy
+# span the transition operators
+SU = SZ @ SX + SX @ SZ
+SV = SZ @ SY + SY @ SZ
+SITE_MATRICES = {"Sx": SX, "Sy": SY, "Sz": SZ, "Su": SU, "Sv": SV, "Sz2": SZ2,
+                 "A1": A1, "A2": A2}
+
+
+def basis_label(index, n):
+    """The label over {1, 0, m} of basis state ``index`` of an n-site chain."""
+    return "".join("10m"[(index // 3 ** (n - 1 - k)) % 3] for k in range(n))
+
+
+def placed(mat, site, n):
+    """A one-site matrix at ``site`` (1-based) of an n-site chain, as a dense matrix."""
+    return ChainOperator.from_terms([(site, mat)], n).dense()
 
 
 class TestSiteOperators:
     def test_sz_is_diagonal(self):
-        assert np.allclose(site_operator("Sz").mat, np.diag([1, 0, -1]))
+        assert np.allclose(SZ, np.diag([1, 0, -1]))
 
     def test_sx_matrix(self):
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / SQRT2
-        assert np.allclose(site_operator("Sx").mat, expected)
+        assert np.allclose(SX, expected)
 
     def test_su_matrix(self):
         # oracle: multiply out Sz Sx + Sx Sz by hand
         expected = np.array([[0, 1, 0], [1, 0, -1], [0, -1, 0]]) / SQRT2
-        assert np.max(np.abs(site_operator("Su").mat - expected)) <= 1e-14
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown site operator"):
-            site_operator("Sq")
+        assert np.max(np.abs(SU - expected)) <= 1e-14
 
     @pytest.mark.parametrize("name", ["Sx", "Sy", "Sz", "Su", "Sv", "Sz2"])
     def test_hermitian(self, name):
-        mat = site_operator(name).mat
+        mat = SITE_MATRICES[name]
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-14
 
+    def test_sv_matrix(self):
+        # oracle: multiply out Sz Sy + Sy Sz by hand
+        expected = np.array([[0, -1j, 0], [1j, 0, 1j], [0, -1j, 0]]) / SQRT2
+        assert np.max(np.abs(SV - expected)) <= 1e-14
+
     def test_commutation_relations(self):
-        sx, sy, sz = (site_operator(k).mat for k in ("Sx", "Sy", "Sz"))
-        for a, b, c in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
+        for a, b, c in ((SX, SY, SZ), (SY, SZ, SX), (SZ, SX, SY)):
             assert np.max(np.abs(a @ b - b @ a - 1j * c)) <= 1e-14
 
-    def test_sz_squared(self):
-        assert np.allclose(site_operator("Sz2").mat, np.diag([1, 0, 1]))
+    def test_spin_one_casimir(self):
+        # S^2 = s(s + 1) = 2 on every state of a spin 1
+        assert np.max(np.abs(SX @ SX + SY @ SY + SZ @ SZ - 2 * np.eye(3))) <= 1e-14
 
-    def test_su_sv_are_anticommutators(self):
-        sx, sy, sz = (site_operator(k).mat for k in ("Sx", "Sy", "Sz"))
-        assert np.max(np.abs(site_operator("Su").mat - (sz @ sx + sx @ sz))) <= 1e-14
-        assert np.max(np.abs(site_operator("Sv").mat - (sz @ sy + sy @ sz))) <= 1e-14
+    def test_sz_squared(self):
+        assert np.allclose(SZ2, np.diag([1, 0, 1]))
 
     def test_projectors(self):
-        for name, idx in (("P1", 0), ("P0", 1), ("Pm", 2)):
-            mat = site_operator(name).mat
+        # the projectors on |1>, |0> and |-1> are polynomials in Sz
+        for mat, idx in (((SZ2 + SZ) / 2, 0), (np.eye(3) - SZ2, 1), ((SZ2 - SZ) / 2, 2)):
             expected = np.zeros((3, 3))
             expected[idx, idx] = 1.0
-            assert np.allclose(mat, expected)
+            assert np.array_equal(mat, expected)
 
 
 class TestLadderOperators:
     def test_a1_is_up_transition(self):
-        a1 = site_operator("A1").mat
-        assert a1[0, 1] == 1.0
-        assert np.count_nonzero(a1) == 1
+        assert A1[0, 1] == 1.0
+        assert np.count_nonzero(A1) == 1
 
     def test_a2_is_down_transition(self):
-        a2 = site_operator("A2").mat
-        assert a2[2, 1] == 1.0
-        assert np.count_nonzero(a2) == 1
+        assert A2[2, 1] == 1.0
+        assert np.count_nonzero(A2) == 1
 
     def test_a1_dagger(self):
-        a1 = site_operator("A1").mat
         expected = np.zeros((3, 3))
         expected[1, 0] = 1.0  # |0><1|
-        assert np.allclose(a1.conj().T, expected)
+        assert np.allclose(A1.conj().T, expected)
 
     def test_identity_check_passes(self):
-        report = ladder_identity_check()
-        assert report["passed"]
-        assert report["A1"] <= 1e-14
-        assert report["A2"] <= 1e-14
-        assert report["A2_dagger"] <= 1e-14
+        # A1 and A2 over the Hermitian basis {Su, Sv, Sx, Sy}:
+        #   A1        = (Su + i Sv + Sx + i Sy) / (2 sqrt 2)
+        #   A2        = (-Su + i Sv + Sx - i Sy) / (2 sqrt 2)
+        #   A2^dagger = (-Su - i Sv + Sx + i Sy) / (2 sqrt 2)
+        # the last is the conjugate companion of the A2 decomposition: with the
+        # standard spin-1 matrices it is that combination, not A2 itself, which
+        # carries the plus signs on Sv and Sy
+        comb_a1 = (SU + 1j * SV + SX + 1j * SY) / (2 * SQRT2)
+        comb_a2 = (-SU + 1j * SV + SX - 1j * SY) / (2 * SQRT2)
+        comb_a2_dagger = (-SU - 1j * SV + SX + 1j * SY) / (2 * SQRT2)
+        assert np.max(np.abs(comb_a1 - A1)) <= 1e-14
+        assert np.max(np.abs(comb_a2 - A2)) <= 1e-14
+        assert np.max(np.abs(comb_a2_dagger - A2.conj().T)) <= 1e-14
 
 
 class TestEmbedding:
     def test_embed_sz_site1(self):
-        op = embed(site_operator("Sz"), 1, 2)
         state = np.zeros(9)
         state[basis_index("10")] = 1.0
-        assert np.allclose(op.dense() @ state, 1.0 * state)
+        assert np.allclose(placed(SZ, 1, 2) @ state, 1.0 * state)
 
     def test_embed_sz_site2(self):
-        op = embed(site_operator("Sz"), 2, 2)
         state = np.zeros(9)
         state[basis_index("10")] = 1.0
-        assert np.allclose(op.dense() @ state, 0.0 * state)
+        assert np.allclose(placed(SZ, 2, 2) @ state, 0.0 * state)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 4)])
     def test_embed_sz2_trace(self, n, k):
-        op = embed(site_operator("Sz2"), k, n)
-        assert np.isclose(np.trace(op.dense()).real, 2 * 3 ** (n - 1))
+        assert np.isclose(np.trace(placed(SZ2, k, n)).real, 2 * 3 ** (n - 1))
 
     def test_embed_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            embed(site_operator("Sz"), 3, 2)
+        with pytest.raises(ValueError, match="does not fit on a chain of 2 sites"):
+            ChainOperator.from_terms([(3, SZ)], 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            ChainOperator.from_terms([(0, SZ)], 2)
 
     def test_embed_locality(self):
         rng = np.random.default_rng(11)
@@ -110,14 +123,26 @@ class TestEmbedding:
         for _ in range(20):
             n = rng.integers(2, 5)
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-            a = embed(site_operator(rng.choice(names)), int(i), int(n)).dense()
-            b = embed(site_operator(rng.choice(names)), int(j), int(n)).dense()
+            a = placed(SITE_MATRICES[rng.choice(names)], int(i), int(n))
+            b = placed(SITE_MATRICES[rng.choice(names)], int(j), int(n))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-13
 
 
 class TestTwoSite:
+    """A product of one-site operators on sites i < j is one term of width
+    j - i + 1 at site i, identities padding the sites between."""
+
+    @staticmethod
+    def product_term(mat_a, mat_b, i, j, n):
+        if i > j:
+            (i, mat_a), (j, mat_b) = (j, mat_b), (i, mat_a)
+        local = mat_a
+        for _ in range(j - i - 1):
+            local = np.kron(local, np.eye(3))
+        return ChainOperator.from_terms([(i, np.kron(local, mat_b))], n)
+
     def test_zz_eigenvalues(self):
-        op = two_site(site_operator("Sz"), site_operator("Sz"), 1, 2, 2).dense()
+        op = self.product_term(SZ, SZ, 1, 2, 2).dense()
         state = np.zeros(9)
         state[basis_index("1m")] = 1.0
         assert np.allclose(op @ state, -1.0 * state)
@@ -126,20 +151,20 @@ class TestTwoSite:
         assert np.allclose(op @ state, 0.0 * state)
 
     def test_xx_hermitian_traceless(self):
-        op = two_site(site_operator("Sx"), site_operator("Sx"), 1, 2, 2)
+        op = self.product_term(SX, SX, 1, 2, 2)
         assert op.hermiticity_deviation() <= 1e-14
         assert abs(np.trace(op.dense())) <= 1e-14
 
     def test_equals_product_of_embeddings(self):
-        a, b = site_operator("Su"), site_operator("Sv")
         for i, j in ((1, 3), (3, 1), (2, 3), (2, 1)):
-            direct = two_site(a, b, i, j, 3).dense()
-            product = embed(a, i, 3).dense() @ embed(b, j, 3).dense()
+            direct = self.product_term(SU, SV, i, j, 3).dense()
+            product = placed(SU, i, 3) @ placed(SV, j, 3)
             assert np.max(np.abs(direct - product)) <= 1e-14
 
-    def test_same_site_rejected(self):
-        with pytest.raises(ValueError, match="distinct sites"):
-            two_site(site_operator("Sx"), site_operator("Sx"), 2, 2, 3)
+    def test_term_past_chain_end_rejected(self):
+        # a product starting on the last site has no second site to act on
+        with pytest.raises(ValueError, match="width 9 at site 3 does not fit"):
+            ChainOperator.from_terms([(3, np.kron(SX, SX))], 3)
 
 
 class TestBasisLabels:
