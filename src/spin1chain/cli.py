@@ -195,8 +195,6 @@ def _channel_site(site, default, flag, n):
 def cmd_transfer(args):
     spec, spec_path = _load_spec(args)
     times = _time_grid(args)
-    outdir = resolve_output_dir(args.output_dir)
-    base = os.path.join(outdir, args.tag or "transfer")
     if args.channel:
         if spec.kind != "engineered":
             raise SpecError("--channel scans need an engineered chain")
@@ -215,6 +213,8 @@ def cmd_transfer(args):
         scan = amplitude_scan(chain_hamiltonian(spec), source, target, times,
                               sign=spec.time_sign)
         source_label, target_label = args.source, args.target
+    # the output directory is made once the inputs are accepted and the scan is done
+    base = os.path.join(resolve_output_dir(args.output_dir), args.tag or "transfer")
     csv_path = base + "_series.csv"
     write_csv(csv_path, ("t", "abs", "arg"), scan.rows())
     summary = {
@@ -317,9 +317,7 @@ def cmd_tomography(args):
     if args.shots is not None and args.shots > np.iinfo(np.int64).max:
         raise SpecError(f"must be at most 2**63 - 1, got {args.shots}", "--shots")
     _positive(args.order, "--order")
-    outdir = resolve_output_dir(args.output_dir)
-    base = os.path.join(outdir, args.tag or "tomography")
-    outputs = []
+    emitted = ()
     seed = args.seed
     if args.record_up or args.record_down:
         if not (args.record_up and args.record_down and args.order is not None):
@@ -365,13 +363,14 @@ def cmd_tomography(args):
             payload["note"] = ("probability records determine eigenvalue gaps and weight "
                                "products only; absolute energies need amplitude records")
         if args.emit_records:
-            for channel, record in zip(("up", "down"), records):
-                path = f"{base}_record_{channel}.csv"
-                write_record_csv(record, path)
-                outputs.append(path)
-    result_path = base + "_result.json"
-    text = write_json(result_path, payload)
-    outputs.insert(0, result_path)
+            emitted = records
+    # the output directory is made once the inputs are accepted and the result found
+    base = os.path.join(resolve_output_dir(args.output_dir), args.tag or "tomography")
+    outputs = [base + "_result.json"]
+    for channel, record in zip(("up", "down"), emitted):
+        outputs.append(f"{base}_record_{channel}.csv")
+        write_record_csv(record, outputs[-1])
+    text = write_json(outputs[0], payload)
     RunManifest("tomography", spec_path, parameters,
                 tuple(outputs), seed).write(base + "_manifest.json")
     sys.stdout.write(text)

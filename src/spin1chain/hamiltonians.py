@@ -18,6 +18,7 @@ Hamiltonian.  Supported interaction kinds:
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +187,19 @@ class ChainSpec:
 
     @classmethod
     def load(cls, path):
+        """The spec in the JSON file ``path``.  An integer longer than Python
+        converts (its int-to-string digit limit) is a SpecError naming the file
+        and the limit."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise SpecError(f"spec file {path} holds an integer longer than the "
+                            f"{sys.get_int_max_str_digits()} digits Python converts") from exc
+        return cls.from_json_dict(data)
 
 
 def _local_terms(spec):

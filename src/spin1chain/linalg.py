@@ -81,12 +81,14 @@ class ChainOperator:
         if not entries:
             raise ValueError(f"a ChainOperator on {n} sites needs at least one term, got none")
         rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-        flat, where = np.unique(rows * 3 ** n + cols, return_inverse=True)
-        order = np.lexsort((vals.imag, vals.real, where))
-        values = np.zeros(flat.size, dtype=complex)
-        np.add.at(values, where[order], vals[order])
+        flat = rows * 3 ** n + cols
+        order = np.lexsort((vals.imag, vals.real, flat))
+        flat = flat[order]
+        first = np.diff(flat, prepend=-1) != 0  # the first contribution to each entry
+        values = np.zeros(np.count_nonzero(first), dtype=complex)
+        np.add.at(values, np.cumsum(first) - 1, vals[order])
         keep = values != 0
-        return cls(flat[keep], values[keep], n)
+        return cls(flat[first][keep], values[keep], n)
 
     @property
     def dim(self):
@@ -139,11 +141,8 @@ def _read_entries(op):
 
 
 def entries_at(op, flat):
-    """Entries of a ChainOperator, :class:`_Entries` or a square array (which only
-    callers of :func:`commutator_residual` pass) at the flat (row-major) indices
+    """Entries of a ChainOperator or :class:`_Entries` at the flat (row-major) indices
     ``flat``; an index that the entry form does not hold reads 0."""
-    if not isinstance(op, (ChainOperator, _Entries)):
-        return np.asarray(op).reshape(-1)[flat]
     pos = np.searchsorted(op.flat, flat)
     out = np.append(op.values, 0)[pos]
     out[np.append(op.flat, -1)[pos] != flat] = 0
@@ -175,43 +174,47 @@ def _rotate_columns(fixed):
     """:func:`fix_eigenvector_phases` in place on a complex stack of matrices, which is
     returned; :func:`eig_hermitian` hands it the arrays it has just built."""
     significant = np.abs(fixed) > PHASE_FIX_THRESHOLD
-    found = significant.any(axis=1)
-    lead = fixed[np.arange(len(fixed))[:, None], np.argmax(significant, axis=1),
-                 np.arange(fixed.shape[2])]
-    lead = np.where(found, lead, 1)
+    # each column's first significant component, or its first where it has none
+    first = (np.arange(len(fixed))[:, None], np.argmax(significant, axis=1),
+             np.arange(fixed.shape[2]))
+    found = significant[first]
+    lead = np.where(found, fixed[first], 1)
     np.multiply(fixed, (np.hypot(lead.real, lead.imag) / lead)[:, None, :], out=fixed,
                 where=found[:, None, :])
     return fixed
 
 
 def connected_blocks(nonzero, dim):
-    """Connected components of the nonzero pattern of a square matrix.
+    """Connected components of the nonzero pattern of a square matrix, grouped by size.
 
     ``nonzero`` holds the flat (row-major) indices of the nonzero entries
     of a ``dim`` x ``dim`` matrix, as ``np.flatnonzero`` gives them.
     Indices i and j are linked when entry (i, j) or (j, i) is nonzero, so
     no entry couples two blocks: each block is a sector of a conserved
-    quantity, found without naming the quantity.  Returns index arrays,
-    ascending within a block, ordered by their smallest index.
+    quantity, found without naming the quantity.  Returns one (count, size)
+    index array per block size, in ascending size: each row is a block,
+    ascending, and the blocks of one size are ordered by their smallest index.
 
-    Every index repeatedly takes the smallest label among its neighbours
-    and then its label's label (pointer jumping), until no label changes;
-    each component ends labelled by its smallest index.
+    Until every entry links two indices of one label, every label (an index
+    that labels itself) takes the smallest label linked to one it labels, and
+    every index then its label's label until none changes (pointer jumping);
+    labels only fall and stay in their component, so each component ends
+    labelled by its smallest index.  One sort of the indices by (block size,
+    label) then lays each size's blocks out one after another, so every group
+    is a reshape of a slice of that one index array.
     """
     rows, cols = np.divmod(np.asarray(nonzero), dim)
     labels = np.arange(dim)
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, rows, labels[cols])
-        np.minimum.at(hooked, cols, labels[rows])
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            break
-        labels = hooked
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order, starts)
+    while not np.array_equal(row_labels := labels[rows], col_labels := labels[cols]):
+        np.minimum.at(labels, row_labels, col_labels)
+        np.minimum.at(labels, col_labels, row_labels)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    sizes = np.bincount(labels, minlength=dim)[labels]
+    order = np.lexsort((labels, sizes))
+    sizes = sizes[order]
+    bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), dim]
+    return [order[a:b].reshape(-1, int(sizes[a])) for a, b in zip(bounds, bounds[1:])]
 
 
 def chain_mirror_index(n):
@@ -223,19 +226,19 @@ def chain_mirror_index(n):
     return np.arange(3 ** n).reshape((3,) * n).transpose().ravel()
 
 
-def commutator_residual(op, index, nonzero):
+def commutator_residual(op, index):
     """max |[H, M]| for the index mirror, read at the nonzero entries of H.
 
-    ``op`` is H in entry form or as a square array and ``nonzero`` holds
-    the flat indices of its nonzero entries.  Entry (i, j) of M H M - H is
+    ``op`` is H in entry form or as a square array, which is read as its
+    entries (:func:`_read_entries`).  Entry (i, j) of M H M - H is
     H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
     (p i, p j) is a nonzero of H, and since every mirror is an involution
     its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
     maximum over the nonzeros is the dense maximum, bit for bit.
     """
-    dim = len(op)
-    rows, cols = np.divmod(nonzero, dim)
-    diff = entries_at(op, index[rows] * dim + index[cols]) - entries_at(op, nonzero)
+    op = _read_entries(op)
+    rows, cols = np.divmod(op.flat, op.dim)
+    diff = entries_at(op, index[rows] * op.dim + index[cols]) - op.values
     return float(np.max(np.abs(diff), initial=0.0))
 
 
@@ -450,75 +453,70 @@ class HermitianEigenSystem:
         return float(largest)
 
 
-def _parity_sectors(stack, rows, image, numbers):
+def _parity_sectors(stack, rows, image):
     """The matrices to solve for blocks of one size with the same number of fixed rows.
 
     ``stack`` holds the blocks' matrices, ``rows`` their rows (ascending in
     each block) and ``image`` the position of each row's mirror image in
-    its block.  Yields (matrices, rows, mirrored, weights, sign, numbers):
+    its block.  Returns (matrices, rows, mirrored, weights, sign) per sector:
     an eigenvector y of matrix k has w y on ``rows[k]`` and sign w y on
-    ``mirrored[k]``, w being ``weights[k]``; blocks with no pair (every row
-    fixed) are their own even sector and are yielded as given, with
-    ``weights`` None.  Otherwise an orbit of the mirror M is a fixed row i
-    or a pair (i, M i), i < M i.  The even sector has one basis vector per
-    orbit, e_i or (e_i + e_Mi)/sqrt2, and the odd sector one per pair,
-    (e_i - e_Mi)/sqrt2, both in order of i.  As H[M i, M j] == H[i, j],
-    an entry needs row i of its orbit only: the even entry of two pairs is
-    H[i, j] + H[i, M j], of a fixed row and a pair sqrt2 H[i, j] and of two
-    fixed rows H[i, j]; the odd entry is H[i, j] - H[i, M j].  Both sectors
-    are exactly Hermitian when H is.  The even sector is yielded first.
+    ``mirrored[k]``, w being ``weights[k]`` (broadcast over the columns).
+    Every block holds a pair: an orbit of the mirror M is a fixed row i or a
+    pair (i, M i), i < M i.  The even sector has one basis vector per orbit,
+    e_i or (e_i + e_Mi)/sqrt2, and the odd sector one per pair, (e_i -
+    e_Mi)/sqrt2, both in order of i.  As H[M i, M j] == H[i, j], an entry
+    needs row i of its orbit only: the even entry of two pairs is H[i, j] +
+    H[i, M j], of a fixed row and a pair sqrt2 H[i, j] and of two fixed rows
+    H[i, j]; the odd entry is H[i, j] - H[i, M j].  Both sectors are exactly
+    Hermitian when H is.  The even sector comes first.
     """
     count, size = rows.shape
-    if np.array_equal(image[0], np.arange(size)):
-        yield stack, rows, rows, None, 1.0, numbers
-        return
+    at = np.arange(count)[:, None]
     first = np.nonzero(np.arange(size) <= image)[1].reshape(count, -1)
-    second = np.take_along_axis(image, first, axis=1)
+    second = image[at, first]
     pair = first != second
-    at = np.arange(count)[:, None, None]
-    even = stack[at, first[:, :, None], first[:, None, :]]
-    mirrored = stack[at, first[:, :, None], second[:, None, :]]
+    odd_first, odd_second = first[pair].reshape(count, -1), second[pair].reshape(count, -1)
+    block = at[:, :, None]
+    even = stack[block, first[:, :, None], first[:, None, :]]
+    mirrored = stack[block, first[:, :, None], second[:, None, :]]
     mirrored[~(pair[:, :, None] & pair[:, None, :])] = 0
     even += mirrored
     del mirrored
     even[pair[:, :, None] != pair[:, None, :]] *= _SQRT2
-    odd_first, odd_second = first[pair].reshape(count, -1), second[pair].reshape(count, -1)
-    odd = stack[at, odd_first[:, :, None], odd_first[:, None, :]]
-    odd -= stack[at, odd_first[:, :, None], odd_second[:, None, :]]
-    first, second, odd_first, odd_second = (np.take_along_axis(rows, local, axis=1)
-                                            for local in (first, second, odd_first, odd_second))
-    yield even, first, second, np.where(pair, _SQRT_HALF, 1.0), 1.0, numbers
-    yield odd, odd_first, odd_second, np.full(odd_first.shape, _SQRT_HALF), -1.0, numbers
+    odd = stack[block, odd_first[:, :, None], odd_first[:, None, :]]
+    odd -= stack[block, odd_first[:, :, None], odd_second[:, None, :]]
+    return [(even, rows[at, first], rows[at, second],
+             np.where(pair, _SQRT_HALF, 1.0)[:, :, None], 1.0),
+            (odd, rows[at, odd_first], rows[at, odd_second], _SQRT_HALF, -1.0)]
 
 
-def _entry_form(op, rows, first, entries, block_of, position):
-    """The matrices of the blocks ``rows`` of an operator in entry form (numbered from
-    ``first``), scattered from its ``entries`` (their indices in ``op.flat``, ascending)
-    in the form they are solved in, and whether they are centrohermitian.
+def _entry_form(op, rows, entries, places):
+    """The matrices of the blocks ``rows`` of an operator in entry form, scattered
+    from its ``entries`` (their indices in ``op.flat``, ascending) in the form they
+    are solved in, and whether they are centrohermitian.
 
-    Entry (i, j) lands at [block_of[i] - first, position[i], position[j]].  The blocks
-    are real when no entry has a nonzero imaginary part.  Complex blocks that R: i ->
-    dim-1-i maps onto themselves are centrohermitian when R, which maps flat index f to
-    dim^2-1-f and so reverses their order, maps the entries onto themselves with
-    conjugate values; their G = Re H - Im H J then takes each entry's real part at (i, j)
-    and subtracts its imaginary part at (i, R j), so every place is re - im once, as in
-    the dense form.  A real or centrohermitian stack is one float array: neither the
-    dense matrix nor a complex copy of the blocks is built.
+    Entry ``entries[k]`` lands at flat place ``places[k]`` of the (count, size,
+    size) stack.  The blocks are real when no entry has a nonzero imaginary part.
+    Complex blocks that R: i -> dim-1-i maps onto themselves are centrohermitian
+    when R, which maps flat index f to dim^2-1-f and so reverses their order, maps
+    the entries onto themselves with conjugate values; their G = Re H - Im H J then
+    takes each entry's real part at (i, j) and subtracts its imaginary part at
+    (i, R j), so every place is re - im once, as in the dense form.  A real or
+    centrohermitian stack is one float array: neither the dense matrix nor a
+    complex copy of the blocks is built.
     """
     count, size = rows.shape
-    dim = op.dim
-    flat, values = op.flat[entries], op.values[entries]
-    i, j = np.divmod(flat, dim)
-    at = block_of[i] - first, position[i], position[j]
-    real = not (np.iscomplexobj(values) and values.imag.any())
-    centro = (not real and np.array_equal(rows[:, ::-1], dim - 1 - rows)
-              and np.array_equal(dim * dim - 1 - flat[::-1], flat)
+    values = op.values[entries]
+    real = not values.imag.any()
+    centro = (not real and np.array_equal(rows[:, ::-1], op.dim - 1 - rows)
+              and np.array_equal(op.dim * op.dim - 1 - op.flat[entries[::-1]], op.flat[entries])
               and np.array_equal(values[::-1], values.conj()))
-    stack = np.zeros((count, size, size), dtype=float if real or centro else values.dtype)
-    stack[at] = values.real if real or centro else values
+    stack = np.zeros(count * size * size, dtype=float if real or centro else values.dtype)
+    stack[places] = values.real if real or centro else values
     if centro:
-        stack[at[0], at[1], size - 1 - at[2]] -= values.imag
-    return stack, centro
+        # column j of a row is place - j, its reversal size-1-j
+        stack[places + size - 1 - 2 * (places % size)] -= values.imag
+    return stack.reshape(count, size, size), centro
 
 
 def eig_hermitian(op):
@@ -529,26 +527,31 @@ def eig_hermitian(op):
     solved on its own, :func:`~spin1chain.hamiltonians.band_eigensystem`); the
     benchmark checker and the tests do.  An array is read once as its nonzero
     entries (:func:`_read_entries`), the form a ChainOperator holds, and from there
-    both take one route.  Each connected block of the nonzero pattern
-    (:func:`connected_blocks`) is scattered from the entries, one group of blocks
-    of one size at a time (:func:`_entry_form`), and diagonalized on its own; no
-    dense matrix is built, and the blocks stay in memory only until their sectors
-    are formed.  A ChainOperator whose entries equal those of M H M exactly (M its
-    chain mirror, site i <-> n+1-i; the residual is kept as ``mirror_residual``)
-    has each block that M maps onto itself and that holds a pair i != M i solved
-    as its even and odd parity sectors instead (:func:`_parity_sectors`), and each
-    column's parity kept as ``parities`` (:class:`HermitianEigenSystem`); every
-    other block, and every block of an array, is its own even sector, solved
-    whole.  Blocks of one size and one fixed-row count go through one stacked
-    ``eigh`` per sector, in real arithmetic where the stack has no nonzero
-    imaginary part or is centrohermitian (H[R i, R j] == conj(H[i, j]) exactly, R:
-    i -> dim-1-i, as O5): then it is solved as G = Re H - Im H J, J the block's
-    reversal, and H's eigenvectors are (y + i J y)/sqrt2; R commutes with M, so G
-    splits into the same sectors.  The eigenpairs are sorted ascending; equal
-    eigenvalues are ordered by block (smaller blocks first, then by smallest
-    index), the even sector before the odd, then as ``eigh`` returns them.  Each
-    stack's vectors are phase-fixed in place and kept as one :class:`EigenSolve`
-    with their rows and global columns; no dense eigenvector matrix is built.
+    both take one route.  The connected blocks of the nonzero pattern are found
+    and grouped by size once (:func:`connected_blocks`, each group of blocks of one
+    size a (count, size) index array); each row's block, its position in it and
+    its flat place in its group's stack are written group by group, and one stable
+    sort of the entries by group gives each group its entries.  Each group is
+    scattered from those entries straight into the form it is solved in
+    (:func:`_entry_form`); no dense matrix is built, and a group's matrices stay
+    in memory only until its sectors are formed.  A ChainOperator whose entries
+    equal those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
+    residual is kept as ``mirror_residual``) has each block that M maps onto
+    itself and that holds a pair i != M i solved as its even and odd parity
+    sectors instead (:func:`_parity_sectors`), and each column's parity kept as
+    ``parities`` (:class:`HermitianEigenSystem`); every other block, and every
+    block of an array, is its own even sector, solved whole.  Blocks of one size
+    and one fixed-row count go through one stacked ``eigh`` per sector, in real
+    arithmetic where the stack has no nonzero imaginary part or is
+    centrohermitian (H[R i, R j] == conj(H[i, j]) exactly, R: i -> dim-1-i, as
+    O5): then it is solved as G = Re H - Im H J, J the block's reversal, and H's
+    eigenvectors are (y + i J y)/sqrt2; R commutes with M, so G splits into the
+    same sectors.  The eigenpairs are sorted ascending, by one sort of the
+    eigenvalues and one key per eigenpair; equal eigenvalues are ordered by block
+    (smaller blocks first, then by smallest index), the even sector before the
+    odd, then as ``eigh`` returns them.  Each stack's vectors are phase-fixed in
+    place and kept as one :class:`EigenSolve` with their rows and global columns;
+    no dense eigenvector matrix is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
     entries, and :class:`NonHermitianError` when the Hermiticity deviation, read
@@ -570,65 +573,72 @@ def eig_hermitian(op):
     if not dev <= HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    residual = None if mirror is None else commutator_residual(op, mirror, nonzero)
-    by_size = {}
-    for block in connected_blocks(nonzero, dim):
-        by_size.setdefault(block.size, []).append(block)
-    groups = [np.stack(by_size[size]) for size in sorted(by_size)]
-    # block k is numbered numbers[g] + k within group g
-    numbers = np.cumsum([0] + [rows.shape[0] for rows in groups])
-    # each row's block number and its position in its block's rows
-    block_of, position = np.empty((2, dim), dtype=int)
-    for rows, first in zip(groups, numbers):
-        block_of[rows] = first + np.arange(rows.shape[0])[:, None]
-        position[rows] = np.arange(rows.shape[1])
-    # the entries of each group, in ascending flat order
-    group = np.searchsorted(numbers, block_of[nonzero // dim], side="right") - 1
+    residual = None if mirror is None else commutator_residual(op, mirror)
+    groups = connected_blocks(nonzero, dim)
+    # each row's block number, its position in its block, its group and the flat
+    # place of its row of its block in the group's stack
+    block_of, position, group_of, start = np.empty((4, dim), dtype=int)
+    numbers = [0]
+    for g, rows in enumerate(groups):
+        count, size = rows.shape
+        block_of[rows] = numbers[-1] + np.arange(count)[:, None]
+        position[rows] = np.arange(size)
+        group_of[rows] = g
+        start[rows] = np.arange(0, rows.size * size, size).reshape(rows.shape)
+        numbers.append(numbers[-1] + count)
+    # the entries of each group, in ascending flat order, and their flat places
+    i, j = np.divmod(nonzero, dim)  # each entry's row and column
+    group = group_of[i]
     by_group = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1)).tolist()
-    entries = [by_group[a:b] for a, b in zip(bounds, bounds[1:])]
-    # each block's parity factor: 0 when H is no exact commuter, else -1 on the
-    # second of two blocks that M swaps and 1 on every other block
+    places = (start[i] + position[j])[by_group]
+    # each block's parity factor (0 when H is no exact commuter, else -1 on the
+    # second of two blocks that M swaps and 1 on every other block), and each
+    # row's image: the position of its mirror image in its block where M maps
+    # the block onto itself, else its own
     known = np.zeros(numbers[-1], dtype=np.int8)
+    image = position
+    if residual == 0:
+        partner = block_of[mirror]  # M maps blocks onto blocks
+        known[block_of] = np.where(partner < block_of, -1, 1)
+        image = np.where(partner == block_of, position[mirror], position)
+    # the fixed rows of each block: blocks of one size and one count are solved
+    # together, whole when every row is fixed, else as their parity sectors
+    fixed_rows = np.bincount(block_of[image == position], minlength=numbers[-1])
     solved = []
-    for rows, first, part in zip(groups, numbers, entries):
+    for rows, first, a, b in zip(groups, numbers, bounds, bounds[1:]):
         count, size = rows.shape
-        stack, centro = _entry_form(op, rows, first, part, block_of, position)
-        ids = first + np.arange(count)
-        # without an exact mirror every block is its own even sector
-        sectors = [(stack, rows, rows, None, 1.0, ids)]
-        if residual == 0:
-            # the position of each row's mirror image in its block, or the row's
-            # own where M does not map the block onto itself
-            images = mirror[rows]
-            partner = block_of[images[:, 0]]  # M maps blocks onto blocks
-            known[ids] = np.where(partner < ids, -1, 1)
-            image = np.where((partner == ids)[:, None], position[images], np.arange(size))
-            fixed = np.count_nonzero(image == np.arange(size), axis=1)
-            sectors = []
-            for count_fixed in np.unique(fixed):
-                same = fixed == count_fixed
-                pick = slice(None) if same.all() else same
-                sectors += _parity_sectors(stack[pick], rows[pick], image[pick], ids[pick])
+        stack, centro = _entry_form(op, rows, by_group[a:b], places[a:b])
+        fixed = fixed_rows[first:first + count]
+        sectors = []
+        for count_fixed in sorted(set(fixed.tolist())):
+            pick = fixed == count_fixed
+            pick = slice(None) if pick.all() else pick
+            held = rows[pick]
+            if count_fixed == size:
+                sectors.append((stack[pick], held, held, None, 1.0))
+            else:
+                sectors += _parity_sectors(stack[pick], held, image[held])
         del stack  # the sectors are built: free the blocks before they are solved
-        for mats, *scatter in sectors:
-            solved.append((*np.linalg.eigh(mats), *scatter, centro))
+        for mats, held, mirrored, weights, sign in sectors:
+            solved.append((*np.linalg.eigh(mats), held, mirrored, weights, sign, centro))
         del sectors, mats
     values = np.concatenate([w.ravel() for w, *_ in solved])
-    block_keys = np.concatenate([np.repeat(ids, rows.shape[1])
-                                 for _, _, rows, _, _, _, ids, _ in solved])
-    signs = np.concatenate([np.full(rows.size, sign, dtype=np.int8)
-                            for _, _, rows, _, _, sign, _, _ in solved])
-    order = np.lexsort((signs < 0, block_keys, values))
+    # eigenpairs sort by block, then the even sector before the odd: each one's key
+    # is twice its block's number, plus one in an odd sector
+    sector_rows = np.concatenate([rows.ravel() for _, _, rows, *_ in solved])
+    keys = 2 * block_of[sector_rows] + np.repeat([sign < 0 for *_, sign, _ in solved],
+                                                 [rows.size for _, _, rows, *_ in solved])
+    order = np.lexsort((keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     solves, offset = [], 0
     solved.reverse()  # taken in order, so each solve's real vectors go once converted
     while solved:
-        _, v, rows, mirrored, weights, sign, _, centro = solved.pop()
+        _, v, rows, mirrored, weights, sign, centro = solved.pop()
         size = rows.shape[1]
         if weights is not None:
-            v *= weights[:, :, None]
+            v *= weights
         if centro:
             # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
             # held on its orbit's first row, signed as the mirrored rows are
@@ -644,9 +654,10 @@ def eig_hermitian(op):
             column[offset:offset + rows.size].reshape(rows.shape),
             _rotate_columns(np.asarray(v, dtype=complex))))
         offset += rows.size
+    # a key's parity is its block's factor, negated in an odd sector
+    parities = np.stack((known, -known), axis=1).ravel()[keys[order]]
     return HermitianEigenSystem(eigenvalues=values[order], solves=tuple(solves),
-                                mirror_residual=residual,
-                                parities=(signs * known[block_keys])[order])
+                                mirror_residual=residual, parities=parities)
 
 
 class EvolutionCache:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +128,28 @@ class TestValidate:
             assert error["message"].startswith("C: entry 1 is 1000")
             assert error["message"].endswith("couplings must be finite numbers")
 
+    # an integer longer than Python's int-to-string digit limit (4300 digits by
+    # default) cannot be read at all: the spec is refused, naming its file and the
+    # limit, by validate as a schema and by transfer and tomography as a spec
+    @pytest.mark.parametrize("argv,stage", [
+        (["validate"], "schema"),
+        (["transfer", "--source", "10", "--target", "01"], "spec"),
+        (["tomography"], "spec"),
+    ])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, argv, stage):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 2, "kind": "engineered", "a": [1], "b": [1], '
+                        '"B": [0, 0], "C": [1, %s]}' % ("1" * 5001))
+        if argv[0] != "validate":
+            argv = [*argv, "--output-dir", str(tmp_path / "out")]
+        code, out, err = run_cli([*argv, "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == stage
+        assert error["message"] == (f"spec file {path} holds an integer longer than the "
+                                    f"{sys.get_int_max_str_digits()} digits Python converts")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["true", "1.0"])
     def test_time_sign_must_be_an_integer(self, tmp_path, capsys, value):
         path = tmp_path / "spec.json"
@@ -138,16 +161,23 @@ class TestValidate:
 
 
 class TestSpectra:
-    def test_json_report(self, capsys):
-        code, out, _ = run_cli(["spectra", "--format", "json"], capsys)
+    def test_json_report(self, tmp_path, capsys):
+        # the paper's parity table: every candidate coupling matches the
+        # adjudicated spectra, and the O2 and O3 rows differ from the tabulated
+        # ones, whose sectors miss their operator's trace; the artifact holds
+        # the report that stdout shows
+        code, out, _ = run_cli(["spectra", "--format", "json", "--output-dir", str(tmp_path)],
+                               capsys)
         assert code == 0
+        assert (tmp_path / "spectra_spectra.json").read_text() == out
         payload = json.loads(out)
-        assert payload["all_match_adjudicated"]
+        assert payload["all_match_adjudicated"] is True
         assert len(payload["operators"]) == 5
         by_name = {e["name"]: e for e in payload["operators"]}
         assert by_name["O2"]["matches_literature"] is False
         assert by_name["O2"]["matches_adjudicated"] is True
         assert by_name["O2"]["note"]
+        assert by_name["O3"]["matches_literature"] is False
         assert by_name["O1"]["matches_literature"] is True
 
     def test_single_operator(self, capsys):
@@ -789,6 +819,25 @@ class TestFileErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["stage"] == "io" and str(target) in error["message"]
+
+    # a run refused for its inputs makes no output directory: a missing or
+    # unreadable spec, a basis label of the wrong length, a chain past the cap
+    @pytest.mark.parametrize("argv", [
+        ["tomography", "--spec", "missing.json"],
+        ["tomography", "--spec", "overflowing.json"],
+        ["transfer", "--preset-n", "3", "--source", "1m00000000", "--target", "100"],
+        ["transfer", "--spec", "heisenberg9.json", "--source", "m00000000",
+         "--target", "00000000m"],
+    ], ids=["missing-spec", "overflowing-spec", "long-label", "past-cap"])
+    def test_refused_run_makes_no_output_dir(self, tmp_path, capsys, argv):
+        (tmp_path / "overflowing.json").write_text(
+            '{"n": 2, "kind": "engineered", "a": [1], "b": [1], "B": [0, 0], '
+            '"C": [1, %s]}' % ("1" * 5001))
+        (tmp_path / "heisenberg9.json").write_text('{"n": 9, "kind": "heisenberg"}')
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        code, out, _ = run_cli([*argv, "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_tag_into_missing_directory(self, tmp_path, capsys):
         code, out, err = run_cli(["pst-check", "--n", "3", "--tag", "missing/x",

@@ -121,7 +121,34 @@ def csgraph_labels(mat):
 
 
 def blocks_of(mat):
-    return connected_blocks(np.flatnonzero(mat), mat.shape[0])
+    """The connected blocks of ``mat``, each an ascending index array, ordered by
+    smallest index: the rows of every group of :func:`connected_blocks`."""
+    blocks = [block for rows in connected_blocks(np.flatnonzero(mat), mat.shape[0])
+              for block in rows]
+    return sorted(blocks, key=lambda block: block[0])
+
+
+def reference_groups(nonzero, dim):
+    """The blocks grouped by size as first written, the reference for connected_blocks:
+    every index takes the smallest label among its neighbours and then its label's
+    label until no label changes, the indices sorted by label are split into one
+    array per block, the blocks collected by size in a dict, and each size stacked."""
+    rows, cols = np.divmod(nonzero, dim)
+    labels = np.arange(dim)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, rows, labels[cols])
+        np.minimum.at(hooked, cols, labels[rows])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    order = np.argsort(labels, kind="stable")
+    by_size = {}
+    for block in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        by_size.setdefault(block.size, []).append(block)
+    return [np.stack(by_size[size]) for size in sorted(by_size)]
 
 
 def solved_blocks(es):
@@ -203,6 +230,47 @@ class TestConnectedBlocks:
         blocks = blocks_of(mat)
         assert np.array_equal(partition_labels(blocks, mat.shape[0]), csgraph_labels(mat))
         assert sorted(b.size for b in blocks) == sorted(sizes)
+
+
+def assert_reference_groups(nonzero, dim):
+    groups, want = connected_blocks(nonzero, dim), reference_groups(nonzero, dim)
+    assert [rows.shape for rows in groups] == [rows.shape for rows in want]
+    for rows, expected in zip(groups, want):
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
+
+
+class TestBlockGroups:
+    """connected_blocks groups the blocks by size as the dict of split blocks did: the
+    same (count, size) index arrays, sizes ascending, blocks by smallest index."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chain_kinds(self, kind, n):
+        ham = chain_hamiltonian(chain_spec(kind, n, seed=n))
+        assert_reference_groups(ham.flat, ham.dim)
+
+    @pytest.mark.parametrize("variant", PRESET_VARIANTS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_presets(self, variant, n):
+        ham = chain_hamiltonian(pst_preset(n, variant))
+        assert_reference_groups(ham.flat, ham.dim)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_mirror_chains(self, seed):
+        ham = chain_hamiltonian(chain_spec("engineered", 3 + seed % 4, seed=seed, symmetric=True))
+        assert_reference_groups(ham.flat, ham.dim)
+
+    def test_random_many_block_array(self):
+        # many blocks of many sizes on a random permutation, and a random sparse
+        # pattern with one-sided links
+        rng = np.random.default_rng(24)
+        sizes = [int(size) for size in rng.integers(1, 9, size=60)]
+        mat = permuted_block_diagonal(rng, sizes)
+        assert len(blocks_of(mat)) == len(sizes)
+        assert_reference_groups(np.flatnonzero(mat), mat.shape[0])
+        mat = np.triu(random_sparse_hermitian(rng, 200, 0.004))
+        assert_reference_groups(np.flatnonzero(mat), mat.shape[0])
 
 
 class TestEigHermitian:
