@@ -16,6 +16,7 @@ Hamiltonian.  Supported interaction kinds:
   kind whose dynamics is confined to the single-excitation subspace.
 """
 
+import functools
 import json
 import math
 import sys
@@ -202,16 +203,26 @@ class ChainSpec:
         return cls.from_json_dict(data)
 
 
+@functools.cache
+def _hops():
+    """The engineered bonds' two hops, kron(A, A^dagger) + h.c. for A = A1 and A2,
+    formed once (read-only)."""
+    hops = []
+    for op in (A1, A2):
+        hop = np.kron(op, op.conj().T)
+        hop = hop + hop.conj().T
+        hop.flags.writeable = False
+        hops.append(hop)
+    return tuple(hops)
+
+
 def _local_terms(spec):
     """(first site, 3x3 or 9x9 matrix) of each term of H, bonds first."""
     n = spec.n
     if spec.kind != "engineered":
         term9 = _TWO_SITE_BUILDERS[spec.kind]()
         return [(i, term9) for i in range(1, n)]
-    hop_up = np.kron(A1, A1.conj().T)
-    hop_up = hop_up + hop_up.conj().T
-    hop_dn = np.kron(A2, A2.conj().T)
-    hop_dn = hop_dn + hop_dn.conj().T
+    hop_up, hop_dn = _hops()
     return ([(i, spec.a[i - 1] * hop_up + spec.b[i - 1] * hop_dn) for i in range(1, n)]
             + [(i, spec.B[i - 1] * SZ + spec.C[i - 1] * SZ2) for i in range(1, n + 1)])
 

@@ -17,7 +17,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,36 +36,47 @@ class NonHermitianError(ValueError):
     """Input matrix fails the Hermiticity tolerance."""
 
 
-def _global_entries(local, site, n):
-    """Rows, columns and values of the nonzeros of I (x) local (x) I on n sites.
+def _global_entries(locals_, sites, n):
+    """Flat (row-major) indices of the nonzeros of I (x) local (x) I on n sites, for a
+    stack of local matrices of one width and the first site of each: a (nonzeros,
+    pairs) array whose row k places the k-th local nonzero, and their values.
 
-    With L = 3^(site-1) states to the left, d = local.shape[0] and R states
-    to the right, local entry (a, b) lands at ((l*d + a)*R + r,
-    (l*d + b)*R + r) for every l < L and r < R.  A term that does not fit
-    on the chain (site below 1, or L * d not dividing 3^n) raises ValueError.
+    With L = 3^(site-1) states to the left, d the width and R states to the
+    right, local entry (a, b) lands at ((l*d + a)*R + r, (l*d + b)*R + r) for
+    every l < L and r < R: the offset l*d*R + r of the m-th pair (l, r), m = l*R + r,
+    is m + (d-1)*R*(m // R).  Every term has L * R = 3^n / d pairs, so the terms'
+    offsets are one (terms, pairs) array and all their entries are placed at
+    once, term by term.  A term that does not fit on the chain (site below 1, or
+    L * d not dividing 3^n) raises ValueError.
     """
-    width = local.shape[0]
-    if site < 1 or 3 ** n % (3 ** (site - 1) * width):
-        raise ValueError(f"a term of width {width} at site {site} does not fit "
-                         f"on a chain of {n} sites")
-    left = 3 ** (site - 1)
-    right = 3 ** n // (left * width)
-    offsets = (np.arange(left)[:, None] * (width * right) + np.arange(right)).ravel()
-    a, b = np.nonzero(local)
-    rows = (a[:, None] * right + offsets).ravel()
-    cols = (b[:, None] * right + offsets).ravel()
-    return rows, cols, np.repeat(local[a, b], offsets.size)
+    width = locals_.shape[1]
+    for site in sites:
+        if site < 1 or 3 ** n % (3 ** (site - 1) * width):
+            raise ValueError(f"a term of width {width} at site {site} does not fit "
+                             f"on a chain of {n} sites")
+    right = np.array([3 ** n // (3 ** (site - 1) * width) for site in sites])[:, None]
+    pairs = np.arange(3 ** n // width)
+    offsets = pairs + (width - 1) * right * (pairs // right)
+    t, a, b = np.nonzero(locals_)
+    right, offsets = right[t], offsets[t]
+    return ((a[:, None] * right + offsets) * 3 ** n + b[:, None] * right + offsets,
+            locals_[t, a, b])
 
 
 @dataclass(frozen=True)
 class ChainOperator:
     """An operator on the full 3^n product space, held as its summed nonzero entries:
     ``flat``, their ascending flat (row-major) indices, and ``values``.  ``len()``
-    is the dimension, as for a square array."""
+    is the dimension, as for a square array.  Both arrays are made read-only, as
+    their :func:`content_key` is hashed once and kept."""
 
     flat: np.ndarray
     values: np.ndarray
     n_sites: int
+
+    def __post_init__(self):
+        self.flat.flags.writeable = False
+        self.values.flags.writeable = False
 
     @classmethod
     def from_terms(cls, terms, n):
@@ -74,19 +85,31 @@ class ChainOperator:
         Each entry sums its contributions into zero in ascending order (real
         part, then imaginary), so with mirror-symmetric terms an entry and its
         mirror image add the same values in the same order and H equals M H M
-        exactly.  Entries that sum to exactly 0 are dropped.  An empty ``terms``
-        raises ValueError.
+        exactly.  Every contribution is one of the terms' local nonzeros, so the
+        contributions are sorted by one sort of index * count + rank, the rank of
+        their local value in that order among the count of them.  Entries that sum
+        to exactly 0 are dropped.  An empty ``terms`` raises ValueError.
         """
-        entries = [_global_entries(local, site, n) for site, local in terms]
-        if not entries:
+        by_width = {}
+        for site, local in terms:
+            by_width.setdefault(local.shape[0], []).append((site, local))
+        if not by_width:
             raise ValueError(f"a ChainOperator on {n} sites needs at least one term, got none")
-        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-        flat = rows * 3 ** n + cols
-        order = np.lexsort((vals.imag, vals.real, flat))
-        flat = flat[order]
+        places, nonzeros = zip(*(_global_entries(np.stack([local for _, local in group]),
+                                                 [site for site, _ in group], n)
+                                 for group in by_width.values()))
+        nonzeros = np.concatenate(nonzeros)
+        by_rank = np.lexsort((nonzeros.imag, nonzeros.real))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(nonzeros.size)
+        ranks = np.split(rank, np.cumsum([held.shape[0] for held in places])[:-1])
+        keys = np.concatenate([(held * nonzeros.size + r[:, None]).ravel()
+                               for held, r in zip(places, ranks)])
+        keys.sort(kind="stable")
+        flat, rank = np.divmod(keys, nonzeros.size)
         first = np.diff(flat, prepend=-1) != 0  # the first contribution to each entry
         values = np.zeros(np.count_nonzero(first), dtype=complex)
-        np.add.at(values, np.cumsum(first) - 1, vals[order])
+        np.add.at(values, np.cumsum(first) - 1, nonzeros[by_rank[rank]])
         keep = values != 0
         return cls(flat[first][keep], values[keep], n)
 
@@ -104,8 +127,12 @@ class ChainOperator:
         return out.reshape(self.dim, self.dim)
 
     def hermiticity_deviation(self):
-        """Largest entry of |A - A^dagger| (see :func:`_hermiticity_deviation`)."""
-        return _hermiticity_deviation(self)
+        """Largest entry of |A - A^dagger| (see :func:`_entry_checks`)."""
+        return _entry_checks(self)[0]
+
+    @cached_property
+    def _content_key(self):
+        return _entries_key(self)
 
     def __matmul__(self, vector):
         rows, cols = np.divmod(self.flat, self.dim)
@@ -149,13 +176,31 @@ def entries_at(op, flat):
     return out
 
 
-def _hermiticity_deviation(op):
-    """Largest entry of |A - A^dagger| of an operator in entry form, read at its nonzero
-    entries only: where A[i, j] is 0, entry (j, i) has the same modulus, so this is
-    the dense maximum."""
+def _entry_checks(op, mirror=None):
+    """(Hermiticity deviation, mirror residual, rows, columns) of an operator in entry
+    form: the largest entry of |A - A^dagger|, the :func:`commutator_residual` of
+    the index mirror ``mirror`` (None without one), and each entry's row and column,
+    from one divmod of the entries.  Both maxima are read at the nonzero entries
+    only: where A[i, j] is 0, entry (j, i) has the same modulus, so the deviation
+    is the dense maximum, and so is the residual (see :func:`commutator_residual`).
+
+    Each entry (i, j) is compared with (j, i) and with (p i, p j): both key sets
+    are sorted together and searched at once (:func:`entries_at`), as a sorted
+    search is faster than an unsorted one by more than the sort costs.
+    """
     rows, cols = np.divmod(op.flat, op.dim)
-    transposed = entries_at(op, cols * op.dim + rows)
-    return float(np.max(np.abs(op.values - transposed.conj()), initial=0.0))
+    keys = cols * op.dim + rows
+    if mirror is not None:
+        keys = np.concatenate((keys, mirror[rows] * op.dim + mirror[cols]))
+    order = np.argsort(keys)
+    found = np.empty(keys.size, dtype=complex)
+    found[order] = entries_at(op, keys[order])
+    count = op.values.size
+    deviation = float(np.max(np.abs(op.values - found[:count].conj()), initial=0.0))
+    residual = None
+    if mirror is not None:
+        residual = float(np.max(np.abs(found[count:] - op.values), initial=0.0))
+    return deviation, residual, rows, cols
 
 
 def fix_eigenvector_phases(vectors):
@@ -236,10 +281,7 @@ def commutator_residual(op, index):
     its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
     maximum over the nonzeros is the dense maximum, bit for bit.
     """
-    op = _read_entries(op)
-    rows, cols = np.divmod(op.flat, op.dim)
-    diff = entries_at(op, index[rows] * op.dim + index[cols]) - op.values
-    return float(np.max(np.abs(diff), initial=0.0))
+    return _entry_checks(_read_entries(op), index)[1]
 
 
 @dataclass(frozen=True)
@@ -289,18 +331,30 @@ class HermitianEigenSystem:
     share their levels, each level's pair of columns spanning one even and
     one odd combination, so the block with the smaller first row reads +1
     and its image -1.  Left empty, all 0.  The eigenvalues and these parities
-    alone decide the mirror test (:func:`~spin1chain.dynamics.mirror_check`),
-    which reads no eigenvector.
+    alone decide the mirror test (:func:`~spin1chain.dynamics.mirror_check`) and
+    the parity spectrum, which read no eigenvector: the solves, whose phase-fixed
+    vectors take a tenth of a solve to finish, are built on the first read of
+    :attr:`solves`, which every reader of the vectors makes.
     """
 
     eigenvalues: np.ndarray
-    solves: tuple
+    _build_solves: object = field(repr=False, compare=False)
     mirror_residual: float | None = field(default=None, compare=False)
     parities: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.parities is None:
             object.__setattr__(self, "parities", np.zeros(self.dim, dtype=np.int8))
+
+    @cached_property
+    def solves(self):
+        """The stacked solves, a tuple of :class:`EigenSolve`, built on the first read
+        by the function given as the second argument, which is then dropped.  A
+        build that raises leaves that function in place, so the next read builds
+        again."""
+        solves = self._build_solves()
+        object.__setattr__(self, "_build_solves", None)
+        return solves
 
     @property
     def dim(self):
@@ -527,7 +581,9 @@ def eig_hermitian(op):
     solved on its own, :func:`~spin1chain.hamiltonians.band_eigensystem`); the
     benchmark checker and the tests do.  An array is read once as its nonzero
     entries (:func:`_read_entries`), the form a ChainOperator holds, and from there
-    both take one route.  The connected blocks of the nonzero pattern are found
+    both take one route.  The Hermiticity deviation and, for a ChainOperator, the
+    chain-mirror residual come from one lookup of the entries
+    (:func:`_entry_checks`).  The connected blocks of the nonzero pattern are found
     and grouped by size once (:func:`connected_blocks`, each group of blocks of one
     size a (count, size) index array); each row's block, its position in it and
     its flat place in its group's stack are written group by group, and one stable
@@ -549,9 +605,13 @@ def eig_hermitian(op):
     same sectors.  The eigenpairs are sorted ascending, by one sort of the
     eigenvalues and one key per eigenpair; equal eigenvalues are ordered by block
     (smaller blocks first, then by smallest index), the even sector before the
-    odd, then as ``eigh`` returns them.  Each stack's vectors are phase-fixed in
-    place and kept as one :class:`EigenSolve` with their rows and global columns;
-    no dense eigenvector matrix is built.
+    odd, then as ``eigh`` returns them.  The eigensystem is returned with its
+    eigenvalues, parities and mirror residual, and each stack's ``eigh`` output
+    kept raw: on the first read of its solves, each stack's vectors are weighted,
+    assembled, phase-fixed in place and kept as one :class:`EigenSolve` with their
+    rows and global columns (:func:`_finish`), so an analysis that reads the
+    eigenvalues and parities only finishes no vector.  No dense eigenvector matrix
+    is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
     entries, and :class:`NonHermitianError` when the Hermiticity deviation, read
@@ -569,11 +629,10 @@ def eig_hermitian(op):
         raise ValueError(f"matrix has {bad.size} non-finite entries (NaN or inf), the first at "
                          f"(row, column) {tuple(int(k) for k in divmod(bad[0], dim))}")
     scale = max(largest, 1.0)
-    dev = _hermiticity_deviation(op)
+    dev, residual, i, j = _entry_checks(op, mirror)  # i, j: each entry's row and column
     if not dev <= HERMITIAN_TOL * scale:
         raise NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
                                 f"{HERMITIAN_TOL:.1e} * {scale:.3e}")
-    residual = None if mirror is None else commutator_residual(op, mirror)
     groups = connected_blocks(nonzero, dim)
     # each row's block number, its position in its block, its group and the flat
     # place of its row of its block in the group's stack
@@ -587,7 +646,6 @@ def eig_hermitian(op):
         start[rows] = np.arange(0, rows.size * size, size).reshape(rows.shape)
         numbers.append(numbers[-1] + count)
     # the entries of each group, in ascending flat order, and their flat places
-    i, j = np.divmod(nonzero, dim)  # each entry's row and column
     group = group_of[i]
     by_group = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[by_group], np.arange(len(groups) + 1)).tolist()
@@ -605,7 +663,7 @@ def eig_hermitian(op):
     # the fixed rows of each block: blocks of one size and one count are solved
     # together, whole when every row is fixed, else as their parity sectors
     fixed_rows = np.bincount(block_of[image == position], minlength=numbers[-1])
-    solved = []
+    eigenvalues, stacks = [], []
     for rows, first, a, b in zip(groups, numbers, bounds, bounds[1:]):
         count, size = rows.shape
         stack, centro = _entry_form(op, rows, by_group[a:b], places[a:b])
@@ -621,43 +679,58 @@ def eig_hermitian(op):
                 sectors += _parity_sectors(stack[pick], held, image[held])
         del stack  # the sectors are built: free the blocks before they are solved
         for mats, held, mirrored, weights, sign in sectors:
-            solved.append((*np.linalg.eigh(mats), held, mirrored, weights, sign, centro))
+            w, v = np.linalg.eigh(mats)
+            eigenvalues.append(w.ravel())
+            stacks.append((v, held, mirrored, weights, sign, centro))
         del sectors, mats
-    values = np.concatenate([w.ravel() for w, *_ in solved])
+    values = np.concatenate(eigenvalues)
     # eigenpairs sort by block, then the even sector before the odd: each one's key
     # is twice its block's number, plus one in an odd sector
-    sector_rows = np.concatenate([rows.ravel() for _, _, rows, *_ in solved])
-    keys = 2 * block_of[sector_rows] + np.repeat([sign < 0 for *_, sign, _ in solved],
-                                                 [rows.size for _, _, rows, *_ in solved])
+    sector_rows = np.concatenate([rows.ravel() for _, rows, *_ in stacks])
+    keys = 2 * block_of[sector_rows] + np.repeat([sign < 0 for *_, sign, _ in stacks],
+                                                 [rows.size for _, rows, *_ in stacks])
     order = np.lexsort((keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    solves, offset = [], 0
-    solved.reverse()  # taken in order, so each solve's real vectors go once converted
-    while solved:
-        _, v, rows, mirrored, weights, sign, centro = solved.pop()
-        size = rows.shape[1]
-        if weights is not None:
-            v *= weights
-        if centro:
-            # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
-            # held on its orbit's first row, signed as the mirrored rows are
-            place, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
-            place[mirrored] = place[rows] = np.arange(size)
-            held[rows], reflected = True, dim - 1 - rows
-            v = v * complex(_SQRT_HALF)
-            np.multiply(np.take_along_axis(v.real, place[reflected][:, :, None], axis=1),
-                        np.where(held[reflected], 1.0, sign)[:, :, None], out=v.imag)
-        # every column of the stack phase-fixed at once, in place
-        solves.append(EigenSolve(
-            rows, None if weights is None else mirrored, sign,
-            column[offset:offset + rows.size].reshape(rows.shape),
-            _rotate_columns(np.asarray(v, dtype=complex))))
-        offset += rows.size
     # a key's parity is its block's factor, negated in an odd sector
     parities = np.stack((known, -known), axis=1).ravel()[keys[order]]
-    return HermitianEigenSystem(eigenvalues=values[order], solves=tuple(solves),
+    return HermitianEigenSystem(values[order], partial(_finish, stacks, column, dim),
                                 mirror_residual=residual, parities=parities)
+
+
+def _finish(stacks, column, dim):
+    """The :class:`EigenSolve` of each stack that :func:`eig_hermitian` solved, from
+    ``stacks``: (vectors, rows, mirrored rows, weights, sign, centro) of each stack,
+    the vectors as ``eigh`` gave them, in solve order, and ``column``, each eigenpair's
+    column in that order.  Each stack's entry is replaced by its EigenSolve once that
+    is built, and the ``eigh`` output is never written, so each stack's output goes
+    once it is finished, and a build cut short (a MemoryError) goes on from the
+    stack it stopped at when called again."""
+    offset = 0
+    for k, stack in enumerate(stacks):
+        if not isinstance(stack, EigenSolve):
+            rows = stack[1]
+            stacks[k] = _finished(*stack, column[offset:offset + rows.size].reshape(rows.shape), dim)
+        offset += stacks[k].rows.size
+    return tuple(stacks)
+
+
+def _finished(raw, rows, mirrored, weights, sign, centro, columns, dim):
+    """The :class:`EigenSolve` of one stack of :func:`_finish`, ``raw`` unchanged."""
+    size = rows.shape[1]
+    v = raw if weights is None else raw * weights
+    if centro:
+        # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
+        # held on its orbit's first row, signed as the mirrored rows are
+        place, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
+        place[mirrored] = place[rows] = np.arange(size)
+        held[rows], reflected = True, dim - 1 - rows
+        v = v * complex(_SQRT_HALF)
+        np.multiply(np.take_along_axis(v.real, place[reflected][:, :, None], axis=1),
+                    np.where(held[reflected], 1.0, sign)[:, :, None], out=v.imag)
+    # every column of the stack phase-fixed at once, in place, on a copy of raw
+    return EigenSolve(rows, None if weights is None else mirrored, sign, columns,
+                      _rotate_columns(v.astype(complex, copy=v is raw)))
 
 
 class EvolutionCache:
@@ -703,9 +776,16 @@ def content_key(op):
     values as complex128: exactly what :func:`eig_hermitian` reads.  So a
     ChainOperator and its dense matrix share one key, and so do a float array and
     its complex copy, or arrays that differ only in a ``-0.0`` zero; each pair also
-    has one eigensystem, bit for bit.  A non-square or empty array raises ValueError.
+    has one eigensystem, bit for bit.  A ChainOperator's key is hashed once and kept
+    (its entries are read-only).  A non-square or empty array raises ValueError.
     """
-    op = _read_entries(op)
+    if isinstance(op, ChainOperator):
+        return op._content_key
+    return _entries_key(_read_entries(op))
+
+
+def _entries_key(op):
+    """:func:`content_key` of an operator in entry form, hashed."""
     digest = hashlib.sha256(str(op.dim).encode())
     digest.update(np.asarray(op.flat, dtype=np.int64).tobytes())
     digest.update(np.asarray(op.values, dtype=complex).tobytes())

@@ -73,6 +73,16 @@ def chain_mirror_permutation(n):
     return perm
 
 
+def _check_kind(kind, op):
+    """Refuse, with ValueError, a ``kind`` other than ``chain_mirror`` and an ``op``
+    that is no :class:`ChainOperator` (an array's dimension names no sites)."""
+    if kind != "chain_mirror":
+        raise ValueError(f"unknown parity kind {kind!r}")
+    if not isinstance(op, ChainOperator):
+        raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
+                         f"site count, got an array of dimension {len(op)}")
+
+
 def mirror_index(kind, op):
     """Index array of the ``kind`` inversion on the space of the operator ``op``.
 
@@ -80,27 +90,33 @@ def mirror_index(kind, op):
     refuses an array, whose dimension names no sites.  Any other input raises
     ValueError.
     """
-    if kind != "chain_mirror":
-        raise ValueError(f"unknown parity kind {kind!r}")
-    if not isinstance(op, ChainOperator):
-        raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
-                         f"site count, got an array of dimension {len(op)}")
+    _check_kind(kind, op)
     return chain_mirror_index(op.n_sites)
 
 
 def _cluster_bounds(evals):
-    """(start, stop) of each cluster of the ascending ``evals``: a cluster
-    holds the values within 1e-9 of its first."""
-    values = evals.tolist()
-    bounds, start = [], 0
-    for k, value in enumerate(values):
-        if value - values[start] >= 1e-9:
-            bounds.append((start, k))
-            start = k
-    if values:
-        bounds.append((start, len(values)))
-    starts, stops = np.array(bounds, dtype=int).reshape(-1, 2).T
-    return starts, stops
+    """(starts, stops) of the clusters of the ascending ``evals``, taken greedily: a
+    cluster holds the values within 1e-9 of its first, and the next value starts
+    the next one.
+
+    A step of 1e-9 or more starts a cluster, as the value is at least that far
+    from every earlier one, so the clusters start at those steps and inside the
+    runs of smaller steps between them.  A run spanning less than 1e-9 is one
+    cluster.  Each value is compared with its cluster's first, and the first
+    value of a cluster that reaches 1e-9 past its first starts a new one; this
+    is repeated, once for each cluster that a run of small steps holds, until
+    no value reaches that far.  Without such a run it is done once.
+    """
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) >= 1e-9)
+    while True:
+        bounds = np.append(starts, evals.size)
+        first = np.repeat(starts, np.diff(bounds))  # each value's cluster's first
+        reach = np.flatnonzero(evals - evals[first] >= 1e-9)
+        if not reach.size:
+            return starts, bounds[1:]
+        # the first such value of each cluster that has one starts a cluster
+        split = reach[np.diff(first[reach], prepend=-1) != 0]
+        starts = np.sort(np.concatenate((starts, split)))
 
 
 def clustered_parities(eigensystem):
@@ -114,14 +130,15 @@ def clustered_parities(eigensystem):
     evals = eigensystem.eigenvalues
     starts, stops = _cluster_bounds(evals)
     sizes = stops - starts
-    out_vals = np.empty(len(evals))
+    out_vals = evals.copy()  # a one-value cluster is its own mean
     pars = eigensystem.parities.astype(int)
-    for size in np.unique(sizes):
+    for size in np.unique(sizes[sizes > 1]):
         cols = starts[sizes == size, None] + np.arange(size)
         # a row sum rounds like np.mean of the cluster alone
         out_vals[cols] = (evals[cols].sum(axis=1) / size)[:, None]
-    cluster_of = np.repeat(np.arange(starts.size), sizes)
-    return out_vals, pars[np.lexsort((pars, cluster_of))]
+    # each cluster's parities ascending, by one sort of 3 * cluster + parity + 1
+    ranked = np.sort(3 * np.repeat(np.arange(starts.size), sizes) + pars + 1)
+    return out_vals, ranked % 3 - 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +160,9 @@ class ParityCommutationError(ValueError):
 
 def mirror_commutator(op, kind):
     """The evolution cache of ``op`` and the [H, M] residual that
-    :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem, once
-    :func:`mirror_index` has accepted ``kind`` for ``op``."""
-    mirror_index(kind, op)
+    :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem, once ``kind``
+    and ``op`` pass the checks of :func:`mirror_index` (no mirror index is built)."""
+    _check_kind(kind, op)
     cache = evolution_cache(op)
     return cache, cache.eigensystem.mirror_residual
 

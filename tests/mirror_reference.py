@@ -1,9 +1,11 @@
 """Reference mirror analyses for the tests, written as plain loops.
 
 The package reads each eigenvector's parity from the parity sector that
-solved it.  :func:`loop_clustered_parities` knows nothing of sectors: it
-diagonalizes the mirror inside each eigenvalue cluster of any eigenvector
-matrix, so degenerate levels that a plain eigensolver mixes are resolved too.
+solved it.  :func:`loop_cluster_bounds` walks the eigenvalues one by one
+into their greedy clusters, which the package finds without a loop.
+:func:`loop_clustered_parities` knows nothing of sectors: it diagonalizes
+the mirror inside each eigenvalue cluster of any eigenvector matrix, so
+degenerate levels that a plain eigensolver mixes are resolved too.
 :func:`loop_feasibility_report` decides mirroring feasibility pair by pair and
 gap by gap, with exact fractions and an exact integer lcm: mirroring needs an
 affine map sending every eigenvalue to an integer whose parity matches its
@@ -41,6 +43,22 @@ class FeasibilityReport:
     parity_consistent: bool | None
     rational_unit: float | None
     notes: tuple = field(default=())
+
+
+def loop_cluster_bounds(evals):
+    """(starts, stops) of the clusters of the ascending ``evals``, walked value by
+    value: a cluster holds the values within 1e-9 of its first, and the next value
+    starts the next one."""
+    values = evals.tolist()
+    bounds, start = [], 0
+    for k, value in enumerate(values):
+        if value - values[start] >= 1e-9:
+            bounds.append((start, k))
+            start = k
+    if values:
+        bounds.append((start, len(values)))
+    starts, stops = np.array(bounds, dtype=int).reshape(-1, 2).T
+    return starts, stops
 
 
 def loop_clustered_parities(evals, vecs, index, cluster_tol=1e-9):

@@ -37,7 +37,7 @@ from spin1chain.linalg import (
     evolution_cache,
     fix_eigenvector_phases,
 )
-from spin1chain.parity import parity_spectrum
+from spin1chain.parity import clustered_parities, parity_spectrum
 from spin1chain.spin_ops import SX, SZ
 
 from band_reference import dense_band
@@ -183,6 +183,18 @@ class TestChainOperatorTerms:
         with pytest.raises(ValueError, match=rf"width {local.shape[0]} at site {site} does "
                                              rf"not fit on a chain of {n} sites"):
             linalg.ChainOperator.from_terms([(1, np.eye(3 ** n)), (site, local)], n)
+
+    def test_entries_refuse_in_place_writes(self):
+        # an operator's content key is hashed once and kept, so its entries, made
+        # by from_terms or handed to the constructor, cannot be written
+        ham = chain_hamiltonian(ChainSpec(n=3, kind="heisenberg"))
+        built = linalg.ChainOperator(ham.flat.copy(), ham.values.copy(), 3)
+        for op in (ham, built):
+            for entries in (op.flat, op.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    entries[0] = entries[1]
+                with pytest.raises(ValueError, match="read-only"):
+                    entries *= 2
 
     def test_empty_term_list_refused(self):
         # an empty list, or an exhausted generator of terms, names the missing
@@ -638,9 +650,9 @@ class TestParitySectors:
         # with the two-site exchange, are arrays, not chain operators: no
         # commutator is formed, no block is split and no column has a parity
         def refused(*args):
-            raise AssertionError("an array got a chain-mirror commutator")
+            raise AssertionError("an array got a chain mirror")
 
-        monkeypatch.setattr(linalg, "commutator_residual", refused)
+        monkeypatch.setattr(linalg, "chain_mirror_index", refused)
         es = eig_hermitian(mat)
         assert es.mirror_residual is None
         assert not es.parities.any()
@@ -845,6 +857,99 @@ class TestBlockLocalStorage:
                        if tile_rows.shape == rows.shape and np.array_equal(tile_rows, rows)
                        and np.array_equal(tile_cols, rows)]
             assert tile.tobytes() == want.tobytes()
+
+
+def deferred_inputs():
+    """(id, operator) of the deferred-vector tests: every kind at n = 2-5 (engineered
+    chains mirror-symmetric), both transfer presets at n = 2-5, ten seeded
+    mirror-symmetric engineered chains at n = 3-6 and one array of several blocks."""
+    inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)))
+              for kind in KINDS for n in (2, 3, 4, 5)]
+    inputs += [(f"{variant}-{n}", chain_hamiltonian(pst_preset(n, variant)))
+               for variant in PRESET_VARIANTS for n in (2, 3, 4, 5)]
+    inputs += [(f"mirror-chain-{seed}", chain_hamiltonian(
+        chain_spec("engineered", 3 + seed % 4, seed=100 + seed, symmetric=True)))
+        for seed in range(10)]
+    inputs += [("random-blocks", permuted_block_diagonal(np.random.default_rng(73),
+                                                         [5, 1, 3, 5, 2, 3]))]
+    return inputs
+
+
+DEFERRED_INPUTS = deferred_inputs()
+
+
+def vector_reads(es):
+    """Bytes of all that an eigensystem's vector readers give: V, all its rows in
+    reverse order, and every tile of V diag(phases) V^dagger."""
+    phases = np.exp(0.7j * es.eigenvalues)
+    reads = [es.eigenvectors.tobytes(), es.eigenvector_rows(np.arange(es.dim)[::-1]).tobytes()]
+    for rows, cols, tile in es.unitary_blocks(phases):
+        reads += [rows.tobytes(), cols.tobytes(), tile.tobytes()]
+    return reads
+
+
+class TestDeferredVectors:
+    """The mirror analyses read the eigenvalues and parities only; the phase-fixed
+    vectors are finished on the first read of the solves, to the same bytes."""
+
+    @pytest.mark.parametrize("spec", [chain_spec("engineered", 6, seed=6, symmetric=True),
+                                      ChainSpec(n=5, kind="O5")], ids=["engineered-6", "O5-5"])
+    def test_mirror_analyses_finish_no_vector(self, spec, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        fixed = []
+        rotate = linalg._rotate_columns
+
+        def counted(stack):
+            fixed.append(stack.shape)
+            return rotate(stack)
+
+        monkeypatch.setattr(linalg, "_rotate_columns", counted)
+        ham = chain_hamiltonian(spec)
+        assert mirror_check(ham, np.pi).commutator_residual == 0
+        parity_spectrum(ham)
+        assert fixed == []
+        es = evolution_cache(ham).eigensystem
+        solves = es.solves  # the first read finishes every stack, once
+        assert len(fixed) == len(solves) and es.solves is solves
+        assert es._build_solves is None  # and drops the raw eigh output
+
+    @pytest.mark.parametrize("spec", [chain_spec("engineered", 6, seed=6, symmetric=True),
+                                      ChainSpec(n=5, kind="O5")], ids=["engineered-6", "O5-5"])
+    def test_a_build_cut_short_goes_on_at_the_next_read(self, spec, monkeypatch):
+        # the second stack's phase fixing raises once, after the first stack is
+        # finished: the next read finishes the rest, to the bytes of a fresh build
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(spec)
+        first = vector_reads(evolution_cache(ham).eigensystem)
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        calls, rotate = [], linalg._rotate_columns
+
+        def failing_once(stack):
+            calls.append(stack.shape)
+            if len(calls) == 2:
+                raise MemoryError("cut short")
+            return rotate(stack)
+
+        monkeypatch.setattr(linalg, "_rotate_columns", failing_once)
+        es = evolution_cache(ham).eigensystem
+        with pytest.raises(MemoryError, match="cut short"):
+            es.solves
+        assert es._build_solves is not None
+        assert vector_reads(evolution_cache(ham).eigensystem) == first
+        assert len(calls) == len(es.solves) + 1  # the first stack was not finished twice
+
+    @pytest.mark.parametrize("name, op", DEFERRED_INPUTS, ids=[name for name, _ in DEFERRED_INPUTS])
+    def test_vectors_read_after_the_analyses_are_those_read_first(self, name, op, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        first = vector_reads(evolution_cache(op).eigensystem)
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        if isinstance(op, ChainOperator):
+            assert mirror_check(op, np.pi).commutator_residual == 0
+            parity_spectrum(op)
+        else:
+            # an array has no chain mirror: the analyses' reads without them
+            clustered_parities(evolution_cache(op).eigensystem)
+        assert vector_reads(evolution_cache(op).eigensystem) == first
 
 
 def recorded_eigh(monkeypatch):
@@ -1075,6 +1180,23 @@ class TestContentKey:
         assert es.eigenvectors.tobytes() == dense_es.eigenvectors.tobytes()
         assert es.mirror_residual == dense_es.mirror_residual
 
+    def test_operator_key_is_hashed_once(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
+        ham = chain_hamiltonian(chain_spec("engineered", 4, seed=4, symmetric=True))
+        hashed, entries_key = [], linalg._entries_key
+
+        def counted(op):
+            hashed.append(type(op).__name__)
+            return entries_key(op)
+
+        monkeypatch.setattr(linalg, "_entries_key", counted)
+        key = content_key(ham)
+        assert content_key(ham) == key and hashed == ["ChainOperator"]
+        # its dense matrix is hashed from its own entries, to the same key and entry
+        dense = ham.dense()
+        assert content_key(dense) == key and hashed == ["ChainOperator", "_Entries"]
+        assert evolution_cache(ham) is evolution_cache(dense)
+
     def test_equal_content_hits_the_cache(self):
         mat = chain_hamiltonian(ChainSpec(n=3, kind="O3")).dense()
         first = evolution_cache(mat)
@@ -1258,7 +1380,8 @@ class TestSectorSizedMemory:
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(ChainSpec(n=6, kind=kind))
         mat = ham.dense()
-        solve_peak = traced_peak(lambda: evolution_cache(ham))
+        # the solve step reads the solves, whose vectors are finished on that read
+        solve_peak = traced_peak(lambda: evolution_cache(ham).eigensystem.solves)
         es = evolution_cache(ham).eigensystem
         peaks = (solve_peak, traced_peak(lambda: mirror_check(ham, np.pi)),
                  traced_peak(lambda: es.reconstruction_residual(mat)),

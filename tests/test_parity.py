@@ -30,7 +30,8 @@ from spin1chain.linalg import ChainOperator, commutator_residual
 from spin1chain.spin_ops import SX, SY, basis_index
 
 from band_reference import sigma_labels
-from mirror_reference import loop_clustered_parities, loop_feasibility_report
+from mirror_reference import (loop_cluster_bounds, loop_clustered_parities,
+                              loop_feasibility_report)
 
 PAPER_KINDS = ("heisenberg", "heisenberg_squared_mix", "heisenberg_squared_sum",
                "O1", "O2", "O3", "O4", "O5")
@@ -293,7 +294,8 @@ class TestClusteredParities:
         whole = np.arange(dim)[None, :]
         parities = rng.choice(np.array([-1, 1], dtype=np.int8), size=dim)
         es = linalg.HermitianEigenSystem(
-            evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),), parities=parities)
+            evals, lambda: (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),),
+            parities=parities)
         want_vals, _, _ = loop_clustered_parities(evals, vecs, index)
         vals, pars = clustered_parities(es)
         assert vals.tobytes() == want_vals.tobytes()
@@ -394,6 +396,41 @@ class TestClusteredParities:
         # the array has no chain mirror, so no parities
         plain = linalg.eig_hermitian(mat)
         assert plain.mirror_residual is None and not plain.parities.any()
+
+
+def cluster_bound_inputs():
+    """(id, ascending values) of the cluster scan tests: chains of steps below 1e-9
+    whose runs span more, exact ties, one value, none, and the eigenvalues of every
+    kind at n = 2-6 (engineered chains mirror-symmetric)."""
+    inputs = [("chained", [0.0, 0.6e-9, 1.2e-9, 1.8e-9]),
+              ("long-chain", 2.0 + 0.4e-9 * np.arange(9)),
+              ("chain-after-a-gap", [-1.0, 0.0, 0.9e-9, 1.8e-9, 2.7e-9, 5.0]),
+              ("step-at-the-bound", [0.0, 0.5e-9, 1e-9, 1.5e-9, 2e-9]),
+              ("ties", [1.0, 1.0, 1.0, 2.0, 2.0, 3.0 - 1e-16, 3.0]),
+              ("one", [0.25]), ("empty", [])]
+    specs = [(kind, ChainSpec(n=n, kind=kind)) for kind in PAPER_KINDS for n in (2, 3, 4, 5, 6)]
+    specs += [("engineered", mirror_symmetric_chain(n, seed=n)) for n in (2, 3, 4, 5, 6)]
+    return inputs + [(f"{kind}-n{spec.n}", linalg.eig_hermitian(chain_hamiltonian(spec)).eigenvalues)
+                     for kind, spec in specs]
+
+
+CLUSTER_BOUND_INPUTS = cluster_bound_inputs()
+
+
+class TestClusterBounds:
+    @pytest.mark.parametrize("values", [values for _, values in CLUSTER_BOUND_INPUTS],
+                             ids=[name for name, _ in CLUSTER_BOUND_INPUTS])
+    def test_scan_matches_the_loop(self, values):
+        evals = np.array(values, dtype=float)
+        starts, stops = parity._cluster_bounds(evals)
+        want_starts, want_stops = loop_cluster_bounds(evals)
+        assert starts.tolist() == want_starts.tolist()
+        assert stops.tolist() == want_stops.tolist()
+
+    def test_chained_steps_split_where_they_reach_the_tolerance(self):
+        # every step is below 1e-9, but 1.2e-9 is 1e-9 past the first value
+        starts, stops = parity._cluster_bounds(np.array([0, 0.6e-9, 1.2e-9, 1.8e-9]))
+        assert starts.tolist() == [0, 2] and stops.tolist() == [2, 4]
 
 
 class TestCommutatorResidual:
@@ -512,7 +549,7 @@ class TestChainParitySpectrum:
                 return str(refusal)
 
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
-        for module, name in ((linalg, "commutator_residual"), (parity, "clustered_parities")):
+        for module, name in ((linalg, "_entry_checks"), (parity, "clustered_parities")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         ham = chain_hamiltonian(spec)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -530,16 +567,17 @@ class TestChainParitySpectrum:
     def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
         # one decomposition serves both analyses: a single eig_hermitian
         # call, whose eigh calls cover every connected block exactly once;
-        # the commutator is computed once as well, and an operator that
-        # misses exact commutation is refused a parity split, so no
-        # parities are clustered
+        # the commutator is computed once as well (in the one lookup of the
+        # entries that checks Hermiticity too), and an operator that misses
+        # exact commutation is refused a parity split, so no parities are
+        # clustered
         spec = nudged_chain(mirror_symmetric_chain(4, seed=3))
         decompositions, solved, shared, ham = self._analyses_share_one_eigh(monkeypatch, spec)
         assert linalg.evolution_cache(ham).eigensystem.mirror_residual > 0
         blocks = [block for rows in linalg.connected_blocks(np.flatnonzero(ham.dense()), 81)
                   for block in rows]
         assert decompositions == [81]
-        assert shared == ["commutator_residual"]
+        assert shared == ["_entry_checks"]
         assert solved == sorted(b.size for b in blocks)
         assert sum(solved) == 81
 
@@ -558,7 +596,7 @@ class TestChainParitySpectrum:
             assert np.array_equal(np.sort(index[block]), block)  # Sz sectors map onto themselves
             sectors += [(block.size + fixed) // 2, (block.size - fixed) // 2]
         assert decompositions == [81]
-        assert shared == ["commutator_residual", "clustered_parities"]
+        assert shared == ["_entry_checks", "clustered_parities"]
         assert solved == sorted(size for size in sectors if size)
         assert sum(solved) == 81
 
