@@ -92,7 +92,7 @@ def _load_spec(args):
     if getattr(args, "spec", None):
         try:
             return ChainSpec.load(args.spec), args.spec
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError(f"cannot read spec file: {exc}") from exc
     if getattr(args, "preset_n", None) is not None:
         return pst_preset(args.preset_n, args.preset_variant), None
@@ -382,7 +382,7 @@ def cmd_validate(args):
         spec = ChainSpec.load(args.spec)
     except SpecError as exc:
         return _error({"stage": "schema", "path": exc.path, "message": str(exc)}, 2)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _error({"stage": "io", "message": str(exc)}, 2)
     print(json.dumps(spec.to_json_dict(), sort_keys=True))
     return 0

@@ -371,10 +371,14 @@ def band(spec, channel):
 
 def band_eigensystem(spec, channel):
     """Ascending eigenvalues and eigenvectors of one band (:func:`band`): ``eigh`` of
-    its tridiagonal matrix and the phase convention of
-    :func:`~spin1chain.linalg.fix_eigenvector_phases`, bit for bit what
-    :func:`~spin1chain.linalg.eig_hermitian` gives a band with no zero coupling.  A
-    band of more than MAX_DENSE_DIM sites is refused before its matrix is built."""
+    its tridiagonal matrix, with eigenvalues bit for bit what
+    :func:`~spin1chain.linalg.eig_hermitian` gives a band with no zero coupling,
+    and vectors in the phase convention of
+    :func:`~spin1chain.linalg.fix_eigenvector_phases`.  The convention stays
+    although no output depends on a column's phase: its factor |x|/x, taken in
+    complex division, is not exactly 1 or -1, so it moves the last bit of some
+    entries, and the tomography truth and records are built from them.  A band
+    of more than MAX_DENSE_DIM sites is refused before its matrix is built."""
     diag, off = band(spec, channel)
     if diag.size > MAX_DENSE_DIM:
         raise ValueError(f"a band of {diag.size} sites exceeds the dense cap of "

@@ -1,12 +1,13 @@
 """Chain operators as summed nonzero entries, and the shared Hermitian eigen-machinery.
 
 Every chain-space analysis (time evolution, parity splitting, mirroring)
-goes through :func:`eig_hermitian`, which enforces a deterministic
-eigenvector phase convention so that regression files are stable.  It
-diagonalizes each connected block of the matrix's nonzero pattern on its
-own, so a Hamiltonian that conserves something costs what its sectors
-cost, and splits a block of a :class:`ChainOperator` that commutes exactly
-with its site inversion into its two parity sectors.  The eigensystem keeps
+goes through :func:`eig_hermitian`, which keeps each eigenvector as ``eigh``
+returns it: the amplitudes and mirror tests read eigenvalues, parities and
+products <t|k><k|s>, which no column phase changes.  It diagonalizes each
+connected block of the matrix's nonzero pattern on its own, so a
+Hamiltonian that conserves something costs what its sectors cost, and
+splits a block of a :class:`ChainOperator` that commutes exactly with its
+site inversion into its two parity sectors.  The eigensystem keeps
 those solves, and its readers give rows of the eigenvector matrix, or the
 unitary V diag(phases) V^dagger tile by tile, without forming either.
 :func:`evolution_cache` memoizes it by matrix content, so the analyses of
@@ -17,7 +18,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -210,22 +211,16 @@ def fix_eigenvector_phases(vectors):
     The modulus is taken with ``np.hypot``, which rounds like the scalar
     ``abs`` of one complex number, so the result does not depend on how
     many columns are fixed at once.  ``vectors`` is not changed: the fixed
-    columns are a new complex array.
+    columns are a new complex array.  Only a band's vectors take this
+    convention (:func:`~spin1chain.hamiltonians.band_eigensystem`).
     """
-    return _rotate_columns(np.array(vectors, dtype=complex, copy=True)[None])[0]
-
-
-def _rotate_columns(fixed):
-    """:func:`fix_eigenvector_phases` in place on a complex stack of matrices, which is
-    returned; :func:`eig_hermitian` hands it the arrays it has just built."""
+    fixed = np.array(vectors, dtype=complex)
     significant = np.abs(fixed) > PHASE_FIX_THRESHOLD
     # each column's first significant component, or its first where it has none
-    first = (np.arange(len(fixed))[:, None], np.argmax(significant, axis=1),
-             np.arange(fixed.shape[2]))
+    first = np.argmax(significant, axis=0), np.arange(fixed.shape[1])
     found = significant[first]
     lead = np.where(found, fixed[first], 1)
-    np.multiply(fixed, (np.hypot(lead.real, lead.imag) / lead)[:, None, :], out=fixed,
-                where=found[:, None, :])
+    np.multiply(fixed, np.hypot(lead.real, lead.imag) / lead, out=fixed, where=found)
     return fixed
 
 
@@ -293,6 +288,8 @@ class EigenSolve:
     ``rows[k]``.  For a parity sector it is also ``sign * vectors[k, :, c]`` on
     ``mirrored[k]``, the chain-mirror images of those rows (a fixed row is its own
     image); ``mirrored`` is None for a block solved whole.  It is zero elsewhere.
+    ``vectors`` are float64 for a stack of real matrices and complex128 for a
+    complex one, whether solved as it is or through its real form.
     """
 
     rows: np.ndarray
@@ -317,8 +314,8 @@ class HermitianEigenSystem:
     :meth:`eigenvector_rows` gives rows of V, :meth:`unitary_blocks` gives
     V diag(phases) V^dagger tile by tile, the self-checks
     :meth:`reconstruction_residual` and :meth:`unitarity_deviation` run solve by
-    solve, and :attr:`eigenvectors` assembles the whole dense matrix on request;
-    V is complex whether a block was solved in real or in complex arithmetic.
+    solve, and :attr:`eigenvectors` assembles the whole dense complex matrix on
+    request.  No column has a fixed phase: each is as its stack's ``eigh`` gave it.
 
     Each solve holds connected blocks of H solved whole, or one parity
     sector of blocks split in two, the odd sector's solve right after the
@@ -332,29 +329,17 @@ class HermitianEigenSystem:
     one odd combination, so the block with the smaller first row reads +1
     and its image -1.  Left empty, all 0.  The eigenvalues and these parities
     alone decide the mirror test (:func:`~spin1chain.dynamics.mirror_check`) and
-    the parity spectrum, which read no eigenvector: the solves, whose phase-fixed
-    vectors take a tenth of a solve to finish, are built on the first read of
-    :attr:`solves`, which every reader of the vectors makes.
+    the parity spectrum, which read no eigenvector.
     """
 
     eigenvalues: np.ndarray
-    _build_solves: object = field(repr=False, compare=False)
+    solves: tuple = field(repr=False, compare=False)
     mirror_residual: float | None = field(default=None, compare=False)
     parities: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.parities is None:
             object.__setattr__(self, "parities", np.zeros(self.dim, dtype=np.int8))
-
-    @cached_property
-    def solves(self):
-        """The stacked solves, a tuple of :class:`EigenSolve`, built on the first read
-        by the function given as the second argument, which is then dropped.  A
-        build that raises leaves that function in place, so the next read builds
-        again."""
-        solves = self._build_solves()
-        object.__setattr__(self, "_build_solves", None)
-        return solves
 
     @property
     def dim(self):
@@ -428,9 +413,9 @@ class HermitianEigenSystem:
                 v = np.take_along_axis(v, order[:, :, None], axis=1)
             # v diag(phases) v^dagger is the conjugate of conj(v diag(phases)) v^T, bit
             # for bit (conj(a) conj(b) == conj(a b) in each product and sum), which reads
-            # v itself and needs one weighted copy only
-            product = np.conj(v)
-            product *= np.conj(phases[solve.columns])[:, None, :]
+            # v itself, real or complex, and needs one weighted copy only
+            product = np.multiply(v, phases[solve.columns][:, None, :])
+            np.conj(product, out=product)
             product = product @ v.transpose(0, 2, 1)
             np.conj(product, out=product)
             if images is None:
@@ -605,13 +590,11 @@ def eig_hermitian(op):
     same sectors.  The eigenpairs are sorted ascending, by one sort of the
     eigenvalues and one key per eigenpair; equal eigenvalues are ordered by block
     (smaller blocks first, then by smallest index), the even sector before the
-    odd, then as ``eigh`` returns them.  The eigensystem is returned with its
-    eigenvalues, parities and mirror residual, and each stack's ``eigh`` output
-    kept raw: on the first read of its solves, each stack's vectors are weighted,
-    assembled, phase-fixed in place and kept as one :class:`EigenSolve` with their
-    rows and global columns (:func:`_finish`), so an analysis that reads the
-    eigenvalues and parities only finishes no vector.  No dense eigenvector matrix
-    is built.
+    odd, then as ``eigh`` returns them.  Right after its ``eigh``, each stack's
+    vectors are weighted in place, assembled as (y + i J y)/sqrt2 where the stack is
+    centrohermitian (:func:`_centro_vectors`), and kept as one :class:`EigenSolve`
+    with their rows and global columns: a real stack keeps float vectors, and no
+    column's phase is fixed.  No dense eigenvector matrix is built.
 
     Raises ValueError, naming their count and the first, on NaN or infinite
     entries, and :class:`NonHermitianError` when the Hermiticity deviation, read
@@ -681,56 +664,42 @@ def eig_hermitian(op):
         for mats, held, mirrored, weights, sign in sectors:
             w, v = np.linalg.eigh(mats)
             eigenvalues.append(w.ravel())
-            stacks.append((v, held, mirrored, weights, sign, centro))
+            if weights is not None:
+                v *= weights
+            if centro:
+                v = _centro_vectors(v, held, mirrored, sign, dim)
+            stacks.append((held, None if weights is None else mirrored, sign, v))
         del sectors, mats
     values = np.concatenate(eigenvalues)
     # eigenpairs sort by block, then the even sector before the odd: each one's key
     # is twice its block's number, plus one in an odd sector
-    sector_rows = np.concatenate([rows.ravel() for _, rows, *_ in stacks])
-    keys = 2 * block_of[sector_rows] + np.repeat([sign < 0 for *_, sign, _ in stacks],
-                                                 [rows.size for _, rows, *_ in stacks])
+    sector_rows = np.concatenate([rows.ravel() for rows, *_ in stacks])
+    keys = 2 * block_of[sector_rows] + np.repeat([sign < 0 for _, _, sign, _ in stacks],
+                                                 [rows.size for rows, *_ in stacks])
     order = np.lexsort((keys, values))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     # a key's parity is its block's factor, negated in an odd sector
     parities = np.stack((known, -known), axis=1).ravel()[keys[order]]
-    return HermitianEigenSystem(values[order], partial(_finish, stacks, column, dim),
-                                mirror_residual=residual, parities=parities)
+    ends = np.cumsum([rows.size for rows, *_ in stacks]).tolist()
+    solves = tuple(EigenSolve(rows, mirrored, sign,
+                              column[end - rows.size:end].reshape(rows.shape), v)
+                   for (rows, mirrored, sign, v), end in zip(stacks, ends))
+    return HermitianEigenSystem(values[order], solves, mirror_residual=residual,
+                                parities=parities)
 
 
-def _finish(stacks, column, dim):
-    """The :class:`EigenSolve` of each stack that :func:`eig_hermitian` solved, from
-    ``stacks``: (vectors, rows, mirrored rows, weights, sign, centro) of each stack,
-    the vectors as ``eigh`` gave them, in solve order, and ``column``, each eigenpair's
-    column in that order.  Each stack's entry is replaced by its EigenSolve once that
-    is built, and the ``eigh`` output is never written, so each stack's output goes
-    once it is finished, and a build cut short (a MemoryError) goes on from the
-    stack it stopped at when called again."""
-    offset = 0
-    for k, stack in enumerate(stacks):
-        if not isinstance(stack, EigenSolve):
-            rows = stack[1]
-            stacks[k] = _finished(*stack, column[offset:offset + rows.size].reshape(rows.shape), dim)
-        offset += stacks[k].rows.size
-    return tuple(stacks)
-
-
-def _finished(raw, rows, mirrored, weights, sign, centro, columns, dim):
-    """The :class:`EigenSolve` of one stack of :func:`_finish`, ``raw`` unchanged."""
-    size = rows.shape[1]
-    v = raw if weights is None else raw * weights
-    if centro:
-        # H's eigenvectors (y + i J y)/sqrt2: J y on row i is y on R i, which is
-        # held on its orbit's first row, signed as the mirrored rows are
-        place, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
-        place[mirrored] = place[rows] = np.arange(size)
-        held[rows], reflected = True, dim - 1 - rows
-        v = v * complex(_SQRT_HALF)
-        np.multiply(np.take_along_axis(v.real, place[reflected][:, :, None], axis=1),
-                    np.where(held[reflected], 1.0, sign)[:, :, None], out=v.imag)
-    # every column of the stack phase-fixed at once, in place, on a copy of raw
-    return EigenSolve(rows, None if weights is None else mirrored, sign, columns,
-                      _rotate_columns(v.astype(complex, copy=v is raw)))
+def _centro_vectors(y, rows, mirrored, sign, dim):
+    """H's eigenvectors (y + i J y)/sqrt2 of a stack solved as its real form G, y its
+    weighted vectors on ``rows``: J y on row i is y on R i, which is held on its
+    orbit's first row, signed as the ``mirrored`` rows are."""
+    place, held = np.empty(dim, dtype=int), np.zeros(dim, dtype=bool)
+    place[mirrored] = place[rows] = np.arange(rows.shape[1])
+    held[rows], reflected = True, dim - 1 - rows
+    v = y * complex(_SQRT_HALF)
+    np.multiply(np.take_along_axis(v.real, place[reflected][:, :, None], axis=1),
+                np.where(held[reflected], 1.0, sign)[:, :, None], out=v.imag)
+    return v
 
 
 class EvolutionCache:

@@ -20,13 +20,14 @@ def _limit_address_space():
 
 @pytest.fixture
 def run_limited():
-    """Run ``python -c code *args`` under the address-space limit; returns the CompletedProcess."""
+    """Run ``python -c code *args`` under the address-space limit, killed after ``timeout``
+    seconds (subprocess.TimeoutExpired); returns the CompletedProcess."""
     src = str(Path(spin1chain.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
-    def run(code, *args):
+    def run(code, *args, timeout=300):
         return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                              text=True, env=env, preexec_fn=_limit_address_space, timeout=300)
+                              text=True, env=env, preexec_fn=_limit_address_space, timeout=timeout)
 
     return run

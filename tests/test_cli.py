@@ -839,6 +839,24 @@ class TestFileErrors:
         assert code == 2 and out == ""
         assert not (tmp_path / "out").exists()
 
+    # a spec file that is not UTF-8 is reported as an unreadable spec, as one that
+    # is not JSON is: the codec error is no error of the subcommand's own
+    @pytest.mark.parametrize("argv, stage", [
+        (["transfer", "--source", "001", "--target", "100", "--output-dir", "out"], "spec"),
+        (["tomography", "--output-dir", "out"], "spec"),
+        (["validate"], "io")], ids=["transfer", "tomography", "validate"])
+    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys, argv, stage):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'\xff\xfe{"n": 3}')
+        argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
+        code, out, err = run_cli([argv[0], "--spec", str(path), *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == stage and "can't decode byte 0xff" in error["message"]
+        if stage == "spec":
+            assert error["message"].startswith("cannot read spec file: ")
+        assert not (tmp_path / "out").exists()
+
     def test_tag_into_missing_directory(self, tmp_path, capsys):
         code, out, err = run_cli(["pst-check", "--n", "3", "--tag", "missing/x",
                                   "--output-dir", str(tmp_path / "d")], capsys)

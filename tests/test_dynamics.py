@@ -11,6 +11,7 @@ from spin1chain.dynamics import (
     _band_series,
     _fidelity,
     _qutrit_weights,
+    _scan,
     amplitude_scan,
     band_scan,
     evolution_cache,
@@ -25,6 +26,7 @@ from spin1chain.hamiltonians import (
     engineered_sigma_block,
     pst_preset,
 )
+from spin1chain.linalg import fix_eigenvector_phases
 from spin1chain.parity import chain_mirror_index, parity_spectrum
 from spin1chain.spin_ops import basis_index
 
@@ -285,13 +287,27 @@ class TestQutritFidelity:
             qutrit_transfer_fidelity(spec, (1, 0, 0), 1.0)
 
 
+def fixed_sigma_eigensystem(block):
+    """Eigenvalues and eigenvectors of a sigma block, the vectors phase-fixed as a band's
+    are (:func:`fix_eigenvector_phases`): each band's vectors, bit for bit."""
+    es = evolution_cache(block).eigensystem
+    return es.eigenvalues, fix_eigenvector_phases(es.eigenvectors)
+
+
+def fixed_sigma_terms(block, source, target):
+    """The amplitude terms of :func:`amplitude_scan` on a sigma block, read from
+    :func:`fixed_sigma_eigensystem`."""
+    energies, vectors = fixed_sigma_eigensystem(block)
+    return energies, vectors[target] * np.conj(vectors[source])
+
+
 def sigma_block_series(spec, times):
     """(f_up, f_down) as the two end-to-end amplitudes of the (2n+1) sigma block's
-    eigensystem, each summed over every one of its 2n+1 levels."""
+    phase-fixed eigensystem, each summed over every one of its 2n+1 levels."""
     n = spec.n
-    es = evolution_cache(engineered_sigma_block(spec)).eigensystem
-    first_up, last_up, first_down, last_down = es.eigenvector_rows([0, n - 1, n + 1, 2 * n])
-    return tuple(kernels.phase_series(es.eigenvalues, target * np.conj(source), times,
+    energies, vectors = fixed_sigma_eigensystem(engineered_sigma_block(spec))
+    first_up, last_up, first_down, last_down = vectors[[0, n - 1, n + 1, 2 * n]]
+    return tuple(kernels.phase_series(energies, target * np.conj(source), times,
                                       spec.time_sign)
                  for source, target in ((first_up, last_up), (first_down, last_down)))
 
@@ -310,7 +326,8 @@ def band_route_specs():
 
 
 class TestBandRouteMatchesSigmaBlock:
-    """Each band solved on its own gives what the sigma block's eigensystem gave."""
+    """Each band solved on its own gives what the sigma block's eigensystem gives with
+    its vectors phase-fixed as the band's are."""
 
     def test_channel_scans_are_bit_identical(self):
         # the CLI's default channel grid, between the end sites and two inner ones
@@ -321,8 +338,8 @@ class TestBandRouteMatchesSigmaBlock:
             for offset, channel in ((0, "up"), (n + 1, "down")):
                 for source, target in ((0, n - 1), (n // 2, n // 3)):
                     got = band_scan(spec, channel, source, target, times)
-                    want = amplitude_scan(block, offset + source, offset + target, times,
-                                          sign=spec.time_sign)
+                    want = _scan(times, spec.time_sign, fixed_sigma_terms, block,
+                                 offset + source, offset + target)
                     assert got.rows().tobytes() == want.rows().tobytes(), (spec, channel)
                     assert (got.max_abs, got.argmax_time, got.first_peak_time) == (
                         want.max_abs, want.argmax_time, want.first_peak_time)

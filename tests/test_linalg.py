@@ -37,7 +37,7 @@ from spin1chain.linalg import (
     evolution_cache,
     fix_eigenvector_phases,
 )
-from spin1chain.parity import clustered_parities, parity_spectrum
+from spin1chain.parity import parity_spectrum
 from spin1chain.spin_ops import SX, SZ
 
 from band_reference import dense_band
@@ -323,17 +323,6 @@ class TestEigHermitian:
             assert es.reconstruction_residual(mat) <= 1e-11 * scale
             assert es.unitarity_deviation() <= 1e-12
 
-    def test_phase_convention_deterministic(self):
-        rng = np.random.default_rng(4)
-        mat = random_hermitian(rng, 12)
-        v1 = eig_hermitian(mat).eigenvectors
-        v2 = eig_hermitian(mat.copy()).eigenvectors
-        assert np.array_equal(v1, v2)
-        for k in range(v1.shape[1]):
-            lead = v1[np.abs(v1[:, k]) > 1e-12, k][0]
-            assert abs(lead.imag) <= 1e-13
-            assert lead.real > 0
-
     @pytest.mark.parametrize("kind", ["heisenberg", "O2", "O3", "engineered"])
     @pytest.mark.parametrize("n", [3, 5])
     def test_multi_block_accuracy(self, kind, n):
@@ -370,12 +359,13 @@ class TestEigHermitian:
         (solve,) = es.solves
         assert solve.rows.shape[0] == 1
         assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+        assert es.eigenvectors.tobytes() == v.tobytes()
 
     def test_tridiagonal_band_is_one_block(self):
         # a hand-made band, and the up and down bands of both presets and of
         # seeded engineered chains: each is one block, solved as one bare eigh,
-        # and the band solve gives the same bits without the dense band
+        # and the band solve gives the same bits without the dense band, its
+        # vectors phase-fixed (the band keeps the convention, the full space not)
         bands = [(None, np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1)
                   + np.diag(np.full(5, 0.3), -1))]
         for n in range(2, 41):
@@ -387,11 +377,11 @@ class TestEigHermitian:
             es = eig_hermitian(mat)
             w, v = np.linalg.eigh(mat)
             assert es.eigenvalues.tobytes() == w.tobytes()
-            assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+            assert es.eigenvectors.tobytes() == v.astype(complex).tobytes()
             if source is not None:
                 energies, vectors = band_eigensystem(*source)
                 assert energies.tobytes() == es.eigenvalues.tobytes()
-                assert vectors.tobytes() == es.eigenvectors.tobytes()
+                assert vectors.tobytes() == fix_eigenvector_phases(es.eigenvectors).tobytes()
 
     def test_rejects_non_hermitian_block(self):
         mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -416,12 +406,6 @@ class TestEigHermitian:
         assert f"deviation {dev:.3e} exceeds" in str(entry_error.value)
         assert str(entry_error.value).endswith(f"* {scale:.3e}")
         eig_hermitian(ham)
-
-    def test_phase_fix_idempotent(self):
-        rng = np.random.default_rng(5)
-        mat = random_hermitian(rng, 6)
-        v = eig_hermitian(mat).eigenvectors
-        assert np.allclose(fix_eigenvector_phases(v), v)
 
 
 class TestPhaseFix:
@@ -464,12 +448,12 @@ def stacked_block_reference(mat):
     """The block path without parity sectors, as a reference: every connected
     block solved whole (a one-block matrix by one eigh), blocks of one size in
     one stacked eigh (real when the stack is real), eigenpairs sorted stably,
-    each stack's columns phase-fixed side by side and scattered into one matrix."""
+    each stack's columns scattered as eigh returns them into one complex matrix."""
     dim = mat.shape[0]
     blocks = blocks_of(mat)
     if len(blocks) == 1:
         w, v = real_where_real_eigh(mat)
-        return w, fix_eigenvector_phases(v)
+        return w, v.astype(complex)
     by_size = {}
     for block in blocks:
         by_size.setdefault(block.size, []).append(block)
@@ -482,10 +466,8 @@ def stacked_block_reference(mat):
     vectors = np.zeros((dim, dim), dtype=complex)
     offset = 0
     for rows, (_, v) in zip(groups, solved):
-        count, size = rows.shape
-        v = fix_eigenvector_phases(v.transpose(1, 0, 2).reshape(size, -1))
         cols = column[offset:offset + rows.size].reshape(rows.shape)
-        vectors[rows[:, :, None], cols[:, None, :]] = v.reshape(size, count, size).transpose(1, 0, 2)
+        vectors[rows[:, :, None], cols[:, None, :]] = v
         offset += rows.size
     return values[order], vectors
 
@@ -687,7 +669,7 @@ class TestParitySectors:
                 assert np.array_equal(block_cols, np.sort(block_cols))
                 _, v = real_where_real_eigh(mat[np.ix_(block_rows, block_rows)])
                 got = es.eigenvectors[np.ix_(block_rows, block_cols)]
-                assert got.tobytes() == fix_eigenvector_phases(v).tobytes()
+                assert got.tobytes() == v.astype(complex).tobytes()
         assert unsplit > 0 or kind == "O5"  # an O5 chain is one block, split
 
     @pytest.mark.parametrize("mat, n", [
@@ -859,99 +841,6 @@ class TestBlockLocalStorage:
             assert tile.tobytes() == want.tobytes()
 
 
-def deferred_inputs():
-    """(id, operator) of the deferred-vector tests: every kind at n = 2-5 (engineered
-    chains mirror-symmetric), both transfer presets at n = 2-5, ten seeded
-    mirror-symmetric engineered chains at n = 3-6 and one array of several blocks."""
-    inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)))
-              for kind in KINDS for n in (2, 3, 4, 5)]
-    inputs += [(f"{variant}-{n}", chain_hamiltonian(pst_preset(n, variant)))
-               for variant in PRESET_VARIANTS for n in (2, 3, 4, 5)]
-    inputs += [(f"mirror-chain-{seed}", chain_hamiltonian(
-        chain_spec("engineered", 3 + seed % 4, seed=100 + seed, symmetric=True)))
-        for seed in range(10)]
-    inputs += [("random-blocks", permuted_block_diagonal(np.random.default_rng(73),
-                                                         [5, 1, 3, 5, 2, 3]))]
-    return inputs
-
-
-DEFERRED_INPUTS = deferred_inputs()
-
-
-def vector_reads(es):
-    """Bytes of all that an eigensystem's vector readers give: V, all its rows in
-    reverse order, and every tile of V diag(phases) V^dagger."""
-    phases = np.exp(0.7j * es.eigenvalues)
-    reads = [es.eigenvectors.tobytes(), es.eigenvector_rows(np.arange(es.dim)[::-1]).tobytes()]
-    for rows, cols, tile in es.unitary_blocks(phases):
-        reads += [rows.tobytes(), cols.tobytes(), tile.tobytes()]
-    return reads
-
-
-class TestDeferredVectors:
-    """The mirror analyses read the eigenvalues and parities only; the phase-fixed
-    vectors are finished on the first read of the solves, to the same bytes."""
-
-    @pytest.mark.parametrize("spec", [chain_spec("engineered", 6, seed=6, symmetric=True),
-                                      ChainSpec(n=5, kind="O5")], ids=["engineered-6", "O5-5"])
-    def test_mirror_analyses_finish_no_vector(self, spec, monkeypatch):
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        fixed = []
-        rotate = linalg._rotate_columns
-
-        def counted(stack):
-            fixed.append(stack.shape)
-            return rotate(stack)
-
-        monkeypatch.setattr(linalg, "_rotate_columns", counted)
-        ham = chain_hamiltonian(spec)
-        assert mirror_check(ham, np.pi).commutator_residual == 0
-        parity_spectrum(ham)
-        assert fixed == []
-        es = evolution_cache(ham).eigensystem
-        solves = es.solves  # the first read finishes every stack, once
-        assert len(fixed) == len(solves) and es.solves is solves
-        assert es._build_solves is None  # and drops the raw eigh output
-
-    @pytest.mark.parametrize("spec", [chain_spec("engineered", 6, seed=6, symmetric=True),
-                                      ChainSpec(n=5, kind="O5")], ids=["engineered-6", "O5-5"])
-    def test_a_build_cut_short_goes_on_at_the_next_read(self, spec, monkeypatch):
-        # the second stack's phase fixing raises once, after the first stack is
-        # finished: the next read finishes the rest, to the bytes of a fresh build
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        ham = chain_hamiltonian(spec)
-        first = vector_reads(evolution_cache(ham).eigensystem)
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        calls, rotate = [], linalg._rotate_columns
-
-        def failing_once(stack):
-            calls.append(stack.shape)
-            if len(calls) == 2:
-                raise MemoryError("cut short")
-            return rotate(stack)
-
-        monkeypatch.setattr(linalg, "_rotate_columns", failing_once)
-        es = evolution_cache(ham).eigensystem
-        with pytest.raises(MemoryError, match="cut short"):
-            es.solves
-        assert es._build_solves is not None
-        assert vector_reads(evolution_cache(ham).eigensystem) == first
-        assert len(calls) == len(es.solves) + 1  # the first stack was not finished twice
-
-    @pytest.mark.parametrize("name, op", DEFERRED_INPUTS, ids=[name for name, _ in DEFERRED_INPUTS])
-    def test_vectors_read_after_the_analyses_are_those_read_first(self, name, op, monkeypatch):
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        first = vector_reads(evolution_cache(op).eigensystem)
-        monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        if isinstance(op, ChainOperator):
-            assert mirror_check(op, np.pi).commutator_residual == 0
-            parity_spectrum(op)
-        else:
-            # an array has no chain mirror: the analyses' reads without them
-            clustered_parities(evolution_cache(op).eigensystem)
-        assert vector_reads(evolution_cache(op).eigensystem) == first
-
-
 def recorded_eigh(monkeypatch):
     """Patch np.linalg.eigh to record the dtype of every matrix it is given."""
     dtypes, eigh = [], np.linalg.eigh
@@ -988,7 +877,7 @@ class TestRealForms:
         assert dtypes == [np.float64]
         w, v = np.linalg.eigh(mat.real)
         assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+        assert es.eigenvectors.tobytes() == v.astype(complex).tobytes()
 
     def test_real_chain_operator_is_solved_as_real(self, monkeypatch):
         # a random real two-site operator: not a mirror commuter, so one block solved whole
@@ -999,7 +888,15 @@ class TestRealForms:
         assert es.mirror_residual > 0 and dtypes == [np.float64]
         w, v = np.linalg.eigh(op.dense().real)
         assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+        assert es.eigenvectors.tobytes() == v.astype(complex).tobytes()
+
+    def test_solves_keep_the_arithmetic_of_their_operator(self):
+        # a real operator's solves hold eigh's float64 vectors as they are; O5's
+        # real form assembles complex (y + i J y)/sqrt2
+        for kind in KINDS:
+            ham = chain_hamiltonian(chain_spec(kind, 4, seed=4, symmetric=True))
+            want = np.dtype(complex if kind == "O5" else float)
+            assert {solve.vectors.dtype for solve in eig_hermitian(ham).solves} == {want}, kind
 
     @pytest.mark.parametrize("n, counts", [(2, (6, 3)), (3, (18, 9)), (4, (45, 36)),
                                            (5, (135, 108)), (6, (378, 351))])
@@ -1036,7 +933,7 @@ class TestRealForms:
         assert dtypes == [np.complex128]
         w, v = np.linalg.eigh(mat)
         assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == fix_eigenvector_phases(v).tobytes()
+        assert es.eigenvectors.tobytes() == v.tobytes()
 
     def test_blocks_that_the_reversal_moves_are_solved_complex(self, monkeypatch):
         # two centrohermitian 6 x 6 blocks, each the other's image under the
@@ -1380,8 +1277,8 @@ class TestSectorSizedMemory:
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(ChainSpec(n=6, kind=kind))
         mat = ham.dense()
-        # the solve step reads the solves, whose vectors are finished on that read
-        solve_peak = traced_peak(lambda: evolution_cache(ham).eigensystem.solves)
+        # the solve step builds the eigensystem, each stack's vectors right after its eigh
+        solve_peak = traced_peak(lambda: evolution_cache(ham))
         es = evolution_cache(ham).eigensystem
         peaks = (solve_peak, traced_peak(lambda: mirror_check(ham, np.pi)),
                  traced_peak(lambda: es.reconstruction_residual(mat)),

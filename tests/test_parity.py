@@ -294,7 +294,7 @@ class TestClusteredParities:
         whole = np.arange(dim)[None, :]
         parities = rng.choice(np.array([-1, 1], dtype=np.int8), size=dim)
         es = linalg.HermitianEigenSystem(
-            evals, lambda: (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),),
+            evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),),
             parities=parities)
         want_vals, _, _ = loop_clustered_parities(evals, vecs, index)
         vals, pars = clustered_parities(es)
