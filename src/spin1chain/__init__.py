@@ -28,12 +28,11 @@ from .hamiltonians import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     AmplitudeScan,
     amplitude_scan,
-    mirror_check,
     qutrit_fidelity_series,
     qutrit_transfer_fidelity,
 )
 from .linalg import ChainOperator, EvolutionCache, HermitianEigenSystem, eig_hermitian  # noqa: F401
-from .parity import ParitySplit, parity_spectrum  # noqa: F401
+from .parity import ParitySplit, mirror_check, parity_spectrum  # noqa: F401
 from .spin_ops import basis_index  # noqa: F401
 from .tomography import (  # noqa: F401
     MeasurementRecord,

@@ -92,8 +92,10 @@ def _load_spec(args):
     if getattr(args, "spec", None):
         try:
             return ChainSpec.load(args.spec), args.spec
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except OSError as exc:  # its message names the file
             raise SpecError(f"cannot read spec file: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SpecError(f"cannot read spec file {args.spec}: {exc}") from exc
     if getattr(args, "preset_n", None) is not None:
         return pst_preset(args.preset_n, args.preset_variant), None
     raise SpecError("provide --spec FILE or --preset-n N")
@@ -383,7 +385,7 @@ def cmd_validate(args):
     except SpecError as exc:
         return _error({"stage": "schema", "path": exc.path, "message": str(exc)}, 2)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return _error({"stage": "io", "message": str(exc)}, 2)
+        return _error({"stage": "io", "message": f"cannot read spec file {args.spec}: {exc}"}, 2)
     print(json.dumps(spec.to_json_dict(), sort_keys=True))
     return 0
 

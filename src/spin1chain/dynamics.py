@@ -1,4 +1,4 @@
-"""Transfer amplitudes, scans, qutrit fidelities and mirroring tests.
+"""Transfer amplitudes, scans and qutrit fidelities.
 
 Evolution is computed from a cached Hermitian eigendecomposition, or from
 the solve of one band of an engineered chain, with the exponent convention
@@ -13,7 +13,7 @@ import numpy as np
 from . import kernels
 from .hamiltonians import CHANNELS, band_eigensystem
 from .linalg import evolution_cache
-from .parity import mirror_commutator
+from .parity import mirror_check  # noqa: F401  (the benchmark traces dynamics.mirror_check)
 from .spin_ops import basis_index
 
 
@@ -177,48 +177,3 @@ def qutrit_transfer_fidelities(spec, qutrits, t):
     bands = _band_series(spec, [t])
     return [tuple(float(_fidelity(w, *bands, corrected)[0]) for corrected in (False, True))
             for w in weights]
-
-
-# ---------------------------------------------------------------------------
-# mirroring test
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MirrorCheckResult:
-    is_mirror: bool
-    phase: float  # global phase phi with U(t) ~ e^{i phi} M
-    residual: float
-    commutator_residual: float
-
-
-def mirror_check(op, t):
-    """Test whether exp(i*H*t) equals the site inversion up to a phase.
-
-    ``op`` is a :class:`~spin1chain.linalg.ChainOperator` and M its chain
-    mirror.  Reports the optimal global phase, the residual ||U - e^{i phi}
-    M||_2 (a mirror when it is at most 1e-8) and the [H, M] commutator
-    residual.  ``t`` is finite, and the time sign folds into it (-t for the
-    physical exp(-iHt)).
-
-    U = e^{i phi} M makes M a function of H, so only an exact commuter ([H, M]
-    residual 0) can mirror.  Its eigensystem holds each column's parity p_k,
-    U and M share the eigenbasis, and so the phase is the angle of
-    tr(M^T U) = sum_k p_k e^{i E_k t} and the residual is
-    max_k |e^{i E_k t} - e^{i phi} p_k|, read from the eigenvalues and
-    parities alone: no eigenvector and no unitary is formed.  An inexact
-    commuter has no parities and never mirrors: it reports ``is_mirror``
-    False, an infinite residual and a NaN phase.
-    """
-    if not np.isfinite(t):
-        raise ValueError(f"mirror_check needs a finite time, got {t!r}")
-    cache, comm = mirror_commutator(op, "chain_mirror")
-    if comm != 0:
-        return MirrorCheckResult(is_mirror=False, phase=float("nan"), residual=float("inf"),
-                                 commutator_residual=comm)
-    es = cache.eigensystem
-    signed = es.parities * np.exp(1j * es.eigenvalues * t)  # p_k e^{i E_k t}
-    phi = float(np.angle(np.sum(signed)))
-    # |e^{i E_k t} - e^{i phi} p_k| == |p_k e^{i E_k t} - e^{i phi}|, as p_k = +-1
-    residual = float(np.max(np.abs(signed - np.exp(1j * phi))))
-    return MirrorCheckResult(is_mirror=residual <= 1e-8, phase=phi, residual=residual,
-                             commutator_residual=comm)

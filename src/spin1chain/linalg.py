@@ -327,19 +327,15 @@ class HermitianEigenSystem:
     exactly (a block of fixed rows only is even); two blocks that M swaps
     share their levels, each level's pair of columns spanning one even and
     one odd combination, so the block with the smaller first row reads +1
-    and its image -1.  Left empty, all 0.  The eigenvalues and these parities
-    alone decide the mirror test (:func:`~spin1chain.dynamics.mirror_check`) and
-    the parity spectrum, which read no eigenvector.
+    and its image -1.  The eigenvalues and these parities alone decide the
+    mirror test (:func:`~spin1chain.parity.mirror_check`) and the parity
+    spectrum, which read no eigenvector.
     """
 
     eigenvalues: np.ndarray
     solves: tuple = field(repr=False, compare=False)
-    mirror_residual: float | None = field(default=None, compare=False)
-    parities: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.parities is None:
-            object.__setattr__(self, "parities", np.zeros(self.dim, dtype=np.int8))
+    mirror_residual: float | None = field(compare=False)
+    parities: np.ndarray = field(compare=False)
 
     @property
     def dim(self):
@@ -703,22 +699,10 @@ def _centro_vectors(y, rows, mirrored, sign, dim):
 
 
 class EvolutionCache:
-    """Eigendecomposition of one Hamiltonian, reusable across time points.
+    """Eigendecomposition of one Hamiltonian, reusable across time points."""
 
-    :meth:`memoized` keeps other results derived from the Hamiltonian (its
-    mirror analyses), so they too are computed once.
-    """
-
-    def __init__(self, eigensystem, fingerprint):
+    def __init__(self, eigensystem):
         self.eigensystem = eigensystem
-        self.fingerprint = fingerprint
-        self._memo = {}
-
-    def memoized(self, key, compute):
-        """``compute()`` the first time ``key`` is asked for; its stored result after."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
 
     def unitary(self, t):
         """exp(i*H*t) as a dense matrix, the tiles of
@@ -775,7 +759,7 @@ def evolution_cache(op):
     cached = _cache_by_fingerprint.get(digest)
     if cached is None or (isinstance(op, ChainOperator)
                           and cached.eigensystem.mirror_residual is None):
-        cached = EvolutionCache(eig_hermitian(op), digest)
+        cached = EvolutionCache(eig_hermitian(op))
         if digest not in _cache_by_fingerprint and len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached

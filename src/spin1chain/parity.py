@@ -9,7 +9,7 @@ and the analyses here read those; an operator that misses exact
 commutation has no parity split.  An interaction can only generate perfect
 mirroring when, up to an affine rescaling, even-parity eigenstates carry
 even integer eigenvalues and odd-parity states odd integers;
-:func:`~spin1chain.dynamics.mirror_check` tests one evolution time.
+:func:`mirror_check` tests one evolution time.
 """
 
 from dataclasses import dataclass
@@ -73,50 +73,29 @@ def chain_mirror_permutation(n):
     return perm
 
 
-def _check_kind(kind, op):
-    """Refuse, with ValueError, a ``kind`` other than ``chain_mirror`` and an ``op``
-    that is no :class:`ChainOperator` (an array's dimension names no sites)."""
+def _mirror_eigensystem(op, kind):
+    """The cached eigensystem of ``op`` (:func:`evolution_cache`), once ``kind`` is
+    ``chain_mirror``, the one kind, and ``op`` a :class:`ChainOperator`; an array,
+    whose dimension names no sites, and any other kind raise ValueError."""
     if kind != "chain_mirror":
         raise ValueError(f"unknown parity kind {kind!r}")
     if not isinstance(op, ChainOperator):
         raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
                          f"site count, got an array of dimension {len(op)}")
-
-
-def mirror_index(kind, op):
-    """Index array of the ``kind`` inversion on the space of the operator ``op``.
-
-    The one kind, ``chain_mirror``, reads n from a :class:`ChainOperator` and
-    refuses an array, whose dimension names no sites.  Any other input raises
-    ValueError.
-    """
-    _check_kind(kind, op)
-    return chain_mirror_index(op.n_sites)
+    return evolution_cache(op).eigensystem
 
 
 def _cluster_bounds(evals):
     """(starts, stops) of the clusters of the ascending ``evals``, taken greedily: a
     cluster holds the values within 1e-9 of its first, and the next value starts
-    the next one.
-
-    A step of 1e-9 or more starts a cluster, as the value is at least that far
-    from every earlier one, so the clusters start at those steps and inside the
-    runs of smaller steps between them.  A run spanning less than 1e-9 is one
-    cluster.  Each value is compared with its cluster's first, and the first
-    value of a cluster that reaches 1e-9 past its first starts a new one; this
-    is repeated, once for each cluster that a run of small steps holds, until
-    no value reaches that far.  Without such a run it is done once.
-    """
-    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) >= 1e-9)
-    while True:
-        bounds = np.append(starts, evals.size)
-        first = np.repeat(starts, np.diff(bounds))  # each value's cluster's first
-        reach = np.flatnonzero(evals - evals[first] >= 1e-9)
-        if not reach.size:
-            return starts, bounds[1:]
-        # the first such value of each cluster that has one starts a cluster
-        split = reach[np.diff(first[reach], prepend=-1) != 0]
-        starts = np.sort(np.concatenate((starts, split)))
+    the next one."""
+    values = evals.tolist()
+    starts = [0] if values else []
+    for k, value in enumerate(values):
+        if value - values[starts[-1]] >= 1e-9:
+            starts.append(k)
+    bounds = np.array(starts + [len(values)])
+    return bounds[:-1], bounds[1:]
 
 
 def clustered_parities(eigensystem):
@@ -158,36 +137,70 @@ class ParityCommutationError(ValueError):
     """Operator does not commute with the inversion, no parity split exists."""
 
 
-def mirror_commutator(op, kind):
-    """The evolution cache of ``op`` and the [H, M] residual that
-    :func:`~spin1chain.linalg.eig_hermitian` kept on its eigensystem, once ``kind``
-    and ``op`` pass the checks of :func:`mirror_index` (no mirror index is built)."""
-    _check_kind(kind, op)
-    cache = evolution_cache(op)
-    return cache, cache.eigensystem.mirror_residual
-
-
 def parity_spectrum(op, kind="chain_mirror"):
     """Split an operator's spectrum by mirror parity.
 
     The operator must commute exactly with the inversion (a residual of 0):
     only then are its eigenvectors solved by parity sector.  The eigensystem,
-    the commutator and the parities (:func:`clustered_parities`, computed
-    once per Hamiltonian) come from :func:`evolution_cache`'s entry, so they
-    are shared with the other analyses of the same operator.
+    with its commutator residual and parities, comes from
+    :func:`evolution_cache`'s entry, so it is shared with the other analyses
+    of the same operator; the parities are clustered
+    (:func:`clustered_parities`) on each call.
     """
-    cache, comm = mirror_commutator(op, kind)
+    es = _mirror_eigensystem(op, kind)
+    comm = es.mirror_residual
     if comm != 0:
         raise ParityCommutationError(
             f"operator does not commute with the {kind} inversion: residual {comm:.3e}, "
             f"and a parity split needs exact commutation"
         )
-    vals, pars = cache.memoized("parities", lambda: clustered_parities(cache.eigensystem))
+    vals, pars = clustered_parities(es)
     return ParitySplit(
         even=tuple(sorted(vals[pars > 0].tolist(), reverse=True)),
         odd=tuple(sorted(vals[pars < 0].tolist(), reverse=True)),
         parity_operator=kind,
     )
+
+
+@dataclass(frozen=True)
+class MirrorCheckResult:
+    is_mirror: bool
+    phase: float  # global phase phi with U(t) ~ e^{i phi} M
+    residual: float
+    commutator_residual: float
+
+
+def mirror_check(op, t):
+    """Test whether exp(i*H*t) equals the site inversion up to a phase.
+
+    ``op`` is a :class:`~spin1chain.linalg.ChainOperator` and M its chain
+    mirror.  Reports the optimal global phase, the residual ||U - e^{i phi}
+    M||_2 (a mirror when it is at most 1e-8) and the [H, M] commutator
+    residual.  ``t`` is finite, and the time sign folds into it (-t for the
+    physical exp(-iHt)).
+
+    U = e^{i phi} M makes M a function of H, so only an exact commuter ([H, M]
+    residual 0) can mirror.  Its eigensystem holds each column's parity p_k,
+    U and M share the eigenbasis, and so the phase is the angle of
+    tr(M^T U) = sum_k p_k e^{i E_k t} and the residual is
+    max_k |e^{i E_k t} - e^{i phi} p_k|, read from the eigenvalues and
+    parities alone: no eigenvector and no unitary is formed.  An inexact
+    commuter has no parities and never mirrors: it reports ``is_mirror``
+    False, an infinite residual and a NaN phase.
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"mirror_check needs a finite time, got {t!r}")
+    es = _mirror_eigensystem(op, "chain_mirror")
+    comm = es.mirror_residual
+    if comm != 0:
+        return MirrorCheckResult(is_mirror=False, phase=float("nan"), residual=float("inf"),
+                                 commutator_residual=comm)
+    signed = es.parities * np.exp(1j * es.eigenvalues * t)  # p_k e^{i E_k t}
+    phi = float(np.angle(np.sum(signed)))
+    # |e^{i E_k t} - e^{i phi} p_k| == |p_k e^{i E_k t} - e^{i phi}|, as p_k = +-1
+    residual = float(np.max(np.abs(signed - np.exp(1j * phi))))
+    return MirrorCheckResult(is_mirror=residual <= 1e-8, phase=phi, residual=residual,
+                             commutator_residual=comm)
 
 
 def _split_deviation(split, reference):

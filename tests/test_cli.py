@@ -839,23 +839,38 @@ class TestFileErrors:
         assert code == 2 and out == ""
         assert not (tmp_path / "out").exists()
 
-    # a spec file that is not UTF-8 is reported as an unreadable spec, as one that
-    # is not JSON is: the codec error is no error of the subcommand's own
-    @pytest.mark.parametrize("argv, stage", [
-        (["transfer", "--source", "001", "--target", "100", "--output-dir", "out"], "spec"),
-        (["tomography", "--output-dir", "out"], "spec"),
-        (["validate"], "io")], ids=["transfer", "tomography", "validate"])
-    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys, argv, stage):
+    @staticmethod
+    def unreadable_spec_error(tmp_path, capsys, argv, content):
+        """The error payload of ``argv`` run on a spec file holding ``content``; the
+        run fails with exit code 2, prints nothing and makes no output directory.
+        The message names the file."""
         path = tmp_path / "spec.json"
-        path.write_bytes(b'\xff\xfe{"n": 3}')
+        path.write_bytes(content)
         argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
         code, out, err = run_cli([argv[0], "--spec", str(path), *argv[1:]], capsys)
         assert code == 2 and out == ""
-        error = json.loads(err)["error"]
-        assert error["stage"] == stage and "can't decode byte 0xff" in error["message"]
-        if stage == "spec":
-            assert error["message"].startswith("cannot read spec file: ")
         assert not (tmp_path / "out").exists()
+        error = json.loads(err)["error"]
+        assert error["message"].startswith(f"cannot read spec file {path}: ")
+        return error
+
+    # a spec file that is not UTF-8 is reported as an unreadable spec, as one that
+    # is not JSON is: the codec error is no error of the subcommand's own
+    SPEC_READERS = pytest.mark.parametrize("argv, stage", [
+        (["transfer", "--source", "001", "--target", "100", "--output-dir", "out"], "spec"),
+        (["tomography", "--output-dir", "out"], "spec"),
+        (["validate"], "io")], ids=["transfer", "tomography", "validate"])
+
+    @SPEC_READERS
+    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys, argv, stage):
+        error = self.unreadable_spec_error(tmp_path, capsys, argv, b'\xff\xfe{"n": 3}')
+        assert error["stage"] == stage and "can't decode byte 0xff" in error["message"]
+
+    @SPEC_READERS
+    def test_spec_file_that_is_not_json(self, tmp_path, capsys, argv, stage):
+        error = self.unreadable_spec_error(tmp_path, capsys, argv, b'{n: 3}')
+        assert error["stage"] == stage
+        assert "Expecting property name enclosed in double quotes" in error["message"]
 
     def test_tag_into_missing_directory(self, tmp_path, capsys):
         code, out, err = run_cli(["pst-check", "--n", "3", "--tag", "missing/x",

@@ -979,7 +979,7 @@ class TestBlockUnitary:
         mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2])
         es = eig_hermitian(mat)
         t = 0.83
-        unitary = EvolutionCache(es, "").unitary(sign * t)
+        unitary = EvolutionCache(es).unitary(sign * t)
         v = es.eigenvectors
         dense = (v * np.exp(1j * sign * es.eigenvalues * t)) @ v.conj().T
         assert np.max(np.abs(unitary - dense)) <= 1e-14
@@ -1104,7 +1104,7 @@ class TestContentKey:
 class TestUnitaryFromEigensystem:
     @staticmethod
     def evolved(es, psi, t):
-        return EvolutionCache(es, "").unitary(t) @ psi
+        return EvolutionCache(es).unitary(t) @ psi
 
     def test_t_zero_is_identity(self):
         rng = np.random.default_rng(6)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import spin1chain
 from spin1chain import dynamics, linalg, parity
 from spin1chain.hamiltonians import (
     ChainSpec,
@@ -22,7 +23,7 @@ from spin1chain.parity import (
     chain_mirror_index,
     chain_mirror_permutation,
     clustered_parities,
-    mirror_index,
+    mirror_check,
     parity_spectrum,
     reference_comparison,
 )
@@ -73,8 +74,7 @@ def index_of(kind, dim):
     site count from a ChainOperator, here the identity on 3^n states; ``sigma``
     reverses the up and the down run of a (2n+1)-dimensional sigma basis."""
     if kind == "chain_mirror":
-        return mirror_index(kind, ChainOperator.from_terms([(1, np.eye(dim))],
-                                                           {9: 2, 27: 3, 81: 4}[dim]))
+        return chain_mirror_index({9: 2, 27: 3, 81: 4}[dim])
     up = np.arange((dim - 1) // 2)[::-1]
     return np.concatenate([up, [up.size], up.size + 1 + up])
 
@@ -131,16 +131,16 @@ class TestIndexMirrors:
 
     def test_two_site_chain_mirror_is_the_exchange(self):
         reference = reference_permutation(9, lambda j: 3 * (j % 3) + j // 3)
-        assert_index_matches(mirror_index("chain_mirror", two_site(np.eye(9))), reference)
+        assert_index_matches(chain_mirror_index(2), reference)
 
     def test_unknown_kind_rejected(self):
         # the two-site exchange is the chain mirror of a two-site ChainOperator,
         # and no kind of its own; the chain mirror is the only kind
         with pytest.raises(ValueError, match="unknown parity kind 'two_site_exchange'"):
-            mirror_index("two_site_exchange", np.eye(9))
+            parity_spectrum(np.eye(9), kind="two_site_exchange")
         for op in (np.eye(9), two_site(np.eye(9))):
             with pytest.raises(ValueError, match="unknown parity kind 'sigma'"):
-                mirror_index("sigma", op)
+                parity_spectrum(op, kind="sigma")
 
     @pytest.mark.parametrize("kind, dim, needed", [
         ("chain_mirror", 10, "ChainOperator"),
@@ -148,13 +148,25 @@ class TestIndexMirrors:
         ("chain_mirror", 27, "ChainOperator"),
     ])
     def test_wrong_dimension_rejected(self, kind, dim, needed):
-        with pytest.raises(ValueError, match=rf"{re.escape(needed)}.*dimension {dim}\b"):
-            mirror_index(kind, np.eye(dim))
+        for analysis in (lambda op: parity_spectrum(op, kind=kind),
+                         lambda op: mirror_check(op, np.pi)):
+            with pytest.raises(ValueError, match=rf"{re.escape(needed)}.*dimension {dim}\b"):
+                analysis(np.eye(dim))
 
     def test_chain_mirror_reads_the_site_count(self):
-        # the operator's site count names the mirror, never its dimension
+        # the operator's site count names the mirror, never its dimension: the
+        # identity on three sites has an even level for each fixed state and
+        # each swapped pair of the three-site mirror, and an odd one per pair
         op = ChainOperator.from_terms([(1, np.eye(27))], 3)
-        assert np.array_equal(mirror_index("chain_mirror", op), chain_mirror_index(3))
+        index = chain_mirror_index(3)
+        fixed = int(np.count_nonzero(index == np.arange(27)))
+        split = parity_spectrum(op)
+        assert split.even == (1.0,) * (fixed + (27 - fixed) // 2)
+        assert split.odd == (1.0,) * ((27 - fixed) // 2)
+
+    def test_one_mirror_check_under_every_name(self):
+        # the package, dynamics and parity bind one function
+        assert spin1chain.mirror_check is dynamics.mirror_check is parity.mirror_check
 
 
 class TestProjectors:
@@ -295,7 +307,7 @@ class TestClusteredParities:
         parities = rng.choice(np.array([-1, 1], dtype=np.int8), size=dim)
         es = linalg.HermitianEigenSystem(
             evals, (linalg.EigenSolve(whole, None, 1.0, whole, vecs[None]),),
-            parities=parities)
+            mirror_residual=0.0, parities=parities)
         want_vals, _, _ = loop_clustered_parities(evals, vecs, index)
         vals, pars = clustered_parities(es)
         assert vals.tobytes() == want_vals.tobytes()
@@ -520,7 +532,8 @@ class TestChainParitySpectrum:
 
         Returns the dimension of each eig_hermitian call, the sizes of the
         matrices each eigh call solved (one entry per matrix of a stack),
-        the names of the shared computations called, in order, and H.
+        the names of the shared computations called in both runs, in order, and
+        H.
         """
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         decompositions, solved, shared = [], [], []
@@ -556,13 +569,13 @@ class TestChainParitySpectrum:
         mirror = dynamics.mirror_check(ham, np.pi)
         split = split_or_refusal(ham)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        counts = (list(decompositions), sorted(solved), list(shared))
-        # a second analysis of the same H computes nothing again; the reprs
+        counts = (list(decompositions), sorted(solved))
+        # a second analysis of the same H solves nothing again; the reprs
         # compare every field, the NaN phase of an inexact commuter included
         assert repr(dynamics.mirror_check(ham, np.pi)) == repr(mirror)
         assert split_or_refusal(ham) == split
-        assert (decompositions, sorted(solved), shared) == counts
-        return (*counts, ham)
+        assert (decompositions, sorted(solved)) == counts
+        return (*counts, shared, ham)
 
     def test_mirror_check_and_spectrum_share_one_eigh(self, monkeypatch):
         # one decomposition serves both analyses: a single eig_hermitian
@@ -596,7 +609,8 @@ class TestChainParitySpectrum:
             assert np.array_equal(np.sort(index[block]), block)  # Sz sectors map onto themselves
             sectors += [(block.size + fixed) // 2, (block.size - fixed) // 2]
         assert decompositions == [81]
-        assert shared == ["_entry_checks", "clustered_parities"]
+        # one clustering of the parities per parity_spectrum call
+        assert shared == ["_entry_checks", "clustered_parities", "clustered_parities"]
         assert solved == sorted(size for size in sectors if size)
         assert sum(solved) == 81
 
