@@ -330,7 +330,7 @@ def cmd_tomography(args):
             try:
                 records.append(read_record_csv(path, channel, shots=args.shots))
             except AmplitudeBoundError as exc:
-                raise SpecError(f"{path}: {exc}; a shot-sampled record is read with the "
+                raise SpecError(f"{exc}; a shot-sampled record is read with the "
                                 "--shots it was taken with", "--shots") from exc
         result = tomography_from_records(*records, args.order)
         payload = result.to_json_dict()

@@ -183,10 +183,6 @@ class ChainSpec:
         return cls(**kwargs)
 
     @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
     def load(cls, path):
         """The spec in the JSON file ``path``.  An integer longer than Python
         converts (its int-to-string digit limit) is a SpecError naming the file

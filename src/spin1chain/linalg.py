@@ -6,8 +6,8 @@ returns it: the amplitudes and mirror tests read eigenvalues, parities and
 products <t|k><k|s>, which no column phase changes.  It diagonalizes each
 connected block of the matrix's nonzero pattern on its own, so a
 Hamiltonian that conserves something costs what its sectors cost, and
-splits a block of a :class:`ChainOperator` that commutes exactly with its
-site inversion into its two parity sectors.  The eigensystem keeps
+splits a block that commutes exactly with the chain's site inversion into
+its two parity sectors.  The eigensystem keeps
 those solves, and its readers give rows of the eigenvector matrix, or the
 unitary V diag(phases) V^dagger tile by tile, without forming either.
 :func:`evolution_cache` memoizes it by matrix content, so the analyses of
@@ -129,11 +129,15 @@ class ChainOperator:
 
     def hermiticity_deviation(self):
         """Largest entry of |A - A^dagger| (see :func:`_entry_checks`)."""
-        return _entry_checks(self)[0]
+        return _entry_checks(self, chain_mirror_index(self.n_sites))[0]
 
     @cached_property
     def _content_key(self):
-        return _entries_key(self)
+        """:func:`content_key`, hashed on the first read."""
+        digest = hashlib.sha256(str(self.dim).encode())
+        digest.update(np.asarray(self.flat, dtype=np.int64).tobytes())
+        digest.update(np.asarray(self.values, dtype=complex).tobytes())
+        return digest.hexdigest()
 
     def __matmul__(self, vector):
         rows, cols = np.divmod(self.flat, self.dim)
@@ -141,66 +145,57 @@ class ChainOperator:
         np.add.at(out, rows, self.values * np.asarray(vector)[cols])
         return out
 
+    @classmethod
+    def from_dense(cls, mat):
+        """The operator that a square array of 3^n states (n >= 1) holds: its nonzero
+        entries, as ``np.flatnonzero`` finds them, with their values as complex128.
+        An entry is nonzero when it compares unequal to 0 (a ``-0.0`` is not), a
+        complex one when either part does.  Any other shape raises ValueError."""
+        mat = np.asarray(mat)
+        dim = mat.shape[0] if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else 0
+        n = round(math.log(dim, 3)) if dim else 0
+        if n < 1 or 3 ** n != dim:
+            raise ValueError(f"expected a square matrix of dimension 3^n (n >= 1), "
+                             f"got shape {mat.shape}")
+        flat = np.flatnonzero(mat)
+        return cls(flat, np.asarray(mat.reshape(-1)[flat], dtype=complex), n)
 
-@dataclass(frozen=True)
-class _Entries:
-    """A square array as a ChainOperator holds its operator: ``flat``, the ascending flat
-    indices of its nonzero entries, their ``values`` as complex128, and ``dim``; no site
-    count, so no chain mirror."""
 
-    flat: np.ndarray
-    values: np.ndarray
-    dim: int
-
-
-def _read_entries(op):
-    """``op`` in entry form: a ChainOperator as it is, a non-empty square array as
-    :class:`_Entries`; any other shape raises ValueError.  An entry is nonzero when
-    it compares unequal to 0 (a ``-0.0`` is not), a complex one when either part does."""
-    if isinstance(op, ChainOperator):
-        return op
-    mat = np.asarray(op)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not mat.shape[0]:
-        raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
-    flat = np.flatnonzero(mat)
-    return _Entries(flat, np.asarray(mat.reshape(-1)[flat], dtype=complex), mat.shape[0])
+def _operator(op):
+    """``op`` as a ChainOperator: as it is, or read from its dense array
+    (:meth:`ChainOperator.from_dense`)."""
+    return op if isinstance(op, ChainOperator) else ChainOperator.from_dense(op)
 
 
 def entries_at(op, flat):
-    """Entries of a ChainOperator or :class:`_Entries` at the flat (row-major) indices
-    ``flat``; an index that the entry form does not hold reads 0."""
+    """Entries of a ChainOperator at the flat (row-major) indices ``flat``; an index
+    that it does not hold reads 0."""
     pos = np.searchsorted(op.flat, flat)
     out = np.append(op.values, 0)[pos]
     out[np.append(op.flat, -1)[pos] != flat] = 0
     return out
 
 
-def _entry_checks(op, mirror=None):
-    """(Hermiticity deviation, mirror residual, rows, columns) of an operator in entry
-    form: the largest entry of |A - A^dagger|, the :func:`commutator_residual` of
-    the index mirror ``mirror`` (None without one), and each entry's row and column,
-    from one divmod of the entries.  Both maxima are read at the nonzero entries
-    only: where A[i, j] is 0, entry (j, i) has the same modulus, so the deviation
-    is the dense maximum, and so is the residual (see :func:`commutator_residual`).
+def _entry_checks(op, mirror):
+    """(Hermiticity deviation, mirror residual, rows, columns) of a ChainOperator: the
+    largest entry of |A - A^dagger|, the :func:`commutator_residual` of the index
+    mirror ``mirror``, and each entry's row and column, from one divmod of the
+    entries.  Both maxima are read at the nonzero entries only: where A[i, j] is 0,
+    entry (j, i) has the same modulus, so the deviation is the dense maximum, and so
+    is the residual (see :func:`commutator_residual`).
 
     Each entry (i, j) is compared with (j, i) and with (p i, p j): both key sets
     are sorted together and searched at once (:func:`entries_at`), as a sorted
     search is faster than an unsorted one by more than the sort costs.
     """
     rows, cols = np.divmod(op.flat, op.dim)
-    keys = cols * op.dim + rows
-    if mirror is not None:
-        keys = np.concatenate((keys, mirror[rows] * op.dim + mirror[cols]))
+    keys = np.concatenate((cols * op.dim + rows, mirror[rows] * op.dim + mirror[cols]))
     order = np.argsort(keys)
     found = np.empty(keys.size, dtype=complex)
     found[order] = entries_at(op, keys[order])
     count = op.values.size
     deviation = float(np.max(np.abs(op.values - found[:count].conj()), initial=0.0))
-    residual = None
-    if mirror is not None:
-        residual = float(np.max(np.abs(found[count:] - op.values), initial=0.0))
+    residual = float(np.max(np.abs(found[count:] - op.values), initial=0.0))
     return deviation, residual, rows, cols
 
 
@@ -269,14 +264,14 @@ def chain_mirror_index(n):
 def commutator_residual(op, index):
     """max |[H, M]| for the index mirror, read at the nonzero entries of H.
 
-    ``op`` is H in entry form or as a square array, which is read as its
-    entries (:func:`_read_entries`).  Entry (i, j) of M H M - H is
+    ``op`` is H, a ChainOperator or the dense array of one
+    (:meth:`ChainOperator.from_dense`).  Entry (i, j) of M H M - H is
     H[p i, p j] - H[i, j].  When H[i, j] is zero and H[p i, p j] is not,
     (p i, p j) is a nonzero of H, and since every mirror is an involution
     its entry is H[i, j] - H[p i, p j], of the same modulus.  So the
     maximum over the nonzeros is the dense maximum, bit for bit.
     """
-    return _entry_checks(_read_entries(op), index)[1]
+    return _entry_checks(_operator(op), index)[1]
 
 
 @dataclass(frozen=True)
@@ -320,8 +315,7 @@ class HermitianEigenSystem:
     Each solve holds connected blocks of H solved whole, or one parity
     sector of blocks split in two, the odd sector's solve right after the
     even one's.  :func:`eig_hermitian` sets ``mirror_residual`` to the
-    chain-mirror :func:`commutator_residual` of a :class:`ChainOperator`,
-    else None (an array has no chain mirror).  ``parities``
+    operator's chain-mirror :func:`commutator_residual`.  ``parities``
     holds each column's parity under that mirror M when the residual is 0,
     else 0: on a block that M maps onto itself ``v[M] == parity * v``
     exactly (a block of fixed rows only is even); two blocks that M swaps
@@ -334,7 +328,7 @@ class HermitianEigenSystem:
 
     eigenvalues: np.ndarray
     solves: tuple = field(repr=False, compare=False)
-    mirror_residual: float | None = field(compare=False)
+    mirror_residual: float = field(compare=False)
     parities: np.ndarray = field(compare=False)
 
     @property
@@ -434,8 +428,8 @@ class HermitianEigenSystem:
                 yield pairs, paired, diffs
 
     def reconstruction_residual(self, mat):
-        """Largest entry of |V diag(w) V^dagger - mat|, ``mat`` a square array or a
-        :class:`ChainOperator` of this dimension, computed solve by solve.
+        """Largest entry of |V diag(w) V^dagger - mat|, ``mat`` a :class:`ChainOperator`
+        of this dimension or its dense array, computed solve by solve.
 
         Each tile of :meth:`unitary_blocks` with the eigenvalues as phases is compared
         with the entries of ``mat`` it covers.  V diag(w) V^dagger is exactly zero
@@ -443,11 +437,10 @@ class HermitianEigenSystem:
         Neither V nor any product of dense matrices is formed; the result agrees with
         the dense formula to a few ulps.
         """
-        shape = (len(mat), len(mat)) if isinstance(mat, ChainOperator) else np.shape(mat)
-        if shape != (self.dim, self.dim):
-            raise ValueError(f"a matrix of shape {shape} cannot be compared with an "
-                             f"eigensystem of shape {(self.dim, self.dim)}")
-        mat = _read_entries(mat)
+        mat = _operator(mat)
+        if mat.dim != self.dim:
+            raise ValueError(f"a matrix of shape {(mat.dim, mat.dim)} cannot be compared "
+                             f"with an eigensystem of shape {(self.dim, self.dim)}")
         flat, values = mat.flat, mat.values
         # each row's block: whole blocks and even sectors hold every row of theirs
         block, numbered = np.empty(self.dim, dtype=int), 0
@@ -526,7 +519,7 @@ def _parity_sectors(stack, rows, image):
 
 
 def _entry_form(op, rows, entries, places):
-    """The matrices of the blocks ``rows`` of an operator in entry form, scattered
+    """The matrices of the blocks ``rows`` of a ChainOperator, scattered
     from its ``entries`` (their indices in ``op.flat``, ascending) in the form they
     are solved in, and whether they are centrohermitian.
 
@@ -555,29 +548,25 @@ def _entry_form(op, rows, entries, places):
 
 
 def eig_hermitian(op):
-    """Full spectral decomposition of a Hermitian matrix, block by block.
+    """Full spectral decomposition of a Hermitian :class:`ChainOperator`, block by block.
 
-    ``op`` is a non-empty square array or a :class:`ChainOperator`, which is
-    refused above MAX_DENSE_DIM.  No package path passes an array (a band is
-    solved on its own, :func:`~spin1chain.hamiltonians.band_eigensystem`); the
-    benchmark checker and the tests do.  An array is read once as its nonzero
-    entries (:func:`_read_entries`), the form a ChainOperator holds, and from there
-    both take one route.  The Hermiticity deviation and, for a ChainOperator, the
-    chain-mirror residual come from one lookup of the entries
-    (:func:`_entry_checks`).  The connected blocks of the nonzero pattern are found
-    and grouped by size once (:func:`connected_blocks`, each group of blocks of one
-    size a (count, size) index array); each row's block, its position in it and
-    its flat place in its group's stack are written group by group, and one stable
-    sort of the entries by group gives each group its entries.  Each group is
-    scattered from those entries straight into the form it is solved in
-    (:func:`_entry_form`); no dense matrix is built, and a group's matrices stay
-    in memory only until its sectors are formed.  A ChainOperator whose entries
-    equal those of M H M exactly (M its chain mirror, site i <-> n+1-i; the
-    residual is kept as ``mirror_residual``) has each block that M maps onto
-    itself and that holds a pair i != M i solved as its even and odd parity
-    sectors instead (:func:`_parity_sectors`), and each column's parity kept as
-    ``parities`` (:class:`HermitianEigenSystem`); every other block, and every
-    block of an array, is its own even sector, solved whole.  Blocks of one size
+    ``op`` is a ChainOperator, refused above MAX_DENSE_DIM; a dense array of 3^n
+    states is read as the one it holds (:meth:`ChainOperator.from_dense`).  The
+    Hermiticity deviation and the chain-mirror residual come from one lookup of
+    the entries (:func:`_entry_checks`).  The connected blocks of the nonzero
+    pattern are found and grouped by size once (:func:`connected_blocks`, each
+    group of blocks of one size a (count, size) index array); each row's block,
+    its position in it and its flat place in its group's stack are written group
+    by group, and one stable sort of the entries by group gives each group its
+    entries.  Each group is scattered from those entries straight into the form
+    it is solved in (:func:`_entry_form`); no dense matrix is built, and a
+    group's matrices stay in memory only until its sectors are formed.  An
+    operator whose entries equal those of M H M exactly (M its chain mirror,
+    site i <-> n+1-i; the residual is kept as ``mirror_residual``) has each
+    block that M maps onto itself and that holds a pair i != M i solved as its
+    even and odd parity sectors instead (:func:`_parity_sectors`), and each
+    column's parity kept as ``parities`` (:class:`HermitianEigenSystem`); every
+    other block is its own even sector, solved whole.  Blocks of one size
     and one fixed-row count go through one stacked ``eigh`` per sector, in real
     arithmetic where the stack has no nonzero imaginary part or is
     centrohermitian (H[R i, R j] == conj(H[i, j]) exactly, R: i -> dim-1-i, as
@@ -596,11 +585,9 @@ def eig_hermitian(op):
     entries, and :class:`NonHermitianError` when the Hermiticity deviation, read
     from the entries, exceeds HERMITIAN_TOL relative to the largest entry.
     """
-    mirror = None
-    if isinstance(op, ChainOperator):
-        check_dense_dim(op.dim)
-        mirror = chain_mirror_index(op.n_sites)
-    op = _read_entries(op)
+    op = _operator(op)
+    check_dense_dim(op.dim)
+    mirror = chain_mirror_index(op.n_sites)
     dim, nonzero = op.dim, op.flat
     largest = float(np.max(np.abs(op.values), initial=0.0))
     if not math.isfinite(largest):
@@ -723,44 +710,28 @@ _cache_by_fingerprint = {}
 
 
 def content_key(op):
-    """sha256 key of an operator's content, read as its entries (:func:`_read_entries`).
+    """sha256 key of a ChainOperator's content, or of the one a dense array holds
+    (:meth:`ChainOperator.from_dense`).
 
     The key hashes the dimension, the flat indices of the nonzero entries and their
-    values as complex128: exactly what :func:`eig_hermitian` reads.  So a
-    ChainOperator and its dense matrix share one key, and so do a float array and
-    its complex copy, or arrays that differ only in a ``-0.0`` zero; each pair also
-    has one eigensystem, bit for bit.  A ChainOperator's key is hashed once and kept
-    (its entries are read-only).  A non-square or empty array raises ValueError.
+    values as complex128: exactly what :func:`eig_hermitian` reads.  So an operator
+    and its dense matrix share one key, and so do a float array and its complex
+    copy, or arrays that differ only in a ``-0.0`` zero; each pair also has one
+    eigensystem, bit for bit.  An operator's key is hashed once and kept (its
+    entries are read-only).
     """
-    if isinstance(op, ChainOperator):
-        return op._content_key
-    return _entries_key(_read_entries(op))
-
-
-def _entries_key(op):
-    """:func:`content_key` of an operator in entry form, hashed."""
-    digest = hashlib.sha256(str(op.dim).encode())
-    digest.update(np.asarray(op.flat, dtype=np.int64).tobytes())
-    digest.update(np.asarray(op.values, dtype=complex).tobytes())
-    return digest.hexdigest()
+    return _operator(op)._content_key
 
 
 def evolution_cache(op):
-    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`).
-
-    A ChainOperator and its dense matrix share one key; arrays are still taken
-    because the benchmark checker keys the cache with ``ham.dense()``.  An entry
-    that the array filled has no chain-mirror residual or parities, so a
-    ChainOperator that finds one solves itself and replaces it: this is the only
-    way its mirror analyses get their parities, and they then do not depend on
-    which form was solved first.
-    """
-    digest = content_key(op)
+    """Memoized eigendecomposition keyed by matrix content (:func:`content_key`), so a
+    ChainOperator and its dense matrix share one entry."""
+    op = _operator(op)
+    digest = op._content_key
     cached = _cache_by_fingerprint.get(digest)
-    if cached is None or (isinstance(op, ChainOperator)
-                          and cached.eigensystem.mirror_residual is None):
+    if cached is None:
         cached = EvolutionCache(eig_hermitian(op))
-        if digest not in _cache_by_fingerprint and len(_cache_by_fingerprint) >= _CACHE_LIMIT:
+        if len(_cache_by_fingerprint) >= _CACHE_LIMIT:
             _cache_by_fingerprint.pop(next(iter(_cache_by_fingerprint)))
         _cache_by_fingerprint[digest] = cached
     return cached

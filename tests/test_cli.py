@@ -700,6 +700,28 @@ class TestTomography:
         message = json.loads(err)["error"]["message"]
         assert f"{paths[0]}, line 3" in message and header in message
 
+    @pytest.mark.parametrize("content, named", [
+        (b"t,re,im\n0,1,0\n0.1,abc,0\n", ", line 3: could not convert string to float: 'abc'"),
+        (b"t,p\n0,1\n0.1,0.5\n0.2,0..5\n", ", line 4: could not convert string to float: '0..5'"),
+        (b"t,re,im\n0,1,0\n0.1,\xff,0\n", ": not UTF-8 text"),
+        (b"time,value\n0,1\n", ": unrecognized record header 'time,value'"),
+        (b"t,re,im\n0,1,0\n0.1,nan,0\n", ": record values must be finite"),
+        (b"t,re,im\n0,1,0\n", ": need at least two samples")],
+        ids=["field", "probability-field", "not-utf8", "header", "non-finite", "one-sample"])
+    def test_record_refusals_name_their_file(self, tmp_path, capsys, content, named):
+        # the up file is sound and the down file is not: the refusal names the
+        # down file, and the line of a field that is no number
+        up, down = tmp_path / "up.csv", tmp_path / "down.csv"
+        up.write_text("t,re,im\n0,1,0\n0.1,0.5,0.5\n")
+        down.write_bytes(content)
+        code, out, err = run_cli(["tomography", "--record-up", str(up), "--record-down",
+                                  str(down), "--order", "1", "--output-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "tomography"
+        assert error["message"].startswith(f"{down}{named}")
+
     @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-3"),
                                              ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"),
                                              ("--dt", "inf"), ("--shots", "0"),

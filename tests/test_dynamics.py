@@ -152,8 +152,9 @@ class TestTransferAmplitude:
             amplitude_scan(ham, source, target, [0.0, 1.0])
 
     def test_label_needs_a_product_space(self):
+        # a sigma block's 7 states are no product space: it is no chain operator
         block = engineered_sigma_block(pst_preset(3, "standard"))
-        with pytest.raises(ValueError, match="dimension 7"):
+        with pytest.raises(ValueError, match=r"dimension 3\^n .*shape \(7, 7\)"):
             amplitude_scan(block, "001", "100", [1.0])
 
     def test_probability_conserved_in_sigma(self):
@@ -257,15 +258,16 @@ class TestQutritFidelity:
     @pytest.mark.parametrize("phase_correct", [False, True])
     def test_series_matches_per_point_reference(self, variant, n, phase_correct):
         def reference(spec, qutrit, t):
-            block = engineered_sigma_block(spec)
-            f_up = amplitude(block, 0, n - 1, t, sign=spec.time_sign)
-            f_down = amplitude(block, n + 1, 2 * n, t, sign=spec.time_sign)
+            f_up, f_down = (complex(kernels.phase_series(*terms, [t], spec.time_sign)[0])
+                            for terms in ends)
             if phase_correct:
                 f_up, f_down = abs(f_up), abs(f_down)
             wa, wb, wg = (abs(complex(x)) ** 2 for x in qutrit)
             return abs(wa + wb * f_up + wg * f_down) ** 2
 
         spec = pst_preset(n, variant)
+        block = engineered_sigma_block(spec)
+        ends = fixed_sigma_terms(block, 0, n - 1), fixed_sigma_terms(block, n + 1, 2 * n)
         grid = np.arange(0.0, 2 * np.pi, 1e-2)
         for qutrit in (QUTRIT_TEST_STATES[3], QUTRIT_TEST_STATES[8]):
             series = qutrit_fidelity_series(spec, qutrit, grid, phase_correct=phase_correct)
@@ -287,10 +289,21 @@ class TestQutritFidelity:
 
 
 def fixed_sigma_eigensystem(block):
-    """Eigenvalues and eigenvectors of a sigma block, the vectors phase-fixed as a band's
-    are (:func:`fix_eigenvector_phases`): each band's vectors, bit for bit."""
-    es = evolution_cache(block).eigensystem
-    return es.eigenvalues, fix_eigenvector_phases(es.eigenvectors)
+    """Eigenvalues and eigenvectors of a (2n+1) sigma block, its vacuum n, up band
+    0..n-1 and down band n+1..2n each solved by its own ``eigh``, the levels sorted
+    ascending (equal ones vacuum, up, down) and the vectors phase-fixed as a band's
+    are (:func:`fix_eigenvector_phases`)."""
+    n = block.shape[0] // 2
+    parts = np.arange(n, n + 1), np.arange(n), np.arange(n + 1, 2 * n + 1)
+    solved = [np.linalg.eigh(block[np.ix_(rows, rows)]) for rows in parts]
+    energies = np.concatenate([w for w, _ in solved])
+    order = np.lexsort((np.repeat(np.arange(3), [1, n, n]), energies))
+    vectors = np.zeros(block.shape)
+    start = 0
+    for rows, (w, v) in zip(parts, solved):
+        vectors[rows[:, None], start + np.arange(w.size)] = v
+        start += w.size
+    return energies[order], fix_eigenvector_phases(vectors[:, order])
 
 
 def fixed_sigma_terms(block, source, target):
@@ -405,7 +418,8 @@ class TestMirrorCheck:
         assert abs(np.exp(1j * result.phase) - np.exp(1j * phi)) <= 1e-12
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"needs a ChainOperator.*dimension 10"):
+        # 10 states name no site count, so there is no chain mirror to test
+        with pytest.raises(ValueError, match=r"dimension 3\^n .*shape \(10, 10\)"):
             mirror_check(np.eye(10), np.pi)
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

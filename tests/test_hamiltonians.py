@@ -306,7 +306,7 @@ class TestChainSpec:
 
     def test_json_roundtrip(self):
         spec = pst_preset(4, "standard")
-        again = ChainSpec.from_json(json.dumps(spec.to_json_dict()))
+        again = ChainSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert again == spec
 
     def test_unknown_json_field_rejected(self):
@@ -322,7 +322,7 @@ class TestChainSpec:
         data = json.dumps({"n": 3, "kind": "engineered",
                            **{k: list(v) for k, v in couplings.items()}})
         with pytest.raises(SpecError, match=r"^a: entry 0 .*finite numbers"):
-            ChainSpec.from_json(data)
+            ChainSpec.from_json_dict(json.loads(data))
 
     def test_non_numeric_coupling_rejected(self):
         data = {"n": 2, "kind": "engineered", "a": ["x"], "b": [1], "B": [0, 0], "C": [1, 1]}

@@ -42,6 +42,8 @@ from spin1chain.spin_ops import SX, SZ
 
 from band_reference import dense_band
 
+# the refusal of an array that holds no operator of n >= 1 sites, up to its shape
+NO_SITES = "expected a square matrix of dimension 3^n (n >= 1), got shape "
 
 def random_hermitian(rng, dim):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -301,22 +303,29 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eig_hermitian(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rejects_empty_matrix(self, dtype):
         # refused up front, naming the shape, rather than failing inside numpy
-        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        with pytest.raises(ValueError, match=re.escape(NO_SITES + "(0, 0)")):
             eig_hermitian(np.zeros((0, 0), dtype=dtype))
 
     def test_rejects_non_square_matrix(self):
-        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
-            eig_hermitian(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(NO_SITES + "(3, 9)")):
+            eig_hermitian(np.zeros((3, 9)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 10, 24, 26, 28])
+    def test_rejects_dimensions_that_name_no_sites(self, dim):
+        # a square array is read as the operator of n >= 1 sites that its 3^n
+        # states hold; any other dimension names no site count, so no chain mirror
+        with pytest.raises(ValueError, match=re.escape(NO_SITES + f"({dim}, {dim})")):
+            eig_hermitian(np.eye(dim))
 
     def test_residual_and_unitarity_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            dim = int(rng.integers(2, 40))
+            dim = 3 ** int(rng.integers(1, 4))
             mat = random_hermitian(rng, dim)
             es = eig_hermitian(mat)
             scale = max(np.max(np.abs(mat)), 1.0)
@@ -337,7 +346,7 @@ class TestEigHermitian:
 
     def test_permuted_blocks_accuracy_and_partition(self):
         rng = np.random.default_rng(23)
-        mat = permuted_block_diagonal(rng, [4, 1, 6, 4, 2, 1, 6])
+        mat = permuted_block_diagonal(rng, [4, 1, 6, 4, 2, 1, 6, 3])
         es = eig_hermitian(mat)
         assert es.reconstruction_residual(mat) <= 1e-12 * max(np.max(np.abs(mat)), 1.0)
         assert es.unitarity_deviation() <= 1e-12
@@ -345,15 +354,16 @@ class TestEigHermitian:
         blocks = solved_blocks(es)
         assert [rows.tolist() for rows, _ in blocks] == [rows.tolist() for rows in blocks_of(mat)]
         cols = np.concatenate([c for _, c in blocks])
-        assert np.array_equal(np.sort(cols), np.arange(24))
+        assert np.array_equal(np.sort(cols), np.arange(27))
         for block_rows, block_cols in blocks:
             outside = np.delete(es.eigenvectors[:, block_cols], block_rows, axis=0)
             assert not np.any(outside)
 
-    @pytest.mark.parametrize("seed", [31, 32, 33])
-    def test_one_block_is_bit_identical_to_eigh(self, seed):
+    @pytest.mark.parametrize("seed, dim", [(31, 9), (32, 27), (33, 81)])
+    def test_one_block_is_bit_identical_to_eigh(self, seed, dim):
+        # a random Hermitian array is no exact mirror commuter: one block, solved whole
         rng = np.random.default_rng(seed)
-        mat = random_hermitian(rng, int(rng.integers(2, 60)))
+        mat = random_hermitian(rng, dim)
         es = eig_hermitian(mat)
         w, v = np.linalg.eigh(mat)
         (solve,) = es.solves
@@ -362,29 +372,21 @@ class TestEigHermitian:
         assert es.eigenvectors.tobytes() == v.tobytes()
 
     def test_tridiagonal_band_is_one_block(self):
-        # a hand-made band, and the up and down bands of both presets and of
-        # seeded engineered chains: each is one block, solved as one bare eigh,
-        # and the band solve gives the same bits without the dense band, its
+        # the up and down bands of both presets and of seeded engineered chains:
+        # the band solve gives the bits of one bare eigh of the dense band, its
         # vectors phase-fixed (the band keeps the convention, the full space not)
-        bands = [(None, np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.3), 1)
-                  + np.diag(np.full(5, 0.3), -1))]
         for n in range(2, 41):
             specs = [pst_preset(n, variant) for variant in PRESET_VARIANTS]
             specs.append(chain_spec("engineered", n, seed=1000 + n))
-            bands += [((spec, channel), dense_band(spec, channel))
-                      for spec in specs for channel in CHANNELS]
-        for source, mat in bands:
-            es = eig_hermitian(mat)
-            w, v = np.linalg.eigh(mat)
-            assert es.eigenvalues.tobytes() == w.tobytes()
-            assert es.eigenvectors.tobytes() == v.astype(complex).tobytes()
-            if source is not None:
-                energies, vectors = band_eigensystem(*source)
-                assert energies.tobytes() == es.eigenvalues.tobytes()
-                assert vectors.tobytes() == fix_eigenvector_phases(es.eigenvectors).tobytes()
+            for spec in specs:
+                for channel in CHANNELS:
+                    w, v = np.linalg.eigh(dense_band(spec, channel))
+                    energies, vectors = band_eigensystem(spec, channel)
+                    assert energies.tobytes() == w.tobytes()
+                    assert vectors.tobytes() == fix_eigenvector_phases(v).tobytes()
 
     def test_rejects_non_hermitian_block(self):
-        mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        mat = np.diag(np.arange(1.0, 10.0)).astype(complex)
         mat[2, 3] = 1j
         mat[3, 2] = 1j
         with pytest.raises(NonHermitianError):
@@ -606,41 +608,23 @@ class TestParitySectors:
         assert es.eigenvalues.tobytes() == w.tobytes()
         assert es.eigenvectors.tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize("dim", [8, 10, 24])
-    def test_non_chain_dimensions_keep_the_block_path(self, dim):
-        # a 3^n mirror exists only on 3^n dimensions; the index reversal
-        # symmetry of these matrices does not split them
-        rng = np.random.default_rng(dim)
-        mat = permuted_block_diagonal(rng, [dim // 2, dim - dim // 2])
-        mat = (mat + mat[::-1, ::-1]) / 2
-        for case in (mat, mat[:dim // 2, :dim // 2]):
-            es = eig_hermitian(case)
-            w, v = stacked_block_reference(case)
-            assert es.mirror_residual is None
-            assert not es.parities.any()
-            assert es.eigenvalues.tobytes() == w.tobytes()
-            assert es.eigenvectors.tobytes() == v.tobytes()
-
     @pytest.mark.parametrize("mat", [
         *(dense_band(pst_preset(n, "standard"), channel) for n in (9, 27) for channel in CHANNELS),
         *(engineered_sigma_block(pst_preset(n, "standard")) for n in (4, 13, 40)),
         np.diag([0.5, 1.0, 2.0, 1.0, 4.0, 5.0, 2.0, 5.0, 8.0])],
         ids=["up-9", "down-9", "up-27", "down-27", "sigma-4", "sigma-13", "sigma-40",
              "diagonal-9"])
-    def test_arrays_of_3n_states_have_no_chain_mirror(self, mat, monkeypatch):
+    def test_arrays_of_3n_states_are_their_chain_operators(self, mat):
         # bands and sigma blocks of 3^k states, and a diagonal that commutes
-        # with the two-site exchange, are arrays, not chain operators: no
-        # commutator is formed, no block is split and no column has a parity
-        def refused(*args):
-            raise AssertionError("an array got a chain mirror")
-
-        monkeypatch.setattr(linalg, "chain_mirror_index", refused)
+        # with the two-site exchange, are read as the operators of k sites they
+        # hold: the same eigensystem, residual and parities, bit for bit
+        n = round(np.log(mat.shape[0]) / np.log(3))
         es = eig_hermitian(mat)
-        assert es.mirror_residual is None
-        assert not es.parities.any()
-        w, v = stacked_block_reference(mat)
-        assert es.eigenvalues.tobytes() == w.tobytes()
-        assert es.eigenvectors.tobytes() == v.tobytes()
+        want = eig_hermitian(linalg.ChainOperator.from_terms([(1, mat)], n))
+        assert es.mirror_residual == want.mirror_residual
+        assert es.parities.tobytes() == want.parities.tobytes()
+        assert es.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert es.eigenvectors.tobytes() == want.eigenvectors.tobytes()
 
     def test_two_site_operator_of_a_diagonal_has_parities(self):
         # the same diagonal as a two-site operator: the exchange keeps states
@@ -738,26 +722,29 @@ class TestParitySectors:
 
 
 def storage_inputs():
-    """(id, operator, mirror index or None) of the eigensystem storage tests: every
-    kind at n = 2-6 (engineered chains mirror-symmetric), both transfer presets at
-    n = 2-6, an engineered chain that is not mirror-symmetric, a 9 x 9 coupling array,
-    a sigma block, the two-site operator of a complex sigma block, a tomography band
-    and a random Hermitian array of several blocks."""
+    """(id, operator, chain mirror index) of the eigensystem storage tests: every kind
+    at n = 2-6 (engineered chains mirror-symmetric), both transfer presets at n = 2-6,
+    an engineered chain that is not mirror-symmetric, a 9 x 9 coupling array, a sigma
+    block of 27 states, the two-site operator of a complex sigma block, a tomography
+    band of 9 sites and a random Hermitian array of several blocks, each array read
+    as the operator its 3^n states hold."""
     inputs = [(f"{kind}-{n}", chain_hamiltonian(chain_spec(kind, n, seed=n, symmetric=True)),
                chain_mirror_index(n)) for kind in KINDS for n in (2, 3, 4, 5, 6)]
     inputs += [(f"{variant}-{n}", chain_hamiltonian(pst_preset(n, variant)), chain_mirror_index(n))
                for variant in PRESET_VARIANTS for n in (2, 3, 4, 5, 6)]
     inputs += [("engineered-asymmetric-4", chain_hamiltonian(chain_spec("engineered", 4, seed=4)),
                 chain_mirror_index(4)),
-               ("O5-coupling", candidate_two_site("O5"), None),
-               ("sigma-5", engineered_sigma_block(pst_preset(5, "standard")), None),
+               ("O5-coupling", candidate_two_site("O5"), chain_mirror_index(2)),
+               ("sigma-13", engineered_sigma_block(pst_preset(13, "standard")),
+                chain_mirror_index(3)),
                # a complex sigma block of 3^2 states shares its cache entry with this operator
                ("sigma-4-chain", linalg.ChainOperator.from_terms(
                    [(1, engineered_sigma_block(pst_preset(4, "standard")).astype(complex))], 2),
                 chain_mirror_index(2)),
-               ("band-9", dense_band(pst_preset(9, "standard"), "up"), None),
+               ("band-9", dense_band(pst_preset(9, "standard"), "up"), chain_mirror_index(2)),
                ("random-blocks", permuted_block_diagonal(np.random.default_rng(71),
-                                                         [7, 1, 4, 7, 2, 4, 1]), None)]
+                                                         [7, 1, 4, 7, 2, 4, 1, 1]),
+                chain_mirror_index(3))]
     return inputs
 
 
@@ -871,7 +858,7 @@ def assert_accurate(es, mat):
 class TestRealForms:
     def test_real_valued_complex_array_is_solved_as_real(self, monkeypatch):
         rng = np.random.default_rng(61)
-        mat = random_hermitian(rng, 17).real.astype(complex)
+        mat = random_hermitian(rng, 27).real.astype(complex)
         dtypes = recorded_eigh(monkeypatch)
         es = eig_hermitian(mat)
         assert dtypes == [np.float64]
@@ -916,7 +903,7 @@ class TestRealForms:
             assert not mirror_check(ham, t).is_mirror
 
     def test_centrohermitian_array_is_solved_as_real(self, monkeypatch):
-        mat = random_centrohermitian(np.random.default_rng(63), 12)
+        mat = random_centrohermitian(np.random.default_rng(63), 27)
         dtypes = recorded_eigh(monkeypatch)
         es = eig_hermitian(mat)
         assert dtypes == [np.float64]
@@ -924,7 +911,7 @@ class TestRealForms:
 
     def test_nudged_centrohermitian_array_is_solved_complex(self, monkeypatch):
         # one entry (and its transpose) an ulp off: no longer centrohermitian
-        mat = random_centrohermitian(np.random.default_rng(63), 12)
+        mat = random_centrohermitian(np.random.default_rng(63), 27)
         mat[0, 1] = complex(np.nextafter(mat[0, 1].real, 2.0), mat[0, 1].imag)
         mat[1, 0] = mat[0, 1].conjugate()
         dtypes = recorded_eigh(monkeypatch)
@@ -936,15 +923,16 @@ class TestRealForms:
         assert es.eigenvectors.tobytes() == v.tobytes()
 
     def test_blocks_that_the_reversal_moves_are_solved_complex(self, monkeypatch):
-        # two centrohermitian 6 x 6 blocks, each the other's image under the
-        # reversal of all 12 indices: neither is mapped onto itself
+        # two centrohermitian 13 x 13 blocks, each the other's image under the
+        # reversal of all 27 indices: neither is mapped onto itself; the middle
+        # index, a zero row, is a real block of its own
         rng = np.random.default_rng(64)
-        mat = np.zeros((12, 12), dtype=complex)
-        mat[:6, :6], mat[6:, 6:] = random_centrohermitian(rng, 6), random_centrohermitian(rng, 6)
+        mat = np.zeros((27, 27), dtype=complex)
+        mat[:13, :13], mat[14:, 14:] = random_centrohermitian(rng, 13), random_centrohermitian(rng, 13)
         dtypes = recorded_eigh(monkeypatch)
         es = eig_hermitian(mat)
         monkeypatch.undo()
-        assert dtypes == [np.complex128]
+        assert dtypes == [np.float64, np.complex128]
         w, v = stacked_block_reference(mat)
         assert es.eigenvalues.tobytes() == w.tobytes()
         assert es.eigenvectors.tobytes() == v.tobytes()
@@ -955,7 +943,7 @@ class TestNonFiniteEntries:
     def test_array_is_refused(self, bad):
         refusal = r"1 non-finite entries .* \(row, column\) \(0, 0\)"
         with pytest.raises(ValueError, match=refusal) as error:
-            eig_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+            eig_hermitian(np.diag([bad, 1.0, 2.0]))
         assert not isinstance(error.value, NonHermitianError)
 
     def test_chain_operator_is_refused_by_every_analysis(self):
@@ -976,7 +964,7 @@ class TestBlockUnitary:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_dense_product_with_exact_zeros(self, sign):
         rng = np.random.default_rng(51)
-        mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2])
+        mat = permuted_block_diagonal(rng, [3, 1, 5, 3, 2, 4, 9])
         es = eig_hermitian(mat)
         t = 0.83
         unitary = EvolutionCache(es).unitary(sign * t)
@@ -1010,17 +998,17 @@ class TestContentKey:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_signed_zero_shares_the_key(self, dtype, monkeypatch):
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
-        plus = engineered_sigma_block(chain_spec("engineered", 6, seed=3)).astype(dtype)
+        plus = engineered_sigma_block(chain_spec("engineered", 13, seed=3)).astype(dtype)
         minus = plus.copy()
         minus[plus == 0] = -0.0
         assert plus.tobytes() != minus.tobytes()
         self.assert_one_entry(minus, plus)
 
     @pytest.mark.parametrize("mat", [
-        engineered_sigma_block(pst_preset(7)),
+        engineered_sigma_block(pst_preset(13)),
         dense_band(chain_spec("engineered", 9, seed=4), "up"),
         chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")).dense().real.copy(),
-        permuted_block_diagonal(np.random.default_rng(5), [3, 1, 5, 3, 2]).real.copy(),
+        permuted_block_diagonal(np.random.default_rng(5), [3, 1, 5, 3, 2, 4, 9]).real.copy(),
     ], ids=["preset-sigma-block", "band", "heisenberg", "blocks"])
     def test_float_array_shares_the_key_of_its_complex_copy(self, mat, monkeypatch):
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
@@ -1030,33 +1018,33 @@ class TestContentKey:
         self.assert_one_entry(mat.astype(complex), mat)
 
     def test_other_values_change_the_key(self):
-        real = np.array([[1.0, 2.0], [2.0, 0.0]])
+        real = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
         # equal bytes and shape, other values
         assert content_key(real) != content_key(real.view(np.int64))
         assert content_key(real) != content_key(real * 1j)
 
     @pytest.mark.parametrize("mat", [np.zeros((3, 4)), np.zeros((1, 4)), np.zeros(4),
-                                     np.zeros((0, 0))], ids=["3x4", "1x4", "vector", "empty"])
+                                     np.zeros((0, 0)), np.zeros((7, 7))],
+                             ids=["3x4", "1x4", "vector", "empty", "7x7"])
     def test_non_square_is_refused(self, mat):
         # the key reads what the solve reads, so it refuses what the solve refuses
-        with pytest.raises(ValueError, match="square matrix"):
+        with pytest.raises(ValueError, match=re.escape(NO_SITES + str(mat.shape))):
             content_key(mat)
 
-    @pytest.mark.parametrize("dim", [7, 300])
+    @pytest.mark.parametrize("dim", [9, 243])
     @pytest.mark.parametrize("dtype", [float, complex, np.float32, np.int8, bool])
-    def test_read_entries_match_flatnonzero(self, dtype, dim):
-        # 300 rows are scanned in two runs
+    def test_from_dense_matches_flatnonzero(self, dtype, dim):
         rng = np.random.default_rng(31)
         mat = (rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.3)).astype(dtype)
         if dtype is complex:
             mat[2, 3] = 1j  # a zero real part
             mat[5, 1] = complex(-0.0, 0.0)
             mat[4, 4] = complex(0.0, -0.0)
-        entries = linalg._read_entries(mat)
-        assert entries.dim == dim
-        assert np.array_equal(entries.flat, np.flatnonzero(mat))
-        assert entries.values.dtype == complex
-        assert np.array_equal(entries.values, mat.reshape(-1)[np.flatnonzero(mat)])
+        op = linalg.ChainOperator.from_dense(mat)
+        assert op.n_sites == round(np.log(dim) / np.log(3)) and op.dim == dim
+        assert np.array_equal(op.flat, np.flatnonzero(mat))
+        assert op.values.dtype == complex
+        assert np.array_equal(op.values, mat.reshape(-1)[np.flatnonzero(mat)])
         # a transposed view has other bytes in memory but the same key as its copy
         assert content_key(mat.T) == content_key(mat.T.copy())
 
@@ -1067,7 +1055,10 @@ class TestContentKey:
         ham = chain_hamiltonian(chain_spec(kind, n, seed=n))
         dense = ham.dense()
         assert content_key(ham) == content_key(dense)
-        assert np.array_equal(linalg._read_entries(dense).flat, ham.flat)
+        # the dense matrix holds the operator, bit for bit
+        read = linalg.ChainOperator.from_dense(dense)
+        assert read.n_sites == n and read.flat.tobytes() == ham.flat.tobytes()
+        assert read.values.tobytes() == ham.values.tobytes()
         assert evolution_cache(ham) is evolution_cache(dense)
         # and the same eigensystem, parity sectors included, bit for bit, as
         # the dense matrix taken as an n-site operator
@@ -1080,18 +1071,20 @@ class TestContentKey:
     def test_operator_key_is_hashed_once(self, monkeypatch):
         monkeypatch.setattr(linalg, "_cache_by_fingerprint", {})
         ham = chain_hamiltonian(chain_spec("engineered", 4, seed=4, symmetric=True))
-        hashed, entries_key = [], linalg._entries_key
+        hashed, sha256 = [], linalg.hashlib.sha256
 
-        def counted(op):
-            hashed.append(type(op).__name__)
-            return entries_key(op)
+        def counted(data):
+            hashed.append(data)
+            return sha256(data)
 
-        monkeypatch.setattr(linalg, "_entries_key", counted)
+        monkeypatch.setattr(linalg.hashlib, "sha256", counted)
         key = content_key(ham)
-        assert content_key(ham) == key and hashed == ["ChainOperator"]
-        # its dense matrix is hashed from its own entries, to the same key and entry
+        assert content_key(ham) == key and len(hashed) == 1
+        # its dense matrix is read as a new operator and hashed from its own entries,
+        # to the same key and entry
         dense = ham.dense()
-        assert content_key(dense) == key and hashed == ["ChainOperator", "_Entries"]
+        assert content_key(dense) == key and len(hashed) == 2
+        monkeypatch.undo()
         assert evolution_cache(ham) is evolution_cache(dense)
 
     def test_equal_content_hits_the_cache(self):
@@ -1115,8 +1108,8 @@ class TestUnitaryFromEigensystem:
         assert np.max(np.abs(self.evolved(es, psi, 0.0) - psi)) <= 1e-13
 
     def test_eigenvector_picks_up_phase(self):
-        es = eig_hermitian(np.diag([2.0, -1.0]))
-        vec = np.array([0.0, 1.0], dtype=complex)
+        es = eig_hermitian(np.diag([2.0, -1.0, 0.5]))
+        vec = np.array([0.0, 1.0, 0.0], dtype=complex)
         out = self.evolved(es, vec, 0.7)
         assert np.allclose(out, np.exp(-1j * 0.7) * vec)
         out = self.evolved(es, vec, -0.7)
@@ -1124,9 +1117,9 @@ class TestUnitaryFromEigensystem:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
-        mat = random_hermitian(rng, 15)
+        mat = random_hermitian(rng, 27)
         es = eig_hermitian(mat)
-        psi = rng.normal(size=15) + 1j * rng.normal(size=15)
+        psi = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi /= np.linalg.norm(psi)
         out = self.evolved(es, psi, 3.3)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
@@ -1189,14 +1182,16 @@ class TestReconstructionInput:
         residual = np.max(np.abs((v * es.eigenvalues) @ v.conj().T - other))
         assert abs(es.reconstruction_residual(other) - residual) <= 1e-14 * np.max(np.abs(other))
 
-    @pytest.mark.parametrize("mat", [np.zeros((26, 26)), np.zeros((27, 9)), np.zeros(27),
-                                     chain_hamiltonian(ChainSpec(n=2, kind="heisenberg"))],
-                             ids=["smaller", "not-square", "vector", "other-chain"])
-    def test_other_shapes_are_refused(self, mat):
+    @pytest.mark.parametrize("mat, refusal", [
+        (np.zeros((26, 26)), NO_SITES + "(26, 26)"), (np.zeros((27, 9)), NO_SITES + "(27, 9)"),
+        (np.zeros(27), NO_SITES + "(27,)"),
+        (np.zeros((9, 9)), "shape (9, 9) cannot be compared with an eigensystem of shape (27, 27)"),
+        (chain_hamiltonian(ChainSpec(n=2, kind="heisenberg")),
+         "shape (9, 9) cannot be compared with an eigensystem of shape (27, 27)")],
+        ids=["smaller", "not-square", "vector", "other-array", "other-chain"])
+    def test_other_shapes_are_refused(self, mat, refusal):
         es = eig_hermitian(chain_hamiltonian(ChainSpec(n=3, kind="heisenberg")))
-        shape = (9, 9) if isinstance(mat, linalg.ChainOperator) else mat.shape
-        with pytest.raises(ValueError, match=re.escape(f"shape {shape} cannot be compared with "
-                                                       "an eigensystem of shape (27, 27)")):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             es.reconstruction_residual(mat)
 
 

@@ -122,6 +122,23 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def test_spectra_checker_passes_its_warmup_ops(tmp_path):
+    # the benchmark's spectra checker keys the eigensystem cache with the dense
+    # matrix of each chain and measures the cached eigensystem against it: each
+    # warm-up op, run as the benchmark runs it, passes its own check
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.warmup_ops("spectra")
+    assert any(op.call is not None for op in ops)
+    for op in ops:
+        workloads.prepare(op, str(tmp_path))
+        outcome, _ = workloads.execute(op, str(tmp_path))
+        assert outcome.code == 0, outcome.stderr
+        assert op.check(outcome) is None, op.label
+
+
 def public_callables(module):
     """Public functions of ``module`` and public methods of its classes, with the
     constructors of its other classes; dataclass and exception constructors

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from spin1chain import tomography
 from spin1chain.hamiltonians import ChainSpec, pst_preset
-from spin1chain.linalg import eig_hermitian
 from spin1chain.tomography import (
     MeasurementRecord,
     SpectralData,
@@ -207,9 +208,9 @@ class TestJacobiReconstruct:
         diag_true = rng.uniform(-2, 2, n)
         off_true = rng.uniform(0.2, 2, n - 1)
         mat = np.diag(diag_true) + np.diag(off_true, 1) + np.diag(off_true, -1)
-        es = eig_hermitian(mat)
-        weights = np.abs(es.eigenvectors[0, :]) ** 2
-        diag, off = jacobi_reconstruct(SpectralData(es.eigenvalues, weights))
+        energies, vectors = np.linalg.eigh(mat)
+        weights = np.abs(vectors[0, :]) ** 2
+        diag, off = jacobi_reconstruct(SpectralData(energies, weights))
         assert np.max(np.abs(diag - diag_true)) <= 1e-8
         assert np.max(np.abs(off - off_true)) <= 1e-8
 
@@ -417,6 +418,24 @@ class TestRecordFiles:
         assert record.times.tobytes() == times_ref.tobytes()
         assert record.values.tobytes() == values_ref.tobytes()
         assert np.signbit(record.times[0])
+
+    def test_refusals_name_the_file(self, tmp_path):
+        # a field that is no number by its line, a file that is not UTF-8 and a
+        # record that MeasurementRecord refuses by the path, its type kept
+        path = tmp_path / "bad.csv"
+        path.write_text("t,re,im\n0,1,0\n\n0.1,0.5,x1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: could not convert "
+                                                       "string to float: 'x1'")):
+            read_record_csv(path, "up")
+        path.write_bytes("t,p\n0,1\n0.1,0.5\n".encode("utf-16"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")) as error:
+            read_record_csv(path, "up")
+        assert not isinstance(error.value, UnicodeDecodeError)
+        path.write_text("t,re,im\n0,1,0\n0.1,1.5,0\n")
+        with pytest.raises(tomography.AmplitudeBoundError,
+                           match=re.escape(f"{path}: survival amplitudes must satisfy")):
+            read_record_csv(path, "up")
+        assert read_record_csv(path, "up", shots=10).values[1] == 1.5
 
     def test_header_detection(self, tmp_path):
         path = tmp_path / "weird.csv"
