@@ -325,6 +325,9 @@ def cmd_tomography(args):
         if not (args.record_up and args.record_down and args.order is not None):
             raise SpecError("file-based tomography needs --record-up, --record-down "
                             "and --order")
+        for flag, value in (("--spec", args.spec), ("--preset-n", args.preset_n)):
+            if value is not None:
+                raise SpecError("names a hidden chain, which record files replace", flag)
         records = []
         for path, channel in ((args.record_up, "up"), (args.record_down, "down")):
             try:
@@ -338,6 +341,8 @@ def cmd_tomography(args):
         parameters = {"mode": "amplitude", "order": args.order,
                       "record_up": args.record_up, "record_down": args.record_down}
     else:
+        if args.order is not None:
+            raise SpecError("applies to record files only; a hidden chain sets it", "--order")
         spec, spec_path = _load_spec(args)
         if spec.kind != "engineered":
             raise SpecError("tomography addresses engineered chains")

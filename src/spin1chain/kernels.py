@@ -5,9 +5,9 @@ The dominant inner loop of this package is the evaluation of phase sums
     f(t_k) = sum_j c_j * exp(i * sign * E_j * t_k)
 
 over long time grids (amplitude scans, fidelity traces, synthetic
-measurement records).  Every grid the package builds is uniform,
-t_k = t_0 + k*dt.  On such a grid the phase factors split into a per-block
-base phase and a small shared table,
+measurement records).  Every grid is uniform, t_k = t_0 + k*dt bit for bit
+(:func:`uniform_step`; a grid of one time has dt = 0).  On such a grid the
+phase factors split into a per-block base phase and a small shared table,
 
     exp(i s E (t_{bB} + j dt)) = exp(i s E t_{bB}) * exp(i s E j dt),
 
@@ -15,17 +15,12 @@ with blocks of B = ceil(sqrt(N)) points, so the series is one GEMM of an
 (N/B) x m weight matrix with a B x m table: about 2*sqrt(N)*m complex
 exponentials instead of N*m.  Each base phase is taken from the grid time
 t_{bB} itself, so no error builds up along the grid (:func:`block_phases`,
-which the matrix pencil's Vandermonde reads too).  Any other grid is
-evaluated directly, one chunk of time points at a time.
+which the matrix pencil's Vandermonde reads too).
 """
 
 import math
 
 import numpy as np
-
-# bytes of exp(i t E) materialized per chunk on grids that are not uniform;
-# the chunk's transient peak is 1.5x this (the float phases live alongside)
-_CHUNK_BYTES = 64 << 20
 
 
 def backend_name():
@@ -33,14 +28,24 @@ def backend_name():
     return "numpy"
 
 
-def _uniform_step(times):
-    """dt when times == times[0] + dt*arange(N) bit for bit, else None."""
-    if times.shape[0] < 2:
-        return None
-    dt = times[1] - times[0]
-    if np.array_equal(times, times[0] + dt * np.arange(times.shape[0])):
+def uniform_step(times):
+    """The step dt = times[1] - times[0] of a phase-sum grid, 0.0 for a grid of
+    one time.  Every grid is finite, strictly increasing and uniform bit for
+    bit; any other is refused with a ValueError that names its first fault."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite (a NaN or inf is present)")
+    dt = times[1] - times[0] if times.size > 1 else 0.0
+    grid = np.arange(times.size, dtype=np.float64)  # scaled in place: one N-point array
+    grid *= dt
+    grid += times[0]
+    if np.array_equal(times, grid) and (dt > 0 or times.size == 1):
         return dt
-    return None
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    raise ValueError("times must be a uniform grid: times[k] == times[0] + k*dt bit for bit")
 
 
 def _phases(times, energies, sign):
@@ -60,20 +65,11 @@ def block_phases(times, dt, energies, sign):
 
 
 def phase_series(energies, coeffs, times, sign=1.0):
-    """Evaluate sum_j coeffs[j] * exp(i*sign*energies[j]*t) on a time grid."""
+    """Evaluate sum_j coeffs[j] * exp(i*sign*energies[j]*t) on a uniform time grid."""
     energies = np.ascontiguousarray(energies, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     times = np.ascontiguousarray(times, dtype=np.float64)
     if energies.shape != coeffs.shape:
         raise ValueError("energies and coeffs must have matching shapes")
-    sign = float(sign)
-    n = times.shape[0]
-    dt = _uniform_step(times)
-    if dt is not None:
-        base, table = block_phases(times, dt, energies, sign)
-        return ((base * coeffs) @ table.T).ravel()[:n]
-    out = np.empty(n, dtype=np.complex128)
-    rows = max(1, _CHUNK_BYTES // (16 * max(energies.shape[0], 1)))
-    for s in range(0, n, rows):
-        out[s:s + rows] = _phases(times[s:s + rows], energies, sign) @ coeffs
-    return out
+    base, table = block_phases(times, uniform_step(times), energies, float(sign))
+    return ((base * coeffs) @ table.T).ravel()[:times.shape[0]]

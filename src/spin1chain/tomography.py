@@ -559,8 +559,9 @@ def _json_scalar(v):
 def _channel_estimate(record, order):
     sd, diagnostics = extract_spectrum(record, order)
     diag, off = jacobi_reconstruct(sd)
-    model = kernels.phase_series(sd.eigenvalues, sd.weights.astype(complex),
-                                 record.times, 1.0)
+    # the grid the pencil fitted, which hand-made record times may miss by 1e-9
+    times = record.times[0] + record.grid_step() * np.arange(record.times.size)
+    model = kernels.phase_series(sd.eigenvalues, sd.weights.astype(complex), times, 1.0)
     residual = float(np.max(np.abs(model - record.values)))
     diagnostics["fit_residual"] = residual
     return diag, off, residual, diagnostics

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spin1chain import cli, dynamics, linalg, parity, tomography
+from spin1chain import cli, dynamics, kernels, linalg, parity, tomography
 from spin1chain.cli import build_parser, main, parse_time
 from spin1chain.dynamics import (QUTRIT_TEST_STATES, amplitude_scan, qutrit_fidelity_series,
                                  qutrit_transfer_fidelity)
@@ -809,6 +809,64 @@ class TestTomography:
                                 "--record-down", "y.csv"], capsys)
         assert code == 2
         assert "--order" in json.loads(err)["error"]["message"]
+
+    def test_wobbly_record_times_fit_on_the_exact_grid(self, tmp_path, capsys):
+        # hand-made record times may miss the uniform grid within the 1e-9 of
+        # MeasurementRecord.grid_step; the record is fitted, and its model
+        # evaluated, on the grid times[0] + dt * k, so the estimates are those
+        # of the exact record
+        code, _, _ = run_cli(["tomography", "--preset-n", "3", "--emit-records",
+                              "--output-dir", str(tmp_path), "--tag", "exact"], capsys)
+        assert code == 0
+        paths = {}
+        for channel in ("up", "down"):
+            exact = str(tmp_path / f"exact_record_{channel}.csv")
+            record = tomography.read_record_csv(exact, channel)
+            times = record.times.copy()
+            times[2:] += 1e-12 * (-1.0) ** np.arange(times.size - 2)
+            wobbly = tomography.MeasurementRecord(times, record.values, channel, "amplitude")
+            assert wobbly.grid_step() == record.grid_step()
+            with pytest.raises(ValueError, match="uniform grid"):
+                kernels.uniform_step(times)
+            paths[channel] = (exact, str(tmp_path / f"wobbly_{channel}.csv"))
+            tomography.write_record_csv(wobbly, paths[channel][1])
+        payloads = []
+        for k, tag in enumerate(("fromexact", "fromwobbly")):
+            code, out, err = run_cli(["tomography", "--record-up", paths["up"][k],
+                                      "--record-down", paths["down"][k], "--order", "3",
+                                      "--output-dir", str(tmp_path), "--tag", tag], capsys)
+            assert code == 0, err
+            payloads.append(json.loads(out))
+        assert payloads[1] == payloads[0]
+
+    def test_order_needs_record_files(self, tmp_path, capsys):
+        # a synthesized record is fitted at the chain's own length, so --order
+        # without record files is refused, not ignored
+        code, out, err = run_cli(["tomography", "--preset-n", "3", "--samples", "8",
+                                  "--order", "2", "--output-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == "--order"
+        assert error["message"].startswith("--order: applies to record files only")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--spec", "hidden.json"), ("--preset-n", "3")])
+    def test_record_files_refuse_a_hidden_chain(self, tmp_path, capsys, flag, value):
+        code, _, _ = run_cli(["tomography", "--preset-n", "3", "--emit-records",
+                              "--output-dir", str(tmp_path), "--tag", "emit"], capsys)
+        assert code == 0
+        (tmp_path / "hidden.json").write_text(json.dumps(pst_preset(3, "standard").to_json_dict()))
+        value = str(tmp_path / value) if flag == "--spec" else value
+        code, out, err = run_cli(["tomography", "--record-up",
+                                  str(tmp_path / "emit_record_up.csv"), "--record-down",
+                                  str(tmp_path / "emit_record_down.csv"), "--order", "3",
+                                  flag, value, "--output-dir", str(tmp_path), "--tag", "both"],
+                                 capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["stage"] == "spec" and error["path"] == flag
+        assert error["message"] == f"{flag}: names a hidden chain, which record files replace"
+        assert not list(tmp_path.glob("both_*"))
 
     @pytest.mark.parametrize("missing", ["up", "down"])
     def test_unreadable_record_file(self, tmp_path, capsys, missing):

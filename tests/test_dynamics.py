@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spin1chain import kernels
+from spin1chain import dynamics, kernels
 from spin1chain.dynamics import (
     QUTRIT_TEST_STATES,
     _band_series,
@@ -215,6 +215,22 @@ class TestAmplitudeScan:
             amplitude_scan(chain3, "001", "100", np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="non-empty"):
             amplitude_scan(chain3, "001", "100", np.array([]))
+
+    @pytest.mark.parametrize("scan", ["amplitude", "band"])
+    def test_non_uniform_grid_refused_before_any_eigensolve(self, chain3, monkeypatch, scan):
+        def no_solve(*args):
+            raise AssertionError("a refused grid costs no eigensolve")
+
+        monkeypatch.setattr(dynamics, "evolution_cache", no_solve)
+        monkeypatch.setattr(dynamics, "band_eigensystem", no_solve)
+        times = 0.1 * np.arange(10)
+        times[5] += 1e-12
+        with pytest.raises(ValueError, match=r"^times must be a uniform grid: "
+                                             r"times\[k\] == times\[0\] \+ k\*dt bit for bit$"):
+            if scan == "amplitude":
+                amplitude_scan(chain3, "001", "100", times)
+            else:
+                band_scan(pst_preset(3, "standard"), "up", 0, 2, times)
 
     @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
                                        [-np.inf, 0.0, 1.0]])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,21 +21,6 @@ def test_phase_series_matches_reference():
         assert np.max(np.abs(out - reference_series(energies, coeffs, times, sign))) <= 1e-12
 
 
-def test_phase_series_crosses_chunk_seam():
-    # a perturbed linspace is not uniform, so it takes the chunked exp path;
-    # the grid is one chunk of the byte budget plus 4001 points
-    rng = np.random.default_rng(1)
-    energies = rng.uniform(-3, 3, 330)
-    coeffs = rng.normal(size=330) + 1j * rng.normal(size=330)
-    rows = kernels._CHUNK_BYTES // (16 * energies.size)
-    times = np.linspace(0, 20, rows + 4001)
-    times += rng.uniform(0, 0.1 * (times[1] - times[0]), times.size)
-    assert kernels._uniform_step(times) is None
-    for sign in (1.0, -1.0):
-        out = kernels.phase_series(energies, coeffs, times, sign)
-        assert np.max(np.abs(out - reference_series(energies, coeffs, times, sign))) <= 1e-12
-
-
 # block size B = 50 for the grids of B^2 - 1 .. B^2 + 1 points; 125664 is
 # the [0, 40pi) grid at dt = 1e-3
 @pytest.mark.parametrize("points", [1, 2, 3, 2499, 2500, 2501, 125664])
@@ -48,8 +34,7 @@ def test_uniform_grid_matches_direct_exp(points, energies):
     t0, dt = 1.5, 1e-3
     times = np.arange(t0, t0 + (points - 0.5) * dt, dt)
     assert times.size == points
-    if points > 1:
-        assert kernels._uniform_step(times) is not None
+    assert kernels.uniform_step(times) == (times[1] - times[0] if points > 1 else 0.0)
     for sign in (1.0, -1.0):
         direct = np.exp(1j * sign * np.outer(times, e)) @ coeffs
         out = kernels.phase_series(e, coeffs, times, sign)
@@ -74,12 +59,35 @@ def test_phase_series_memory_bounded():
     coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
     uniform = np.arange(0.25, 100.0, 1e-3)
     n = uniform.size
-    jittered = uniform + rng.uniform(0, 1e-4, n)
-    assert kernels._uniform_step(uniform) is not None
-    assert kernels._uniform_step(jittered) is None
-    assert _peak_bytes(energies, coeffs, jittered) < 2 * kernels._CHUNK_BYTES
     # the table path never materializes the N x m phase matrix
     assert _peak_bytes(energies, coeffs, uniform) < n * m * 16 / 8
+
+
+def _jittered():
+    times = 0.1 * np.arange(10)
+    times[5] += 1e-12
+    return times
+
+
+@pytest.mark.parametrize("times, message", [
+    (_jittered(), "a uniform grid: times[k] == times[0] + k*dt bit for bit"),
+    ([0.0, 1.0, 3.0], "a uniform grid: times[k] == times[0] + k*dt bit for bit"),
+    ([0.0, 0.0, 1.0], "strictly increasing"),
+    ([0.0, 0.0], "strictly increasing"),
+    ([1.0, 0.5, 0.0], "strictly increasing"),
+    ([0.0, np.inf], "finite (a NaN or inf is present)"),
+    ([np.nan, 1.0], "finite (a NaN or inf is present)"),
+    ([np.nan], "finite (a NaN or inf is present)"),
+    ([], "a non-empty 1-d grid"),
+    ([[0.0, 1.0]], "a non-empty 1-d grid")],
+    ids=["jittered", "uneven", "repeated", "constant", "decreasing", "infinite", "nan",
+         "one-nan", "empty", "2-d"])
+def test_bad_grid_refused(times, message):
+    # the one grid check names the grid's first fault
+    with pytest.raises(ValueError, match=f"^times must be {re.escape(message)}$"):
+        kernels.uniform_step(times)
+    with pytest.raises(ValueError, match=f"^times must be {re.escape(message)}$"):
+        kernels.phase_series(np.ones(3), np.ones(3, dtype=complex), times)
 
 
 def test_backend_name_is_numpy():

@@ -167,3 +167,32 @@ def test_settable_value_count():
                 for param in inspect.signature(func).parameters.values()
                 if param.default is not param.empty]
     assert len(settable) == 18, settable
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_failing_property(x):
+    assert x < 5
+
+
+def test_neighbour():
+    pass
+'''
+
+
+def test_failing_property_is_a_plain_failure(tmp_path):
+    # under the project's warning filters, a falsified Hypothesis property
+    # fails alone: the modules Hypothesis imports to report it raise no
+    # warning that aborts the run before the next test
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+                           "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+                           "test_property.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == pytest.ExitCode.TESTS_FAILED, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout
